@@ -11,7 +11,6 @@ secret-sharing protocol.
 from .analysis import (
     AvnCertificate,
     ClassificationReport,
-    IncidenceMatrix,
     avn_certificate,
     classify,
     contextual_fraction,
@@ -38,7 +37,6 @@ from .construct import (
     candidate_model,
     csp_enumerate_extension,
     csp_extension_preset,
-    csp_satisfiable,
     eight_param_family,
     enumerate_parity,
     parity_consistent,

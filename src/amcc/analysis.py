@@ -2,9 +2,9 @@
 
 Two independent decision routes are implemented and cross-checked:
 
-* an exact linear program over the incidence matrix (does a global
-  distribution reproduce all context rows? what is the largest
-  noncontextual weight?), and
+* an exact linear program over the incidence matrix (what is the largest
+  noncontextual weight? the model is contextual iff it is below 1, and at
+  weight 1 the optimum is a global distribution reproducing every row), and
 * an exhaustive scan of global assignments against the support pattern
   (is there an assignment compatible with every context's support?).
 
@@ -27,23 +27,16 @@ from .empirical import (
     is_no_signaling,
     possibilistic_collapse,
 )
-from .errors import InternalConsistencyError, SignalingInput, TooLarge
-from .ratlp import LinearProgram, LpStatus, maximize, solve_feasibility
+from .errors import InternalConsistencyError, SignalingInput
+from .ratlp import LinearProgram, LpStatus, maximize
 from .scenario import (
-    ENUMERATION_LIMIT,
     GlobalAssignment,
     MeasurementScenario,
+    projection,
     section_values,
 )
 
 ONE = Fraction(1)
-
-
-@lru_cache(maxsize=None)
-def _context_positions(s: MeasurementScenario) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(s.observables.index(x) for x in ctx) for ctx in s.contexts
-    )
 
 
 @lru_cache(maxsize=None)
@@ -53,20 +46,7 @@ def restriction_table(s: MeasurementScenario) -> tuple[tuple[int, ...], ...]:
     Global assignments are indexed by their outcome tuple read as a
     big-endian binary number, matching ``enumerate_global_assignments``.
     """
-    n = len(s.observables)
-    if n > ENUMERATION_LIMIT:
-        raise TooLarge(f"{n} observables exceed the 2**{ENUMERATION_LIMIT} guard")
-    table = []
-    for positions in _context_positions(s):
-        shifts = [n - 1 - p for p in positions]
-        row = []
-        for g in range(1 << n):
-            idx = 0
-            for sh in shifts:
-                idx = (idx << 1) | ((g >> sh) & 1)
-            row.append(idx)
-        table.append(tuple(row))
-    return tuple(table)
+    return tuple(projection(s.observables, ctx) for ctx in s.contexts)
 
 
 @lru_cache(maxsize=None)
@@ -82,43 +62,19 @@ def global_masks(s: MeasurementScenario) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """0/1 matrix with (context, section) rows and global-assignment columns.
-
-    ``entries[r][g] == 1`` iff assignment ``g`` restricts to row ``r``'s
-    section; every column therefore has exactly one 1 per context.
-    """
-
-    scenario: MeasurementScenario
-    row_index: tuple[tuple[int, int], ...]
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n_columns(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-
 @lru_cache(maxsize=None)
-def incidence_matrix(s: MeasurementScenario) -> IncidenceMatrix:
-    """The incidence matrix in canonical row/column order (cached per scenario)."""
-    table = restriction_table(s)
-    n_globals = 1 << len(s.observables)
-    row_index = []
-    entries = []
-    for c in range(s.n_contexts):
+def incidence_matrix(s: MeasurementScenario) -> tuple[tuple[int, ...], ...]:
+    """The 0/1 incidence matrix as a tuple of rows (cached per scenario).
+
+    Rows are the (context, section) pairs in canonical order, columns the
+    global assignments; entry ``[r][g]`` is 1 iff assignment ``g`` restricts
+    to row ``r``'s section, so every column has exactly one 1 per context.
+    """
+    rows = []
+    for c, table in enumerate(restriction_table(s)):
         for sec in range(s.n_sections(c)):
-            row_index.append((c, sec))
-            entries.append(
-                tuple(1 if table[c][g] == sec else 0 for g in range(n_globals))
-            )
-    return IncidenceMatrix(
-        scenario=s, row_index=tuple(row_index), entries=tuple(entries)
-    )
+            rows.append(tuple(1 if t == sec else 0 for t in table))
+    return tuple(rows)
 
 
 def _assignment_vector(m: EmpiricalModel) -> list[Fraction]:
@@ -155,23 +111,24 @@ def _assignment_from_index(s: MeasurementScenario, g: int) -> GlobalAssignment:
     )
 
 
+def _global_weights(s: MeasurementScenario, solution) -> dict:
+    """The nonzero entries of an LP solution, keyed by assignment bit-tuple."""
+    n = len(s.observables)
+    return {section_values(g, n): w for g, w in enumerate(solution) if w != 0}
+
+
 def is_contextual(m: EmpiricalModel):
-    """LP route: noncontextual iff M d = v has a nonnegative solution.
+    """LP route: contextual iff the contextual fraction is positive.
 
     Returns ``(True, None)`` when contextual, else ``(False, d)`` where ``d``
-    maps assignment bit-tuples to weights of a reproducing global distribution.
+    maps assignment bit-tuples to weights of a reproducing global
+    distribution: at CF = 0 the CF optimum has total weight 1 under rows
+    that each sum to 1, so it reproduces every row exactly.
     """
-    _require_no_signaling(m)
-    inc = incidence_matrix(m.scenario)
-    out = solve_feasibility(inc.entries, _assignment_vector(m))
-    if out.status is LpStatus.INFEASIBLE:
+    cf, solution = _contextual_fraction_with_witness(m)
+    if cf > 0:
         return True, None
-    dist = {
-        section_values(g, len(m.scenario.observables)): w
-        for g, w in enumerate(out.solution)
-        if w != 0
-    }
-    return False, dist
+    return False, _global_weights(m.scenario, solution)
 
 
 def contextual_fraction(m: EmpiricalModel) -> Fraction:
@@ -183,9 +140,10 @@ def contextual_fraction(m: EmpiricalModel) -> Fraction:
 def _contextual_fraction_with_witness(m: EmpiricalModel):
     _require_no_signaling(m)
     inc = incidence_matrix(m.scenario)
-    n = inc.n_columns
     lp = LinearProgram(
-        objective=(1,) * n, a_le=inc.entries, b_le=tuple(_assignment_vector(m))
+        objective=(1,) * (1 << len(m.scenario.observables)),
+        a_le=inc,
+        b_le=tuple(_assignment_vector(m)),
     )
     out = maximize(lp)
     if out.status is not LpStatus.OPTIMAL:
@@ -291,7 +249,6 @@ def classify(m: EmpiricalModel) -> ClassificationReport:
     coincides with strong contextuality) and all its proper within-context
     marginals are uniform.
     """
-    _require_no_signaling(m)
     cf, lp_solution = _contextual_fraction_with_witness(m)
     strong, strong_witness = is_strongly_contextual(m)
     if strong != (cf == 1):
@@ -302,12 +259,10 @@ def classify(m: EmpiricalModel) -> ClassificationReport:
     maxmarg, marg_witness = is_maximal_marginal(m)
 
     witness: dict = {}
-    if lp_solution is not None and cf != 1:
-        n = len(m.scenario.observables)
+    if cf != 1:
         witness["noncontextual_part"] = {
-            "".join(map(str, section_values(g, n))): format_rational(w)
-            for g, w in enumerate(lp_solution)
-            if w != 0
+            "".join(map(str, bits)): format_rational(w)
+            for bits, w in _global_weights(m.scenario, lp_solution).items()
         }
     if marg_witness is not None:
         witness["failing_marginal"] = {
@@ -345,7 +300,6 @@ def classify(m: EmpiricalModel) -> ClassificationReport:
 __all__ = [
     "AvnCertificate",
     "ClassificationReport",
-    "IncidenceMatrix",
     "avn_certificate",
     "classify",
     "contextual_fraction",

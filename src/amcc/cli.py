@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import analysis, applications, catalog, construct, empirical
 from .errors import ContextualityError, InternalConsistencyError, UnknownLabel
@@ -28,13 +27,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _read_model(path, check_ns: bool = True):
+def _read_model(path):
     if path in (None, "-"):
         data = json.load(sys.stdin)
     else:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    return empirical.model_from_dict(data, check_ns=check_ns)
+    return empirical.model_from_dict(data)
 
 
 def _emit(obj) -> None:
@@ -178,13 +177,13 @@ def _cmd_enumerate_csp(args) -> int:
 
 
 def _cmd_scan_eight(args) -> int:
-    grid = [Fraction(v) for v in args.grid.split(",")]
+    grid = [empirical.parse_rational(v) for v in args.grid.split(",")]
     fixed = {}
     for token in args.fix or ():
         key, _, value = token.partition("=")
         if not value:
             raise _UsageError(f"--fix expects i=value, got {token!r}")
-        fixed[int(key)] = Fraction(value)
+        fixed[int(key)] = empirical.parse_rational(value)
     report = construct.scan_eight_param(grid, fixed)
     payload = report.to_dict(include_points=args.stream)
     if args.stream:
@@ -210,7 +209,7 @@ def _cmd_secret_share(args) -> int:
         ps,
         _parse_hexbits(args.secret),
         rounds=args.rounds,
-        test_fraction=Fraction(args.test_fraction),
+        test_fraction=empirical.parse_rational(args.test_fraction),
         seed=args.seed,
     )
     sys.stdout.write(result.transcript())

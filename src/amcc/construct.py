@@ -34,16 +34,19 @@ from .empirical import (
 from .errors import (
     IndexOutOfRange,
     LengthMismatch,
+    MalformedInput,
     OutOfRange,
     TooLarge,
     TooManyCandidates,
 )
 from .scenario import (
-    GlobalAssignment,
     MeasurementScenario,
     bell_scenario,
     bell_token,
+    expect_json,
+    overlap,
     parse_bell_token,
+    projection,
     scenario_from_dict,
     scenario_to_dict,
     section_values,
@@ -185,30 +188,13 @@ class BooleanSignalingWitness:
         )
 
 
-def _projection_positions(
-    s: MeasurementScenario, c: int, overlap: Sequence[str]
-) -> list[int]:
-    context = s.contexts[c]
-    return [context.index(x) for x in overlap]
-
-
-def _project_support(
-    support_mask: int, width: int, positions: Sequence[int]
-) -> int:
-    """Existential projection of a support bitmask onto the given positions."""
+def _project_support(support_mask: int, table: Sequence[int]) -> int:
+    """Existential projection of a support bitmask through a :func:`projection` table."""
     out = 0
-    for sec in range(1 << width):
+    for sec, sub in enumerate(table):
         if (support_mask >> sec) & 1:
-            sub = 0
-            for pos in positions:
-                sub = (sub << 1) | ((sec >> (width - 1 - pos)) & 1)
             out |= 1 << sub
     return out
-
-
-def _canonical_overlap(s: MeasurementScenario, a: int, b: int):
-    inter = set(s.contexts[a]) & set(s.contexts[b])
-    return tuple(x for x in s.observables if x in inter)
 
 
 def boolean_no_signaling(b: PossibilisticModel):
@@ -220,38 +206,18 @@ def boolean_no_signaling(b: PossibilisticModel):
     s = b.scenario
     for i in range(s.n_contexts):
         for j in range(i + 1, s.n_contexts):
-            overlap = _canonical_overlap(s, i, j)
-            if not overlap:
+            shared = overlap(s, i, j)
+            if not shared:
                 continue
-            pi = _project_support(
-                b.support_mask(i), len(s.contexts[i]),
-                _projection_positions(s, i, overlap),
-            )
-            pj = _project_support(
-                b.support_mask(j), len(s.contexts[j]),
-                _projection_positions(s, j, overlap),
-            )
+            pi = _project_support(b.support_mask(i), projection(s.contexts[i], shared))
+            pj = _project_support(b.support_mask(j), projection(s.contexts[j], shared))
             if pi != pj:
                 return False, BooleanSignalingWitness(
-                    i, j, overlap,
-                    tuple(k for k in range(1 << len(overlap)) if (pi >> k) & 1),
-                    tuple(k for k in range(1 << len(overlap)) if (pj >> k) & 1),
+                    i, j, shared,
+                    tuple(k for k in range(1 << len(shared)) if (pi >> k) & 1),
+                    tuple(k for k in range(1 << len(shared)) if (pj >> k) & 1),
                 )
     return True, None
-
-
-def csp_satisfiable(b: PossibilisticModel):
-    """Exhaustive search for a global assignment supported in every context.
-
-    Returns ``(True, witness assignment)`` or ``(False, None)``; a model is
-    strongly contextual exactly when its instance is unsatisfiable.
-    """
-    mask = analysis.support_mask(b)
-    if mask == 0:
-        return False, None
-    g = (mask & -mask).bit_length() - 1
-    n = len(b.scenario.observables)
-    return True, GlobalAssignment(b.scenario.observables, section_values(g, n))
 
 
 # --- parity enumeration ------------------------------------------------------
@@ -303,11 +269,7 @@ def _null_space_combos(s: MeasurementScenario) -> tuple[int, ...]:
     return tuple(row[2] for row in residual)
 
 
-def _parity_vector(index: int, width: int) -> tuple[int, ...]:
-    return section_values(index, width)
-
-
-def _classify_parity_vector(s: MeasurementScenario, bits, combos) -> ParityVerdict:
+def _classify_parities(s: MeasurementScenario, bits, combos) -> ParityVerdict:
     pmask = 0
     for c, bit in enumerate(bits):
         if bit:
@@ -325,7 +287,7 @@ def _parity_chunk(args) -> list[ParityVerdict]:
     combos = _null_space_combos(s)
     m = s.n_contexts
     return [
-        _classify_parity_vector(s, _parity_vector(i, m), combos)
+        _classify_parities(s, section_values(i, m), combos)
         for i in range(start, end)
     ]
 
@@ -401,7 +363,6 @@ class _CspSearch:
 
     def __init__(self, base: PossibilisticModel, extendable: tuple[int, ...]):
         s = base.scenario
-        self.scenario = s
         self.extendable = extendable
         self.base_masks = [base.support_mask(c) for c in range(s.n_contexts)]
         for c in extendable:
@@ -456,40 +417,27 @@ class _CspSearch:
         }
 
         # No-signaling machinery: static pairs once, dynamic pairs per candidate.
+        def projected(c, shared):
+            # One projected mask per local choice of an extendable context,
+            # or the single projected base mask of a fixed one.
+            table = projection(s.contexts[c], shared)
+            if c in extendable:
+                return [_project_support(m, table) for m in self.choice_masks[c]]
+            return _project_support(self.base_masks[c], table)
+
         self.static_ok = True
         self.dynamic_pairs = []  # (i, j, proj_i, proj_j); proj is table or constant
         for i in range(s.n_contexts):
             for j in range(i + 1, s.n_contexts):
-                overlap = _canonical_overlap(s, i, j)
-                if not overlap:
+                shared = overlap(s, i, j)
+                if not shared:
                     continue
-                proj_i = self._projector(i, overlap)
-                proj_j = self._projector(j, overlap)
+                proj_i, proj_j = projected(i, shared), projected(j, shared)
                 if i not in extendable and j not in extendable:
-                    if proj_i(self.base_masks[i]) != proj_j(self.base_masks[j]):
+                    if proj_i != proj_j:
                         self.static_ok = False
                     continue
-                table_i = (
-                    [proj_i(m) for m in self.choice_masks[i]]
-                    if i in extendable
-                    else proj_i(self.base_masks[i])
-                )
-                table_j = (
-                    [proj_j(m) for m in self.choice_masks[j]]
-                    if j in extendable
-                    else proj_j(self.base_masks[j])
-                )
-                self.dynamic_pairs.append((i, j, table_i, table_j))
-
-    def _projector(self, c, overlap):
-        s = self.scenario
-        width = len(s.contexts[c])
-        positions = _projection_positions(s, c, overlap)
-
-        def project(mask, _width=width, _pos=tuple(positions)):
-            return _project_support(mask, _width, _pos)
-
-        return project
+                self.dynamic_pairs.append((i, j, proj_i, proj_j))
 
     def scan(self, start: int, end: int, collect: bool):
         """Count (and optionally record) passing candidates with index in [start, end)."""
@@ -864,6 +812,10 @@ def parity_preset_to_dict(ps: ParitySystem) -> dict:
 
 
 def parity_preset_from_dict(data: dict) -> ParitySystem:
+    expect_json(data, dict, "a parity preset")
     raw = data["scenario"]
     s = parse_bell_token(raw) if isinstance(raw, str) else scenario_from_dict(raw)
-    return parity_system(s, data["parities"])
+    parities = expect_json(data["parities"], list, "parities")
+    if not all(isinstance(b, int) for b in parities):
+        raise MalformedInput("parities must be integers")
+    return parity_system(s, parities)

@@ -7,12 +7,14 @@ and uniformity checks are exact equalities rather than tolerance tests.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .errors import (
     EmptySupport,
+    MalformedInput,
     NegativeEntry,
     NotASubset,
     RowNotNormalized,
@@ -21,6 +23,9 @@ from .errors import (
 )
 from .scenario import (
     MeasurementScenario,
+    expect_json,
+    overlap,
+    projection,
     scenario_from_dict,
     scenario_to_dict,
     section_index,
@@ -28,6 +33,12 @@ from .scenario import (
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
+
+#: Most decimal digits :func:`parse_rational` accepts in a numerator or a
+#: denominator, so a short document cannot force a huge integer.
+RATIONAL_DIGIT_LIMIT = 100
+
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def format_rational(q: Fraction) -> str:
@@ -37,8 +48,20 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational` (accepts "3/4", "1", "0")."""
-    return Fraction(str(text))
+    """Inverse of :func:`format_rational`: accepts only "[-]k" and "[-]k/d".
+
+    Raises MalformedInput for any other form (decimals, exponents, spaces),
+    for a zero denominator and for more than RATIONAL_DIGIT_LIMIT digits.
+    """
+    match = _RATIONAL.fullmatch(str(text))
+    if match is None:
+        raise MalformedInput(f"not a rational k or k/d: {str(text)[:40]!r}")
+    num, den = match.groups()
+    if len(num.lstrip("-")) > RATIONAL_DIGIT_LIMIT or len(den or "") > RATIONAL_DIGIT_LIMIT:
+        raise MalformedInput(f"rational has more than {RATIONAL_DIGIT_LIMIT} digits")
+    if den is not None and int(den) == 0:
+        raise MalformedInput(f"zero denominator in {text!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 @dataclass(frozen=True)
@@ -81,10 +104,6 @@ class EmpiricalModel:
     scenario: MeasurementScenario
     tables: tuple[tuple[Fraction, ...], ...]
 
-    def row(self, c: int) -> tuple[Fraction, ...]:
-        self.scenario.context(c)
-        return self.tables[c]
-
 
 @dataclass(frozen=True)
 class PossibilisticModel:
@@ -112,13 +131,12 @@ class PossibilisticModel:
 def make_model(
     s: MeasurementScenario,
     tables: Sequence[Sequence[Union[Fraction, int, str]]],
-    check_ns: bool = True,
 ) -> EmpiricalModel:
     """Validate a probability table family and wrap it as a model.
 
-    Every row must be nonnegative and sum to exactly 1; with ``check_ns`` the
-    generalized no-signaling condition is verified and a
-    :class:`SignalingDetected` carrying a witness is raised on failure.
+    Every row must be nonnegative and sum to exactly 1, and the generalized
+    no-signaling condition must hold; on failure a
+    :class:`SignalingDetected` carrying a witness is raised.
     """
     if len(tables) != s.n_contexts:
         raise RowNotNormalized(
@@ -144,21 +162,10 @@ def make_model(
             )
         rows.append(row)
     model = EmpiricalModel(scenario=s, tables=tuple(rows))
-    if check_ns:
-        ok, witness = is_no_signaling(model)
-        if not ok:
-            raise SignalingDetected(witness.describe(), witness=witness)
+    ok, witness = is_no_signaling(model)
+    if not ok:
+        raise SignalingDetected(witness.describe(), witness=witness)
     return model
-
-
-def _positions(context: tuple[str, ...], subset: Sequence[str]) -> list[int]:
-    lookup = {label: i for i, label in enumerate(context)}
-    positions = []
-    for label in subset:
-        if label not in lookup:
-            raise NotASubset(f"{label!r} is not in context {context}")
-        positions.append(lookup[label])
-    return positions
 
 
 def marginal(
@@ -169,25 +176,12 @@ def marginal(
     Entry ``k`` is the total probability of the subset-section with canonical
     index ``k``; the output always sums to exactly 1.
     """
-    context = m.scenario.context(c)
-    positions = _positions(context, subset)
-    width = len(context)
-    out = [ZERO] * (1 << len(positions))
-    for full_idx, p in enumerate(m.tables[c]):
-        if p == 0:
-            continue
-        sub_idx = 0
-        for pos in positions:
-            sub_idx = (sub_idx << 1) | ((full_idx >> (width - 1 - pos)) & 1)
-        out[sub_idx] += p
+    subset = tuple(subset)
+    out = [ZERO] * (1 << len(subset))
+    for sub_idx, p in zip(projection(m.scenario.context(c), subset), m.tables[c]):
+        if p:
+            out[sub_idx] += p
     return tuple(out)
-
-
-def _canonical_overlap(
-    s: MeasurementScenario, a: int, b: int
-) -> tuple[str, ...]:
-    inter = set(s.contexts[a]) & set(s.contexts[b])
-    return tuple(x for x in s.observables if x in inter)
 
 
 def is_no_signaling(m: EmpiricalModel):
@@ -199,13 +193,13 @@ def is_no_signaling(m: EmpiricalModel):
     s = m.scenario
     for a in range(s.n_contexts):
         for b in range(a + 1, s.n_contexts):
-            overlap = _canonical_overlap(s, a, b)
-            if not overlap:
+            shared = overlap(s, a, b)
+            if not shared:
                 continue
-            ma = marginal(m, a, overlap)
-            mb = marginal(m, b, overlap)
+            ma = marginal(m, a, shared)
+            mb = marginal(m, b, shared)
             if ma != mb:
-                return False, SignalingWitness(a, b, overlap, ma, mb)
+                return False, SignalingWitness(a, b, shared, ma, mb)
     return True, None
 
 
@@ -244,14 +238,12 @@ def is_maximal_marginal(m: EmpiricalModel):
     return True, None
 
 
-def lift_uniform(
-    p: PossibilisticModel, check_ns: bool = True
-) -> EmpiricalModel:
+def lift_uniform(p: PossibilisticModel) -> EmpiricalModel:
     """Spread each row's mass uniformly over its supported sections.
 
     A Boolean-no-signaling support pattern can still fail probabilistic
     no-signaling after the uniform lift (a sign the pattern is asymmetric);
-    with ``check_ns`` that raises :class:`SignalingDetected`.
+    that raises :class:`SignalingDetected`.
     """
     rows = []
     for c, support in enumerate(p.supports):
@@ -260,13 +252,12 @@ def lift_uniform(
             raise EmptySupport(f"context {c} has empty support")
         weight = Fraction(1, count)
         rows.append(tuple(weight if bit else ZERO for bit in support))
-    return make_model(p.scenario, rows, check_ns=check_ns)
+    return make_model(p.scenario, rows)
 
 
 def mix(
     models: Sequence[EmpiricalModel],
     weights: Sequence[Union[Fraction, int]],
-    check_ns: bool = True,
 ) -> EmpiricalModel:
     """Convex combination of models on the same scenario."""
     if len(models) != len(weights) or not models:
@@ -286,7 +277,7 @@ def mix(
                 for i in range(width)
             )
         )
-    return make_model(s, rows, check_ns=check_ns)
+    return make_model(s, rows)
 
 
 def from_global_distribution(
@@ -316,7 +307,7 @@ def from_global_distribution(
             idx = section_index([values[pos] for pos in positions])
             row[idx] += w
         rows.append(tuple(row))
-    return make_model(s, rows, check_ns=True)
+    return make_model(s, rows)
 
 
 def deterministic_model(
@@ -345,20 +336,22 @@ def model_to_dict(m: EmpiricalModel) -> dict:
     }
 
 
-def model_from_dict(data: dict, check_ns: bool = True) -> EmpiricalModel:
+def model_from_dict(data: dict) -> EmpiricalModel:
     """Parse and re-validate the JSON form produced by :func:`model_to_dict`."""
+    expect_json(data, dict, "a model document")
     s = scenario_from_dict(data["scenario"])
-    tables = data["tables"]
+    tables = expect_json(data["tables"], dict, "tables")
     rows = []
     for c in range(s.n_contexts):
         key = _context_key(s.contexts[c])
         if key not in tables:
             raise RowNotNormalized(f"missing table row for context {key!r}")
-        rows.append([parse_rational(x) for x in tables[key]])
+        row = expect_json(tables[key], list, f"table row {key!r}")
+        rows.append([parse_rational(x) for x in row])
     extra = set(tables) - {_context_key(ctx) for ctx in s.contexts}
     if extra:
         raise RowNotNormalized(f"table rows for unknown contexts: {sorted(extra)}")
-    return make_model(s, rows, check_ns=check_ns)
+    return make_model(s, rows)
 
 
 def possibilistic_to_dict(p: PossibilisticModel) -> dict:
@@ -375,14 +368,15 @@ def possibilistic_to_dict(p: PossibilisticModel) -> dict:
 
 
 def possibilistic_from_dict(data: dict) -> PossibilisticModel:
+    expect_json(data, dict, "a support document")
     s = scenario_from_dict(data["scenario"])
-    tables = data["tables"]
+    tables = expect_json(data["tables"], dict, "tables")
     rows = []
     for c in range(s.n_contexts):
         key = _context_key(s.contexts[c])
         if key not in tables:
             raise EmptySupport(f"missing support row for context {key!r}")
-        row = tuple(bool(bit) for bit in tables[key])
+        row = tuple(bool(bit) for bit in expect_json(tables[key], list, f"support row {key!r}"))
         if len(row) != s.n_sections(c) or not any(row):
             raise EmptySupport(f"context {key!r} support row is invalid")
         rows.append(row)

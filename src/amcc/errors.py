@@ -41,6 +41,10 @@ class NotASubset(ContextualityError):
     """A restriction target is not a subset of the domain it is taken from."""
 
 
+class MalformedInput(ContextualityError, ValueError):
+    """A JSON document or a rational string does not have the expected shape."""
+
+
 # --- empirical models ------------------------------------------------------
 
 class NegativeEntry(ContextualityError):

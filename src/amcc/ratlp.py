@@ -303,41 +303,6 @@ def _drive_out_artificials(tab: _Tableau, arts) -> None:
     tab.dead |= arts
 
 
-def _solve(n, eq_rows, eq_rhs, le_rows, le_rhs, objective):
-    """Shared presolve + two-phase core.
-
-    Returns an LpOutcome; ``objective`` None means feasibility only
-    (status FEASIBLE/INFEASIBLE instead of OPTIMAL).
-    """
-    pre = _presolve(n, eq_rows, eq_rhs, le_rows, le_rhs)
-    if pre is None:
-        return LpOutcome(LpStatus.INFEASIBLE)
-    kept, rows, rhs, kinds = pre
-
-    tab, arts, _ = _build_tableau(len(kept), rows, rhs, kinds)
-    if arts:
-        _install_phase1(tab, arts)
-        tab.run()  # cannot be unbounded: phase-1 objective is bounded by 0
-        if tab.rows[0][-1] != 0:
-            return LpOutcome(LpStatus.INFEASIBLE)
-        _drive_out_artificials(tab, arts)
-
-    if objective is None:
-        solution = _extract(tab, n, kept)
-        return LpOutcome(LpStatus.FEASIBLE, None, solution)
-
-    scale = 1
-    for j in kept:
-        scale = _lcm(scale, Fraction(objective[j]).denominator)
-    objective_int = [int(Fraction(objective[j]) * scale) for j in kept]
-    _install_phase2(tab, objective_int)
-    if tab.run() == "unbounded":
-        return LpOutcome(LpStatus.UNBOUNDED)
-    value = tab.objective_value() / scale
-    solution = _extract(tab, n, kept)
-    return LpOutcome(LpStatus.OPTIMAL, value, solution)
-
-
 def _extract(tab: _Tableau, n: int, kept) -> tuple[Fraction, ...]:
     values = {col: ZERO for col in range(len(kept))}
     for i in range(1, len(tab.rows)):
@@ -350,45 +315,60 @@ def _extract(tab: _Tableau, n: int, kept) -> tuple[Fraction, ...]:
     return tuple(x)
 
 
-def _verify(x, eq_rows, eq_rhs, le_rows, le_rhs) -> None:
-    for row, b in zip(eq_rows, eq_rhs):
+def _verify(x, lp: LinearProgram, value: Fraction) -> None:
+    for row, b in zip(lp.a_eq, lp.b_eq):
         if sum(a * v for a, v in zip(row, x)) != b:
             raise AssertionError("solver returned a solution violating an equality row")
-    for row, b in zip(le_rows, le_rhs):
+    for row, b in zip(lp.a_le, lp.b_le):
         if sum(a * v for a, v in zip(row, x)) > b:
             raise AssertionError("solver returned a solution violating an inequality row")
     if any(v < 0 for v in x):
         raise AssertionError("solver returned a negative component")
+    if sum(Fraction(c) * v for c, v in zip(lp.objective, x)) != value:
+        raise AssertionError("objective value does not match returned solution")
+
+
+def maximize(lp: LinearProgram) -> LpOutcome:
+    """Maximize exactly; OPTIMAL outcomes carry the optimum and a solution.
+
+    Presolve, then phase one on the artificial columns when any row needs
+    one, then phase two on the objective.
+    """
+    n = len(lp.objective)
+    pre = _presolve(n, lp.a_eq, lp.b_eq, lp.a_le, lp.b_le)
+    if pre is None:
+        return LpOutcome(LpStatus.INFEASIBLE)
+    kept, rows, rhs, kinds = pre
+
+    tab, arts, _ = _build_tableau(len(kept), rows, rhs, kinds)
+    if arts:
+        _install_phase1(tab, arts)
+        tab.run()  # cannot be unbounded: phase-1 objective is bounded by 0
+        if tab.rows[0][-1] != 0:
+            return LpOutcome(LpStatus.INFEASIBLE)
+        _drive_out_artificials(tab, arts)
+
+    scale = 1
+    for j in kept:
+        scale = _lcm(scale, Fraction(lp.objective[j]).denominator)
+    objective_int = [int(Fraction(lp.objective[j]) * scale) for j in kept]
+    _install_phase2(tab, objective_int)
+    if tab.run() == "unbounded":
+        return LpOutcome(LpStatus.UNBOUNDED)
+    value = tab.objective_value() / scale
+    solution = _extract(tab, n, kept)
+    _verify(solution, lp, value)
+    return LpOutcome(LpStatus.OPTIMAL, value, solution)
 
 
 def solve_feasibility(a: Sequence[Sequence], b: Sequence) -> LpOutcome:
-    """Decide A x = b, x >= 0 exactly.
+    """Decide A x = b, x >= 0 exactly: :func:`maximize` with a zero objective.
 
     FEASIBLE outcomes carry an exact witness; INFEASIBLE means the phase-one
     optimum is strictly positive, i.e. no nonnegative solution exists.
     """
-    if len(a) != len(b):
-        raise ShapeMismatch("A row count differs from b length")
     n = len(a[0]) if a else 0
-    for row in a:
-        if len(row) != n:
-            raise ShapeMismatch("ragged constraint matrix")
-    out = _solve(n, a, b, (), (), None)
-    if out.status is LpStatus.FEASIBLE:
-        _verify(out.solution, a, b, (), ())
-    return out
-
-
-def maximize(lp: LinearProgram) -> LpOutcome:
-    """Maximize exactly; OPTIMAL outcomes carry the optimum and a solution."""
-    out = _solve(
-        len(lp.objective), lp.a_eq, lp.b_eq, lp.a_le, lp.b_le, lp.objective
-    )
+    out = maximize(LinearProgram(objective=(0,) * n, a_eq=tuple(a), b_eq=tuple(b)))
     if out.status is LpStatus.OPTIMAL:
-        _verify(out.solution, lp.a_eq, lp.b_eq, lp.a_le, lp.b_le)
-        check = sum(
-            Fraction(c) * v for c, v in zip(lp.objective, out.solution)
-        )
-        if check != out.value:
-            raise AssertionError("objective value does not match returned solution")
+        return LpOutcome(LpStatus.FEASIBLE, None, out.solution)
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -19,6 +20,7 @@ from .errors import (
     CoverViolation,
     DuplicateLabel,
     IndexOutOfRange,
+    MalformedInput,
     NotASubset,
     TooLarge,
     UnknownLabel,
@@ -118,15 +120,26 @@ def make_scenario(
                 raise UnknownLabel(f"context {ctx} references unknown observable {label!r}")
         ctxs.append(ctx)
 
-    sets = [frozenset(c) for c in ctxs]
-    for i, a in enumerate(sets):
-        for j, b in enumerate(sets):
-            if i != j and a <= b:
-                raise ChainViolation(
-                    f"context {ctxs[i]} is contained in context {ctxs[j]}"
-                )
+    # Antichain check: a context can only be contained in a strictly larger
+    # one or equal to one of its own size, so equal sizes share a set.
+    by_size: dict[int, dict[frozenset, tuple[str, ...]]] = {}
+    for ctx in ctxs:
+        same = by_size.setdefault(len(ctx), {})
+        key = frozenset(ctx)
+        if key in same:
+            raise ChainViolation(f"context {ctx} is contained in context {same[key]}")
+        same[key] = ctx
+    for ctx in ctxs:
+        key = frozenset(ctx)
+        for size, larger in by_size.items():
+            if size > len(ctx):
+                for other_key, other in larger.items():
+                    if key < other_key:
+                        raise ChainViolation(
+                            f"context {ctx} is contained in context {other}"
+                        )
 
-    covered = set().union(*sets) if sets else set()
+    covered = set(itertools.chain.from_iterable(ctxs))
     missing = [x for x in obs if x not in covered]
     if missing:
         raise CoverViolation(f"observables {missing} occur in no context")
@@ -211,6 +224,39 @@ def restrict(
             raise NotASubset(f"{label!r} is not in the domain {domain}")
         values.append(x.values[lookup[label]])
     return Section(tuple(target), tuple(values))
+
+
+@lru_cache(maxsize=None)
+def projection(domain: tuple[str, ...], target: tuple[str, ...]) -> tuple[int, ...]:
+    """The restriction map from the sections of ``domain`` to those of ``target``.
+
+    Entry ``i`` is the canonical index of section ``i`` of ``domain``
+    restricted to ``target`` (values copied in target order).  ``domain`` is
+    a context, or the scenario's observables for global assignments.  Raises
+    NotASubset for a target label outside ``domain`` and TooLarge above the
+    enumeration guard, both before any section is enumerated.
+    """
+    lookup = {label: k for k, label in enumerate(domain)}
+    for label in target:
+        if label not in lookup:
+            raise NotASubset(f"{label!r} is not in the domain {domain}")
+    width = len(domain)
+    if width > ENUMERATION_LIMIT:
+        raise TooLarge(f"{width} observables exceed the 2**{ENUMERATION_LIMIT} enumeration guard")
+    shifts = [width - 1 - lookup[label] for label in target]
+    table = []
+    for i in range(1 << width):
+        idx = 0
+        for sh in shifts:
+            idx = (idx << 1) | ((i >> sh) & 1)
+        table.append(idx)
+    return tuple(table)
+
+
+def overlap(s: MeasurementScenario, a: int, b: int) -> tuple[str, ...]:
+    """The labels shared by contexts ``a`` and ``b``, in scenario observable order."""
+    shared = set(s.contexts[a]) & set(s.contexts[b])
+    return tuple(x for x in s.observables if x in shared)
 
 
 def section_index(values: Sequence[int]) -> int:
@@ -298,9 +344,33 @@ def scenario_to_dict(s: MeasurementScenario) -> dict:
     }
 
 
+def expect_json(value, kind: type, what: str):
+    """``value`` itself if it is a JSON object (``dict``) or array (``list``) as required.
+
+    Loaders call this on every field of a parsed document before using it,
+    so a malformed document raises MalformedInput instead of a TypeError.
+    """
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "an array"
+        raise MalformedInput(f"{what} must be {expected}, got {type(value).__name__}")
+    return value
+
+
+def _label_list(value, what: str) -> list[str]:
+    labels = expect_json(value, list, what)
+    if not all(isinstance(label, str) for label in labels):
+        raise MalformedInput(f"{what} must hold only label strings")
+    return labels
+
+
 def scenario_from_dict(data: dict) -> MeasurementScenario:
     """Parse and re-validate the JSON form produced by :func:`scenario_to_dict`."""
+    expect_json(data, dict, "scenario")
     outcomes = data.get("outcomes", 2)
     if outcomes != 2:
         raise TooLarge(f"only dichotomic scenarios are supported, got outcomes={outcomes}")
-    return make_scenario(data["observables"], data["contexts"])
+    contexts = expect_json(data["contexts"], list, "contexts")
+    return make_scenario(
+        _label_list(data["observables"], "observables"),
+        [_label_list(ctx, "a context") for ctx in contexts],
+    )

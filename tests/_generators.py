@@ -45,7 +45,7 @@ def mixture_models_222(draw):
     total = sum(w for _, w in picks)
     models = [VERTICES_222[i] for i, _ in picks]
     weights = [Fraction(w, total) for _, w in picks]
-    return mix(models, weights, check_ns=False)
+    return mix(models, weights)
 
 
 @st.composite

@@ -19,11 +19,11 @@ from amcc.analysis import (
 )
 from amcc.construct import (
     boolean_no_signaling,
-    csp_satisfiable,
     parity_consistent,
     parity_to_possibilistic,
 )
 from amcc.empirical import (
+    from_global_distribution,
     is_maximal_marginal,
     is_no_signaling,
     lift_uniform,
@@ -31,6 +31,7 @@ from amcc.empirical import (
     mix,
     possibilistic_collapse,
 )
+from amcc.errors import SignalingDetected
 from amcc.scenario import polytope_dimension
 
 from _generators import (
@@ -54,8 +55,11 @@ def check_cf_one_iff_strongly_contextual(model):
     strong, witness = is_strongly_contextual(model)
     assert (cf == 1) == strong
     assert 0 <= cf <= 1
-    contextual, _ = is_contextual(model)
-    assert (cf == 0) == (not contextual)
+    if cf == 0:
+        # The CF optimum is then a global distribution reproducing every row.
+        contextual, dist = is_contextual(model)
+        assert not contextual
+        assert from_global_distribution(model.scenario, dist).tables == model.tables
     certified, _ = avn_certificate(model)
     assert certified == strong
     if witness is not None:
@@ -73,8 +77,8 @@ def check_parity_consistency_matches_satisfiability(ps):
     """GF(2) consistency of the system == satisfiability of its support model."""
     consistent, payload = parity_consistent(ps)
     pattern = parity_to_possibilistic(ps)
-    satisfiable, witness = csp_satisfiable(pattern)
-    assert consistent == satisfiable
+    strong, _ = is_strongly_contextual(pattern)
+    assert consistent == (not strong)
     # Half-support patterns are possibilistically no-signaling and their
     # uniform lifts have uniform within-context marginals.
     assert boolean_no_signaling(pattern) == (True, None)
@@ -118,7 +122,7 @@ def check_marginal_agreement_on_overlaps(model):
 @given(mixture_models_222(), mixture_models_222(), st.sampled_from(LAMBDAS))
 def check_cf_convexity(a, b, lam):
     """CF of a mixture never exceeds the mixture of CFs."""
-    mixed = mix([a, b], [lam, 1 - lam], check_ns=False)
+    mixed = mix([a, b], [lam, 1 - lam])
     assert contextual_fraction(mixed) <= lam * contextual_fraction(a) + (
         1 - lam
     ) * contextual_fraction(b)
@@ -127,9 +131,17 @@ def check_cf_convexity(a, b, lam):
 @CASES
 @given(support_patterns_222())
 def check_possibilistic_roundtrip(pattern):
-    """Collapsing the uniform lift returns the original support pattern."""
-    lifted = lift_uniform(pattern, check_ns=False)
-    assert possibilistic_collapse(lifted).supports == pattern.supports
+    """Collapsing the uniform lift returns the original support pattern.
+
+    An asymmetric pattern's lift signals instead, and the witness then shows
+    two different marginals on the contexts' overlap.
+    """
+    try:
+        lifted = lift_uniform(pattern)
+    except SignalingDetected as err:
+        assert err.witness.marginal_a != err.witness.marginal_b
+    else:
+        assert possibilistic_collapse(lifted).supports == pattern.supports
 
 
 @CASES

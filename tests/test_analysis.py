@@ -12,6 +12,7 @@ from amcc.analysis import (
 )
 from amcc.catalog import asymmetric_scc_model, ghz_model, pr_box, three_way_box
 from amcc.empirical import (
+    EmpiricalModel,
     deterministic_model,
     from_global_distribution,
     make_model,
@@ -30,21 +31,21 @@ S32 = bell_scenario(3, 2)
 
 def test_incidence_matrix_shapes():
     inc3 = incidence_matrix(S32)
-    assert (inc3.n_rows, inc3.n_columns) == (64, 64)
+    assert (len(inc3), len(inc3[0])) == (64, 64)
     inc2 = incidence_matrix(S22)
-    assert (inc2.n_rows, inc2.n_columns) == (16, 16)
+    assert (len(inc2), len(inc2[0])) == (16, 16)
 
 
 def test_incidence_matrix_single_context_is_identity():
     s = make_scenario(["A"], [["A"]])
     inc = incidence_matrix(s)
-    assert inc.entries == ((1, 0), (0, 1))
+    assert inc == ((1, 0), (0, 1))
 
 
 def test_incidence_matrix_column_sums_equal_context_count():
     inc = incidence_matrix(S32)
-    for g in range(inc.n_columns):
-        assert sum(row[g] for row in inc.entries) == 8
+    for g in range(len(inc[0])):
+        assert sum(row[g] for row in inc) == 8
 
 
 def test_incidence_matrix_guard():
@@ -63,13 +64,14 @@ def test_is_contextual_verdicts():
 
 
 def test_is_contextual_rejects_signaling_input():
+    # make_model rejects this table, so build the dataclass directly.
     rows = [
         (1, 0, 0, 0),
         (0, 0, H, H),
         (H, 0, H, 0),
         (H, 0, 0, H),
     ]
-    model = make_model(S22, rows, check_ns=False)
+    model = EmpiricalModel(S22, tuple(tuple(F(x) for x in row) for row in rows))
     with pytest.raises(SignalingInput):
         is_contextual(model)
     with pytest.raises(SignalingInput):

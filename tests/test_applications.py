@@ -47,19 +47,12 @@ def test_min_entropy_report():
 
 
 def test_min_entropy_non_dyadic_value():
-    from amcc.empirical import PossibilisticModel, lift_uniform
+    from amcc.empirical import from_global_distribution
 
-    # A three-section support lifts to thirds: guess probability 1/3.
-    poss = PossibilisticModel(
-        S22,
-        (
-            (True, True, True, False),
-            (True, True, True, True),
-            (True, True, True, True),
-            (True, True, True, True),
-        ),
-    )
-    model = lift_uniform(poss, check_ns=False)
+    # Three global assignments with distinct (X1, X2) values, weight 1/3
+    # each: the (X1, X2) marginal is thirds, guess probability 1/3.
+    thirds = {values: F(1, 3) for values in ((0, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0))}
+    model = from_global_distribution(S22, thirds)
     report = min_entropy(model, 0, ("X1", "X2"))
     assert report.guess_probability == F(1, 3)
     assert report.min_entropy_bits == pytest.approx(math.log2(3))

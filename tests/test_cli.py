@@ -1,5 +1,12 @@
+import contextlib
+import copy
 import io
 import json
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amcc.analysis import classify
 from amcc.catalog import ghz_model, pr_box
@@ -211,3 +218,97 @@ def test_enumerate_csp_small_smoke(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "csp", "--preset", "eq40", "--jobs", "2")
     assert code == 0
     assert json.loads(out) == {"candidates": 65536, "ns_and_unsat": 2401}
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["tables"].update({"X1|X2": 5}),
+        lambda d: d["tables"].update({"X1|X2": ["2.5e-3", "0", "0", "1"]}),
+        lambda d: d["tables"].update({"X1|X2": ["1e200000", "0", "0", "1"]}),
+        lambda d: d["tables"].update({"X1|X2": ["1/0", "0", "0", "1"]}),
+        lambda d: d["scenario"].update({"observables": 5}),
+        lambda d: d["scenario"].update({"contexts": [5]}),
+        lambda d: d.update({"tables": []}),
+    ],
+)
+def test_malformed_model_shapes_exit_2(capsys, monkeypatch, mutate):
+    payload = model_to_dict(pr_box(0, 0, 0))
+    mutate(payload)
+    code, out, err = run_cli_stdin(capsys, monkeypatch, payload, "classify")
+    assert (code, out) == (2, "")
+    assert "validation error" in err
+
+
+def test_top_level_list_exits_2(capsys, monkeypatch):
+    code, _, err = run_cli_stdin(capsys, monkeypatch, [model_to_dict(pr_box(0, 0, 0))], "cf")
+    assert code == 2 and "must be an object" in err
+
+
+def test_scan_grid_rejects_decimal_values(capsys):
+    code, out, _ = run_cli(capsys, "scan", "eight-param", "--grid", "0,2.5e-3", "--fix", "1=1/4")
+    assert (code, out) == (2, "")
+
+
+# --- fuzzing the model loader through the CLI ---------------------------------
+
+BASE_DOCUMENTS = (model_to_dict(pr_box(0, 0, 0)), model_to_dict(ghz_model()))
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 2)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["", "0", "1", "1/2", "-1/2", "1/0", "2.5e-3", "1e200000", "X1", "X1|X2"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["scenario", "tables", "observables", "contexts", "outcomes", "X1|X2"]),
+        children,
+        max_size=3,
+    ),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, prefix + (index,))
+
+
+@st.composite
+def mutated_model_documents(draw):
+    """A valid model document with one to three nodes replaced or deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASE_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(json_values)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(json_values)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_model_documents(), st.sampled_from(["classify", "cf"]))
+def test_cli_mutated_model_json_exits_0_or_2(document, command):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(document))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from amcc.analysis import classify, contextual_fraction
+from amcc.analysis import classify, contextual_fraction, is_strongly_contextual
 from amcc.catalog import ghz_model, pr_box
 from amcc.construct import (
     candidate_model,
     boolean_no_signaling,
     csp_enumerate_extension,
     csp_extension_preset,
-    csp_satisfiable,
     eight_param_family,
     enumerate_parity,
     parity_consistent,
@@ -145,18 +144,19 @@ def test_boolean_no_signaling_counterexample():
 
 
 def test_csp_satisfiable_verdicts():
+    # CSP satisfiability is the negation of strong contextuality.
     pr = parity_to_possibilistic(parity_system(S22, PR_PARITIES))
-    assert csp_satisfiable(pr) == (False, None)
+    assert is_strongly_contextual(pr) == (True, None)
     all_true = PossibilisticModel(S22, ((True,) * 4,) * 4)
-    sat, witness = csp_satisfiable(all_true)
-    assert sat and witness.values == (0, 0, 0, 0)
+    strong, witness = is_strongly_contextual(all_true)
+    assert not strong and witness.values == (0, 0, 0, 0)
 
 
 def test_parity_csp_equivalence_exhaustive_222():
     for bits in itertools.product((0, 1), repeat=4):
         ps = parity_system(S22, bits)
-        sat, _ = csp_satisfiable(parity_to_possibilistic(ps))
-        assert sat == parity_consistent(ps)[0]
+        strong, _ = is_strongly_contextual(parity_to_possibilistic(ps))
+        assert (not strong) == parity_consistent(ps)[0]
 
 
 def test_enumerate_parity_222():
@@ -219,7 +219,7 @@ def test_eq41_extension_is_ns_and_unsatisfiable():
     s, masks = eq41_masks()
     model = candidate_model(s, masks)
     assert boolean_no_signaling(model) == (True, None)
-    assert csp_satisfiable(model) == (False, None)
+    assert is_strongly_contextual(model) == (True, None)
     # Its uniform lift is not probabilistically no-signaling (rows of
     # support size 4 and 6 give 1/4 vs 1/3 marginals): the asymmetry that
     # the three-parameter table resolves with non-uniform weights.
@@ -242,7 +242,7 @@ def test_csp_passing_candidates_actually_pass():
     for cand in sample:
         model = candidate_model(base.scenario, cand.support_masks)
         assert boolean_no_signaling(model)[0]
-        assert not csp_satisfiable(model)[0]
+        assert is_strongly_contextual(model)[0]
 
 
 def test_csp_empty_extension_counts_base_only():

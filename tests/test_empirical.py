@@ -4,6 +4,7 @@ import pytest
 
 from amcc.catalog import asymmetric_scc_model, ghz_model, pr_box, three_way_box
 from amcc.empirical import (
+    EmpiricalModel,
     deterministic_model,
     format_rational,
     from_global_distribution,
@@ -20,9 +21,11 @@ from amcc.empirical import (
     possibilistic_from_dict,
     possibilistic_to_dict,
     PossibilisticModel,
+    RATIONAL_DIGIT_LIMIT,
 )
 from amcc.errors import (
     EmptySupport,
+    MalformedInput,
     NegativeEntry,
     NotASubset,
     RowNotNormalized,
@@ -79,16 +82,21 @@ def test_make_model_detects_signaling_with_witness():
     assert witness.marginal_b == (Fraction(0), Fraction(1))
 
 
-def test_make_model_can_defer_ns_check():
+def test_is_no_signaling_witness_matches_make_model():
+    # make_model always validates, so the unvalidated table is built as the
+    # bare dataclass; is_no_signaling must find the witness make_model raises.
     rows = [
         (1, 0, 0, 0),
         (0, 0, H, H),
         (H, 0, H, 0),
         (H, 0, 0, H),
     ]
-    model = make_model(S22, rows, check_ns=False)
-    ok, witness = is_no_signaling(model)
-    assert not ok and witness.overlap == ("X1",)
+    with pytest.raises(SignalingDetected) as err:
+        make_model(S22, rows)
+    assert err.value.witness.overlap == ("X1",)
+    raw = EmpiricalModel(S22, tuple(tuple(Fraction(x) for x in row) for row in rows))
+    ok, witness = is_no_signaling(raw)
+    assert not ok and witness == err.value.witness
 
 
 def test_marginal_pr_single_observable():
@@ -201,10 +209,11 @@ def test_lift_uniform_detects_probabilistic_signaling():
             (True, True, True, True),
         ),
     )
-    with pytest.raises(SignalingDetected):
+    with pytest.raises(SignalingDetected) as err:
         lift_uniform(poss)
-    model = lift_uniform(poss, check_ns=False)
-    assert possibilistic_collapse(model).supports == poss.supports
+    witness = err.value.witness
+    assert witness.marginal_a == (Fraction(2, 3), Fraction(1, 3))
+    assert witness.marginal_b == (H, H)
 
 
 def test_mix_interpolates_tables():
@@ -225,8 +234,17 @@ def test_from_global_distribution_marginals():
 
 
 def test_rational_formatting_roundtrip():
-    for text in ("0", "1", "3/4", "1/8"):
+    for text in ("0", "1", "3/4", "1/8", "-5/2"):
         assert format_rational(parse_rational(text)) == text
+
+
+def test_parse_rational_rejects_other_forms():
+    assert parse_rational("6/8") == Fraction(3, 4)
+    assert parse_rational(2) == 2
+    too_long = "1" * (RATIONAL_DIGIT_LIMIT + 1)
+    for text in ("2.5e-3", "1e200000", "1/0", " 1", "1/-2", "0x10", "", "1/", too_long, "1/" + too_long, None, [1]):
+        with pytest.raises(MalformedInput):
+            parse_rational(text)
 
 
 def test_model_json_roundtrip():

@@ -37,7 +37,7 @@ def test_feasibility_contradictory_rows():
 
 def test_feasibility_pr_incidence_infeasible():
     inc = incidence_matrix(bell_scenario(2, 2))
-    out = solve_feasibility(inc.entries, flatten(pr_box(0, 0, 0)))
+    out = solve_feasibility(inc, flatten(pr_box(0, 0, 0)))
     assert out.status is LpStatus.INFEASIBLE
 
 
@@ -60,7 +60,7 @@ def test_maximize_simple_bound():
 def test_maximize_pr_box_mass_zero():
     inc = incidence_matrix(bell_scenario(2, 2))
     lp = LinearProgram(
-        objective=(1,) * inc.n_columns, a_le=inc.entries, b_le=tuple(flatten(pr_box(0, 0, 0)))
+        objective=(1,) * len(inc[0]), a_le=inc, b_le=tuple(flatten(pr_box(0, 0, 0)))
     )
     out = maximize(lp)
     assert out.status is LpStatus.OPTIMAL
@@ -72,7 +72,7 @@ def test_maximize_deterministic_mass_one():
     inc = incidence_matrix(s)
     model = deterministic_model(s, (0, 1, 1, 0))
     lp = LinearProgram(
-        objective=(1,) * inc.n_columns, a_le=inc.entries, b_le=tuple(flatten(model))
+        objective=(1,) * len(inc[0]), a_le=inc, b_le=tuple(flatten(model))
     )
     out = maximize(lp)
     assert out.status is LpStatus.OPTIMAL
@@ -154,7 +154,7 @@ def test_degenerate_cycling_instance_terminates():
 def test_determinism_identical_runs():
     inc = incidence_matrix(bell_scenario(2, 2))
     b = tuple(flatten(pr_box(1, 0, 1)))
-    lp = LinearProgram(objective=(1,) * inc.n_columns, a_le=inc.entries, b_le=b)
+    lp = LinearProgram(objective=(1,) * len(inc[0]), a_le=inc, b_le=b)
     first = maximize(lp)
     second = maximize(lp)
     assert first == second

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from amcc.errors import (
     CoverViolation,
     DuplicateLabel,
     IndexOutOfRange,
+    MalformedInput,
     NotASubset,
     TooLarge,
     UnknownLabel,
@@ -21,6 +23,7 @@ from amcc.scenario import (
     make_scenario,
     parse_bell_token,
     polytope_dimension,
+    projection,
     restrict,
     scenario_from_dict,
     scenario_to_dict,
@@ -132,6 +135,45 @@ def test_restrict_rejects_non_subset():
     section = Section(("X1",), (0,))
     with pytest.raises(NotASubset):
         restrict(section, ("X2",))
+
+
+def test_projection_agrees_with_restrict():
+    # Every ordered subset of every context, on bell-3-2 and bell-2-4.
+    for s in (bell_scenario(3, 2), bell_scenario(2, 4)):
+        for ctx in s.contexts:
+            for k in range(len(ctx) + 1):
+                for target in itertools.permutations(ctx, k):
+                    table = projection(ctx, target)
+                    assert len(table) == 1 << len(ctx)
+                    for i, sub in enumerate(table):
+                        section = Section(ctx, section_values(i, len(ctx)))
+                        assert sub == section_index(restrict(section, target).values)
+
+
+def test_projection_of_global_assignments_agrees_with_restrict():
+    s = bell_scenario(3, 2)
+    for ctx in s.contexts:
+        table = projection(s.observables, ctx)
+        for g in enumerate_global_assignments(s):
+            assert table[section_index(g.values)] == section_index(restrict(g, ctx).values)
+
+
+def test_projection_guards_fire_before_enumeration():
+    with pytest.raises(NotASubset):
+        projection(("X1", "X2"), ("X1p",))
+    labels = tuple(f"Y{k}" for k in range(25))  # 2**25 sections
+    with pytest.raises(TooLarge):
+        projection(labels, labels[:1])
+
+
+def test_scenario_from_dict_rejects_malformed_shapes():
+    good = scenario_to_dict(bell_scenario(2, 2))
+    for field, value in (("observables", 5), ("observables", [1, 2]), ("contexts", [5]),
+                         ("contexts", "X1"), ("contexts", [["X1", ["X2"]]])):
+        with pytest.raises(MalformedInput):
+            scenario_from_dict(dict(good, **{field: value}))
+    with pytest.raises(MalformedInput):
+        scenario_from_dict([good])
 
 
 def test_polytope_dimension_known_values():
