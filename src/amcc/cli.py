@@ -3,7 +3,7 @@
 JSON goes to stdout, human diagnostics to stderr, so every subcommand can be
 piped.  Exit codes: 0 success, 1 usage error, 2 validation error (with the
 witness on stderr), 3 internal-consistency failure (the LP and the
-exhaustive scan disagreed).
+exhaustive scan disagreed, or an LP optimum failed its certificate).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import analysis, applications, catalog, construct, empirical
-from .errors import ContextualityError, InternalConsistencyError, UnknownLabel
+from .errors import ContextualityError, InternalConsistencyError, MalformedInput, UnknownLabel
 from .scenario import parse_bell_token, party_label
 
 
@@ -27,12 +27,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _load_json(handle):
+    try:
+        return json.load(handle)
+    except RecursionError:
+        raise MalformedInput("JSON document is nested too deeply") from None
+
+
 def _read_model(path):
     if path in (None, "-"):
-        data = json.load(sys.stdin)
+        data = _load_json(sys.stdin)
     else:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = _load_json(handle)
     return empirical.model_from_dict(data)
 
 
@@ -61,7 +68,7 @@ def _parse_hexbits(text: str) -> tuple[int, ...]:
 def _parity_system_from_args(args) -> construct.ParitySystem:
     if getattr(args, "preset_file", None):
         with open(args.preset_file, "r", encoding="utf-8") as handle:
-            return construct.parity_preset_from_dict(json.load(handle))
+            return construct.parity_preset_from_dict(_load_json(handle))
     if args.parities is None:
         raise _UsageError("need --parities or --preset-file")
     bits = _parse_bits(args.parities)

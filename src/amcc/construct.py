@@ -18,6 +18,7 @@ with 8, 3 and 26 free parameters.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +61,8 @@ QUARTER = Fraction(1, 4)
 PARITY_ENUMERATION_LIMIT = 20
 #: Guard for csp_enumerate_extension: at most 2**24 candidates.
 CSP_ENUMERATION_LIMIT = 1 << 24
+#: Guard for the 8-parameter scans: at most 2**14 points, one CF LP each.
+SCAN_POINT_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -747,6 +750,11 @@ class ScanReport:
         return out
 
 
+def _require_scan_size(count: int) -> None:
+    if count > SCAN_POINT_LIMIT:
+        raise TooLarge(f"{count} scan points exceed the {SCAN_POINT_LIMIT} guard")
+
+
 def _scan_points(points) -> ScanReport:
     results = []
     counts: dict[Fraction, int] = {}
@@ -767,7 +775,8 @@ def scan_eight_param(
 
     ``fixed`` pins parameters (1-based keys) to single values; every unfixed
     parameter ranges over ``grid``.  Points are visited in lexicographic
-    order with the last parameter varying fastest.
+    order with the last parameter varying fastest.  Raises TooLarge above
+    SCAN_POINT_LIMIT points before evaluating any.
     """
     grid_values = [Fraction(v) for v in grid]
     pinned = {int(k): Fraction(v) for k, v in (fixed or {}).items()}
@@ -777,6 +786,7 @@ def scan_eight_param(
     axes = [
         [pinned[i]] if i in pinned else grid_values for i in range(1, 9)
     ]
+    _require_scan_size(math.prod(len(axis) for axis in axes))
     return _scan_points(itertools.product(*axes))
 
 
@@ -787,8 +797,10 @@ def scan_eight_param_pairs(
 
     Visits position pairs (i, j), i < j, in lexicographic order with each
     pair taking every value combination from ``values`` x ``values``.
+    Raises TooLarge above SCAN_POINT_LIMIT points before evaluating any.
     """
     vals = [Fraction(v) for v in values]
+    _require_scan_size(math.comb(8, 2) * len(vals) ** 2)
     points = []
     for i, j in itertools.combinations(range(8), 2):
         for vi, vj in itertools.product(vals, repeat=2):

@@ -3,7 +3,8 @@
 Every domain error raised by this package derives from ``ContextualityError``
 so callers (and the CLI) can distinguish input/validation problems from an
 ``InternalConsistencyError``, which signals that two independent decision
-procedures disagreed and the library itself is at fault.
+procedures disagreed, or that a solver result failed its certificate, and
+the library itself is at fault.
 """
 
 
@@ -87,7 +88,8 @@ class SignalingInput(ContextualityError):
 
 
 class InternalConsistencyError(Exception):
-    """The LP decision and the exhaustive support scan disagreed.
+    """The LP decision and the exhaustive support scan disagreed, or an LP
+    optimum failed its primal-dual certificate.
 
     Deliberately *not* a ``ContextualityError``: it indicates a bug in this
     library, not a problem with the caller's input.

@@ -12,6 +12,17 @@ positively-weighted variable in it to zero.  Applied to incidence systems
 this eliminates all columns through zero-probability sections, which is what
 makes strongly contextual instances resolve without any pivoting.
 
+Every optimum is certified before it is returned.  The primal ``x`` is read
+from the final basis and the dual ``y`` from the final objective row, and
+one exact check confirms ``x >= 0``, ``A_eq x = b_eq``, ``A_le x <= b_le``,
+``y >= 0`` on the ``<=`` rows, ``A^T y >= c`` and ``c.x = b.y = value``; by
+weak duality that proves ``x`` optimal.  The check runs in integers: each
+row is scaled by its least common denominator and stored sparse, and ``x``
+and ``y`` are integer numerators over the final tableau denominator, so it
+touches only nonzero coefficients.  For the contextual-fraction LP ``y`` is
+the generalised Bell inequality whose violation equals the CF.  A failed
+check raises ``InternalConsistencyError``.
+
 All choices (presolve order, entering and leaving variables) are index-
 deterministic: identical inputs produce identical pivot sequences and
 identical solutions.
@@ -25,7 +36,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .errors import ShapeMismatch
+from .errors import InternalConsistencyError, ShapeMismatch
 
 ZERO = Fraction(0)
 
@@ -39,11 +50,18 @@ class LpStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """Solver verdict; ``solution`` satisfies all constraints exactly when present."""
+    """Solver verdict; OPTIMAL outcomes carry a certified primal-dual pair.
+
+    ``solution`` satisfies all constraints exactly when present.  ``dual``
+    has one entry per constraint row, equality rows first, then ``<=`` rows:
+    it is nonnegative on the ``<=`` rows, ``A^T dual >= objective`` in every
+    column, and ``b . dual == value``.
+    """
 
     status: LpStatus
     value: Optional[Fraction] = None
     solution: Optional[tuple[Fraction, ...]] = None
+    dual: Optional[tuple[Fraction, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -69,53 +87,70 @@ class LinearProgram:
                 )
 
 
-def _presolve(n, eq_rows, eq_rhs, le_rows, le_rhs):
-    """Force variables to zero via nonnegative zero-RHS rows; drop vacuous rows.
+def _lcm(a: int, b: int) -> int:
+    return a // gcd(a, b) * b
 
-    Returns (kept column indices, reduced rows, reduced rhs, reduced kinds)
-    or None when a row became unsatisfiable (certain infeasibility).
-    Kinds are "eq" / "le".
+
+def _scale_to_int(row: Sequence, rhs) -> tuple[list[tuple[int, int]], int, int]:
+    """Scale a row and its right-hand side to integers, keeping the nonzeros.
+
+    Returns ``(entries, b, d)``: ``entries`` lists ``(column, coefficient)``
+    for the nonzero coefficients of ``d * row``, ``b == d * rhs`` and
+    ``d > 0`` is the least common denominator.  Integer entries are used as
+    they are; only the others are converted to Fraction.
     """
-    rows = [list(r) for r in eq_rows] + [list(r) for r in le_rows]
-    rhs = list(eq_rhs) + list(le_rhs)
-    kinds = ["eq"] * len(eq_rows) + ["le"] * len(le_rows)
+    entries = [(j, a if type(a) is int else Fraction(a)) for j, a in enumerate(row) if a]
+    if type(rhs) is not int:
+        rhs = Fraction(rhs)
+    d = rhs.denominator
+    for _, a in entries:
+        if type(a) is not int:
+            d = _lcm(d, a.denominator)
+    scaled = [(j, a.numerator * (d // a.denominator)) for j, a in entries]
+    return scaled, rhs.numerator * (d // rhs.denominator), d
 
+
+def _presolve(n, rows, kinds):
+    """Force variables to zero via one-signed zero-RHS rows; drop vacuous rows.
+
+    ``rows`` are integer rows from :func:`_scale_to_int` and ``kinds`` their
+    "eq" / "le" kinds.  Returns ``(kept columns, kept row indices, forcing)``
+    or None when a row became unsatisfiable (certain infeasibility).
+    ``forcing`` lists ``(row, sign, columns)`` in the order the rules fired:
+    zero-RHS row ``row``, whose coefficients on the columns not yet forced
+    all have sign ``sign``, forced those ``columns`` to zero.
+    """
     forced = [False] * n
+    forcing = []
     changed = True
     while changed:
         changed = False
-        for row, b, kind in zip(rows, rhs, kinds):
-            if b != 0:
+        for k, ((entries, b, _), kind) in enumerate(zip(rows, kinds)):
+            if b:
                 continue
-            live = [(j, a) for j, a in enumerate(row) if a != 0 and not forced[j]]
-            signs = {1 if a > 0 else -1 for _, a in live}
-            if not live or len(signs) > 1:
+            live = [(j, a) for j, a in entries if not forced[j]]
+            if not live:
                 continue
-            if signs == {-1} and kind == "le":
+            positive = live[0][1] > 0
+            if any((a > 0) != positive for _, a in live):
+                continue
+            if not positive and kind == "le":
                 continue  # sum of nonpositive terms <= 0 is vacuous
-            for j, _ in live:
+            cols = [j for j, _ in live]
+            for j in cols:
                 forced[j] = True
-                changed = True
+            forcing.append((k, 1 if positive else -1, cols))
+            changed = True
 
     kept = [j for j in range(n) if not forced[j]]
-    out_rows, out_rhs, out_kinds = [], [], []
-    for row, b, kind in zip(rows, rhs, kinds):
-        reduced = [row[j] for j in kept]
-        if any(a != 0 for a in reduced):
-            out_rows.append(reduced)
-            out_rhs.append(b)
-            out_kinds.append(kind)
-            continue
+    live_rows = []
+    for k, ((entries, b, _), kind) in enumerate(zip(rows, kinds)):
+        if any(not forced[j] for j, _ in entries):
+            live_rows.append(k)
         # All live coefficients vanished: the row must hold on its own.
-        if kind == "eq" and b != 0:
+        elif (b != 0) if kind == "eq" else (b < 0):
             return None
-        if kind == "le" and b < 0:
-            return None
-    return kept, out_rows, out_rhs, out_kinds
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+    return kept, live_rows, forcing
 
 
 class _Tableau:
@@ -188,69 +223,51 @@ class _Tableau:
                 return "unbounded"
             self.pivot(r, c)
 
-    def objective_value(self) -> Fraction:
-        return Fraction(self.rows[0][-1], self.den)
 
-
-def _scale_to_int(row: Sequence, rhs) -> tuple[list[int], int]:
-    denom = rhs.denominator
-    for a in row:
-        denom = _lcm(denom, a.denominator)
-    return [int(a * denom) for a in row], int(rhs * denom)
-
-
-def _build_tableau(n, rows, rhs, kinds):
+def _build_tableau(kept, rows, live_rows, kinds):
     """Integer tableau with slack/surplus/artificial columns and a feasible basis.
 
-    Returns (tableau, artificial columns, column count) with no objective row
-    installed yet (row 0 is a placeholder of zeros).
+    Returns ``(tableau, artificial columns, reads)`` with no objective row
+    installed yet (row 0 is a placeholder of zeros).  Each original row owns
+    one column that starts as a unit vector on its tableau row: the slack of
+    a ``<=`` row (a surplus, coefficient -1, once the row is sign-flipped) or
+    the artificial of an equality row.  Every later row, row 0 included, is
+    a combination of the original rows with its weights in those columns, so
+    for ``reads[k] = (column, sign)`` the final ``sign * row0[column]`` is
+    row ``k``'s dual numerator.
     """
-    int_rows, int_rhs = [], []
-    for row, b in zip(rows, rhs):
-        r, v = _scale_to_int([Fraction(a) for a in row], Fraction(b))
-        if v < 0:
-            r = [-a for a in r]
-            v = -v
-            flipped = True
-        else:
-            flipped = False
-        int_rows.append((r, v, flipped))
-
-    n_slack = sum(1 for (_, _, fl), kind in zip(int_rows, kinds) if kind == "le")
-    slack_base = n
-    art_base = n + n_slack
-    n_art = 0
-    specs = []
-    si = 0
-    for (r, v, flipped), kind in zip(int_rows, kinds):
-        slack = None
-        art = None
-        if kind == "le":
-            slack = slack_base + si
-            si += 1
-            if flipped:  # became a >= row: surplus plus artificial
-                art = art_base + n_art
-                n_art += 1
-        else:
-            art = art_base + n_art
-            n_art += 1
-        specs.append((r, v, slack, -1 if (kind == "le" and flipped) else 1, art))
-
-    n_cols = art_base + n_art
+    n = len(kept)
+    position = {j: p for p, j in enumerate(kept)}
+    n_slack = sum(1 for k in live_rows if kinds[k] == "le")
+    n_art = sum(1 for k in live_rows if kinds[k] == "eq" or rows[k][1] < 0)
+    n_cols = n + n_slack + n_art
+    slack, art = n, n + n_slack
     tab_rows = [[0] * (n_cols + 1)]
-    basis = []
-    for r, v, slack, slack_sign, art in specs:
-        row = list(r) + [0] * (n_cols - n) + [v]
-        if slack is not None:
-            row[slack] = slack_sign
-        if art is not None:
+    basis, arts, reads = [], [], {}
+    for k in live_rows:
+        entries, b, _ = rows[k]
+        sign = -1 if b < 0 else 1
+        row = [0] * (n_cols + 1)
+        for j, a in entries:
+            p = position.get(j)
+            if p is not None:
+                row[p] = sign * a
+        row[-1] = sign * b
+        if kinds[k] == "le":
+            row[slack] = sign  # a flipped row became >=: its slack is a surplus
+            reads[k] = (slack, 1)
+            basic = slack
+            slack += 1
+        if kinds[k] == "eq" or sign < 0:
             row[art] = 1
-            basis.append(art)
-        else:
-            basis.append(slack)
+            if kinds[k] == "eq":
+                reads[k] = (art, sign)
+            basic = art
+            arts.append(art)
+            art += 1
+        basis.append(basic)
         tab_rows.append(row)
-    arts = list(range(art_base, n_cols))
-    return _Tableau(tab_rows, basis), arts, n_cols
+    return _Tableau(tab_rows, basis), arts, reads
 
 
 def _install_phase1(tab: _Tableau, arts) -> None:
@@ -280,6 +297,8 @@ def _install_phase2(tab: _Tableau, objective_int: Sequence[int]) -> None:
 
 
 def _drive_out_artificials(tab: _Tableau, arts) -> None:
+    # A row deleted here has its artificial basic, so that column is zero in
+    # every remaining row and stays zero: the row's dual reads 0.
     arts = set(arts)
     i = 1
     while i < len(tab.rows):
@@ -303,44 +322,88 @@ def _drive_out_artificials(tab: _Tableau, arts) -> None:
     tab.dead |= arts
 
 
-def _extract(tab: _Tableau, n: int, kept) -> tuple[Fraction, ...]:
-    values = {col: ZERO for col in range(len(kept))}
-    for i in range(1, len(tab.rows)):
-        col = tab.basis[i - 1]
-        if col < len(kept):
-            values[col] = Fraction(tab.rows[i][-1], tab.den)
-    x = [ZERO] * n
-    for local, j in enumerate(kept):
-        x[j] = values[local]
-    return tuple(x)
+def _reach(rows, y, n) -> list[int]:
+    """``A^T y`` over the integer rows, from the rows with a nonzero dual."""
+    out = [0] * n
+    for (entries, _, _), u in zip(rows, y):
+        if u:
+            for j, a in entries:
+                out[j] += u * a
+    return out
 
 
-def _verify(x, lp: LinearProgram, value: Fraction) -> None:
-    for row, b in zip(lp.a_eq, lp.b_eq):
-        if sum(a * v for a, v in zip(row, x)) != b:
-            raise AssertionError("solver returned a solution violating an equality row")
-    for row, b in zip(lp.a_le, lp.b_le):
-        if sum(a * v for a, v in zip(row, x)) > b:
-            raise AssertionError("solver returned a solution violating an inequality row")
-    if any(v < 0 for v in x):
-        raise AssertionError("solver returned a negative component")
-    if sum(Fraction(c) * v for c, v in zip(lp.objective, x)) != value:
-        raise AssertionError("objective value does not match returned solution")
+def _raise_forced_duals(rows, forcing, y, cost, den) -> None:
+    """Meet the dual constraints of the columns presolve forced to zero.
+
+    Those columns are not in the tableau, so row 0 says nothing about them.
+    A forcing row has a zero right-hand side and nonzeros only on the
+    columns it forced and on columns forced before it; it was dropped, so
+    its dual starts at 0.  Raising that dual by ``sign * t`` adds
+    ``t * |a|`` to each column the row forced and leaves ``b.y`` unchanged.
+    Walking ``forcing`` backwards, each step moves only columns that later
+    steps still fix.  ``t`` is rounded up, so ``y`` stays integral.
+    """
+    if not forcing:
+        return
+    reach = _reach(rows, y, len(cost))
+    for r, sign, cols in reversed(forcing):
+        entries = rows[r][0]
+        coef = dict(entries)
+        t = 0
+        for j in cols:
+            short = cost[j] * den - reach[j]
+            if short > 0:
+                t = max(t, -(-short // abs(coef[j])))
+        if t:
+            y[r] += sign * t
+            for j, a in entries:
+                reach[j] += sign * t * a
+
+
+def _certify(rows, kinds, cost, x, y, den, value) -> None:
+    """Check that ``x / den`` and ``y / den`` prove the optimum ``value / den``.
+
+    Works on the integer rows with the integer objective ``cost``, so the
+    dual here is per scaled row.  Raises InternalConsistencyError on any
+    failed condition: then the simplex returned no optimum.
+    """
+    def fail(what):
+        raise InternalConsistencyError(f"LP optimum failed its certificate: {what}")
+
+    if den <= 0 or any(v < 0 for v in x):
+        fail("negative primal entry")
+    for (entries, b, _), kind, u in zip(rows, kinds, y):
+        lhs = sum(a * x[j] for j, a in entries)
+        if lhs > b * den or (kind == "eq" and lhs != b * den):
+            fail("primal row violated")
+        if kind == "le" and u < 0:
+            fail("negative dual on a <= row")
+    if sum(c * v for c, v in zip(cost, x)) != value:
+        fail("objective of the primal differs from the optimum")
+    if sum(u * b for (_, b, _), u in zip(rows, y)) != value:
+        fail("objective of the dual differs from the optimum")
+    if any(r < c * den for r, c in zip(_reach(rows, y, len(x)), cost)):
+        fail("dual row violated")
 
 
 def maximize(lp: LinearProgram) -> LpOutcome:
-    """Maximize exactly; OPTIMAL outcomes carry the optimum and a solution.
+    """Maximize exactly; OPTIMAL outcomes carry the optimum and a certified pair.
 
     Presolve, then phase one on the artificial columns when any row needs
-    one, then phase two on the objective.
+    one, then phase two on the objective, then the certificate check.
     """
     n = len(lp.objective)
-    pre = _presolve(n, lp.a_eq, lp.b_eq, lp.a_le, lp.b_le)
+    kinds = ["eq"] * len(lp.a_eq) + ["le"] * len(lp.a_le)
+    rows = [
+        _scale_to_int(row, b)
+        for row, b in zip(tuple(lp.a_eq) + tuple(lp.a_le), tuple(lp.b_eq) + tuple(lp.b_le))
+    ]
+    pre = _presolve(n, rows, kinds)
     if pre is None:
         return LpOutcome(LpStatus.INFEASIBLE)
-    kept, rows, rhs, kinds = pre
+    kept, live_rows, forcing = pre
 
-    tab, arts, _ = _build_tableau(len(kept), rows, rhs, kinds)
+    tab, arts, reads = _build_tableau(kept, rows, live_rows, kinds)
     if arts:
         _install_phase1(tab, arts)
         tab.run()  # cannot be unbounded: phase-1 objective is bounded by 0
@@ -348,17 +411,30 @@ def maximize(lp: LinearProgram) -> LpOutcome:
             return LpOutcome(LpStatus.INFEASIBLE)
         _drive_out_artificials(tab, arts)
 
-    scale = 1
-    for j in kept:
-        scale = _lcm(scale, Fraction(lp.objective[j]).denominator)
-    objective_int = [int(Fraction(lp.objective[j]) * scale) for j in kept]
-    _install_phase2(tab, objective_int)
+    objective, _, scale = _scale_to_int(lp.objective, 0)
+    cost = [0] * n
+    for j, c in objective:
+        cost[j] = c
+    _install_phase2(tab, [cost[j] for j in kept])
     if tab.run() == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
-    value = tab.objective_value() / scale
-    solution = _extract(tab, n, kept)
-    _verify(solution, lp, value)
-    return LpOutcome(LpStatus.OPTIMAL, value, solution)
+
+    den, row0 = tab.den, tab.rows[0]
+    x = [0] * n
+    for i, col in enumerate(tab.basis, start=1):
+        if col < len(kept):
+            x[kept[col]] = tab.rows[i][-1]
+    y = [0] * len(rows)
+    for k, (col, sign) in reads.items():
+        y[k] = sign * row0[col]
+    _raise_forced_duals(rows, forcing, y, cost, den)
+    _certify(rows, kinds, cost, x, y, den, row0[-1])
+    return LpOutcome(
+        LpStatus.OPTIMAL,
+        Fraction(row0[-1], den * scale),
+        tuple(Fraction(v, den) if v else ZERO for v in x),
+        tuple(Fraction(u * d, den * scale) if u else ZERO for u, (_, _, d) in zip(y, rows)),
+    )
 
 
 def solve_feasibility(a: Sequence[Sequence], b: Sequence) -> LpOutcome:

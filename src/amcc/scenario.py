@@ -29,6 +29,9 @@ from .errors import (
 #: Hard cap on exhaustive enumeration of global assignments (2**24 cases).
 ENUMERATION_LIMIT = 24
 
+#: Hard cap on the settings**parties contexts of a Bell scenario.
+BELL_CONTEXT_LIMIT = 1 << 12
+
 
 @dataclass(frozen=True)
 class MeasurementScenario:
@@ -161,10 +164,19 @@ def bell_scenario(n_parties: int, settings: int) -> MeasurementScenario:
 
     Contexts pick one setting per party and are ordered lexicographically by
     the setting tuple, so for (3, 2) the context order is
-    (0,0,0), (0,0,1), ..., (1,1,1).
+    (0,0,0), (0,0,1), ..., (1,1,1).  Raises TooLarge above the observable
+    or context guard before any context is built.
     """
     if n_parties < 1 or settings < 1:
         raise IndexOutOfRange("need at least one party and one setting")
+    if n_parties * settings > ENUMERATION_LIMIT:
+        raise TooLarge(
+            f"{n_parties * settings} observables exceed the 2**{ENUMERATION_LIMIT} enumeration guard"
+        )
+    if settings ** n_parties > BELL_CONTEXT_LIMIT:
+        raise TooLarge(
+            f"{settings ** n_parties} contexts exceed the {BELL_CONTEXT_LIMIT} context guard"
+        )
     observables = tuple(
         party_label(i, j) for i in range(1, n_parties + 1) for j in range(settings)
     )
@@ -329,7 +341,10 @@ def bell_token(s: MeasurementScenario) -> Union[str, None]:
     if n == 0 or len(s.observables) % n:
         return None
     m = len(s.observables) // n
-    candidate = bell_scenario(n, m) if m >= 1 else None
+    try:
+        candidate = bell_scenario(n, m)
+    except TooLarge:
+        return None  # no token names a scenario past the guards
     return f"bell-{n}-{m}-2" if candidate == s else None
 
 

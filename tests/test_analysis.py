@@ -49,8 +49,10 @@ def test_incidence_matrix_column_sums_equal_context_count():
 
 
 def test_incidence_matrix_guard():
+    labels = [f"Y{k}" for k in range(26)]  # bell_scenario refuses 26 observables itself
+    s = make_scenario(labels, [labels[:13], labels[13:]])
     with pytest.raises(TooLarge):
-        incidence_matrix(bell_scenario(13, 2))
+        incidence_matrix(s)
 
 
 def test_is_contextual_verdicts():

@@ -250,6 +250,32 @@ def test_scan_grid_rejects_decimal_values(capsys):
     assert (code, out) == (2, "")
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_deeply_nested_json_exits_2(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr("sys.stdin", io.StringIO(DEEP_JSON))
+    code, out, err = run_cli(capsys, "classify")
+    assert (code, out) == (2, "") and "nested too deeply" in err
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    code, out, err = run_cli(capsys, "parity", "--preset-file", str(path))
+    assert (code, out) == (2, "") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("token", ["bell-2-300", "bell-3-300"])
+def test_oversized_bell_token_exits_2_before_building(capsys, token):
+    # bell-2-300 would build 90 000 contexts and bell-3-300 27 million.
+    code, out, err = run_cli(capsys, "parity", "--scenario", token, "--parities", "0")
+    assert (code, out) == (2, "") and "observables exceed" in err
+
+
+def test_oversized_scan_grid_exits_2_before_scanning(capsys):
+    # Five values on all eight parameters is 390 625 points, one LP each.
+    code, out, err = run_cli(capsys, "scan", "eight-param", "--grid", "0,1/16,1/8,3/16,1/4")
+    assert (code, out) == (2, "") and "390625 scan points exceed" in err
+
+
 # --- fuzzing the model loader through the CLI ---------------------------------
 
 BASE_DOCUMENTS = (model_to_dict(pr_box(0, 0, 0)), model_to_dict(ghz_model()))
@@ -259,10 +285,12 @@ json_values = st.recursive(
     | st.booleans()
     | st.integers(-2, 2)
     | st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from(["", "0", "1", "1/2", "-1/2", "1/0", "2.5e-3", "1e200000", "X1", "X1|X2"]),
+    | st.sampled_from(["", "0", "1", "1/2", "-1/2", "1/0", "2.5e-3", "1e200000", "X1", "X1|X2",
+                       "bell-2-2", "bell-2-2-3", "bell-2-300", "bell-13-2"]),
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(
-        st.sampled_from(["scenario", "tables", "observables", "contexts", "outcomes", "X1|X2"]),
+        st.sampled_from(["scenario", "tables", "observables", "contexts", "outcomes", "X1|X2",
+                         "parities"]),
         children,
         max_size=3,
     ),
@@ -281,9 +309,9 @@ def _paths(node, prefix=()):
 
 
 @st.composite
-def mutated_model_documents(draw):
-    """A valid model document with one to three nodes replaced or deleted."""
-    doc = copy.deepcopy(draw(st.sampled_from(BASE_DOCUMENTS)))
+def mutated_documents(draw, bases):
+    """A valid document from ``bases`` with one to three nodes replaced or deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
         if not path:
@@ -300,7 +328,7 @@ def mutated_model_documents(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(mutated_model_documents(), st.sampled_from(["classify", "cf"]))
+@given(mutated_documents(BASE_DOCUMENTS), st.sampled_from(["classify", "cf"]))
 def test_cli_mutated_model_json_exits_0_or_2(document, command):
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
@@ -310,5 +338,29 @@ def test_cli_mutated_model_json_exits_0_or_2(document, command):
             code = main([command])
     finally:
         sys.stdin = stdin
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+PRESET_DOCUMENTS = (
+    {"scenario": "bell-3-2-2", "parities": [0, 1, 1, 1, 1, 1, 1, 1]},
+    {
+        "scenario": {"observables": ["A", "B", "C"], "contexts": [["A", "B"], ["B", "C"], ["A", "C"]]},
+        "parities": [0, 0, 1],
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents(PRESET_DOCUMENTS), st.sampled_from(["parity", "secret-share"]))
+def test_cli_mutated_preset_json_exits_0_or_2(tmp_path_factory, document, command):
+    path = tmp_path_factory.mktemp("preset") / "preset.json"
+    path.write_text(json.dumps(document))
+    argv = [command, "--preset-file", str(path)]
+    if command == "secret-share":
+        argv += ["--rounds", "4", "--test-fraction", "1/2", "--seed", "1", "--secret", "a"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()

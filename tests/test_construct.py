@@ -25,7 +25,7 @@ from amcc.construct import (
     twentysix_params_from_model,
 )
 from amcc.empirical import PossibilisticModel, lift_uniform, possibilistic_collapse
-from amcc.errors import LengthMismatch, OutOfRange, TooManyCandidates
+from amcc.errors import LengthMismatch, OutOfRange, TooLarge, TooManyCandidates
 from amcc.scenario import bell_scenario, make_scenario
 
 F = Fraction
@@ -369,6 +369,14 @@ def test_scan_pairs_observed_histogram():
     report = scan_eight_param_pairs([F(1, 8), Q])
     assert dict(report.histogram) == {H: 28, F(1): 84}
     assert len(report.points) == 112
+
+
+def test_scans_refuse_oversized_grids_before_evaluating():
+    # The values are not even valid parameters: the guard fires first.
+    with pytest.raises(TooLarge, match="65536 scan points"):
+        scan_eight_param([F(k) for k in range(4)])
+    with pytest.raises(TooLarge, match="17500 scan points"):
+        scan_eight_param_pairs([F(k) for k in range(25)])
 
 
 def test_parity_preset_roundtrip(tmp_path):

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amcc import ratlp
 from amcc.analysis import incidence_matrix
 from amcc.catalog import pr_box
-from amcc.empirical import deterministic_model
-from amcc.errors import ShapeMismatch
+from amcc.construct import eight_param_family
+from amcc.empirical import deterministic_model, mix
+from amcc.errors import InternalConsistencyError, ShapeMismatch
 from amcc.ratlp import LinearProgram, LpStatus, maximize, solve_feasibility
 from amcc.scenario import bell_scenario
 
@@ -22,6 +24,29 @@ def flatten(model):
     for row in model.tables:
         v.extend(row)
     return v
+
+
+def cf_program(model):
+    """The noncontextual-fraction LP: max 1.d  s.t.  M d <= v, d >= 0."""
+    inc = incidence_matrix(model.scenario)
+    return LinearProgram(objective=(1,) * len(inc[0]), a_le=inc, b_le=tuple(flatten(model)))
+
+
+def assert_dual_certificate(lp, out):
+    """Check ``out.dual`` in plain Fraction arithmetic: y >= 0 on <= rows,
+    A^T y >= c and b.y == value, which proves ``out.value`` optimal."""
+    rows = tuple(lp.a_eq) + tuple(lp.a_le)
+    rhs = tuple(lp.b_eq) + tuple(lp.b_le)
+    y = out.dual
+    assert len(y) == len(rows)
+    assert all(v >= 0 for v in y[len(lp.a_eq):])
+    for j, c in enumerate(lp.objective):
+        assert sum(F(row[j]) * v for row, v in zip(rows, y)) >= c
+    assert sum(F(b) * v for b, v in zip(rhs, y)) == out.value
+
+
+# CF 1/4; the simplex takes 52 pivots on it under Bland's rule.
+PIVOTING_POINT = (F(1, 4), F(1, 8), F(1, 16), F(3, 16), F(1, 8), F(1, 16), F(1, 8), F(1, 16))
 
 
 def test_feasibility_identity_system():
@@ -58,13 +83,79 @@ def test_maximize_simple_bound():
 
 
 def test_maximize_pr_box_mass_zero():
-    inc = incidence_matrix(bell_scenario(2, 2))
-    lp = LinearProgram(
-        objective=(1,) * len(inc[0]), a_le=inc, b_le=tuple(flatten(pr_box(0, 0, 0)))
-    )
+    lp = cf_program(pr_box(0, 0, 0))
     out = maximize(lp)
     assert out.status is LpStatus.OPTIMAL
     assert out.value == 0
+    # Presolve forces every column, so the whole dual comes from the forcing rows.
+    assert_dual_certificate(lp, out)
+    assert sum(b * v for b, v in zip(lp.b_le, out.dual)) == 0
+
+
+def test_pr_local_mixture_dual_is_a_bell_inequality():
+    local = deterministic_model(bell_scenario(2, 2), (0, 0, 0, 0))
+    lp = cf_program(mix([pr_box(0, 0, 0), local], [H, H]))
+    out = maximize(lp)
+    assert out.value == H  # CF 1/2
+    assert_dual_certificate(lp, out)
+    assert sum(b * v for b, v in zip(lp.b_le, out.dual)) == H
+
+
+def test_cf_dual_certifies_a_pivoting_point():
+    lp = cf_program(eight_param_family(PIVOTING_POINT))
+    out = maximize(lp)
+    assert 0 < out.value < 1
+    assert_dual_certificate(lp, out)
+
+
+def test_early_stopped_simplex_fails_the_certificate(monkeypatch):
+    # The primal after one pivot is feasible and matches its own objective
+    # (a dense primal re-check accepts it); only the dual shows it is not
+    # optimal.
+    lp = cf_program(eight_param_family(PIVOTING_POINT))
+    pivots = []
+    real_pivot = ratlp._Tableau.pivot
+
+    def counting_pivot(self, r, c):
+        pivots.append((r, c))
+        real_pivot(self, r, c)
+
+    monkeypatch.setattr(ratlp._Tableau, "pivot", counting_pivot)
+    maximize(lp)
+    assert len(pivots) > 1
+    monkeypatch.setattr(ratlp._Tableau, "pivot", real_pivot)
+
+    def one_pivot(self):
+        c = self._entering()
+        self.pivot(self._leaving(c), c)
+        return "optimal"
+
+    monkeypatch.setattr(ratlp._Tableau, "run", one_pivot)
+    with pytest.raises(InternalConsistencyError, match="certificate"):
+        maximize(lp)
+
+
+def _raise_first_nonzero(x):
+    j = next(j for j, v in enumerate(x) if v)
+    x[j] += 1
+
+
+def _make_first_zero_negative(x):
+    x[x.index(0)] = -1
+
+
+@pytest.mark.parametrize("corrupt", [_raise_first_nonzero, _make_first_zero_negative])
+def test_corrupted_primal_entry_raises(monkeypatch, corrupt):
+    lp = cf_program(eight_param_family(PIVOTING_POINT))
+    real_certify = ratlp._certify
+
+    def corrupted(rows, kinds, cost, x, y, den, value):
+        corrupt(x)
+        real_certify(rows, kinds, cost, x, y, den, value)
+
+    monkeypatch.setattr(ratlp, "_certify", corrupted)
+    with pytest.raises(InternalConsistencyError, match="certificate"):
+        maximize(lp)
 
 
 def test_maximize_deterministic_mass_one():
@@ -194,10 +285,12 @@ def test_maximize_matches_vertex_enumeration(n, m, data):
     a.append([F(1)] * n)
     b.append(F(4))
     c = [data.draw(small_fracs) for _ in range(n)]
-    out = maximize(LinearProgram(objective=tuple(c), a_le=tuple(map(tuple, a)), b_le=tuple(b)))
+    lp = LinearProgram(objective=tuple(c), a_le=tuple(map(tuple, a)), b_le=tuple(b))
+    out = maximize(lp)
     expected = maximize_bruteforce(c, a, b)
     assert out.status is LpStatus.OPTIMAL
     assert out.value == expected
+    assert_dual_certificate(lp, out)
 
 
 @settings(max_examples=300, deadline=None)
@@ -225,6 +318,7 @@ def test_maximize_with_equalities_matches_split_oracle(n, data):
         expected = maximize_bruteforce(c, a_split, b_split)
         assert out.status is LpStatus.OPTIMAL
         assert out.value == expected
+        assert_dual_certificate(lp, out)
     else:
         assert out.status is LpStatus.INFEASIBLE
 

@@ -14,6 +14,7 @@ from amcc.errors import (
     UnknownLabel,
 )
 from amcc.scenario import (
+    BELL_CONTEXT_LIMIT,
     GlobalAssignment,
     Section,
     bell_scenario,
@@ -106,7 +107,8 @@ def test_enumerate_global_assignments_counts():
 
 
 def test_enumerate_global_assignments_guard():
-    s = bell_scenario(13, 2)  # 26 observables
+    labels = [f"Y{k}" for k in range(26)]  # bell_scenario refuses 26 observables itself
+    s = make_scenario(labels, [labels[:13], labels[13:]])
     with pytest.raises(TooLarge):
         enumerate_global_assignments(s)
 
@@ -206,6 +208,21 @@ def test_bell_tokens_roundtrip():
         parse_bell_token("ring-2-2")
     with pytest.raises(TooLarge):
         parse_bell_token("bell-2-2-3")
+
+
+def test_bell_scenario_guards_fire_before_building():
+    with pytest.raises(TooLarge, match="26 observables"):
+        bell_scenario(13, 2)
+    with pytest.raises(TooLarge, match="6561 contexts"):
+        bell_scenario(8, 3)  # 24 observables, within the enumeration guard
+    for token in ("bell-2-300", "bell-3-300", "bell-1000-1000"):
+        with pytest.raises(TooLarge, match="observables exceed"):
+            parse_bell_token(token)
+    assert bell_scenario(6, 4).n_contexts == BELL_CONTEXT_LIMIT
+    # A 26-observable cover of Bell shape has no token, since none parses.
+    labels = [f"X{k}" + "p" * j for k in range(1, 14) for j in range(2)]
+    wide = make_scenario(labels, [labels[0::2], labels[1::2]])
+    assert bell_token(wide) is None
 
 
 def test_section_index_roundtrip():
