@@ -90,16 +90,24 @@ def _require_no_signaling(m: EmpiricalModel) -> None:
         raise SignalingInput(witness.describe())
 
 
+def allowed_mask(s: MeasurementScenario, c: int, sections: int) -> int:
+    """Bitmask of global assignments whose restriction to context ``c`` is in ``sections``.
+
+    ``sections`` is a bitmask over the canonical sections of ``c``.
+    """
+    out = 0
+    for sec, mask in enumerate(global_masks(s)[c]):
+        if (sections >> sec) & 1:
+            out |= mask
+    return out
+
+
 def support_mask(p: PossibilisticModel) -> int:
     """Bitmask of global assignments compatible with every context's support."""
     s = p.scenario
-    masks = global_masks(s)
     acc = (1 << (1 << len(s.observables))) - 1
     for c in range(s.n_contexts):
-        allowed = 0
-        for sec in p.support_indices(c):
-            allowed |= masks[c][sec]
-        acc &= allowed
+        acc &= allowed_mask(s, c, p.support_mask(c))
         if acc == 0:
             break
     return acc
@@ -300,6 +308,7 @@ def classify(m: EmpiricalModel) -> ClassificationReport:
 __all__ = [
     "AvnCertificate",
     "ClassificationReport",
+    "allowed_mask",
     "avn_certificate",
     "classify",
     "contextual_fraction",

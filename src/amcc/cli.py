@@ -225,6 +225,8 @@ def _cmd_secret_share(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+_JOBS_HELP = "worker processes, capped at the CPU count; results do not depend on N"
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="amcc", description=__doc__)
@@ -260,13 +262,13 @@ def build_parser() -> _Parser:
 
     e = esub.add_parser("parity", help="classify every parity vector of a scenario")
     e.add_argument("--scenario", required=True, metavar="BELL")
-    e.add_argument("--jobs", type=int, default=1)
+    e.add_argument("--jobs", type=int, default=1, metavar="N", help=_JOBS_HELP)
     e.add_argument("--stream", action="store_true", help="one verdict JSON per line")
     e.set_defaults(handler=_cmd_enumerate_parity)
 
     e = esub.add_parser("csp", help="scan support extensions for no-signaling + unsatisfiability")
     e.add_argument("--preset", default="eq40")
-    e.add_argument("--jobs", type=int, default=1)
+    e.add_argument("--jobs", type=int, default=1, metavar="N", help=_JOBS_HELP)
     e.add_argument("--stream", action="store_true", help="one passing candidate per line")
     e.set_defaults(handler=_cmd_enumerate_csp)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -260,39 +261,34 @@ class ParityEnumeration:
         return out
 
 
-def _null_space_combos(s: MeasurementScenario) -> tuple[int, ...]:
-    """Basis of left-null combinations of the context coefficient matrix.
+def _map_chunks(worker, args, total, jobs):
+    """``worker(*args, start, end)`` over ``[0, total)`` cut into consecutive chunks.
 
-    A parity vector is GF(2)-consistent iff it is orthogonal to every basis
-    combination.
+    Uses ``min(jobs, os.cpu_count(), total)`` chunks, capped before any
+    bound is built; one chunk runs in this process, more go to a process
+    pool with one worker per chunk.  Returns the chunk results in order.
     """
-    ps = ParitySystem(s, (0,) * s.n_contexts)
-    masks = [ps.coefficient_mask(c) for c in range(s.n_contexts)]
-    _, residual = _gf2_eliminate(masks, [0] * len(masks))
-    return tuple(row[2] for row in residual)
+    jobs = max(1, min(jobs, os.cpu_count() or 1, total))
+    if jobs == 1:
+        return [worker(*args, 0, total)]
+    bounds = [total * k // jobs for k in range(jobs + 1)]
+    with multiprocessing.Pool(processes=jobs) as pool:
+        return pool.starmap(
+            worker, [(*args, bounds[k], bounds[k + 1]) for k in range(jobs)]
+        )
 
 
-def _classify_parities(s: MeasurementScenario, bits, combos) -> ParityVerdict:
-    pmask = 0
-    for c, bit in enumerate(bits):
-        if bit:
-            pmask |= 1 << c
-    consistent = all(bin(pmask & combo).count("1") % 2 == 0 for combo in combos)
-    if consistent:
+def _classify_parities(s: MeasurementScenario, bits) -> ParityVerdict:
+    ps = ParitySystem(s, bits)
+    if parity_consistent(ps)[0]:
         return ParityVerdict(bits, True, None, None)
-    lift = lift_uniform(parity_to_possibilistic(ParitySystem(s, bits)))
-    report = analysis.classify(lift)
+    report = analysis.classify(lift_uniform(parity_to_possibilistic(ps)))
     return ParityVerdict(bits, False, report.cf, report.amcc)
 
 
-def _parity_chunk(args) -> list[ParityVerdict]:
-    s, start, end = args
-    combos = _null_space_combos(s)
+def _parity_chunk(s: MeasurementScenario, start: int, end: int) -> list[ParityVerdict]:
     m = s.n_contexts
-    return [
-        _classify_parities(s, section_values(i, m), combos)
-        for i in range(start, end)
-    ]
+    return [_classify_parities(s, section_values(i, m)) for i in range(start, end)]
 
 
 def enumerate_parity(s: MeasurementScenario, jobs: int = 1) -> ParityEnumeration:
@@ -300,32 +296,20 @@ def enumerate_parity(s: MeasurementScenario, jobs: int = 1) -> ParityEnumeration
 
     Consistent vectors are counted; inconsistent ones get their uniform lift
     fully classified.  The verdict list is in lexicographic parity order and
-    independent of ``jobs``.
+    independent of ``jobs``, which is capped at the CPU count.
     """
     m = s.n_contexts
     if m > PARITY_ENUMERATION_LIMIT:
         raise TooLarge(f"{m} contexts exceed the 2**{PARITY_ENUMERATION_LIMIT} guard")
     total = 1 << m
-    verdicts: list[ParityVerdict] = []
-    if jobs <= 1:
-        verdicts = _parity_chunk((s, 0, total))
-    else:
-        bounds = [total * k // jobs for k in range(jobs + 1)]
-        chunks = [
-            (s, bounds[k], bounds[k + 1])
-            for k in range(jobs)
-            if bounds[k] < bounds[k + 1]
-        ]
-        with multiprocessing.Pool(processes=len(chunks)) as pool:
-            for part in pool.map(_parity_chunk, chunks):
-                verdicts.extend(part)
-    consistent_count = sum(1 for v in verdicts if v.consistent)
-    amcc_count = sum(1 for v in verdicts if v.amcc)
+    verdicts = tuple(
+        v for part in _map_chunks(_parity_chunk, (s,), total, jobs) for v in part
+    )
     return ParityEnumeration(
         total=total,
-        consistent_count=consistent_count,
-        amcc_count=amcc_count,
-        verdicts=tuple(verdicts),
+        consistent_count=sum(1 for v in verdicts if v.consistent),
+        amcc_count=sum(1 for v in verdicts if v.amcc),
+        verdicts=verdicts,
     )
 
 
@@ -362,128 +346,79 @@ def candidate_model(
 
 
 class _CspSearch:
-    """Precomputed tables shared by the sequential and parallel CSP scans."""
+    """Per-context choice tables for the CSP scan.
+
+    Every context has a list of candidate support masks: a fixed context
+    has one, its base mask; an extendable one has its base mask plus each
+    subset of its absent sections, local choice ``k`` adding the absent
+    sections selected by the bits of ``k``.  Candidate ``index`` is the
+    ``index``-th tuple of ``itertools.product`` over those lists.
+    """
 
     def __init__(self, base: PossibilisticModel, extendable: tuple[int, ...]):
         s = base.scenario
-        self.extendable = extendable
-        self.base_masks = [base.support_mask(c) for c in range(s.n_contexts)]
-        for c in extendable:
-            s.context(c)
-
-        self.absent = {
-            c: [
-                sec
-                for sec in range(s.n_sections(c))
-                if not (self.base_masks[c] >> sec) & 1
-            ]
+        base_masks = [base.support_mask(c) for c in range(s.n_contexts)]
+        absent = {
+            c: [sec for sec in range(s.n_sections(c)) if not (base_masks[c] >> sec) & 1]
             for c in extendable
         }
-        self.radices = [1 << len(self.absent[c]) for c in extendable]
-        self.total = 1
-        for r in self.radices:
-            self.total *= r
+        self.total = 1 << sum(len(secs) for secs in absent.values())
         if self.total > CSP_ENUMERATION_LIMIT:
             raise TooManyCandidates(
                 f"{self.total} candidates exceed the {CSP_ENUMERATION_LIMIT} guard"
             )
-
-        # Per extendable context: candidate support mask per local choice.
-        self.choice_masks = {}
-        for c in extendable:
-            table = []
-            for k in range(1 << len(self.absent[c])):
-                add = 0
-                for bit, sec in enumerate(self.absent[c]):
-                    if (k >> bit) & 1:
-                        add |= 1 << sec
-                table.append(self.base_masks[c] | add)
-            self.choice_masks[c] = table
-
-        gmasks = analysis.global_masks(s)
-
-        def allowed(c, mask):
-            acc = 0
-            for sec in range(s.n_sections(c)):
-                if (mask >> sec) & 1:
-                    acc |= gmasks[c][sec]
-            return acc
-
-        full = (1 << (1 << len(s.observables))) - 1
-        self.fixed_allowed = full
-        for c in range(s.n_contexts):
-            if c not in extendable:
-                self.fixed_allowed &= allowed(c, self.base_masks[c])
-        self.allowed_tables = {
-            c: [allowed(c, mask) for mask in self.choice_masks[c]]
-            for c in extendable
-        }
-
-        # No-signaling machinery: static pairs once, dynamic pairs per candidate.
-        def projected(c, shared):
-            # One projected mask per local choice of an extendable context,
-            # or the single projected base mask of a fixed one.
-            table = projection(s.contexts[c], shared)
-            if c in extendable:
-                return [_project_support(m, table) for m in self.choice_masks[c]]
-            return _project_support(self.base_masks[c], table)
-
+        self.choices = []
+        for c, mask in enumerate(base_masks):
+            secs = absent.get(c, ())
+            self.choices.append([
+                mask | sum(1 << sec for bit, sec in enumerate(secs) if (k >> bit) & 1)
+                for k in range(1 << len(secs))
+            ])
+        self.allowed = [
+            [analysis.allowed_mask(s, c, mask) for mask in masks]
+            for c, masks in enumerate(self.choices)
+        ]
+        # No-signaling: pairs of fixed contexts are decided once, the rest
+        # per candidate from one projected mask per choice.
         self.static_ok = True
-        self.dynamic_pairs = []  # (i, j, proj_i, proj_j); proj is table or constant
+        self.pairs = []  # (i, j, projected masks of i's choices, of j's choices)
         for i in range(s.n_contexts):
             for j in range(i + 1, s.n_contexts):
                 shared = overlap(s, i, j)
                 if not shared:
                     continue
-                proj_i, proj_j = projected(i, shared), projected(j, shared)
-                if i not in extendable and j not in extendable:
-                    if proj_i != proj_j:
-                        self.static_ok = False
-                    continue
-                self.dynamic_pairs.append((i, j, proj_i, proj_j))
+                proj_i, proj_j = (
+                    [_project_support(m, projection(s.contexts[c], shared)) for m in self.choices[c]]
+                    for c in (i, j)
+                )
+                if len(proj_i) == len(proj_j) == 1:
+                    self.static_ok &= proj_i == proj_j
+                else:
+                    self.pairs.append((i, j, proj_i, proj_j))
 
-    def scan(self, start: int, end: int, collect: bool):
+    def scan(self, collect: bool, start: int, end: int):
         """Count (and optionally record) passing candidates with index in [start, end)."""
         if not self.static_ok:
             return 0, []
-        ext = self.extendable
-        lookup = {c: k for k, c in enumerate(ext)}
         count = 0
         passing = []
-        for index in range(start, end):
-            rem = index
-            choices = [0] * len(ext)
-            for k in range(len(ext) - 1, -1, -1):
-                rem, choices[k] = divmod(rem, self.radices[k])
-            ok = True
-            for i, j, table_i, table_j in self.dynamic_pairs:
-                pi = table_i[choices[lookup[i]]] if i in lookup else table_i
-                pj = table_j[choices[lookup[j]]] if j in lookup else table_j
-                if pi != pj:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            acc = self.fixed_allowed
-            for k, c in enumerate(ext):
-                acc &= self.allowed_tables[c][choices[k]]
-                if not acc:
-                    break
-            if acc:
-                continue  # satisfiable, hence not strongly contextual
-            count += 1
-            if collect:
-                masks = list(self.base_masks)
-                for k, c in enumerate(ext):
-                    masks[c] = self.choice_masks[c][choices[k]]
-                passing.append(CspCandidate(index=index, support_masks=tuple(masks)))
+        ranges = [range(len(masks)) for masks in self.choices]
+        picks = itertools.islice(itertools.product(*ranges), start, end)
+        for index, pick in enumerate(picks, start):
+            for i, j, proj_i, proj_j in self.pairs:
+                if proj_i[pick[i]] != proj_j[pick[j]]:
+                    break  # signaling
+            else:
+                acc = -1
+                for allowed, k in zip(self.allowed, pick):
+                    acc &= allowed[k]
+                if acc:
+                    continue  # satisfiable, hence not strongly contextual
+                count += 1
+                if collect:
+                    masks = tuple(masks[k] for masks, k in zip(self.choices, pick))
+                    passing.append(CspCandidate(index=index, support_masks=masks))
         return count, passing
-
-
-def _csp_chunk(args):
-    base, extendable, start, end, collect = args
-    search = _CspSearch(base, extendable)
-    return search.scan(start, end, collect)
 
 
 def csp_enumerate_extension(
@@ -497,28 +432,16 @@ def csp_enumerate_extension(
     Candidates are counted as passing when they satisfy Boolean no-signaling
     and are unsatisfiable as constraint instances.  Iteration order fixes the
     candidate index: extendable contexts ascending, the last one varying
-    fastest; results are independent of ``jobs`` and chunking.
+    fastest; results are independent of ``jobs`` (capped at the CPU count)
+    and chunking.
     """
     extendable = tuple(sorted(set(int(c) for c in extendable_contexts)))
     search = _CspSearch(base, extendable)
-    total = search.total
-    if jobs <= 1:
-        count, passing = search.scan(0, total, collect)
-    else:
-        bounds = [total * k // jobs for k in range(jobs + 1)]
-        chunks = [
-            (base, extendable, bounds[k], bounds[k + 1], collect)
-            for k in range(jobs)
-            if bounds[k] < bounds[k + 1]
-        ]
-        count = 0
-        passing = []
-        with multiprocessing.Pool(processes=len(chunks)) as pool:
-            for part_count, part_passing in pool.map(_csp_chunk, chunks):
-                count += part_count
-                passing.extend(part_passing)
+    parts = _map_chunks(search.scan, (collect,), search.total, jobs)
     return CspEnumeration(
-        candidates=total, passing_count=count, passing=tuple(passing)
+        candidates=search.total,
+        passing_count=sum(count for count, _ in parts),
+        passing=tuple(cand for _, cands in parts for cand in cands),
     )
 
 
@@ -568,6 +491,17 @@ def _check_range(name: str, value: Fraction, low: Fraction, high: Fraction):
         )
 
 
+def _model_322(rows) -> EmpiricalModel:
+    """Check that every evaluated entry lies in [0, 1], then build the (3,2,2) model."""
+    for c, row in enumerate(rows):
+        for sec, entry in enumerate(row):
+            if not ZERO <= entry <= 1:
+                raise OutOfRange(
+                    f"entry ({c},{sec}) evaluates to {format_rational(entry)}"
+                )
+    return make_model(bell_scenario(3, 2), rows)
+
+
 def eight_param_family(params: Sequence[Union[Fraction, int, str]]) -> EmpiricalModel:
     """The symmetric 8-parameter (3,2,2) family with maximal marginals built in.
 
@@ -615,13 +549,7 @@ def three_param_family(
         (HALF - p1 + p2, ZERO, ZERO, HALF - p3, ZERO, p3, p1 - p2, ZERO),
         (p2, HALF - p1, HALF - p1, p1 - p3, p3, ZERO, ZERO, p1 - p2),
     )
-    for c, row in enumerate(rows):
-        for sec, entry in enumerate(row):
-            if not ZERO <= entry <= 1:
-                raise OutOfRange(
-                    f"entry ({c},{sec}) evaluates to {format_rational(entry)}"
-                )
-    return make_model(bell_scenario(3, 2), rows)
+    return _model_322(rows)
 
 
 #: Table cell (row, column) holding each of the 26 free parameters.
@@ -699,13 +627,7 @@ def twentysix_param_family(
             ),
         ),
     )
-    for c, row in enumerate(rows):
-        for sec, entry in enumerate(row):
-            if not ZERO <= entry <= 1:
-                raise OutOfRange(
-                    f"entry ({c},{sec}) evaluates to {format_rational(entry)}"
-                )
-    return make_model(bell_scenario(3, 2), rows)
+    return _model_322(rows)
 
 
 def twentysix_params_from_model(m: EmpiricalModel) -> tuple[Fraction, ...]:

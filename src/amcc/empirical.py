@@ -323,61 +323,64 @@ def _context_key(context: tuple[str, ...]) -> str:
     return "|".join(context)
 
 
-def model_to_dict(m: EmpiricalModel) -> dict:
-    """JSON form: scenario plus one rational-string row per context key."""
+def _rows_to_dict(s: MeasurementScenario, rows, cell) -> dict:
+    """Scenario plus one row per context key, each entry written by ``cell``."""
     return {
-        "scenario": scenario_to_dict(m.scenario),
+        "scenario": scenario_to_dict(s),
         "tables": {
-            _context_key(m.scenario.contexts[c]): [
-                format_rational(x) for x in m.tables[c]
-            ]
-            for c in range(m.scenario.n_contexts)
+            _context_key(ctx): [cell(x) for x in row]
+            for ctx, row in zip(s.contexts, rows)
         },
     }
 
 
-def model_from_dict(data: dict) -> EmpiricalModel:
-    """Parse and re-validate the JSON form produced by :func:`model_to_dict`."""
-    expect_json(data, dict, "a model document")
+def _rows_from_dict(data, what: str, cell, missing) -> tuple[MeasurementScenario, list]:
+    """Read the scenario and one row per context, each entry read by ``cell``.
+
+    A missing row or a row for an unknown context raises ``missing``.
+    """
+    expect_json(data, dict, f"a {what} document")
     s = scenario_from_dict(data["scenario"])
     tables = expect_json(data["tables"], dict, "tables")
-    rows = []
-    for c in range(s.n_contexts):
-        key = _context_key(s.contexts[c])
-        if key not in tables:
-            raise RowNotNormalized(f"missing table row for context {key!r}")
-        row = expect_json(tables[key], list, f"table row {key!r}")
-        rows.append([parse_rational(x) for x in row])
-    extra = set(tables) - {_context_key(ctx) for ctx in s.contexts}
+    keys = [_context_key(ctx) for ctx in s.contexts]
+    extra = set(tables) - set(keys)
     if extra:
-        raise RowNotNormalized(f"table rows for unknown contexts: {sorted(extra)}")
+        raise missing(f"{what} rows for unknown contexts: {sorted(extra)}")
+    rows = []
+    for key in keys:
+        if key not in tables:
+            raise missing(f"missing {what} row for context {key!r}")
+        rows.append([cell(x) for x in expect_json(tables[key], list, f"{what} row {key!r}")])
+    return s, rows
+
+
+def _parse_bit(x) -> bool:
+    """A support cell: 0, 1, true or false."""
+    if type(x) not in (int, bool) or x not in (0, 1):
+        raise MalformedInput(f"support cell must be 0, 1, true or false, not {repr(x)[:40]}")
+    return bool(x)
+
+
+def model_to_dict(m: EmpiricalModel) -> dict:
+    """JSON form: scenario plus one rational-string row per context key."""
+    return _rows_to_dict(m.scenario, m.tables, format_rational)
+
+
+def model_from_dict(data: dict) -> EmpiricalModel:
+    """Parse and re-validate the JSON form produced by :func:`model_to_dict`."""
+    s, rows = _rows_from_dict(data, "table", parse_rational, RowNotNormalized)
     return make_model(s, rows)
 
 
 def possibilistic_to_dict(p: PossibilisticModel) -> dict:
     """Same shape as the model JSON, with rows replaced by 0/1 arrays."""
-    return {
-        "scenario": scenario_to_dict(p.scenario),
-        "tables": {
-            _context_key(p.scenario.contexts[c]): [
-                int(bit) for bit in p.supports[c]
-            ]
-            for c in range(p.scenario.n_contexts)
-        },
-    }
+    return _rows_to_dict(p.scenario, p.supports, int)
 
 
 def possibilistic_from_dict(data: dict) -> PossibilisticModel:
-    expect_json(data, dict, "a support document")
-    s = scenario_from_dict(data["scenario"])
-    tables = expect_json(data["tables"], dict, "tables")
-    rows = []
-    for c in range(s.n_contexts):
-        key = _context_key(s.contexts[c])
-        if key not in tables:
-            raise EmptySupport(f"missing support row for context {key!r}")
-        row = tuple(bool(bit) for bit in expect_json(tables[key], list, f"support row {key!r}"))
+    """Parse the JSON form produced by :func:`possibilistic_to_dict`."""
+    s, rows = _rows_from_dict(data, "support", _parse_bit, EmptySupport)
+    for c, row in enumerate(rows):
         if len(row) != s.n_sections(c) or not any(row):
-            raise EmptySupport(f"context {key!r} support row is invalid")
-        rows.append(row)
-    return PossibilisticModel(scenario=s, supports=tuple(rows))
+            raise EmptySupport(f"context {_context_key(s.contexts[c])!r} support row is invalid")
+    return PossibilisticModel(scenario=s, supports=tuple(tuple(row) for row in rows))

@@ -270,29 +270,19 @@ def _build_tableau(kept, rows, live_rows, kinds):
     return _Tableau(tab_rows, basis), arts, reads
 
 
-def _install_phase1(tab: _Tableau, arts) -> None:
-    art_rows = [i for i in range(1, len(tab.rows)) if tab.basis[i - 1] in arts]
+def _install_objective(tab: _Tableau, cost: dict) -> None:
+    """Row 0 for maximizing ``sum(cost[j] * x_j)`` from the current basis.
+
+    Phase one passes cost -1 on every artificial column, phase two the
+    integer objective on the kept columns.
+    """
     row0 = [0] * (tab.n_cols + 1)
-    for i in art_rows:
-        for j in range(tab.n_cols + 1):
-            row0[j] -= tab.rows[i][j]
-    for a in arts:
-        row0[a] = 0
-    tab.rows[0] = row0
-
-
-def _install_phase2(tab: _Tableau, objective_int: Sequence[int]) -> None:
-    n_cols = tab.n_cols
-    den = tab.den
-    cost = {j: objective_int[j] for j in range(len(objective_int))}
-    row0 = [0] * (n_cols + 1)
-    for j in range(len(objective_int)):
-        row0[j] = -objective_int[j] * den
-    for i in range(1, len(tab.rows)):
-        cb = cost.get(tab.basis[i - 1], 0)
+    for j, c in cost.items():
+        row0[j] = -c * tab.den
+    for i, col in enumerate(tab.basis, start=1):
+        cb = cost.get(col, 0)
         if cb:
-            for j in range(n_cols + 1):
-                row0[j] += cb * tab.rows[i][j]
+            row0 = [x + cb * a for x, a in zip(row0, tab.rows[i])]
     tab.rows[0] = row0
 
 
@@ -405,7 +395,7 @@ def maximize(lp: LinearProgram) -> LpOutcome:
 
     tab, arts, reads = _build_tableau(kept, rows, live_rows, kinds)
     if arts:
-        _install_phase1(tab, arts)
+        _install_objective(tab, dict.fromkeys(arts, -1))
         tab.run()  # cannot be unbounded: phase-1 objective is bounded by 0
         if tab.rows[0][-1] != 0:
             return LpOutcome(LpStatus.INFEASIBLE)
@@ -415,7 +405,7 @@ def maximize(lp: LinearProgram) -> LpOutcome:
     cost = [0] * n
     for j, c in objective:
         cost[j] = c
-    _install_phase2(tab, [cost[j] for j in kept])
+    _install_objective(tab, {p: cost[j] for p, j in enumerate(kept) if cost[j]})
     if tab.run() == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
 

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import sys
 
 import pytest
@@ -218,6 +219,21 @@ def test_enumerate_csp_small_smoke(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "csp", "--preset", "eq40", "--jobs", "2")
     assert code == 0
     assert json.loads(out) == {"candidates": 65536, "ns_and_unsat": 2401}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "parity", "--scenario", "bell-2-2-2", "--stream"),
+        ("enumerate", "csp", "--preset", "eq40", "--stream"),
+    ],
+)
+def test_enumerate_jobs_capped_at_cpu_count(capsys, pool_requests, argv):
+    code, sequential, _ = run_cli(capsys, *argv, "--jobs", "1")
+    assert code == 0 and pool_requests == []
+    code, out, _ = run_cli(capsys, *argv, "--jobs", "100000")
+    assert code == 0 and out == sequential
+    assert all(p <= (os.cpu_count() or 1) for p in pool_requests)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -262,6 +264,70 @@ def test_csp_jobs_invariance():
     two = csp_enumerate_extension(base, (1, 2), jobs=2)
     three = csp_enumerate_extension(base, (1, 2), jobs=3)
     assert one == two == three
+
+
+def test_jobs_capped_at_cpu_count(pool_requests):
+    pr = parity_to_possibilistic(parity_system(S22, PR_PARITIES))
+    parity = enumerate_parity(S22, jobs=1)
+    csp = csp_enumerate_extension(pr, (0, 3), jobs=1)
+    assert pool_requests == []  # jobs=1 runs in this process
+    assert enumerate_parity(S22, jobs=10**5) == parity
+    assert csp_enumerate_extension(pr, (0, 3), jobs=10**5) == csp
+    assert all(p <= (os.cpu_count() or 1) for p in pool_requests)
+
+
+def test_jobs_chunk_count_is_min_of_jobs_cpus_and_work(pool_requests, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    pr = parity_to_possibilistic(parity_system(S22, PR_PARITIES))
+    sequential = enumerate_parity(S22, jobs=1)
+    for jobs in (3, 100):
+        assert enumerate_parity(S22, jobs=jobs) == sequential
+    csp_enumerate_extension(pr, (), jobs=100)  # one candidate: one chunk, no pool
+    assert pool_requests == [3, 8]
+
+
+def naive_csp_passing(base, extendable):
+    """Passing (index, masks) by the documented order, checked pattern by pattern."""
+    s = base.scenario
+    masks = [base.support_mask(c) for c in range(s.n_contexts)]
+    absent = {
+        c: [sec for sec in range(s.n_sections(c)) if not (masks[c] >> sec) & 1]
+        for c in extendable
+    }
+    out = []
+    picks = itertools.product(*(range(1 << len(absent[c])) for c in extendable))
+    for index, local in enumerate(picks):
+        cand = list(masks)
+        for c, k in zip(extendable, local):
+            for bit, sec in enumerate(absent[c]):
+                if (k >> bit) & 1:
+                    cand[c] |= 1 << sec
+        model = candidate_model(s, cand)
+        if boolean_no_signaling(model)[0] and is_strongly_contextual(model)[0]:
+            out.append((index, tuple(cand)))
+    return out
+
+
+#: SHA-256 of the eq40 passing list [(index, masks), ...] over (1, 2, 4, 7).
+EQ40_PASSING_SHA256 = "1cf7e60b49ab4349004c547f0e29788954bcd770a58bd4117e525c422bf4a959"
+
+
+def test_csp_passing_lists_independent_of_jobs(pool_requests, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    base, _ = csp_extension_preset("eq40")
+    pr = parity_to_possibilistic(parity_system(S22, PR_PARITIES))
+    for model, extendable in ((base, (1, 2, 4, 7)), (base, (1, 2)), (base, ()), (pr, (0, 3))):
+        runs = [
+            [(c.index, c.support_masks) for c in csp_enumerate_extension(model, extendable, jobs=jobs).passing]
+            for jobs in (1, 2, 3)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+        if extendable == (1, 2, 4, 7):
+            assert len(runs[0]) == 2401
+            assert hashlib.sha256(repr(runs[0]).encode()).hexdigest() == EQ40_PASSING_SHA256
+        else:
+            assert runs[0] == naive_csp_passing(model, extendable)
+    assert pool_requests == [2, 3] * 3  # the one-candidate case never pools
 
 
 def test_csp_guard_on_candidate_explosion():

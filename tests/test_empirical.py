@@ -268,3 +268,30 @@ def test_possibilistic_json_roundtrip():
     # (alpha, beta, gamma) = (1, 1, 0) the (X1, X2) context is correlated.
     assert payload["tables"]["X1|X2"] == [1, 0, 0, 1]
     assert possibilistic_from_dict(payload).supports == poss.supports
+
+
+@pytest.mark.parametrize(
+    "row", [["0", "0", "no", []], [2, 0, 0, -1], [1.0, 0, 0, 1], [None, 1, 0, 0], ["1", 0, 0, 1]]
+)
+def test_possibilistic_json_rejects_non_bit_cells(row):
+    payload = possibilistic_to_dict(possibilistic_collapse(pr_box(0, 0, 0)))
+    payload["tables"]["X1|X2"] = row
+    with pytest.raises(MalformedInput):
+        possibilistic_from_dict(payload)
+
+
+def test_possibilistic_json_accepts_json_booleans():
+    payload = possibilistic_to_dict(possibilistic_collapse(pr_box(0, 0, 0)))
+    payload["tables"]["X1|X2"] = [True, False, 0, 1]
+    assert possibilistic_from_dict(payload).supports[0] == (True, False, False, True)
+
+
+def test_possibilistic_json_rejects_unknown_context():
+    payload = possibilistic_to_dict(possibilistic_collapse(pr_box(0, 0, 0)))
+    payload["tables"]["X1|Y9"] = [1, 0, 0, 1]
+    with pytest.raises(EmptySupport):
+        possibilistic_from_dict(payload)
+    payload = model_to_dict(pr_box(0, 0, 0))
+    payload["tables"]["X1|Y9"] = ["1/2", "0", "0", "1/2"]
+    with pytest.raises(RowNotNormalized):
+        model_from_dict(payload)
