@@ -15,7 +15,6 @@ from .analysis import (
     classify,
     contextual_fraction,
     incidence_matrix,
-    is_contextual,
     is_strongly_contextual,
 )
 from .applications import (
@@ -72,15 +71,10 @@ from .empirical import (
 from .errors import ContextualityError, InternalConsistencyError
 from .ratlp import LinearProgram, LpOutcome, LpStatus, maximize, solve_feasibility
 from .scenario import (
-    GlobalAssignment,
     MeasurementScenario,
-    Section,
     bell_scenario,
-    enumerate_global_assignments,
-    enumerate_sections,
     make_scenario,
     polytope_dimension,
-    restrict,
     scenario_from_dict,
     scenario_to_dict,
 )

@@ -29,12 +29,7 @@ from .empirical import (
 )
 from .errors import InternalConsistencyError, SignalingInput
 from .ratlp import LinearProgram, LpStatus, maximize
-from .scenario import (
-    GlobalAssignment,
-    MeasurementScenario,
-    projection,
-    section_values,
-)
+from .scenario import MeasurementScenario, projection, section_values
 
 ONE = Fraction(1)
 
@@ -44,7 +39,7 @@ def restriction_table(s: MeasurementScenario) -> tuple[tuple[int, ...], ...]:
     """``table[c][g]`` = canonical section index of global assignment ``g`` in context ``c``.
 
     Global assignments are indexed by their outcome tuple read as a
-    big-endian binary number, matching ``enumerate_global_assignments``.
+    big-endian binary number (:func:`~amcc.scenario.section_index`).
     """
     return tuple(projection(s.observables, ctx) for ctx in s.contexts)
 
@@ -113,30 +108,9 @@ def support_mask(p: PossibilisticModel) -> int:
     return acc
 
 
-def _assignment_from_index(s: MeasurementScenario, g: int) -> GlobalAssignment:
-    return GlobalAssignment(
-        s.observables, section_values(g, len(s.observables))
-    )
-
-
-def _global_weights(s: MeasurementScenario, solution) -> dict:
-    """The nonzero entries of an LP solution, keyed by assignment bit-tuple."""
-    n = len(s.observables)
-    return {section_values(g, n): w for g, w in enumerate(solution) if w != 0}
-
-
-def is_contextual(m: EmpiricalModel):
-    """LP route: contextual iff the contextual fraction is positive.
-
-    Returns ``(True, None)`` when contextual, else ``(False, d)`` where ``d``
-    maps assignment bit-tuples to weights of a reproducing global
-    distribution: at CF = 0 the CF optimum has total weight 1 under rows
-    that each sum to 1, so it reproduces every row exactly.
-    """
-    cf, solution = _contextual_fraction_with_witness(m)
-    if cf > 0:
-        return True, None
-    return False, _global_weights(m.scenario, solution)
+def _bit_string(idx: int, width: int) -> str:
+    """The outcome bits of section ``idx`` of a ``width``-observable domain, as a string."""
+    return "".join(map(str, section_values(idx, width)))
 
 
 def contextual_fraction(m: EmpiricalModel) -> Fraction:
@@ -165,14 +139,14 @@ def is_strongly_contextual(m: Union[EmpiricalModel, PossibilisticModel]):
     """Exhaustive route: true iff no global assignment is compatible with all supports.
 
     Returns ``(True, None)`` or ``(False, witness)`` with the first compatible
-    assignment in canonical order.
+    assignment in canonical order, as its outcome bit tuple.
     """
     p = possibilistic_collapse(m) if isinstance(m, EmpiricalModel) else m
     mask = support_mask(p)
     if mask == 0:
         return True, None
     g = (mask & -mask).bit_length() - 1
-    return False, _assignment_from_index(p.scenario, g)
+    return False, section_values(g, len(p.scenario.observables))
 
 
 @dataclass(frozen=True)
@@ -195,9 +169,9 @@ class AvnCertificate:
         for g, (c, sec) in enumerate(self.entries):
             out.append(
                 {
-                    "assignment": "".join(map(str, section_values(g, n))),
+                    "assignment": _bit_string(g, n),
                     "context": list(s.contexts[c]),
-                    "section": "".join(map(str, section_values(sec, len(s.contexts[c])))),
+                    "section": _bit_string(sec, len(s.contexts[c])),
                 }
             )
         return out
@@ -207,7 +181,7 @@ def avn_certificate(m: EmpiricalModel):
     """Map every global assignment to a zero constraint it violates.
 
     Returns ``(True, certificate)`` when the model is strongly contextual and
-    ``(False, witness)`` with a compatible assignment otherwise.
+    ``(False, witness)`` with a compatible assignment's bit tuple otherwise.
     """
     s = m.scenario
     table = restriction_table(s)
@@ -220,7 +194,7 @@ def avn_certificate(m: EmpiricalModel):
                 hit = (c, sec)
                 break
         if hit is None:
-            return False, _assignment_from_index(s, g)
+            return False, section_values(g, len(s.observables))
         entries.append(hit)
     return True, AvnCertificate(scenario=s, entries=tuple(entries))
 
@@ -268,9 +242,10 @@ def classify(m: EmpiricalModel) -> ClassificationReport:
 
     witness: dict = {}
     if cf != 1:
+        # At CF = 0 this global distribution reproduces every row exactly.
+        n = len(m.scenario.observables)
         witness["noncontextual_part"] = {
-            "".join(map(str, bits)): format_rational(w)
-            for bits, w in _global_weights(m.scenario, lp_solution).items()
+            _bit_string(g, n): format_rational(w) for g, w in enumerate(lp_solution) if w != 0
         }
     if marg_witness is not None:
         witness["failing_marginal"] = {
@@ -285,10 +260,8 @@ def classify(m: EmpiricalModel) -> ClassificationReport:
                 "strongly contextual model has no zero-constraint certificate"
             )
         witness["avn"] = cert.to_jsonable()
-    elif strong_witness is not None:
-        witness["compatible_assignment"] = "".join(
-            map(str, strong_witness.values)
-        )
+    else:
+        witness["compatible_assignment"] = "".join(map(str, strong_witness))
 
     report = ClassificationReport(
         cf=cf,
@@ -314,7 +287,6 @@ __all__ = [
     "contextual_fraction",
     "global_masks",
     "incidence_matrix",
-    "is_contextual",
     "is_strongly_contextual",
     "restriction_table",
     "support_mask",

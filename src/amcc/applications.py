@@ -20,11 +20,14 @@ from typing import Callable, Optional, Sequence, Union
 
 from .construct import ParitySystem, parity_consistent, parity_to_possibilistic
 from .empirical import EmpiricalModel, format_rational, marginal, proper_subsets
-from .errors import ConsistentResource, RowNotNormalized
-from .scenario import bell_token, context_setting_bits, scenario_to_dict
+from .errors import ConsistentResource, RowNotNormalized, TooLarge
+from .scenario import bell_token, context_setting_bits, scenario_to_dict, section_values
 
 #: Transcript header tag for the deterministic generator in use.
 RNG_ALGORITHM = "python-random-mt19937"
+
+#: Guard for the secret-sharing simulator: at most 2**16 rounds, all held in memory.
+SECRET_SHARE_ROUND_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,8 @@ def secret_share_simulate(
     optional ``tamper`` hook replaces the sampled outcomes (round, context,
     outcomes) -> outcomes, for adversarial experiments.
 
-    The transcript is a deterministic function of the seed.
+    The transcript is a deterministic function of the seed.  ``rounds``
+    outside 1..SECRET_SHARE_ROUND_LIMIT is rejected before any sampling.
     """
     consistent, _ = parity_consistent(ps)
     if consistent:
@@ -163,6 +167,10 @@ def secret_share_simulate(
     q = Fraction(test_fraction)
     if not 0 < q < 1:
         raise RowNotNormalized(f"test fraction {format_rational(q)} not in (0, 1)")
+    if rounds < 1:
+        raise RowNotNormalized(f"need at least one round, got {rounds}")
+    if rounds > SECRET_SHARE_ROUND_LIMIT:
+        raise TooLarge(f"{rounds} rounds exceed the {SECRET_SHARE_ROUND_LIMIT} round guard")
     secret_bits = tuple(int(b) & 1 for b in secret_bits)
     if not secret_bits:
         raise RowNotNormalized("need at least one secret bit")
@@ -170,7 +178,6 @@ def secret_share_simulate(
     s = ps.scenario
     poss = parity_to_possibilistic(ps)
     supported = [poss.support_indices(c) for c in range(s.n_contexts)]
-    widths = [len(ctx) for ctx in s.contexts]
 
     token = bell_token(s)
     header = {
@@ -193,8 +200,7 @@ def secret_share_simulate(
     for r in range(rounds):
         c = rng.randrange(s.n_contexts)
         sec = supported[c][rng.randrange(len(supported[c]))]
-        width = widths[c]
-        outcomes = tuple((sec >> (width - 1 - k)) & 1 for k in range(width))
+        outcomes = section_values(sec, len(s.contexts[c]))
         if tamper is not None:
             outcomes = tuple(int(b) & 1 for b in tamper(r, c, outcomes))
         is_test = rng.randrange(q.denominator) < q.numerator

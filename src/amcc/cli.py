@@ -15,7 +15,7 @@ import sys
 
 from . import analysis, applications, catalog, construct, empirical
 from .errors import ContextualityError, InternalConsistencyError, MalformedInput, UnknownLabel
-from .scenario import parse_bell_token, party_label
+from .scenario import parse_bell_token, party_label, section_values
 
 
 class _UsageError(Exception):
@@ -59,10 +59,7 @@ def _parse_hexbits(text: str) -> tuple[int, ...]:
         raw = bytes.fromhex(text if len(text) % 2 == 0 else "0" + text)
     except ValueError:
         raise _UsageError(f"expected hex digits, got {text!r}") from None
-    bits = []
-    for byte in raw:
-        bits.extend((byte >> (7 - k)) & 1 for k in range(8))
-    return tuple(bits)
+    return tuple(bit for byte in raw for bit in section_values(byte, 8))
 
 
 def _parity_system_from_args(args) -> construct.ParitySystem:
@@ -77,7 +74,7 @@ def _parity_system_from_args(args) -> construct.ParitySystem:
     else:
         # Infer a two-setting Bell scenario from the context count.
         n = len(bits).bit_length() - 1
-        if 1 << n != len(bits):
+        if not bits or 1 << n != len(bits):
             raise _UsageError(
                 f"cannot infer a scenario from {len(bits)} parities; pass --scenario"
             )

@@ -287,25 +287,27 @@ def from_global_distribution(
     """The (noncontextual) model whose rows are marginals of one global distribution.
 
     ``weights`` maps full outcome tuples (scenario observable order) to
-    probabilities; they must be nonnegative and sum to 1.
+    probabilities; they must be nonnegative and sum to 1.  An assignment
+    that is not one bit per observable raises NotASubset before any row is
+    built.
     """
-    total = sum(Fraction(w) for w in weights.values())
+    n = len(s.observables)
+    mass = []
+    for values, w in weights.items():
+        if len(values) != n or not all(isinstance(v, int) and v in (0, 1) for v in values):
+            raise NotASubset(f"assignment {values} is not {n} outcome bits")
+        mass.append((section_index(values), Fraction(w)))
+    total = sum(w for _, w in mass)
     if total != 1:
         raise RowNotNormalized(f"global weights sum to {format_rational(total)}")
-    n = len(s.observables)
+    if any(w < 0 for _, w in mass):
+        raise NegativeEntry("negative global weight")
     rows = []
-    for c in range(s.n_contexts):
-        context = s.context(c)
-        positions = [s.observables.index(x) for x in context]
-        row = [ZERO] * s.n_sections(c)
-        for values, w in weights.items():
-            w = Fraction(w)
-            if w < 0:
-                raise NegativeEntry("negative global weight")
-            if len(values) != n:
-                raise NotASubset(f"assignment {values} has wrong length")
-            idx = section_index([values[pos] for pos in positions])
-            row[idx] += w
+    for ctx in s.contexts:
+        table = projection(s.observables, ctx)
+        row = [ZERO] * (1 << len(ctx))
+        for g, w in mass:
+            row[table[g]] += w
         rows.append(tuple(row))
     return make_model(s, rows)
 

@@ -1,11 +1,14 @@
-"""Measurement scenarios: observables, contexts, sections, global assignments.
+"""Measurement scenarios: observables, context covers and section indices.
 
-A scenario is a triple of observables, a cover of jointly-measurable contexts,
-and a (binary) outcome alphabet.  All orderings are part of the contract:
-observables keep their input order, contexts keep their input order, and the
-sections of a context are enumerated lexicographically with the leftmost
-observable most significant.  Incidence matrices and the JSON formats rely on
-these orderings being bit-stable.
+A scenario is a pair of observables and a cover of jointly-measurable
+contexts; every observable is dichotomic.  All orderings are part of the
+contract: observables keep their input order, contexts keep their input
+order, and a section (an outcome assignment on a context, or on all
+observables for a global assignment) is its canonical index, the outcome
+bits read as a big-endian binary number with the leftmost observable most
+significant.  :func:`projection` is the one restriction map between those
+indices.  Incidence matrices and the JSON formats rely on these orderings
+being bit-stable.
 """
 
 from __future__ import annotations
@@ -37,15 +40,13 @@ BELL_CONTEXT_LIMIT = 1 << 12
 class MeasurementScenario:
     """A set of observables together with a cover of measurement contexts.
 
-    ``observables`` is the full ordered list of measurement labels,
-    ``contexts`` the ordered cover (each context an ordered label tuple), and
-    ``outcomes`` the per-observable outcome arity.  Only dichotomic scenarios
-    (``outcomes == 2``) are supported; the field is kept for format stability.
+    ``observables`` is the full ordered list of measurement labels and
+    ``contexts`` the ordered cover (each context an ordered label tuple).
+    Every observable is dichotomic, with outcomes 0 and 1.
     """
 
     observables: tuple[str, ...]
     contexts: tuple[tuple[str, ...], ...]
-    outcomes: int = 2
 
     @property
     def n_contexts(self) -> int:
@@ -60,41 +61,6 @@ class MeasurementScenario:
     def n_sections(self, c: int) -> int:
         """Number of sections of context ``c`` (2**|C|)."""
         return 1 << len(self.context(c))
-
-
-@dataclass(frozen=True)
-class Section:
-    """An outcome assignment on an ordered subset of observables."""
-
-    domain: tuple[str, ...]
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.domain) != len(self.values):
-            raise NotASubset(
-                f"section has {len(self.domain)} observables but {len(self.values)} values"
-            )
-        for v in self.values:
-            if v not in (0, 1):
-                raise NotASubset(f"outcome {v!r} is not a bit")
-
-
-@dataclass(frozen=True)
-class GlobalAssignment:
-    """An outcome for every observable, in scenario observable order."""
-
-    observables: tuple[str, ...]
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.observables) != len(self.values):
-            raise NotASubset(
-                f"assignment has {len(self.observables)} observables "
-                f"but {len(self.values)} values"
-            )
-
-    def as_section(self) -> Section:
-        return Section(self.observables, self.values)
 
 
 def make_scenario(
@@ -204,40 +170,6 @@ def context_setting_bits(
     return tuple(bits)
 
 
-def enumerate_sections(s: MeasurementScenario, c: int) -> list[Section]:
-    """All sections of context ``c`` in lexicographic outcome order."""
-    ctx = s.context(c)
-    return [
-        Section(ctx, values)
-        for values in itertools.product((0, 1), repeat=len(ctx))
-    ]
-
-
-def enumerate_global_assignments(s: MeasurementScenario) -> list[GlobalAssignment]:
-    """All 2**|X| global assignments in lexicographic order."""
-    n = len(s.observables)
-    if n > ENUMERATION_LIMIT:
-        raise TooLarge(f"{n} observables exceed the 2**{ENUMERATION_LIMIT} enumeration guard")
-    return [
-        GlobalAssignment(s.observables, values)
-        for values in itertools.product((0, 1), repeat=n)
-    ]
-
-
-def restrict(
-    x: Union[Section, GlobalAssignment], target: Sequence[str]
-) -> Section:
-    """Project an assignment onto ``target``, copying values in target order."""
-    domain = x.observables if isinstance(x, GlobalAssignment) else x.domain
-    lookup = {label: i for i, label in enumerate(domain)}
-    values = []
-    for label in target:
-        if label not in lookup:
-            raise NotASubset(f"{label!r} is not in the domain {domain}")
-        values.append(x.values[lookup[label]])
-    return Section(tuple(target), tuple(values))
-
-
 @lru_cache(maxsize=None)
 def projection(domain: tuple[str, ...], target: tuple[str, ...]) -> tuple[int, ...]:
     """The restriction map from the sections of ``domain`` to those of ``target``.
@@ -245,9 +177,12 @@ def projection(domain: tuple[str, ...], target: tuple[str, ...]) -> tuple[int, .
     Entry ``i`` is the canonical index of section ``i`` of ``domain``
     restricted to ``target`` (values copied in target order).  ``domain`` is
     a context, or the scenario's observables for global assignments.  Raises
-    NotASubset for a target label outside ``domain`` and TooLarge above the
-    enumeration guard, both before any section is enumerated.
+    DuplicateLabel for a repeated target label, NotASubset for a target label
+    outside ``domain`` and TooLarge above the enumeration guard, all before
+    any section is enumerated.
     """
+    if len(set(target)) != len(target):
+        raise DuplicateLabel(f"duplicate label in {target}")
     lookup = {label: k for k, label in enumerate(domain)}
     for label in target:
         if label not in lookup:
@@ -355,7 +290,7 @@ def scenario_to_dict(s: MeasurementScenario) -> dict:
     return {
         "observables": list(s.observables),
         "contexts": [list(c) for c in s.contexts],
-        "outcomes": s.outcomes,
+        "outcomes": 2,
     }
 
 

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from amcc.analysis import (
     avn_certificate,
+    classify,
     contextual_fraction,
-    is_contextual,
     is_strongly_contextual,
 )
 from amcc.construct import (
@@ -29,10 +29,11 @@ from amcc.empirical import (
     lift_uniform,
     marginal,
     mix,
+    parse_rational,
     possibilistic_collapse,
 )
 from amcc.errors import SignalingDetected
-from amcc.scenario import polytope_dimension
+from amcc.scenario import polytope_dimension, projection, section_index
 
 from _generators import (
     mixture_models_222,
@@ -57,18 +58,16 @@ def check_cf_one_iff_strongly_contextual(model):
     assert 0 <= cf <= 1
     if cf == 0:
         # The CF optimum is then a global distribution reproducing every row.
-        contextual, dist = is_contextual(model)
-        assert not contextual
+        part = classify(model).witness["noncontextual_part"]
+        dist = {tuple(map(int, bits)): parse_rational(w) for bits, w in part.items()}
         assert from_global_distribution(model.scenario, dist).tables == model.tables
     certified, _ = avn_certificate(model)
     assert certified == strong
     if witness is not None:
         # The witness really is compatible with every context's support.
-        from amcc.scenario import restrict, section_index
-
-        for c, row in enumerate(model.tables):
-            sec = restrict(witness, model.scenario.contexts[c])
-            assert row[section_index(sec.values)] > 0
+        g = section_index(witness)
+        for ctx, row in zip(model.scenario.contexts, model.tables):
+            assert row[projection(model.scenario.observables, ctx)[g]] > 0
 
 
 @CASES

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from amcc.applications import (
+    SECRET_SHARE_ROUND_LIMIT,
     certify_amcc_entropy,
     guessing_probability,
     min_entropy,
@@ -12,7 +13,7 @@ from amcc.applications import (
 from amcc.catalog import asymmetric_scc_model, ghz_model, pr_box, three_way_box
 from amcc.construct import parity_system
 from amcc.empirical import deterministic_model, proper_subsets
-from amcc.errors import ConsistentResource, NotASubset, RowNotNormalized
+from amcc.errors import ConsistentResource, NotASubset, RowNotNormalized, TooLarge
 from amcc.scenario import bell_scenario
 
 F = Fraction
@@ -133,6 +134,16 @@ def test_secret_share_rejects_bad_fraction_and_empty_secret():
         secret_share_simulate(ps, (1,), 10, F(0), 1)
     with pytest.raises(RowNotNormalized):
         secret_share_simulate(ps, (), 10, F(1, 5), 1)
+
+
+def test_secret_share_rejects_rounds_outside_the_guard():
+    ps = parity_system(S32, GHZ_PARITIES)
+    for rounds in (0, -3):
+        with pytest.raises(RowNotNormalized):
+            secret_share_simulate(ps, (1,), rounds, F(1, 5), 1)
+    with pytest.raises(TooLarge):
+        secret_share_simulate(ps, (1,), SECRET_SHARE_ROUND_LIMIT + 1, F(1, 5), 1)
+    assert len(secret_share_simulate(ps, (1,), 1, F(1, 5), 1).rounds) == 1
 
 
 def test_secret_share_tampering_aborts_at_first_test_round():

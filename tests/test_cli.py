@@ -171,6 +171,33 @@ def test_entropy_unknown_context_is_validation_error(capsys, monkeypatch):
     assert code == 2 and "no context" in err
 
 
+def test_entropy_repeated_subset_label_exits_2(capsys, monkeypatch):
+    code, out, err = run_cli_stdin(
+        capsys, monkeypatch, model_to_dict(ghz_model()),
+        "entropy", "--context", "000", "--subset", "X1,X1",
+    )
+    assert (code, out) == (2, "") and "duplicate label" in err
+
+
+def test_empty_parities_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "parity", "--parities", "")
+    assert (code, out) == (1, "") and "cannot infer a scenario from 0 parities" in err
+    code, out, err = run_cli(
+        capsys, "secret-share", "--parities", "", "--rounds", "10",
+        "--test-fraction", "1/5", "--seed", "1", "--secret", "a5",
+    )
+    assert (code, out) == (1, "") and "cannot infer a scenario" in err
+
+
+@pytest.mark.parametrize("rounds", ["-3", "0", "65537"])
+def test_secret_share_rounds_outside_guard_exit_2(capsys, rounds):
+    code, out, err = run_cli(
+        capsys, "secret-share", "--parities", "01111111", "--rounds", rounds,
+        "--test-fraction", "1/5", "--seed", "1", "--secret", "a5",
+    )
+    assert (code, out) == (2, "") and "round" in err
+
+
 def test_secret_share_transcript(capsys):
     args = (
         "secret-share", "--parities", "01111111", "--rounds", "50",

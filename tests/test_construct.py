@@ -150,8 +150,7 @@ def test_csp_satisfiable_verdicts():
     pr = parity_to_possibilistic(parity_system(S22, PR_PARITIES))
     assert is_strongly_contextual(pr) == (True, None)
     all_true = PossibilisticModel(S22, ((True,) * 4,) * 4)
-    strong, witness = is_strongly_contextual(all_true)
-    assert not strong and witness.values == (0, 0, 0, 0)
+    assert is_strongly_contextual(all_true) == (False, (0, 0, 0, 0))
 
 
 def test_parity_csp_equivalence_exhaustive_222():

@@ -24,6 +24,7 @@ from amcc.empirical import (
     RATIONAL_DIGIT_LIMIT,
 )
 from amcc.errors import (
+    DuplicateLabel,
     EmptySupport,
     MalformedInput,
     NegativeEntry,
@@ -231,6 +232,24 @@ def test_from_global_distribution_marginals():
     assert model.tables[0] == (H, 0, 0, H)
     with pytest.raises(RowNotNormalized):
         from_global_distribution(S22, {(0, 0, 0, 0): H})
+
+
+def test_from_global_distribution_rejects_non_bit_assignments():
+    # Each must fail before a row is built, not as a signaling or index error.
+    for values in ((0, 0, 0, 2), (2, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0), (0, 0, 0, 0, 0)):
+        with pytest.raises(NotASubset):
+            from_global_distribution(S22, {values: 1})
+        with pytest.raises(NotASubset):
+            deterministic_model(S22, values)
+    with pytest.raises(NotASubset):
+        from_global_distribution(S22, {(0, 0, 0, 0): H, (0, 0, 0, 0.5): H})
+
+
+def test_marginal_rejects_repeated_subset_label():
+    model = ghz_model()
+    with pytest.raises(DuplicateLabel):
+        marginal(model, 0, ("X1", "X1"))
+    assert marginal(model, 0, ("X1",)) == (H, H)
 
 
 def test_rational_formatting_roundtrip():

@@ -15,17 +15,12 @@ from amcc.errors import (
 )
 from amcc.scenario import (
     BELL_CONTEXT_LIMIT,
-    GlobalAssignment,
-    Section,
     bell_scenario,
     bell_token,
-    enumerate_global_assignments,
-    enumerate_sections,
     make_scenario,
     parse_bell_token,
     polytope_dimension,
     projection,
-    restrict,
     scenario_from_dict,
     scenario_to_dict,
     section_index,
@@ -74,69 +69,18 @@ def test_make_scenario_rejects_duplicates():
         make_scenario(["X1", "X2"], [["X1", "X1", "X2"]])
 
 
-def test_enumerate_sections_lexicographic():
+def _restrict_reference(domain, values, target):
+    """Independent restriction: look each target label up in a label -> value dict."""
+    assignment = dict(zip(domain, values))
+    return tuple(assignment[label] for label in target)
+
+
+def test_context_index_out_of_range():
     s = bell_scenario(2, 2)
-    sections = enumerate_sections(s, 0)
-    assert [sec.values for sec in sections] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert all(sec.domain == ("X1", "X2") for sec in sections)
-
-
-def test_enumerate_sections_single_observable():
-    s = make_scenario(["A"], [["A"]])
-    assert [sec.values for sec in enumerate_sections(s, 0)] == [(0,), (1,)]
-
-
-def test_enumerate_sections_three_observables_order():
-    s = bell_scenario(3, 2)
-    sections = enumerate_sections(s, 0)
-    assert len(sections) == 8
-    assert sections[0].values == (0, 0, 0)
-    assert sections[-1].values == (1, 1, 1)
-
-
-def test_enumerate_sections_bad_index():
-    with pytest.raises(IndexOutOfRange):
-        enumerate_sections(bell_scenario(2, 2), 4)
-
-
-def test_enumerate_global_assignments_counts():
-    assert len(enumerate_global_assignments(bell_scenario(3, 2))) == 64
-    assert len(enumerate_global_assignments(bell_scenario(2, 2))) == 16
-    single = make_scenario(["A"], [["A"]])
-    assert [g.values for g in enumerate_global_assignments(single)] == [(0,), (1,)]
-
-
-def test_enumerate_global_assignments_guard():
-    labels = [f"Y{k}" for k in range(26)]  # bell_scenario refuses 26 observables itself
-    s = make_scenario(labels, [labels[:13], labels[13:]])
-    with pytest.raises(TooLarge):
-        enumerate_global_assignments(s)
-
-
-def test_restrict_projection():
-    g = GlobalAssignment(OBS_22, (1, 0, 1, 0))
-    assert restrict(g, ("X1", "X2")).values == (1, 1)
-    assert restrict(g, OBS_22).values == g.values
-    assert restrict(g, ()).values == ()
-
-
-def test_restrict_target_order_is_respected():
-    g = GlobalAssignment(OBS_22, (1, 0, 1, 0))
-    assert restrict(g, ("X2", "X1")).values == (1, 1)
-    assert restrict(g, ("X2p", "X1")).values == (0, 1)
-
-
-def test_restrict_composes():
-    g = GlobalAssignment(OBS_22, (1, 1, 0, 1))
-    via = restrict(restrict(g, ("X1", "X2", "X2p")), ("X1", "X2p"))
-    direct = restrict(g, ("X1", "X2p"))
-    assert via == direct
-
-
-def test_restrict_rejects_non_subset():
-    section = Section(("X1",), (0,))
-    with pytest.raises(NotASubset):
-        restrict(section, ("X2",))
+    assert s.context(3) == ("X1p", "X2p") and s.n_sections(3) == 4
+    for c in (4, -1):
+        with pytest.raises(IndexOutOfRange):
+            s.context(c)
 
 
 def test_projection_agrees_with_restrict():
@@ -148,16 +92,17 @@ def test_projection_agrees_with_restrict():
                     table = projection(ctx, target)
                     assert len(table) == 1 << len(ctx)
                     for i, sub in enumerate(table):
-                        section = Section(ctx, section_values(i, len(ctx)))
-                        assert sub == section_index(restrict(section, target).values)
+                        values = section_values(i, len(ctx))
+                        assert sub == section_index(_restrict_reference(ctx, values, target))
 
 
 def test_projection_of_global_assignments_agrees_with_restrict():
     s = bell_scenario(3, 2)
     for ctx in s.contexts:
         table = projection(s.observables, ctx)
-        for g in enumerate_global_assignments(s):
-            assert table[section_index(g.values)] == section_index(restrict(g, ctx).values)
+        for values in itertools.product((0, 1), repeat=len(s.observables)):
+            expected = _restrict_reference(s.observables, values, ctx)
+            assert table[section_index(values)] == section_index(expected)
 
 
 def test_projection_guards_fire_before_enumeration():
@@ -166,6 +111,14 @@ def test_projection_guards_fire_before_enumeration():
     labels = tuple(f"Y{k}" for k in range(25))  # 2**25 sections
     with pytest.raises(TooLarge):
         projection(labels, labels[:1])
+
+
+def test_projection_rejects_repeated_target_label():
+    # A repeated label would double-count one observable's outcome bit.
+    with pytest.raises(DuplicateLabel):
+        projection(("X1", "X2"), ("X1", "X1"))
+    with pytest.raises(DuplicateLabel):
+        projection(tuple(f"Y{k}" for k in range(25)), ("Y0", "Y0"))
 
 
 def test_scenario_from_dict_rejects_malformed_shapes():
@@ -195,8 +148,11 @@ def test_scenario_json_roundtrip():
     s = bell_scenario(2, 2)
     payload = scenario_to_dict(s)
     assert list(payload) == ["observables", "contexts", "outcomes"]
+    assert payload["outcomes"] == 2
     assert json.loads(json.dumps(payload)) == payload
     assert scenario_from_dict(payload) == s
+    with pytest.raises(TooLarge):
+        scenario_from_dict(dict(payload, outcomes=3))
 
 
 def test_bell_tokens_roundtrip():
