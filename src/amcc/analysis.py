@@ -101,8 +101,8 @@ def support_mask(p: PossibilisticModel) -> int:
     """Bitmask of global assignments compatible with every context's support."""
     s = p.scenario
     acc = (1 << (1 << len(s.observables))) - 1
-    for c in range(s.n_contexts):
-        acc &= allowed_mask(s, c, p.support_mask(c))
+    for c, sections in enumerate(p.masks):
+        acc &= allowed_mask(s, c, sections)
         if acc == 0:
             break
     return acc
@@ -136,7 +136,7 @@ def _contextual_fraction_with_witness(m: EmpiricalModel):
 
 
 def is_strongly_contextual(m: Union[EmpiricalModel, PossibilisticModel]):
-    """Exhaustive route: true iff no global assignment is compatible with all supports.
+    """Exhaustive route: true iff no global assignment is compatible with every context's support.
 
     Returns ``(True, None)`` or ``(False, witness)`` with the first compatible
     assignment in canonical order, as its outcome bit tuple.

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .construct import ParitySystem, parity_consistent, parity_to_possibilistic
 from .empirical import EmpiricalModel, format_rational, marginal, proper_subsets
-from .errors import ConsistentResource, RowNotNormalized, TooLarge
+from .errors import ConsistentResource, NotASubset, RowNotNormalized, TooLarge
 from .scenario import bell_token, context_setting_bits, scenario_to_dict, section_values
 
 #: Transcript header tag for the deterministic generator in use.
@@ -49,7 +49,9 @@ class EntropyReport:
 def guessing_probability(
     m: EmpiricalModel, c: int, subset: Sequence[str]
 ) -> Fraction:
-    """The adversary's best guess: the largest marginal entry on ``subset``."""
+    """The adversary's best guess: the largest marginal entry on a nonempty ``subset``."""
+    if not subset:
+        raise NotASubset("the subset to guess must name at least one observable")
     return max(marginal(m, c, subset))
 
 
@@ -176,8 +178,8 @@ def secret_share_simulate(
         raise RowNotNormalized("need at least one secret bit")
 
     s = ps.scenario
-    poss = parity_to_possibilistic(ps)
-    supported = [poss.support_indices(c) for c in range(s.n_contexts)]
+    masks = parity_to_possibilistic(ps).masks
+    supported = [[sec for sec in range(m.bit_length()) if (m >> sec) & 1] for m in masks]
 
     token = bell_token(s)
     header = {

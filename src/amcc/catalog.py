@@ -10,22 +10,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .empirical import EmpiricalModel, make_model
+from .empirical import EmpiricalModel, make_model, support_row
 from .errors import IndexOutOfRange
-from .scenario import bell_scenario, section_values
+from .scenario import bell_scenario, parity_mask
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 EIGHTH = Fraction(1, 8)
-ZERO = Fraction(0)
 
 
 def _parity_row(width: int, parity: int, weight: Fraction) -> tuple[Fraction, ...]:
     """Uniform weight on the sections whose outcome XOR equals ``parity``."""
-    return tuple(
-        weight if sum(section_values(idx, width)) % 2 == parity else ZERO
-        for idx in range(1 << width)
-    )
+    return tuple(weight * bit for bit in support_row(parity_mask(width, parity), 1 << width))
 
 
 def pr_box(alpha: int, beta: int, gamma: int) -> EmpiricalModel:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import analysis, applications, catalog, construct, empirical
@@ -74,7 +75,7 @@ def _parity_system_from_args(args) -> construct.ParitySystem:
     else:
         # Infer a two-setting Bell scenario from the context count.
         n = len(bits).bit_length() - 1
-        if not bits or 1 << n != len(bits):
+        if n < 1 or 1 << n != len(bits):
             raise _UsageError(
                 f"cannot infer a scenario from {len(bits)} parities; pass --scenario"
             )
@@ -185,7 +186,7 @@ def _cmd_scan_eight(args) -> int:
     fixed = {}
     for token in args.fix or ():
         key, _, value = token.partition("=")
-        if not value:
+        if not value or not re.fullmatch(r"\s*[+-]?\d+\s*", key):
             raise _UsageError(f"--fix expects i=value, got {token!r}")
         fixed[int(key)] = empirical.parse_rational(value)
     report = construct.scan_eight_param(grid, fixed)

@@ -11,6 +11,9 @@ Two construction routes:
   unsatisfiability.  This route also produces asymmetric tables that the
   parity route cannot reach.
 
+Both routes hold each context's support as a section bitmask
+(:class:`~amcc.empirical.PossibilisticModel`).
+
 Three exact parametric table families for the (3,2,2) scenario are included,
 with 8, 3 and 26 free parameters.
 """
@@ -29,9 +32,11 @@ from . import analysis
 from .empirical import (
     EmpiricalModel,
     PossibilisticModel,
+    SignalingWitness,
     format_rational,
     lift_uniform,
     make_model,
+    support_row,
 )
 from .errors import (
     IndexOutOfRange,
@@ -46,7 +51,9 @@ from .scenario import (
     bell_scenario,
     bell_token,
     expect_json,
-    overlap,
+    json_field,
+    overlaps,
+    parity_mask,
     parse_bell_token,
     projection,
     scenario_from_dict,
@@ -164,32 +171,8 @@ def parity_to_possibilistic(ps: ParitySystem) -> PossibilisticModel:
     Every context keeps exactly half of its sections (a single-observable
     context keeps the one section equal to its parity bit).
     """
-    supports = []
-    for c, p in enumerate(ps.parities):
-        width = len(ps.scenario.context(c))
-        supports.append(
-            tuple(
-                bin(sec).count("1") % 2 == p for sec in range(1 << width)
-            )
-        )
-    return PossibilisticModel(scenario=ps.scenario, supports=tuple(supports))
-
-
-@dataclass(frozen=True)
-class BooleanSignalingWitness:
-    """Two contexts whose support projections differ on their intersection."""
-
-    context_a: int
-    context_b: int
-    overlap: tuple[str, ...]
-    projection_a: tuple[int, ...]
-    projection_b: tuple[int, ...]
-
-    def describe(self) -> str:
-        return (
-            f"contexts {self.context_a} and {self.context_b} project onto "
-            f"{self.overlap} as {self.projection_a} vs {self.projection_b}"
-        )
+    masks = tuple(parity_mask(len(ctx), p) for ctx, p in zip(ps.scenario.contexts, ps.parities))
+    return PossibilisticModel(scenario=ps.scenario, masks=masks)
 
 
 def _project_support(support_mask: int, table: Sequence[int]) -> int:
@@ -205,22 +188,16 @@ def boolean_no_signaling(b: PossibilisticModel):
     """Possibilistic no-signaling: support projections agree on overlaps.
 
     Returns ``(True, None)`` or ``(False, witness)`` with the first failing
-    context pair in canonical order.
+    context pair in canonical order; the witness's marginals are the two
+    projected support masks as 0/1 rows.
     """
     s = b.scenario
-    for i in range(s.n_contexts):
-        for j in range(i + 1, s.n_contexts):
-            shared = overlap(s, i, j)
-            if not shared:
-                continue
-            pi = _project_support(b.support_mask(i), projection(s.contexts[i], shared))
-            pj = _project_support(b.support_mask(j), projection(s.contexts[j], shared))
-            if pi != pj:
-                return False, BooleanSignalingWitness(
-                    i, j, shared,
-                    tuple(k for k in range(1 << len(shared)) if (pi >> k) & 1),
-                    tuple(k for k in range(1 << len(shared)) if (pj >> k) & 1),
-                )
+    for i, j, shared in overlaps(s):
+        pi = _project_support(b.masks[i], projection(s.contexts[i], shared))
+        pj = _project_support(b.masks[j], projection(s.contexts[j], shared))
+        if pi != pj:
+            rows = (support_row(mask, 1 << len(shared)) for mask in (pi, pj))
+            return False, SignalingWitness(i, j, shared, *rows)
     return True, None
 
 
@@ -338,11 +315,7 @@ def candidate_model(
     s: MeasurementScenario, support_masks: Sequence[int]
 ) -> PossibilisticModel:
     """Materialize a candidate's support masks as a possibilistic model."""
-    supports = tuple(
-        tuple(bool((mask >> sec) & 1) for sec in range(s.n_sections(c)))
-        for c, mask in enumerate(support_masks)
-    )
-    return PossibilisticModel(scenario=s, supports=supports)
+    return PossibilisticModel(scenario=s, masks=tuple(support_masks))
 
 
 class _CspSearch:
@@ -357,9 +330,8 @@ class _CspSearch:
 
     def __init__(self, base: PossibilisticModel, extendable: tuple[int, ...]):
         s = base.scenario
-        base_masks = [base.support_mask(c) for c in range(s.n_contexts)]
         absent = {
-            c: [sec for sec in range(s.n_sections(c)) if not (base_masks[c] >> sec) & 1]
+            c: [sec for sec in range(s.n_sections(c)) if not (base.masks[c] >> sec) & 1]
             for c in extendable
         }
         self.total = 1 << sum(len(secs) for secs in absent.values())
@@ -368,7 +340,7 @@ class _CspSearch:
                 f"{self.total} candidates exceed the {CSP_ENUMERATION_LIMIT} guard"
             )
         self.choices = []
-        for c, mask in enumerate(base_masks):
+        for c, mask in enumerate(base.masks):
             secs = absent.get(c, ())
             self.choices.append([
                 mask | sum(1 << sec for bit, sec in enumerate(secs) if (k >> bit) & 1)
@@ -382,19 +354,15 @@ class _CspSearch:
         # per candidate from one projected mask per choice.
         self.static_ok = True
         self.pairs = []  # (i, j, projected masks of i's choices, of j's choices)
-        for i in range(s.n_contexts):
-            for j in range(i + 1, s.n_contexts):
-                shared = overlap(s, i, j)
-                if not shared:
-                    continue
-                proj_i, proj_j = (
-                    [_project_support(m, projection(s.contexts[c], shared)) for m in self.choices[c]]
-                    for c in (i, j)
-                )
-                if len(proj_i) == len(proj_j) == 1:
-                    self.static_ok &= proj_i == proj_j
-                else:
-                    self.pairs.append((i, j, proj_i, proj_j))
+        for i, j, shared in overlaps(s):
+            proj_i, proj_j = (
+                [_project_support(m, projection(s.contexts[c], shared)) for m in self.choices[c]]
+                for c in (i, j)
+            )
+            if len(proj_i) == len(proj_j) == 1:
+                self.static_ok &= proj_i == proj_j
+            else:
+                self.pairs.append((i, j, proj_i, proj_j))
 
     def scan(self, collect: bool, start: int, end: int):
         """Count (and optionally record) passing candidates with index in [start, end)."""
@@ -445,24 +413,9 @@ def csp_enumerate_extension(
     )
 
 
-def _half_support_masks(parities: Sequence[Union[int, None]]) -> list[int]:
-    """Support masks over 8 sections: parity half, x1=0 half (None), or custom."""
-    masks = []
-    for p in parities:
-        if p == "low":
-            masks.append(0b00001111)  # sections 0..3: first observable = 0
-        else:
-            mask = 0
-            for sec in range(8):
-                if bin(sec).count("1") % 2 == p:
-                    mask |= 1 << sec
-            masks.append(mask)
-    return masks
-
-
 #: The shipped CSP base pattern: contexts 0/3/5/6 are parity halves
 #: (odd, even, even, even) and contexts 1/2/4/7 are "first observable = 0"
-#: halves, which are the extendable ones.
+#: halves ("low", sections 0..3), which are the extendable ones.
 CSP_PRESETS = {
     "eq40": ((1, "low", "low", 0, "low", 0, 0, "low"), (1, 2, 4, 7)),
 }
@@ -475,9 +428,8 @@ def csp_extension_preset(name: str = "eq40"):
             f"unknown CSP preset {name!r}; available: {sorted(CSP_PRESETS)}"
         )
     pattern, extendable = CSP_PRESETS[name]
-    s = bell_scenario(3, 2)
-    masks = _half_support_masks(pattern)
-    return candidate_model(s, masks), extendable
+    masks = [0b00001111 if p == "low" else parity_mask(3, p) for p in pattern]
+    return candidate_model(bell_scenario(3, 2), masks), extendable
 
 
 # --- parametric families ------------------------------------------------------
@@ -514,14 +466,8 @@ def eight_param_family(params: Sequence[Union[Fraction, int, str]]) -> Empirical
         raise LengthMismatch(f"need 8 parameters, got {len(values)}")
     for i, p in enumerate(values, start=1):
         _check_range(f"p{i}", p, ZERO, QUARTER)
-    rows = []
-    for p in values:
-        rows.append(
-            tuple(
-                p if bin(sec).count("1") % 2 == 0 else QUARTER - p
-                for sec in range(8)
-            )
-        )
+    even = support_row(parity_mask(3, 0), 8)
+    rows = [tuple(p if bit else QUARTER - p for bit in even) for p in values]
     return make_model(bell_scenario(3, 2), rows)
 
 
@@ -747,9 +693,9 @@ def parity_preset_to_dict(ps: ParitySystem) -> dict:
 
 def parity_preset_from_dict(data: dict) -> ParitySystem:
     expect_json(data, dict, "a parity preset")
-    raw = data["scenario"]
+    raw = json_field(data, "scenario")
     s = parse_bell_token(raw) if isinstance(raw, str) else scenario_from_dict(raw)
-    parities = expect_json(data["parities"], list, "parities")
+    parities = expect_json(json_field(data, "parities"), list, "parities")
     if not all(isinstance(b, int) for b in parities):
         raise MalformedInput("parities must be integers")
     return parity_system(s, parities)

@@ -3,6 +3,8 @@
 All probability arithmetic is done with ``fractions.Fraction``; there is no
 floating point anywhere in the model layer, so normalization, no-signaling
 and uniformity checks are exact equalities rather than tolerance tests.
+A possibilistic model (a support pattern) is one section bitmask per
+context; its JSON form spells each mask out as a 0/1 row.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .errors import (
 from .scenario import (
     MeasurementScenario,
     expect_json,
-    overlap,
+    json_field,
+    overlaps,
     projection,
     scenario_from_dict,
     scenario_to_dict,
@@ -66,7 +69,11 @@ def parse_rational(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class SignalingWitness:
-    """Two contexts whose marginals differ on their intersection."""
+    """Two contexts whose marginals differ on their intersection.
+
+    For a possibilistic model (:func:`amcc.construct.boolean_no_signaling`)
+    the marginals are the two projected support masks as 0/1 rows.
+    """
 
     context_a: int
     context_b: int
@@ -107,25 +114,26 @@ class EmpiricalModel:
 
 @dataclass(frozen=True)
 class PossibilisticModel:
-    """Per-context Boolean support tables (the 0/1 collapse of a model).
+    """One support bitmask per context (the possibilistic collapse of a model).
 
-    Doubles as a Boolean constraint-satisfaction instance: a global
-    assignment satisfies the model when its restriction to every context is
-    a supported section.
+    Bit ``sec`` of ``masks[c]`` is set iff section ``sec`` of context ``c``
+    is supported.  Doubles as a Boolean constraint-satisfaction instance: a
+    global assignment satisfies the model when its restriction to every
+    context is a supported section.
     """
 
     scenario: MeasurementScenario
-    supports: tuple[tuple[bool, ...], ...]
+    masks: tuple[int, ...]
 
-    def support_indices(self, c: int) -> tuple[int, ...]:
-        return tuple(i for i, bit in enumerate(self.supports[c]) if bit)
 
-    def support_mask(self, c: int) -> int:
-        mask = 0
-        for i, bit in enumerate(self.supports[c]):
-            if bit:
-                mask |= 1 << i
-        return mask
+def support_row(mask: int, n_sections: int) -> tuple[int, ...]:
+    """A support bitmask spelled out as ``n_sections`` 0/1 entries."""
+    return tuple((mask >> sec) & 1 for sec in range(n_sections))
+
+
+def _row_mask(row) -> int:
+    """The bitmask of the truthy entries of a row."""
+    return sum(1 << sec for sec, x in enumerate(row) if x)
 
 
 def make_model(
@@ -190,25 +198,17 @@ def is_no_signaling(m: EmpiricalModel):
     Returns ``(True, None)`` or ``(False, witness)`` with the first failing
     pair in canonical order.
     """
-    s = m.scenario
-    for a in range(s.n_contexts):
-        for b in range(a + 1, s.n_contexts):
-            shared = overlap(s, a, b)
-            if not shared:
-                continue
-            ma = marginal(m, a, shared)
-            mb = marginal(m, b, shared)
-            if ma != mb:
-                return False, SignalingWitness(a, b, shared, ma, mb)
+    for a, b, shared in overlaps(m.scenario):
+        ma = marginal(m, a, shared)
+        mb = marginal(m, b, shared)
+        if ma != mb:
+            return False, SignalingWitness(a, b, shared, ma, mb)
     return True, None
 
 
 def possibilistic_collapse(m: EmpiricalModel) -> PossibilisticModel:
-    """The support pattern of a model: entry true iff the probability is nonzero."""
-    return PossibilisticModel(
-        scenario=m.scenario,
-        supports=tuple(tuple(p > 0 for p in row) for row in m.tables),
-    )
+    """The support pattern of a model: a section is supported iff its probability is nonzero."""
+    return PossibilisticModel(scenario=m.scenario, masks=tuple(map(_row_mask, m.tables)))
 
 
 def proper_subsets(context: tuple[str, ...]):
@@ -246,12 +246,12 @@ def lift_uniform(p: PossibilisticModel) -> EmpiricalModel:
     that raises :class:`SignalingDetected`.
     """
     rows = []
-    for c, support in enumerate(p.supports):
-        count = sum(support)
+    for c, mask in enumerate(p.masks):
+        count = mask.bit_count()
         if count == 0:
             raise EmptySupport(f"context {c} has empty support")
-        weight = Fraction(1, count)
-        rows.append(tuple(weight if bit else ZERO for bit in support))
+        row = support_row(mask, p.scenario.n_sections(c))
+        rows.append(tuple(Fraction(bit, count) for bit in row))
     return make_model(p.scenario, rows)
 
 
@@ -342,8 +342,8 @@ def _rows_from_dict(data, what: str, cell, missing) -> tuple[MeasurementScenario
     A missing row or a row for an unknown context raises ``missing``.
     """
     expect_json(data, dict, f"a {what} document")
-    s = scenario_from_dict(data["scenario"])
-    tables = expect_json(data["tables"], dict, "tables")
+    s = scenario_from_dict(json_field(data, "scenario"))
+    tables = expect_json(json_field(data, "tables"), dict, "tables")
     keys = [_context_key(ctx) for ctx in s.contexts]
     extra = set(tables) - set(keys)
     if extra:
@@ -376,7 +376,8 @@ def model_from_dict(data: dict) -> EmpiricalModel:
 
 def possibilistic_to_dict(p: PossibilisticModel) -> dict:
     """Same shape as the model JSON, with rows replaced by 0/1 arrays."""
-    return _rows_to_dict(p.scenario, p.supports, int)
+    rows = [support_row(mask, p.scenario.n_sections(c)) for c, mask in enumerate(p.masks)]
+    return _rows_to_dict(p.scenario, rows, int)
 
 
 def possibilistic_from_dict(data: dict) -> PossibilisticModel:
@@ -385,4 +386,4 @@ def possibilistic_from_dict(data: dict) -> PossibilisticModel:
     for c, row in enumerate(rows):
         if len(row) != s.n_sections(c) or not any(row):
             raise EmptySupport(f"context {_context_key(s.contexts[c])!r} support row is invalid")
-    return PossibilisticModel(scenario=s, supports=tuple(tuple(row) for row in rows))
+    return PossibilisticModel(scenario=s, masks=tuple(map(_row_mask, rows)))

@@ -68,7 +68,7 @@ class SignalingDetected(ContextualityError):
 
 
 class EmptySupport(ContextualityError):
-    """A possibilistic row supports no section at all."""
+    """A possibilistic row has no supported section."""
 
 
 class ScenarioMismatch(ContextualityError):

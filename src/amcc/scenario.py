@@ -7,8 +7,9 @@ order, and a section (an outcome assignment on a context, or on all
 observables for a global assignment) is its canonical index, the outcome
 bits read as a big-endian binary number with the leftmost observable most
 significant.  :func:`projection` is the one restriction map between those
-indices.  Incidence matrices and the JSON formats rely on these orderings
-being bit-stable.
+indices, :func:`overlaps` lists the context pairs that share labels and
+:func:`parity_mask` the sections of each outcome parity.  Incidence matrices
+and the JSON formats rely on these orderings being bit-stable.
 """
 
 from __future__ import annotations
@@ -200,10 +201,24 @@ def projection(domain: tuple[str, ...], target: tuple[str, ...]) -> tuple[int, .
     return tuple(table)
 
 
-def overlap(s: MeasurementScenario, a: int, b: int) -> tuple[str, ...]:
-    """The labels shared by contexts ``a`` and ``b``, in scenario observable order."""
-    shared = set(s.contexts[a]) & set(s.contexts[b])
-    return tuple(x for x in s.observables if x in shared)
+@lru_cache(maxsize=None)
+def overlaps(s: MeasurementScenario) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
+    """``(a, b, shared)`` for each context pair ``a < b`` sharing a label, in canonical order.
+
+    ``shared`` lists the common labels in scenario observable order.
+    """
+    out = []
+    for a, b in itertools.combinations(range(s.n_contexts), 2):
+        common = set(s.contexts[a]) & set(s.contexts[b])
+        if common:
+            out.append((a, b, tuple(x for x in s.observables if x in common)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def parity_mask(width: int, parity: int) -> int:
+    """Bitmask of the sections of a ``width``-observable context whose outcome XOR is ``parity``."""
+    return sum(1 << sec for sec in range(1 << width) if sec.bit_count() & 1 == parity)
 
 
 def section_index(values: Sequence[int]) -> int:
@@ -306,6 +321,13 @@ def expect_json(value, kind: type, what: str):
     return value
 
 
+def json_field(data: dict, name: str):
+    """The required field ``name`` of a JSON object; MalformedInput naming it when missing."""
+    if name not in data:
+        raise MalformedInput(f"missing field {name!r}")
+    return data[name]
+
+
 def _label_list(value, what: str) -> list[str]:
     labels = expect_json(value, list, what)
     if not all(isinstance(label, str) for label in labels):
@@ -319,8 +341,8 @@ def scenario_from_dict(data: dict) -> MeasurementScenario:
     outcomes = data.get("outcomes", 2)
     if outcomes != 2:
         raise TooLarge(f"only dichotomic scenarios are supported, got outcomes={outcomes}")
-    contexts = expect_json(data["contexts"], list, "contexts")
+    contexts = expect_json(json_field(data, "contexts"), list, "contexts")
     return make_scenario(
-        _label_list(data["observables"], "observables"),
+        _label_list(json_field(data, "observables"), "observables"),
         [_label_list(ctx, "a context") for ctx in contexts],
     )

@@ -74,11 +74,6 @@ def parity_systems(draw):
 
 @st.composite
 def support_patterns_222(draw):
-    """Arbitrary nonempty support rows on (2,2,2)."""
-    rows = []
-    for c in range(SCENARIO_22.n_contexts):
-        row = draw(
-            st.lists(st.booleans(), min_size=4, max_size=4).filter(any)
-        )
-        rows.append(tuple(row))
-    return PossibilisticModel(scenario=SCENARIO_22, supports=tuple(rows))
+    """Arbitrary nonempty support masks on (2,2,2)."""
+    masks = tuple(draw(st.integers(1, 0b1111)) for _ in range(SCENARIO_22.n_contexts))
+    return PossibilisticModel(scenario=SCENARIO_22, masks=masks)

@@ -158,7 +158,7 @@ def test_criterion_07_csp_enumeration():
     base, extendable = csp_extension_preset("eq40")
     rep = csp_enumerate_extension(base, extendable, jobs=1)
     elapsed = time.perf_counter() - start
-    masks = [base.support_mask(c) for c in range(8)]
+    masks = list(base.masks)
     for c in extendable:
         masks[c] |= (1 << 4) | (1 << 7)
     has_example = any(c.support_masks == tuple(masks) for c in rep.passing)

@@ -33,6 +33,16 @@ def test_guessing_probability_rejects_non_subset():
         guessing_probability(pr_box(0, 0, 0), 0, ("X3",))
 
 
+def test_empty_subset_is_rejected_before_any_marginal(monkeypatch):
+    def no_marginal(*args):
+        raise AssertionError("marginal computed for an empty subset")
+
+    monkeypatch.setattr("amcc.applications.marginal", no_marginal)
+    for report in (guessing_probability, min_entropy):
+        with pytest.raises(NotASubset):
+            report(ghz_model(), 0, ())
+
+
 def test_min_entropy_report():
     report = min_entropy(ghz_model(), 0, ("X1", "X2"))
     assert report.guess_probability == F(1, 4)

@@ -118,8 +118,8 @@ def test_asymmetric_model_classification():
 def test_pr_collapse_equals_parity_pattern():
     ps = parity_system(pr_box(0, 0, 0).scenario, (0, 0, 0, 1))
     assert (
-        possibilistic_collapse(pr_box(0, 0, 0)).supports
-        == parity_to_possibilistic(ps).supports
+        possibilistic_collapse(pr_box(0, 0, 0)).masks
+        == parity_to_possibilistic(ps).masks
     )
 
 

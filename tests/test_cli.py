@@ -189,6 +189,31 @@ def test_empty_parities_is_usage_error(capsys):
     assert (code, out) == (1, "") and "cannot infer a scenario" in err
 
 
+@pytest.mark.parametrize("command", ["parity", "secret-share"])
+def test_single_parity_is_usage_error(capsys, command):
+    # One parity bit would name bell-0-2-2; it gets the same usage error as
+    # every other length that fixes no Bell scenario.
+    argv = [command, "--parities", "1"]
+    if command == "secret-share":
+        argv += ["--rounds", "10", "--test-fraction", "1/5", "--seed", "1", "--secret", "a5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and "cannot infer a scenario from 1 parities" in err
+
+
+@pytest.mark.parametrize("subset", ["", ","])
+def test_entropy_empty_subset_exits_2(capsys, monkeypatch, subset):
+    code, out, err = run_cli_stdin(
+        capsys, monkeypatch, model_to_dict(ghz_model()),
+        "entropy", "--context", "000", "--subset", subset,
+    )
+    assert (code, out) == (2, "") and "at least one observable" in err
+
+
+def test_scan_fix_non_integer_index_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "scan", "eight-param", "--grid", "0", "--fix", "x=1/4")
+    assert (code, out) == (1, "") and "--fix expects i=value, got 'x=1/4'" in err
+
+
 @pytest.mark.parametrize("rounds", ["-3", "0", "65537"])
 def test_secret_share_rounds_outside_guard_exit_2(capsys, rounds):
     code, out, err = run_cli(
@@ -281,6 +306,17 @@ def test_malformed_model_shapes_exit_2(capsys, monkeypatch, mutate):
     code, out, err = run_cli_stdin(capsys, monkeypatch, payload, "classify")
     assert (code, out) == (2, "")
     assert "validation error" in err
+
+
+def test_missing_json_field_is_named(capsys, monkeypatch, tmp_path):
+    payload = model_to_dict(pr_box(0, 0, 0))
+    del payload["tables"]
+    code, out, err = run_cli_stdin(capsys, monkeypatch, payload, "classify")
+    assert (code, out) == (2, "") and "missing field 'tables'" in err
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps({"parities": [0, 0, 0, 1]}))
+    code, out, err = run_cli(capsys, "parity", "--preset-file", str(path))
+    assert (code, out) == (2, "") and "missing field 'scenario'" in err
 
 
 def test_top_level_list_exits_2(capsys, monkeypatch):

@@ -26,8 +26,13 @@ from amcc.construct import (
     twentysix_param_family,
     twentysix_params_from_model,
 )
-from amcc.empirical import PossibilisticModel, lift_uniform, possibilistic_collapse
-from amcc.errors import LengthMismatch, OutOfRange, TooLarge, TooManyCandidates
+from amcc.empirical import (
+    PossibilisticModel,
+    SignalingWitness,
+    lift_uniform,
+    possibilistic_collapse,
+)
+from amcc.errors import LengthMismatch, MalformedInput, OutOfRange, TooLarge, TooManyCandidates
 from amcc.scenario import bell_scenario, make_scenario
 
 F = Fraction
@@ -110,19 +115,19 @@ def test_222_consistency_is_even_parity_sum():
 
 def test_parity_to_possibilistic_patterns():
     poss = parity_to_possibilistic(parity_system(S22, PR_PARITIES))
-    assert poss.supports == possibilistic_collapse(pr_box(0, 0, 0)).supports
+    assert poss.masks == possibilistic_collapse(pr_box(0, 0, 0)).masks
     # The (3,2,2) system with only the last parity odd: even halves
-    # everywhere except context 7.
+    # (sections 000, 011, 101, 110) everywhere except context 7.
     poss32 = parity_to_possibilistic(parity_system(S32, (0, 0, 0, 0, 0, 0, 0, 1)))
-    even = tuple(bin(sec).count("1") % 2 == 0 for sec in range(8))
-    odd = tuple(not b for b in even)
-    assert poss32.supports == (even,) * 7 + (odd,)
+    even = (1 << 0b000) | (1 << 0b011) | (1 << 0b101) | (1 << 0b110)
+    odd = 0b11111111 ^ even
+    assert poss32.masks == (even,) * 7 + (odd,)
 
 
 def test_parity_single_observable_context_gives_singleton_support():
     s = make_scenario(["A", "B"], [["A"], ["B"]])
     poss = parity_to_possibilistic(parity_system(s, (0, 1)))
-    assert poss.supports == ((True, False), (False, True))
+    assert poss.masks == (0b01, 0b10)
 
 
 def test_boolean_no_signaling_parity_models():
@@ -132,24 +137,27 @@ def test_boolean_no_signaling_parity_models():
 
 
 def test_boolean_no_signaling_counterexample():
-    supports = (
-        (True, False, False, False),   # {X1,X2}: only (0,0)
-        (False, False, True, True),    # {X1,X2p}: only (1,0),(1,1)
-        (True, True, True, True),
-        (True, True, True, True),
+    masks = (
+        0b0001,   # {X1,X2}: only (0,0)
+        0b1100,   # {X1,X2p}: only (1,0),(1,1)
+        0b1111,
+        0b1111,
     )
-    ok, witness = boolean_no_signaling(PossibilisticModel(S22, supports))
+    ok, witness = boolean_no_signaling(PossibilisticModel(S22, masks))
     assert not ok
+    assert isinstance(witness, SignalingWitness)
+    assert (witness.context_a, witness.context_b) == (0, 1)
     assert witness.overlap == ("X1",)
-    assert witness.projection_a == (0,)
-    assert witness.projection_b == (1,)
+    assert witness.marginal_a == (1, 0)
+    assert witness.marginal_b == (0, 1)
+    assert witness.describe() == "contexts 0 and 1 disagree on ('X1',): ('1', '0') vs ('0', '1')"
 
 
 def test_csp_satisfiable_verdicts():
     # CSP satisfiability is the negation of strong contextuality.
     pr = parity_to_possibilistic(parity_system(S22, PR_PARITIES))
     assert is_strongly_contextual(pr) == (True, None)
-    all_true = PossibilisticModel(S22, ((True,) * 4,) * 4)
+    all_true = PossibilisticModel(S22, (0b1111,) * 4)
     assert is_strongly_contextual(all_true) == (False, (0, 0, 0, 0))
 
 
@@ -200,7 +208,7 @@ def test_csp_preset_counts_and_eq41_membership():
     report = csp_enumerate_extension(base, extendable)
     assert report.candidates == 65536
     assert report.passing_count == 2401
-    masks = [base.support_mask(c) for c in range(8)]
+    masks = list(base.masks)
     for c in extendable:
         masks[c] |= (1 << 4) | (1 << 7)
     assert any(cand.support_masks == tuple(masks) for cand in report.passing)
@@ -210,7 +218,7 @@ def eq41_masks():
     """The documented passing extension: sections (1,0,0) and (1,1,1) added
     to every extendable context of the shipped base pattern."""
     base, extendable = csp_extension_preset("eq40")
-    masks = [base.support_mask(c) for c in range(8)]
+    masks = list(base.masks)
     for c in extendable:
         masks[c] |= (1 << 4) | (1 << 7)
     return base.scenario, tuple(masks)
@@ -233,7 +241,7 @@ def test_eq41_extension_is_ns_and_unsatisfiable():
 def test_eq41_collapse_matches_three_param_support():
     s, masks = eq41_masks()
     interior = three_param_family(F(1, 5), F(1, 16), F(1, 8))
-    assert possibilistic_collapse(interior).supports == candidate_model(s, masks).supports
+    assert possibilistic_collapse(interior).masks == candidate_model(s, masks).masks
 
 
 def test_csp_passing_candidates_actually_pass():
@@ -288,7 +296,7 @@ def test_jobs_chunk_count_is_min_of_jobs_cpus_and_work(pool_requests, monkeypatc
 def naive_csp_passing(base, extendable):
     """Passing (index, masks) by the documented order, checked pattern by pattern."""
     s = base.scenario
-    masks = [base.support_mask(c) for c in range(s.n_contexts)]
+    masks = list(base.masks)
     absent = {
         c: [sec for sec in range(s.n_sections(c)) if not (masks[c] >> sec) & 1]
         for c in extendable
@@ -452,6 +460,11 @@ def test_parity_preset_roundtrip(tmp_path):
     path.write_text(json.dumps(payload))
     loaded = parity_preset_from_dict(json.loads(path.read_text()))
     assert loaded == ps
+
+
+def test_parity_preset_names_a_missing_field():
+    with pytest.raises(MalformedInput, match="missing field 'parities'"):
+        parity_preset_from_dict({"scenario": "bell-2-2-2"})
 
 
 def test_parity_preset_general_cover_roundtrip():

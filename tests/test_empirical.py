@@ -138,19 +138,14 @@ def test_is_no_signaling_catalog_models():
 
 def test_possibilistic_collapse_pr_pattern():
     collapse = possibilistic_collapse(pr_box(0, 0, 0))
-    assert collapse.supports == (
-        (True, False, False, True),
-        (True, False, False, True),
-        (True, False, False, True),
-        (False, True, True, False),
-    )
+    assert collapse.masks == (0b1001, 0b1001, 0b1001, 0b0110)
 
 
 def test_possibilistic_collapse_uniform_and_deterministic():
     uniform = make_model(S22, [(Q, Q, Q, Q)] * 4)
-    assert all(all(row) for row in possibilistic_collapse(uniform).supports)
+    assert possibilistic_collapse(uniform).masks == (0b1111,) * 4
     det = deterministic_model(S22, (0, 1, 1, 0))
-    assert all(sum(row) == 1 for row in possibilistic_collapse(det).supports)
+    assert all(mask.bit_count() == 1 for mask in possibilistic_collapse(det).masks)
 
 
 def test_is_maximal_marginal_verdicts():
@@ -179,37 +174,19 @@ def test_lift_uniform_pr_pattern_gives_pr_box():
 
 
 def test_lift_uniform_all_true_gives_uniform():
-    poss = PossibilisticModel(S22, ((True,) * 4,) * 4)
+    poss = PossibilisticModel(S22, (0b1111,) * 4)
     assert lift_uniform(poss).tables == ((Q, Q, Q, Q),) * 4
 
 
 def test_lift_uniform_rejects_empty_support():
     with pytest.raises(EmptySupport):
-        lift_uniform(
-            PossibilisticModel(
-                S22,
-                (
-                    (True, True, True, True),
-                    (False, False, False, False),
-                    (True, True, True, True),
-                    (True, True, True, True),
-                ),
-            )
-        )
+        lift_uniform(PossibilisticModel(S22, (0b1111, 0b0000, 0b1111, 0b1111)))
 
 
 def test_lift_uniform_detects_probabilistic_signaling():
     # Boolean-NS (every projection covers both outcomes) but asymmetric: a
     # 3-section support lifts to thirds while the full rows lift to quarters.
-    poss = PossibilisticModel(
-        S22,
-        (
-            (True, True, True, False),
-            (True, True, True, True),
-            (True, True, True, True),
-            (True, True, True, True),
-        ),
-    )
+    poss = PossibilisticModel(S22, (0b0111, 0b1111, 0b1111, 0b1111))
     with pytest.raises(SignalingDetected) as err:
         lift_uniform(poss)
     witness = err.value.witness
@@ -280,13 +257,20 @@ def test_model_json_rejects_missing_context():
         model_from_dict(payload)
 
 
+def test_model_json_names_a_missing_field():
+    payload = model_to_dict(pr_box(0, 0, 0))
+    del payload["tables"]
+    with pytest.raises(MalformedInput, match="missing field 'tables'"):
+        model_from_dict(payload)
+
+
 def test_possibilistic_json_roundtrip():
     poss = possibilistic_collapse(pr_box(1, 1, 0))
     payload = possibilistic_to_dict(poss)
     # Same shape as the model JSON, rows replaced by 0/1 arrays.  For
     # (alpha, beta, gamma) = (1, 1, 0) the (X1, X2) context is correlated.
     assert payload["tables"]["X1|X2"] == [1, 0, 0, 1]
-    assert possibilistic_from_dict(payload).supports == poss.supports
+    assert possibilistic_from_dict(payload).masks == poss.masks
 
 
 @pytest.mark.parametrize(
@@ -302,7 +286,7 @@ def test_possibilistic_json_rejects_non_bit_cells(row):
 def test_possibilistic_json_accepts_json_booleans():
     payload = possibilistic_to_dict(possibilistic_collapse(pr_box(0, 0, 0)))
     payload["tables"]["X1|X2"] = [True, False, 0, 1]
-    assert possibilistic_from_dict(payload).supports[0] == (True, False, False, True)
+    assert possibilistic_from_dict(payload).masks[0] == 0b1001
 
 
 def test_possibilistic_json_rejects_unknown_context():

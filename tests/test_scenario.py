@@ -18,6 +18,8 @@ from amcc.scenario import (
     bell_scenario,
     bell_token,
     make_scenario,
+    overlaps,
+    parity_mask,
     parse_bell_token,
     polytope_dimension,
     projection,
@@ -129,6 +131,45 @@ def test_scenario_from_dict_rejects_malformed_shapes():
             scenario_from_dict(dict(good, **{field: value}))
     with pytest.raises(MalformedInput):
         scenario_from_dict([good])
+
+
+def test_scenario_from_dict_names_a_missing_field():
+    payload = scenario_to_dict(bell_scenario(2, 2))
+    del payload["contexts"]
+    with pytest.raises(MalformedInput, match="missing field 'contexts'"):
+        scenario_from_dict(payload)
+
+
+def test_parity_mask_matches_bit_count():
+    for width in range(1, 5):
+        for parity in (0, 1):
+            expected = sum(
+                1 << sec for sec in range(1 << width) if bin(sec).count("1") % 2 == parity
+            )
+            assert parity_mask(width, parity) == expected
+
+
+def _intersecting_pairs(s):
+    """Every context pair a < b with its shared labels, by set intersection."""
+    out = []
+    for a in range(s.n_contexts):
+        for b in range(a + 1, s.n_contexts):
+            shared = set(s.contexts[a]) & set(s.contexts[b])
+            if shared:
+                out.append((a, b, tuple(x for x in s.observables if x in shared)))
+    return out
+
+
+def test_overlaps_match_set_intersection():
+    # Contexts 0 and 1, 0 and 3, 1 and 2 are disjoint; context 0 lists the
+    # shared labels out of observable order.
+    cover = make_scenario(
+        ["A", "B", "C", "D", "E", "F"],
+        [["D", "B", "A"], ["E", "F"], ["A", "B", "C"], ["C", "F"]],
+    )
+    assert overlaps(cover) == ((0, 2, ("A", "B")), (1, 3, ("F",)), (2, 3, ("C",)))
+    for s in (bell_scenario(3, 2), bell_scenario(2, 4), cover):
+        assert list(overlaps(s)) == _intersecting_pairs(s)
 
 
 def test_polytope_dimension_known_values():
