@@ -8,8 +8,16 @@ Two independent decision routes are implemented and cross-checked:
 * an exhaustive scan of global assignments against the support pattern
   (is there an assignment compatible with every context's support?).
 
-``classify`` runs both and raises ``InternalConsistencyError`` if they ever
-disagree, rather than returning a silently wrong verdict.
+The LP is solved on orbits of the group H of global outcome flips that fix
+every context table: one column per coset of H, one row per orbit of
+(context, section) rows.  The optimum is lifted back (each assignment takes
+its coset's weight, each row its orbit's dual divided by the orbit size)
+and the lifted pair must pass :func:`~amcc.ratlp.certify` on the full LP
+from :func:`incidence_matrix`; that check, not the reduction, decides.  With
+H trivial the orbit LP is the full LP column for column.
+
+``classify`` runs both routes and raises ``InternalConsistencyError`` if they
+ever disagree, rather than returning a silently wrong verdict.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Union
 
 from .empirical import (
@@ -28,8 +37,14 @@ from .empirical import (
     possibilistic_collapse,
 )
 from .errors import InternalConsistencyError, SignalingInput
-from .ratlp import LinearProgram, LpStatus, maximize
-from .scenario import MeasurementScenario, projection, section_values
+from .ratlp import LinearProgram, LpStatus, certify, maximize
+from .scenario import (
+    MeasurementScenario,
+    gf2_back_substitute,
+    gf2_eliminate,
+    projection,
+    section_values,
+)
 
 ONE = Fraction(1)
 
@@ -119,20 +134,156 @@ def contextual_fraction(m: EmpiricalModel) -> Fraction:
     return cf
 
 
-def _contextual_fraction_with_witness(m: EmpiricalModel):
-    _require_no_signaling(m)
-    inc = incidence_matrix(m.scenario)
-    lp = LinearProgram(
-        objective=(1,) * (1 << len(m.scenario.observables)),
-        a_le=inc,
-        b_le=tuple(_assignment_vector(m)),
+# --- the CF LP on outcome-flip orbits -----------------------------------------
+#
+# A global flip h (a bitmask over global assignments' bits) maps assignment g
+# to g ^ h and section sec of context c to sec ^ h|c.  The flips that fix every
+# context table form a group H, and the CF LP is invariant under H, so it has
+# an H-invariant optimum: one weight per coset of H and one dual per orbit of
+# (context, section) rows.
+
+
+@lru_cache(maxsize=None)
+def _section_flips(width: int) -> tuple:
+    """One getter per section flip ``f`` of a ``width``-observable context.
+
+    Getter ``f`` maps a row to the tuple of its entries at ``sec ^ f``.
+    """
+    n = 1 << width
+    return tuple(itemgetter(*(sec ^ f for sec in range(n))) for f in range(n))
+
+
+def _stabilizer(row) -> int:
+    """Bitmask of the section flips ``f`` with ``row[sec ^ f] == row[sec]`` everywhere."""
+    key = tuple([(v.numerator, v.denominator) for v in row])
+    out = 0
+    for f, flip in enumerate(_section_flips(len(row).bit_length() - 1)):
+        if flip(key) == key:
+            out |= 1 << f
+    return out
+
+
+@dataclass(frozen=True)
+class _OrbitLp:
+    """The CF LP restricted to H-invariant points, with the maps that lift it back.
+
+    Column ``j`` is the common weight of the assignments in the ``j``-th
+    coset of H, so its objective coefficient is ``order`` = |H|.  Row ``k``
+    is the average of the rows in one orbit R, whose right-hand side is the
+    table entry at ``row_reps[k]``; scaled by |R| it has coefficient
+    ``order // row_size[k]`` on every coset restricting into R.
+    ``column_of[g]`` and ``row_of[r]`` give the coset of assignment ``g`` and
+    the orbit of full row ``r``.
+    """
+
+    order: int
+    a_le: tuple[tuple[int, ...], ...]
+    row_reps: tuple[tuple[int, int], ...]
+    row_size: tuple[int, ...]
+    column_of: tuple[int, ...]
+    row_of: tuple[int, ...]
+
+
+@lru_cache(maxsize=4096)
+def _flip_group(
+    s: MeasurementScenario, stabilizers: tuple[int, ...]
+) -> tuple[tuple[int, int], ...]:
+    """Basis of the flips fixing every context, ``stabilizers[c]`` as from :func:`_stabilizer`.
+
+    H is the null space of the lifted annihilators of the per-context
+    stabilizers.  The basis holds one ``(f, v)`` per free bit ``f`` of that
+    null space, where ``v`` is the one flip in H whose only free bit is
+    ``f``; so the basis depends on H alone.
+    """
+    n = len(s.observables)
+    bit = {x: n - 1 - i for i, x in enumerate(s.observables)}
+    annihilators = []
+    for ctx, stab in zip(s.contexts, stabilizers):
+        k = len(ctx)
+        members = [f for f in range(1 << k) if (stab >> f) & 1]
+        for a in range(1, 1 << k):
+            if all((a & f).bit_count() & 1 == 0 for f in members):
+                annihilators.append(
+                    sum(1 << bit[ctx[k - 1 - b]] for b in range(k) if (a >> b) & 1)
+                )
+    pivots, _ = gf2_eliminate(annihilators, [0] * len(annihilators))
+    bound = {var for var, _ in pivots}
+    return tuple((f, gf2_back_substitute(pivots, 1 << f)) for f in range(n) if f not in bound)
+
+
+@lru_cache(maxsize=256)
+def _orbit_lp(s: MeasurementScenario, basis: tuple[tuple[int, int], ...]) -> _OrbitLp:
+    """The orbit LP of ``s`` for the flip group with :func:`_flip_group` basis ``basis``.
+
+    Clearing the free bits of ``g`` gives the canonical representative of
+    ``g``'s coset; cosets are ordered by representative and row orbits by
+    context, then least section.  With H trivial this is the full LP.
+    """
+    n = len(s.observables)
+    reps = {}
+    column_of = []
+    for g in range(1 << n):
+        rep = g
+        for f, v in basis:
+            if (g >> f) & 1:
+                rep ^= v
+        column_of.append(reps.setdefault(rep, len(reps)))
+    cosets = list(reps)  # ascending: each representative is its coset's least element
+
+    order = 1 << len(basis)
+    table = restriction_table(s)
+    a_le, row_reps, row_size, row_of = [], [], [], []
+    for c, ctx in enumerate(s.contexts):
+        proj = projection(s.observables, ctx)
+        span = {0}
+        for _, v in basis:
+            span |= {h ^ proj[v] for h in span}
+        orbit_of = {}
+        for sec in range(s.n_sections(c)):
+            if sec not in orbit_of:
+                for h in span:
+                    orbit_of[sec ^ h] = len(row_reps)
+                row_reps.append((c, sec))
+                row_size.append(len(span))
+            row_of.append(orbit_of[sec])
+        coef = order // len(span)
+        hits = [orbit_of[table[c][rep]] for rep in cosets]
+        for k in range(len(a_le), len(row_reps)):
+            a_le.append(tuple(coef if hit == k else 0 for hit in hits))
+    return _OrbitLp(
+        order=order,
+        a_le=tuple(a_le),
+        row_reps=tuple(row_reps),
+        row_size=tuple(row_size),
+        column_of=tuple(column_of),
+        row_of=tuple(row_of),
     )
-    out = maximize(lp)
+
+
+def _contextual_fraction_with_witness(m: EmpiricalModel):
+    """``(CF, optimum)``: the CF LP solved on flip orbits, its lifted optimum certified in full."""
+    _require_no_signaling(m)
+    s = m.scenario
+    orbits = _orbit_lp(s, _flip_group(s, tuple([_stabilizer(row) for row in m.tables])))
+    out = maximize(LinearProgram(
+        objective=(orbits.order,) * len(orbits.a_le[0]),
+        a_le=orbits.a_le,
+        b_le=tuple([m.tables[c][sec] for c, sec in orbits.row_reps]),
+    ))
     if out.status is not LpStatus.OPTIMAL:
         raise InternalConsistencyError(
             f"noncontextual-fraction LP ended {out.status}, expected an optimum"
         )
-    return ONE - out.value, out.solution
+    solution = tuple([out.solution[j] for j in orbits.column_of])
+    shares = [y / size if y else y for y, size in zip(out.dual, orbits.row_size)]
+    dual = tuple([shares[k] for k in orbits.row_of])
+    full = LinearProgram(
+        objective=(1,) * len(solution),
+        a_le=incidence_matrix(s),
+        b_le=tuple(_assignment_vector(m)),
+    )
+    certify(full, out.value, solution, dual)
+    return ONE - out.value, solution
 
 
 def is_strongly_contextual(m: Union[EmpiricalModel, PossibilisticModel]):
@@ -229,7 +380,11 @@ def classify(m: EmpiricalModel) -> ClassificationReport:
 
     A model is AMCC exactly when it is maximally contextual (CF = 1, which
     coincides with strong contextuality) and all its proper within-context
-    marginals are uniform.
+    marginals are uniform.  Below CF = 1 the witness's ``noncontextual_part``
+    is the optimum lifted from the flip orbits: an optimum of the full LP
+    that gives every assignment in a coset of H the same weight (the orbit
+    average), which at CF = 0 still reproduces every row.  With H trivial it
+    is the full LP's own optimum.
     """
     cf, lp_solution = _contextual_fraction_with_witness(m)
     strong, strong_witness = is_strongly_contextual(m)

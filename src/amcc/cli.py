@@ -188,6 +188,8 @@ def _cmd_scan_eight(args) -> int:
         key, _, value = token.partition("=")
         if not value or not re.fullmatch(r"\s*[+-]?\d+\s*", key):
             raise _UsageError(f"--fix expects i=value, got {token!r}")
+        if int(key) in fixed:
+            raise _UsageError(f"--fix gives index {int(key)} more than once")
         fixed[int(key)] = empirical.parse_rational(value)
     report = construct.scan_eight_param(grid, fixed)
     payload = report.to_dict(include_points=args.stream)

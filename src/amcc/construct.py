@@ -51,6 +51,8 @@ from .scenario import (
     bell_scenario,
     bell_token,
     expect_json,
+    gf2_back_substitute,
+    gf2_eliminate,
     json_field,
     overlaps,
     parity_mask,
@@ -102,42 +104,6 @@ def parity_system(
     return ParitySystem(scenario=s, parities=bits)
 
 
-def _gf2_eliminate(masks: Sequence[int], parities: Sequence[int]):
-    """Row-echelon elimination over GF(2) with provenance tracking.
-
-    Rows are (coefficient mask, parity bit, combination mask over the
-    original equations).  Returns (pivot rows, residual rows); residual rows
-    have zero coefficients, and any residual with parity 1 certifies
-    inconsistency via the original equations in its combination mask.
-    """
-    rows = [
-        [mask, parity, 1 << i]
-        for i, (mask, parity) in enumerate(zip(masks, parities))
-    ]
-    pivots = []  # (variable index, row)
-    n_vars = max((m.bit_length() for m in masks), default=0)
-    remaining = rows
-    for var in range(n_vars):
-        bit = 1 << var
-        pivot = None
-        rest = []
-        for row in remaining:
-            if pivot is None and row[0] & bit:
-                pivot = row
-            else:
-                rest.append(row)
-        if pivot is None:
-            continue
-        for row in rest:
-            if row[0] & bit:
-                row[0] ^= pivot[0]
-                row[1] ^= pivot[1]
-                row[2] ^= pivot[2]
-        pivots.append((var, pivot))
-        remaining = rest
-    return pivots, remaining
-
-
 def _combo_indices(combo: int) -> tuple[int, ...]:
     return tuple(i for i in range(combo.bit_length()) if (combo >> i) & 1)
 
@@ -151,16 +117,11 @@ def parity_consistent(ps: ParitySystem):
     contradiction 0 = 1.
     """
     masks = [ps.coefficient_mask(c) for c in range(ps.scenario.n_contexts)]
-    pivots, residual = _gf2_eliminate(masks, ps.parities)
+    pivots, residual = gf2_eliminate(masks, ps.parities)
     for row in residual:
         if row[1]:
             return False, _combo_indices(row[2])
-    assignment = 0
-    for var, row in reversed(pivots):
-        rest = row[0] & ~(1 << var)
-        value = row[1] ^ (bin(rest & assignment).count("1") & 1)
-        if value:
-            assignment |= 1 << var
+    assignment = gf2_back_substitute(pivots, 0)
     n = len(ps.scenario.observables)
     return True, tuple((assignment >> i) & 1 for i in range(n))
 

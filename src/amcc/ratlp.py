@@ -19,9 +19,12 @@ one exact check confirms ``x >= 0``, ``A_eq x = b_eq``, ``A_le x <= b_le``,
 weak duality that proves ``x`` optimal.  The check runs in integers: each
 row is scaled by its least common denominator and stored sparse, and ``x``
 and ``y`` are integer numerators over the final tableau denominator, so it
-touches only nonzero coefficients.  For the contextual-fraction LP ``y`` is
-the generalised Bell inequality whose violation equals the CF.  A failed
-check raises ``InternalConsistencyError``.
+touches only nonzero coefficients; the sparse form of each distinct row is
+cached.  :func:`certify` runs the same check on a primal-dual pair found
+some other way, such as an optimum lifted from a symmetry-reduced program.
+For the contextual-fraction LP ``y`` is the generalised Bell inequality
+whose violation equals the CF.  A failed check raises
+``InternalConsistencyError``.
 
 All choices (presolve order, entering and leaving variables) are index-
 deterministic: identical inputs produce identical pivot sequences and
@@ -33,7 +36,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import InternalConsistencyError, ShapeMismatch
@@ -87,27 +91,57 @@ class LinearProgram:
                 )
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+@lru_cache(maxsize=1 << 12)
+def _int_row(row: tuple) -> tuple[tuple[tuple[int, int], ...], int]:
+    """``(entries, d)``: ``(column, d * a)`` for each nonzero ``a`` of ``row``.
+
+    ``d > 0`` is the least common denominator of the row.  Cached, so rows
+    shared by many programs (a scenario's incidence rows) are scanned once.
+    Integer entries are used as they are; only the others are converted to
+    Fraction.
+    """
+    entries = [(j, a if type(a) is int else Fraction(a)) for j, a in enumerate(row) if a]
+    d = 1
+    for _, a in entries:
+        if type(a) is not int:
+            d = lcm(d, a.denominator)
+    return tuple((j, a.numerator * (d // a.denominator)) for j, a in entries), d
 
 
-def _scale_to_int(row: Sequence, rhs) -> tuple[list[tuple[int, int]], int, int]:
+def _scale_to_int(row: Sequence, rhs) -> tuple[Sequence[tuple[int, int]], int, int]:
     """Scale a row and its right-hand side to integers, keeping the nonzeros.
 
     Returns ``(entries, b, d)``: ``entries`` lists ``(column, coefficient)``
     for the nonzero coefficients of ``d * row``, ``b == d * rhs`` and
-    ``d > 0`` is the least common denominator.  Integer entries are used as
-    they are; only the others are converted to Fraction.
+    ``d > 0`` is the least common denominator.
     """
-    entries = [(j, a if type(a) is int else Fraction(a)) for j, a in enumerate(row) if a]
-    if type(rhs) is not int:
+    entries, d_row = _int_row(tuple(row))
+    if type(rhs) is not int and type(rhs) is not Fraction:
         rhs = Fraction(rhs)
-    d = rhs.denominator
-    for _, a in entries:
-        if type(a) is not int:
-            d = _lcm(d, a.denominator)
-    scaled = [(j, a.numerator * (d // a.denominator)) for j, a in entries]
-    return scaled, rhs.numerator * (d // rhs.denominator), d
+    d = lcm(d_row, rhs.denominator)
+    if d != d_row:
+        k = d // d_row
+        entries = [(j, a * k) for j, a in entries]
+    return entries, rhs.numerator * (d // rhs.denominator), d
+
+
+def _int_program(lp: LinearProgram):
+    """``(rows, kinds, cost, scale)``: the program with every row scaled to integers.
+
+    ``rows`` are :func:`_scale_to_int` triples, equality rows first, and
+    ``kinds`` their "eq" / "le" kinds; ``cost`` is the dense integer
+    objective ``scale * objective``.
+    """
+    kinds = ["eq"] * len(lp.a_eq) + ["le"] * len(lp.a_le)
+    rows = [
+        _scale_to_int(row, b)
+        for row, b in zip(tuple(lp.a_eq) + tuple(lp.a_le), tuple(lp.b_eq) + tuple(lp.b_le))
+    ]
+    objective, _, scale = _scale_to_int(lp.objective, 0)
+    cost = [0] * len(lp.objective)
+    for j, c in objective:
+        cost[j] = c
+    return rows, kinds, cost, scale
 
 
 def _presolve(n, rows, kinds):
@@ -383,11 +417,7 @@ def maximize(lp: LinearProgram) -> LpOutcome:
     one, then phase two on the objective, then the certificate check.
     """
     n = len(lp.objective)
-    kinds = ["eq"] * len(lp.a_eq) + ["le"] * len(lp.a_le)
-    rows = [
-        _scale_to_int(row, b)
-        for row, b in zip(tuple(lp.a_eq) + tuple(lp.a_le), tuple(lp.b_eq) + tuple(lp.b_le))
-    ]
+    rows, kinds, cost, scale = _int_program(lp)
     pre = _presolve(n, rows, kinds)
     if pre is None:
         return LpOutcome(LpStatus.INFEASIBLE)
@@ -401,10 +431,6 @@ def maximize(lp: LinearProgram) -> LpOutcome:
             return LpOutcome(LpStatus.INFEASIBLE)
         _drive_out_artificials(tab, arts)
 
-    objective, _, scale = _scale_to_int(lp.objective, 0)
-    cost = [0] * n
-    for j, c in objective:
-        cost[j] = c
     _install_objective(tab, {p: cost[j] for p, j in enumerate(kept) if cost[j]})
     if tab.run() == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
@@ -422,8 +448,39 @@ def maximize(lp: LinearProgram) -> LpOutcome:
     return LpOutcome(
         LpStatus.OPTIMAL,
         Fraction(row0[-1], den * scale),
-        tuple(Fraction(v, den) if v else ZERO for v in x),
-        tuple(Fraction(u * d, den * scale) if u else ZERO for u, (_, _, d) in zip(y, rows)),
+        tuple([Fraction(v, den) if v else ZERO for v in x]),
+        tuple([Fraction(u * d, den * scale) if u else ZERO for u, (_, _, d) in zip(y, rows)]),
+    )
+
+
+def certify(lp: LinearProgram, value, solution: Sequence, dual: Sequence) -> None:
+    """Check that a primal-dual pair proves ``value`` the optimum of ``lp``.
+
+    ``solution`` and ``dual`` are rationals laid out as in :class:`LpOutcome`.
+    This is the check :func:`maximize` runs on its own optima, for a pair
+    found some other way: the rows are scaled to integers, both vectors are
+    written as integers over one denominator, and :func:`_certify` decides.
+    Raises InternalConsistencyError when the pair proves nothing.
+    """
+    rows, kinds, cost, scale = _int_program(lp)
+    if len(solution) != len(cost) or len(dual) != len(rows):
+        raise InternalConsistencyError(
+            "LP optimum failed its certificate: primal or dual has the wrong length"
+        )
+    # The dual of scaled row k is dual[k] * scale / d_k (see maximize).
+    duals = [
+        Fraction(u.numerator * scale, u.denominator * d) if u else 0
+        for u, (_, _, d) in zip(dual, rows)
+    ]
+    optimum = Fraction(value.numerator * scale, value.denominator)
+    den = lcm(optimum.denominator, *(q.denominator for q in solution),
+              *(q.denominator for q in duals))
+    _certify(
+        rows, kinds, cost,
+        [q.numerator * (den // q.denominator) for q in solution],
+        [q.numerator * (den // q.denominator) for q in duals],
+        den,
+        optimum.numerator * (den // optimum.denominator),
     )
 
 

@@ -10,6 +10,8 @@ significant.  :func:`projection` is the one restriction map between those
 indices, :func:`overlaps` lists the context pairs that share labels and
 :func:`parity_mask` the sections of each outcome parity.  Incidence matrices
 and the JSON formats rely on these orderings being bit-stable.
+:func:`gf2_eliminate` is the one GF(2) elimination, behind both the parity
+consistency test and the outcome-flip symmetry finder of the CF LP.
 """
 
 from __future__ import annotations
@@ -219,6 +221,58 @@ def overlaps(s: MeasurementScenario) -> tuple[tuple[int, int, tuple[str, ...]], 
 def parity_mask(width: int, parity: int) -> int:
     """Bitmask of the sections of a ``width``-observable context whose outcome XOR is ``parity``."""
     return sum(1 << sec for sec in range(1 << width) if sec.bit_count() & 1 == parity)
+
+
+def gf2_eliminate(masks: Sequence[int], parities: Sequence[int]):
+    """Row-echelon elimination over GF(2) with provenance tracking.
+
+    Equation ``i`` is ``parity(masks[i] & x) == parities[i]`` over the bits of
+    ``x``.  Rows are (coefficient mask, parity bit, combination mask over the
+    original equations).  Returns (pivot rows, residual rows): pivot rows are
+    ``(variable, row)`` by ascending variable, each row zero on every lower
+    bit; residual rows have zero coefficients, and any residual with parity 1
+    certifies inconsistency via the original equations in its combination
+    mask.
+    """
+    rows = [
+        [mask, parity, 1 << i]
+        for i, (mask, parity) in enumerate(zip(masks, parities))
+    ]
+    pivots = []  # (variable index, row)
+    n_vars = max((m.bit_length() for m in masks), default=0)
+    remaining = rows
+    for var in range(n_vars):
+        bit = 1 << var
+        pivot = None
+        rest = []
+        for row in remaining:
+            if pivot is None and row[0] & bit:
+                pivot = row
+            else:
+                rest.append(row)
+        if pivot is None:
+            continue
+        for row in rest:
+            if row[0] & bit:
+                row[0] ^= pivot[0]
+                row[1] ^= pivot[1]
+                row[2] ^= pivot[2]
+        pivots.append((var, pivot))
+        remaining = rest
+    return pivots, remaining
+
+
+def gf2_back_substitute(pivots, free: int) -> int:
+    """The solution of the pivot rows of :func:`gf2_eliminate` with free bits ``free``.
+
+    ``free`` sets the non-pivot variables (its pivot bits must be 0); each
+    pivot variable is then solved from its row, last pivot first.
+    """
+    x = free
+    for var, row in reversed(pivots):
+        if row[1] ^ ((row[0] & x).bit_count() & 1):
+            x |= 1 << var
+    return x
 
 
 def section_index(values: Sequence[int]) -> int:

@@ -11,6 +11,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+def chsh_noisy_cf(lam):
+    """CF of the (2,2,2) lift with one odd context mixed with white noise at weight ``lam``.
+
+    That lift is a PR box, whose CHSH value is 4 against the noncontextual
+    bound 2; at visibility ``1 - lam`` the value is ``4 (1 - lam)``, and the
+    contextual fraction of the CHSH family is the excess over 2 divided by
+    the PR box's excess 2, so CF = max(0, 1 - 2 lam).
+    """
+    return max(Fraction(0), 1 - 2 * Fraction(lam))
+
+
 def gauss_solve(rows, rhs):
     """One exact solution of ``rows . x = rhs`` with free variables at 0, or None."""
     m = len(rows)

@@ -6,15 +6,20 @@ report one line per suite; test_properties.py re-exports them for pytest.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amcc import analysis
 from amcc.analysis import (
     avn_certificate,
     classify,
     contextual_fraction,
+    incidence_matrix,
     is_strongly_contextual,
 )
 from amcc.construct import (
@@ -23,6 +28,7 @@ from amcc.construct import (
     parity_to_possibilistic,
 )
 from amcc.empirical import (
+    format_rational,
     from_global_distribution,
     is_maximal_marginal,
     is_no_signaling,
@@ -32,14 +38,18 @@ from amcc.empirical import (
     parse_rational,
     possibilistic_collapse,
 )
-from amcc.errors import SignalingDetected
-from amcc.scenario import polytope_dimension, projection, section_index
+from amcc.errors import InternalConsistencyError, SignalingDetected
+from amcc.ratlp import LinearProgram, maximize
+from amcc.scenario import polytope_dimension, projection, section_index, section_values
 
 from _generators import (
+    flip_group,
     mixture_models_222,
+    noisy_parity_lifts,
     ns_models_222,
     parity_systems,
     support_patterns_222,
+    symmetric_models,
 )
 from _oracles import box_polytope_dimension
 
@@ -153,6 +163,62 @@ def check_polytope_dimension_formula(n_parties, settings_count):
     assert formula == box_polytope_dimension(n_parties, settings_count)
     assert polytope_dimension([2, 2], [[2, 2]] * 2) == 8
     assert polytope_dimension([2, 2, 2], [[2, 2]] * 3) == 26
+
+
+def _full_cf_optimum(model):
+    """``maximize`` on the full contextual-fraction LP, one column per global assignment."""
+    inc = incidence_matrix(model.scenario)
+    return maximize(LinearProgram(
+        objective=(1,) * len(inc[0]),
+        a_le=inc,
+        b_le=tuple(x for row in model.tables for x in row),
+    ))
+
+
+@CASES
+@given(symmetric_models())
+def check_orbit_cf_matches_full_lp(model):
+    """The CF solved on flip orbits equals the full LP's, and the flip group is found exactly.
+
+    With a trivial flip group the orbit LP is the full LP, so ``classify``
+    reports the full LP's optimum as the noncontextual part.
+    """
+    full = _full_cf_optimum(model)
+    cf = contextual_fraction(model)
+    assert cf == 1 - full.value
+    group = flip_group(model)
+    basis = analysis._flip_group(model.scenario, tuple(map(analysis._stabilizer, model.tables)))
+    assert {0} | {v for _, v in basis} <= set(group) and 1 << len(basis) == len(group)
+    if len(group) == 1 and cf != 1:
+        n = len(model.scenario.observables)
+        expected = {
+            "".join(map(str, section_values(g, n))): format_rational(w)
+            for g, w in enumerate(full.solution) if w
+        }
+        assert classify(model).witness["noncontextual_part"] == expected
+
+
+def _unshared_row_duals(orbits):
+    return replace(orbits, row_size=(1,) * len(orbits.row_size))
+
+
+def _unscaled_orbit_columns(orbits):
+    return replace(orbits, order=1)
+
+
+@CASES
+@given(noisy_parity_lifts(min_noise=1))
+def check_orbit_lift_mutations_fail_certificate(model):
+    """A lift that drops the 1/|R| dual share or the |H| column weight fails the full-LP check.
+
+    Every model drawn has CF < 1, so the lifted objective is nonzero and
+    either mistake breaks the primal-dual equalities.
+    """
+    real = analysis._orbit_lp
+    for mutate in (_unshared_row_duals, _unscaled_orbit_columns):
+        with mock.patch.object(analysis, "_orbit_lp", lambda s, basis: mutate(real(s, basis))):
+            with pytest.raises(InternalConsistencyError, match="certificate"):
+                contextual_fraction(model)
 
 
 ALL_SUITES = (

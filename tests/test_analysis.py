@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,16 +11,21 @@ from amcc.analysis import (
     is_strongly_contextual,
 )
 from amcc.catalog import asymmetric_scc_model, ghz_model, pr_box, three_way_box
+from amcc.construct import parity_system, parity_to_possibilistic
 from amcc.empirical import (
     EmpiricalModel,
     deterministic_model,
     from_global_distribution,
+    lift_uniform,
     make_model,
     mix,
     possibilistic_collapse,
 )
 from amcc.errors import SignalingInput, TooLarge
 from amcc.scenario import bell_scenario, make_scenario
+
+from _generators import uniform_model
+from _oracles import chsh_noisy_cf
 
 F = Fraction
 H = F(1, 2)
@@ -163,3 +169,46 @@ def test_classify_global_lift_of_distribution_is_noncontextual():
     report = classify(model)
     assert report.cf == 0
     assert report.witness["noncontextual_part"] == {"0000": "1/3", "1011": "2/3"}
+
+
+def noisy_one_odd_lift(n_parties, lam):
+    """The uniform lift of the parity system with only context 0 odd, mixed with white noise."""
+    s = bell_scenario(n_parties, 2)
+    lift = lift_uniform(parity_to_possibilistic(parity_system(s, (1,) + (0,) * (s.n_contexts - 1))))
+    return mix([lift, uniform_model(s)], [1 - lam, lam])
+
+
+def test_noisy_chsh_matches_closed_form():
+    cfs = [contextual_fraction(noisy_one_odd_lift(2, F(k, 16))) for k in range(17)]
+    assert cfs == [chsh_noisy_cf(F(k, 16)) for k in range(17)]
+
+
+#: CF of noisy one-odd-context lifts that are cheap only on flip orbits; the
+#: full LP took about a minute on bell-4-2 and more than 9 minutes on bell-5-2.
+NOISY_LIFT_CF = {
+    4: ((F(1, 8), F(45, 56)), (F(1, 4), F(17, 28)), (F(1, 2), F(3, 14))),
+    5: ((F(1, 2), F(7, 30)),),
+}
+
+
+@pytest.mark.parametrize(
+    "n_parties, lam, expected",
+    [(n, lam, cf) for n, points in NOISY_LIFT_CF.items() for lam, cf in points],
+)
+def test_noisy_parity_lift_cf_is_fast(n_parties, lam, expected):
+    model = noisy_one_odd_lift(n_parties, lam)
+    start = time.perf_counter()
+    cf = contextual_fraction(model)
+    assert cf == expected
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("n_parties", sorted(NOISY_LIFT_CF))
+def test_noisy_parity_lift_cf_does_not_increase_with_noise(n_parties):
+    lams = [F(0)] + [lam for lam, _ in NOISY_LIFT_CF[n_parties]] + [F(1)]
+    models = [noisy_one_odd_lift(n_parties, lam) for lam in lams]
+    start = time.perf_counter()
+    cfs = [contextual_fraction(model) for model in models]
+    assert time.perf_counter() - start < 5
+    assert cfs[0] == 1 and cfs[-1] == 0
+    assert all(a >= b for a, b in zip(cfs, cfs[1:]))

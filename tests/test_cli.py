@@ -214,6 +214,14 @@ def test_scan_fix_non_integer_index_is_usage_error(capsys):
     assert (code, out) == (1, "") and "--fix expects i=value, got 'x=1/4'" in err
 
 
+def test_scan_repeated_fix_index_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "scan", "eight-param", "--grid", "0,1/8", "--fix", "1=1/4", "--fix", "1=0",
+        "--fix", "2=0", "--fix", "3=0", "--fix", "4=0", "--fix", "5=0", "--fix", "6=0",
+    )
+    assert (code, out) == (1, "") and "--fix gives index 1 more than once" in err
+
+
 @pytest.mark.parametrize("rounds", ["-3", "0", "65537"])
 def test_secret_share_rounds_outside_guard_exit_2(capsys, rounds):
     code, out, err = run_cli(

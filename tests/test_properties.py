@@ -4,6 +4,8 @@ from property_suites import (
     check_cf_convexity,
     check_cf_one_iff_strongly_contextual,
     check_marginal_agreement_on_overlaps,
+    check_orbit_cf_matches_full_lp,
+    check_orbit_lift_mutations_fail_certificate,
     check_parity_consistency_matches_satisfiability,
     check_polytope_dimension_formula,
     check_possibilistic_roundtrip,
@@ -17,3 +19,5 @@ test_marginal_agreement_on_overlaps = check_marginal_agreement_on_overlaps
 test_cf_convexity = check_cf_convexity
 test_possibilistic_roundtrip = check_possibilistic_roundtrip
 test_polytope_dimension_formula = check_polytope_dimension_formula
+test_orbit_cf_matches_full_lp = check_orbit_cf_matches_full_lp
+test_orbit_lift_mutations_fail_certificate = check_orbit_lift_mutations_fail_certificate

@@ -158,6 +158,47 @@ def test_corrupted_primal_entry_raises(monkeypatch, corrupt):
         maximize(lp)
 
 
+EQ_AND_FRACTION_LP = LinearProgram(
+    objective=(1, F(3, 2), 0),
+    a_eq=((1, 1, 1),),
+    b_eq=(F(1),),
+    a_le=((F(1, 3), 1, 0), (1, 0, F(2, 5))),
+    b_le=(F(1, 4), F(1, 2)),
+)
+
+
+@pytest.mark.parametrize(
+    "lp", [cf_program(eight_param_family(PIVOTING_POINT)), EQ_AND_FRACTION_LP]
+)
+def test_certify_accepts_the_pair_maximize_returns(lp):
+    out = maximize(lp)
+    assert out.status is LpStatus.OPTIMAL
+    assert ratlp.certify(lp, out.value, out.solution, out.dual) is None
+
+
+def _bump(vector, k, delta=F(1, 1000)):
+    return vector[:k] + (vector[k] + delta,) + vector[k + 1:]
+
+
+@pytest.mark.parametrize("lp", [cf_program(eight_param_family(PIVOTING_POINT)), EQ_AND_FRACTION_LP])
+def test_certify_rejects_a_perturbed_pair(lp):
+    out = maximize(lp)
+    x, y = out.solution, out.dual
+    j = next(j for j, v in enumerate(x) if v)
+    rhs = tuple(lp.b_eq) + tuple(lp.b_le)
+    k = next(k for k, v in enumerate(y) if v and rhs[k])  # moving y_k moves b.y
+    for args in (
+        (out.value + F(1, 1000), x, y),
+        (out.value, _bump(x, j), y),
+        (out.value, x, _bump(y, k)),
+        (out.value, x, _bump(y, k, -y[k])),
+        (out.value, x[:-1], y),
+        (out.value, x, y + (F(0),)),
+    ):
+        with pytest.raises(InternalConsistencyError, match="certificate"):
+            ratlp.certify(lp, *args)
+
+
 def test_maximize_deterministic_mass_one():
     s = bell_scenario(2, 2)
     inc = incidence_matrix(s)
