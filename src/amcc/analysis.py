@@ -10,7 +10,9 @@ Two independent decision routes are implemented and cross-checked:
 
 The LP is solved on orbits of the group H of global outcome flips that fix
 every context table: one column per coset of H, one row per orbit of
-(context, section) rows.  The optimum is lifted back (each assignment takes
+(context, section) rows.  A global flip restricts to a context exactly as a
+global assignment does, so H is the support scan run on the pattern of
+per-context stabilisers.  The optimum is lifted back (each assignment takes
 its coset's weight, each row its orbit's dual divided by the orbit size)
 and the lifted pair must pass :func:`~amcc.ratlp.certify` on the full LP
 from :func:`incidence_matrix`; that check, not the reduction, decides.  With
@@ -36,17 +38,15 @@ from .empirical import (
     is_no_signaling,
     possibilistic_collapse,
 )
-from .errors import InternalConsistencyError, SignalingInput
+from .errors import InternalConsistencyError, SignalingInput, TooLarge
 from .ratlp import LinearProgram, LpStatus, certify, maximize
-from .scenario import (
-    MeasurementScenario,
-    gf2_back_substitute,
-    gf2_eliminate,
-    projection,
-    section_values,
-)
+from .scenario import MeasurementScenario, projection, section_values
 
 ONE = Fraction(1)
+
+#: Hard cap on the entries of the full incidence LP, (context, section) rows
+#: times global assignments; bell-5-2 has exactly this many.
+LP_ENTRY_LIMIT = 1 << 20
 
 
 @lru_cache(maxsize=None)
@@ -55,7 +55,15 @@ def restriction_table(s: MeasurementScenario) -> tuple[tuple[int, ...], ...]:
 
     Global assignments are indexed by their outcome tuple read as a
     big-endian binary number (:func:`~amcc.scenario.section_index`).
+    Raises TooLarge, before any table is built, when the full incidence LP
+    would have more than LP_ENTRY_LIMIT entries.
     """
+    rows = sum(1 << len(ctx) for ctx in s.contexts)
+    if rows << len(s.observables) > LP_ENTRY_LIMIT:
+        raise TooLarge(
+            f"{rows} rows x 2**{len(s.observables)} global assignments exceed "
+            f"the {LP_ENTRY_LIMIT}-entry LP guard"
+        )
     return tuple(projection(s.observables, ctx) for ctx in s.contexts)
 
 
@@ -185,69 +193,48 @@ class _OrbitLp:
 
 
 @lru_cache(maxsize=4096)
-def _flip_group(
-    s: MeasurementScenario, stabilizers: tuple[int, ...]
-) -> tuple[tuple[int, int], ...]:
-    """Basis of the flips fixing every context, ``stabilizers[c]`` as from :func:`_stabilizer`.
+def _flip_group(s: MeasurementScenario, stabilizers: tuple[int, ...]) -> int:
+    """H as a bitmask over global flips, ``stabilizers[c]`` as from :func:`_stabilizer`.
 
-    H is the null space of the lifted annihilators of the per-context
-    stabilizers.  The basis holds one ``(f, v)`` per free bit ``f`` of that
-    null space, where ``v`` is the one flip in H whose only free bit is
-    ``f``; so the basis depends on H alone.
+    A global flip restricts to context ``c`` as a global assignment does, so
+    it fixes every table iff each restriction lies in ``stabilizers[c]``:
+    the support scan of the stabiliser pattern.
     """
-    n = len(s.observables)
-    bit = {x: n - 1 - i for i, x in enumerate(s.observables)}
-    annihilators = []
-    for ctx, stab in zip(s.contexts, stabilizers):
-        k = len(ctx)
-        members = [f for f in range(1 << k) if (stab >> f) & 1]
-        for a in range(1, 1 << k):
-            if all((a & f).bit_count() & 1 == 0 for f in members):
-                annihilators.append(
-                    sum(1 << bit[ctx[k - 1 - b]] for b in range(k) if (a >> b) & 1)
-                )
-    pivots, _ = gf2_eliminate(annihilators, [0] * len(annihilators))
-    bound = {var for var, _ in pivots}
-    return tuple((f, gf2_back_substitute(pivots, 1 << f)) for f in range(n) if f not in bound)
+    return support_mask(PossibilisticModel(s, stabilizers))
 
 
 @lru_cache(maxsize=256)
-def _orbit_lp(s: MeasurementScenario, basis: tuple[tuple[int, int], ...]) -> _OrbitLp:
-    """The orbit LP of ``s`` for the flip group with :func:`_flip_group` basis ``basis``.
+def _orbit_lp(s: MeasurementScenario, group: int) -> _OrbitLp:
+    """The orbit LP of ``s`` for the flip group H with :func:`_flip_group` bitmask ``group``.
 
-    Clearing the free bits of ``g`` gives the canonical representative of
-    ``g``'s coset; cosets are ordered by representative and row orbits by
+    Cosets are numbered by their least element (walking ``g`` upward, each
+    ``g ^ h`` for ``h`` in H joins the next new coset) and row orbits by
     context, then least section.  With H trivial this is the full LP.
     """
-    n = len(s.observables)
-    reps = {}
-    column_of = []
-    for g in range(1 << n):
-        rep = g
-        for f, v in basis:
-            if (g >> f) & 1:
-                rep ^= v
-        column_of.append(reps.setdefault(rep, len(reps)))
-    cosets = list(reps)  # ascending: each representative is its coset's least element
+    members = [h for h in range(group.bit_length()) if (group >> h) & 1]
+    column_of = [None] * (1 << len(s.observables))
+    cosets = []
+    for g in range(len(column_of)):
+        if column_of[g] is None:
+            for h in members:
+                column_of[g ^ h] = len(cosets)
+            cosets.append(g)
 
-    order = 1 << len(basis)
+    order = len(members)
     table = restriction_table(s)
     a_le, row_reps, row_size, row_of = [], [], [], []
-    for c, ctx in enumerate(s.contexts):
-        proj = projection(s.observables, ctx)
-        span = {0}
-        for _, v in basis:
-            span |= {h ^ proj[v] for h in span}
+    for c, proj in enumerate(table):
+        span = {proj[h] for h in members}
         orbit_of = {}
         for sec in range(s.n_sections(c)):
             if sec not in orbit_of:
-                for h in span:
-                    orbit_of[sec ^ h] = len(row_reps)
+                for f in span:
+                    orbit_of[sec ^ f] = len(row_reps)
                 row_reps.append((c, sec))
                 row_size.append(len(span))
             row_of.append(orbit_of[sec])
         coef = order // len(span)
-        hits = [orbit_of[table[c][rep]] for rep in cosets]
+        hits = [orbit_of[proj[rep]] for rep in cosets]
         for k in range(len(a_le), len(row_reps)):
             a_le.append(tuple(coef if hit == k else 0 for hit in hits))
     return _OrbitLp(

@@ -121,7 +121,7 @@ def parity_consistent(ps: ParitySystem):
     for row in residual:
         if row[1]:
             return False, _combo_indices(row[2])
-    assignment = gf2_back_substitute(pivots, 0)
+    assignment = gf2_back_substitute(pivots)
     n = len(ps.scenario.observables)
     return True, tuple((assignment >> i) & 1 for i in range(n))
 

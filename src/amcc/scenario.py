@@ -10,13 +10,14 @@ significant.  :func:`projection` is the one restriction map between those
 indices, :func:`overlaps` lists the context pairs that share labels and
 :func:`parity_mask` the sections of each outcome parity.  Incidence matrices
 and the JSON formats rely on these orderings being bit-stable.
-:func:`gf2_eliminate` is the one GF(2) elimination, behind both the parity
-consistency test and the outcome-flip symmetry finder of the CF LP.
+:func:`gf2_eliminate` and :func:`gf2_back_substitute` are the GF(2)
+elimination behind the parity consistency test.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -262,13 +263,12 @@ def gf2_eliminate(masks: Sequence[int], parities: Sequence[int]):
     return pivots, remaining
 
 
-def gf2_back_substitute(pivots, free: int) -> int:
-    """The solution of the pivot rows of :func:`gf2_eliminate` with free bits ``free``.
+def gf2_back_substitute(pivots) -> int:
+    """The solution of the pivot rows of :func:`gf2_eliminate` with every free variable 0.
 
-    ``free`` sets the non-pivot variables (its pivot bits must be 0); each
-    pivot variable is then solved from its row, last pivot first.
+    Each pivot variable is solved from its row, last pivot first.
     """
-    x = free
+    x = 0
     for var, row in reversed(pivots):
         if row[1] ^ ((row[0] & x).bit_count() & 1):
             x |= 1 << var
@@ -320,21 +320,23 @@ def polytope_dimension(
     return dim - 1
 
 
+_BELL_TOKEN = re.compile(r"bell-([0-9]+)-([0-9]+)(?:-([0-9]+))?")
+
+
 def parse_bell_token(token: str) -> MeasurementScenario:
     """Parse "bell-<parties>-<settings>[-<outcomes>]" into a Bell scenario.
 
-    The trailing outcome count is optional and must be 2 when present.
+    Each count is a run of ASCII digits; anything else (signs, spaces,
+    underscores, other digits) raises UnknownLabel.  The trailing outcome
+    count is optional and must be 2 when present.
     """
-    parts = token.split("-")
-    if parts[0] != "bell" or len(parts) not in (3, 4):
+    match = _BELL_TOKEN.fullmatch(token)
+    if match is None:
         raise UnknownLabel(f"not a bell scenario token: {token!r}")
-    try:
-        numbers = [int(p) for p in parts[1:]]
-    except ValueError:
-        raise UnknownLabel(f"not a bell scenario token: {token!r}") from None
-    if len(numbers) == 3 and numbers[2] != 2:
+    parties, settings, outcomes = match.groups()
+    if outcomes is not None and int(outcomes) != 2:
         raise TooLarge(f"only 2-outcome scenarios are supported, got {token!r}")
-    return bell_scenario(numbers[0], numbers[1])
+    return bell_scenario(int(parties), int(settings))
 
 
 def bell_token(s: MeasurementScenario) -> Union[str, None]:

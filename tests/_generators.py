@@ -16,7 +16,7 @@ from amcc.empirical import (
     make_model,
     mix,
 )
-from amcc.scenario import bell_scenario, projection, section_values
+from amcc.scenario import bell_scenario, make_scenario, projection, section_values
 
 SCENARIO_22 = bell_scenario(2, 2)
 SCENARIO_32 = bell_scenario(3, 2)
@@ -98,6 +98,12 @@ def flip_group(model):
     """Every global flip that fixes every context table, by brute force."""
     n = len(model.scenario.observables)
     return [h for h in range(1 << n) if flipped_tables(model, h) == model.tables]
+
+
+def cycle_scenario(n):
+    """``n`` observables ``Y0..Y{n-1}`` with the ``n`` two-label contexts ``(Yk, Yk+1 mod n)``."""
+    labels = [f"Y{k}" for k in range(n)]
+    return make_scenario(labels, [(labels[k], labels[(k + 1) % n]) for k in range(n)])
 
 
 def uniform_model(s):

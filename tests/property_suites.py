@@ -181,21 +181,30 @@ def check_orbit_cf_matches_full_lp(model):
     """The CF solved on flip orbits equals the full LP's, and the flip group is found exactly.
 
     With a trivial flip group the orbit LP is the full LP, so ``classify``
-    reports the full LP's optimum as the noncontextual part.
+    reports the full LP's optimum as the noncontextual part.  Otherwise that
+    part is constant on every coset of the group and sums to 1 - CF.
     """
     full = _full_cf_optimum(model)
     cf = contextual_fraction(model)
     assert cf == 1 - full.value
     group = flip_group(model)
-    basis = analysis._flip_group(model.scenario, tuple(map(analysis._stabilizer, model.tables)))
-    assert {0} | {v for _, v in basis} <= set(group) and 1 << len(basis) == len(group)
-    if len(group) == 1 and cf != 1:
-        n = len(model.scenario.observables)
+    found = analysis._flip_group(model.scenario, tuple(map(analysis._stabilizer, model.tables)))
+    assert [h for h in range(found.bit_length()) if (found >> h) & 1] == group
+    if cf == 1:
+        return
+    n = len(model.scenario.observables)
+    part = classify(model).witness["noncontextual_part"]
+    if len(group) == 1:
         expected = {
             "".join(map(str, section_values(g, n))): format_rational(w)
             for g, w in enumerate(full.solution) if w
         }
-        assert classify(model).witness["noncontextual_part"] == expected
+        assert part == expected
+    else:
+        weight = [parse_rational(part.get("".join(map(str, section_values(g, n))), "0"))
+                  for g in range(1 << n)]
+        assert all(weight[g ^ h] == weight[g] for g in range(1 << n) for h in group)
+        assert sum(weight) == 1 - cf
 
 
 def _unshared_row_duals(orbits):
@@ -216,7 +225,7 @@ def check_orbit_lift_mutations_fail_certificate(model):
     """
     real = analysis._orbit_lp
     for mutate in (_unshared_row_duals, _unscaled_orbit_columns):
-        with mock.patch.object(analysis, "_orbit_lp", lambda s, basis: mutate(real(s, basis))):
+        with mock.patch.object(analysis, "_orbit_lp", lambda s, group: mutate(real(s, group))):
             with pytest.raises(InternalConsistencyError, match="certificate"):
                 contextual_fraction(model)
 

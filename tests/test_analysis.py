@@ -9,6 +9,7 @@ from amcc.analysis import (
     contextual_fraction,
     incidence_matrix,
     is_strongly_contextual,
+    restriction_table,
 )
 from amcc.catalog import asymmetric_scc_model, ghz_model, pr_box, three_way_box
 from amcc.construct import parity_system, parity_to_possibilistic
@@ -24,7 +25,7 @@ from amcc.empirical import (
 from amcc.errors import SignalingInput, TooLarge
 from amcc.scenario import bell_scenario, make_scenario
 
-from _generators import uniform_model
+from _generators import cycle_scenario, uniform_model
 from _oracles import chsh_noisy_cf
 
 F = Fraction
@@ -58,6 +59,16 @@ def test_incidence_matrix_guard():
     s = make_scenario(labels, [labels[:13], labels[13:]])
     with pytest.raises(TooLarge):
         incidence_matrix(s)
+
+
+def test_cf_lp_guard_fires_before_any_table():
+    # 60 rows x 2**15 global assignments is about 2M LP entries; bell-5-2,
+    # at exactly LP_ENTRY_LIMIT, is still solved (see NOISY_LIFT_CF below).
+    model = uniform_model(cycle_scenario(15))
+    with pytest.raises(TooLarge, match="LP guard"):
+        restriction_table(model.scenario)
+    with pytest.raises(TooLarge, match="LP guard"):
+        contextual_fraction(model)
 
 
 def test_is_contextual_rejects_signaling_input():

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from amcc.analysis import classify
 from amcc.catalog import ghz_model, pr_box
 from amcc.cli import main
 from amcc.empirical import model_from_dict, model_to_dict
+
+from _generators import cycle_scenario, uniform_model
 
 
 def run_cli(capsys, *argv):
@@ -355,6 +358,20 @@ def test_oversized_bell_token_exits_2_before_building(capsys, token):
     # bell-2-300 would build 90 000 contexts and bell-3-300 27 million.
     code, out, err = run_cli(capsys, "parity", "--scenario", token, "--parities", "0")
     assert (code, out) == (2, "") and "observables exceed" in err
+
+
+def test_bell_token_with_underscore_exits_2(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "parity", "--scenario", "bell-1_0-1")
+    assert (code, out) == (2, "") and "not a bell scenario token" in err
+
+
+def test_cf_lp_guard_exits_2_quickly(capsys, monkeypatch):
+    # 80 rows x 2**20 global assignments: a dense CF LP of gigabytes.
+    payload = model_to_dict(uniform_model(cycle_scenario(20)))
+    start = time.perf_counter()
+    code, out, err = run_cli_stdin(capsys, monkeypatch, payload, "cf")
+    assert (code, out) == (2, "") and "LP guard" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_oversized_scan_grid_exits_2_before_scanning(capsys):

@@ -207,6 +207,16 @@ def test_bell_tokens_roundtrip():
         parse_bell_token("bell-2-2-3")
 
 
+@pytest.mark.parametrize(
+    "token",
+    ["bell-1_0-1", "bell- 2-2", "bell- 2-+2-2", "bell-+2-2", "bell-2--2", "bell-2-2-+2", "bell-\u0662-\u0662",
+     "bell-2-2\n", "bell-2-2-"],
+)
+def test_bell_token_counts_are_ascii_digits(token):
+    with pytest.raises(UnknownLabel):
+        parse_bell_token(token)
+
+
 def test_bell_scenario_guards_fire_before_building():
     with pytest.raises(TooLarge, match="26 observables"):
         bell_scenario(13, 2)
