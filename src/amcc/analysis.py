@@ -44,8 +44,8 @@ from .scenario import MeasurementScenario, projection, section_values
 
 ONE = Fraction(1)
 
-#: Hard cap on the entries of the full incidence LP, (context, section) rows
-#: times global assignments; bell-5-2 has exactly this many.
+#: Hard cap on the size of the full incidence LP, (context, section) rows
+#: times global assignments; bell-5-2 is exactly this size.
 LP_ENTRY_LIMIT = 1 << 20
 
 
@@ -81,25 +81,23 @@ def global_masks(s: MeasurementScenario) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def incidence_matrix(s: MeasurementScenario) -> tuple[tuple[int, ...], ...]:
-    """The 0/1 incidence matrix as a tuple of rows (cached per scenario).
+def incidence_matrix(s: MeasurementScenario) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The 0/1 incidence matrix as sparse LP rows (cached per scenario).
 
     Rows are the (context, section) pairs in canonical order, columns the
-    global assignments; entry ``[r][g]`` is 1 iff assignment ``g`` restricts
-    to row ``r``'s section, so every column has exactly one 1 per context.
+    global assignments; row ``r`` lists ``(g, 1)`` for each assignment ``g``
+    restricting to its section, in increasing ``g``, so every column has
+    exactly one 1 per context.
     """
+    table = restriction_table(s)  # its size guard runs before any row is built
+    units = [(g, 1) for g in range(1 << len(s.observables))]
     rows = []
-    for c, table in enumerate(restriction_table(s)):
-        for sec in range(s.n_sections(c)):
-            rows.append(tuple(1 if t == sec else 0 for t in table))
+    for c, proj in enumerate(table):
+        hits = [[] for _ in range(s.n_sections(c))]
+        for unit, sec in zip(units, proj):
+            hits[sec].append(unit)
+        rows.extend(map(tuple, hits))
     return tuple(rows)
-
-
-def _assignment_vector(m: EmpiricalModel) -> list[Fraction]:
-    v = []
-    for row in m.tables:
-        v.extend(row)
-    return v
 
 
 def _require_no_signaling(m: EmpiricalModel) -> None:
@@ -178,14 +176,14 @@ class _OrbitLp:
     Column ``j`` is the common weight of the assignments in the ``j``-th
     coset of H, so its objective coefficient is ``order`` = |H|.  Row ``k``
     is the average of the rows in one orbit R, whose right-hand side is the
-    table entry at ``row_reps[k]``; scaled by |R| it has coefficient
-    ``order // row_size[k]`` on every coset restricting into R.
+    table entry at ``row_reps[k]``; scaled by |R| it is the sparse row with
+    coefficient ``order // row_size[k]`` on every coset restricting into R.
     ``column_of[g]`` and ``row_of[r]`` give the coset of assignment ``g`` and
     the orbit of full row ``r``.
     """
 
     order: int
-    a_le: tuple[tuple[int, ...], ...]
+    a_le: tuple[tuple[tuple[int, int], ...], ...]
     row_reps: tuple[tuple[int, int], ...]
     row_size: tuple[int, ...]
     column_of: tuple[int, ...]
@@ -234,9 +232,11 @@ def _orbit_lp(s: MeasurementScenario, group: int) -> _OrbitLp:
                 row_size.append(len(span))
             row_of.append(orbit_of[sec])
         coef = order // len(span)
-        hits = [orbit_of[proj[rep]] for rep in cosets]
-        for k in range(len(a_le), len(row_reps)):
-            a_le.append(tuple(coef if hit == k else 0 for hit in hits))
+        first = len(a_le)
+        hits = [[] for _ in range(len(row_reps) - first)]
+        for j, rep in enumerate(cosets):
+            hits[orbit_of[proj[rep]] - first].append((j, coef))
+        a_le.extend(map(tuple, hits))
     return _OrbitLp(
         order=order,
         a_le=tuple(a_le),
@@ -251,9 +251,10 @@ def _contextual_fraction_with_witness(m: EmpiricalModel):
     """``(CF, optimum)``: the CF LP solved on flip orbits, its lifted optimum certified in full."""
     _require_no_signaling(m)
     s = m.scenario
-    orbits = _orbit_lp(s, _flip_group(s, tuple([_stabilizer(row) for row in m.tables])))
+    group = _flip_group(s, tuple([_stabilizer(row) for row in m.tables]))
+    orbits = _orbit_lp(s, group)
     out = maximize(LinearProgram(
-        objective=(orbits.order,) * len(orbits.a_le[0]),
+        objective=(orbits.order,) * ((1 << len(s.observables)) // group.bit_count()),
         a_le=orbits.a_le,
         b_le=tuple([m.tables[c][sec] for c, sec in orbits.row_reps]),
     ))
@@ -267,7 +268,7 @@ def _contextual_fraction_with_witness(m: EmpiricalModel):
     full = LinearProgram(
         objective=(1,) * len(solution),
         a_le=incidence_matrix(s),
-        b_le=tuple(_assignment_vector(m)),
+        b_le=tuple([p for row in m.tables for p in row]),
     )
     certify(full, out.value, solution, dual)
     return ONE - out.value, solution

@@ -10,18 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .empirical import EmpiricalModel, make_model, support_row
+from .empirical import EmpiricalModel, PossibilisticModel, lift_uniform, make_model
 from .errors import IndexOutOfRange
 from .scenario import bell_scenario, parity_mask
-
-HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
-EIGHTH = Fraction(1, 8)
-
-
-def _parity_row(width: int, parity: int, weight: Fraction) -> tuple[Fraction, ...]:
-    """Uniform weight on the sections whose outcome XOR equals ``parity``."""
-    return tuple(weight * bit for bit in support_row(parity_mask(width, parity), 1 << width))
 
 
 def pr_box(alpha: int, beta: int, gamma: int) -> EmpiricalModel:
@@ -33,13 +24,11 @@ def pr_box(alpha: int, beta: int, gamma: int) -> EmpiricalModel:
     for bit in (alpha, beta, gamma):
         if bit not in (0, 1):
             raise IndexOutOfRange(f"pr_box flags must be bits, got {bit!r}")
-    s = bell_scenario(2, 2)
-    rows = []
-    for a in (0, 1):
-        for b in (0, 1):
-            parity = (a * b) ^ (alpha * a) ^ (beta * b) ^ gamma
-            rows.append(_parity_row(2, parity, HALF))
-    return make_model(s, rows)
+    masks = [
+        parity_mask(2, (a * b) ^ (alpha * a) ^ (beta * b) ^ gamma)
+        for a in (0, 1) for b in (0, 1)
+    ]
+    return lift_uniform(PossibilisticModel(bell_scenario(2, 2), tuple(masks)))
 
 
 def ghz_model() -> EmpiricalModel:
@@ -49,28 +38,18 @@ def ghz_model() -> EmpiricalModel:
     sections with x1+x2+x3 = 1 + X1X2X3 + X1X2 + X2X3 + X3X1 (mod 2); the
     remaining four contexts are uniformly 1/8.
     """
-    s = bell_scenario(3, 2)
-    rows = []
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                if (a + b + c) % 2 == 0:
-                    parity = (1 + a * b * c + a * b + b * c + c * a) % 2
-                    rows.append(_parity_row(3, parity, QUARTER))
-                else:
-                    rows.append((EIGHTH,) * 8)
-    return make_model(s, rows)
+    masks = [
+        parity_mask(3, (1 + a * b * c + a * b + b * c + c * a) % 2) if (a + b + c) % 2 == 0
+        else 0xFF
+        for a in (0, 1) for b in (0, 1) for c in (0, 1)
+    ]
+    return lift_uniform(PossibilisticModel(bell_scenario(3, 2), tuple(masks)))
 
 
 def three_way_box() -> EmpiricalModel:
     """The (3,2,2) box with p = 1/4 iff x1 + x2 + x3 = X1*X2*X3 (mod 2)."""
-    s = bell_scenario(3, 2)
-    rows = []
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                rows.append(_parity_row(3, a * b * c, QUARTER))
-    return make_model(s, rows)
+    masks = [parity_mask(3, a * b * c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    return lift_uniform(PossibilisticModel(bell_scenario(3, 2), tuple(masks)))
 
 
 def _q(entries: Iterable[int]) -> tuple[Fraction, ...]:

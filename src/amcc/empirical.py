@@ -296,18 +296,19 @@ def from_global_distribution(
     for values, w in weights.items():
         if len(values) != n or not all(isinstance(v, int) and v in (0, 1) for v in values):
             raise NotASubset(f"assignment {values} is not {n} outcome bits")
-        mass.append((section_index(values), Fraction(w)))
+        mass.append((values, Fraction(w)))
     total = sum(w for _, w in mass)
     if total != 1:
         raise RowNotNormalized(f"global weights sum to {format_rational(total)}")
     if any(w < 0 for _, w in mass):
         raise NegativeEntry("negative global weight")
+    position = {label: k for k, label in enumerate(s.observables)}
     rows = []
     for ctx in s.contexts:
-        table = projection(s.observables, ctx)
+        at = [position[label] for label in ctx]
         row = [ZERO] * (1 << len(ctx))
-        for g, w in mass:
-            row[table[g]] += w
+        for values, w in mass:
+            row[section_index([values[k] for k in at])] += w
         rows.append(tuple(row))
     return make_model(s, rows)
 

@@ -1,5 +1,8 @@
 """Exact linear programming over the rationals.
 
+A program has a dense objective, which fixes the column count, and sparse
+constraint rows of ``(column, coefficient)`` pairs (see :class:`LinearProgram`).
+
 Two-phase primal simplex with Bland's anti-cycling pivot rule.  The tableau
 is kept integral ("fraction-free" pivoting: all entries share one positive
 denominator, updated by the previous pivot value), which avoids per-cell gcd
@@ -17,14 +20,13 @@ from the final basis and the dual ``y`` from the final objective row, and
 one exact check confirms ``x >= 0``, ``A_eq x = b_eq``, ``A_le x <= b_le``,
 ``y >= 0`` on the ``<=`` rows, ``A^T y >= c`` and ``c.x = b.y = value``; by
 weak duality that proves ``x`` optimal.  The check runs in integers: each
-row is scaled by its least common denominator and stored sparse, and ``x``
-and ``y`` are integer numerators over the final tableau denominator, so it
-touches only nonzero coefficients; the sparse form of each distinct row is
-cached.  :func:`certify` runs the same check on a primal-dual pair found
-some other way, such as an optimum lifted from a symmetry-reduced program.
-For the contextual-fraction LP ``y`` is the generalised Bell inequality
-whose violation equals the CF.  A failed check raises
-``InternalConsistencyError``.
+row is scaled by its least common denominator (cached per distinct row), and
+``x`` and ``y`` are integer numerators over the final tableau denominator,
+so it touches only nonzero coefficients.  :func:`certify` runs the same
+check on a primal-dual pair found some other way, such as an optimum lifted
+from a symmetry-reduced program.  For the contextual-fraction LP ``y`` is
+the generalised Bell inequality whose violation equals the CF.  A failed
+check raises ``InternalConsistencyError``.
 
 All choices (presolve order, entering and leaving variables) are index-
 deterministic: identical inputs produce identical pivot sequences and
@@ -70,7 +72,11 @@ class LpOutcome:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize c.x  subject to  A_eq x = b_eq,  A_le x <= b_le,  x >= 0."""
+    """maximize c.x  subject to  A_eq x = b_eq,  A_le x <= b_le,  x >= 0.
+
+    ``c`` is dense; each row of A is a tuple of ``(column, coefficient)``
+    pairs, columns strictly increasing below ``len(c)``; omitted ones are 0.
+    """
 
     objective: tuple
     a_eq: tuple = ()
@@ -79,28 +85,32 @@ class LinearProgram:
     b_le: tuple = ()
 
     def __post_init__(self):
-        n = len(self.objective)
         if len(self.a_eq) != len(self.b_eq):
             raise ShapeMismatch("A_eq row count differs from b_eq length")
         if len(self.a_le) != len(self.b_le):
             raise ShapeMismatch("A_le row count differs from b_le length")
-        for row in tuple(self.a_eq) + tuple(self.a_le):
-            if len(row) != n:
-                raise ShapeMismatch(
-                    f"constraint row has {len(row)} entries, objective has {n}"
-                )
 
 
 @lru_cache(maxsize=1 << 12)
-def _int_row(row: tuple) -> tuple[tuple[tuple[int, int], ...], int]:
-    """``(entries, d)``: ``(column, d * a)`` for each nonzero ``a`` of ``row``.
+def _int_row(row: tuple, n: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """``(entries, d)``: ``(column, d * a)`` for each nonzero ``a`` of sparse ``row``.
 
-    ``d > 0`` is the least common denominator of the row.  Cached, so rows
-    shared by many programs (a scenario's incidence rows) are scanned once.
-    Integer entries are used as they are; only the others are converted to
-    Fraction.
+    ``d > 0`` is the least common denominator of the row.  Raises
+    ShapeMismatch unless ``row`` is ``(column, coefficient)`` pairs with
+    columns strictly increasing below ``n``.  Cached, so rows shared by many
+    programs (a scenario's incidence rows) are checked and scaled once.
+    Integer entries are used as they are; the others become Fraction.
     """
-    entries = [(j, a if type(a) is int else Fraction(a)) for j, a in enumerate(row) if a]
+    entries = []
+    last = -1
+    for entry in row:
+        if not (type(entry) is tuple and len(entry) == 2
+                and type(entry[0]) is int and last < entry[0] < n):
+            raise ShapeMismatch(f"row entry {entry!r} is not a (column, coefficient) "
+                                f"pair with column in {last + 1}..{n - 1}")
+        last, a = entry
+        if a:
+            entries.append((last, a if type(a) is int else Fraction(a)))
     d = 1
     for _, a in entries:
         if type(a) is not int:
@@ -108,14 +118,14 @@ def _int_row(row: tuple) -> tuple[tuple[tuple[int, int], ...], int]:
     return tuple((j, a.numerator * (d // a.denominator)) for j, a in entries), d
 
 
-def _scale_to_int(row: Sequence, rhs) -> tuple[Sequence[tuple[int, int]], int, int]:
-    """Scale a row and its right-hand side to integers, keeping the nonzeros.
+def _scale_to_int(row: tuple, rhs, n: int) -> tuple[Sequence[tuple[int, int]], int, int]:
+    """Scale a sparse row over ``n`` columns and its right-hand side to integers.
 
     Returns ``(entries, b, d)``: ``entries`` lists ``(column, coefficient)``
     for the nonzero coefficients of ``d * row``, ``b == d * rhs`` and
     ``d > 0`` is the least common denominator.
     """
-    entries, d_row = _int_row(tuple(row))
+    entries, d_row = _int_row(tuple(row), n)
     if type(rhs) is not int and type(rhs) is not Fraction:
         rhs = Fraction(rhs)
     d = lcm(d_row, rhs.denominator)
@@ -132,13 +142,14 @@ def _int_program(lp: LinearProgram):
     ``kinds`` their "eq" / "le" kinds; ``cost`` is the dense integer
     objective ``scale * objective``.
     """
+    n = len(lp.objective)
     kinds = ["eq"] * len(lp.a_eq) + ["le"] * len(lp.a_le)
     rows = [
-        _scale_to_int(row, b)
+        _scale_to_int(row, b, n)
         for row, b in zip(tuple(lp.a_eq) + tuple(lp.a_le), tuple(lp.b_eq) + tuple(lp.b_le))
     ]
-    objective, _, scale = _scale_to_int(lp.objective, 0)
-    cost = [0] * len(lp.objective)
+    objective, _, scale = _scale_to_int(tuple(enumerate(lp.objective)), 0, n)
+    cost = [0] * n
     for j, c in objective:
         cost[j] = c
     return rows, kinds, cost, scale
@@ -484,13 +495,13 @@ def certify(lp: LinearProgram, value, solution: Sequence, dual: Sequence) -> Non
     )
 
 
-def solve_feasibility(a: Sequence[Sequence], b: Sequence) -> LpOutcome:
+def solve_feasibility(a: Sequence[tuple], b: Sequence, n: int) -> LpOutcome:
     """Decide A x = b, x >= 0 exactly: :func:`maximize` with a zero objective.
 
+    ``a`` holds sparse rows over ``n`` columns, as in :class:`LinearProgram`.
     FEASIBLE outcomes carry an exact witness; INFEASIBLE means the phase-one
     optimum is strictly positive, i.e. no nonnegative solution exists.
     """
-    n = len(a[0]) if a else 0
     out = maximize(LinearProgram(objective=(0,) * n, a_eq=tuple(a), b_eq=tuple(b)))
     if out.status is LpStatus.OPTIMAL:
         return LpOutcome(LpStatus.FEASIBLE, None, out.solution)

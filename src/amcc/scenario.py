@@ -72,13 +72,18 @@ def make_scenario(
 ) -> MeasurementScenario:
     """Validate and build a measurement scenario.
 
-    Enforces the cover conditions: every observable occurs in at least one
-    context, no context is contained in another (antichain), and every context
-    is a nonempty duplicate-free tuple of known labels.
+    Enforces the cover conditions: there is at least one context, every
+    observable occurs in at least one context, no context is contained in
+    another (antichain), and every context is a nonempty duplicate-free tuple
+    of known labels.  A label that is not a string, or contains the "|" that
+    joins the labels of a context key in the JSON formats, raises
+    MalformedInput.
     """
     obs = tuple(observables)
     if len(set(obs)) != len(obs):
         raise DuplicateLabel(f"duplicate observable label in {obs}")
+    if not all(isinstance(label, str) and "|" not in label for label in obs):
+        raise MalformedInput(f"observable labels in {obs} must be strings without '|'")
     known = set(obs)
 
     ctxs: list[tuple[str, ...]] = []
@@ -92,6 +97,8 @@ def make_scenario(
             if label not in known:
                 raise UnknownLabel(f"context {ctx} references unknown observable {label!r}")
         ctxs.append(ctx)
+    if not ctxs:
+        raise CoverViolation("the cover has no contexts")
 
     # Antichain check: a context can only be contained in a strictly larger
     # one or equal to one of its own size, so equal sizes share a set.
@@ -341,10 +348,8 @@ def parse_bell_token(token: str) -> MeasurementScenario:
 
 def bell_token(s: MeasurementScenario) -> Union[str, None]:
     """Inverse of :func:`parse_bell_token`; None when ``s`` is not Bell-shaped."""
-    if not s.contexts:
-        return None
     n = len(s.contexts[0])
-    if n == 0 or len(s.observables) % n:
+    if len(s.observables) % n:
         return None
     m = len(s.observables) // n
     try:

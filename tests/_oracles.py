@@ -22,6 +22,27 @@ def chsh_noisy_cf(lam):
     return max(Fraction(0), 1 - 2 * Fraction(lam))
 
 
+def incidence_bruteforce(observables, contexts):
+    """Sparse incidence rows of a dichotomic cover, straight from the definition.
+
+    One row per (context, section), contexts in order and sections in
+    big-endian order; row ``(c, sec)`` lists ``(g, 1)`` for every global
+    assignment ``g`` (big-endian over ``observables``) whose outcomes on
+    context ``c``, read in context order, spell ``sec``.
+    """
+    n = len(observables)
+    assignments = list(itertools.product((0, 1), repeat=n))
+    rows = []
+    for ctx in contexts:
+        positions = [observables.index(label) for label in ctx]
+        for sec in itertools.product((0, 1), repeat=len(ctx)):
+            rows.append(tuple(
+                (g, 1) for g, values in enumerate(assignments)
+                if tuple(values[k] for k in positions) == sec
+            ))
+    return tuple(rows)
+
+
 def gauss_solve(rows, rhs):
     """One exact solution of ``rows . x = rhs`` with free variables at 0, or None."""
     m = len(rows)

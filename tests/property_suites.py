@@ -167,10 +167,9 @@ def check_polytope_dimension_formula(n_parties, settings_count):
 
 def _full_cf_optimum(model):
     """``maximize`` on the full contextual-fraction LP, one column per global assignment."""
-    inc = incidence_matrix(model.scenario)
     return maximize(LinearProgram(
-        objective=(1,) * len(inc[0]),
-        a_le=inc,
+        objective=(1,) * (1 << len(model.scenario.observables)),
+        a_le=incidence_matrix(model.scenario),
         b_le=tuple(x for row in model.tables for x in row),
     ))
 

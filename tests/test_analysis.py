@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from amcc import analysis
 from amcc.analysis import (
     avn_certificate,
     classify,
@@ -26,7 +27,7 @@ from amcc.errors import SignalingInput, TooLarge
 from amcc.scenario import bell_scenario, make_scenario
 
 from _generators import cycle_scenario, uniform_model
-from _oracles import chsh_noisy_cf
+from _oracles import chsh_noisy_cf, incidence_bruteforce
 
 F = Fraction
 H = F(1, 2)
@@ -36,29 +37,61 @@ S32 = bell_scenario(3, 2)
 
 
 def test_incidence_matrix_shapes():
-    inc3 = incidence_matrix(S32)
-    assert (len(inc3), len(inc3[0])) == (64, 64)
-    inc2 = incidence_matrix(S22)
-    assert (len(inc2), len(inc2[0])) == (16, 16)
+    # (rows, columns, stored pairs): each row of a k-label context holds
+    # 2**(n - k) of the 2**n columns.
+    shapes = {S32: (64, 64, 512), S22: (16, 16, 64), bell_scenario(5, 2): (1024, 1024, 32768)}
+    for s, shape in shapes.items():
+        inc = incidence_matrix(s)
+        columns = {g for row in inc for g, _ in row}
+        assert (len(inc), len(columns), sum(map(len, inc))) == shape
+        assert columns == set(range(shape[1]))
 
 
 def test_incidence_matrix_single_context_is_identity():
     s = make_scenario(["A"], [["A"]])
     inc = incidence_matrix(s)
-    assert inc == ((1, 0), (0, 1))
+    assert inc == (((0, 1),), ((1, 1),))
 
 
 def test_incidence_matrix_column_sums_equal_context_count():
     inc = incidence_matrix(S32)
-    for g in range(len(inc[0])):
-        assert sum(row[g] for row in inc) == 8
+    sums = [0] * 64
+    for row in inc:
+        for g, a in row:
+            sums[g] += a
+    assert sums == [8] * 64
+
+
+INCIDENCE_SCENARIOS = {
+    "bell-2-2": S22,
+    "bell-3-2": S32,
+    "bell-2-4": bell_scenario(2, 4),
+    "cycle-6": cycle_scenario(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INCIDENCE_SCENARIOS))
+def test_incidence_matrix_matches_bruteforce(name):
+    s = INCIDENCE_SCENARIOS[name]
+    assert incidence_matrix(s) == incidence_bruteforce(s.observables, s.contexts)
+
+
+@pytest.mark.parametrize("name", sorted(INCIDENCE_SCENARIOS))
+def test_orbit_lp_of_trivial_group_is_incidence_matrix(name):
+    # Two independent builders of the full LP; group 1 holds only the identity flip.
+    s = INCIDENCE_SCENARIOS[name]
+    orbits = analysis._orbit_lp(s, 1)
+    assert orbits.order == 1
+    assert orbits.a_le == incidence_matrix(s)
 
 
 def test_incidence_matrix_guard():
     labels = [f"Y{k}" for k in range(26)]  # bell_scenario refuses 26 observables itself
     s = make_scenario(labels, [labels[:13], labels[13:]])
+    start = time.perf_counter()
     with pytest.raises(TooLarge):
         incidence_matrix(s)
+    assert time.perf_counter() - start < 1  # refused before anything 2**26 long is built
 
 
 def test_cf_lp_guard_fires_before_any_table():

@@ -272,6 +272,16 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1 and "need --parities" in err
 
 
+EMPTY_COVER_DOCUMENT = {"scenario": {"observables": [], "contexts": []}, "tables": {}}
+
+
+@pytest.mark.parametrize("command", ["classify", "cf"])
+def test_empty_cover_exits_2(capsys, monkeypatch, command):
+    code, out, err = run_cli_stdin(capsys, monkeypatch, EMPTY_COVER_DOCUMENT, command)
+    assert (code, out) == (2, "")
+    assert "no contexts" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "classify", "/nonexistent/model.json")
     assert code == 2

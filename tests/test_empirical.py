@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,8 @@ from amcc.errors import (
     SignalingDetected,
 )
 from amcc.scenario import bell_scenario
+
+from _generators import cycle_scenario
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -209,6 +212,14 @@ def test_from_global_distribution_marginals():
     assert model.tables[0] == (H, 0, 0, H)
     with pytest.raises(RowNotNormalized):
         from_global_distribution(S22, {(0, 0, 0, 0): H})
+
+
+def test_deterministic_model_does_not_enumerate_global_assignments():
+    # 2**20 global assignments; only the given one is restricted to each context.
+    start = time.perf_counter()
+    model = deterministic_model(cycle_scenario(20), (0,) * 20)
+    assert time.perf_counter() - start < 1
+    assert model.tables == ((1, 0, 0, 0),) * 20
 
 
 def test_from_global_distribution_rejects_non_bit_assignments():

@@ -19,6 +19,11 @@ F = Fraction
 H = F(1, 2)
 
 
+def sparse(rows):
+    """Dense rows as LinearProgram rows: ``(column, coefficient)`` per nonzero entry."""
+    return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in rows)
+
+
 def flatten(model):
     v = []
     for row in model.tables:
@@ -28,8 +33,10 @@ def flatten(model):
 
 def cf_program(model):
     """The noncontextual-fraction LP: max 1.d  s.t.  M d <= v, d >= 0."""
-    inc = incidence_matrix(model.scenario)
-    return LinearProgram(objective=(1,) * len(inc[0]), a_le=inc, b_le=tuple(flatten(model)))
+    n = len(model.scenario.observables)
+    return LinearProgram(
+        objective=(1,) * (1 << n), a_le=incidence_matrix(model.scenario), b_le=tuple(flatten(model))
+    )
 
 
 def assert_dual_certificate(lp, out):
@@ -41,7 +48,7 @@ def assert_dual_certificate(lp, out):
     assert len(y) == len(rows)
     assert all(v >= 0 for v in y[len(lp.a_eq):])
     for j, c in enumerate(lp.objective):
-        assert sum(F(row[j]) * v for row, v in zip(rows, y)) >= c
+        assert sum(F(dict(row).get(j, 0)) * v for row, v in zip(rows, y)) >= c
     assert sum(F(b) * v for b, v in zip(rhs, y)) == out.value
 
 
@@ -50,26 +57,26 @@ PIVOTING_POINT = (F(1, 4), F(1, 8), F(1, 16), F(3, 16), F(1, 8), F(1, 16), F(1, 
 
 
 def test_feasibility_identity_system():
-    out = solve_feasibility(((1, 0), (0, 1)), (H, H))
+    out = solve_feasibility(sparse(((1, 0), (0, 1))), (H, H), 2)
     assert out.status is LpStatus.FEASIBLE
     assert out.solution == (H, H)
 
 
 def test_feasibility_contradictory_rows():
-    out = solve_feasibility(((1,), (1,)), (F(1), F(0)))
+    out = solve_feasibility(sparse(((1,), (1,))), (F(1), F(0)), 1)
     assert out.status is LpStatus.INFEASIBLE
 
 
 def test_feasibility_pr_incidence_infeasible():
     inc = incidence_matrix(bell_scenario(2, 2))
-    out = solve_feasibility(inc, flatten(pr_box(0, 0, 0)))
+    out = solve_feasibility(inc, flatten(pr_box(0, 0, 0)), 16)
     assert out.status is LpStatus.INFEASIBLE
 
 
 def test_feasibility_solution_satisfies_system_exactly():
     a = ((1, 1, 0), (0, 1, 2))
     b = (F(3, 4), F(1, 2))
-    out = solve_feasibility(a, b)
+    out = solve_feasibility(sparse(a), b, 3)
     assert out.status is LpStatus.FEASIBLE
     for row, target in zip(a, b):
         assert sum(F(x) * v for x, v in zip(row, out.solution)) == target
@@ -77,7 +84,7 @@ def test_feasibility_solution_satisfies_system_exactly():
 
 
 def test_maximize_simple_bound():
-    out = maximize(LinearProgram(objective=(F(1),), a_le=((F(1),),), b_le=(F(3, 4),)))
+    out = maximize(LinearProgram(objective=(F(1),), a_le=sparse(((F(1),),)), b_le=(F(3, 4),)))
     assert out.status is LpStatus.OPTIMAL
     assert out.value == F(3, 4)
 
@@ -160,9 +167,9 @@ def test_corrupted_primal_entry_raises(monkeypatch, corrupt):
 
 EQ_AND_FRACTION_LP = LinearProgram(
     objective=(1, F(3, 2), 0),
-    a_eq=((1, 1, 1),),
+    a_eq=sparse(((1, 1, 1),)),
     b_eq=(F(1),),
-    a_le=((F(1, 3), 1, 0), (1, 0, F(2, 5))),
+    a_le=sparse(((F(1, 3), 1, 0), (1, 0, F(2, 5)))),
     b_le=(F(1, 4), F(1, 2)),
 )
 
@@ -203,9 +210,7 @@ def test_maximize_deterministic_mass_one():
     s = bell_scenario(2, 2)
     inc = incidence_matrix(s)
     model = deterministic_model(s, (0, 1, 1, 0))
-    lp = LinearProgram(
-        objective=(1,) * len(inc[0]), a_le=inc, b_le=tuple(flatten(model))
-    )
+    lp = LinearProgram(objective=(1,) * 16, a_le=inc, b_le=tuple(flatten(model)))
     out = maximize(lp)
     assert out.status is LpStatus.OPTIMAL
     assert out.value == 1
@@ -222,9 +227,9 @@ def test_maximize_with_equality_rows():
     # max x + y  s.t.  x + y + z = 1, x <= 1/4
     lp = LinearProgram(
         objective=(1, 1, 0),
-        a_eq=((1, 1, 1),),
+        a_eq=sparse(((1, 1, 1),)),
         b_eq=(F(1),),
-        a_le=((1, 0, 0),),
+        a_le=sparse(((1, 0, 0),)),
         b_le=(F(1, 4),),
     )
     out = maximize(lp)
@@ -233,7 +238,7 @@ def test_maximize_with_equality_rows():
 
 
 def test_maximize_infeasible():
-    lp = LinearProgram(objective=(1,), a_eq=((1,), (1,)), b_eq=(F(1), F(2)))
+    lp = LinearProgram(objective=(1,), a_eq=sparse(((1,), (1,))), b_eq=(F(1), F(2)))
     assert maximize(lp).status is LpStatus.INFEASIBLE
 
 
@@ -242,7 +247,7 @@ def test_redundant_equality_rows_are_harmless():
     # artificials that must be driven out or dropped.
     lp = LinearProgram(
         objective=(1, 1),
-        a_eq=((1, 1), (1, 1), (2, 2)),
+        a_eq=sparse(((1, 1), (1, 1), (2, 2))),
         b_eq=(F(1), F(1), F(2)),
     )
     out = maximize(lp)
@@ -253,7 +258,7 @@ def test_redundant_equality_rows_are_harmless():
 
 def test_negative_rhs_rows_handled():
     # x >= 2 written as -x <= -2; minimize x via maximize -x.
-    lp = LinearProgram(objective=(F(-1),), a_le=((F(-1),),), b_le=(F(-2),))
+    lp = LinearProgram(objective=(F(-1),), a_le=sparse(((F(-1),),)), b_le=(F(-2),))
     out = maximize(lp)
     assert out.status is LpStatus.OPTIMAL
     assert out.value == -2
@@ -262,20 +267,39 @@ def test_negative_rhs_rows_handled():
 
 def test_shape_mismatch_raised():
     with pytest.raises(ShapeMismatch):
-        LinearProgram(objective=(1, 1), a_le=((1,),), b_le=(F(1),))
+        LinearProgram(objective=(1, 1), a_le=sparse(((1, 0),)), b_le=(F(1), F(1)))
     with pytest.raises(ShapeMismatch):
-        solve_feasibility(((1, 0),), (F(1), F(1)))
+        solve_feasibility(sparse(((1, 0),)), (F(1), F(1)), 2)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        ((0, 1), (2, 1)),           # column past the last one
+        ((-1, 1), (0, 1)),          # negative column
+        ((0, 1), (0, 2)),           # repeated column
+        ((1, 1), (0, 1)),           # decreasing columns
+        ((0, 1), 1),                # a bare number where a pair should be
+        ((0, 1, 1),),               # a triple where a pair should be
+    ],
+)
+def test_malformed_sparse_row_is_a_shape_mismatch(row):
+    lp = LinearProgram(objective=(1, 1), a_le=(((0, 1), (1, 1)), row), b_le=(F(1), F(1)))
+    with pytest.raises(ShapeMismatch):
+        maximize(lp)
+    with pytest.raises(ShapeMismatch):
+        ratlp.certify(lp, F(1), (F(1), F(0)), (F(1), F(0)))
 
 
 def test_degenerate_cycling_instance_terminates():
     # Classic stalling setup (Beale-like): heavy degeneracy at the origin.
     lp = LinearProgram(
         objective=(F(3, 4), F(-150), F(1, 50), F(-6)),
-        a_le=(
+        a_le=sparse((
             (F(1, 4), F(-60), F(-1, 25), F(9)),
             (F(1, 2), F(-90), F(-1, 50), F(3)),
             (F(0), F(0), F(1), F(0)),
-        ),
+        )),
         b_le=(F(0), F(0), F(1)),
     )
     out = maximize(lp)
@@ -286,7 +310,7 @@ def test_degenerate_cycling_instance_terminates():
 def test_determinism_identical_runs():
     inc = incidence_matrix(bell_scenario(2, 2))
     b = tuple(flatten(pr_box(1, 0, 1)))
-    lp = LinearProgram(objective=(1,) * len(inc[0]), a_le=inc, b_le=b)
+    lp = LinearProgram(objective=(1,) * 16, a_le=inc, b_le=b)
     first = maximize(lp)
     second = maximize(lp)
     assert first == second
@@ -308,7 +332,7 @@ def test_feasibility_matches_bruteforce_oracle(m, n, data):
         for _ in range(m)
     ]
     b = [data.draw(small_fracs) for _ in range(m)]
-    out = solve_feasibility(a, b)
+    out = solve_feasibility(sparse(a), b, n)
     witness = feasible_bruteforce(a, b)
     assert (out.status is LpStatus.FEASIBLE) == (witness is not None)
     if out.status is LpStatus.FEASIBLE:
@@ -326,7 +350,7 @@ def test_maximize_matches_vertex_enumeration(n, m, data):
     a.append([F(1)] * n)
     b.append(F(4))
     c = [data.draw(small_fracs) for _ in range(n)]
-    lp = LinearProgram(objective=tuple(c), a_le=tuple(map(tuple, a)), b_le=tuple(b))
+    lp = LinearProgram(objective=tuple(c), a_le=sparse(a), b_le=tuple(b))
     out = maximize(lp)
     expected = maximize_bruteforce(c, a, b)
     assert out.status is LpStatus.OPTIMAL
@@ -347,9 +371,9 @@ def test_maximize_with_equalities_matches_split_oracle(n, data):
     box_b = F(4)
     lp = LinearProgram(
         objective=tuple(c),
-        a_eq=(tuple(eq_row),),
+        a_eq=sparse((eq_row,)),
         b_eq=(eq_b,),
-        a_le=(tuple(box_row),),
+        a_le=sparse((box_row,)),
         b_le=(box_b,),
     )
     out = maximize(lp)

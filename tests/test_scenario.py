@@ -59,6 +59,21 @@ def test_make_scenario_rejects_uncovered_observable():
         make_scenario(["X1", "X2", "X3"], [["X1", "X2"]])
 
 
+def test_make_scenario_rejects_a_cover_with_no_contexts():
+    with pytest.raises(CoverViolation, match="no contexts"):
+        make_scenario([], [])
+
+
+def test_make_scenario_rejects_context_key_separator_in_labels():
+    # "A|B" as a label would give contexts [A, B] and [A|B] the same JSON key.
+    with pytest.raises(MalformedInput, match="'\\|'"):
+        make_scenario(["A", "B", "A|B"], [["A", "B"], ["A|B"]])
+    with pytest.raises(MalformedInput):
+        scenario_from_dict({"observables": ["X|"], "contexts": [["X|"]]})
+    with pytest.raises(MalformedInput):
+        make_scenario([1], [[1]])
+
+
 def test_make_scenario_rejects_unknown_label():
     with pytest.raises(UnknownLabel):
         make_scenario(["X1"], [["X1", "Y"]])
