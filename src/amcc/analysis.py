@@ -42,8 +42,6 @@ from .errors import InternalConsistencyError, SignalingInput, TooLarge
 from .ratlp import LinearProgram, LpStatus, certify, maximize
 from .scenario import MeasurementScenario, projection, section_values
 
-ONE = Fraction(1)
-
 #: Hard cap on the size of the full incidence LP, (context, section) rows
 #: times global assignments; bell-5-2 is exactly this size.
 LP_ENTRY_LIMIT = 1 << 20
@@ -120,10 +118,9 @@ def allowed_mask(s: MeasurementScenario, c: int, sections: int) -> int:
 
 def support_mask(p: PossibilisticModel) -> int:
     """Bitmask of global assignments compatible with every context's support."""
-    s = p.scenario
-    acc = (1 << (1 << len(s.observables))) - 1
+    acc = -1  # every assignment, with no 2**n-bit mask built before the size guard
     for c, sections in enumerate(p.masks):
-        acc &= allowed_mask(s, c, sections)
+        acc &= allowed_mask(p.scenario, c, sections)
         if acc == 0:
             break
     return acc
@@ -161,10 +158,9 @@ def _section_flips(width: int) -> tuple:
 
 def _stabilizer(row) -> int:
     """Bitmask of the section flips ``f`` with ``row[sec ^ f] == row[sec]`` everywhere."""
-    key = tuple([(v.numerator, v.denominator) for v in row])
     out = 0
     for f, flip in enumerate(_section_flips(len(row).bit_length() - 1)):
-        if flip(key) == key:
+        if flip(row) == row:
             out |= 1 << f
     return out
 
@@ -248,15 +244,18 @@ def _orbit_lp(s: MeasurementScenario, group: int) -> _OrbitLp:
 
 
 def _contextual_fraction_with_witness(m: EmpiricalModel):
-    """``(CF, optimum)``: the CF LP solved on flip orbits, its lifted optimum certified in full."""
+    """``(CF, optimum)``: the CF LP solved on flip orbits, its lifted optimum certified in full.
+
+    The LP's ``b`` is the numerator rows, so ``optimum`` is ``m.den`` times a probability optimum.
+    """
     _require_no_signaling(m)
     s = m.scenario
-    group = _flip_group(s, tuple([_stabilizer(row) for row in m.tables]))
+    group = _flip_group(s, tuple([_stabilizer(row) for row in m.numerators]))
     orbits = _orbit_lp(s, group)
     out = maximize(LinearProgram(
         objective=(orbits.order,) * ((1 << len(s.observables)) // group.bit_count()),
         a_le=orbits.a_le,
-        b_le=tuple([m.tables[c][sec] for c, sec in orbits.row_reps]),
+        b_le=tuple([m.numerators[c][sec] for c, sec in orbits.row_reps]),
     ))
     if out.status is not LpStatus.OPTIMAL:
         raise InternalConsistencyError(
@@ -268,10 +267,10 @@ def _contextual_fraction_with_witness(m: EmpiricalModel):
     full = LinearProgram(
         objective=(1,) * len(solution),
         a_le=incidence_matrix(s),
-        b_le=tuple([p for row in m.tables for p in row]),
+        b_le=tuple([p for row in m.numerators for p in row]),
     )
     certify(full, out.value, solution, dual)
-    return ONE - out.value, solution
+    return 1 - out.value / m.den, solution
 
 
 def is_strongly_contextual(m: Union[EmpiricalModel, PossibilisticModel]):
@@ -329,7 +328,7 @@ def avn_certificate(m: EmpiricalModel):
         hit = None
         for c in range(s.n_contexts):
             sec = table[c][g]
-            if m.tables[c][sec] == 0:
+            if m.numerators[c][sec] == 0:
                 hit = (c, sec)
                 break
         if hit is None:
@@ -388,7 +387,7 @@ def classify(m: EmpiricalModel) -> ClassificationReport:
         # At CF = 0 this global distribution reproduces every row exactly.
         n = len(m.scenario.observables)
         witness["noncontextual_part"] = {
-            _bit_string(g, n): format_rational(w) for g, w in enumerate(lp_solution) if w != 0
+            _bit_string(g, n): format_rational(w / m.den) for g, w in enumerate(lp_solution) if w
         }
     if marg_witness is not None:
         witness["failing_marginal"] = {
@@ -408,7 +407,7 @@ def classify(m: EmpiricalModel) -> ClassificationReport:
 
     report = ClassificationReport(
         cf=cf,
-        ncf=ONE - cf,
+        ncf=1 - cf,
         strongly_contextual=strong,
         maximal_marginal=maxmarg,
         amcc=strong and maxmarg,

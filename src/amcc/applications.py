@@ -52,7 +52,7 @@ def guessing_probability(
     """The adversary's best guess: the largest marginal entry on a nonempty ``subset``."""
     if not subset:
         raise NotASubset("the subset to guess must name at least one observable")
-    return max(marginal(m, c, subset))
+    return Fraction(max(marginal(m, c, subset)), m.den)
 
 
 def min_entropy(m: EmpiricalModel, c: int, subset: Sequence[str]) -> EntropyReport:

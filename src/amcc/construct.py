@@ -539,9 +539,8 @@ def twentysix_param_family(
 
 def twentysix_params_from_model(m: EmpiricalModel) -> tuple[Fraction, ...]:
     """Read the 26 parameter cells back off a (3,2,2) table."""
-    return tuple(
-        m.tables[row][col] for row, col in (PARAM_CELLS_26[i] for i in range(1, 27))
-    )
+    cells = (PARAM_CELLS_26[i] for i in range(1, 27))
+    return tuple(Fraction(m.numerators[row][col], m.den) for row, col in cells)
 
 
 # --- parameter scans ----------------------------------------------------------

@@ -1,8 +1,10 @@
 """Empirical models: one exact-rational distribution per measurement context.
 
-All probability arithmetic is done with ``fractions.Fraction``; there is no
-floating point anywhere in the model layer, so normalization, no-signaling
-and uniformity checks are exact equalities rather than tolerance tests.
+A model is one denominator ``den`` and one row of integer numerators per
+context, so normalization, no-signaling and uniformity checks are integer
+equalities; there is no floating point anywhere in the model layer.
+:func:`make_model` is the one place rationals become this form, and values
+leave it as ``fractions.Fraction`` only at the edges (JSON, witnesses).
 A possibilistic model (a support pattern) is one section bitmask per
 context; its JSON form spells each mask out as a 0/1 row.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence, Union
 
 from .errors import (
@@ -33,9 +36,6 @@ from .scenario import (
     scenario_to_dict,
     section_index,
 )
-
-ONE = Fraction(1)
-ZERO = Fraction(0)
 
 #: Most decimal digits :func:`parse_rational` accepts in a numerator or a
 #: denominator, so a short document cannot force a huge integer.
@@ -106,10 +106,16 @@ class MarginalWitness:
 
 @dataclass(frozen=True)
 class EmpiricalModel:
-    """A family of context distributions in canonical section order."""
+    """A family of context distributions in canonical section order.
+
+    Section ``sec`` of context ``c`` has probability ``numerators[c][sec] / den``;
+    ``den`` is the least common denominator of all entries, so equal
+    probabilities give equal models.
+    """
 
     scenario: MeasurementScenario
-    tables: tuple[tuple[Fraction, ...], ...]
+    den: int
+    numerators: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -150,26 +156,26 @@ def make_model(
         raise RowNotNormalized(
             f"expected {s.n_contexts} rows, got {len(tables)}"
         )
-    rows: list[tuple[Fraction, ...]] = []
     for c, raw in enumerate(tables):
         width = s.n_sections(c)
         if len(raw) != width:
             raise RowNotNormalized(
                 f"context {c} needs {width} entries, got {len(raw)}"
             )
-        row = tuple(Fraction(x) for x in raw)
+    rows = [tuple(map(Fraction, raw)) for raw in tables]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    numerators = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+    for c, row in enumerate(numerators):
         for i, x in enumerate(row):
             if x < 0:
                 raise NegativeEntry(
-                    f"context {c}, section {i}: negative entry {format_rational(x)}"
+                    f"context {c}, section {i}: negative entry {format_rational(Fraction(x, den))}"
                 )
-        total = sum(row)
-        if total != 1:
+        if sum(row) != den:
             raise RowNotNormalized(
-                f"context {c} sums to {format_rational(total)}, not 1"
+                f"context {c} sums to {format_rational(Fraction(sum(row), den))}, not 1"
             )
-        rows.append(row)
-    model = EmpiricalModel(scenario=s, tables=tuple(rows))
+    model = EmpiricalModel(scenario=s, den=den, numerators=numerators)
     ok, witness = is_no_signaling(model)
     if not ok:
         raise SignalingDetected(witness.describe(), witness=witness)
@@ -178,18 +184,21 @@ def make_model(
 
 def marginal(
     m: EmpiricalModel, c: int, subset: Sequence[str]
-) -> tuple[Fraction, ...]:
-    """Marginal of context ``c`` on ``subset``, in lexicographic section order.
+) -> tuple[int, ...]:
+    """Marginal of context ``c`` on ``subset``, as integer numerators over ``m.den``.
 
-    Entry ``k`` is the total probability of the subset-section with canonical
-    index ``k``; the output always sums to exactly 1.
+    Entry ``k`` is the mass of the subset-section with canonical index ``k``,
+    in lexicographic section order; the entries always sum to ``m.den``.
     """
-    subset = tuple(subset)
-    out = [ZERO] * (1 << len(subset))
-    for sub_idx, p in zip(projection(m.scenario.context(c), subset), m.tables[c]):
-        if p:
-            out[sub_idx] += p
+    out = [0] * (1 << len(subset))
+    for sub_idx, p in zip(projection(m.scenario.context(c), tuple(subset)), m.numerators[c]):
+        out[sub_idx] += p
     return tuple(out)
+
+
+def _over(row, den: int) -> tuple[Fraction, ...]:
+    """Integer numerators over ``den`` as Fractions, for the witnesses."""
+    return tuple(Fraction(x, den) for x in row)
 
 
 def is_no_signaling(m: EmpiricalModel):
@@ -202,13 +211,13 @@ def is_no_signaling(m: EmpiricalModel):
         ma = marginal(m, a, shared)
         mb = marginal(m, b, shared)
         if ma != mb:
-            return False, SignalingWitness(a, b, shared, ma, mb)
+            return False, SignalingWitness(a, b, shared, _over(ma, m.den), _over(mb, m.den))
     return True, None
 
 
 def possibilistic_collapse(m: EmpiricalModel) -> PossibilisticModel:
     """The support pattern of a model: a section is supported iff its probability is nonzero."""
-    return PossibilisticModel(scenario=m.scenario, masks=tuple(map(_row_mask, m.tables)))
+    return PossibilisticModel(scenario=m.scenario, masks=tuple(map(_row_mask, m.numerators)))
 
 
 def proper_subsets(context: tuple[str, ...]):
@@ -229,12 +238,10 @@ def is_maximal_marginal(m: EmpiricalModel):
     canonical order.
     """
     for c in range(m.scenario.n_contexts):
-        context = m.scenario.context(c)
-        for subset in proper_subsets(context):
-            expected = Fraction(1, 1 << len(subset))
+        for subset in proper_subsets(m.scenario.context(c)):
             marg = marginal(m, c, subset)
-            if any(p != expected for p in marg):
-                return False, MarginalWitness(c, subset, marg)
+            if any(x << len(subset) != m.den for x in marg):
+                return False, MarginalWitness(c, subset, _over(marg, m.den))
     return True, None
 
 
@@ -268,15 +275,11 @@ def mix(
     s = models[0].scenario
     if any(m.scenario != s for m in models):
         raise ScenarioMismatch("models live on different scenarios")
-    rows = []
-    for c in range(s.n_contexts):
-        width = s.n_sections(c)
-        rows.append(
-            tuple(
-                sum(w * m.tables[c][i] for w, m in zip(weights, models))
-                for i in range(width)
-            )
-        )
+    shares = [w / m.den for w, m in zip(weights, models)]
+    rows = [
+        [sum(q * n for q, n in zip(shares, column)) for column in zip(*per_model)]
+        for per_model in zip(*(m.numerators for m in models))
+    ]
     return make_model(s, rows)
 
 
@@ -306,7 +309,7 @@ def from_global_distribution(
     rows = []
     for ctx in s.contexts:
         at = [position[label] for label in ctx]
-        row = [ZERO] * (1 << len(ctx))
+        row = [0] * (1 << len(ctx))
         for values, w in mass:
             row[section_index([values[k] for k in at])] += w
         rows.append(tuple(row))
@@ -317,7 +320,7 @@ def deterministic_model(
     s: MeasurementScenario, values: Sequence[int]
 ) -> EmpiricalModel:
     """Point-mass model of a single global assignment."""
-    return from_global_distribution(s, {tuple(values): ONE})
+    return from_global_distribution(s, {tuple(values): 1})
 
 
 # --- JSON ------------------------------------------------------------------
@@ -340,7 +343,8 @@ def _rows_to_dict(s: MeasurementScenario, rows, cell) -> dict:
 def _rows_from_dict(data, what: str, cell, missing) -> tuple[MeasurementScenario, list]:
     """Read the scenario and one row per context, each entry read by ``cell``.
 
-    A missing row or a row for an unknown context raises ``missing``.
+    A missing row, a row for an unknown context or a row of the wrong width
+    raises ``missing``; the width is checked before any cell is read.
     """
     expect_json(data, dict, f"a {what} document")
     s = scenario_from_dict(json_field(data, "scenario"))
@@ -350,10 +354,13 @@ def _rows_from_dict(data, what: str, cell, missing) -> tuple[MeasurementScenario
     if extra:
         raise missing(f"{what} rows for unknown contexts: {sorted(extra)}")
     rows = []
-    for key in keys:
+    for c, key in enumerate(keys):
         if key not in tables:
             raise missing(f"missing {what} row for context {key!r}")
-        rows.append([cell(x) for x in expect_json(tables[key], list, f"{what} row {key!r}")])
+        row = expect_json(tables[key], list, f"{what} row {key!r}")
+        if len(row) != s.n_sections(c):
+            raise missing(f"{what} row {key!r} needs {s.n_sections(c)} entries, got {len(row)}")
+        rows.append([cell(x) for x in row])
     return s, rows
 
 
@@ -366,7 +373,7 @@ def _parse_bit(x) -> bool:
 
 def model_to_dict(m: EmpiricalModel) -> dict:
     """JSON form: scenario plus one rational-string row per context key."""
-    return _rows_to_dict(m.scenario, m.tables, format_rational)
+    return _rows_to_dict(m.scenario, [_over(row, m.den) for row in m.numerators], format_rational)
 
 
 def model_from_dict(data: dict) -> EmpiricalModel:
@@ -385,6 +392,6 @@ def possibilistic_from_dict(data: dict) -> PossibilisticModel:
     """Parse the JSON form produced by :func:`possibilistic_to_dict`."""
     s, rows = _rows_from_dict(data, "support", _parse_bit, EmptySupport)
     for c, row in enumerate(rows):
-        if len(row) != s.n_sections(c) or not any(row):
-            raise EmptySupport(f"context {_context_key(s.contexts[c])!r} support row is invalid")
+        if not any(row):
+            raise EmptySupport(f"context {_context_key(s.contexts[c])!r} support row is empty")
     return PossibilisticModel(scenario=s, masks=tuple(map(_row_mask, rows)))

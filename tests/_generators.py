@@ -81,6 +81,11 @@ def support_patterns_222(draw):
     return PossibilisticModel(scenario=SCENARIO_22, masks=masks)
 
 
+def fraction_rows(model):
+    """The model's rows as Fractions: each integer numerator over ``model.den``."""
+    return tuple(tuple(Fraction(x, model.den) for x in row) for row in model.numerators)
+
+
 def flipped_tables(model, h):
     """The tables of ``model`` with the outcomes negated of the observables set in ``h``.
 
@@ -88,7 +93,7 @@ def flipped_tables(model, h):
     """
     s = model.scenario
     out = []
-    for ctx, row in zip(s.contexts, model.tables):
+    for ctx, row in zip(s.contexts, fraction_rows(model)):
         f = projection(s.observables, ctx)[h]
         out.append(tuple(row[sec ^ f] for sec in range(len(row))))
     return tuple(out)
@@ -97,13 +102,19 @@ def flipped_tables(model, h):
 def flip_group(model):
     """Every global flip that fixes every context table, by brute force."""
     n = len(model.scenario.observables)
-    return [h for h in range(1 << n) if flipped_tables(model, h) == model.tables]
+    return [h for h in range(1 << n) if flipped_tables(model, h) == fraction_rows(model)]
 
 
 def cycle_scenario(n):
     """``n`` observables ``Y0..Y{n-1}`` with the ``n`` two-label contexts ``(Yk, Yk+1 mod n)``."""
     labels = [f"Y{k}" for k in range(n)]
     return make_scenario(labels, [(labels[k], labels[(k + 1) % n]) for k in range(n)])
+
+
+def singleton_scenario(n):
+    """``n`` observables ``Y0..Y{n-1}``, each its own one-label context."""
+    labels = [f"Y{k}" for k in range(n)]
+    return make_scenario(labels, [(label,) for label in labels])
 
 
 def uniform_model(s):

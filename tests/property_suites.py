@@ -44,6 +44,7 @@ from amcc.scenario import polytope_dimension, projection, section_index, section
 
 from _generators import (
     flip_group,
+    fraction_rows,
     mixture_models_222,
     noisy_parity_lifts,
     ns_models_222,
@@ -70,13 +71,13 @@ def check_cf_one_iff_strongly_contextual(model):
         # The CF optimum is then a global distribution reproducing every row.
         part = classify(model).witness["noncontextual_part"]
         dist = {tuple(map(int, bits)): parse_rational(w) for bits, w in part.items()}
-        assert from_global_distribution(model.scenario, dist).tables == model.tables
+        assert fraction_rows(from_global_distribution(model.scenario, dist)) == fraction_rows(model)
     certified, _ = avn_certificate(model)
     assert certified == strong
     if witness is not None:
         # The witness really is compatible with every context's support.
         g = section_index(witness)
-        for ctx, row in zip(model.scenario.contexts, model.tables):
+        for ctx, row in zip(model.scenario.contexts, fraction_rows(model)):
             assert row[projection(model.scenario.observables, ctx)[g]] > 0
 
 
@@ -124,7 +125,7 @@ def check_marginal_agreement_on_overlaps(model):
                 continue
             ma = marginal(model, a, overlap)
             assert ma == marginal(model, b, overlap)
-            assert sum(ma) == 1
+            assert sum(ma) == model.den
 
 
 @CASES
@@ -170,7 +171,7 @@ def _full_cf_optimum(model):
     return maximize(LinearProgram(
         objective=(1,) * (1 << len(model.scenario.observables)),
         a_le=incidence_matrix(model.scenario),
-        b_le=tuple(x for row in model.tables for x in row),
+        b_le=tuple(x for row in fraction_rows(model) for x in row),
     ))
 
 
@@ -187,7 +188,7 @@ def check_orbit_cf_matches_full_lp(model):
     cf = contextual_fraction(model)
     assert cf == 1 - full.value
     group = flip_group(model)
-    found = analysis._flip_group(model.scenario, tuple(map(analysis._stabilizer, model.tables)))
+    found = analysis._flip_group(model.scenario, tuple(map(analysis._stabilizer, model.numerators)))
     assert [h for h in range(found.bit_length()) if (found >> h) & 1] == group
     if cf == 1:
         return

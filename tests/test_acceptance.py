@@ -46,6 +46,7 @@ from amcc.empirical import (
 from amcc.scenario import bell_scenario
 
 import property_suites
+from _generators import fraction_rows
 from _oracles import (
     BELL_322_ASSIGNMENTS,
     global_marginals_322,
@@ -82,13 +83,13 @@ def test_criterion_01_pr_box_suite():
 def test_criterion_02_ghz():
     start = time.perf_counter()
     model = ghz_model()
-    ok = contextual_fraction(model) == 1
+    ok = contextual_fraction(model) == 1 and model.den == 8
     for c in range(8):
         ctx = model.scenario.contexts[c]
         for single in ctx:
-            ok &= marginal(model, c, (single,)) == (H, H)
+            ok &= marginal(model, c, (single,)) == (4, 4)
         for pair in itertools.combinations(ctx, 2):
-            ok &= marginal(model, c, pair) == (Q, Q, Q, Q)
+            ok &= marginal(model, c, pair) == (2, 2, 2, 2)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
     assert report("2 (GHZ)", ok, f"CF=1 and all marginals uniform in {elapsed:.3f}s")
@@ -139,11 +140,11 @@ def test_criterion_06_parity_enumeration_222():
     rep = enumerate_parity(S22)
     inconsistent = [v for v in rep.verdicts if not v.consistent]
     lifted = {
-        lift_uniform(parity_to_possibilistic(parity_system(S22, v.parities))).tables
+        fraction_rows(lift_uniform(parity_to_possibilistic(parity_system(S22, v.parities))))
         for v in inconsistent
     }
     boxes = {
-        pr_box(a, b, g).tables for a, b, g in itertools.product((0, 1), repeat=3)
+        fraction_rows(pr_box(a, b, g)) for a, b, g in itertools.product((0, 1), repeat=3)
     }
     elapsed = time.perf_counter() - start
     ok = len(inconsistent) == 8 and lifted == boxes and elapsed < 1.0
@@ -200,7 +201,7 @@ def _oracle_scan(rep):
     not_pinned = []
     outside = []
     for point in rep.points:
-        _, lower, upper = ncf_bounds_322(eight_param_family(point.params).tables)
+        _, lower, upper = ncf_bounds_322(fraction_rows(eight_param_family(point.params)))
         histogram[1 - upper] += 1
         if not lower == upper == 1 - point.cf:
             not_pinned.append(point)
@@ -220,7 +221,7 @@ def _even_parity_marginals_match() -> bool:
     even = {
         g: F(1, 32) for g in BELL_322_ASSIGNMENTS if (g[0] + g[2] + g[4]) % 2 == 0
     }
-    table = [list(row) for row in eight_param_family(EVEN_PARITY_POINT).tables]
+    table = [list(row) for row in fraction_rows(eight_param_family(EVEN_PARITY_POINT))]
     return len(even) == 32 and global_marginals_322(even) == table
 
 

@@ -26,7 +26,7 @@ from amcc.empirical import (
 from amcc.errors import SignalingInput, TooLarge
 from amcc.scenario import bell_scenario, make_scenario
 
-from _generators import cycle_scenario, uniform_model
+from _generators import cycle_scenario, fraction_rows, singleton_scenario, uniform_model
 from _oracles import chsh_noisy_cf, incidence_bruteforce
 
 F = Fraction
@@ -104,6 +104,15 @@ def test_cf_lp_guard_fires_before_any_table():
         contextual_fraction(model)
 
 
+def test_guard_fires_before_a_mask_over_global_assignments():
+    # A mask over 2**3000 assignments cannot even be allocated, so every
+    # decision must reach the LP guard before building one.
+    model = uniform_model(singleton_scenario(3000))
+    for decide in (contextual_fraction, classify, is_strongly_contextual):
+        with pytest.raises(TooLarge, match="LP guard"):
+            decide(model)
+
+
 def test_is_contextual_rejects_signaling_input():
     # make_model rejects this table, so build the dataclass directly.
     rows = [
@@ -112,7 +121,7 @@ def test_is_contextual_rejects_signaling_input():
         (H, 0, H, 0),
         (H, 0, 0, H),
     ]
-    model = EmpiricalModel(S22, tuple(tuple(F(x) for x in row) for row in rows))
+    model = EmpiricalModel(S22, 2, tuple(tuple(int(2 * x) for x in row) for row in rows))
     with pytest.raises(SignalingInput):
         contextual_fraction(model)
     with pytest.raises(SignalingInput):
@@ -149,7 +158,7 @@ def test_avn_certificate_pr_box():
     # in the anticorrelated context {X1p, X2p}.
     assert cert.entries[0] == (3, 0)
     for g, (c, sec) in enumerate(cert.entries):
-        assert pr_box(0, 0, 0).tables[c][sec] == 0
+        assert fraction_rows(pr_box(0, 0, 0))[c][sec] == 0
 
 
 def test_avn_certificate_ghz_size():

@@ -15,7 +15,7 @@ from amcc.catalog import ghz_model, pr_box
 from amcc.cli import main
 from amcc.empirical import model_from_dict, model_to_dict
 
-from _generators import cycle_scenario, uniform_model
+from _generators import cycle_scenario, fraction_rows, singleton_scenario, uniform_model
 
 
 def run_cli(capsys, *argv):
@@ -74,7 +74,7 @@ def test_cf_subcommand(capsys, monkeypatch, tmp_path):
 def test_catalog_stdout_and_unknown_name(capsys):
     code, out, _ = run_cli(capsys, "catalog", "ghz")
     assert code == 0
-    assert model_from_dict(json.loads(out)).tables == ghz_model().tables
+    assert fraction_rows(model_from_dict(json.loads(out))) == fraction_rows(ghz_model())
 
     code, _, err = run_cli(capsys, "catalog", "nope")
     assert code == 1 and "unknown catalog model" in err
@@ -108,7 +108,7 @@ def test_parity_emit_lift(capsys, tmp_path):
     )
     assert code == 0
     lifted = model_from_dict(json.loads(path.read_text()))
-    assert lifted.tables == pr_box(0, 0, 0).tables
+    assert fraction_rows(lifted) == fraction_rows(pr_box(0, 0, 0))
 
 
 def test_parity_preset_file(capsys, tmp_path):
@@ -280,6 +280,13 @@ def test_empty_cover_exits_2(capsys, monkeypatch, command):
     code, out, err = run_cli_stdin(capsys, monkeypatch, EMPTY_COVER_DOCUMENT, command)
     assert (code, out) == (2, "")
     assert "no contexts" in err
+
+
+def test_huge_singleton_cover_exits_2(capsys, monkeypatch):
+    document = model_to_dict(uniform_model(singleton_scenario(3000)))
+    for command in ("classify", "cf"):
+        code, out, err = run_cli_stdin(capsys, monkeypatch, document, command)
+        assert (code, out) == (2, "") and "LP guard" in err
 
 
 def test_missing_file_exits_2(capsys):

@@ -35,6 +35,8 @@ from amcc.empirical import (
 from amcc.errors import LengthMismatch, MalformedInput, OutOfRange, TooLarge, TooManyCandidates
 from amcc.scenario import bell_scenario, make_scenario
 
+from _generators import fraction_rows
+
 F = Fraction
 H = F(1, 2)
 Q = F(1, 4)
@@ -172,12 +174,12 @@ def test_enumerate_parity_222():
     report = enumerate_parity(S22)
     assert (report.total, report.consistent_count, report.amcc_count) == (16, 8, 8)
     lifted = {
-        lift_uniform(parity_to_possibilistic(parity_system(S22, v.parities))).tables
+        fraction_rows(lift_uniform(parity_to_possibilistic(parity_system(S22, v.parities))))
         for v in report.verdicts
         if not v.consistent
     }
     boxes = {
-        pr_box(a, b, g).tables for a, b, g in itertools.product((0, 1), repeat=3)
+        fraction_rows(pr_box(a, b, g)) for a, b, g in itertools.product((0, 1), repeat=3)
     }
     assert lifted == boxes
 
@@ -346,14 +348,14 @@ def test_csp_guard_on_candidate_explosion():
 
 
 def test_eight_param_row_structure():
-    model = eight_param_family([Q, 0, 0, 0, 0, 0, 0, 0])
-    assert model.tables[0] == (Q, 0, 0, Q, 0, Q, Q, 0)
-    assert model.tables[1] == (0, Q, Q, 0, Q, 0, 0, Q)
+    rows = fraction_rows(eight_param_family([Q, 0, 0, 0, 0, 0, 0, 0]))
+    assert rows[0] == (Q, 0, 0, Q, 0, Q, Q, 0)
+    assert rows[1] == (0, Q, Q, 0, Q, 0, 0, Q)
 
 
 def test_eight_param_matches_parity_lift():
     lift = lift_uniform(parity_to_possibilistic(parity_system(S32, EXAMPLE_PARITIES_32)))
-    assert eight_param_family([Q, 0, 0, 0, 0, 0, 0, 0]).tables == lift.tables
+    assert fraction_rows(eight_param_family([Q, 0, 0, 0, 0, 0, 0, 0])) == fraction_rows(lift)
 
 
 def test_eight_param_range_check():
@@ -403,13 +405,13 @@ def test_three_param_out_of_range():
 
 def test_twentysix_param_uniform():
     model = twentysix_param_family([F(1, 8)] * 26)
-    assert all(entry == F(1, 8) for row in model.tables for entry in row)
+    assert all(entry == F(1, 8) for row in fraction_rows(model) for entry in row)
 
 
 def test_twentysix_param_reproduces_ghz():
     ghz = ghz_model()
     params = twentysix_params_from_model(ghz)
-    assert twentysix_param_family(params).tables == ghz.tables
+    assert fraction_rows(twentysix_param_family(params)) == fraction_rows(ghz)
 
 
 def test_twentysix_param_out_of_range_and_length():

@@ -1,7 +1,10 @@
+import math
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amcc.catalog import asymmetric_scc_model, ghz_model, pr_box, three_way_box
 from amcc.empirical import (
@@ -35,7 +38,15 @@ from amcc.errors import (
 )
 from amcc.scenario import bell_scenario
 
-from _generators import cycle_scenario
+from _generators import (
+    SCENARIO_32,
+    cycle_scenario,
+    fraction_rows,
+    ns_models_222,
+    support_patterns_222,
+    symmetric_models,
+    vertex_mixtures,
+)
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -51,7 +62,8 @@ def pr_rows():
 
 def test_make_model_accepts_pr_table():
     model = make_model(S22, pr_rows())
-    assert model.tables[0] == (H, Fraction(0), Fraction(0), H)
+    assert fraction_rows(model)[0] == (H, Fraction(0), Fraction(0), H)
+    assert (model.den, model.numerators[0]) == (2, (1, 0, 0, 1))
 
 
 def test_make_model_rejects_unnormalized_row():
@@ -98,26 +110,28 @@ def test_is_no_signaling_witness_matches_make_model():
     with pytest.raises(SignalingDetected) as err:
         make_model(S22, rows)
     assert err.value.witness.overlap == ("X1",)
-    raw = EmpiricalModel(S22, tuple(tuple(Fraction(x) for x in row) for row in rows))
+    raw = EmpiricalModel(S22, 2, tuple(tuple(int(2 * x) for x in row) for row in rows))
     ok, witness = is_no_signaling(raw)
     assert not ok and witness == err.value.witness
 
 
 def test_marginal_pr_single_observable():
     model = pr_box(0, 0, 0)
-    assert marginal(model, 0, ("X1",)) == (H, H)
-    assert marginal(model, 3, ("X2p",)) == (H, H)
+    assert model.den == 2
+    assert marginal(model, 0, ("X1",)) == (1, 1)
+    assert marginal(model, 3, ("X2p",)) == (1, 1)
 
 
 def test_marginal_ghz_bipartite_uniform():
     model = ghz_model()
-    assert marginal(model, 0, ("X1", "X2")) == (Q, Q, Q, Q)
-    assert marginal(model, 0, ("X2", "X3")) == (Q, Q, Q, Q)
+    assert model.den == 8
+    assert marginal(model, 0, ("X1", "X2")) == (2, 2, 2, 2)
+    assert marginal(model, 0, ("X2", "X3")) == (2, 2, 2, 2)
 
 
 def test_marginal_full_context_is_row():
     model = pr_box(0, 0, 0)
-    assert marginal(model, 0, ("X1", "X2")) == model.tables[0]
+    assert marginal(model, 0, ("X1", "X2")) == model.numerators[0]
 
 
 def test_marginal_sums_to_one():
@@ -125,7 +139,7 @@ def test_marginal_sums_to_one():
     for c in range(8):
         for subset in (("X1",), ("X2",), ("X3",)):
             labels = tuple(model.scenario.contexts[c][i] for i in range(3))
-            assert sum(marginal(model, c, labels[:2])) == 1
+            assert sum(marginal(model, c, labels[:2])) == model.den
 
 
 def test_marginal_rejects_non_subset():
@@ -165,7 +179,7 @@ def test_is_maximal_marginal_verdicts():
 def test_asymmetric_marginal_matches_direct_sum():
     # Independent check of the witness value: sum the verbatim first row of
     # the asymmetric table over x2, x3.
-    row = asymmetric_scc_model().tables[0]
+    row = fraction_rows(asymmetric_scc_model())[0]
     x1_zero = row[0] + row[1] + row[2] + row[3]
     x1_one = row[4] + row[5] + row[6] + row[7]
     assert (x1_zero, x1_one) == (Fraction(3, 4), Q)
@@ -173,12 +187,12 @@ def test_asymmetric_marginal_matches_direct_sum():
 
 def test_lift_uniform_pr_pattern_gives_pr_box():
     poss = possibilistic_collapse(pr_box(0, 0, 0))
-    assert lift_uniform(poss).tables == pr_box(0, 0, 0).tables
+    assert lift_uniform(poss) == pr_box(0, 0, 0)
 
 
 def test_lift_uniform_all_true_gives_uniform():
     poss = PossibilisticModel(S22, (0b1111,) * 4)
-    assert lift_uniform(poss).tables == ((Q, Q, Q, Q),) * 4
+    assert fraction_rows(lift_uniform(poss)) == ((Q, Q, Q, Q),) * 4
 
 
 def test_lift_uniform_rejects_empty_support():
@@ -201,7 +215,7 @@ def test_mix_interpolates_tables():
     a = pr_box(0, 0, 0)
     b = deterministic_model(S22, (0, 0, 0, 0))
     mixed = mix([a, b], [H, H])
-    assert mixed.tables[0][0] == H * H + H
+    assert fraction_rows(mixed)[0][0] == H * H + H
     ok, _ = is_no_signaling(mixed)
     assert ok
 
@@ -209,7 +223,7 @@ def test_mix_interpolates_tables():
 def test_from_global_distribution_marginals():
     weights = {(0, 0, 0, 0): H, (1, 1, 1, 1): H}
     model = from_global_distribution(S22, weights)
-    assert model.tables[0] == (H, 0, 0, H)
+    assert fraction_rows(model)[0] == (H, 0, 0, H)
     with pytest.raises(RowNotNormalized):
         from_global_distribution(S22, {(0, 0, 0, 0): H})
 
@@ -219,7 +233,7 @@ def test_deterministic_model_does_not_enumerate_global_assignments():
     start = time.perf_counter()
     model = deterministic_model(cycle_scenario(20), (0,) * 20)
     assert time.perf_counter() - start < 1
-    assert model.tables == ((1, 0, 0, 0),) * 20
+    assert fraction_rows(model) == ((1, 0, 0, 0),) * 20
 
 
 def test_from_global_distribution_rejects_non_bit_assignments():
@@ -237,7 +251,7 @@ def test_marginal_rejects_repeated_subset_label():
     model = ghz_model()
     with pytest.raises(DuplicateLabel):
         marginal(model, 0, ("X1", "X1"))
-    assert marginal(model, 0, ("X1",)) == (H, H)
+    assert marginal(model, 0, ("X1",)) == (4, 4) and model.den == 8
 
 
 def test_rational_formatting_roundtrip():
@@ -258,7 +272,7 @@ def test_model_json_roundtrip():
     model = ghz_model()
     payload = model_to_dict(model)
     assert payload["tables"]["X1|X2|X3"][1] == "1/4"
-    assert model_from_dict(payload).tables == model.tables
+    assert fraction_rows(model_from_dict(payload)) == fraction_rows(model)
 
 
 def test_model_json_rejects_missing_context():
@@ -273,6 +287,18 @@ def test_model_json_names_a_missing_field():
     del payload["tables"]
     with pytest.raises(MalformedInput, match="missing field 'tables'"):
         model_from_dict(payload)
+
+
+def test_json_checks_row_width_before_reading_cells():
+    # The malformed last cell is never read: the width error comes first.
+    payload = model_to_dict(pr_box(0, 0, 0))
+    payload["tables"]["X1|X2"] = ["1/2", "0", "0", "1/2"] * 1000 + ["not a rational"]
+    with pytest.raises(RowNotNormalized, match="needs 4 entries, got 4001"):
+        model_from_dict(payload)
+    payload = possibilistic_to_dict(possibilistic_collapse(pr_box(0, 0, 0)))
+    payload["tables"]["X1|X2"] = [1, 0, 0, 1] * 1000 + ["not a bit"]
+    with pytest.raises(EmptySupport, match="needs 4 entries, got 4001"):
+        possibilistic_from_dict(payload)
 
 
 def test_possibilistic_json_roundtrip():
@@ -309,3 +335,63 @@ def test_possibilistic_json_rejects_unknown_context():
     payload["tables"]["X1|Y9"] = ["1/2", "0", "0", "1/2"]
     with pytest.raises(RowNotNormalized):
         model_from_dict(payload)
+
+
+# --- canonical form: den is the least common denominator -------------------
+
+CANONICAL = settings(max_examples=200, deadline=None)
+
+
+def assert_canonical(model):
+    cells = [x for row in model.numerators for x in row]
+    assert type(model.den) is int and model.den > 0
+    assert all(type(x) is int and x >= 0 for x in cells)
+    assert math.gcd(model.den, *cells) == 1
+
+
+def test_equal_probabilities_give_equal_models():
+    payload = model_to_dict(pr_box(0, 0, 0))
+    payload["tables"]["X1|X2"] = ["2/4", "0", "0", "4/8"]
+    assert model_from_dict(payload) == pr_box(0, 0, 0)
+
+
+@CANONICAL
+@given(symmetric_models(), st.integers(2, 6))
+def test_unreduced_cells_give_the_same_model(model, k):
+    payload = model_to_dict(model)
+    for key, row in payload["tables"].items():
+        cells = map(parse_rational, row)
+        payload["tables"][key] = [f"{k * q.numerator}/{k * q.denominator}" for q in cells]
+    assert model_from_dict(payload) == model
+
+
+@CANONICAL
+@given(st.one_of(ns_models_222(), symmetric_models()))
+def test_models_are_canonical_and_survive_json(model):
+    assert_canonical(model)
+    assert model_from_dict(model_to_dict(model)) == model
+
+
+@CANONICAL
+@given(vertex_mixtures(SCENARIO_32), vertex_mixtures(SCENARIO_32), st.integers(0, 8))
+def test_mix_returns_canonical_den(a, b, k):
+    w = Fraction(k, 8)
+    mixed = mix([a, b], [w, 1 - w])
+    assert_canonical(mixed)
+    assert fraction_rows(mixed) == tuple(
+        tuple(w * x + (1 - w) * y for x, y in zip(row_a, row_b))
+        for row_a, row_b in zip(fraction_rows(a), fraction_rows(b))
+    )
+    if k in (0, 8):
+        assert mixed == (b if k == 0 else a)
+
+
+@CANONICAL
+@given(support_patterns_222())
+def test_lift_uniform_returns_canonical_den(pattern):
+    try:
+        lifted = lift_uniform(pattern)
+    except SignalingDetected:
+        return
+    assert_canonical(lifted)
+    assert lifted.den == math.lcm(*(mask.bit_count() for mask in pattern.masks))

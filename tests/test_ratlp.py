@@ -13,6 +13,7 @@ from amcc.errors import InternalConsistencyError, ShapeMismatch
 from amcc.ratlp import LinearProgram, LpStatus, maximize, solve_feasibility
 from amcc.scenario import bell_scenario
 
+from _generators import fraction_rows
 from _oracles import feasible_bruteforce, maximize_bruteforce
 
 F = Fraction
@@ -26,7 +27,7 @@ def sparse(rows):
 
 def flatten(model):
     v = []
-    for row in model.tables:
+    for row in fraction_rows(model):
         v.extend(row)
     return v
 
