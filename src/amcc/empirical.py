@@ -25,6 +25,7 @@ from .errors import (
     RowNotNormalized,
     ScenarioMismatch,
     SignalingDetected,
+    TooLarge,
 )
 from .scenario import (
     MeasurementScenario,
@@ -40,6 +41,9 @@ from .scenario import (
 #: Most decimal digits :func:`parse_rational` accepts in a numerator or a
 #: denominator, so a short document cannot force a huge integer.
 RATIONAL_DIGIT_LIMIT = 100
+#: Bound on a model's common denominator (10 * RATIONAL_DIGIT_LIMIT digits), so
+#: that many distinct denominators cannot force huge numerators either.
+DENOMINATOR_LIMIT = 10 ** (10 * RATIONAL_DIGIT_LIMIT)
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -142,6 +146,16 @@ def _row_mask(row) -> int:
     return sum(1 << sec for sec, x in enumerate(row) if x)
 
 
+def _common_denominator(dens) -> int:
+    """The lcm of ``dens``; TooLarge as soon as it reaches DENOMINATOR_LIMIT."""
+    out = 1
+    for d in dens:
+        out = lcm(out, d)
+        if out >= DENOMINATOR_LIMIT:
+            raise TooLarge(f"common denominator has more than {10 * RATIONAL_DIGIT_LIMIT} digits")
+    return out
+
+
 def make_model(
     s: MeasurementScenario,
     tables: Sequence[Sequence[Union[Fraction, int, str]]],
@@ -150,31 +164,36 @@ def make_model(
 
     Every row must be nonnegative and sum to exactly 1, and the generalized
     no-signaling condition must hold; on failure a
-    :class:`SignalingDetected` carrying a witness is raised.
+    :class:`SignalingDetected` carrying a witness is raised.  Each row is
+    checked over its own denominator first; a row's or the model's common
+    denominator reaching DENOMINATOR_LIMIT raises TooLarge.
     """
     if len(tables) != s.n_contexts:
         raise RowNotNormalized(
             f"expected {s.n_contexts} rows, got {len(tables)}"
         )
+    rows = []
     for c, raw in enumerate(tables):
         width = s.n_sections(c)
         if len(raw) != width:
             raise RowNotNormalized(
                 f"context {c} needs {width} entries, got {len(raw)}"
             )
-    rows = [tuple(map(Fraction, raw)) for raw in tables]
-    den = lcm(*(x.denominator for row in rows for x in row))
-    numerators = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
-    for c, row in enumerate(numerators):
+        row = tuple(map(Fraction, raw))
         for i, x in enumerate(row):
-            if x < 0:
+            if x.numerator < 0:
                 raise NegativeEntry(
-                    f"context {c}, section {i}: negative entry {format_rational(Fraction(x, den))}"
+                    f"context {c}, section {i}: negative entry {format_rational(x)}"
                 )
-        if sum(row) != den:
+        row_den = _common_denominator({x.denominator for x in row})
+        total = sum(x.numerator * (row_den // x.denominator) for x in row)
+        if total != row_den:
             raise RowNotNormalized(
-                f"context {c} sums to {format_rational(Fraction(sum(row), den))}, not 1"
+                f"context {c} sums to {format_rational(Fraction(total, row_den))}, not 1"
             )
+        rows.append((row_den, row))
+    den = _common_denominator({row_den for row_den, _ in rows})
+    numerators = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for _, row in rows)
     model = EmpiricalModel(scenario=s, den=den, numerators=numerators)
     ok, witness = is_no_signaling(model)
     if not ok:

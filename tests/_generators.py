@@ -16,7 +16,7 @@ from amcc.empirical import (
     make_model,
     mix,
 )
-from amcc.scenario import bell_scenario, make_scenario, projection, section_values
+from amcc.scenario import bell_scenario, make_scenario, projection, scenario_to_dict, section_values
 
 SCENARIO_22 = bell_scenario(2, 2)
 SCENARIO_32 = bell_scenario(3, 2)
@@ -115,6 +115,24 @@ def singleton_scenario(n):
     """``n`` observables ``Y0..Y{n-1}``, each its own one-label context."""
     labels = [f"Y{k}" for k in range(n)]
     return make_scenario(labels, [(label,) for label in labels])
+
+
+def large_denominator_document(shape):
+    """A model document whose cells carry distinct 100-digit denominators.
+
+    ``"wide-row"`` is one 12-observable context with cells ``1/(10**99 + k)``
+    (not normalized); ``"singletons"`` is 3000 one-label contexts, row ``k``
+    being ``1/d, (d-1)/d`` with ``d = 10**99 + k`` (every row normalized).
+    """
+    base = 10**99
+    if shape == "wide-row":
+        labels = [f"Y{k}" for k in range(12)]
+        s = make_scenario(labels, [labels])
+        tables = {"|".join(labels): [f"1/{base + k}" for k in range(1 << 12)]}
+    else:
+        s = singleton_scenario(3000)
+        tables = {f"Y{k}": [f"1/{base + k}", f"{base + k - 1}/{base + k}"] for k in range(3000)}
+    return {"scenario": scenario_to_dict(s), "tables": tables}
 
 
 def uniform_model(s):

@@ -15,7 +15,13 @@ from amcc.catalog import ghz_model, pr_box
 from amcc.cli import main
 from amcc.empirical import model_from_dict, model_to_dict
 
-from _generators import cycle_scenario, fraction_rows, singleton_scenario, uniform_model
+from _generators import (
+    cycle_scenario,
+    fraction_rows,
+    large_denominator_document,
+    singleton_scenario,
+    uniform_model,
+)
 
 
 def run_cli(capsys, *argv):
@@ -287,6 +293,16 @@ def test_huge_singleton_cover_exits_2(capsys, monkeypatch):
     for command in ("classify", "cf"):
         code, out, err = run_cli_stdin(capsys, monkeypatch, document, command)
         assert (code, out) == (2, "") and "LP guard" in err
+
+
+@pytest.mark.parametrize("shape", ["wide-row", "singletons"])
+def test_many_distinct_denominators_exit_2_quickly(capsys, monkeypatch, shape):
+    document = large_denominator_document(shape)
+    for command in ("classify", "cf"):
+        start = time.perf_counter()
+        code, out, err = run_cli_stdin(capsys, monkeypatch, document, command)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "") and "common denominator" in err
 
 
 def test_missing_file_exits_2(capsys):

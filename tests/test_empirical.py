@@ -25,6 +25,7 @@ from amcc.empirical import (
     possibilistic_from_dict,
     possibilistic_to_dict,
     PossibilisticModel,
+    DENOMINATOR_LIMIT,
     RATIONAL_DIGIT_LIMIT,
 )
 from amcc.errors import (
@@ -35,13 +36,15 @@ from amcc.errors import (
     NotASubset,
     RowNotNormalized,
     SignalingDetected,
+    TooLarge,
 )
-from amcc.scenario import bell_scenario
+from amcc.scenario import bell_scenario, make_scenario
 
 from _generators import (
     SCENARIO_32,
     cycle_scenario,
     fraction_rows,
+    large_denominator_document,
     ns_models_222,
     support_patterns_222,
     symmetric_models,
@@ -286,6 +289,33 @@ def test_model_json_names_a_missing_field():
     payload = model_to_dict(pr_box(0, 0, 0))
     del payload["tables"]
     with pytest.raises(MalformedInput, match="missing field 'tables'"):
+        model_from_dict(payload)
+
+
+def test_common_denominator_bound():
+    s = make_scenario(["Y"], [("Y",)])
+    below = DENOMINATOR_LIMIT - 1
+    assert make_model(s, [[Fraction(1, below), Fraction(below - 1, below)]]).den == below
+    with pytest.raises(TooLarge, match="common denominator"):
+        make_model(s, [[Fraction(1, DENOMINATOR_LIMIT), 1 - Fraction(1, DENOMINATOR_LIMIT)]])
+
+
+@pytest.mark.parametrize("shape", ["wide-row", "singletons"])
+def test_many_distinct_denominators_raise_too_large_quickly(shape):
+    # Distinct 100-digit denominators: one 4096-cell row, or 3000 normalized
+    # singleton rows.  Their lcm is refused as soon as it passes the bound,
+    # before any numerator is scaled to it.
+    payload = large_denominator_document(shape)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="common denominator"):
+        model_from_dict(payload)
+    assert time.perf_counter() - start < 1
+
+
+def test_row_normalization_is_checked_before_the_common_denominator():
+    payload = large_denominator_document("singletons")
+    payload["tables"]["Y0"] = ["1/2", "1/4"]
+    with pytest.raises(RowNotNormalized, match="context 0 sums to 3/4"):
         model_from_dict(payload)
 
 
