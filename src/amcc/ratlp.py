@@ -7,7 +7,12 @@ Two-phase primal simplex with Bland's anti-cycling pivot rule.  The tableau
 is kept integral ("fraction-free" pivoting: all entries share one positive
 denominator, updated by the previous pivot value), which avoids per-cell gcd
 work and is an order of magnitude faster than a Fraction tableau while
-staying exact.  Inputs and outputs are ``fractions.Fraction``.
+staying exact.  It is kept in revised form: only ``den * B^-1`` and the
+right-hand side are stored, and any other column is computed from its sparse
+initial column when it is priced or enters, so a pivot rewrites an m x m
+block instead of every column, and every entry is the one the full tableau
+would hold (see :class:`_Tableau`).  Inputs and outputs are
+``fractions.Fraction``.
 
 A presolve pass exploits the structure of probability systems: a row with
 right-hand side 0 whose coefficients are all nonnegative forces every
@@ -40,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from .errors import InternalConsistencyError, ShapeMismatch
@@ -198,33 +204,92 @@ def _presolve(n, rows, kinds):
     return kept, live_rows, forcing
 
 
-class _Tableau:
-    """Integer simplex tableau with a shared positive denominator.
+def _dot(spec, row) -> int:
+    """``row`` times the sparse column ``spec = (getter, coefficients)``.
 
-    The true tableau is ``rows / den``; row 0 holds the negated reduced
-    costs and the current objective value in its last cell.
+    The getter picks the column's positions; coefficients None means all 1.
+    """
+    get, coefs = spec
+    return sum(get(row)) if coefs is None else sum(map(mul, get(row), coefs))
+
+
+class _Tableau:
+    """Revised integer simplex tableau: ``den * B^-1`` and the right-hand side.
+
+    The true tableau is ``entries / den``.  Each constraint row starts with
+    one unit column that it owns (a slack or an artificial), at the row's
+    position among the owned columns.  Pivots combine whole rows, so those
+    columns hold ``den * B^-1``, and every current column is that block times
+    the column's initial entries.  ``rows[i]`` stores row ``i``'s entries in
+    the owned columns, then its right-hand side; row 0 holds the negated
+    reduced costs and the objective value the same way.  ``columns[j]`` is
+    the position of an owned column, or the sparse initial entries of any
+    other column (see :func:`_dot`), whose row-0 entry is
+    ``-den * c_j + u . A_j`` with ``u = row0_owned + den * c_owned``.
+
+    The Bareiss update ``(x * piv - f * p) // den`` acts on each column
+    alone, so running it over the stored block leaves there exactly the
+    entries of the dense fraction-free tableau, and a computed column equals
+    the dense one.  Pivots, primal and dual are those of the dense tableau.
     """
 
-    def __init__(self, rows, basis, den=1):
+    def __init__(self, rows, basis, columns):
         self.rows = rows          # list of int lists; rows[0] is the objective row
         self.basis = basis        # basis[i] = column basic in constraint row i (1-based rows)
-        self.den = den
+        self.columns = columns    # owned position or sparse initial column, per column
+        self.den = 1
+        self.cost = [0] * len(columns)  # objective of the phase, set by _install_objective
+        self.owned_cost = []      # (position, cost) of the owned columns with a cost
         self.dead = set()         # columns barred from entering (retired artificials)
+        self._column = None       # (c, column c) from _leaving, taken by pivot
 
     @property
     def n_cols(self) -> int:
-        return len(self.rows[0]) - 1
+        return len(self.columns)
+
+    def _prices(self) -> list:
+        """``u = row0_owned + den * c_owned``, so row 0 is ``-den * c + u . A``."""
+        u = self.rows[0]
+        if self.owned_cost:
+            u = list(u)
+            for p, c in self.owned_cost:
+                u[p] += self.den * c
+        return u
+
+    def entry(self, i: int, j: int) -> int:
+        """Constraint row ``i``'s entry in column ``j``."""
+        spec = self.columns[j]
+        return self.rows[i][spec] if type(spec) is int else _dot(spec, self.rows[i])
+
+    def column(self, c: int) -> list:
+        """Column ``c`` of every row, row 0 included."""
+        spec = self.columns[c]
+        if type(spec) is int:
+            return [row[spec] for row in self.rows]
+        get, coefs = spec
+        if coefs is None:
+            col = list(map(sum, map(get, self.rows)))
+        else:
+            col = [sum(map(mul, get(row), coefs)) for row in self.rows]
+        if self.owned_cost:
+            col[0] = _dot(spec, self._prices())
+        col[0] -= self.den * self.cost[c]
+        return col
 
     def pivot(self, r: int, c: int) -> None:
         """Pivot constraint row ``r`` (1-based) on column ``c``; entry must be > 0."""
+        cached, self._column = self._column, None
+        col = cached[1] if cached is not None and cached[0] == c else self.column(c)
         rows, den = self.rows, self.den
         prow = rows[r]
-        piv = prow[c]
+        piv = col[r]
         for i, row in enumerate(rows):
             if i == r:
                 continue
-            f = row[c]
+            f = col[i]
             if f == 0:
+                if piv == den:
+                    continue  # the row stays as it is
                 if den != 1:
                     rows[i] = [x * piv // den for x in row]
                 else:
@@ -235,16 +300,25 @@ class _Tableau:
         self.basis[r - 1] = c
 
     def _entering(self) -> Optional[int]:
-        row0 = self.rows[0]
-        for j in range(self.n_cols):
-            if j not in self.dead and row0[j] < 0:
-                return j
+        row0, den, cost, dead = self.rows[0], self.den, self.cost, self.dead
+        u = self._prices()
+        for j, spec in enumerate(self.columns):
+            if type(spec) is int:  # retired artificials are owned columns
+                if row0[spec] < 0 and j not in dead:
+                    return j
+            else:
+                get, coefs = spec  # _dot, inlined: this loop prices every column
+                d = sum(get(u)) if coefs is None else sum(map(mul, get(u), coefs))
+                if d < den * cost[j]:
+                    return j
         return None
 
     def _leaving(self, c: int) -> Optional[int]:
+        col = self.column(c)
+        self._column = (c, col)
         best = None  # (num, den, basis var, row)
         for i in range(1, len(self.rows)):
-            a = self.rows[i][c]
+            a = col[i]
             if a <= 0:
                 continue
             b = self.rows[i][-1]
@@ -269,50 +343,60 @@ class _Tableau:
             self.pivot(r, c)
 
 
-def _build_tableau(kept, rows, live_rows, kinds):
-    """Integer tableau with slack/surplus/artificial columns and a feasible basis.
+def _sparse_column(positions: list, coefs: list) -> tuple:
+    """The :func:`_dot` form of a column with ``coefs`` at owned ``positions``."""
+    if len(positions) > 1:
+        get = itemgetter(*positions)
+    else:  # a slice, so the getter still returns a sequence
+        get = itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+    return get, None if coefs.count(1) == len(coefs) else tuple(coefs)
 
-    Returns ``(tableau, artificial columns, reads)`` with no objective row
-    installed yet (row 0 is a placeholder of zeros).  Each original row owns
-    one column that starts as a unit vector on its tableau row: the slack of
-    a ``<=`` row (a surplus, coefficient -1, once the row is sign-flipped) or
-    the artificial of an equality row.  Every later row, row 0 included, is
-    a combination of the original rows with its weights in those columns, so
-    for ``reads[k] = (column, sign)`` the final ``sign * row0[column]`` is
-    row ``k``'s dual numerator.
+
+def _build_tableau(kept, rows, live_rows, kinds):
+    """Revised tableau with slack/surplus/artificial columns and a feasible basis.
+
+    Returns ``(tableau, artificial columns)`` with no objective row installed
+    yet (row 0 is a placeholder of zeros).  Live row ``t`` (0-based) owns the
+    column at position ``t``, a unit vector on its tableau row: the slack of
+    a ``<=`` row, or the artificial of an equality row or of a ``<=`` row
+    sign-flipped for its negative right-hand side, whose slack becomes a
+    surplus (coefficient -1).  Every later row, row 0 included, is a
+    combination of the original rows with its weights at those positions,
+    so once phase two ends, row 0's entry at ``t``, negated if the row was
+    flipped, is the dual numerator of the row.
     """
-    n = len(kept)
-    position = {j: p for p, j in enumerate(kept)}
-    n_slack = sum(1 for k in live_rows if kinds[k] == "le")
-    n_art = sum(1 for k in live_rows if kinds[k] == "eq" or rows[k][1] < 0)
-    n_cols = n + n_slack + n_art
-    slack, art = n, n + n_slack
-    tab_rows = [[0] * (n_cols + 1)]
-    basis, arts, reads = [], [], {}
-    for k in live_rows:
+    n, m = len(kept), len(live_rows)
+    position_of = {j: p for p, j in enumerate(kept)}.get
+    at = [[] for _ in range(n)]     # per kept column: owned positions
+    coefs = [[] for _ in range(n)]  # and its coefficients there
+    columns = [None] * (n + sum(1 for k in live_rows if kinds[k] == "le"))
+    slack = n
+    tab_rows = [[0] * (m + 1)]
+    basis, arts = [], []
+    for t, k in enumerate(live_rows):
         entries, b, _ = rows[k]
         sign = -1 if b < 0 else 1
-        row = [0] * (n_cols + 1)
-        for j, a in entries:
-            p = position.get(j)
+        for j, a in entries if sign > 0 else [(j, -a) for j, a in entries]:
+            p = position_of(j)
             if p is not None:
-                row[p] = sign * a
+                at[p].append(t)
+                coefs[p].append(a)
+        row = [0] * (m + 1)
+        row[t] = 1
         row[-1] = sign * b
+        tab_rows.append(row)
         if kinds[k] == "le":
-            row[slack] = sign  # a flipped row became >=: its slack is a surplus
-            reads[k] = (slack, 1)
+            # A flipped row became >=: its slack is a surplus, not owned.
+            columns[slack] = t if sign > 0 else _sparse_column([t], [-1])
             basic = slack
             slack += 1
         if kinds[k] == "eq" or sign < 0:
-            row[art] = 1
-            if kinds[k] == "eq":
-                reads[k] = (art, sign)
-            basic = art
-            arts.append(art)
-            art += 1
+            basic = len(columns)
+            arts.append(basic)
+            columns.append(t)
         basis.append(basic)
-        tab_rows.append(row)
-    return _Tableau(tab_rows, basis), arts, reads
+    columns[:n] = map(_sparse_column, at, coefs)
+    return _Tableau(tab_rows, basis, columns), arts
 
 
 def _install_objective(tab: _Tableau, cost: dict) -> None:
@@ -321,9 +405,14 @@ def _install_objective(tab: _Tableau, cost: dict) -> None:
     Phase one passes cost -1 on every artificial column, phase two the
     integer objective on the kept columns.
     """
-    row0 = [0] * (tab.n_cols + 1)
+    row0 = [0] * len(tab.rows[0])
+    tab.cost = [0] * tab.n_cols
+    tab.owned_cost = []
     for j, c in cost.items():
-        row0[j] = -c * tab.den
+        tab.cost[j] = c
+        if type(p := tab.columns[j]) is int:
+            row0[p] = -c * tab.den
+            tab.owned_cost.append((p, c))
     for i, col in enumerate(tab.basis, start=1):
         cb = cost.get(col, 0)
         if cb:
@@ -343,14 +432,14 @@ def _drive_out_artificials(tab: _Tableau, arts) -> None:
             continue
         pivot_col = None
         for j in range(tab.n_cols):
-            if j not in arts and tab.rows[i][j] != 0:
+            if j not in arts and (a := tab.entry(i, j)) != 0:
                 pivot_col = j
                 break
         if pivot_col is None:
             del tab.rows[i]          # redundant constraint
             del tab.basis[i - 1]
             continue
-        if tab.rows[i][pivot_col] < 0:
+        if a < 0:
             tab.rows[i] = [-x for x in tab.rows[i]]
         tab.pivot(i, pivot_col)
         i += 1
@@ -434,7 +523,7 @@ def maximize(lp: LinearProgram) -> LpOutcome:
         return LpOutcome(LpStatus.INFEASIBLE)
     kept, live_rows, forcing = pre
 
-    tab, arts, reads = _build_tableau(kept, rows, live_rows, kinds)
+    tab, arts = _build_tableau(kept, rows, live_rows, kinds)
     if arts:
         _install_objective(tab, dict.fromkeys(arts, -1))
         tab.run()  # cannot be unbounded: phase-1 objective is bounded by 0
@@ -452,8 +541,8 @@ def maximize(lp: LinearProgram) -> LpOutcome:
         if col < len(kept):
             x[kept[col]] = tab.rows[i][-1]
     y = [0] * len(rows)
-    for k, (col, sign) in reads.items():
-        y[k] = sign * row0[col]
+    for t, k in enumerate(live_rows):
+        y[k] = -row0[t] if rows[k][1] < 0 else row0[t]
     _raise_forced_duals(rows, forcing, y, cost, den)
     _certify(rows, kinds, cost, x, y, den, row0[-1])
     return LpOutcome(

@@ -215,14 +215,19 @@ def projection(domain: tuple[str, ...], target: tuple[str, ...]) -> tuple[int, .
 def overlaps(s: MeasurementScenario) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
     """``(a, b, shared)`` for each context pair ``a < b`` sharing a label, in canonical order.
 
-    ``shared`` lists the common labels in scenario observable order.
+    ``shared`` lists the common labels in scenario observable order.  Contexts
+    are indexed by label, so the cost follows the pairs that share a label,
+    not all pairs of contexts.
     """
-    out = []
-    for a, b in itertools.combinations(range(s.n_contexts), 2):
-        common = set(s.contexts[a]) & set(s.contexts[b])
-        if common:
-            out.append((a, b, tuple(x for x in s.observables if x in common)))
-    return tuple(out)
+    holders: dict[str, list[int]] = {}
+    for c, ctx in enumerate(s.contexts):
+        for x in ctx:
+            holders.setdefault(x, []).append(c)
+    shared: dict[tuple[int, int], list[str]] = {}
+    for x in s.observables:
+        for a, b in itertools.combinations(holders[x], 2):
+            shared.setdefault((a, b), []).append(x)
+    return tuple((a, b, tuple(shared[a, b])) for a, b in sorted(shared))
 
 
 @lru_cache(maxsize=None)

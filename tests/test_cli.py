@@ -14,6 +14,7 @@ from amcc.analysis import classify
 from amcc.catalog import ghz_model, pr_box
 from amcc.cli import main
 from amcc.empirical import model_from_dict, model_to_dict
+from amcc.scenario import overlaps
 
 from _generators import (
     cycle_scenario,
@@ -289,9 +290,15 @@ def test_empty_cover_exits_2(capsys, monkeypatch, command):
 
 
 def test_huge_singleton_cover_exits_2(capsys, monkeypatch):
+    # No two of the 3 000 contexts share a label; the refusal must not pay for
+    # every pair of contexts on the way to the guard.  Building the document
+    # cached the scenario's overlaps, which a fresh process would not have.
     document = model_to_dict(uniform_model(singleton_scenario(3000)))
     for command in ("classify", "cf"):
+        overlaps.cache_clear()
+        start = time.perf_counter()
         code, out, err = run_cli_stdin(capsys, monkeypatch, document, command)
+        assert time.perf_counter() - start < 1
         assert (code, out) == (2, "") and "LP guard" in err
 
 

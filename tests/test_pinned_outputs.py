@@ -1,8 +1,10 @@
-"""Byte-level pins on the JSON the library and the CLI emit.
+"""Byte-level pins on the JSON the library and the CLI emit, and on the simplex.
 
 Each digest is the SHA-256 of output recorded before model rows were stored
 as integer numerators over one denominator; any change to a verdict, a
-rational's spelling or the LP's reported noncontextual part moves it.
+rational's spelling or the LP's reported noncontextual part moves it.  The
+simplex digest was recorded with the dense tableau, before the revised one:
+it pins every pivot and every field of each outcome.
 """
 
 from __future__ import annotations
@@ -10,14 +12,23 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
-from amcc import cli
+from amcc import analysis, cli, ratlp
 from amcc.analysis import classify
 from amcc.catalog import asymmetric_scc_model, ghz_model, pr_box, three_way_box
 from amcc.construct import eight_param_family, parity_system, parity_to_possibilistic
-from amcc.empirical import PossibilisticModel, lift_uniform, mix, model_to_dict
+from amcc.empirical import (
+    PossibilisticModel,
+    deterministic_model,
+    lift_uniform,
+    mix,
+    model_to_dict,
+)
 from amcc.scenario import bell_scenario
+
+from test_ratlp import PIVOTING_POINT, cf_program
 
 F = Fraction
 Q = F(1, 4)
@@ -44,11 +55,63 @@ def _models():
     for k, rest in enumerate(itertools.product(grid, repeat=7)):
         if k % 27 == 0:
             yield eight_param_family((Q,) + rest)
+    yield from _noisy_lifts_24()
+
+
+def _odd_lift_and_noise_24():
+    """bell-2-4, its one-odd-context lift and its uniform model."""
     s = bell_scenario(2, 4)
     odd = _lift(s, (1,) + (0,) * (s.n_contexts - 1))
-    noise = lift_uniform(PossibilisticModel(s, (0xF,) * s.n_contexts))
+    return s, odd, lift_uniform(PossibilisticModel(s, (0xF,) * s.n_contexts))
+
+
+def _noisy_lifts_24():
+    """The bell-2-4 one-odd-context lift mixed with uniform noise at five levels."""
+    _, odd, noise = _odd_lift_and_noise_24()
     for lam in (F(1, 8), F(1, 4), F(3, 8), F(1, 2), F(3, 4)):
         yield mix([odd, noise], [1 - lam, lam])
+
+
+def _no_symmetry_model():
+    """A bell-2-4 model no outcome flip fixes, so its CF LP is the full 64 x 256 LP.
+
+    The one-odd-context lift 1/2, uniform noise 1/4 and the all-0 and all-1
+    deterministic models 1/7 and 3/28; CF 1/4.
+    """
+    s, odd, noise = _odd_lift_and_noise_24()
+    zeros, ones = (deterministic_model(s, (v,) * len(s.observables)) for v in (0, 1))
+    return mix([odd, noise, zeros, ones], [F(1, 2), Q, F(1, 7), F(3, 28)])
+
+
+def _random_lp(rng):
+    """A small LP with equality rows, negative right-hand sides and at times a redundant row.
+
+    About half are built around a nonnegative point, so they are feasible;
+    the rest are often infeasible or unbounded.
+    """
+    n = rng.randint(1, 6)
+
+    def row():
+        return tuple(
+            (j, a) for j in range(n)
+            if (a := rng.choice((0, 0, 0, 1, 1, 2, -1, -3, F(1, 2), F(-5, 3))))
+        )
+
+    point = [rng.choice((0, 0, 1, 2, F(1, 3))) for _ in range(n)]
+    around = rng.random() < 0.5
+    a_eq = [row() for _ in range(rng.randint(0, 3))]
+    if a_eq and rng.random() < 0.4:
+        a_eq.append(tuple((j, -2 * a) for j, a in rng.choice(a_eq)))
+    a_le = [row() for _ in range(rng.randint(0, 3))]
+    b_eq = [
+        sum(a * point[j] for j, a in r) if around else rng.randint(-3, 5) for r in a_eq
+    ]
+    b_le = [
+        sum(a * point[j] for j, a in r) + rng.choice((0, 1)) if around
+        else rng.choice((0, -2, 3, F(-7, 2), F(9, 4))) for r in a_le
+    ]
+    objective = tuple(rng.choice((0, 1, 2, -1, F(1, 2))) for _ in range(n))
+    return ratlp.LinearProgram(objective, tuple(a_eq), tuple(b_eq), tuple(a_le), tuple(b_le))
 
 
 def test_model_and_classify_json_match_the_pinned_digest():
@@ -71,4 +134,48 @@ def test_parity_enumeration_stream_matches_the_pinned_digest(capsys):
     assert len(out.splitlines()) == 257
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "2c1fc38a289dfc98b4524b84ad92c2a129617a099f7fe55bd1b687dad68a507a"
+    )
+
+
+def _text(q):
+    return None if q is None else str(q)
+
+
+def test_simplex_pivots_and_outcomes_match_the_pinned_digest(monkeypatch):
+    digest = hashlib.sha256()
+    pivots = []
+    statuses = []
+    real_pivot = ratlp._Tableau.pivot
+
+    def recording_pivot(self, r, c):
+        pivots.append((r, c))
+        real_pivot(self, r, c)
+
+    def recording_maximize(lp):
+        pivots.clear()
+        out = ratlp.maximize(lp)
+        record = [
+            pivots, out.status.value, _text(out.value),
+            None if out.solution is None else [_text(q) for q in out.solution],
+            None if out.dual is None else [_text(q) for q in out.dual],
+        ]
+        digest.update(json.dumps(record).encode() + b"\n")
+        statuses.append(out.status)
+        return out
+
+    monkeypatch.setattr(ratlp._Tableau, "pivot", recording_pivot)
+    rng = random.Random(20170505)
+    for _ in range(400):
+        recording_maximize(_random_lp(rng))
+    recording_maximize(cf_program(eight_param_family(PIVOTING_POINT)))
+    # The LPs contextual_fraction hands the solver: orbit LPs, and the full
+    # LP when no flip fixes the model.
+    monkeypatch.setattr(analysis, "maximize", recording_maximize)
+    for model in _noisy_lifts_24():
+        analysis.contextual_fraction(model)
+    assert analysis.contextual_fraction(_no_symmetry_model()) == Q
+    assert len(statuses) == 407
+    assert len(set(statuses)) == 3  # optimal, infeasible and unbounded all occur
+    assert digest.hexdigest() == (
+        "adb13b3c0ea60cabb3c96d47e7d90efffc2f23c7416f2f86a7d43d24dac4eb80"
     )

@@ -2,6 +2,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amcc.errors import (
     ChainViolation,
@@ -185,6 +187,30 @@ def test_overlaps_match_set_intersection():
     assert overlaps(cover) == ((0, 2, ("A", "B")), (1, 3, ("F",)), (2, 3, ("C",)))
     for s in (bell_scenario(3, 2), bell_scenario(2, 4), cover):
         assert list(overlaps(s)) == _intersecting_pairs(s)
+
+
+@st.composite
+def covers(draw):
+    """Antichain covers of up to 7 labels, with contexts and labels in drawn orders."""
+    labels = [f"o{i}" for i in range(draw(st.integers(1, 7)))]
+    full = (1 << len(labels)) - 1
+    masks = set(draw(st.lists(st.integers(1, full), max_size=12)))
+    masks = {m for m in masks if not any(m != o and m & o == m for o in masks)}
+    covered = 0
+    for m in masks:
+        covered |= m
+    masks |= {1 << i for i in range(len(labels)) if not (covered >> i) & 1}
+    contexts = [
+        draw(st.permutations([x for i, x in enumerate(labels) if (m >> i) & 1]))
+        for m in sorted(masks)
+    ]
+    return make_scenario(draw(st.permutations(labels)), draw(st.permutations(contexts)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(covers())
+def test_overlaps_match_the_pairwise_definition(s):
+    assert list(overlaps(s)) == _intersecting_pairs(s)
 
 
 def test_polytope_dimension_known_values():
