@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Union
+from typing import Optional, Union
 
 from .empirical import (
     EmpiricalModel,
@@ -40,14 +40,14 @@ from .empirical import (
 )
 from .errors import InternalConsistencyError, SignalingInput, TooLarge
 from .ratlp import LinearProgram, LpStatus, certify, maximize
-from .scenario import MeasurementScenario, projection, section_values
+from .scenario import SCENARIO_CACHE_SIZE, MeasurementScenario, projection, section_values
 
 #: Hard cap on the size of the full incidence LP, (context, section) rows
 #: times global assignments; bell-5-2 is exactly this size.
 LP_ENTRY_LIMIT = 1 << 20
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def restriction_table(s: MeasurementScenario) -> tuple[tuple[int, ...], ...]:
     """``table[c][g]`` = canonical section index of global assignment ``g`` in context ``c``.
 
@@ -65,7 +65,7 @@ def restriction_table(s: MeasurementScenario) -> tuple[tuple[int, ...], ...]:
     return tuple(projection(s.observables, ctx) for ctx in s.contexts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def global_masks(s: MeasurementScenario) -> tuple[tuple[int, ...], ...]:
     """``masks[c][sec]`` = bitmask over global assignments restricting to ``sec``."""
     table = restriction_table(s)
@@ -78,7 +78,7 @@ def global_masks(s: MeasurementScenario) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def incidence_matrix(s: MeasurementScenario) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The 0/1 incidence matrix as sparse LP rows (cached per scenario).
 
@@ -197,7 +197,7 @@ def _flip_group(s: MeasurementScenario, stabilizers: tuple[int, ...]) -> int:
     return support_mask(PossibilisticModel(s, stabilizers))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def _orbit_lp(s: MeasurementScenario, group: int) -> _OrbitLp:
     """The orbit LP of ``s`` for the flip group H with :func:`_flip_group` bitmask ``group``.
 
@@ -339,7 +339,13 @@ def avn_certificate(m: EmpiricalModel):
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Joint verdict: contextual fraction, strong contextuality, marginals, AMCC."""
+    """Joint verdict: contextual fraction, strong contextuality, marginals, AMCC.
+
+    ``witness`` holds the JSON-ready witnesses.  ``avn`` is the zero-constraint
+    certificate of a strongly contextual model (None otherwise), checked by
+    :func:`classify` but kept as an object: :meth:`to_dict` renders it, under
+    the witness key ``"avn"``, only when ``include_avn`` asks for it.
+    """
 
     cf: Fraction
     ncf: Fraction
@@ -347,11 +353,12 @@ class ClassificationReport:
     maximal_marginal: bool
     amcc: bool
     witness: dict
+    avn: Optional[AvnCertificate] = None
 
     def to_dict(self, include_avn: bool = True) -> dict:
         witness = dict(self.witness)
-        if not include_avn:
-            witness.pop("avn", None)
+        if include_avn and self.avn is not None:
+            witness["avn"] = self.avn.to_jsonable()
         return {
             "cf": format_rational(self.cf),
             "ncf": format_rational(self.ncf),
@@ -395,13 +402,13 @@ def classify(m: EmpiricalModel) -> ClassificationReport:
             "subset": list(marg_witness.subset),
             "marginal": [format_rational(x) for x in marg_witness.marginal],
         }
+    avn = None
     if strong:
-        ok, cert = avn_certificate(m)
+        ok, avn = avn_certificate(m)
         if not ok:
             raise InternalConsistencyError(
                 "strongly contextual model has no zero-constraint certificate"
             )
-        witness["avn"] = cert.to_jsonable()
     else:
         witness["compatible_assignment"] = "".join(map(str, strong_witness))
 
@@ -412,6 +419,7 @@ def classify(m: EmpiricalModel) -> ClassificationReport:
         maximal_marginal=maxmarg,
         amcc=strong and maxmarg,
         witness=witness,
+        avn=avn,
     )
     if report.cf + report.ncf != 1 or report.amcc != (
         report.strongly_contextual and report.maximal_marginal

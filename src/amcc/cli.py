@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 
 from . import analysis, applications, catalog, construct, empirical
 from .errors import ContextualityError, InternalConsistencyError, MalformedInput, UnknownLabel
@@ -228,7 +229,14 @@ def _cmd_secret_share(args) -> int:
 _JOBS_HELP = "worker processes, capped at the CPU count; results do not depend on N"
 
 
-def build_parser() -> _Parser:
+@cache
+def _parser() -> _Parser:
+    """The ``amcc`` parser, built on first use and shared by every :func:`main` call.
+
+    ``parse_args`` keeps no state in the parser: each call starts from a
+    fresh namespace filled from the actions' defaults, and ``append`` copies
+    its default before adding to it, so one parse cannot leak into the next.
+    """
     parser = _Parser(prog="amcc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -301,9 +309,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -319,7 +326,11 @@ def main(argv=None) -> int:
         # shutdown flush instead of reporting an error.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except OSError as exc:
+        # str() names the file: "[Errno 2] No such file or directory: 'x.json'".
+        print(f"validation error: {exc}", file=sys.stderr)
+        return 2
+    except (json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"validation error: {exc!r}", file=sys.stderr)
         return 2
 

@@ -39,6 +39,11 @@ ENUMERATION_LIMIT = 24
 #: Hard cap on the settings**parties contexts of a Bell scenario.
 BELL_CONTEXT_LIMIT = 1 << 12
 
+#: Entries kept by each scenario-keyed cache, here and in ``analysis``: more
+#: than one benchmark pass touches, few enough that a long-lived process
+#: serving many scenarios keeps a bounded set of tables.
+SCENARIO_CACHE_SIZE = 256
+
 
 @dataclass(frozen=True)
 class MeasurementScenario:
@@ -181,7 +186,7 @@ def context_setting_bits(
     return tuple(bits)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def projection(domain: tuple[str, ...], target: tuple[str, ...]) -> tuple[int, ...]:
     """The restriction map from the sections of ``domain`` to those of ``target``.
 
@@ -211,7 +216,7 @@ def projection(domain: tuple[str, ...], target: tuple[str, ...]) -> tuple[int, .
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def overlaps(s: MeasurementScenario) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
     """``(a, b, shared)`` for each context pair ``a < b`` sharing a label, in canonical order.
 

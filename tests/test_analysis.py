@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from amcc import analysis
+from amcc import analysis, scenario
 from amcc.analysis import (
     avn_certificate,
     classify,
@@ -24,7 +24,7 @@ from amcc.empirical import (
     possibilistic_collapse,
 )
 from amcc.errors import SignalingInput, TooLarge
-from amcc.scenario import bell_scenario, make_scenario
+from amcc.scenario import SCENARIO_CACHE_SIZE, bell_scenario, make_scenario
 
 from _generators import cycle_scenario, fraction_rows, singleton_scenario, uniform_model
 from _oracles import chsh_noisy_cf, incidence_bruteforce
@@ -210,10 +210,27 @@ def test_classify_noncontextual_product_model():
 
 def test_classify_avn_witness_shape():
     report = classify(pr_box(0, 0, 0))
-    avn = report.witness["avn"]
+    avn = report.to_dict()["witness"]["avn"]
     assert len(avn) == 16
     assert avn[0] == {"assignment": "0000", "context": ["X1p", "X2p"], "section": "00"}
     assert "avn" not in report.to_dict(include_avn=False)["witness"]
+
+
+def test_scenario_caches_are_bounded():
+    # Relabelled copies of bell-2-2 are distinct cache keys; each cache must
+    # evict instead of keeping every scenario's tables.
+    caches = (
+        analysis.restriction_table, analysis.global_masks, analysis.incidence_matrix,
+        scenario.overlaps, scenario.projection,
+    )
+    for k in range(SCENARIO_CACHE_SIZE + 8):
+        a, ap, b, bp = (f"{x}{k}" for x in ("A", "Ap", "B", "Bp"))
+        s = make_scenario((a, ap, b, bp), ((a, b), (a, bp), (ap, b), (ap, bp)))
+        assert classify(uniform_model(s)).cf == 0
+        for cache in caches:
+            assert cache.cache_info().currsize <= SCENARIO_CACHE_SIZE
+    for cache in caches:
+        assert cache.cache_info().currsize == SCENARIO_CACHE_SIZE
 
 
 def test_classify_global_lift_of_distribution_is_noncontextual():

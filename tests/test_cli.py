@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import subprocess
 import sys
 import time
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amcc import cli
 from amcc.analysis import classify
 from amcc.catalog import ghz_model, pr_box
 from amcc.cli import main
@@ -312,9 +314,12 @@ def test_many_distinct_denominators_exit_2_quickly(capsys, monkeypatch, shape):
         assert (code, out) == (2, "") and "common denominator" in err
 
 
-def test_missing_file_exits_2(capsys):
-    code, _, err = run_cli(capsys, "classify", "/nonexistent/model.json")
-    assert code == 2
+def test_missing_file_exits_2(capsys, tmp_path):
+    # A missing path and a directory: the message names the path.
+    for path in ("/nonexistent/model.json", str(tmp_path)):
+        code, out, err = run_cli(capsys, "classify", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("validation error: [Errno ") and repr(path) in err
 
 
 def test_enumerate_csp_small_smoke(capsys):
@@ -418,6 +423,49 @@ def test_oversized_scan_grid_exits_2_before_scanning(capsys):
     # Five values on all eight parameters is 390 625 points, one LP each.
     code, out, err = run_cli(capsys, "scan", "eight-param", "--grid", "0,1/16,1/8,3/16,1/4")
     assert (code, out) == (2, "") and "390625 scan points exceed" in err
+
+
+# --- one parser per process ----------------------------------------------------
+
+
+def test_calls_share_one_parser(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(capsys, "catalog", "ghz")[0] == 0
+    assert built.count("amcc") == 1
+
+
+def _run_alone(argv):
+    """Exit code, stdout and stderr of ``argv`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "amcc", *argv], capture_output=True, text=True, env=env, check=False
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("sequence", [
+    [["scan", "eight-param", "--grid", "1/8", "--fix", "1=1/4", "--stream"],
+     ["scan", "eight-param", "--grid", "1/8", "--stream"]],
+    [["classify", "{ghz}"], ["classify", "--no-avn", "{ghz}"]],
+    [["classify", "--bogus-flag", "{ghz}"], ["cf", "{ghz}"]],
+    [["parity", "--parities", "01111111", "--classify"], ["parity", "--parities", "01111111"]],
+], ids=["fix-then-none", "avn-then-no-avn", "usage-error-then-valid", "classify-then-not"])
+def test_call_sequences_match_fresh_processes(capsys, tmp_path, sequence):
+    ghz = tmp_path / "ghz.json"
+    ghz.write_text(json.dumps(model_to_dict(ghz_model())))
+    argvs = [[arg.format(ghz=ghz) for arg in argv] for argv in sequence]
+    in_process = [run_cli(capsys, *argv) for argv in argvs]
+    assert in_process[0] != in_process[1]  # so a leak from the first call would show
+    assert in_process == [_run_alone(argv) for argv in argvs]
 
 
 # --- fuzzing the model loader through the CLI ---------------------------------
