@@ -17,7 +17,7 @@ from functools import cache
 
 from . import analysis, applications, catalog, construct, empirical
 from .errors import ContextualityError, InternalConsistencyError, MalformedInput, UnknownLabel
-from .scenario import parse_bell_token, party_label, section_values
+from .scenario import context_setting_bits, parse_bell_token, section_values
 
 
 class _UsageError(Exception):
@@ -47,6 +47,14 @@ def _read_model(path):
 
 def _emit(obj) -> None:
     print(json.dumps(obj))
+
+
+def _write_json(path, payload, what) -> None:
+    """Write ``payload`` to ``path`` as one JSON line and say so on stderr."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+        handle.write("\n")
+    print(f"wrote {what} to {path}", file=sys.stderr)
 
 
 def _parse_bits(text: str) -> tuple[int, ...]:
@@ -85,11 +93,8 @@ def _parity_system_from_args(args) -> construct.ParitySystem:
 
 
 def _context_index_from_bits(scenario, bits):
-    labels = tuple(
-        party_label(i + 1, bit) for i, bit in enumerate(bits)
-    )
-    for c, ctx in enumerate(scenario.contexts):
-        if ctx == labels:
+    for c in range(scenario.n_contexts):
+        if context_setting_bits(scenario, c) == bits:
             return c
     raise UnknownLabel(f"no context with setting bits {''.join(map(str, bits))}")
 
@@ -124,10 +129,7 @@ def _cmd_catalog(args) -> int:
         model = constructor()
     payload = empirical.model_to_dict(model)
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.write("\n")
-        print(f"wrote {args.name} to {args.emit}", file=sys.stderr)
+        _write_json(args.emit, payload, args.name)
     else:
         _emit(payload)
     return 0
@@ -146,10 +148,7 @@ def _cmd_parity(args) -> int:
     if args.classify:
         out["classification"] = analysis.classify(lift).to_dict(include_avn=False)
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as handle:
-            json.dump(empirical.model_to_dict(lift), handle)
-            handle.write("\n")
-        print(f"wrote uniform lift to {args.emit}", file=sys.stderr)
+        _write_json(args.emit, empirical.model_to_dict(lift), "uniform lift")
     _emit(out)
     return 0
 

@@ -238,7 +238,7 @@ def enumerate_parity(s: MeasurementScenario, jobs: int = 1) -> ParityEnumeration
     """
     m = s.n_contexts
     if m > PARITY_ENUMERATION_LIMIT:
-        raise TooLarge(f"{m} contexts exceed the 2**{PARITY_ENUMERATION_LIMIT} guard")
+        raise TooLarge(f"2**{m} parity vectors exceed the 2**{PARITY_ENUMERATION_LIMIT} guard")
     total = 1 << m
     verdicts = tuple(
         v for part in _map_chunks(_parity_chunk, (s,), total, jobs) for v in part

@@ -7,12 +7,13 @@ Two-phase primal simplex with Bland's anti-cycling pivot rule.  The tableau
 is kept integral ("fraction-free" pivoting: all entries share one positive
 denominator, updated by the previous pivot value), which avoids per-cell gcd
 work and is an order of magnitude faster than a Fraction tableau while
-staying exact.  It is kept in revised form: only ``den * B^-1`` and the
-right-hand side are stored, and any other column is computed from its sparse
-initial column when it is priced or enters, so a pivot rewrites an m x m
-block instead of every column, and every entry is the one the full tableau
-would hold (see :class:`_Tableau`).  Inputs and outputs are
-``fractions.Fraction``.
+staying exact.  It is kept in revised form: only ``den * B^-1``, the
+simplex multipliers ``den * pi`` (``pi = c_B B^-1``) and the right-hand side
+are stored, and any other column is computed from its sparse initial column
+when it is priced or enters.  Every column, owned or not, is priced by the
+one rule ``pi . A_j - c_j``, a pivot rewrites an m x m block instead of
+every column, and every entry is the one the full tableau would hold (see
+:class:`_Tableau`).  Inputs and outputs are ``fractions.Fraction``.
 
 A presolve pass exploits the structure of probability systems: a row with
 right-hand side 0 whose coefficients are all nonnegative forces every
@@ -21,8 +22,8 @@ this eliminates all columns through zero-probability sections, which is what
 makes strongly contextual instances resolve without any pivoting.
 
 Every optimum is certified before it is returned.  The primal ``x`` is read
-from the final basis and the dual ``y`` from the final objective row, and
-one exact check confirms ``x >= 0``, ``A_eq x = b_eq``, ``A_le x <= b_le``,
+from the final basis and the dual ``y`` from the final multipliers ``pi``,
+and one exact check confirms ``x >= 0``, ``A_eq x = b_eq``, ``A_le x <= b_le``,
 ``y >= 0`` on the ``<=`` rows, ``A^T y >= c`` and ``c.x = b.y = value``; by
 weak duality that proves ``x`` optimal.  The check runs in integers: each
 row is scaled by its least common denominator (cached per distinct row), and
@@ -146,7 +147,7 @@ def _int_program(lp: LinearProgram):
 
     ``rows`` are :func:`_scale_to_int` triples, equality rows first, and
     ``kinds`` their "eq" / "le" kinds; ``cost`` is the dense integer
-    objective ``scale * objective``.
+    objective ``scale * objective``, ``scale`` the lcm of its denominators.
     """
     n = len(lp.objective)
     kinds = ["eq"] * len(lp.a_eq) + ["le"] * len(lp.a_le)
@@ -154,10 +155,12 @@ def _int_program(lp: LinearProgram):
         _scale_to_int(row, b, n)
         for row, b in zip(tuple(lp.a_eq) + tuple(lp.a_le), tuple(lp.b_eq) + tuple(lp.b_le))
     ]
-    objective, _, scale = _scale_to_int(tuple(enumerate(lp.objective)), 0, n)
-    cost = [0] * n
-    for j, c in objective:
-        cost[j] = c
+    objective = [c if type(c) is int else Fraction(c) for c in lp.objective]
+    scale = lcm(*(c.denominator for c in objective if type(c) is not int))
+    cost = [
+        c * scale if type(c) is int else c.numerator * (scale // c.denominator)
+        for c in objective
+    ]
     return rows, kinds, cost, scale
 
 
@@ -214,47 +217,41 @@ def _dot(spec, row) -> int:
 
 
 class _Tableau:
-    """Revised integer simplex tableau: ``den * B^-1`` and the right-hand side.
+    """Revised integer simplex tableau: ``den * B^-1``, the multipliers and the right-hand side.
 
     The true tableau is ``entries / den``.  Each constraint row starts with
     one unit column that it owns (a slack or an artificial), at the row's
     position among the owned columns.  Pivots combine whole rows, so those
     columns hold ``den * B^-1``, and every current column is that block times
     the column's initial entries.  ``rows[i]`` stores row ``i``'s entries in
-    the owned columns, then its right-hand side; row 0 holds the negated
-    reduced costs and the objective value the same way.  ``columns[j]`` is
-    the position of an owned column, or the sparse initial entries of any
-    other column (see :func:`_dot`), whose row-0 entry is
-    ``-den * c_j + u . A_j`` with ``u = row0_owned + den * c_owned``.
+    the owned columns, then its right-hand side.  Row 0 holds
+    ``u = den * pi`` with ``pi = c_B B^-1`` the same way, then the objective
+    value, so every column, owned or not, has the row-0 entry (its negated
+    reduced cost) ``u . A_j - den * c_j``.  ``columns[j]`` is the position of
+    an owned column, or the sparse initial entries of any other column (see
+    :func:`_dot`).
 
     The Bareiss update ``(x * piv - f * p) // den`` acts on each column
     alone, so running it over the stored block leaves there exactly the
     entries of the dense fraction-free tableau, and a computed column equals
-    the dense one.  Pivots, primal and dual are those of the dense tableau.
+    the dense one.  It keeps ``u`` exact too: with ``f`` the pivot column's
+    row-0 entry and ``p`` the pivot row, ``u * piv - f * p`` is ``den``
+    times the next ``u``.  Pivots, primal and dual are those of the dense
+    tableau.
     """
 
     def __init__(self, rows, basis, columns):
-        self.rows = rows          # list of int lists; rows[0] is the objective row
+        self.rows = rows          # list of int lists; rows[0] is the multiplier row
         self.basis = basis        # basis[i] = column basic in constraint row i (1-based rows)
         self.columns = columns    # owned position or sparse initial column, per column
         self.den = 1
         self.cost = [0] * len(columns)  # objective of the phase, set by _install_objective
-        self.owned_cost = []      # (position, cost) of the owned columns with a cost
         self.dead = set()         # columns barred from entering (retired artificials)
         self._column = None       # (c, column c) from _leaving, taken by pivot
 
     @property
     def n_cols(self) -> int:
         return len(self.columns)
-
-    def _prices(self) -> list:
-        """``u = row0_owned + den * c_owned``, so row 0 is ``-den * c + u . A``."""
-        u = self.rows[0]
-        if self.owned_cost:
-            u = list(u)
-            for p, c in self.owned_cost:
-                u[p] += self.den * c
-        return u
 
     def entry(self, i: int, j: int) -> int:
         """Constraint row ``i``'s entry in column ``j``."""
@@ -265,14 +262,13 @@ class _Tableau:
         """Column ``c`` of every row, row 0 included."""
         spec = self.columns[c]
         if type(spec) is int:
-            return [row[spec] for row in self.rows]
-        get, coefs = spec
-        if coefs is None:
-            col = list(map(sum, map(get, self.rows)))
+            col = [row[spec] for row in self.rows]
         else:
-            col = [sum(map(mul, get(row), coefs)) for row in self.rows]
-        if self.owned_cost:
-            col[0] = _dot(spec, self._prices())
+            get, coefs = spec
+            if coefs is None:
+                col = list(map(sum, map(get, self.rows)))
+            else:
+                col = [sum(map(mul, get(row), coefs)) for row in self.rows]
         col[0] -= self.den * self.cost[c]
         return col
 
@@ -300,11 +296,10 @@ class _Tableau:
         self.basis[r - 1] = c
 
     def _entering(self) -> Optional[int]:
-        row0, den, cost, dead = self.rows[0], self.den, self.cost, self.dead
-        u = self._prices()
+        u, den, cost, dead = self.rows[0], self.den, self.cost, self.dead
         for j, spec in enumerate(self.columns):
             if type(spec) is int:  # retired artificials are owned columns
-                if row0[spec] < 0 and j not in dead:
+                if u[spec] < den * cost[j] and j not in dead:
                     return j
             else:
                 get, coefs = spec  # _dot, inlined: this loop prices every column
@@ -402,17 +397,15 @@ def _build_tableau(kept, rows, live_rows, kinds):
 def _install_objective(tab: _Tableau, cost: dict) -> None:
     """Row 0 for maximizing ``sum(cost[j] * x_j)`` from the current basis.
 
+    Row 0 is ``sum(c_B,i * rows[i])``: ``den * pi`` with ``pi = c_B B^-1`` at
+    the owned positions, and ``den`` times the basis's objective value.
     Phase one passes cost -1 on every artificial column, phase two the
     integer objective on the kept columns.
     """
     row0 = [0] * len(tab.rows[0])
     tab.cost = [0] * tab.n_cols
-    tab.owned_cost = []
     for j, c in cost.items():
         tab.cost[j] = c
-        if type(p := tab.columns[j]) is int:
-            row0[p] = -c * tab.den
-            tab.owned_cost.append((p, c))
     for i, col in enumerate(tab.basis, start=1):
         cb = cost.get(col, 0)
         if cb:

@@ -180,9 +180,10 @@ def context_setting_bits(
     bits = []
     for party, label in enumerate(s.context(c), start=1):
         base = f"X{party}"
-        if not label.startswith(base) or set(label[len(base):]) - {"p"}:
+        primes = label[len(base):]
+        if not label.startswith(base) or primes.strip("p"):
             return None
-        bits.append(len(label) - len(base))
+        bits.append(len(primes))
     return tuple(bits)
 
 

@@ -74,6 +74,23 @@ def gauss_solve(rows, rhs):
     return x
 
 
+def _basic_feasible(a, b, n):
+    """Every nonnegative basic solution of ``A z = b`` over ``n`` columns (repeats allowed).
+
+    Each column subset of at most ``len(a)`` columns is solved with the
+    others at 0; every vertex of ``{A z = b, z >= 0}`` is one of these.
+    """
+    for size in range(min(len(a), n) + 1):
+        for subset in itertools.combinations(range(n), size):
+            z_sub = gauss_solve([[row[j] for j in subset] for row in a], b)
+            if z_sub is None or any(v < 0 for v in z_sub):
+                continue
+            z = [Fraction(0)] * n
+            for j, v in zip(subset, z_sub):
+                z[j] = v
+            yield z
+
+
 def feasible_bruteforce(a, b):
     """Decide A x = b, x >= 0 by enumerating basic solutions of column subsets.
 
@@ -81,58 +98,37 @@ def feasible_bruteforce(a, b):
     feasible system, because some independent column subset supports a basic
     feasible solution whose unique solve this enumeration visits.
     """
-    m = len(a)
-    n = len(a[0]) if a else 0
-    if gauss_solve(a, b) is None:
-        return None
-    for size in range(0, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            sub = [[row[j] for j in subset] for row in a]
-            x_sub = gauss_solve(sub, b)
-            if x_sub is None or any(v < 0 for v in x_sub):
-                continue
-            residual = [
-                sum(row[j] * v for j, v in zip(subset, x_sub)) - bi
-                for row, bi in zip(a, b)
-            ]
-            if any(r != 0 for r in residual):
-                continue
-            x = [Fraction(0)] * n
-            for j, v in zip(subset, x_sub):
-                x[j] = v
-            return x
-    return None
+    return next(_basic_feasible(a, b, len(a[0]) if a else 0), None)
 
 
-def maximize_bruteforce(c, a_le, b_le):
-    """Optimum of max c.x, A x <= b, x >= 0 by basic-solution enumeration.
+def lp_bruteforce(c, a_eq, b_eq, a_le, b_le):
+    """``(status, value)`` of max c.x s.t. A_eq x = b_eq, A_le x <= b_le, x >= 0.
 
-    Only valid on instances whose feasible region is bounded (callers add a
-    box row).  Returns the exact optimum or None when infeasible.
+    Rows are dense.  Slack columns put the program in standard form
+    ``A z = b, z >= 0``.  It is "infeasible" when no basic solution is
+    nonnegative.  It is "unbounded" when it is feasible and some ray
+    ``d >= 0`` with ``A d = 0`` has ``c.d > 0``; those rays, scaled to
+    ``1.d = 1``, form a polytope, so the vertices of
+    ``{A d = 0, 1.d = 1, d >= 0}`` decide it.  Otherwise it is "optimal" and
+    the value is the best basic feasible solution's.
     """
-    m = len(a_le)
-    n = len(c)
-    ext = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(m)]
-           for i, row in enumerate(a_le)]
-    best = None
-    for size in range(0, m + 1):
-        for subset in itertools.combinations(range(n + m), size):
-            sub = [[row[j] for j in subset] for row in ext]
-            x_sub = gauss_solve(sub, b_le)
-            if x_sub is None or any(v < 0 for v in x_sub):
-                continue
-            full = [Fraction(0)] * (n + m)
-            for j, v in zip(subset, x_sub):
-                full[j] = v
-            if any(
-                sum(row[j] * full[j] for j in range(n + m)) != bi
-                for row, bi in zip(ext, b_le)
-            ):
-                continue
-            value = sum(ci * xi for ci, xi in zip(c, full[:n]))
-            if best is None or value > best:
-                best = value
-    return best
+    n, m_le = len(c), len(a_le)
+    a = [list(row) + [0] * m_le for row in a_eq]
+    a += [list(row) + [int(i == k) for k in range(m_le)] for i, row in enumerate(a_le)]
+    b = list(b_eq) + list(b_le)
+    cost = list(c) + [0] * m_le
+    width = n + m_le
+
+    def objective(z):
+        return sum(Fraction(ci) * zi for ci, zi in zip(cost, z))
+
+    values = [objective(z) for z in _basic_feasible(a, b, width)]
+    if not values:
+        return "infeasible", None
+    rays = _basic_feasible(a + [[1] * width], [0] * len(a) + [1], width)
+    if any(objective(d) > 0 for d in rays):
+        return "unbounded", None
+    return "optimal", max(values)
 
 
 def matrix_rank(rows):

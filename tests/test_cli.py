@@ -410,6 +410,14 @@ def test_bell_token_with_underscore_exits_2(capsys):
     assert (code, out) == (2, "") and "not a bell scenario token" in err
 
 
+def test_oversized_parity_enumeration_exits_2_quickly(capsys):
+    # bell-5-2 has 32 contexts: the guard names the 2**32 vectors, not the contexts.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "parity", "--scenario", "bell-5-2")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "") and "2**32 parity vectors exceed the 2**20 guard" in err
+
+
 def test_cf_lp_guard_exits_2_quickly(capsys, monkeypatch):
     # 80 rows x 2**20 global assignments: a dense CF LP of gigabytes.
     payload = model_to_dict(uniform_model(cycle_scenario(20)))

@@ -14,7 +14,7 @@ from amcc.ratlp import LinearProgram, LpStatus, maximize, solve_feasibility
 from amcc.scenario import bell_scenario
 
 from _generators import fraction_rows
-from _oracles import feasible_bruteforce, maximize_bruteforce
+from _oracles import feasible_bruteforce, lp_bruteforce
 
 F = Fraction
 H = F(1, 2)
@@ -347,15 +347,14 @@ def test_feasibility_matches_bruteforce_oracle(m, n, data):
 def test_maximize_matches_vertex_enumeration(n, m, data):
     a = [[data.draw(small_fracs) for _ in range(n)] for _ in range(m)]
     b = [data.draw(nonneg_fracs) for _ in range(m)]
-    # A box row keeps the region bounded so the oracle is valid.
+    # b >= 0 and a box row: the region is never empty and always bounded.
     a.append([F(1)] * n)
     b.append(F(4))
     c = [data.draw(small_fracs) for _ in range(n)]
     lp = LinearProgram(objective=tuple(c), a_le=sparse(a), b_le=tuple(b))
     out = maximize(lp)
-    expected = maximize_bruteforce(c, a, b)
     assert out.status is LpStatus.OPTIMAL
-    assert out.value == expected
+    assert lp_bruteforce(c, (), (), a, b) == ("optimal", out.value)
     assert_dual_certificate(lp, out)
 
 
@@ -380,18 +379,27 @@ def test_maximize_with_equalities_matches_split_oracle(n, data):
     out = maximize(lp)
     a_split = [eq_row, [-x for x in eq_row], box_row]
     b_split = [eq_b, -eq_b, box_b]
-    if feasible_bruteforce_le(a_split, b_split):
-        expected = maximize_bruteforce(c, a_split, b_split)
-        assert out.status is LpStatus.OPTIMAL
-        assert out.value == expected
+    status, value = lp_bruteforce(c, (), (), a_split, b_split)
+    assert (out.status.value, out.value) == (status, value)
+    if status == "optimal":
         assert_dual_certificate(lp, out)
-    else:
-        assert out.status is LpStatus.INFEASIBLE
 
 
-def feasible_bruteforce_le(a, b):
-    """Feasibility of A x <= b, x >= 0 via the equality oracle on slacks."""
-    m = len(a)
-    ext = [list(row) + [F(1) if i == j else F(0) for j in range(m)]
-           for i, row in enumerate(a)]
-    return feasible_bruteforce(ext, b) is not None
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2), st.integers(0, 2), st.data())
+def test_maximize_status_matches_standard_form_oracle(n, m_eq, m_le, data):
+    # No box row: the region may be empty, bounded or unbounded, and equality
+    # rows and negative right-hand sides send the solver through phase one.
+    def rows(m):
+        return [[data.draw(small_fracs) for _ in range(n)] for _ in range(m)]
+
+    a_eq, a_le = rows(m_eq), rows(m_le)
+    b_eq = [data.draw(small_fracs) for _ in range(m_eq)]
+    b_le = [data.draw(small_fracs) for _ in range(m_le)]
+    c = [data.draw(small_fracs) for _ in range(n)]
+    lp = LinearProgram(tuple(c), sparse(a_eq), tuple(b_eq), sparse(a_le), tuple(b_le))
+    out = maximize(lp)
+    status, value = lp_bruteforce(c, a_eq, b_eq, a_le, b_le)
+    assert (out.status.value, out.value) == (status, value)
+    if status == "optimal":
+        assert_dual_certificate(lp, out)
