@@ -144,11 +144,12 @@ def _cmd_parity(args) -> int:
         out["solution"] = list(payload)
     else:
         out["certificate"] = list(payload)
-    lift = empirical.lift_uniform(construct.parity_to_possibilistic(ps))
-    if args.classify:
-        out["classification"] = analysis.classify(lift).to_dict(include_avn=False)
-    if args.emit:
-        _write_json(args.emit, empirical.model_to_dict(lift), "uniform lift")
+    if args.classify or args.emit:
+        lift = empirical.lift_uniform(construct.parity_to_possibilistic(ps))
+        if args.classify:
+            out["classification"] = analysis.classify(lift).to_dict(include_avn=False)
+        if args.emit:
+            _write_json(args.emit, empirical.model_to_dict(lift), "uniform lift")
     _emit(out)
     return 0
 

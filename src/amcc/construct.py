@@ -5,7 +5,11 @@ Two construction routes:
 * mod-2 parity systems: one XOR equation per context over its observables.
   GF(2) inconsistency of the system certifies that the induced half-support
   model has no compatible global assignment, and the uniform lift of such a
-  pattern is automatically no-signaling with uniform marginals.
+  pattern is automatically no-signaling with uniform marginals.  Flipping
+  the outcomes of a set of observables relabels one lift as another whose
+  parity vector differs by an element of the image of the flip map
+  GF(2)^observables → GF(2)^contexts, so the enumeration classifies one
+  lift per coset of that image.
 * free Boolean support choices treated as a constraint-satisfaction
   instance, filtered by the possibilistic no-signaling condition and
   unsatisfiability.  This route also produces asymmetric tables that the
@@ -216,25 +220,63 @@ def _map_chunks(worker, args, total, jobs):
         )
 
 
-def _classify_parities(s: MeasurementScenario, bits) -> ParityVerdict:
-    ps = ParitySystem(s, bits)
-    if parity_consistent(ps)[0]:
-        return ParityVerdict(bits, True, None, None)
-    report = analysis.classify(lift_uniform(parity_to_possibilistic(ps)))
-    return ParityVerdict(bits, False, report.cf, report.amcc)
+def _parity_checks(s: MeasurementScenario) -> tuple[int, ...]:
+    """A basis of the left kernel of the flip map, as masks over enumeration indices.
+
+    Each residual combination of :func:`gf2_eliminate` on the context
+    coefficient masks sums to the zero equation, so a parity vector is
+    consistent exactly when its parity against every check is 0.  Context
+    ``c`` is bit ``m - 1 - c`` of the index (:func:`section_values` is
+    big-endian).
+    """
+    m = s.n_contexts
+    ps = ParitySystem(s, (0,) * m)
+    _, residual = gf2_eliminate([ps.coefficient_mask(c) for c in range(m)], ps.parities)
+    return tuple(
+        sum(1 << (m - 1 - c) for c in _combo_indices(row[2])) for row in residual
+    )
 
 
 def _parity_chunk(s: MeasurementScenario, start: int, end: int) -> list[ParityVerdict]:
+    """Verdicts for the parity vectors with enumeration index in ``[start, end)``.
+
+    A vector's syndrome, its parities against :func:`_parity_checks`, names
+    its coset of the flip image.  The first vector of the chunk with a
+    nonzero syndrome has its uniform lift classified; later vectors with
+    that syndrome reuse its verdict.
+    """
     m = s.n_contexts
-    return [_classify_parities(s, section_values(i, m)) for i in range(start, end)]
+    checks = _parity_checks(s)
+    classified = {}  # syndrome -> (cf, amcc)
+    out = []
+    for i in range(start, end):
+        bits = section_values(i, m)
+        syndrome = tuple((i & check).bit_count() & 1 for check in checks)
+        if not any(syndrome):
+            out.append(ParityVerdict(bits, True, None, None))
+            continue
+        if syndrome not in classified:
+            report = analysis.classify(
+                lift_uniform(parity_to_possibilistic(ParitySystem(s, bits)))
+            )
+            classified[syndrome] = (report.cf, report.amcc)
+        out.append(ParityVerdict(bits, False, *classified[syndrome]))
+    return out
 
 
 def enumerate_parity(s: MeasurementScenario, jobs: int = 1) -> ParityEnumeration:
     """Classify every parity vector of a scenario.
 
-    Consistent vectors are counted; inconsistent ones get their uniform lift
-    fully classified.  The verdict list is in lexicographic parity order and
-    independent of ``jobs``, which is capped at the CPU count.
+    Consistent vectors, the image of the flip map
+    δ: GF(2)^observables → GF(2)^contexts, are counted; inconsistent ones
+    get the verdict of their uniform lift.  Flipping the outcomes of the
+    observables in ``v`` maps the lift of ``p`` onto the lift of
+    ``p ⊕ δ(v)``, and that relabelling keeps CF, strong contextuality and
+    maximal marginals, so all vectors of one coset of the image share a
+    verdict: each chunk classifies the first vector it meets in a coset and
+    copies that verdict to the rest.  The verdict list is in lexicographic
+    parity order and independent of ``jobs``, which is capped at the CPU
+    count.
     """
     m = s.n_contexts
     if m > PARITY_ENUMERATION_LIMIT:

@@ -141,7 +141,8 @@ def uniform_model(s):
     )
 
 
-def _parity_lift(s, bits):
+def parity_lift(s, bits):
+    """The uniform lift of the parity system ``bits`` on ``s``."""
     return lift_uniform(parity_to_possibilistic(parity_system(s, bits)))
 
 
@@ -156,7 +157,7 @@ def vertex_mixtures(draw, s):
             parts.append(deterministic_model(s, section_values(g, n)))
         else:
             bits = draw(st.lists(st.integers(0, 1), min_size=s.n_contexts, max_size=s.n_contexts))
-            parts.append(_parity_lift(s, bits))
+            parts.append(parity_lift(s, bits))
     weights = draw(st.lists(st.integers(1, 6), min_size=len(parts), max_size=len(parts)))
     return mix(parts, [Fraction(w, sum(weights)) for w in weights])
 
@@ -186,7 +187,7 @@ def noisy_parity_lifts(draw, min_noise=0):
     s = draw(st.sampled_from([SCENARIO_22, SCENARIO_32]))
     bits = draw(st.lists(st.integers(0, 1), min_size=s.n_contexts, max_size=s.n_contexts))
     lam = Fraction(draw(st.integers(min_noise, 8)), 8)
-    return mix([_parity_lift(s, bits), uniform_model(s)], [1 - lam, lam])
+    return mix([parity_lift(s, bits), uniform_model(s)], [1 - lam, lam])
 
 
 EIGHT_PARAM_VALUES = tuple(Fraction(k, 16) for k in range(5))

@@ -267,3 +267,78 @@ def parity_solutions_322(parities):
         g for g in BELL_322_ASSIGNMENTS
         if all(sum(section_322(g, c)) % 2 == p for c, p in parities.items())
     ]
+
+
+# --- parity vectors of bell-n-2 -------------------------------------------------
+#
+# Layout restated for bell-n-2 (n parties, two settings each): party k's
+# setting s is observable 2*k + s, and a context picks one setting per party.
+# The counts below do not depend on the order of observables or contexts.
+
+
+def bell_n2_contexts(n: int):
+    """Each context of bell-n-2 as the tuple of its observables' indices."""
+    return [
+        tuple(2 * k + s for k, s in enumerate(settings))
+        for settings in itertools.product((0, 1), repeat=n)
+    ]
+
+
+def gf2_rank(masks) -> int:
+    """Rank over GF(2) of rows given as integer bitmasks."""
+    rows = [m for m in masks if m]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        low = pivot & -pivot
+        rows = [r ^ pivot if r & low else r for r in rows]
+        rows = [r for r in rows if r]
+        rank += 1
+    return rank
+
+
+def bell_n2_consistent_bruteforce(n: int) -> int:
+    """Parity vectors of bell-n-2 that some global assignment satisfies, one by one.
+
+    Vector ``p`` (one bit per context) is consistent when an assignment of
+    0/1 outcomes to the 2n observables makes every context's outcome sum
+    equal its bit mod 2.  Costs 2^(2^n) * 4^n checks: n <= 3 only.
+    """
+    contexts = bell_n2_contexts(n)
+    assignments = list(itertools.product((0, 1), repeat=2 * n))
+    return sum(
+        1
+        for p in itertools.product((0, 1), repeat=len(contexts))
+        if any(
+            all(sum(g[x] for x in ctx) % 2 == bit for ctx, bit in zip(contexts, p))
+            for g in assignments
+        )
+    )
+
+
+def bell_n2_consistent_by_rank(n: int) -> int:
+    """The same count as 2^rank: the consistent vectors are the image of the flip map."""
+    return 1 << gf2_rank(sum(1 << x for x in ctx) for ctx in bell_n2_contexts(n))
+
+
+def bell_n2_amcc_count(n: int) -> int:
+    """AMCC uniform lifts among the parity vectors of bell-n-2, counted independently.
+
+    Every GF(2)-inconsistent vector's uniform lift is AMCC, so the count is
+    the number of inconsistent vectors: brute force for n <= 3, the rank
+    count above n = 3.
+    """
+    consistent = (
+        bell_n2_consistent_bruteforce(n) if n <= 3 else bell_n2_consistent_by_rank(n)
+    )
+    return (1 << (1 << n)) - consistent
+
+
+def bell_n2_amcc_closed_form(n: int) -> int:
+    """2^(2^n) - 2^(n+1).
+
+    For each party k the flip columns of observables 2k and 2k + 1 sum to
+    the all-ones vector, so the flip map has rank 2n - (n - 1) = n + 1 and
+    2^(n+1) of the 2^(2^n) vectors are consistent.
+    """
+    return (1 << (1 << n)) - (1 << (n + 1))

@@ -2,12 +2,14 @@ import hashlib
 import itertools
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
 from amcc.analysis import classify, contextual_fraction, is_strongly_contextual
 from amcc.catalog import ghz_model, pr_box
+from amcc import construct
 from amcc.construct import (
     candidate_model,
     boolean_no_signaling,
@@ -33,9 +35,16 @@ from amcc.empirical import (
     possibilistic_collapse,
 )
 from amcc.errors import LengthMismatch, MalformedInput, OutOfRange, TooLarge, TooManyCandidates
-from amcc.scenario import bell_scenario, make_scenario
+from amcc.scenario import bell_scenario, make_scenario, section_index
 
-from _generators import fraction_rows
+from _generators import cycle_scenario, flipped_tables, fraction_rows, parity_lift
+from _oracles import (
+    bell_n2_amcc_closed_form,
+    bell_n2_amcc_count,
+    bell_n2_consistent_bruteforce,
+    bell_n2_consistent_by_rank,
+    gf2_rank,
+)
 
 F = Fraction
 H = F(1, 2)
@@ -45,19 +54,6 @@ S32 = bell_scenario(3, 2)
 
 PR_PARITIES = (0, 0, 0, 1)
 EXAMPLE_PARITIES_32 = (0, 1, 1, 1, 1, 1, 1, 1)
-
-
-def gf2_rank(masks):
-    """Independent GF(2) rank via bit-level elimination."""
-    rank = 0
-    rows = list(masks)
-    for bit in range(max(m.bit_length() for m in rows)):
-        pivot = next((r for r in rows if (r >> bit) & 1), None)
-        if pivot is None:
-            continue
-        rows = [r ^ pivot if (r >> bit) & 1 else r for r in rows if r != pivot]
-        rank += 1
-    return rank
 
 
 def context_masks(s):
@@ -202,6 +198,79 @@ def test_enumerate_parity_jobs_invariance():
     sequential = enumerate_parity(S22, jobs=1)
     parallel = enumerate_parity(S22, jobs=2)
     assert sequential == parallel
+
+
+def shuffled_bell_32(seed):
+    """bell-3-2 with its observables and contexts shuffled, as the benchmark builds it."""
+    base = bell_scenario(3, 2)
+    observables, contexts = list(base.observables), list(base.contexts)
+    rng = random.Random(seed)
+    rng.shuffle(observables)
+    rng.shuffle(contexts)
+    return make_scenario(observables, contexts)
+
+
+# On this shuffle, unlike the unshuffled order, reading context c as index
+# bit c instead of bit m - 1 - c changes 24 consistency verdicts.
+PARITY_COVERS = {"bell-2-2": S22, "bell-3-2-shuffled": shuffled_bell_32(1), "cycle-5": cycle_scenario(5)}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_COVERS))
+def test_enumerate_parity_verdicts_match_each_vectors_own_lift(name):
+    s = PARITY_COVERS[name]
+    total = 1 << s.n_contexts
+    own = {}
+    for bits in itertools.product((0, 1), repeat=s.n_contexts):
+        report = classify(parity_lift(s, bits))
+        consistent = not report.strongly_contextual
+        own[bits] = (consistent, None, None) if consistent else (False, report.cf, report.amcc)
+
+    def check(verdicts, start):
+        for i, v in enumerate(verdicts, start):
+            assert section_index(v.parities) == i
+            assert (v.consistent, v.cf, v.amcc) == own[v.parities]
+
+    check(enumerate_parity(s).verdicts, 0)
+    # Chunks that open or close partway through a coset classify their own
+    # representatives.
+    for start, end in ((1, total), (total // 3, total), (total - 3, total), (5, total - 2)):
+        check(construct._parity_chunk(s, start, end), start)
+
+
+def test_coset_representative_lift_relabels_onto_every_member():
+    verdicts = enumerate_parity(S32).verdicts
+    by_bits = {v.parities: v for v in verdicts}
+    reps = []  # first vector of each coset of the flip image, in enumeration order
+    for v in verdicts:
+        if v.consistent:
+            continue
+        p = v.parities
+        for r in reps:
+            ok, flip = parity_consistent(parity_system(S32, tuple(a ^ b for a, b in zip(p, r))))
+            if ok:
+                break
+        else:
+            reps.append(p)
+            r, flip = p, (0,) * len(S32.observables)
+        # Flipping the outcomes of the observables in ``flip`` maps r's lift onto p's.
+        h = section_index(flip)
+        assert flipped_tables(parity_lift(S32, r), h) == fraction_rows(parity_lift(S32, p))
+        assert (by_bits[r].cf, by_bits[r].amcc) == (v.cf, v.amcc)
+    assert len(reps) == (1 << (8 - 4)) - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bell_n2_amcc_count_oracle_matches_closed_form(n):
+    assert bell_n2_amcc_count(n) == bell_n2_amcc_closed_form(n)
+    if n <= 3:
+        assert bell_n2_consistent_bruteforce(n) == bell_n2_consistent_by_rank(n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_enumerate_parity_amcc_count_matches_oracle(n):
+    report = enumerate_parity(bell_scenario(n, 2))
+    assert report.amcc_count == bell_n2_amcc_count(n)
+    assert report.consistent_count == bell_n2_consistent_bruteforce(n)
 
 
 def test_csp_preset_counts_and_eq41_membership():
