@@ -4,7 +4,7 @@ Scenarios and empirical models are exact-rational; contextuality is decided
 both by linear programming (contextual fraction) and by exhaustive support
 scans, and the two routes are cross-checked.  Construction helpers generate
 maximally contextual models from parity systems and Boolean constraint
-choices, and application helpers certify marginal randomness and simulate a
+choices, and application helpers report marginal min-entropy and simulate a
 secret-sharing protocol.
 """
 
@@ -21,7 +21,6 @@ from .applications import (
     EntropyReport,
     SecretShareResult,
     ShareRound,
-    certify_amcc_entropy,
     guessing_probability,
     min_entropy,
     secret_share_simulate,

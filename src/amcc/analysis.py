@@ -16,7 +16,8 @@ per-context stabilisers.  The optimum is lifted back (each assignment takes
 its coset's weight, each row its orbit's dual divided by the orbit size)
 and the lifted pair must pass :func:`~amcc.ratlp.certify` on the full LP
 from :func:`incidence_matrix`; that check, not the reduction, decides.  With
-H trivial the orbit LP is the full LP column for column.
+H trivial the orbit LP is the full LP column for column, and
+:func:`incidence_matrix` is exactly that LP's rows.
 
 ``classify`` runs both routes and raises ``InternalConsistencyError`` if they
 ever disagree, rather than returning a silently wrong verdict.
@@ -78,24 +79,15 @@ def global_masks(s: MeasurementScenario) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def incidence_matrix(s: MeasurementScenario) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The 0/1 incidence matrix as sparse LP rows (cached per scenario).
+    """The 0/1 incidence matrix as sparse LP rows: the orbit LP of the trivial group.
 
     Rows are the (context, section) pairs in canonical order, columns the
     global assignments; row ``r`` lists ``(g, 1)`` for each assignment ``g``
     restricting to its section, in increasing ``g``, so every column has
     exactly one 1 per context.
     """
-    table = restriction_table(s)  # its size guard runs before any row is built
-    units = [(g, 1) for g in range(1 << len(s.observables))]
-    rows = []
-    for c, proj in enumerate(table):
-        hits = [[] for _ in range(s.n_sections(c))]
-        for unit, sec in zip(units, proj):
-            hits[sec].append(unit)
-        rows.extend(map(tuple, hits))
-    return tuple(rows)
+    return _orbit_lp(s, 1).a_le
 
 
 def _require_no_signaling(m: EmpiricalModel) -> None:
@@ -205,6 +197,7 @@ def _orbit_lp(s: MeasurementScenario, group: int) -> _OrbitLp:
     ``g ^ h`` for ``h`` in H joins the next new coset) and row orbits by
     context, then least section.  With H trivial this is the full LP.
     """
+    table = restriction_table(s)  # its size guard runs before any list is built
     members = [h for h in range(group.bit_length()) if (group >> h) & 1]
     column_of = [None] * (1 << len(s.observables))
     cosets = []
@@ -215,7 +208,7 @@ def _orbit_lp(s: MeasurementScenario, group: int) -> _OrbitLp:
             cosets.append(g)
 
     order = len(members)
-    table = restriction_table(s)
+    units = {}  # coefficient -> one shared (column, coefficient) pair per coset
     a_le, row_reps, row_size, row_of = [], [], [], []
     for c, proj in enumerate(table):
         span = {proj[h] for h in members}
@@ -228,10 +221,12 @@ def _orbit_lp(s: MeasurementScenario, group: int) -> _OrbitLp:
                 row_size.append(len(span))
             row_of.append(orbit_of[sec])
         coef = order // len(span)
+        if coef not in units:
+            units[coef] = [(j, coef) for j in range(len(cosets))]
         first = len(a_le)
         hits = [[] for _ in range(len(row_reps) - first)]
-        for j, rep in enumerate(cosets):
-            hits[orbit_of[proj[rep]] - first].append((j, coef))
+        for unit, rep in zip(units[coef], cosets):
+            hits[orbit_of[proj[rep]] - first].append(unit)
         a_le.extend(map(tuple, hits))
     return _OrbitLp(
         order=order,

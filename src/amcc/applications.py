@@ -1,8 +1,9 @@
 """Applications: certified-randomness reports and a secret-sharing simulator.
 
 The guessing probability of a marginal is its largest entry; min-entropy is
-its negative binary logarithm.  For models with maximal marginals every
-size-k subset certifies exactly k bits.  The secret-sharing simulator runs
+its negative binary logarithm; no adversary model enters either figure.
+For models with maximal marginals every size-k marginal has min-entropy
+exactly k bits.  The secret-sharing simulator runs
 the dealer-key protocol on a strongly contextual parity resource at desk
 scale: outcomes are sampled from the half-support pattern, test rounds check
 the parity equation of the sampled context, and secret rounds encrypt one
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .construct import ParitySystem, parity_consistent, parity_to_possibilistic
-from .empirical import EmpiricalModel, format_rational, marginal, proper_subsets
+from .empirical import EmpiricalModel, format_rational, marginal
 from .errors import ConsistentResource, NotASubset, RowNotNormalized, TooLarge
 from .scenario import bell_token, context_setting_bits, scenario_to_dict, section_values
 
@@ -62,20 +63,6 @@ def min_entropy(m: EmpiricalModel, c: int, subset: Sequence[str]) -> EntropyRepo
     return EntropyReport(
         guess_probability=p, min_entropy_bits=bits, subset_size=len(subset)
     )
-
-
-def certify_amcc_entropy(m: EmpiricalModel) -> bool:
-    """True iff every proper size-k marginal certifies exactly k bits.
-
-    Checked as the exact rational condition guess probability = 1/2**k,
-    which (the marginal being a distribution over 2**k sections) forces the
-    whole marginal to be uniform.
-    """
-    for c in range(m.scenario.n_contexts):
-        for subset in proper_subsets(m.scenario.context(c)):
-            if guessing_probability(m, c, subset) != Fraction(1, 1 << len(subset)):
-                return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -65,11 +65,16 @@ def _parse_bits(text: str) -> tuple[int, ...]:
 
 
 def _parse_hexbits(text: str) -> tuple[int, ...]:
-    try:
-        raw = bytes.fromhex(text if len(text) % 2 == 0 else "0" + text)
-    except ValueError:
-        raise _UsageError(f"expected hex digits, got {text!r}") from None
-    return tuple(bit for byte in raw for bit in section_values(byte, 8))
+    """Four bits per ASCII hex digit, most significant first."""
+    if text.strip("0123456789abcdefABCDEF"):
+        raise _UsageError(f"expected hex digits, got {text!r}")
+    return tuple(bit for digit in text for bit in section_values(int(digit, 16), 4))
+
+
+def _jobs(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
 
 
 def _parity_system_from_args(args) -> construct.ParitySystem:
@@ -156,7 +161,7 @@ def _cmd_parity(args) -> int:
 
 def _cmd_enumerate_parity(args) -> int:
     s = parse_bell_token(args.scenario)
-    report = construct.enumerate_parity(s, jobs=args.jobs)
+    report = construct.enumerate_parity(s, jobs=_jobs(args))
     if args.stream:
         for v in report.to_dict(include_verdicts=True)["verdicts"]:
             _emit(v)
@@ -167,7 +172,7 @@ def _cmd_enumerate_parity(args) -> int:
 def _cmd_enumerate_csp(args) -> int:
     base, extendable = construct.csp_extension_preset(args.preset)
     report = construct.csp_enumerate_extension(
-        base, extendable, jobs=args.jobs, collect=args.stream
+        base, extendable, jobs=_jobs(args), collect=args.stream
     )
     if args.stream:
         for cand in report.passing:

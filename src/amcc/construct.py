@@ -30,6 +30,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 from . import analysis
@@ -51,6 +52,7 @@ from .errors import (
     TooManyCandidates,
 )
 from .scenario import (
+    SCENARIO_CACHE_SIZE,
     MeasurementScenario,
     bell_scenario,
     bell_token,
@@ -112,20 +114,28 @@ def _combo_indices(combo: int) -> tuple[int, ...]:
     return tuple(i for i in range(combo.bit_length()) if (combo >> i) & 1)
 
 
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
+def _gf2_basis(s: MeasurementScenario):
+    """:func:`gf2_eliminate` of the context coefficient masks, shared by every parity vector of ``s``."""
+    ps = ParitySystem(s, ())
+    return gf2_eliminate([ps.coefficient_mask(c) for c in range(s.n_contexts)])
+
+
 def parity_consistent(ps: ParitySystem):
     """Decide the XOR system by Gaussian elimination over GF(2).
 
     Returns ``(True, solution)`` with one satisfying bit per observable
     (free variables set to 0), or ``(False, certificate)`` where the
     certificate is a tuple of equation indices whose mod-2 sum is the
-    contradiction 0 = 1.
+    contradiction 0 = 1: the first residual combination of the scenario's
+    elimination on which the parities are odd.
     """
-    masks = [ps.coefficient_mask(c) for c in range(ps.scenario.n_contexts)]
-    pivots, residual = gf2_eliminate(masks, ps.parities)
-    for row in residual:
-        if row[1]:
-            return False, _combo_indices(row[2])
-    assignment = gf2_back_substitute(pivots)
+    pivots, residual = _gf2_basis(ps.scenario)
+    rhs = sum(bit << c for c, bit in enumerate(ps.parities))
+    for combo in residual:
+        if (combo & rhs).bit_count() & 1:
+            return False, _combo_indices(combo)
+    assignment = gf2_back_substitute(pivots, rhs)
     n = len(ps.scenario.observables)
     return True, tuple((assignment >> i) & 1 for i in range(n))
 
@@ -203,64 +213,33 @@ class ParityEnumeration:
         return out
 
 
-def _map_chunks(worker, args, total, jobs):
-    """``worker(*args, start, end)`` over ``[0, total)`` cut into consecutive chunks.
+def _map_chunks(worker, args, items, jobs):
+    """``worker(*args, chunk)`` over ``items`` cut into consecutive slices.
 
-    Uses ``min(jobs, os.cpu_count(), total)`` chunks, capped before any
-    bound is built; one chunk runs in this process, more go to a process
-    pool with one worker per chunk.  Returns the chunk results in order.
+    Uses ``min(jobs, os.cpu_count(), len(items))`` chunks, at least one,
+    capped before any slice is cut; one chunk runs in this process, more go
+    to a process pool with one worker per chunk.  Returns the chunk results
+    in order.
     """
-    jobs = max(1, min(jobs, os.cpu_count() or 1, total))
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = max(1, min(jobs, os.cpu_count() or 1, len(items)))
     if jobs == 1:
-        return [worker(*args, 0, total)]
-    bounds = [total * k // jobs for k in range(jobs + 1)]
+        return [worker(*args, items)]
+    bounds = [len(items) * k // jobs for k in range(jobs + 1)]
     with multiprocessing.Pool(processes=jobs) as pool:
         return pool.starmap(
-            worker, [(*args, bounds[k], bounds[k + 1]) for k in range(jobs)]
+            worker, [(*args, items[bounds[k]:bounds[k + 1]]) for k in range(jobs)]
         )
 
 
-def _parity_checks(s: MeasurementScenario) -> tuple[int, ...]:
-    """A basis of the left kernel of the flip map, as masks over enumeration indices.
-
-    Each residual combination of :func:`gf2_eliminate` on the context
-    coefficient masks sums to the zero equation, so a parity vector is
-    consistent exactly when its parity against every check is 0.  Context
-    ``c`` is bit ``m - 1 - c`` of the index (:func:`section_values` is
-    big-endian).
-    """
-    m = s.n_contexts
-    ps = ParitySystem(s, (0,) * m)
-    _, residual = gf2_eliminate([ps.coefficient_mask(c) for c in range(m)], ps.parities)
-    return tuple(
-        sum(1 << (m - 1 - c) for c in _combo_indices(row[2])) for row in residual
-    )
-
-
-def _parity_chunk(s: MeasurementScenario, start: int, end: int) -> list[ParityVerdict]:
-    """Verdicts for the parity vectors with enumeration index in ``[start, end)``.
-
-    A vector's syndrome, its parities against :func:`_parity_checks`, names
-    its coset of the flip image.  The first vector of the chunk with a
-    nonzero syndrome has its uniform lift classified; later vectors with
-    that syndrome reuse its verdict.
-    """
-    m = s.n_contexts
-    checks = _parity_checks(s)
-    classified = {}  # syndrome -> (cf, amcc)
+def _classify_lifts(s: MeasurementScenario, indices) -> list:
+    """``(cf, amcc)`` of the uniform lift of each parity vector, named by enumeration index."""
     out = []
-    for i in range(start, end):
-        bits = section_values(i, m)
-        syndrome = tuple((i & check).bit_count() & 1 for check in checks)
-        if not any(syndrome):
-            out.append(ParityVerdict(bits, True, None, None))
-            continue
-        if syndrome not in classified:
-            report = analysis.classify(
-                lift_uniform(parity_to_possibilistic(ParitySystem(s, bits)))
-            )
-            classified[syndrome] = (report.cf, report.amcc)
-        out.append(ParityVerdict(bits, False, *classified[syndrome]))
+    for i in indices:
+        ps = ParitySystem(s, section_values(i, s.n_contexts))
+        report = analysis.classify(lift_uniform(parity_to_possibilistic(ps)))
+        out.append((report.cf, report.amcc))
     return out
 
 
@@ -273,17 +252,35 @@ def enumerate_parity(s: MeasurementScenario, jobs: int = 1) -> ParityEnumeration
     observables in ``v`` maps the lift of ``p`` onto the lift of
     ``p ⊕ δ(v)``, and that relabelling keeps CF, strong contextuality and
     maximal marginals, so all vectors of one coset of the image share a
-    verdict: each chunk classifies the first vector it meets in a coset and
-    copies that verdict to the rest.  The verdict list is in lexicographic
-    parity order and independent of ``jobs``, which is capped at the CPU
-    count.
+    verdict.  A vector's syndrome, its parities against the residual
+    combinations of :func:`_gf2_basis`, names its coset and is zero exactly
+    on consistent vectors; the first vector of each nonzero syndrome is
+    classified, those representatives split across ``jobs`` workers (capped
+    at the CPU count).  The verdict list is in lexicographic parity order
+    and independent of ``jobs``.
     """
     m = s.n_contexts
     if m > PARITY_ENUMERATION_LIMIT:
         raise TooLarge(f"2**{m} parity vectors exceed the 2**{PARITY_ENUMERATION_LIMIT} guard")
     total = 1 << m
+    _, residual = _gf2_basis(s)
+    # Context c is bit m - 1 - c of the index (section_values is big-endian).
+    checks = [sum(1 << (m - 1 - c) for c in _combo_indices(combo)) for combo in residual]
+    syndromes = [
+        sum(((i & check).bit_count() & 1) << k for k, check in enumerate(checks))
+        for i in range(total)
+    ]
+    first = {}  # nonzero syndrome -> its first index, in index order
+    for i, syndrome in enumerate(syndromes):
+        if syndrome:
+            first.setdefault(syndrome, i)
+    parts = _map_chunks(_classify_lifts, (s,), list(first.values()), jobs)
+    verdict_of = {0: (True, None, None)}  # syndrome -> (consistent, cf, amcc)
+    for syndrome, (cf, amcc) in zip(first, (v for part in parts for v in part)):
+        verdict_of[syndrome] = (False, cf, amcc)
     verdicts = tuple(
-        v for part in _map_chunks(_parity_chunk, (s,), total, jobs) for v in part
+        ParityVerdict(section_values(i, m), *verdict_of[syndrome])
+        for i, syndrome in enumerate(syndromes)
     )
     return ParityEnumeration(
         total=total,
@@ -367,15 +364,15 @@ class _CspSearch:
             else:
                 self.pairs.append((i, j, proj_i, proj_j))
 
-    def scan(self, collect: bool, start: int, end: int):
-        """Count (and optionally record) passing candidates with index in [start, end)."""
+    def scan(self, collect: bool, indices: range):
+        """Count (and optionally record) passing candidates with index in ``indices``."""
         if not self.static_ok:
             return 0, []
         count = 0
         passing = []
         ranges = [range(len(masks)) for masks in self.choices]
-        picks = itertools.islice(itertools.product(*ranges), start, end)
-        for index, pick in enumerate(picks, start):
+        picks = itertools.islice(itertools.product(*ranges), indices.start, indices.stop)
+        for index, pick in enumerate(picks, indices.start):
             for i, j, proj_i, proj_j in self.pairs:
                 if proj_i[pick[i]] != proj_j[pick[j]]:
                     break  # signaling
@@ -408,7 +405,7 @@ def csp_enumerate_extension(
     """
     extendable = tuple(sorted(set(int(c) for c in extendable_contexts)))
     search = _CspSearch(base, extendable)
-    parts = _map_chunks(search.scan, (collect,), search.total, jobs)
+    parts = _map_chunks(search.scan, (collect,), range(search.total), jobs)
     return CspEnumeration(
         candidates=search.total,
         passing_count=sum(count for count, _ in parts),

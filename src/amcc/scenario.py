@@ -242,53 +242,44 @@ def parity_mask(width: int, parity: int) -> int:
     return sum(1 << sec for sec in range(1 << width) if sec.bit_count() & 1 == parity)
 
 
-def gf2_eliminate(masks: Sequence[int], parities: Sequence[int]):
+def gf2_eliminate(masks: Sequence[int]):
     """Row-echelon elimination over GF(2) with provenance tracking.
 
-    Equation ``i`` is ``parity(masks[i] & x) == parities[i]`` over the bits of
-    ``x``.  Rows are (coefficient mask, parity bit, combination mask over the
-    original equations).  Returns (pivot rows, residual rows): pivot rows are
-    ``(variable, row)`` by ascending variable, each row zero on every lower
-    bit; residual rows have zero coefficients, and any residual with parity 1
-    certifies inconsistency via the original equations in its combination
-    mask.
+    Equation ``i`` is ``parity(masks[i] & x) == b_i`` over the bits of ``x``,
+    with the right-hand side ``b`` left open: pivot choice depends on the
+    masks alone.  Rows are (coefficient mask, combination mask over the
+    original equations), and a row's right-hand side is the parity of ``b``
+    on its combination.  Returns (pivot rows, residual combinations): pivot
+    rows are ``(variable, mask, combination)`` by ascending variable, each
+    mask zero on every lower bit; each residual combination sums to the zero
+    equation, so a ``b`` with odd parity on it certifies inconsistency.
     """
-    rows = [
-        [mask, parity, 1 << i]
-        for i, (mask, parity) in enumerate(zip(masks, parities))
-    ]
-    pivots = []  # (variable index, row)
+    rows = [(mask, 1 << i) for i, mask in enumerate(masks)]
+    pivots = []
     n_vars = max((m.bit_length() for m in masks), default=0)
-    remaining = rows
     for var in range(n_vars):
         bit = 1 << var
-        pivot = None
-        rest = []
-        for row in remaining:
-            if pivot is None and row[0] & bit:
-                pivot = row
-            else:
-                rest.append(row)
+        pivot = next((row for row in rows if row[0] & bit), None)
         if pivot is None:
             continue
-        for row in rest:
-            if row[0] & bit:
-                row[0] ^= pivot[0]
-                row[1] ^= pivot[1]
-                row[2] ^= pivot[2]
-        pivots.append((var, pivot))
-        remaining = rest
-    return pivots, remaining
+        rows = [
+            (row[0] ^ pivot[0], row[1] ^ pivot[1]) if row[0] & bit else row
+            for row in rows
+            if row is not pivot
+        ]
+        pivots.append((var, *pivot))
+    return tuple(pivots), tuple(combo for _, combo in rows)
 
 
-def gf2_back_substitute(pivots) -> int:
+def gf2_back_substitute(pivots, rhs: int) -> int:
     """The solution of the pivot rows of :func:`gf2_eliminate` with every free variable 0.
 
-    Each pivot variable is solved from its row, last pivot first.
+    ``rhs`` is the right-hand side as a bitmask over the original equations;
+    each pivot variable is solved from its row, last pivot first.
     """
     x = 0
-    for var, row in reversed(pivots):
-        if row[1] ^ ((row[0] & x).bit_count() & 1):
+    for var, mask, combo in reversed(pivots):
+        if ((combo & rhs).bit_count() ^ (mask & x).bit_count()) & 1:
             x |= 1 << var
     return x
 

@@ -20,7 +20,6 @@ from functools import lru_cache
 
 from amcc.analysis import classify, contextual_fraction
 from amcc.applications import (
-    certify_amcc_entropy,
     min_entropy,
     secret_share_simulate,
 )
@@ -402,7 +401,13 @@ def test_criterion_11_applications():
         deterministic_model(S22, (0, 0, 0, 0)),
     ]
     ok = all(
-        certify_amcc_entropy(m) == is_maximal_marginal(m)[0] for m in models
+        all(
+            min_entropy(m, c, subset).guess_probability == F(1, 1 << len(subset))
+            for c in range(m.scenario.n_contexts)
+            for subset in proper_subsets(m.scenario.contexts[c])
+        )
+        == is_maximal_marginal(m)[0]
+        for m in models
     )
 
     for model in (ghz_model(), three_way_box(), pr_box(0, 0, 0)):

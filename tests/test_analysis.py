@@ -78,11 +78,19 @@ def test_incidence_matrix_matches_bruteforce(name):
 
 @pytest.mark.parametrize("name", sorted(INCIDENCE_SCENARIOS))
 def test_orbit_lp_of_trivial_group_is_incidence_matrix(name):
-    # Two independent builders of the full LP; group 1 holds only the identity flip.
+    # Group 1 holds only the identity flip: every assignment is its own
+    # column and every (context, section) row its own orbit.
     s = INCIDENCE_SCENARIOS[name]
     orbits = analysis._orbit_lp(s, 1)
+    n_rows = sum(s.n_sections(c) for c in range(s.n_contexts))
     assert orbits.order == 1
     assert orbits.a_le == incidence_matrix(s)
+    assert orbits.column_of == tuple(range(1 << len(s.observables)))
+    assert orbits.row_of == tuple(range(n_rows))
+    assert orbits.row_size == (1,) * n_rows
+    assert orbits.row_reps == tuple(
+        (c, sec) for c in range(s.n_contexts) for sec in range(s.n_sections(c))
+    )
 
 
 def test_incidence_matrix_guard():
@@ -220,7 +228,7 @@ def test_scenario_caches_are_bounded():
     # Relabelled copies of bell-2-2 are distinct cache keys; each cache must
     # evict instead of keeping every scenario's tables.
     caches = (
-        analysis.restriction_table, analysis.global_masks, analysis.incidence_matrix,
+        analysis.restriction_table, analysis.global_masks, analysis._orbit_lp,
         scenario.overlaps, scenario.projection,
     )
     for k in range(SCENARIO_CACHE_SIZE + 8):

@@ -5,7 +5,6 @@ import pytest
 
 from amcc.applications import (
     SECRET_SHARE_ROUND_LIMIT,
-    certify_amcc_entropy,
     guessing_probability,
     min_entropy,
     secret_share_simulate,
@@ -74,21 +73,6 @@ def test_min_entropy_equals_subset_size_on_maximal_marginal_models():
     for c in range(model.scenario.n_contexts):
         for subset in proper_subsets(model.scenario.contexts[c]):
             assert min_entropy(model, c, subset).min_entropy_bits == float(len(subset))
-
-
-def test_certify_amcc_entropy():
-    assert certify_amcc_entropy(ghz_model())
-    assert certify_amcc_entropy(pr_box(0, 0, 0))
-    assert certify_amcc_entropy(three_way_box())
-    assert not certify_amcc_entropy(asymmetric_scc_model())
-    assert not certify_amcc_entropy(deterministic_model(S22, (0, 0, 0, 0)))
-
-
-def test_certify_matches_maximal_marginal_flag():
-    from amcc.empirical import is_maximal_marginal
-
-    for model in (ghz_model(), pr_box(1, 1, 0), asymmetric_scc_model(), three_way_box()):
-        assert certify_amcc_entropy(model) == is_maximal_marginal(model)[0]
 
 
 def honest_run(seed, rounds=200):

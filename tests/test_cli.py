@@ -259,6 +259,21 @@ def test_secret_share_transcript(capsys):
     assert result["success"] is True
 
 
+def test_secret_share_reads_four_bits_per_hex_digit(capsys):
+    args = (
+        "secret-share", "--parities", "01111111", "--rounds", "50",
+        "--test-fraction", "1/5", "--seed", "42", "--secret",
+    )
+    for secret, bits in (("a", (1, 0, 1, 0)), ("a5F", (1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 1, 1))):
+        code, out, _ = run_cli(capsys, *args, secret)
+        assert code == 0
+        sent = json.loads(out.strip().splitlines()[-1])["result"]["secret_bits_sent"]
+        assert sent and sent == [bits[k % len(bits)] for k in range(len(sent))]
+    for secret in ("a5 b6", "0x5", "g", "a\u0663"):  # "\u0663" is an Arabic-Indic digit
+        code, out, err = run_cli(capsys, *args, secret)
+        assert (code, out) == (1, "") and "hex digits" in err
+
+
 def test_signaling_model_exits_2_with_witness(capsys, monkeypatch):
     payload = model_to_dict(pr_box(0, 0, 0))
     payload["tables"]["X1|X2"] = ["1", "0", "0", "0"]
@@ -342,6 +357,13 @@ def test_enumerate_jobs_capped_at_cpu_count(capsys, pool_requests, argv):
     code, out, _ = run_cli(capsys, *argv, "--jobs", "100000")
     assert code == 0 and out == sequential
     assert all(p <= (os.cpu_count() or 1) for p in pool_requests)
+
+
+@pytest.mark.parametrize("experiment", [("parity", "--scenario", "bell-2-2-2"), ("csp",)])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_enumerate_jobs_below_one_is_usage_error(capsys, experiment, jobs):
+    code, out, err = run_cli(capsys, "enumerate", *experiment, "--jobs", jobs)
+    assert (code, out) == (1, "") and "--jobs must be at least 1" in err
 
 
 @pytest.mark.parametrize(

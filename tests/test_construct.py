@@ -218,23 +218,15 @@ PARITY_COVERS = {"bell-2-2": S22, "bell-3-2-shuffled": shuffled_bell_32(1), "cyc
 @pytest.mark.parametrize("name", sorted(PARITY_COVERS))
 def test_enumerate_parity_verdicts_match_each_vectors_own_lift(name):
     s = PARITY_COVERS[name]
-    total = 1 << s.n_contexts
     own = {}
     for bits in itertools.product((0, 1), repeat=s.n_contexts):
         report = classify(parity_lift(s, bits))
         consistent = not report.strongly_contextual
         own[bits] = (consistent, None, None) if consistent else (False, report.cf, report.amcc)
 
-    def check(verdicts, start):
-        for i, v in enumerate(verdicts, start):
-            assert section_index(v.parities) == i
-            assert (v.consistent, v.cf, v.amcc) == own[v.parities]
-
-    check(enumerate_parity(s).verdicts, 0)
-    # Chunks that open or close partway through a coset classify their own
-    # representatives.
-    for start, end in ((1, total), (total // 3, total), (total - 3, total), (5, total - 2)):
-        check(construct._parity_chunk(s, start, end), start)
+    for i, v in enumerate(enumerate_parity(s).verdicts):
+        assert section_index(v.parities) == i
+        assert (v.consistent, v.cf, v.amcc) == own[v.parities]
 
 
 def test_coset_representative_lift_relabels_onto_every_member():
@@ -355,13 +347,39 @@ def test_jobs_capped_at_cpu_count(pool_requests):
 
 
 def test_jobs_chunk_count_is_min_of_jobs_cpus_and_work(pool_requests, monkeypatch):
+    # bell-3-2 has 15 coset representatives, more than the 8 CPUs.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     pr = parity_to_possibilistic(parity_system(S22, PR_PARITIES))
-    sequential = enumerate_parity(S22, jobs=1)
+    sequential = enumerate_parity(S32, jobs=1)
     for jobs in (3, 100):
-        assert enumerate_parity(S22, jobs=jobs) == sequential
+        assert enumerate_parity(S32, jobs=jobs) == sequential
     csp_enumerate_extension(pr, (), jobs=100)  # one candidate: one chunk, no pool
     assert pool_requests == [3, 8]
+
+
+def test_each_coset_is_classified_once_across_workers(pool_requests, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    calls = []
+
+    def counting_classify(model):
+        calls.append(model)
+        return classify(model)
+
+    monkeypatch.setattr(construct.analysis, "classify", counting_classify)
+    sequential = enumerate_parity(S32, jobs=1)
+    for jobs in (1, 2, 3):
+        calls.clear()
+        assert enumerate_parity(S32, jobs=jobs) == sequential
+        assert len(calls) == 15  # one per nonzero syndrome: 2**(8 - 4) - 1
+    assert pool_requests == [2, 3]
+
+
+def test_jobs_below_one_is_refused():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError):
+            enumerate_parity(S22, jobs=jobs)
+        with pytest.raises(ValueError):
+            csp_enumerate_extension(csp_extension_preset("eq40")[0], (1,), jobs=jobs)
 
 
 def naive_csp_passing(base, extendable):

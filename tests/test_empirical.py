@@ -171,6 +171,9 @@ def test_possibilistic_collapse_uniform_and_deterministic():
 def test_is_maximal_marginal_verdicts():
     assert is_maximal_marginal(ghz_model()) == (True, None)
     assert is_maximal_marginal(three_way_box())[0]
+    assert is_maximal_marginal(pr_box(0, 0, 0))[0]
+    assert is_maximal_marginal(pr_box(1, 1, 0))[0]
+    assert not is_maximal_marginal(deterministic_model(S22, (0, 0, 0, 0)))[0]
     ok, witness = is_maximal_marginal(asymmetric_scc_model())
     assert not ok
     # First failure in canonical order: context (0,0,0), subset {X1}.
