@@ -21,7 +21,13 @@ from typing import Callable, Optional, Sequence, Union
 
 from .construct import ParitySystem, parity_consistent, parity_to_possibilistic
 from .empirical import EmpiricalModel, format_rational, marginal
-from .errors import ConsistentResource, NotASubset, RowNotNormalized, TooLarge
+from .errors import (
+    ConsistentResource,
+    LengthMismatch,
+    NotASubset,
+    RowNotNormalized,
+    TooLarge,
+)
 from .scenario import bell_token, context_setting_bits, scenario_to_dict, section_values
 
 #: Transcript header tag for the deterministic generator in use.
@@ -146,7 +152,8 @@ def secret_share_simulate(
     outcomes) -> outcomes, for adversarial experiments.
 
     The transcript is a deterministic function of the seed.  ``rounds``
-    outside 1..SECRET_SHARE_ROUND_LIMIT is rejected before any sampling.
+    outside 1..SECRET_SHARE_ROUND_LIMIT, and secret entries other than 0
+    and 1, are rejected before any sampling.
     """
     consistent, _ = parity_consistent(ps)
     if consistent:
@@ -160,9 +167,12 @@ def secret_share_simulate(
         raise RowNotNormalized(f"need at least one round, got {rounds}")
     if rounds > SECRET_SHARE_ROUND_LIMIT:
         raise TooLarge(f"{rounds} rounds exceed the {SECRET_SHARE_ROUND_LIMIT} round guard")
-    secret_bits = tuple(int(b) & 1 for b in secret_bits)
+    secret_bits = tuple(secret_bits)
     if not secret_bits:
         raise RowNotNormalized("need at least one secret bit")
+    if any(b not in (0, 1) for b in secret_bits):
+        raise LengthMismatch("secret bits must be bits")
+    secret_bits = tuple(int(b) for b in secret_bits)
 
     s = ps.scenario
     masks = parity_to_possibilistic(ps).masks

@@ -319,13 +319,22 @@ def candidate_model(
 
 
 class _CspSearch:
-    """Per-context choice tables for the CSP scan.
+    """Depth-first search over the candidates of the CSP scan.
 
     Every context has a list of candidate support masks: a fixed context
     has one, its base mask; an extendable one has its base mask plus each
     subset of its absent sections, local choice ``k`` adding the absent
     sections selected by the bits of ``k``.  Candidate ``index`` is the
-    ``index``-th tuple of ``itertools.product`` over those lists.
+    mixed-radix number of the local choices, the last context varying
+    fastest: the ``index``-th tuple of ``itertools.product`` over the lists.
+
+    The search picks the contexts with more than one choice in that order.
+    No-signaling on a pair of single-choice contexts is decided once, here;
+    a pair with one single-choice context strikes the other context's
+    disagreeing choices once, here; a pair of two picked contexts is checked
+    when the later one is picked, by looking up the choices whose
+    projections match the earlier pick's.  A leaf passes when the AND of its
+    contexts' allowed global assignments is empty.
     """
 
     def __init__(self, base: PossibilisticModel, extendable: tuple[int, ...]):
@@ -339,54 +348,92 @@ class _CspSearch:
             raise TooManyCandidates(
                 f"{self.total} candidates exceed the {CSP_ENUMERATION_LIMIT} guard"
             )
-        self.choices = []
+        choices = []
         for c, mask in enumerate(base.masks):
             secs = absent.get(c, ())
-            self.choices.append([
+            choices.append([
                 mask | sum(1 << sec for bit, sec in enumerate(secs) if (k >> bit) & 1)
                 for k in range(1 << len(secs))
             ])
-        self.allowed = [
-            [analysis.allowed_mask(s, c, mask) for mask in masks]
-            for c, masks in enumerate(self.choices)
-        ]
-        # No-signaling: pairs of fixed contexts are decided once, the rest
-        # per candidate from one projected mask per choice.
+        picked = [c for c, masks in enumerate(choices) if len(masks) > 1]
+        depth_of = {c: d for d, c in enumerate(picked)}
+        keep = {c: [True] * len(choices[c]) for c in picked}
+        partners = {c: [] for c in picked}  # (earlier depth, its projections, c's projections)
         self.static_ok = True
-        self.pairs = []  # (i, j, projected masks of i's choices, of j's choices)
         for i, j, shared in overlaps(s):
             proj_i, proj_j = (
-                [_project_support(m, projection(s.contexts[c], shared)) for m in self.choices[c]]
+                [_project_support(m, projection(s.contexts[c], shared)) for m in choices[c]]
                 for c in (i, j)
             )
             if len(proj_i) == len(proj_j) == 1:
                 self.static_ok &= proj_i == proj_j
-            else:
-                self.pairs.append((i, j, proj_i, proj_j))
+            elif len(proj_i) == 1:
+                keep[j] = [ok and p == proj_i[0] for ok, p in zip(keep[j], proj_j)]
+            elif len(proj_j) == 1:
+                keep[i] = [ok and p == proj_j[0] for ok, p in zip(keep[i], proj_i)]
+            else:  # i < j: i is picked first
+                partners[j].append((depth_of[i], proj_i, proj_j))
+        self.base_masks = base.masks
+        self.fixed_allowed = -1
+        for c, masks in enumerate(choices):
+            if len(masks) == 1:
+                self.fixed_allowed &= analysis.allowed_mask(s, c, masks[0])
+        # One level per picked context: (context, size of each choice's
+        # subtree, (depth, projections) of its earlier partners, and its
+        # surviving choices (k, index offset, mask, allowed assignments) in
+        # ascending k, grouped by their projections onto those partners).
+        self.levels = []
+        stride = 1
+        for c in reversed(picked):
+            groups = {}
+            for k, mask in enumerate(choices[c]):
+                if keep[c][k]:
+                    key = tuple(proj_c[k] for _, _, proj_c in partners[c])
+                    option = (k, k * stride, mask, analysis.allowed_mask(s, c, mask))
+                    groups.setdefault(key, []).append(option)
+            earlier = tuple((d, proj_i) for d, proj_i, _ in partners[c])
+            self.levels.append((c, stride, earlier, groups))
+            stride *= len(choices[c])
+        self.levels.reverse()
 
     def scan(self, collect: bool, indices: range):
         """Count (and optionally record) passing candidates with index in ``indices``."""
         if not self.static_ok:
             return 0, []
-        count = 0
         passing = []
-        ranges = [range(len(masks)) for masks in self.choices]
-        picks = itertools.islice(itertools.product(*ranges), indices.start, indices.stop)
-        for index, pick in enumerate(picks, indices.start):
-            for i, j, proj_i, proj_j in self.pairs:
-                if proj_i[pick[i]] != proj_j[pick[j]]:
-                    break  # signaling
-            else:
-                acc = -1
-                for allowed, k in zip(self.allowed, pick):
-                    acc &= allowed[k]
-                if acc:
-                    continue  # satisfiable, hence not strongly contextual
-                count += 1
-                if collect:
-                    masks = tuple(masks[k] for masks, k in zip(self.choices, pick))
-                    passing.append(CspCandidate(index=index, support_masks=masks))
+        count = self._descend(
+            0, 0, self.fixed_allowed, list(self.base_masks), [], indices,
+            passing if collect else None,
+        )
         return count, passing
+
+    def _descend(self, depth, start, acc, masks, picks, indices, passing):
+        """Passing candidates below one node, whose lowest candidate index is ``start``.
+
+        ``picks`` holds the local choices of the first ``depth`` picked
+        contexts, ``masks`` every context's support mask so far and ``acc``
+        the AND of their allowed assignments.
+        """
+        if depth == len(self.levels):  # a leaf; acc != 0 means satisfiable
+            if acc or start not in indices:
+                return 0
+            if passing is not None:
+                passing.append(CspCandidate(index=start, support_masks=tuple(masks)))
+            return 1
+        c, stride, earlier, groups = self.levels[depth]
+        count = 0
+        key = tuple([proj[picks[d]] for d, proj in earlier])
+        for k, offset, mask, allowed in groups.get(key, ()):
+            low = start + offset
+            if low >= indices.stop:
+                break
+            if low + stride <= indices.start:
+                continue  # the whole subtree lies below the range
+            masks[c] = mask
+            picks.append(k)
+            count += self._descend(depth + 1, low, acc & allowed, masks, picks, indices, passing)
+            picks.pop()
+        return count
 
 
 def csp_enumerate_extension(

@@ -12,7 +12,13 @@ from amcc.applications import (
 from amcc.catalog import asymmetric_scc_model, ghz_model, pr_box, three_way_box
 from amcc.construct import parity_system
 from amcc.empirical import deterministic_model, proper_subsets
-from amcc.errors import ConsistentResource, NotASubset, RowNotNormalized, TooLarge
+from amcc.errors import (
+    ConsistentResource,
+    LengthMismatch,
+    NotASubset,
+    RowNotNormalized,
+    TooLarge,
+)
 from amcc.scenario import bell_scenario
 
 F = Fraction
@@ -128,6 +134,22 @@ def test_secret_share_rejects_bad_fraction_and_empty_secret():
         secret_share_simulate(ps, (1,), 10, F(0), 1)
     with pytest.raises(RowNotNormalized):
         secret_share_simulate(ps, (), 10, F(1, 5), 1)
+
+
+def test_secret_share_refuses_secret_entries_that_are_not_bits():
+    ps = parity_system(S32, GHZ_PARITIES)
+    rounds_run = []
+
+    def watch(r, c, outcomes):
+        rounds_run.append(r)
+        return outcomes
+
+    # (2, 3, -1) was once sent as 0, 1, 1 and reported a success.
+    for secret in ((2, 3, -1), (1, 0, 2), (-1,), (1, F(1, 2)), ("1",)):
+        with pytest.raises(LengthMismatch, match="secret bits must be bits"):
+            secret_share_simulate(ps, secret, 10, F(1, 5), 1, tamper=watch)
+    assert rounds_run == []  # refused before any round is sampled
+    assert secret_share_simulate(ps, (1, 0, 1), 10, F(1, 5), 1).success
 
 
 def test_secret_share_rejects_rounds_outside_the_guard():

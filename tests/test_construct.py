@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -35,7 +36,7 @@ from amcc.empirical import (
     possibilistic_collapse,
 )
 from amcc.errors import LengthMismatch, MalformedInput, OutOfRange, TooLarge, TooManyCandidates
-from amcc.scenario import bell_scenario, make_scenario, section_index
+from amcc.scenario import bell_scenario, make_scenario, parity_mask, section_index
 
 from _generators import cycle_scenario, flipped_tables, fraction_rows, parity_lift
 from _oracles import (
@@ -424,6 +425,73 @@ def test_csp_passing_lists_independent_of_jobs(pool_requests, monkeypatch):
         else:
             assert runs[0] == naive_csp_passing(model, extendable)
     assert pool_requests == [2, 3] * 3  # the one-candidate case never pools
+
+
+def test_csp_scan_leaves_no_garbage_cycles():
+    base, extendable = csp_extension_preset("eq40")
+    csp_enumerate_extension(base, extendable)  # warm the scenario caches
+    gc.collect()
+    gc.disable()
+    try:
+        assert csp_enumerate_extension(base, extendable).passing_count == 2401
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _random_csp_base(rng, s):
+    """Random nonempty context masks, mostly parity halves or full, with at most 12 absent
+    sections over the extendable contexts (so at most 2**12 candidates)."""
+    width = len(s.contexts[0])
+    full = (1 << s.n_sections(0)) - 1
+    masks = []
+    for _ in range(s.n_contexts):
+        r = rng.random()
+        if r < 0.75:
+            masks.append(parity_mask(width, rng.randrange(2)))
+        elif r < 0.9:
+            masks.append(full)
+        else:
+            masks.append(rng.randint(1, full))
+    budget = rng.randint(0, 12)
+    extendable = []
+    for c in rng.sample(range(s.n_contexts), s.n_contexts):
+        if s.n_sections(c) - masks[c].bit_count() <= budget:
+            budget -= s.n_sections(c) - masks[c].bit_count()
+            extendable.append(c)
+    return candidate_model(s, masks), tuple(sorted(extendable))
+
+
+def _csp_cases():
+    rng = random.Random(1980)
+    for s in (S22, S32):
+        for _ in range(30):
+            yield _random_csp_base(rng, s)
+    # X1 is 0 in context 0 and 1 in context 1: a fixed pair that signals.
+    yield candidate_model(S22, (0b0001, 0b0100, 0b0001, 0b0001)), (2, 3)
+    # Context 1 already has X1 = 1, which fixed context 0 lacks: no choice of
+    # context 1 survives.
+    yield candidate_model(S22, (0b0001, 0b0101, 0b0001, 0b1111)), (1, 2)
+
+
+def test_csp_search_matches_naive_scan_on_random_index_ranges():
+    rng = random.Random(14)
+    static_fails = nonempty = emptied = 0
+    for base, extendable in _csp_cases():
+        search = construct._CspSearch(base, extendable)
+        naive = naive_csp_passing(base, extendable)
+        static_fails += not search.static_ok
+        nonempty += bool(naive)
+        emptied += any(not groups for _, _, _, groups in search.levels)
+        bounds = [(0, search.total)] + [
+            sorted(rng.randint(0, search.total) for _ in range(2)) for _ in range(4)
+        ]
+        for a, b in bounds:
+            count, passing = search.scan(True, range(a, b))
+            expected = [(i, masks) for i, masks in naive if a <= i < b]
+            assert [(c.index, c.support_masks) for c in passing] == expected
+            assert count == len(expected) == search.scan(False, range(a, b))[0]
+    assert static_fails >= 2 and nonempty >= 10 and emptied >= 1
 
 
 def test_csp_guard_on_candidate_explosion():

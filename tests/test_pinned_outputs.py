@@ -4,7 +4,9 @@ Each digest is the SHA-256 of output recorded before model rows were stored
 as integer numerators over one denominator; any change to a verdict, a
 rational's spelling or the LP's reported noncontextual part moves it.  The
 simplex digest was recorded with the dense tableau, before the revised one:
-it pins every pivot and every field of each outcome.
+it pins every pivot and every field of each outcome.  The CSP stream digest
+was recorded while the scan still walked ``itertools.product`` candidate by
+candidate, before it became a depth-first search.
 """
 
 from __future__ import annotations
@@ -134,6 +136,16 @@ def test_parity_enumeration_stream_matches_the_pinned_digest(capsys):
     assert len(out.splitlines()) == 257
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "2c1fc38a289dfc98b4524b84ad92c2a129617a099f7fe55bd1b687dad68a507a"
+    )
+
+
+def test_csp_enumeration_stream_matches_the_pinned_digest(capsys):
+    argv = ["enumerate", "csp", "--preset", "eq40", "--stream", "--jobs", "1"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 2402  # 2 401 passing candidates and the counts
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "21b2eaa4f8a4f165ed43f042209be58313419d481a1b0e346dde9ca54ba4ec7b"
     )
 
 
