@@ -64,7 +64,6 @@ from .empirical import (
     model_to_dict,
     parse_rational,
     possibilistic_collapse,
-    possibilistic_from_dict,
     possibilistic_to_dict,
 )
 from .errors import ContextualityError, InternalConsistencyError

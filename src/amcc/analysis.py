@@ -407,7 +407,7 @@ def classify(m: EmpiricalModel) -> ClassificationReport:
     else:
         witness["compatible_assignment"] = "".join(map(str, strong_witness))
 
-    report = ClassificationReport(
+    return ClassificationReport(
         cf=cf,
         ncf=1 - cf,
         strongly_contextual=strong,
@@ -416,11 +416,6 @@ def classify(m: EmpiricalModel) -> ClassificationReport:
         witness=witness,
         avn=avn,
     )
-    if report.cf + report.ncf != 1 or report.amcc != (
-        report.strongly_contextual and report.maximal_marginal
-    ):
-        raise InternalConsistencyError("classification report violates its invariants")
-    return report
 
 
 __all__ = [

@@ -177,6 +177,7 @@ def secret_share_simulate(
     s = ps.scenario
     masks = parity_to_possibilistic(ps).masks
     supported = [[sec for sec in range(m.bit_length()) if (m >> sec) & 1] for m in masks]
+    setting_bits = [context_setting_bits(s, c) for c in range(s.n_contexts)]
 
     token = bell_token(s)
     header = {
@@ -204,7 +205,7 @@ def secret_share_simulate(
             outcomes = tuple(int(b) & 1 for b in tamper(r, c, outcomes))
         is_test = rng.randrange(q.denominator) < q.numerator
         dealer_key = outcomes[-1]
-        inputs = context_setting_bits(s, c)
+        inputs = setting_bits[c]
 
         if is_test:
             passed = sum(outcomes) % 2 == ps.parities[c]

@@ -171,9 +171,7 @@ def _cmd_enumerate_parity(args) -> int:
 
 def _cmd_enumerate_csp(args) -> int:
     base, extendable = construct.csp_extension_preset(args.preset)
-    report = construct.csp_enumerate_extension(
-        base, extendable, jobs=_jobs(args), collect=args.stream
-    )
+    report = construct.csp_enumerate_extension(base, extendable, jobs=_jobs(args))
     if args.stream:
         for cand in report.passing:
             model = construct.candidate_model(base.scenario, cand.support_masks)

@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import analysis
 from .empirical import (
@@ -76,7 +76,7 @@ QUARTER = Fraction(1, 4)
 #: Guard for enumerate_parity: at most 2**20 parity vectors.
 PARITY_ENUMERATION_LIMIT = 20
 #: Guard for csp_enumerate_extension: at most 2**24 candidates.
-CSP_ENUMERATION_LIMIT = 1 << 24
+CSP_ENUMERATION_LIMIT = 24
 #: Guard for the 8-parameter scans: at most 2**14 points, one CF LP each.
 SCAN_POINT_LIMIT = 1 << 14
 
@@ -293,8 +293,7 @@ def enumerate_parity(s: MeasurementScenario, jobs: int = 1) -> ParityEnumeration
 # --- CSP extension enumeration ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CspCandidate:
+class CspCandidate(NamedTuple):
     """A passing candidate: its enumeration index and per-context support masks."""
 
     index: int
@@ -304,8 +303,11 @@ class CspCandidate:
 @dataclass(frozen=True)
 class CspEnumeration:
     candidates: int
-    passing_count: int
     passing: tuple[CspCandidate, ...]
+
+    @property
+    def passing_count(self) -> int:
+        return len(self.passing)
 
     def to_dict(self) -> dict:
         return {"candidates": self.candidates, "ns_and_unsat": self.passing_count}
@@ -328,119 +330,96 @@ class _CspSearch:
     mixed-radix number of the local choices, the last context varying
     fastest: the ``index``-th tuple of ``itertools.product`` over the lists.
 
-    The search picks the contexts with more than one choice in that order.
-    No-signaling on a pair of single-choice contexts is decided once, here;
-    a pair with one single-choice context strikes the other context's
-    disagreeing choices once, here; a pair of two picked contexts is checked
-    when the later one is picked, by looking up the choices whose
-    projections match the earlier pick's.  A leaf passes when the AND of its
-    contexts' allowed global assignments is empty.
+    Every context is one level of the search: the fixed contexts first, then
+    the extendable ones in context order, so the search visits candidates in
+    index order.  No-signaling on a pair of contexts is checked when the
+    later of its two levels is chosen: each level's choices are grouped by
+    their projections onto its earlier partners, and one lookup with the
+    earlier choices' projections yields the compatible ones.  A leaf passes
+    when the AND of its contexts' allowed global assignments is empty.
     """
 
     def __init__(self, base: PossibilisticModel, extendable: tuple[int, ...]):
         s = base.scenario
-        absent = {
-            c: [sec for sec in range(s.n_sections(c)) if not (base.masks[c] >> sec) & 1]
-            for c in extendable
-        }
-        self.total = 1 << sum(len(secs) for secs in absent.values())
-        if self.total > CSP_ENUMERATION_LIMIT:
+        n_absent = {}
+        for c in extendable:
+            n, mask = s.n_sections(c), base.masks[c]
+            if mask >> n:
+                raise MalformedInput(f"support mask of context {c} has a bit past section {n - 1}")
+            n_absent[c] = n - mask.bit_count()
+        bits = sum(n_absent.values())
+        if bits > CSP_ENUMERATION_LIMIT:
             raise TooManyCandidates(
-                f"{self.total} candidates exceed the {CSP_ENUMERATION_LIMIT} guard"
+                f"2**{bits} candidates exceed the 2**{CSP_ENUMERATION_LIMIT} guard"
             )
+        self.total = 1 << bits
         choices = []
         for c, mask in enumerate(base.masks):
-            secs = absent.get(c, ())
+            width = s.n_sections(c) if c in n_absent else 0
+            secs = [sec for sec in range(width) if not (mask >> sec) & 1]
             choices.append([
                 mask | sum(1 << sec for bit, sec in enumerate(secs) if (k >> bit) & 1)
                 for k in range(1 << len(secs))
             ])
-        picked = [c for c, masks in enumerate(choices) if len(masks) > 1]
-        depth_of = {c: d for d, c in enumerate(picked)}
-        keep = {c: [True] * len(choices[c]) for c in picked}
-        partners = {c: [] for c in picked}  # (earlier depth, its projections, c's projections)
-        self.static_ok = True
+        order = sorted(range(s.n_contexts), key=n_absent.__contains__)  # fixed ones first
+        depth_of = {c: d for d, c in enumerate(order)}
+        partners = [[] for _ in choices]  # (earlier context, its projections, own projections)
         for i, j, shared in overlaps(s):
-            proj_i, proj_j = (
-                [_project_support(m, projection(s.contexts[c], shared)) for m in choices[c]]
+            proj = {
+                c: {m: _project_support(m, projection(s.contexts[c], shared)) for m in choices[c]}
                 for c in (i, j)
-            )
-            if len(proj_i) == len(proj_j) == 1:
-                self.static_ok &= proj_i == proj_j
-            elif len(proj_i) == 1:
-                keep[j] = [ok and p == proj_i[0] for ok, p in zip(keep[j], proj_j)]
-            elif len(proj_j) == 1:
-                keep[i] = [ok and p == proj_j[0] for ok, p in zip(keep[i], proj_i)]
-            else:  # i < j: i is picked first
-                partners[j].append((depth_of[i], proj_i, proj_j))
-        self.base_masks = base.masks
-        self.fixed_allowed = -1
-        for c, masks in enumerate(choices):
-            if len(masks) == 1:
-                self.fixed_allowed &= analysis.allowed_mask(s, c, masks[0])
-        # One level per picked context: (context, size of each choice's
-        # subtree, (depth, projections) of its earlier partners, and its
-        # surviving choices (k, index offset, mask, allowed assignments) in
-        # ascending k, grouped by their projections onto those partners).
+            }
+            first, later = sorted((i, j), key=depth_of.__getitem__)
+            partners[later].append((first, proj[first], proj[later]))
+        # One level per context: (context, size of each choice's subtree,
+        # its earlier partners with their projection of each mask, and its
+        # choices (index offset, mask, allowed assignments) in ascending
+        # order, grouped by their projections onto those partners).
         self.levels = []
         stride = 1
-        for c in reversed(picked):
+        for c in reversed(order):
             groups = {}
             for k, mask in enumerate(choices[c]):
-                if keep[c][k]:
-                    key = tuple(proj_c[k] for _, _, proj_c in partners[c])
-                    option = (k, k * stride, mask, analysis.allowed_mask(s, c, mask))
-                    groups.setdefault(key, []).append(option)
-            earlier = tuple((d, proj_i) for d, proj_i, _ in partners[c])
+                key = tuple(own[mask] for _, _, own in partners[c])
+                option = (k * stride, mask, analysis.allowed_mask(s, c, mask))
+                groups.setdefault(key, []).append(option)
+            earlier = tuple((e, proj) for e, proj, _ in partners[c])
             self.levels.append((c, stride, earlier, groups))
             stride *= len(choices[c])
         self.levels.reverse()
 
-    def scan(self, collect: bool, indices: range):
-        """Count (and optionally record) passing candidates with index in ``indices``."""
-        if not self.static_ok:
-            return 0, []
+    def scan(self, indices: range) -> list:
+        """The passing candidates with index in ``indices``, in index order."""
         passing = []
-        count = self._descend(
-            0, 0, self.fixed_allowed, list(self.base_masks), [], indices,
-            passing if collect else None,
-        )
-        return count, passing
+        self._descend(0, 0, -1, [0] * len(self.levels), indices, passing)
+        return passing
 
-    def _descend(self, depth, start, acc, masks, picks, indices, passing):
-        """Passing candidates below one node, whose lowest candidate index is ``start``.
+    def _descend(self, depth, start, acc, masks, indices, passing):
+        """Append the passing candidates below one node, whose lowest index is ``start``.
 
-        ``picks`` holds the local choices of the first ``depth`` picked
-        contexts, ``masks`` every context's support mask so far and ``acc``
-        the AND of their allowed assignments.
+        ``masks`` holds the support mask chosen for each context of the first
+        ``depth`` levels and ``acc`` the AND of their allowed assignments.
         """
         if depth == len(self.levels):  # a leaf; acc != 0 means satisfiable
-            if acc or start not in indices:
-                return 0
-            if passing is not None:
-                passing.append(CspCandidate(index=start, support_masks=tuple(masks)))
-            return 1
+            if not acc:
+                passing.append(CspCandidate(start, tuple(masks)))
+            return
         c, stride, earlier, groups = self.levels[depth]
-        count = 0
-        key = tuple([proj[picks[d]] for d, proj in earlier])
-        for k, offset, mask, allowed in groups.get(key, ()):
+        key = tuple([proj[masks[e]] for e, proj in earlier])
+        for offset, mask, allowed in groups.get(key, ()):
             low = start + offset
             if low >= indices.stop:
                 break
             if low + stride <= indices.start:
                 continue  # the whole subtree lies below the range
             masks[c] = mask
-            picks.append(k)
-            count += self._descend(depth + 1, low, acc & allowed, masks, picks, indices, passing)
-            picks.pop()
-        return count
+            self._descend(depth + 1, low, acc & allowed, masks, indices, passing)
 
 
 def csp_enumerate_extension(
     base: PossibilisticModel,
     extendable_contexts: Sequence[int],
     jobs: int = 1,
-    collect: bool = True,
 ) -> CspEnumeration:
     """Scan every way of adding absent sections to the extendable contexts.
 
@@ -452,11 +431,10 @@ def csp_enumerate_extension(
     """
     extendable = tuple(sorted(set(int(c) for c in extendable_contexts)))
     search = _CspSearch(base, extendable)
-    parts = _map_chunks(search.scan, (collect,), range(search.total), jobs)
+    parts = _map_chunks(search.scan, (), range(search.total), jobs)
     return CspEnumeration(
         candidates=search.total,
-        passing_count=sum(count for count, _ in parts),
-        passing=tuple(cand for _, cands in parts for cand in cands),
+        passing=tuple(cand for part in parts for cand in part),
     )
 
 
@@ -642,9 +620,6 @@ class ScanPoint:
 class ScanReport:
     points: tuple[ScanPoint, ...]
     histogram: tuple[tuple[Fraction, int], ...]
-
-    def cf_values(self) -> set:
-        return {cf for cf, _ in self.histogram}
 
     def to_dict(self, include_points: bool = False) -> dict:
         out = {

@@ -359,35 +359,30 @@ def _rows_to_dict(s: MeasurementScenario, rows, cell) -> dict:
     }
 
 
-def _rows_from_dict(data, what: str, cell, missing) -> tuple[MeasurementScenario, list]:
-    """Read the scenario and one row per context, each entry read by ``cell``.
+def _rows_from_dict(data) -> tuple[MeasurementScenario, list]:
+    """Read the scenario and one rational row per context of a table document.
 
     A missing row, a row for an unknown context or a row of the wrong width
-    raises ``missing``; the width is checked before any cell is read.
+    raises RowNotNormalized; the width is checked before any cell is read.
     """
-    expect_json(data, dict, f"a {what} document")
+    expect_json(data, dict, "a table document")
     s = scenario_from_dict(json_field(data, "scenario"))
     tables = expect_json(json_field(data, "tables"), dict, "tables")
     keys = [_context_key(ctx) for ctx in s.contexts]
     extra = set(tables) - set(keys)
     if extra:
-        raise missing(f"{what} rows for unknown contexts: {sorted(extra)}")
+        raise RowNotNormalized(f"table rows for unknown contexts: {sorted(extra)}")
     rows = []
     for c, key in enumerate(keys):
         if key not in tables:
-            raise missing(f"missing {what} row for context {key!r}")
-        row = expect_json(tables[key], list, f"{what} row {key!r}")
+            raise RowNotNormalized(f"missing table row for context {key!r}")
+        row = expect_json(tables[key], list, f"table row {key!r}")
         if len(row) != s.n_sections(c):
-            raise missing(f"{what} row {key!r} needs {s.n_sections(c)} entries, got {len(row)}")
-        rows.append([cell(x) for x in row])
+            raise RowNotNormalized(
+                f"table row {key!r} needs {s.n_sections(c)} entries, got {len(row)}"
+            )
+        rows.append([parse_rational(x) for x in row])
     return s, rows
-
-
-def _parse_bit(x) -> bool:
-    """A support cell: 0, 1, true or false."""
-    if type(x) not in (int, bool) or x not in (0, 1):
-        raise MalformedInput(f"support cell must be 0, 1, true or false, not {repr(x)[:40]}")
-    return bool(x)
 
 
 def model_to_dict(m: EmpiricalModel) -> dict:
@@ -397,7 +392,7 @@ def model_to_dict(m: EmpiricalModel) -> dict:
 
 def model_from_dict(data: dict) -> EmpiricalModel:
     """Parse and re-validate the JSON form produced by :func:`model_to_dict`."""
-    s, rows = _rows_from_dict(data, "table", parse_rational, RowNotNormalized)
+    s, rows = _rows_from_dict(data)
     return make_model(s, rows)
 
 
@@ -405,12 +400,3 @@ def possibilistic_to_dict(p: PossibilisticModel) -> dict:
     """Same shape as the model JSON, with rows replaced by 0/1 arrays."""
     rows = [support_row(mask, p.scenario.n_sections(c)) for c, mask in enumerate(p.masks)]
     return _rows_to_dict(p.scenario, rows, int)
-
-
-def possibilistic_from_dict(data: dict) -> PossibilisticModel:
-    """Parse the JSON form produced by :func:`possibilistic_to_dict`."""
-    s, rows = _rows_from_dict(data, "support", _parse_bit, EmptySupport)
-    for c, row in enumerate(rows):
-        if not any(row):
-            raise EmptySupport(f"context {_context_key(s.contexts[c])!r} support row is empty")
-    return PossibilisticModel(scenario=s, masks=tuple(map(_row_mask, rows)))
