@@ -14,9 +14,15 @@ every context table: one column per coset of H, one row per orbit of
 global assignment does, so H is the support scan run on the pattern of
 per-context stabilisers.  The optimum is lifted back (each assignment takes
 its coset's weight, each row its orbit's dual divided by the orbit size)
-and the lifted pair must pass :func:`~amcc.ratlp.certify` on the full LP
-from :func:`incidence_matrix`; that check, not the reduction, decides.  With
-H trivial the orbit LP is the full LP column for column, and
+and the lifted pair must pass an integer certificate that is a proof about
+the full LP from :func:`incidence_matrix` without trusting how H was found:
+each generator of H, taken from H's bitmask, is checked directly to fix
+the model's rows and the lifted primal and dual.  Invariance makes every
+dual row constant on a coset and every primal slack constant on a row
+orbit, so checking one dual row per coset and one primal row per orbit,
+with both objectives over the whole lifted pair, covers every row and
+column of the full LP.  That check, not the reduction, decides.  With H
+trivial the orbit LP is the full LP column for column, and
 :func:`incidence_matrix` is exactly that LP's rows.
 
 ``classify`` runs both routes and raises ``InternalConsistencyError`` if they
@@ -28,7 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from itertools import chain
+from math import lcm
+from operator import itemgetter, mul
 from typing import Optional, Union
 
 from .empirical import (
@@ -39,8 +47,8 @@ from .empirical import (
     is_no_signaling,
     possibilistic_collapse,
 )
-from .errors import InternalConsistencyError, SignalingInput, TooLarge
-from .ratlp import LinearProgram, LpStatus, certify, maximize
+from .errors import InternalConsistencyError, ShapeMismatch, SignalingInput, TooLarge
+from .ratlp import LinearProgram, LpOutcome, LpStatus, maximize
 from .scenario import SCENARIO_CACHE_SIZE, MeasurementScenario, projection, section_values
 
 #: Hard cap on the size of the full incidence LP, (context, section) rows
@@ -109,7 +117,12 @@ def allowed_mask(s: MeasurementScenario, c: int, sections: int) -> int:
 
 
 def support_mask(p: PossibilisticModel) -> int:
-    """Bitmask of global assignments compatible with every context's support."""
+    """Bitmask of global assignments compatible with every context's support.
+
+    Raises ShapeMismatch unless ``p`` has one mask per context.
+    """
+    if len(p.masks) != p.scenario.n_contexts:
+        raise ShapeMismatch(f"{len(p.masks)} support masks for {p.scenario.n_contexts} contexts")
     acc = -1  # every assignment, with no 2**n-bit mask built before the size guard
     for c, sections in enumerate(p.masks):
         acc &= allowed_mask(p.scenario, c, sections)
@@ -238,6 +251,118 @@ def _orbit_lp(s: MeasurementScenario, group: int) -> _OrbitLp:
     )
 
 
+def _getter(indices: list):
+    """``itemgetter`` over ``indices`` that returns a sequence even for one index."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
+
+
+@dataclass(frozen=True)
+class _Quotient:
+    """What the lift certificate checks for a flip group, derived from its generators.
+
+    Full rows are numbered as in :func:`incidence_matrix`.  ``generators``
+    holds ``(column_flip, row_flip)`` per basis flip ``h``: getters that
+    reorder a vector over global assignments by ``g -> g ^ h``, and one over
+    full rows by each row's image under ``h``.  ``columns`` holds, for the
+    least assignment ``g`` of each coset of the generated group, the getter
+    of the rows ``g`` restricts to; ``rows`` the least row of each row orbit.
+    """
+
+    generators: tuple
+    columns: tuple
+    rows: tuple[int, ...]
+
+
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
+def _quotient(s: MeasurementScenario, group: int) -> _Quotient:
+    """The generators and representatives of the flips in the bitmask ``group``.
+
+    Reads nothing from :func:`_orbit_lp`: the generators are a basis of the
+    flips in ``group``, and cosets and row orbits are those of their span.
+    """
+    table = restriction_table(s)
+    span, basis = {0}, []
+    for h in range(group.bit_length()):
+        if (group >> h) & 1 and h not in span:
+            basis.append(h)
+            span |= {f ^ h for f in span}
+    rows_of, first = [], 0  # rows_of[c][sec]: the full row of section sec of context c
+    for c in range(s.n_contexts):
+        rows_of.append(range(first, first + s.n_sections(c)))
+        first += s.n_sections(c)
+    generators = tuple(
+        (
+            _getter([g ^ h for g in range(len(table[0]))]),
+            _getter([rows[sec ^ proj[h]] for rows, proj in zip(rows_of, table)
+                     for sec in range(len(rows))]),
+        )
+        for h in basis
+    )
+    seen = bytearray(len(table[0]))
+    columns = []
+    for g in range(len(seen)):
+        if not seen[g]:
+            for h in span:
+                seen[g ^ h] = 1
+            columns.append(_getter([rows[proj[g]] for rows, proj in zip(rows_of, table)]))
+    reps = []
+    for rows, proj in zip(rows_of, table):
+        flips = {proj[h] for h in span}
+        seen = set()
+        for sec in range(len(rows)):
+            if sec not in seen:
+                seen.update(sec ^ f for f in flips)
+                reps.append(rows[sec])
+    return _Quotient(generators=generators, columns=tuple(columns), rows=tuple(reps))
+
+
+def _certify_lift(m: EmpiricalModel, group: int, orbits: _OrbitLp, out: LpOutcome) -> None:
+    """Prove the lifted orbit optimum ``out`` optimal for the full CF LP of ``m``.
+
+    Everything is an integer over one denominator ``d``: the primal ``x``
+    takes its coset's orbit weight and the dual ``y`` its orbit's dual over
+    the orbit size, and the right-hand side ``b`` is the numerator rows.
+    Each generator of ``group`` must fix ``b``, ``y`` and ``x``; then the
+    full LP's dual row of ``g`` is constant on the coset of ``g`` and the
+    slack of a primal row on its orbit, so one of each per coset and orbit
+    is checked, and both objectives over every lifted entry.  Raises
+    InternalConsistencyError when the pair proves nothing.
+    """
+    def fail(what):
+        raise InternalConsistencyError(f"lifted CF optimum failed its quotient certificate: {what}")
+
+    value, sizes = out.value, orbits.row_size
+    d = lcm(value.denominator, *[q.denominator for q in out.solution],
+            *[q.denominator * size for q, size in zip(out.dual, sizes)])
+    weights = [q.numerator * (d // q.denominator) for q in out.solution]
+    shares = [q.numerator * (d // (q.denominator * size)) for q, size in zip(out.dual, sizes)]
+    x = tuple([weights[j] for j in orbits.column_of])
+    y = tuple([shares[k] for k in orbits.row_of])
+    b = tuple(chain.from_iterable(m.numerators))
+    quotient = _quotient(m.scenario, group)
+    for column_flip, row_flip in quotient.generators:
+        if row_flip(b) != b:
+            fail("a generator does not fix the model")
+        if row_flip(y) != y:
+            fail("the lifted dual is not invariant")
+        if column_flip(x) != x:
+            fail("the lifted primal is not invariant")
+    if min(x) < 0 or min(y) < 0:
+        fail("negative primal or dual entry")
+    for rows_of_g in quotient.columns:
+        if sum(rows_of_g(y)) < d:
+            fail("dual row violated")
+    matrix = incidence_matrix(m.scenario)
+    for r in quotient.rows:
+        if sum([a * x[g] for g, a in matrix[r]]) > b[r] * d:
+            fail("primal row violated")
+    v = value.numerator * (d // value.denominator)
+    if sum(x) != v or sum(map(mul, b, y)) != v:
+        fail("an objective differs from the optimum")
+
+
 def _contextual_fraction_with_witness(m: EmpiricalModel):
     """``(CF, optimum)``: the CF LP solved on flip orbits, its lifted optimum certified in full.
 
@@ -256,16 +381,8 @@ def _contextual_fraction_with_witness(m: EmpiricalModel):
         raise InternalConsistencyError(
             f"noncontextual-fraction LP ended {out.status}, expected an optimum"
         )
-    solution = tuple([out.solution[j] for j in orbits.column_of])
-    shares = [y / size if y else y for y, size in zip(out.dual, orbits.row_size)]
-    dual = tuple([shares[k] for k in orbits.row_of])
-    full = LinearProgram(
-        objective=(1,) * len(solution),
-        a_le=incidence_matrix(s),
-        b_le=tuple([p for row in m.numerators for p in row]),
-    )
-    certify(full, out.value, solution, dual)
-    return 1 - out.value / m.den, solution
+    _certify_lift(m, group, orbits, out)
+    return 1 - out.value / m.den, tuple([out.solution[j] for j in orbits.column_of])
 
 
 def is_strongly_contextual(m: Union[EmpiricalModel, PossibilisticModel]):

@@ -48,6 +48,7 @@ from .errors import (
     LengthMismatch,
     MalformedInput,
     OutOfRange,
+    ShapeMismatch,
     TooLarge,
     TooManyCandidates,
 )
@@ -316,8 +317,25 @@ class CspEnumeration:
 def candidate_model(
     s: MeasurementScenario, support_masks: Sequence[int]
 ) -> PossibilisticModel:
-    """Materialize a candidate's support masks as a possibilistic model."""
-    return PossibilisticModel(scenario=s, masks=tuple(support_masks))
+    """Materialize a candidate's support masks as a possibilistic model.
+
+    Raises ShapeMismatch unless there is one mask per context of ``s``, each
+    with no bit at or past the context's section count.
+    """
+    masks = tuple(support_masks)
+    _require_mask_shape(s, masks)
+    return PossibilisticModel(scenario=s, masks=masks)
+
+
+def _require_mask_shape(s: MeasurementScenario, masks: tuple[int, ...]) -> None:
+    """ShapeMismatch unless ``masks`` has one mask per context, each within its sections."""
+    if len(masks) != s.n_contexts:
+        raise ShapeMismatch(f"{len(masks)} support masks for {s.n_contexts} contexts")
+    for c, mask in enumerate(masks):
+        if mask >> s.n_sections(c):
+            raise ShapeMismatch(
+                f"support mask of context {c} has a bit past section {s.n_sections(c) - 1}"
+            )
 
 
 class _CspSearch:
@@ -341,12 +359,8 @@ class _CspSearch:
 
     def __init__(self, base: PossibilisticModel, extendable: tuple[int, ...]):
         s = base.scenario
-        n_absent = {}
-        for c in extendable:
-            n, mask = s.n_sections(c), base.masks[c]
-            if mask >> n:
-                raise MalformedInput(f"support mask of context {c} has a bit past section {n - 1}")
-            n_absent[c] = n - mask.bit_count()
+        _require_mask_shape(s, base.masks)
+        n_absent = {c: s.n_sections(c) - base.masks[c].bit_count() for c in extendable}
         bits = sum(n_absent.values())
         if bits > CSP_ENUMERATION_LIMIT:
             raise TooManyCandidates(

@@ -78,7 +78,7 @@ class ScenarioMismatch(ContextualityError):
 # --- linear programming ----------------------------------------------------
 
 class ShapeMismatch(ContextualityError):
-    """Matrix and vector dimensions of a linear program do not agree."""
+    """LP matrix and vector dimensions, or support masks and contexts, do not agree."""
 
 
 # --- contextuality analysis ------------------------------------------------

@@ -39,7 +39,7 @@ from amcc.empirical import (
     possibilistic_collapse,
 )
 from amcc.errors import InternalConsistencyError, SignalingDetected
-from amcc.ratlp import LinearProgram, maximize
+from amcc.ratlp import LinearProgram, certify, maximize
 from amcc.scenario import polytope_dimension, projection, section_index, section_values
 
 from _generators import (
@@ -228,6 +228,151 @@ def check_orbit_lift_mutations_fail_certificate(model):
         with mock.patch.object(analysis, "_orbit_lp", lambda s, group: mutate(real(s, group))):
             with pytest.raises(InternalConsistencyError, match="certificate"):
                 contextual_fraction(model)
+
+
+def lift_inputs(model, flip_group=None):
+    """``(group, orbits, outcome)``: what ``contextual_fraction`` hands to the lift certificate.
+
+    The certificate itself is not run.  ``flip_group``, when given, replaces
+    the flip group found for the model.
+    """
+    seen = []
+    real = analysis._flip_group
+    with mock.patch.object(analysis, "_certify_lift", lambda m, *args: seen.append(args)), \
+            mock.patch.object(analysis, "_flip_group", lambda s, stabilizers: (
+                real(s, stabilizers) if flip_group is None else flip_group)):
+        contextual_fraction(model)
+    return seen[0]
+
+
+def quotient_accepts(model, group, orbits, out):
+    """Whether the quotient certificate accepts the lifted pair."""
+    try:
+        analysis._certify_lift(model, group, orbits, out)
+    except InternalConsistencyError as exc:
+        assert "quotient certificate" in str(exc)
+        return False
+    return True
+
+
+def full_lp_accepts(model, orbits, out):
+    """Whether ``ratlp.certify`` accepts the lifted pair on the full CF LP."""
+    lp = LinearProgram(
+        objective=(1,) * len(orbits.column_of),
+        a_le=incidence_matrix(model.scenario),
+        b_le=tuple(x for row in model.numerators for x in row),
+    )
+    solution = [out.solution[j] for j in orbits.column_of]
+    dual = [out.dual[k] / orbits.row_size[k] for k in orbits.row_of]
+    try:
+        certify(lp, out.value, solution, dual)
+    except InternalConsistencyError:
+        return False
+    return True
+
+
+def nudged(out, field, k, step):
+    """``out`` with entry ``k`` of its ``solution`` or ``dual`` moved by ``step``."""
+    entries = list(getattr(out, field))
+    entries[k] += step
+    return replace(out, **{field: tuple(entries)})
+
+
+def scaled(out, k):
+    """``out`` with its value, primal and dual all multiplied by ``k``."""
+    return replace(
+        out,
+        value=out.value * k,
+        solution=tuple(q * k for q in out.solution),
+        dual=tuple(q * k for q in out.dual),
+    )
+
+
+STEP = F(1, 64)
+
+
+def wrong_pairs(model, orbits, out):
+    """Orbit optima that prove nothing, each failing the check it names.
+
+    Every coset has ``orbits.order`` members, and orbit ``k`` adds
+    ``b_k * dual[k]`` to the dual objective, ``b_k`` the right-hand side at
+    its representative row.
+
+    * Objectives: one primal entry, or one dual with ``b_k > 0``, moved by
+      ``STEP`` either way.
+    * Primal sign: ``STEP`` of weight moved onto another coset from the
+      first coset of weight 0; both objectives hold.
+    * Dual sign: ``t`` added to every dual of the first context and taken
+      from every dual of the last; each column meets one row of each, so
+      no dual row or objective moves, and ``t`` exceeds every dual.
+    * Primal rows: coset ``j`` given ``STEP`` more weight and the first dual
+      with ``b_k > 0`` raised to match, for each ``j``.  The dual stays
+      feasible and the value exceeds the optimum, so a row through ``j``
+      overflows.
+    * Dual rows: each dual with ``b_k > 0`` lowered and the heaviest coset
+      lowered to match, with a positive optimum.  The primal stays feasible
+      and the value falls below the optimum, so a column meeting orbit
+      ``k`` falls short.
+    * Both: with a positive optimum, the whole pair doubled or halved.
+    """
+    b = [model.numerators[c][sec] for c, sec in orbits.row_reps]
+    nonzero = [k for k in range(len(b)) if b[k]]
+    for step in (STEP, -STEP):
+        for j in range(len(out.solution)):
+            yield nudged(out, "solution", j, step)
+        for k in nonzero:
+            yield nudged(out, "dual", k, step)
+    if 0 in out.solution:
+        empty = out.solution.index(0)
+        for j in range(len(out.solution)):
+            if j != empty:
+                yield nudged(nudged(out, "solution", empty, -STEP), "solution", j, STEP)
+    t = max(out.dual) + 1
+    first, last = orbits.row_reps[0][0], orbits.row_reps[-1][0]
+    yield replace(out, dual=tuple(
+        y + t * size if c == first else y - t * size if c == last else y
+        for y, size, (c, _) in zip(out.dual, orbits.row_size, orbits.row_reps)
+    ))
+    k = nonzero[0]
+    raised = nudged(out, "dual", k, STEP * orbits.order / b[k])
+    for j in range(len(out.solution)):
+        yield replace(nudged(raised, "solution", j, STEP), value=out.value + STEP * orbits.order)
+    if out.value:
+        heavy = max(range(len(out.solution)), key=out.solution.__getitem__)
+        for k in nonzero:
+            if out.dual[k]:
+                s = min(out.dual[k], STEP, out.solution[heavy] * orbits.order / b[k])
+                lowered = nudged(out, "solution", heavy, -s * b[k] / orbits.order)
+                yield replace(nudged(lowered, "dual", k, -s), value=out.value - s * b[k])
+        yield scaled(out, 2)
+        yield scaled(out, F(1, 2))
+
+
+@CASES
+@given(symmetric_models(), st.integers(0, 1 << 16))
+def check_quotient_certificate_matches_full_lp(model, pick):
+    """The quotient certificate accepts the lifted optimum and only what ``ratlp.certify`` accepts.
+
+    Both checks reject every pair of :func:`wrong_pairs`.  Adding a flip
+    outside H to the group makes a generator that does not fix the model,
+    which the quotient check rejects.
+    """
+    group, orbits, out = lift_inputs(model)
+    assert quotient_accepts(model, group, orbits, out)
+    assert full_lp_accepts(model, orbits, out)
+    wrong = list(wrong_pairs(model, orbits, out))
+    bad = wrong[pick % len(wrong)]
+    assert not quotient_accepts(model, group, orbits, bad)
+    assert not full_lp_accepts(model, orbits, bad)
+
+    n = len(model.scenario.observables)
+    h = pick % (1 << n)
+    if (group >> h) & 1:
+        return
+    wider = group | sum(1 << (g ^ h) for g in range(group.bit_length()) if (group >> g) & 1)
+    group, orbits, out = lift_inputs(model, flip_group=wider)
+    with pytest.raises(InternalConsistencyError, match="does not fix the model"):
+        analysis._certify_lift(model, group, orbits, out)
 
 
 ALL_SUITES = (

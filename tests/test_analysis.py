@@ -1,5 +1,8 @@
+import itertools
 import time
+from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -13,9 +16,10 @@ from amcc.analysis import (
     restriction_table,
 )
 from amcc.catalog import asymmetric_scc_model, ghz_model, pr_box, three_way_box
-from amcc.construct import parity_system, parity_to_possibilistic
+from amcc.construct import eight_param_family, parity_system, parity_to_possibilistic
 from amcc.empirical import (
     EmpiricalModel,
+    PossibilisticModel,
     deterministic_model,
     from_global_distribution,
     lift_uniform,
@@ -23,11 +27,12 @@ from amcc.empirical import (
     mix,
     possibilistic_collapse,
 )
-from amcc.errors import SignalingInput, TooLarge
+from amcc.errors import InternalConsistencyError, ShapeMismatch, SignalingInput, TooLarge
 from amcc.scenario import SCENARIO_CACHE_SIZE, bell_scenario, make_scenario
 
 from _generators import cycle_scenario, fraction_rows, singleton_scenario, uniform_model
 from _oracles import chsh_noisy_cf, incidence_bruteforce
+from property_suites import full_lp_accepts, lift_inputs, quotient_accepts, wrong_pairs
 
 F = Fraction
 H = F(1, 2)
@@ -159,6 +164,13 @@ def test_strong_contextuality_scan():
     assert is_strongly_contextual(possibilistic_collapse(pr_box(0, 0, 0)))[0]
 
 
+def test_support_scan_refuses_a_mask_count_other_than_the_context_count():
+    # One mask on bell-2-2 used to be scanned as if it were the whole model.
+    for masks in ((1,), (0xF,) * 6):
+        with pytest.raises(ShapeMismatch, match=f"{len(masks)} support masks for 4 contexts"):
+            is_strongly_contextual(PossibilisticModel(S22, masks))
+
+
 def test_avn_certificate_pr_box():
     ok, cert = avn_certificate(pr_box(0, 0, 0))
     assert ok and len(cert.entries) == 16
@@ -229,7 +241,7 @@ def test_scenario_caches_are_bounded():
     # evict instead of keeping every scenario's tables.
     caches = (
         analysis.restriction_table, analysis.global_masks, analysis._orbit_lp,
-        scenario.overlaps, scenario.projection,
+        analysis._quotient, scenario.overlaps, scenario.projection,
     )
     for k in range(SCENARIO_CACHE_SIZE + 8):
         a, ap, b, bp = (f"{x}{k}" for x in ("A", "Ap", "B", "Bp"))
@@ -290,3 +302,100 @@ def test_noisy_parity_lift_cf_does_not_increase_with_noise(n_parties):
     assert time.perf_counter() - start < 5
     assert cfs[0] == 1 and cfs[-1] == 0
     assert all(a >= b for a, b in zip(cfs, cfs[1:]))
+
+
+# --- the quotient certificate of the lifted CF optimum ---------------------------
+#
+# The bell-3-2 one-odd-context lift at noise 1/2 has CF 1/6 and a flip group
+# of order 4, so its orbit LP has 16 columns, 16 rows and distinct entries.
+
+
+def _members(group):
+    return [h for h in range(group.bit_length()) if (group >> h) & 1]
+
+
+def test_quotient_certificate_refuses_a_flip_that_does_not_fix_the_model():
+    model = noisy_one_odd_lift(3, H)
+    group, _, _ = lift_inputs(model)
+    assert _members(group) == [0, 15, 51, 60]
+    wider = group | sum(1 << (h ^ 1) for h in _members(group))
+    with mock.patch.object(analysis, "_flip_group", lambda s, stabilizers: wider):
+        with pytest.raises(InternalConsistencyError,
+                           match="certificate: a generator does not fix the model"):
+            contextual_fraction(model)
+
+
+def test_quotient_certificate_refuses_a_model_row_a_generator_does_not_fix():
+    model = noisy_one_odd_lift(3, H)
+    group, orbits, out = lift_inputs(model)
+    tilted = mix([model, deterministic_model(S32, (0,) * 6)], [F(63, 64), F(1, 64)])
+    with pytest.raises(InternalConsistencyError, match="does not fix the model"):
+        analysis._certify_lift(tilted, group, orbits, out)
+
+
+def _split_orbit_lp(group, **fields):
+    """``_orbit_lp`` with ``fields`` replaced for the flip group ``group`` only."""
+    real = analysis._orbit_lp
+    return mock.patch.object(
+        analysis, "_orbit_lp",
+        lambda s, g: replace(real(s, g), **fields) if g == group else real(s, g),
+    )
+
+
+def test_quotient_certificate_refuses_a_row_orbit_split():
+    model = noisy_one_odd_lift(3, H)
+    group, orbits, out = lift_inputs(model)
+    r = orbits.row_of.index(0, 1)  # the second row of orbit 0 joins orbit 1
+    assert out.dual[0] != out.dual[1]
+    row_of = orbits.row_of[:r] + (1,) + orbits.row_of[r + 1:]
+    with _split_orbit_lp(group, row_of=row_of):
+        with pytest.raises(InternalConsistencyError,
+                           match="certificate: the lifted dual is not invariant"):
+            contextual_fraction(model)
+
+
+def test_quotient_certificate_refuses_a_coset_split():
+    model = noisy_one_odd_lift(3, H)
+    group, orbits, out = lift_inputs(model)
+    g = orbits.column_of.index(0, 1)  # the second member of coset 0 joins coset 1
+    assert out.solution[0] != out.solution[1]
+    column_of = orbits.column_of[:g] + (1,) + orbits.column_of[g + 1:]
+    with _split_orbit_lp(group, column_of=column_of):
+        with pytest.raises(InternalConsistencyError,
+                           match="certificate: the lifted primal is not invariant"):
+            contextual_fraction(model)
+
+
+def test_quotient_certificate_refuses_every_wrong_pair():
+    model = noisy_one_odd_lift(3, H)
+    _, orbits, out = lift_inputs(model)
+    # Every row has a nonzero right-hand side: 16 primal and 16 dual entries
+    # moved either way, 15 moves off an empty coset, one dual shift, 16
+    # overweight cosets, 8 lowered positive duals, the pair doubled and halved.
+    wrong = list(wrong_pairs(model, orbits, out))
+    assert len(wrong) == 64 + 15 + 1 + 16 + 8 + 2
+    for bad in wrong:
+        with mock.patch.object(analysis, "maximize", lambda lp: bad):
+            with pytest.raises(InternalConsistencyError, match="certificate"):
+                contextual_fraction(model)
+
+
+SCAN8_VALUES = (F(0), F(1, 16), F(1, 8), F(3, 16))
+
+
+def _oracle_models():
+    yield from (pr_box(0, 0, 0), pr_box(1, 0, 1), ghz_model(), three_way_box(),
+                asymmetric_scc_model(), noisy_one_odd_lift(3, H))
+    for a, b in itertools.product(SCAN8_VALUES, repeat=2):
+        yield eight_param_family([Q, a, b, F(1, 16), F(1, 8), 0, F(3, 16), F(1, 16)])
+        yield eight_param_family([Q, 0, a, 0, b, F(1, 8), 0, F(1, 16)])
+
+
+def test_full_lp_certify_agrees_with_the_quotient_certificate():
+    for model in _oracle_models():
+        group, orbits, out = lift_inputs(model)
+        assert quotient_accepts(model, group, orbits, out)
+        assert full_lp_accepts(model, orbits, out)
+        for bad in wrong_pairs(model, orbits, out):
+            assert not quotient_accepts(model, group, orbits, bad)
+            assert not full_lp_accepts(model, orbits, bad)

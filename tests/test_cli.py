@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amcc import cli
+from amcc import cli, construct
 from amcc.analysis import classify
 from amcc.catalog import ghz_model, pr_box
 from amcc.cli import main
@@ -342,6 +342,14 @@ def test_enumerate_csp_small_smoke(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "csp", "--preset", "eq40", "--jobs", "2")
     assert code == 0
     assert json.loads(out) == {"candidates": 65536, "ns_and_unsat": 2401}
+
+
+def test_enumerate_csp_preset_with_too_few_masks_exits_2(capsys, monkeypatch):
+    pattern, extendable = construct.CSP_PRESETS["eq40"]
+    monkeypatch.setitem(construct.CSP_PRESETS, "short", (pattern[:7], extendable[:3]))
+    code, out, err = run_cli(capsys, "enumerate", "csp", "--preset", "short")
+    assert (code, out) == (2, "")
+    assert err == "validation error: 7 support masks for 8 contexts\n"
 
 
 @pytest.mark.parametrize(

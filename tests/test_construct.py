@@ -41,6 +41,7 @@ from amcc.errors import (
     LengthMismatch,
     MalformedInput,
     OutOfRange,
+    ShapeMismatch,
     TooLarge,
     TooManyCandidates,
 )
@@ -537,9 +538,32 @@ def test_csp_refuses_malformed_extendable_contexts():
         with pytest.raises(IndexOutOfRange):
             csp_enumerate_extension(base, (c,))
     # A mask bit past the context's 8 sections would shrink the absent count.
-    wide = candidate_model(base.scenario, (base.masks[0] | 1 << 8,) + base.masks[1:])
-    with pytest.raises(MalformedInput, match="past section 7"):
+    wide = PossibilisticModel(base.scenario, (base.masks[0] | 1 << 8,) + base.masks[1:])
+    with pytest.raises(ShapeMismatch, match="past section 7"):
         csp_enumerate_extension(wide, (0,))
+
+
+def test_candidate_model_refuses_masks_that_do_not_fit_the_contexts():
+    s = bell_scenario(2, 2)
+    for masks in ([1], [1] * 6):
+        with pytest.raises(ShapeMismatch, match=f"{len(masks)} support masks for 4 contexts"):
+            candidate_model(s, masks)
+    with pytest.raises(ShapeMismatch, match="context 2 has a bit past section 3"):
+        candidate_model(s, [0xF, 0xF, 0x1F, 0xF])
+    with pytest.raises(ShapeMismatch, match="past section 3"):
+        candidate_model(s, [0xF, -1, 0xF, 0xF])
+
+
+def test_csp_search_refuses_masks_that_do_not_fit_the_contexts():
+    s = bell_scenario(2, 2)
+    # One mask for four contexts used to escape as a bare IndexError.
+    for masks in ((1,), (1,) * 6):
+        with pytest.raises(ShapeMismatch, match="support masks for 4 contexts"):
+            csp_enumerate_extension(PossibilisticModel(s, masks), (0,))
+    # A fixed context's bit past its last section used to be ignored silently.
+    wide_fixed = PossibilisticModel(s, (0x1F, 0xF, 0xF, 0xF))
+    with pytest.raises(ShapeMismatch, match="context 0 has a bit past section 3"):
+        csp_enumerate_extension(wide_fixed, (1,))
 
 
 def test_eight_param_row_structure():

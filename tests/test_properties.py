@@ -9,6 +9,7 @@ from property_suites import (
     check_parity_consistency_matches_satisfiability,
     check_polytope_dimension_formula,
     check_possibilistic_roundtrip,
+    check_quotient_certificate_matches_full_lp,
 )
 
 test_cf_one_iff_strongly_contextual = check_cf_one_iff_strongly_contextual
@@ -21,3 +22,4 @@ test_possibilistic_roundtrip = check_possibilistic_roundtrip
 test_polytope_dimension_formula = check_polytope_dimension_formula
 test_orbit_cf_matches_full_lp = check_orbit_cf_matches_full_lp
 test_orbit_lift_mutations_fail_certificate = check_orbit_lift_mutations_fail_certificate
+test_quotient_certificate_matches_full_lp = check_quotient_certificate_matches_full_lp
