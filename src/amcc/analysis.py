@@ -47,8 +47,8 @@ from .empirical import (
     is_no_signaling,
     possibilistic_collapse,
 )
-from .errors import InternalConsistencyError, ShapeMismatch, SignalingInput, TooLarge
-from .ratlp import LinearProgram, LpOutcome, LpStatus, maximize
+from .errors import InternalConsistencyError, SignalingInput, TooLarge
+from .ratlp import LinearProgram, LpOutcome, LpStatus, maximize, sequence_getter
 from .scenario import SCENARIO_CACHE_SIZE, MeasurementScenario, projection, section_values
 
 #: Hard cap on the size of the full incidence LP, (context, section) rows
@@ -117,12 +117,7 @@ def allowed_mask(s: MeasurementScenario, c: int, sections: int) -> int:
 
 
 def support_mask(p: PossibilisticModel) -> int:
-    """Bitmask of global assignments compatible with every context's support.
-
-    Raises ShapeMismatch unless ``p`` has one mask per context.
-    """
-    if len(p.masks) != p.scenario.n_contexts:
-        raise ShapeMismatch(f"{len(p.masks)} support masks for {p.scenario.n_contexts} contexts")
+    """Bitmask of global assignments compatible with every context's support."""
     acc = -1  # every assignment, with no 2**n-bit mask built before the size guard
     for c, sections in enumerate(p.masks):
         acc &= allowed_mask(p.scenario, c, sections)
@@ -251,13 +246,6 @@ def _orbit_lp(s: MeasurementScenario, group: int) -> _OrbitLp:
     )
 
 
-def _getter(indices: list):
-    """``itemgetter`` over ``indices`` that returns a sequence even for one index."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
-
-
 @dataclass(frozen=True)
 class _Quotient:
     """What the lift certificate checks for a flip group, derived from its generators.
@@ -294,9 +282,9 @@ def _quotient(s: MeasurementScenario, group: int) -> _Quotient:
         first += s.n_sections(c)
     generators = tuple(
         (
-            _getter([g ^ h for g in range(len(table[0]))]),
-            _getter([rows[sec ^ proj[h]] for rows, proj in zip(rows_of, table)
-                     for sec in range(len(rows))]),
+            sequence_getter([g ^ h for g in range(len(table[0]))]),
+            sequence_getter([rows[sec ^ proj[h]] for rows, proj in zip(rows_of, table)
+                             for sec in range(len(rows))]),
         )
         for h in basis
     )
@@ -306,7 +294,7 @@ def _quotient(s: MeasurementScenario, group: int) -> _Quotient:
         if not seen[g]:
             for h in span:
                 seen[g ^ h] = 1
-            columns.append(_getter([rows[proj[g]] for rows, proj in zip(rows_of, table)]))
+            columns.append(sequence_getter([rows[proj[g]] for rows, proj in zip(rows_of, table)]))
     reps = []
     for rows, proj in zip(rows_of, table):
         flips = {proj[h] for h in span}

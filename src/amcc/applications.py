@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .construct import ParitySystem, parity_consistent, parity_to_possibilistic
-from .empirical import EmpiricalModel, format_rational, marginal
+from .empirical import EmpiricalModel, exact_rational, format_rational, marginal
 from .errors import (
     ConsistentResource,
     LengthMismatch,
@@ -160,7 +160,7 @@ def secret_share_simulate(
         raise ConsistentResource(
             "parity system is satisfiable; it carries no contextuality guarantee"
         )
-    q = Fraction(test_fraction)
+    q = exact_rational(test_fraction)
     if not 0 < q < 1:
         raise RowNotNormalized(f"test fraction {format_rational(q)} not in (0, 1)")
     if rounds < 1:

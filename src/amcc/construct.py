@@ -38,6 +38,7 @@ from .empirical import (
     EmpiricalModel,
     PossibilisticModel,
     SignalingWitness,
+    exact_rational,
     format_rational,
     lift_uniform,
     make_model,
@@ -48,7 +49,6 @@ from .errors import (
     LengthMismatch,
     MalformedInput,
     OutOfRange,
-    ShapeMismatch,
     TooLarge,
     TooManyCandidates,
 )
@@ -84,10 +84,21 @@ SCAN_POINT_LIMIT = 1 << 14
 
 @dataclass(frozen=True)
 class ParitySystem:
-    """One XOR equation per context: sum of its observables = parity bit (mod 2)."""
+    """One XOR equation per context: sum of its observables = parity bit (mod 2).
+
+    Raises LengthMismatch unless there is one parity per context, each 0 or 1.
+    """
 
     scenario: MeasurementScenario
     parities: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.parities) != self.scenario.n_contexts:
+            raise LengthMismatch(
+                f"{len(self.parities)} parity bits for {self.scenario.n_contexts} contexts"
+            )
+        if any(b not in (0, 1) for b in self.parities):
+            raise LengthMismatch("parities must be bits")
 
     def coefficient_mask(self, c: int) -> int:
         """Bitmask (over observable indices) of the variables in equation ``c``."""
@@ -101,14 +112,7 @@ def parity_system(
     s: MeasurementScenario, parities: Sequence[int]
 ) -> ParitySystem:
     """Build the per-context XOR system with the given parity bits."""
-    bits = tuple(int(b) for b in parities)
-    if len(bits) != s.n_contexts:
-        raise LengthMismatch(
-            f"{len(bits)} parity bits for {s.n_contexts} contexts"
-        )
-    if any(b not in (0, 1) for b in bits):
-        raise LengthMismatch("parities must be bits")
-    return ParitySystem(scenario=s, parities=bits)
+    return ParitySystem(scenario=s, parities=tuple(int(b) for b in parities))
 
 
 def _combo_indices(combo: int) -> tuple[int, ...]:
@@ -118,7 +122,7 @@ def _combo_indices(combo: int) -> tuple[int, ...]:
 @lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def _gf2_basis(s: MeasurementScenario):
     """:func:`gf2_eliminate` of the context coefficient masks, shared by every parity vector of ``s``."""
-    ps = ParitySystem(s, ())
+    ps = ParitySystem(s, (0,) * s.n_contexts)
     return gf2_eliminate([ps.coefficient_mask(c) for c in range(s.n_contexts)])
 
 
@@ -317,25 +321,8 @@ class CspEnumeration:
 def candidate_model(
     s: MeasurementScenario, support_masks: Sequence[int]
 ) -> PossibilisticModel:
-    """Materialize a candidate's support masks as a possibilistic model.
-
-    Raises ShapeMismatch unless there is one mask per context of ``s``, each
-    with no bit at or past the context's section count.
-    """
-    masks = tuple(support_masks)
-    _require_mask_shape(s, masks)
-    return PossibilisticModel(scenario=s, masks=masks)
-
-
-def _require_mask_shape(s: MeasurementScenario, masks: tuple[int, ...]) -> None:
-    """ShapeMismatch unless ``masks`` has one mask per context, each within its sections."""
-    if len(masks) != s.n_contexts:
-        raise ShapeMismatch(f"{len(masks)} support masks for {s.n_contexts} contexts")
-    for c, mask in enumerate(masks):
-        if mask >> s.n_sections(c):
-            raise ShapeMismatch(
-                f"support mask of context {c} has a bit past section {s.n_sections(c) - 1}"
-            )
+    """Materialize a candidate's support masks as a possibilistic model."""
+    return PossibilisticModel(s, tuple(support_masks))
 
 
 class _CspSearch:
@@ -359,7 +346,6 @@ class _CspSearch:
 
     def __init__(self, base: PossibilisticModel, extendable: tuple[int, ...]):
         s = base.scenario
-        _require_mask_shape(s, base.masks)
         n_absent = {c: s.n_sections(c) - base.masks[c].bit_count() for c in extendable}
         bits = sum(n_absent.values())
         if bits > CSP_ENUMERATION_LIMIT:
@@ -500,7 +486,7 @@ def eight_param_family(params: Sequence[Union[Fraction, int, str]]) -> Empirical
     odd-parity sections, so every within-context marginal is uniform for any
     parameters in [0, 1/4].
     """
-    values = [Fraction(p) for p in params]
+    values = [exact_rational(p) for p in params]
     if len(values) != 8:
         raise LengthMismatch(f"need 8 parameters, got {len(values)}")
     for i, p in enumerate(values, start=1):
@@ -523,7 +509,7 @@ def three_param_family(
     p2 < p1 < p2/2 + 1/4, 0 < p3 < min(p1, 1/2 - p1, 2*p1 - p2), and turns
     symmetric (maximal marginals) at p1 = p3 = 1/4, p2 = 0.
     """
-    p1, p2, p3 = Fraction(p1), Fraction(p2), Fraction(p3)
+    p1, p2, p3 = exact_rational(p1), exact_rational(p2), exact_rational(p3)
     rows = (
         (ZERO, p1, p1, ZERO, HALF - p1, ZERO, ZERO, HALF - p1),
         (p2, p1 - p2, p3, p1 - p3, HALF - p1, ZERO, ZERO, HALF - p1),
@@ -555,7 +541,7 @@ def twentysix_param_family(
     Normalization and no-signaling hold identically in the parameters; a
     choice is valid exactly when every derived entry lands in [0, 1].
     """
-    values = [Fraction(p) for p in params]
+    values = [exact_rational(p) for p in params]
     if len(values) != 26:
         raise LengthMismatch(f"need 26 parameters, got {len(values)}")
     p = dict(zip(range(1, 27), values))
@@ -681,8 +667,8 @@ def scan_eight_param(
     order with the last parameter varying fastest.  Raises TooLarge above
     SCAN_POINT_LIMIT points before evaluating any.
     """
-    grid_values = [Fraction(v) for v in grid]
-    pinned = {int(k): Fraction(v) for k, v in (fixed or {}).items()}
+    grid_values = [exact_rational(v) for v in grid]
+    pinned = {int(k): exact_rational(v) for k, v in (fixed or {}).items()}
     for k in pinned:
         if not 1 <= k <= 8:
             raise IndexOutOfRange(f"parameter index {k} not in 1..8")
@@ -702,7 +688,7 @@ def scan_eight_param_pairs(
     pair taking every value combination from ``values`` x ``values``.
     Raises TooLarge above SCAN_POINT_LIMIT points before evaluating any.
     """
-    vals = [Fraction(v) for v in values]
+    vals = [exact_rational(v) for v in values]
     _require_scan_size(math.comb(8, 2) * len(vals) ** 2)
     points = []
     for i, j in itertools.combinations(range(8), 2):

@@ -24,6 +24,7 @@ from .errors import (
     NotASubset,
     RowNotNormalized,
     ScenarioMismatch,
+    ShapeMismatch,
     SignalingDetected,
     TooLarge,
 )
@@ -69,6 +70,23 @@ def parse_rational(text: str) -> Fraction:
     if den is not None and int(den) == 0:
         raise MalformedInput(f"zero denominator in {text!r}")
     return Fraction(int(num), int(den or 1))
+
+
+def exact_rational(x: Union[Fraction, int, str]) -> Fraction:
+    """Read an exact rational at a Python entry point.
+
+    A Fraction or an int (not a bool) passes; a string is read by
+    :func:`parse_rational`, the JSON grammar.  Anything else, a float or a
+    Decimal included, raises MalformedInput, so no binary fraction enters a
+    model.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str):
+        return parse_rational(x)
+    raise MalformedInput(f"not an exact rational (int, Fraction or 'k/d' string): {repr(x)[:40]}")
 
 
 @dataclass(frozen=True)
@@ -129,11 +147,23 @@ class PossibilisticModel:
     Bit ``sec`` of ``masks[c]`` is set iff section ``sec`` of context ``c``
     is supported.  Doubles as a Boolean constraint-satisfaction instance: a
     global assignment satisfies the model when its restriction to every
-    context is a supported section.
+    context is a supported section.  Raises ShapeMismatch unless there is
+    one mask per context, each with no bit outside the context's sections
+    (so no negative mask either).
     """
 
     scenario: MeasurementScenario
     masks: tuple[int, ...]
+
+    def __post_init__(self):
+        contexts = self.scenario.contexts
+        if len(self.masks) != len(contexts):
+            raise ShapeMismatch(f"{len(self.masks)} support masks for {len(contexts)} contexts")
+        for c, (ctx, mask) in enumerate(zip(contexts, self.masks)):
+            if mask >> (1 << len(ctx)):
+                raise ShapeMismatch(
+                    f"support mask of context {c} has a bit past section {(1 << len(ctx)) - 1}"
+                )
 
 
 def support_row(mask: int, n_sections: int) -> tuple[int, ...]:
@@ -162,11 +192,12 @@ def make_model(
 ) -> EmpiricalModel:
     """Validate a probability table family and wrap it as a model.
 
-    Every row must be nonnegative and sum to exactly 1, and the generalized
-    no-signaling condition must hold; on failure a
-    :class:`SignalingDetected` carrying a witness is raised.  Each row is
-    checked over its own denominator first; a row's or the model's common
-    denominator reaching DENOMINATOR_LIMIT raises TooLarge.
+    Entries are read by :func:`exact_rational`.  Every row must be
+    nonnegative and sum to exactly 1, and the generalized no-signaling
+    condition must hold; on failure a :class:`SignalingDetected` carrying a
+    witness is raised.  Each row is checked over its own denominator first;
+    a row's or the model's common denominator reaching DENOMINATOR_LIMIT
+    raises TooLarge.
     """
     if len(tables) != s.n_contexts:
         raise RowNotNormalized(
@@ -179,7 +210,7 @@ def make_model(
             raise RowNotNormalized(
                 f"context {c} needs {width} entries, got {len(raw)}"
             )
-        row = tuple(map(Fraction, raw))
+        row = tuple(map(exact_rational, raw))
         for i, x in enumerate(row):
             if x.numerator < 0:
                 raise NegativeEntry(
@@ -288,7 +319,7 @@ def mix(
     """Convex combination of models on the same scenario."""
     if len(models) != len(weights) or not models:
         raise ScenarioMismatch("need one weight per model")
-    weights = [Fraction(w) for w in weights]
+    weights = [exact_rational(w) for w in weights]
     if any(w < 0 for w in weights) or sum(weights) != 1:
         raise RowNotNormalized("mixture weights must be nonnegative and sum to 1")
     s = models[0].scenario
@@ -318,7 +349,7 @@ def from_global_distribution(
     for values, w in weights.items():
         if len(values) != n or not all(isinstance(v, int) and v in (0, 1) for v in values):
             raise NotASubset(f"assignment {values} is not {n} outcome bits")
-        mass.append((values, Fraction(w)))
+        mass.append((values, exact_rational(w)))
     total = sum(w for _, w in mass)
     if total != 1:
         raise RowNotNormalized(f"global weights sum to {format_rational(total)}")

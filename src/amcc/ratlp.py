@@ -338,13 +338,17 @@ class _Tableau:
             self.pivot(r, c)
 
 
+def sequence_getter(positions: list):
+    """``itemgetter`` over ``positions`` that returns a sequence even for one position."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    # A slice, so the getter still returns a sequence.
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+
+
 def _sparse_column(positions: list, coefs: list) -> tuple:
     """The :func:`_dot` form of a column with ``coefs`` at owned ``positions``."""
-    if len(positions) > 1:
-        get = itemgetter(*positions)
-    else:  # a slice, so the getter still returns a sequence
-        get = itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
-    return get, None if coefs.count(1) == len(coefs) else tuple(coefs)
+    return sequence_getter(positions), None if coefs.count(1) == len(coefs) else tuple(coefs)
 
 
 def _build_tableau(kept, rows, live_rows, kinds):

@@ -21,6 +21,8 @@ from amcc.scenario import bell_scenario, make_scenario, projection, scenario_to_
 SCENARIO_22 = bell_scenario(2, 2)
 SCENARIO_32 = bell_scenario(3, 2)
 SCENARIO_24 = bell_scenario(2, 4)
+#: Contexts of one and two observables.
+MIXED_WIDTHS = make_scenario(["A", "B", "C"], [["A", "B"], ["C"]])
 
 #: Extremal (2,2,2) models: the 16 deterministic points and the 8 PR boxes.
 VERTICES_222 = [
@@ -79,6 +81,17 @@ def support_patterns_222(draw):
     """Arbitrary nonempty support masks on (2,2,2)."""
     masks = tuple(draw(st.integers(1, 0b1111)) for _ in range(SCENARIO_22.n_contexts))
     return PossibilisticModel(scenario=SCENARIO_22, masks=masks)
+
+
+@st.composite
+def mask_tuples(draw):
+    """A scenario and int masks, mostly fitting it; some too few, too many, negative or wide."""
+    s = draw(st.sampled_from([SCENARIO_22, SCENARIO_32, MIXED_WIDTHS]))
+    masks = [draw(st.integers(0, (1 << s.n_sections(c)) - 1)) for c in range(s.n_contexts)]
+    for _ in range(draw(st.integers(0, 2))):
+        masks[draw(st.integers(0, s.n_contexts - 1))] = draw(st.integers())
+    count = draw(st.sampled_from([s.n_contexts] * 4 + [s.n_contexts - 1, s.n_contexts + 1]))
+    return s, tuple((masks + [draw(st.integers())])[:count])
 
 
 def fraction_rows(model):

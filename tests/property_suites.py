@@ -28,6 +28,7 @@ from amcc.construct import (
     parity_to_possibilistic,
 )
 from amcc.empirical import (
+    PossibilisticModel,
     format_rational,
     from_global_distribution,
     is_maximal_marginal,
@@ -37,14 +38,16 @@ from amcc.empirical import (
     mix,
     parse_rational,
     possibilistic_collapse,
+    possibilistic_to_dict,
 )
-from amcc.errors import InternalConsistencyError, SignalingDetected
+from amcc.errors import InternalConsistencyError, ShapeMismatch, SignalingDetected
 from amcc.ratlp import LinearProgram, certify, maximize
 from amcc.scenario import polytope_dimension, projection, section_index, section_values
 
 from _generators import (
     flip_group,
     fraction_rows,
+    mask_tuples,
     mixture_models_222,
     noisy_parity_lifts,
     ns_models_222,
@@ -152,6 +155,24 @@ def check_possibilistic_roundtrip(pattern):
         assert err.witness.marginal_a != err.witness.marginal_b
     else:
         assert possibilistic_collapse(lifted).masks == pattern.masks
+
+
+@CASES
+@given(mask_tuples())
+def check_masks_fit_or_are_refused(drawn):
+    """A possibilistic model refuses masks that do not fit, or spells each mask out exactly."""
+    s, masks = drawn
+    try:
+        p = PossibilisticModel(s, masks)
+    except ShapeMismatch:
+        assert len(masks) != s.n_contexts or any(
+            not 0 <= mask < 1 << s.n_sections(c) for c, mask in enumerate(masks)
+        )
+        return
+    tables = possibilistic_to_dict(p)["tables"]
+    rows = [tables["|".join(ctx)] for ctx in s.contexts]
+    assert all(set(row) <= {0, 1} for row in rows)
+    assert tuple(sum(bit << sec for sec, bit in enumerate(row)) for row in rows) == masks
 
 
 @CASES

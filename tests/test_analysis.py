@@ -171,6 +171,19 @@ def test_support_scan_refuses_a_mask_count_other_than_the_context_count():
             is_strongly_contextual(PossibilisticModel(S22, masks))
 
 
+def test_support_scan_refuses_a_mask_bit_past_the_last_section():
+    # Bit 4 of a four-section context used to count as no support at all,
+    # so this pattern was reported strongly contextual.
+    with pytest.raises(ShapeMismatch, match="context 0 has a bit past section 3"):
+        is_strongly_contextual(PossibilisticModel(S22, (0x10, 0xF, 0xF, 0xF)))
+
+
+def test_support_scan_refuses_a_negative_mask():
+    # A mask of -1 used to count as full support and yield a global assignment.
+    with pytest.raises(ShapeMismatch, match="context 0 has a bit past section 3"):
+        is_strongly_contextual(PossibilisticModel(S22, (-1, 0xF, 0xF, 0xF)))
+
+
 def test_avn_certificate_pr_box():
     ok, cert = avn_certificate(pr_box(0, 0, 0))
     assert ok and len(cert.entries) == 16

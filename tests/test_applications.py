@@ -15,6 +15,7 @@ from amcc.empirical import deterministic_model, proper_subsets
 from amcc.errors import (
     ConsistentResource,
     LengthMismatch,
+    MalformedInput,
     NotASubset,
     RowNotNormalized,
     TooLarge,
@@ -134,6 +135,17 @@ def test_secret_share_rejects_bad_fraction_and_empty_secret():
         secret_share_simulate(ps, (1,), 10, F(0), 1)
     with pytest.raises(RowNotNormalized):
         secret_share_simulate(ps, (), 10, F(1, 5), 1)
+
+
+def test_secret_share_refuses_a_float_test_fraction():
+    ps = parity_system(S32, GHZ_PARITIES)
+    with pytest.raises(MalformedInput):
+        secret_share_simulate(ps, (1,), 10, 0.25, 1)
+    run = secret_share_simulate(ps, (1,), 10, "1/4", 1)
+    assert run.transcript() == secret_share_simulate(ps, (1,), 10, F(1, 4), 1).transcript()
+    # An int is read, then refused as a fraction outside (0, 1).
+    with pytest.raises(RowNotNormalized, match="test fraction 1 not in"):
+        secret_share_simulate(ps, (1,), 10, 1, 1)
 
 
 def test_secret_share_refuses_secret_entries_that_are_not_bits():

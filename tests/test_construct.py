@@ -33,6 +33,7 @@ from amcc.construct import (
 from amcc.empirical import (
     PossibilisticModel,
     SignalingWitness,
+    deterministic_model,
     lift_uniform,
     possibilistic_collapse,
 )
@@ -78,6 +79,19 @@ def test_parity_system_validation():
         parity_system(S22, (0, 0, 0))
     with pytest.raises(LengthMismatch):
         parity_system(S22, (0, 0, 0, 2))
+
+
+def test_parity_consistent_refuses_a_short_parity_vector():
+    # One parity for four contexts used to get an inconsistency certificate
+    # naming all four equations.
+    with pytest.raises(LengthMismatch, match="1 parity bits for 4 contexts"):
+        parity_consistent(construct.ParitySystem(S22, (1,)))
+
+
+def test_parity_to_possibilistic_refuses_a_parity_that_is_not_a_bit():
+    # Parity 2 used to give context 0 an empty support.
+    with pytest.raises(LengthMismatch, match="parities must be bits"):
+        parity_to_possibilistic(construct.ParitySystem(S22, (2, 0, 0, 0)))
 
 
 def test_parity_consistent_pr_certificate_is_all_equations():
@@ -159,6 +173,15 @@ def test_boolean_no_signaling_counterexample():
     assert witness.marginal_a == (1, 0)
     assert witness.marginal_b == (0, 1)
     assert witness.describe() == "contexts 0 and 1 disagree on ('X1',): ('1', '0') vs ('0', '1')"
+
+
+def test_boolean_no_signaling_refuses_masks_that_do_not_fit_the_contexts():
+    # One mask used to escape as a bare IndexError, and bit 4 of 0x1F was
+    # projected away, so the pattern passed.
+    with pytest.raises(ShapeMismatch, match="1 support masks for 4 contexts"):
+        boolean_no_signaling(PossibilisticModel(S22, (0xF,)))
+    with pytest.raises(ShapeMismatch, match="context 0 has a bit past section 3"):
+        boolean_no_signaling(PossibilisticModel(S22, (0x1F, 0xF, 0xF, 0xF)))
 
 
 def test_csp_satisfiable_verdicts():
@@ -538,8 +561,8 @@ def test_csp_refuses_malformed_extendable_contexts():
         with pytest.raises(IndexOutOfRange):
             csp_enumerate_extension(base, (c,))
     # A mask bit past the context's 8 sections would shrink the absent count.
-    wide = PossibilisticModel(base.scenario, (base.masks[0] | 1 << 8,) + base.masks[1:])
     with pytest.raises(ShapeMismatch, match="past section 7"):
+        wide = PossibilisticModel(base.scenario, (base.masks[0] | 1 << 8,) + base.masks[1:])
         csp_enumerate_extension(wide, (0,))
 
 
@@ -561,8 +584,8 @@ def test_csp_search_refuses_masks_that_do_not_fit_the_contexts():
         with pytest.raises(ShapeMismatch, match="support masks for 4 contexts"):
             csp_enumerate_extension(PossibilisticModel(s, masks), (0,))
     # A fixed context's bit past its last section used to be ignored silently.
-    wide_fixed = PossibilisticModel(s, (0x1F, 0xF, 0xF, 0xF))
     with pytest.raises(ShapeMismatch, match="context 0 has a bit past section 3"):
+        wide_fixed = PossibilisticModel(s, (0x1F, 0xF, 0xF, 0xF))
         csp_enumerate_extension(wide_fixed, (1,))
 
 
@@ -671,6 +694,36 @@ def test_scans_refuse_oversized_grids_before_evaluating():
         scan_eight_param([F(k) for k in range(4)])
     with pytest.raises(TooLarge, match="17500 scan points"):
         scan_eight_param_pairs([F(k) for k in range(25)])
+
+
+def test_families_refuse_float_parameters():
+    with pytest.raises(MalformedInput):
+        eight_param_family([0.25] + [0] * 7)
+    with pytest.raises(MalformedInput):
+        eight_param_family([Q] + [0.1] * 7)
+    amcc_point = eight_param_family([Q] + [0] * 7)
+    assert eight_param_family(["1/4"] + [F(0)] * 7) == amcc_point
+    with pytest.raises(MalformedInput):
+        three_param_family(0.25, 0, Q)
+    assert three_param_family("1/4", 0, Q) == three_param_family(Q, F(0), Q)
+    with pytest.raises(MalformedInput):
+        twentysix_param_family([0.125] + [F(1, 8)] * 25)
+    uniform = twentysix_param_family([F(1, 8)] * 26)
+    assert twentysix_param_family(["1/8"] + [F(1, 8)] * 25) == uniform
+    assert twentysix_param_family([0] * 26) == deterministic_model(S32, (1,) * 6)
+
+
+def test_scans_refuse_float_values_before_evaluating():
+    rest = {k: F(0) for k in range(2, 9)}
+    with pytest.raises(MalformedInput):
+        scan_eight_param([0.25], fixed=rest)
+    with pytest.raises(MalformedInput):
+        scan_eight_param([Q], fixed={**rest, 8: 0.0})
+    expected = scan_eight_param([Q], fixed=rest).points
+    assert scan_eight_param(["1/4"], fixed={**rest, 8: 0}).points == expected
+    with pytest.raises(MalformedInput):
+        scan_eight_param_pairs([0, 0.25])
+    assert len(scan_eight_param_pairs([0, "1/4"]).points) == 112
 
 
 def test_parity_preset_roundtrip(tmp_path):

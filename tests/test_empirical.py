@@ -1,5 +1,6 @@
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from amcc.empirical import (
     model_to_dict,
     parse_rational,
     possibilistic_collapse,
+    exact_rational,
     possibilistic_to_dict,
     PossibilisticModel,
     DENOMINATOR_LIMIT,
@@ -34,6 +36,7 @@ from amcc.errors import (
     NegativeEntry,
     NotASubset,
     RowNotNormalized,
+    ShapeMismatch,
     SignalingDetected,
     TooLarge,
 )
@@ -216,6 +219,16 @@ def test_lift_uniform_detects_probabilistic_signaling():
     assert witness.marginal_b == (H, H)
 
 
+def test_lift_uniform_refuses_masks_that_do_not_fit_the_contexts():
+    # These used to fail late, as RowNotNormalized ("sums to 4", "sums to
+    # 4/5") or IndexOutOfRange, after rows were built from the bad masks.
+    for mask in (-1, 0x1F):
+        with pytest.raises(ShapeMismatch, match="context 1 has a bit past section 3"):
+            lift_uniform(PossibilisticModel(S22, (0xF, mask, 0xF, 0xF)))
+    with pytest.raises(ShapeMismatch, match="6 support masks for 4 contexts"):
+        lift_uniform(PossibilisticModel(S22, (0xF,) * 6))
+
+
 def test_mix_interpolates_tables():
     a = pr_box(0, 0, 0)
     b = deterministic_model(S22, (0, 0, 0, 0))
@@ -231,6 +244,49 @@ def test_from_global_distribution_marginals():
     assert fraction_rows(model)[0] == (H, 0, 0, H)
     with pytest.raises(RowNotNormalized):
         from_global_distribution(S22, {(0, 0, 0, 0): H})
+
+
+# --- exact rationals at the Python entry points ------------------------------
+
+NOT_EXACT = (0.25, Decimal("0.25"), True, None)
+
+
+def test_exact_rational_reads_only_exact_values():
+    assert exact_rational(Q) == Q and exact_rational(3) == 3
+    assert exact_rational("1/4") == Q and exact_rational("-2") == -2
+    for x in NOT_EXACT:
+        with pytest.raises(MalformedInput, match="not an exact rational"):
+            exact_rational(x)
+    # Strings follow the JSON grammar: no decimals, exponents or spaces.
+    for text in ("0.25", "1e-2", " 1/4"):
+        with pytest.raises(MalformedInput, match="not a rational k or k/d"):
+            exact_rational(text)
+
+
+def test_make_model_refuses_floats():
+    # 0.25 is exact in binary, so only the reader can tell it from 1/4.
+    for x in NOT_EXACT:
+        with pytest.raises(MalformedInput):
+            make_model(S22, [[x, Q, Q, Q]] + [[Q] * 4] * 3)
+    uniform = make_model(S22, [[Q] * 4] * 4)
+    assert make_model(S22, [["1/4", Q, Q, Q]] + [[Q] * 4] * 3) == uniform
+    assert fraction_rows(make_model(S22, [[1, 0, 0, 0]] * 4))[0] == (1, 0, 0, 0)
+
+
+def test_mix_refuses_float_weights():
+    a, b = pr_box(0, 0, 0), deterministic_model(S22, (0, 0, 0, 0))
+    with pytest.raises(MalformedInput):
+        mix([a, b], [0.5, 0.5])
+    assert mix([a, b], ["1/2", H]) == mix([a, b], [H, H])
+    assert mix([a, b], [1, 0]) == a
+
+
+def test_from_global_distribution_refuses_float_weights():
+    with pytest.raises(MalformedInput):
+        from_global_distribution(S22, {(0, 0, 0, 0): 0.5, (1, 1, 1, 1): 0.5})
+    halves = from_global_distribution(S22, {(0, 0, 0, 0): H, (1, 1, 1, 1): H})
+    assert from_global_distribution(S22, {(0, 0, 0, 0): "1/2", (1, 1, 1, 1): H}) == halves
+    assert from_global_distribution(S22, {(0, 0, 0, 0): 1}) == deterministic_model(S22, (0,) * 4)
 
 
 def test_deterministic_model_does_not_enumerate_global_assignments():
@@ -322,6 +378,15 @@ def test_possibilistic_json_shape():
     # (alpha, beta, gamma) = (1, 1, 0) the (X1, X2) context is correlated.
     payload = possibilistic_to_dict(possibilistic_collapse(pr_box(1, 1, 0)))
     assert payload["tables"]["X1|X2"] == [1, 0, 0, 1]
+
+
+def test_possibilistic_json_refuses_masks_that_do_not_fit_the_contexts():
+    # Bit 4 used to be dropped from the 0/1 row, and three masks used to
+    # give a document with no row for the last context.
+    with pytest.raises(ShapeMismatch, match="context 0 has a bit past section 3"):
+        possibilistic_to_dict(PossibilisticModel(S22, (0x1F, 0xF, 0xF, 0xF)))
+    with pytest.raises(ShapeMismatch, match="3 support masks for 4 contexts"):
+        possibilistic_to_dict(PossibilisticModel(S22, (0xF,) * 3))
 
 
 def test_model_json_rejects_unknown_context():

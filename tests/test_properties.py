@@ -4,6 +4,7 @@ from property_suites import (
     check_cf_convexity,
     check_cf_one_iff_strongly_contextual,
     check_marginal_agreement_on_overlaps,
+    check_masks_fit_or_are_refused,
     check_orbit_cf_matches_full_lp,
     check_orbit_lift_mutations_fail_certificate,
     check_parity_consistency_matches_satisfiability,
@@ -23,3 +24,4 @@ test_polytope_dimension_formula = check_polytope_dimension_formula
 test_orbit_cf_matches_full_lp = check_orbit_cf_matches_full_lp
 test_orbit_lift_mutations_fail_certificate = check_orbit_lift_mutations_fail_certificate
 test_quotient_certificate_matches_full_lp = check_quotient_certificate_matches_full_lp
+test_possibilistic_masks_fit_or_are_refused = check_masks_fit_or_are_refused
