@@ -7,9 +7,6 @@ parity/uniformity condition so the code documents the construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable
-
 from .empirical import EmpiricalModel, PossibilisticModel, lift_uniform, make_model
 from .errors import IndexOutOfRange
 from .scenario import bell_scenario, parity_mask
@@ -52,22 +49,17 @@ def three_way_box() -> EmpiricalModel:
     return lift_uniform(PossibilisticModel(bell_scenario(3, 2), tuple(masks)))
 
 
-def _q(entries: Iterable[int]) -> tuple[Fraction, ...]:
-    """Row given in quarters: 0, 1, 2 mean 0, 1/4, 1/2."""
-    return tuple(Fraction(e, 4) for e in entries)
-
-
 #: Verbatim transcription of the asymmetric strongly-contextual (3,2,2) table
 #: (rows in context order (0,0,0)..(1,1,1), entries in quarters).
 _ASYMMETRIC_ROWS = (
-    _q((0, 1, 2, 0, 1, 0, 0, 0)),
-    _q((1, 0, 0, 2, 0, 1, 0, 0)),
-    _q((1, 0, 1, 1, 1, 0, 0, 0)),
-    _q((1, 0, 0, 2, 0, 1, 0, 0)),
-    _q((0, 1, 2, 0, 1, 0, 0, 0)),
-    _q((1, 0, 0, 2, 0, 1, 0, 0)),
-    _q((2, 0, 0, 1, 0, 0, 1, 0)),
-    _q((1, 1, 0, 1, 0, 0, 0, 1)),
+    (0, 1, 2, 0, 1, 0, 0, 0),
+    (1, 0, 0, 2, 0, 1, 0, 0),
+    (1, 0, 1, 1, 1, 0, 0, 0),
+    (1, 0, 0, 2, 0, 1, 0, 0),
+    (0, 1, 2, 0, 1, 0, 0, 0),
+    (1, 0, 0, 2, 0, 1, 0, 0),
+    (2, 0, 0, 1, 0, 0, 1, 0),
+    (1, 1, 0, 1, 0, 0, 0, 1),
 )
 
 
@@ -78,7 +70,7 @@ def asymmetric_scc_model() -> EmpiricalModel:
     weights 1/2 and 1/4), so it is maximally contextual without having
     maximal marginals.
     """
-    return make_model(bell_scenario(3, 2), _ASYMMETRIC_ROWS)
+    return make_model(bell_scenario(3, 2), _ASYMMETRIC_ROWS, 4)
 
 
 #: CLI registry: name -> (constructor, accepts pr-box bits?).

@@ -190,7 +190,7 @@ def _cmd_scan_eight(args) -> int:
     fixed = {}
     for token in args.fix or ():
         key, _, value = token.partition("=")
-        if not value or not re.fullmatch(r"\s*[+-]?\d+\s*", key):
+        if not value or not re.fullmatch(r"\s*[+-]?\d+\s*", key, re.ASCII):
             raise _UsageError(f"--fix expects i=value, got {token!r}")
         if int(key) in fixed:
             raise _UsageError(f"--fix gives index {int(key)} more than once")

@@ -35,6 +35,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import analysis
 from .empirical import (
+    RATIONAL_DIGIT_LIMIT,
     EmpiricalModel,
     PossibilisticModel,
     SignalingWitness,
@@ -489,11 +490,15 @@ def eight_param_family(params: Sequence[Union[Fraction, int, str]]) -> Empirical
     values = [exact_rational(p) for p in params]
     if len(values) != 8:
         raise LengthMismatch(f"need 8 parameters, got {len(values)}")
-    for i, p in enumerate(values, start=1):
-        _check_range(f"p{i}", p, ZERO, QUARTER)
+    den = math.lcm(4, *(p.denominator for p in values))
     even = support_row(parity_mask(3, 0), 8)
-    rows = [tuple(p if bit else QUARTER - p for bit in even) for p in values]
-    return make_model(bell_scenario(3, 2), rows)
+    rows = []
+    for i, p in enumerate(values, start=1):
+        n = p.numerator * (den // p.denominator)
+        if not 0 <= n <= den // 4:
+            _check_range(f"p{i}", p, ZERO, QUARTER)  # raises OutOfRange
+        rows.append(tuple(n if bit else den // 4 - n for bit in even))
+    return make_model(bell_scenario(3, 2), rows, den)
 
 
 def three_param_family(
@@ -656,22 +661,44 @@ def _scan_points(points) -> ScanReport:
     return ScanReport(points=tuple(results), histogram=histogram)
 
 
+def _parameter_index(key) -> int:
+    """A 1-based parameter index: an int (not a bool) or an ASCII decimal string.
+
+    Anything else, a string of more than RATIONAL_DIGIT_LIMIT digits
+    included, raises MalformedInput, so a float or a bool is never truncated
+    onto another parameter; an index outside 1..8 raises IndexOutOfRange.
+    """
+    if isinstance(key, str) and key.isascii() and key.isdigit() and len(key) <= RATIONAL_DIGIT_LIMIT:
+        key = int(key)
+    if not isinstance(key, int) or isinstance(key, bool):
+        raise MalformedInput(
+            f"parameter index must be an int or a decimal string, got {repr(key)[:40]}"
+        )
+    if not 1 <= key <= 8:
+        raise IndexOutOfRange(f"parameter index {key} not in 1..8")
+    return key
+
+
 def scan_eight_param(
     grid: Sequence[Union[Fraction, int, str]],
-    fixed: Optional[Mapping[int, Union[Fraction, int, str]]] = None,
+    fixed: Optional[Mapping[Union[int, str], Union[Fraction, int, str]]] = None,
 ) -> ScanReport:
     """Contextual fraction over a grid of 8-parameter family instances.
 
-    ``fixed`` pins parameters (1-based keys) to single values; every unfixed
-    parameter ranges over ``grid``.  Points are visited in lexicographic
-    order with the last parameter varying fastest.  Raises TooLarge above
-    SCAN_POINT_LIMIT points before evaluating any.
+    ``fixed`` pins parameters to single values, keyed by 1-based index (an
+    int or an ASCII decimal string; any other key, or an index given twice,
+    raises MalformedInput); every unfixed parameter ranges over ``grid``.
+    Points are visited in lexicographic order with the last parameter
+    varying fastest.  Raises TooLarge above SCAN_POINT_LIMIT points before
+    evaluating any.
     """
     grid_values = [exact_rational(v) for v in grid]
-    pinned = {int(k): exact_rational(v) for k, v in (fixed or {}).items()}
-    for k in pinned:
-        if not 1 <= k <= 8:
-            raise IndexOutOfRange(f"parameter index {k} not in 1..8")
+    pinned = {}
+    for key, value in (fixed or {}).items():
+        k = _parameter_index(key)
+        if k in pinned:
+            raise MalformedInput(f"parameter {k} is pinned more than once")
+        pinned[k] = exact_rational(value)
     axes = [
         [pinned[i]] if i in pinned else grid_values for i in range(1, 9)
     ]

@@ -5,6 +5,9 @@ context, so normalization, no-signaling and uniformity checks are integer
 equalities; there is no floating point anywhere in the model layer.
 :func:`make_model` is the one place rationals become this form, and values
 leave it as ``fractions.Fraction`` only at the edges (JSON, witnesses).
+Marginals are read through getter plans cached per target shape, and each
+scenario keeps its no-signaling pairs and within-context subsets as cached
+lists of those plans.
 A possibilistic model (a support pattern) is one section bitmask per
 context; its JSON form spells each mask out as a 0/1 row.
 """
@@ -14,7 +17,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
+from operator import mul
 from typing import Mapping, Sequence, Union
 
 from .errors import (
@@ -28,10 +33,13 @@ from .errors import (
     SignalingDetected,
     TooLarge,
 )
+from .ratlp import sequence_getter
 from .scenario import (
+    SCENARIO_CACHE_SIZE,
     MeasurementScenario,
     expect_json,
     json_field,
+    label_positions,
     overlaps,
     projection,
     scenario_from_dict,
@@ -189,16 +197,22 @@ def _common_denominator(dens) -> int:
 def make_model(
     s: MeasurementScenario,
     tables: Sequence[Sequence[Union[Fraction, int, str]]],
+    den: int = 1,
 ) -> EmpiricalModel:
     """Validate a probability table family and wrap it as a model.
 
-    Entries are read by :func:`exact_rational`.  Every row must be
-    nonnegative and sum to exactly 1, and the generalized no-signaling
-    condition must hold; on failure a :class:`SignalingDetected` carrying a
-    witness is raised.  Each row is checked over its own denominator first;
-    a row's or the model's common denominator reaching DENOMINATOR_LIMIT
-    raises TooLarge.
+    Entry ``x`` is the probability ``x / den``; entries are read by
+    :func:`exact_rational`, and ``den`` must be a positive int (not a bool),
+    else MalformedInput.  A row of plain ints is checked as integers and
+    never becomes Fractions, so constructors that hold integer rows pass
+    them with their common ``den``.  Every row must be nonnegative and sum
+    to exactly 1, and the generalized no-signaling condition must hold; on
+    failure a :class:`SignalingDetected` carrying a witness is raised.  Each
+    row is checked over its own denominator first; a row's or the model's
+    least common denominator reaching DENOMINATOR_LIMIT raises TooLarge.
     """
+    if not isinstance(den, int) or isinstance(den, bool) or den < 1:
+        raise MalformedInput(f"den must be a positive int, got {repr(den)[:40]}")
     if len(tables) != s.n_contexts:
         raise RowNotNormalized(
             f"expected {s.n_contexts} rows, got {len(tables)}"
@@ -210,26 +224,61 @@ def make_model(
             raise RowNotNormalized(
                 f"context {c} needs {width} entries, got {len(raw)}"
             )
-        row = tuple(map(exact_rational, raw))
+        integers = all(type(x) is int for x in raw)
+        row = raw if integers else tuple(map(exact_rational, raw))
         for i, x in enumerate(row):
-            if x.numerator < 0:
+            if x < 0:
                 raise NegativeEntry(
-                    f"context {c}, section {i}: negative entry {format_rational(x)}"
+                    f"context {c}, section {i}: negative entry {format_rational(Fraction(x) / den)}"
                 )
-        row_den = _common_denominator({x.denominator for x in row})
-        total = sum(x.numerator * (row_den // x.denominator) for x in row)
+        row_den = den
+        if not integers:
+            scale = _common_denominator({x.denominator for x in row})
+            row = [x.numerator * (scale // x.denominator) for x in row]
+            row_den *= scale
+        total = sum(row)
         if total != row_den:
             raise RowNotNormalized(
                 f"context {c} sums to {format_rational(Fraction(total, row_den))}, not 1"
             )
-        rows.append((row_den, row))
-    den = _common_denominator({row_den for row_den, _ in rows})
-    numerators = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for _, row in rows)
-    model = EmpiricalModel(scenario=s, den=den, numerators=numerators)
+        g = gcd(*row)  # the row sums to row_den, so g divides it
+        rows.append((row_den // g, [x // g for x in row] if g > 1 else row))
+    common = _common_denominator({row_den for row_den, _ in rows})
+    numerators = tuple(tuple(x * (common // row_den) for x in row) for row_den, row in rows)
+    model = EmpiricalModel(scenario=s, den=common, numerators=numerators)
     ok, witness = is_no_signaling(model)
     if not ok:
         raise SignalingDetected(witness.describe(), witness=witness)
     return model
+
+
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
+def _marginal_plan(width: int, positions: tuple[int, ...]) -> tuple:
+    """One getter per target section, picking the context sections that restrict to it.
+
+    The target is the labels at ``positions`` (in that order) of a context
+    of ``width`` labels.  Summing what getter ``k`` picks from a row of the
+    context gives the row's mass on target section ``k``.  The plan depends
+    on nothing else, so every context of one width shares it, and a
+    scenario's cached plan lists hold one copy per distinct target shape.
+    """
+    groups = [[] for _ in range(1 << len(positions))]
+    for sec, sub in enumerate(projection(tuple(range(width)), positions)):
+        groups[sub].append(sec)
+    return tuple(map(sequence_getter, groups))
+
+
+def _plan(context: tuple[str, ...], target: tuple[str, ...]) -> tuple:
+    """The :func:`_marginal_plan` of ``target``, labels of ``context``.
+
+    Raises DuplicateLabel or NotASubset, as :func:`label_positions` does.
+    """
+    return _marginal_plan(len(context), label_positions(context, target))
+
+
+def _read(plan, row) -> tuple[int, ...]:
+    """The marginal of an integer row through a :func:`_marginal_plan`."""
+    return tuple([sum(pick(row)) for pick in plan])
 
 
 def marginal(
@@ -239,11 +288,18 @@ def marginal(
 
     Entry ``k`` is the mass of the subset-section with canonical index ``k``,
     in lexicographic section order; the entries always sum to ``m.den``.
+    The row is read through a plan cached per (context width, subset positions).
     """
-    out = [0] * (1 << len(subset))
-    for sub_idx, p in zip(projection(m.scenario.context(c), tuple(subset)), m.numerators[c]):
-        out[sub_idx] += p
-    return tuple(out)
+    return _read(_plan(m.scenario.context(c), tuple(subset)), m.numerators[c])
+
+
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
+def _overlap_plans(s: MeasurementScenario) -> tuple:
+    """``(a, b, shared, plan_a, plan_b)`` for each pair of :func:`overlaps`, in its order."""
+    return tuple(
+        (a, b, shared, _plan(s.contexts[a], shared), _plan(s.contexts[b], shared))
+        for a, b, shared in overlaps(s)
+    )
 
 
 def _over(row, den: int) -> tuple[Fraction, ...]:
@@ -257,11 +313,13 @@ def is_no_signaling(m: EmpiricalModel):
     Returns ``(True, None)`` or ``(False, witness)`` with the first failing
     pair in canonical order.
     """
-    for a, b, shared in overlaps(m.scenario):
-        ma = marginal(m, a, shared)
-        mb = marginal(m, b, shared)
-        if ma != mb:
-            return False, SignalingWitness(a, b, shared, _over(ma, m.den), _over(mb, m.den))
+    rows = m.numerators
+    for a, b, shared, plan_a, plan_b in _overlap_plans(m.scenario):
+        row_a, row_b = rows[a], rows[b]
+        for pick_a, pick_b in zip(plan_a, plan_b):
+            if sum(pick_a(row_a)) != sum(pick_b(row_b)):
+                ma, mb = _read(plan_a, row_a), _read(plan_b, row_b)
+                return False, SignalingWitness(a, b, shared, _over(ma, m.den), _over(mb, m.den))
     return True, None
 
 
@@ -281,17 +339,27 @@ def proper_subsets(context: tuple[str, ...]):
         yield tuple(context[i] for i in range(k) if (mask >> i) & 1)
 
 
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
+def _subset_plans(s: MeasurementScenario) -> tuple:
+    """``(c, subset, plan)`` for each proper subset of each context, in canonical order."""
+    return tuple(
+        (c, subset, _plan(ctx, subset))
+        for c, ctx in enumerate(s.contexts)
+        for subset in proper_subsets(ctx)
+    )
+
+
 def is_maximal_marginal(m: EmpiricalModel):
     """True iff every proper within-context marginal of size k is uniform 1/2**k.
 
     Returns ``(True, None)`` or ``(False, witness)`` with the first failure in
     canonical order.
     """
-    for c in range(m.scenario.n_contexts):
-        for subset in proper_subsets(m.scenario.context(c)):
-            marg = marginal(m, c, subset)
-            if any(x << len(subset) != m.den for x in marg):
-                return False, MarginalWitness(c, subset, _over(marg, m.den))
+    for c, subset, plan in _subset_plans(m.scenario):
+        row, k = m.numerators[c], len(subset)
+        for pick in plan:
+            if sum(pick(row)) << k != m.den:
+                return False, MarginalWitness(c, subset, _over(_read(plan, row), m.den))
     return True, None
 
 
@@ -302,14 +370,15 @@ def lift_uniform(p: PossibilisticModel) -> EmpiricalModel:
     no-signaling after the uniform lift (a sign the pattern is asymmetric);
     that raises :class:`SignalingDetected`.
     """
-    rows = []
-    for c, mask in enumerate(p.masks):
-        count = mask.bit_count()
-        if count == 0:
-            raise EmptySupport(f"context {c} has empty support")
-        row = support_row(mask, p.scenario.n_sections(c))
-        rows.append(tuple(Fraction(bit, count) for bit in row))
-    return make_model(p.scenario, rows)
+    counts = [mask.bit_count() for mask in p.masks]
+    if 0 in counts:
+        raise EmptySupport(f"context {counts.index(0)} has empty support")
+    den = lcm(*counts)
+    rows = [
+        tuple(bit * (den // count) for bit in support_row(mask, p.scenario.n_sections(c)))
+        for c, (mask, count) in enumerate(zip(p.masks, counts))
+    ]
+    return make_model(p.scenario, rows, den)
 
 
 def mix(
@@ -325,12 +394,15 @@ def mix(
     s = models[0].scenario
     if any(m.scenario != s for m in models):
         raise ScenarioMismatch("models live on different scenarios")
+    # Model k contributes w_k * n / den_k = scale_k * n / den for each numerator n.
     shares = [w / m.den for w, m in zip(weights, models)]
+    den = lcm(*(q.denominator for q in shares))
+    scales = [q.numerator * (den // q.denominator) for q in shares]
     rows = [
-        [sum(q * n for q, n in zip(shares, column)) for column in zip(*per_model)]
+        [sum(map(mul, scales, column)) for column in zip(*per_model)]
         for per_model in zip(*(m.numerators for m in models))
     ]
-    return make_model(s, rows)
+    return make_model(s, rows, den)
 
 
 def from_global_distribution(
@@ -355,6 +427,8 @@ def from_global_distribution(
         raise RowNotNormalized(f"global weights sum to {format_rational(total)}")
     if any(w < 0 for _, w in mass):
         raise NegativeEntry("negative global weight")
+    den = lcm(*(w.denominator for _, w in mass))
+    mass = [(values, w.numerator * (den // w.denominator)) for values, w in mass]
     position = {label: k for k, label in enumerate(s.observables)}
     rows = []
     for ctx in s.contexts:
@@ -362,8 +436,8 @@ def from_global_distribution(
         row = [0] * (1 << len(ctx))
         for values, w in mass:
             row[section_index([values[k] for k in at])] += w
-        rows.append(tuple(row))
-    return make_model(s, rows)
+        rows.append(row)
+    return make_model(s, rows, den)
 
 
 def deterministic_model(

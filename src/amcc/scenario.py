@@ -187,6 +187,21 @@ def context_setting_bits(
     return tuple(bits)
 
 
+def label_positions(domain: tuple[str, ...], target: Sequence[str]) -> tuple[int, ...]:
+    """The index in ``domain`` of each label of ``target``, in target order.
+
+    Raises DuplicateLabel for a repeated target label and NotASubset for a
+    target label outside ``domain``.
+    """
+    if len(set(target)) != len(target):
+        raise DuplicateLabel(f"duplicate label in {target}")
+    lookup = {label: k for k, label in enumerate(domain)}
+    for label in target:
+        if label not in lookup:
+            raise NotASubset(f"{label!r} is not in the domain {domain}")
+    return tuple(lookup[label] for label in target)
+
+
 @lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def projection(domain: tuple[str, ...], target: tuple[str, ...]) -> tuple[int, ...]:
     """The restriction map from the sections of ``domain`` to those of ``target``.
@@ -198,16 +213,11 @@ def projection(domain: tuple[str, ...], target: tuple[str, ...]) -> tuple[int, .
     outside ``domain`` and TooLarge above the enumeration guard, all before
     any section is enumerated.
     """
-    if len(set(target)) != len(target):
-        raise DuplicateLabel(f"duplicate label in {target}")
-    lookup = {label: k for k, label in enumerate(domain)}
-    for label in target:
-        if label not in lookup:
-            raise NotASubset(f"{label!r} is not in the domain {domain}")
+    positions = label_positions(domain, target)
     width = len(domain)
     if width > ENUMERATION_LIMIT:
         raise TooLarge(f"{width} observables exceed the 2**{ENUMERATION_LIMIT} enumeration guard")
-    shifts = [width - 1 - lookup[label] for label in target]
+    shifts = [width - 1 - k for k in positions]
     table = []
     for i in range(1 << width):
         idx = 0

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from amcc.catalog import pr_box
 from amcc.construct import eight_param_family, parity_system, parity_to_possibilistic
 from amcc.empirical import (
+    EmpiricalModel,
     PossibilisticModel,
     deterministic_model,
     lift_uniform,
@@ -124,6 +125,9 @@ def cycle_scenario(n):
     return make_scenario(labels, [(labels[k], labels[(k + 1) % n]) for k in range(n)])
 
 
+CYCLE_5 = cycle_scenario(5)
+
+
 def singleton_scenario(n):
     """``n`` observables ``Y0..Y{n-1}``, each its own one-label context."""
     labels = [f"Y{k}" for k in range(n)]
@@ -173,6 +177,35 @@ def vertex_mixtures(draw, s):
             parts.append(parity_lift(s, bits))
     weights = draw(st.lists(st.integers(1, 6), min_size=len(parts), max_size=len(parts)))
     return mix(parts, [Fraction(w, sum(weights)) for w in weights])
+
+
+@st.composite
+def raw_models(draw):
+    """A bare :class:`EmpiricalModel`, built without validation and often signaling.
+
+    Either random rows that each sum to a random ``den``, or a vertex
+    mixture with up to two units of mass moved inside rows, so the first
+    failing pair and the first non-uniform marginal land anywhere.  Scenarios
+    include mixed context widths and the 5-cycle.
+    """
+    s = draw(st.sampled_from([SCENARIO_22, SCENARIO_32, SCENARIO_24, MIXED_WIDTHS, CYCLE_5]))
+    if draw(st.booleans()):
+        den = draw(st.integers(1, 12))
+        rows = []
+        for c in range(s.n_contexts):
+            width = s.n_sections(c)
+            cuts = draw(st.lists(st.integers(0, den), min_size=width - 1, max_size=width - 1))
+            cuts.sort()
+            rows.append([hi - lo for lo, hi in zip([0] + cuts, cuts + [den])])
+    else:
+        base = draw(vertex_mixtures(s))
+        den, rows = base.den, [list(row) for row in base.numerators]
+        for _ in range(draw(st.integers(0, 2))):
+            row = rows[draw(st.integers(0, s.n_contexts - 1))]
+            source = draw(st.sampled_from([sec for sec, x in enumerate(row) if x]))
+            row[source] -= 1
+            row[draw(st.integers(0, len(row) - 1))] += 1
+    return EmpiricalModel(s, den, tuple(map(tuple, rows)))
 
 
 @st.composite

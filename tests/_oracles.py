@@ -342,3 +342,62 @@ def bell_n2_amcc_closed_form(n: int) -> int:
     2^(n+1) of the 2^(2^n) vectors are consistent.
     """
     return (1 << (1 << n)) - (1 << (n + 1))
+
+
+# --- marginals of context tables ------------------------------------------------
+#
+# A row holds one entry per section of its context; section ``sec`` gives the
+# context's labels the outcomes spelled by ``itertools.product((0, 1), ...)``
+# in that same position, the big-endian order restated without any index
+# arithmetic.
+
+
+def marginal_bruteforce(context, row, subset):
+    """The mass ``row`` puts on each section of ``subset``, a tuple of labels of ``context``.
+
+    Every section of the context is spelled out as a label-to-outcome map and
+    its entry added to the subset section it restricts to; subset sections
+    come in the same product order.
+    """
+    mass = {}
+    for outcomes, entry in zip(itertools.product((0, 1), repeat=len(context)), row):
+        value = dict(zip(context, outcomes))
+        key = tuple(value[label] for label in subset)
+        mass[key] = mass.get(key, 0) + entry
+    return tuple(mass.get(key, 0) for key in itertools.product((0, 1), repeat=len(subset)))
+
+
+def signaling_bruteforce(observables, contexts, rows):
+    """The first context pair ``a < b`` whose marginals differ on their shared labels, or None.
+
+    Pairs are visited as ``(0, 1), (0, 2), ..., (1, 2), ...``; the shared
+    labels are listed in ``observables`` order.  Returns
+    ``(a, b, shared, marginal_a, marginal_b)``.
+    """
+    for a, b in itertools.combinations(range(len(contexts)), 2):
+        shared = tuple(x for x in observables if x in contexts[a] and x in contexts[b])
+        if not shared:
+            continue
+        ma = marginal_bruteforce(contexts[a], rows[a], shared)
+        mb = marginal_bruteforce(contexts[b], rows[b], shared)
+        if ma != mb:
+            return a, b, shared, ma, mb
+    return None
+
+
+def non_uniform_marginal_bruteforce(contexts, rows, den):
+    """The first proper within-context marginal that is not uniform, or None.
+
+    Contexts in order; within context ``c`` the subsets are the bitmasks
+    ``1 .. 2**k - 2``, bit ``i`` selecting the ``i``-th label.  A marginal
+    on ``j`` labels is uniform when every entry is ``den / 2**j``.  Returns
+    ``(c, subset, marginal)``.
+    """
+    for c, (context, row) in enumerate(zip(contexts, rows)):
+        k = len(context)
+        for bits in range(1, 2**k - 1):
+            subset = tuple(context[i] for i in range(k) if bits >> i & 1)
+            marg = marginal_bruteforce(context, row, subset)
+            if any(Fraction(x) != Fraction(den, 2 ** len(subset)) for x in marg):
+                return c, subset, marg
+    return None

@@ -226,6 +226,14 @@ def test_scan_fix_non_integer_index_is_usage_error(capsys):
     assert (code, out) == (1, "") and "--fix expects i=value, got 'x=1/4'" in err
 
 
+@pytest.mark.parametrize("key", ["\u0661", "\uff11", "\u00b9", "\u20031"])
+def test_scan_fix_index_must_be_ascii(capsys, key):
+    # Arabic-indic, fullwidth and superscript digits and an em space used to
+    # pass the key check: "--fix \u0661=1/4" pinned p1.
+    code, out, err = run_cli(capsys, "scan", "eight-param", "--grid", "0", "--fix", f"{key}=1/4")
+    assert (code, out) == (1, "") and "--fix expects i=value" in err
+
+
 def test_scan_repeated_fix_index_is_usage_error(capsys):
     code, out, err = run_cli(
         capsys, "scan", "eight-param", "--grid", "0,1/8", "--fix", "1=1/4", "--fix", "1=0",

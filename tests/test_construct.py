@@ -726,6 +726,24 @@ def test_scans_refuse_float_values_before_evaluating():
     assert len(scan_eight_param_pairs([0, "1/4"]).points) == 112
 
 
+@pytest.mark.parametrize("key", [1.9, True, 1.0, "١", " 1", "+1", "1/1", None,
+                                 pytest.param("1" * 5000, id="5000-digits")])
+def test_scan_refuses_a_parameter_index_that_is_not_an_int_or_ascii_digits(key):
+    # int(k) used to truncate 1.9 and True onto p1 without a word.
+    with pytest.raises(MalformedInput, match="parameter index must be an int"):
+        scan_eight_param([F(0)], fixed={key: Q})
+
+
+def test_scan_reads_decimal_string_indices_and_refuses_repeats():
+    rest = {k: F(0) for k in range(3, 9)}
+    expected = scan_eight_param([F(0)], fixed={1: Q, 2: F(1, 8), **rest}).points
+    assert scan_eight_param([F(0)], fixed={"1": Q, "02": F(1, 8), **rest}).points == expected
+    with pytest.raises(MalformedInput, match="parameter 1 is pinned more than once"):
+        scan_eight_param([F(0)], fixed={1: Q, "1": F(0)})
+    with pytest.raises(IndexOutOfRange, match="parameter index 9 not in 1..8"):
+        scan_eight_param([F(0)], fixed={"9": Q})
+
+
 def test_parity_preset_roundtrip(tmp_path):
     ps = parity_system(S32, EXAMPLE_PARITIES_32)
     payload = parity_preset_to_dict(ps)

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amcc import empirical
 from amcc.catalog import asymmetric_scc_model, ghz_model, pr_box, three_way_box
 from amcc.empirical import (
     EmpiricalModel,
+    MarginalWitness,
+    SignalingWitness,
     deterministic_model,
     format_rational,
     from_global_distribution,
@@ -30,6 +33,7 @@ from amcc.empirical import (
     RATIONAL_DIGIT_LIMIT,
 )
 from amcc.errors import (
+    ContextualityError,
     DuplicateLabel,
     EmptySupport,
     MalformedInput,
@@ -48,9 +52,15 @@ from _generators import (
     fraction_rows,
     large_denominator_document,
     ns_models_222,
+    raw_models,
     support_patterns_222,
     symmetric_models,
     vertex_mixtures,
+)
+from _oracles import (
+    marginal_bruteforce,
+    non_uniform_marginal_bruteforce,
+    signaling_bruteforce,
 )
 
 H = Fraction(1, 2)
@@ -148,7 +158,7 @@ def test_marginal_sums_to_one():
 
 
 def test_marginal_rejects_non_subset():
-    with pytest.raises(NotASubset):
+    with pytest.raises(NotASubset, match=r"'X1p' is not in the domain \('X1', 'X2'\)"):
         marginal(pr_box(0, 0, 0), 0, ("X1p",))
 
 
@@ -310,7 +320,7 @@ def test_from_global_distribution_rejects_non_bit_assignments():
 
 def test_marginal_rejects_repeated_subset_label():
     model = ghz_model()
-    with pytest.raises(DuplicateLabel):
+    with pytest.raises(DuplicateLabel, match=r"duplicate label in \('X1', 'X1'\)"):
         marginal(model, 0, ("X1", "X1"))
     assert marginal(model, 0, ("X1",)) == (4, 4) and model.den == 8
 
@@ -454,3 +464,83 @@ def test_lift_uniform_returns_canonical_den(pattern):
         return
     assert_canonical(lifted)
     assert lifted.den == math.lcm(*(mask.bit_count() for mask in pattern.masks))
+
+
+# --- integer rows over a denominator, and marginals against brute force ----------
+
+ORACLE = settings(max_examples=200, deadline=None)
+
+
+def _outcome(build):
+    """The model ``build()`` returns, or the class and message of the domain error it raises."""
+    try:
+        return build()
+    except ContextualityError as exc:
+        return type(exc), str(exc)
+
+
+@ORACLE
+@given(raw_models(), st.integers(1, 3), st.sampled_from([0, 1, 2]), st.data())
+def test_integer_rows_over_den_match_fraction_rows(model, k, skew, data):
+    # Scaled, unnormalized (skew 2 doubles den) or with one negated entry:
+    # the integer path and the Fraction path give the same model or error.
+    s = model.scenario
+    den = k * model.den * (2 if skew == 2 else 1)
+    rows = [[k * x for x in row] for row in model.numerators]
+    if skew == 1:
+        c = data.draw(st.integers(0, s.n_contexts - 1))
+        sec = data.draw(st.integers(0, s.n_sections(c) - 1))
+        rows[c][sec] = -rows[c][sec] - 1
+    fractions = [[Fraction(x, den) for x in row] for row in rows]
+    expected = _outcome(lambda: make_model(s, fractions))
+    assert _outcome(lambda: make_model(s, rows, den)) == expected
+    assert _outcome(lambda: make_model(s, [tuple(row) for row in rows], den)) == expected
+
+
+@pytest.mark.parametrize("den", [0, -4, True, False, 2.0, 0.5, Fraction(2), "2"])
+def test_make_model_refuses_a_den_that_is_not_a_positive_int(den):
+    with pytest.raises(MalformedInput, match="den must be a positive int"):
+        make_model(S22, [[1, 0, 0, 1]] * 4, den)
+
+
+def test_den_at_the_limit_is_too_large_before_any_no_signaling_work(monkeypatch):
+    def no_ns(model):
+        raise AssertionError("no-signaling check reached")
+
+    monkeypatch.setattr(empirical, "is_no_signaling", no_ns)
+    row = [1, DENOMINATOR_LIMIT - 1, 0, 0]
+    with pytest.raises(TooLarge, match="common denominator"):
+        make_model(S22, [row] * 4, DENOMINATOR_LIMIT)
+    # Entries sharing a factor with den reduce below the limit: no error.
+    half = DENOMINATOR_LIMIT // 2
+    with pytest.raises(AssertionError, match="no-signaling check reached"):
+        make_model(S22, [[half, 0, 0, half]] * 4, DENOMINATOR_LIMIT)
+
+
+@ORACLE
+@given(raw_models(), st.data())
+def test_marginal_matches_the_brute_force_sum(model, data):
+    s = model.scenario
+    c = data.draw(st.integers(0, s.n_contexts - 1))
+    labels = data.draw(st.permutations(s.contexts[c]))
+    subset = tuple(labels[: data.draw(st.integers(1, len(labels)))])
+    assert marginal(model, c, subset) == marginal_bruteforce(
+        s.contexts[c], model.numerators[c], subset
+    )
+
+
+@ORACLE
+@given(raw_models())
+def test_no_signaling_and_maximal_marginals_match_the_brute_force(model):
+    s, den = model.scenario, model.den
+    found = signaling_bruteforce(s.observables, s.contexts, model.numerators)
+    expected = (True, None) if found is None else (False, SignalingWitness(
+        *found[:3], tuple(Fraction(x, den) for x in found[3]),
+        tuple(Fraction(x, den) for x in found[4]),
+    ))
+    assert is_no_signaling(model) == expected
+    found = non_uniform_marginal_bruteforce(s.contexts, model.numerators, den)
+    expected = (True, None) if found is None else (False, MarginalWitness(
+        *found[:2], tuple(Fraction(x, den) for x in found[2])
+    ))
+    assert is_maximal_marginal(model) == expected

@@ -6,7 +6,9 @@ rational's spelling or the LP's reported noncontextual part moves it.  The
 simplex digest was recorded with the dense tableau, before the revised one:
 it pins every pivot and every field of each outcome.  The CSP stream digest
 was recorded while the scan still walked ``itertools.product`` candidate by
-candidate, before it became a depth-first search.
+candidate, before it became a depth-first search.  The witness digest was
+recorded while every marginal was summed entry by entry through
+``projection``, before marginals were read through cached plans.
 """
 
 from __future__ import annotations
@@ -17,19 +19,28 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from amcc import analysis, cli, ratlp
 from amcc.analysis import classify
 from amcc.catalog import asymmetric_scc_model, ghz_model, pr_box, three_way_box
 from amcc.construct import eight_param_family, parity_system, parity_to_possibilistic
 from amcc.empirical import (
+    EmpiricalModel,
     PossibilisticModel,
     deterministic_model,
+    from_global_distribution,
+    is_maximal_marginal,
+    is_no_signaling,
     lift_uniform,
+    make_model,
     mix,
     model_to_dict,
 )
+from amcc.errors import SignalingDetected
 from amcc.scenario import bell_scenario
 
+from _generators import cycle_scenario, fraction_rows
 from test_ratlp import PIVOTING_POINT, cf_program
 
 F = Fraction
@@ -190,4 +201,71 @@ def test_simplex_pivots_and_outcomes_match_the_pinned_digest(monkeypatch):
     assert len(set(statuses)) == 3  # optimal, infeasible and unbounded all occur
     assert digest.hexdigest() == (
         "adb13b3c0ea60cabb3c96d47e7d90efffc2f23c7416f2f86a7d43d24dac4eb80"
+    )
+
+
+def _witness_models(rng, s):
+    """Seeded models on ``s``, each followed by a signaling perturbation of it.
+
+    The no-signaling ones are random global distributions over at most three
+    assignments, distributions that favour one outcome of one random
+    observable (so the first non-uniform marginal is that observable's) and
+    the all-even parity lift (every marginal uniform).  The perturbation
+    moves ``1/den`` of mass between two sections of one random context, so
+    its first failing pair lies anywhere in the overlap order.
+    """
+    n = len(s.observables)
+    everything = list(itertools.product((0, 1), repeat=n))
+    bases = []
+    for _ in range(20):
+        weights = {}
+        for _ in range(rng.randint(1, 3)):
+            g = tuple(rng.randrange(2) for _ in range(n))
+            weights[g] = weights.get(g, 0) + rng.randint(1, 3)
+        bases.append(weights)
+    for _ in range(3):
+        j, bias = rng.randrange(n), rng.randint(2, 4)
+        bases.append({g: bias if g[j] else 1 for g in everything})
+    out = []
+    for weights in bases:
+        total = sum(weights.values())
+        out.append(from_global_distribution(s, {g: F(w, total) for g, w in weights.items()}))
+    out.append(_lift(s, (0,) * s.n_contexts))
+    for ns in out[:]:
+        rows = [list(row) for row in ns.numerators]
+        c = rng.randrange(s.n_contexts)
+        source = rng.choice([sec for sec, x in enumerate(rows[c]) if x])
+        rows[c][source] -= 1
+        rows[c][(source + rng.randrange(1, s.n_sections(c))) % s.n_sections(c)] += 1
+        out.append(EmpiricalModel(s, ns.den, tuple(map(tuple, rows))))
+    return out
+
+
+def test_signaling_and_marginal_witnesses_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    rng = random.Random(4242)
+    count = 0
+    for s in (bell_scenario(2, 2), bell_scenario(3, 2), bell_scenario(2, 4), cycle_scenario(5)):
+        for model in _witness_models(rng, s):
+            ok, witness = is_no_signaling(model)
+            record = [ok]
+            if witness is not None:
+                record += [
+                    witness.describe(), witness.context_a, witness.context_b,
+                    list(witness.overlap), [str(q) for q in witness.marginal_a],
+                    [str(q) for q in witness.marginal_b],
+                ]
+                with pytest.raises(SignalingDetected) as err:
+                    make_model(s, fraction_rows(model))
+                assert err.value.witness == witness
+            maximal, marg = is_maximal_marginal(model)
+            record.append(maximal)
+            if marg is not None:
+                record += [marg.describe(), marg.context, list(marg.subset),
+                           [str(q) for q in marg.marginal]]
+            digest.update(json.dumps(record).encode() + b"\n")
+            count += 1
+    assert count == 192
+    assert digest.hexdigest() == (
+        "813c7fd1da41ee1e0e6f3cfac3c45d9d799f308c8242971398dfb561b46b5c14"
     )
