@@ -16,14 +16,19 @@ per-context stabilisers.  The optimum is lifted back (each assignment takes
 its coset's weight, each row its orbit's dual divided by the orbit size)
 and the lifted pair must pass an integer certificate that is a proof about
 the full LP from :func:`incidence_matrix` without trusting how H was found:
-each generator of H, taken from H's bitmask, is checked directly to fix
-the model's rows and the lifted primal and dual.  Invariance makes every
-dual row constant on a coset and every primal slack constant on a row
-orbit, so checking one dual row per coset and one primal row per orbit,
-with both objectives over the whole lifted pair, covers every row and
-column of the full LP.  That check, not the reduction, decides.  With H
-trivial the orbit LP is the full LP column for column, and
-:func:`incidence_matrix` is exactly that LP's rows.
+each generator of H, a basis taken from H's bitmask, is checked directly
+to fix the model's rows and the lifted primal and dual.  Invariance makes
+every dual row constant on a coset and every primal slack constant on a
+row orbit, so checking one dual row per coset and one primal row per
+orbit, with both objectives over the whole lifted pair, covers every row
+and column of the full LP.  That check, not the reduction, decides.
+
+One cached quotient per (scenario, group) walks the cosets and row orbits
+of the span of that basis once and holds both the orbit LP and the maps
+the certificate checks, so the two always see the same group; a bitmask
+not closed under XOR gets the LP of its closure, and the certificate
+checks the closure's generators.  With H trivial the orbit LP is the full
+LP column for column, and :func:`incidence_matrix` is exactly that LP's rows.
 
 ``classify`` runs both routes and raises ``InternalConsistencyError`` if they
 ever disagree, rather than returning a silently wrong verdict.
@@ -95,7 +100,7 @@ def incidence_matrix(s: MeasurementScenario) -> tuple[tuple[tuple[int, int], ...
     restricting to its section, in increasing ``g``, so every column has
     exactly one 1 per context.
     """
-    return _orbit_lp(s, 1).a_le
+    return _quotient(s, 1).a_le
 
 
 def _require_no_signaling(m: EmpiricalModel) -> None:
@@ -166,24 +171,33 @@ def _stabilizer(row) -> int:
 
 
 @dataclass(frozen=True)
-class _OrbitLp:
-    """The CF LP restricted to H-invariant points, with the maps that lift it back.
+class _Quotient:
+    """The CF LP restricted to H-invariant points, with what lifts and certifies it.
 
     Column ``j`` is the common weight of the assignments in the ``j``-th
     coset of H, so its objective coefficient is ``order`` = |H|.  Row ``k``
     is the average of the rows in one orbit R, whose right-hand side is the
-    table entry at ``row_reps[k]``; scaled by |R| it is the sparse row with
-    coefficient ``order // row_size[k]`` on every coset restricting into R.
-    ``column_of[g]`` and ``row_of[r]`` give the coset of assignment ``g`` and
-    the orbit of full row ``r``.
+    entry at full row ``row_reps[k]``, its least row; scaled by |R| it is
+    the sparse row with coefficient ``order // row_size[k]`` on every coset
+    restricting into R.  Full rows are numbered as in :func:`incidence_matrix`.
+    ``column_of[g]`` and ``row_of[r]`` give the coset of assignment ``g``
+    and the orbit of full row ``r``.
+
+    For the certificate, ``generators`` holds ``(column_flip, row_flip)``
+    per basis flip ``h`` of H: getters that reorder a vector over global
+    assignments by ``g -> g ^ h``, and one over full rows by each row's
+    image under ``h``.  ``columns[j]`` is the getter of the full rows that
+    the least assignment of coset ``j`` restricts to.
     """
 
     order: int
     a_le: tuple[tuple[tuple[int, int], ...], ...]
-    row_reps: tuple[tuple[int, int], ...]
+    row_reps: tuple[int, ...]
     row_size: tuple[int, ...]
     column_of: tuple[int, ...]
     row_of: tuple[int, ...]
+    generators: tuple
+    columns: tuple
 
 
 @lru_cache(maxsize=4096)
@@ -198,37 +212,45 @@ def _flip_group(s: MeasurementScenario, stabilizers: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=SCENARIO_CACHE_SIZE)
-def _orbit_lp(s: MeasurementScenario, group: int) -> _OrbitLp:
-    """The orbit LP of ``s`` for the flip group H with :func:`_flip_group` bitmask ``group``.
+def _quotient(s: MeasurementScenario, group: int) -> _Quotient:
+    """The orbit LP of ``s`` and its certificate maps for the flips in the bitmask ``group``.
 
-    Cosets are numbered by their least element (walking ``g`` upward, each
-    ``g ^ h`` for ``h`` in H joins the next new coset) and row orbits by
-    context, then least section.  With H trivial this is the full LP.
+    H is the span of a basis taken from ``group``, so a bitmask that is not
+    closed under XOR gets its closure, whose generators the certificate
+    then checks.  Cosets are numbered by their least element and row
+    orbits by context, then least section.  With H trivial this is the full LP.
     """
     table = restriction_table(s)  # its size guard runs before any list is built
-    members = [h for h in range(group.bit_length()) if (group >> h) & 1]
-    column_of = [None] * (1 << len(s.observables))
+    span, basis = {0}, []
+    for h in range(group.bit_length()):
+        if (group >> h) & 1 and h not in span:
+            basis.append(h)
+            span |= {f ^ h for f in span}
+    column_of = [None] * len(table[0])
     cosets = []
     for g in range(len(column_of)):
         if column_of[g] is None:
-            for h in members:
+            for h in span:
                 column_of[g ^ h] = len(cosets)
             cosets.append(g)
 
-    order = len(members)
+    order = len(span)
     units = {}  # coefficient -> one shared (column, coefficient) pair per coset
+    rows_of = []  # rows_of[c][sec]: the full row of section sec of context c
     a_le, row_reps, row_size, row_of = [], [], [], []
     for c, proj in enumerate(table):
-        span = {proj[h] for h in members}
+        rows = range(len(row_of), len(row_of) + s.n_sections(c))
+        rows_of.append(rows)
+        flips = {proj[h] for h in span}
         orbit_of = {}
-        for sec in range(s.n_sections(c)):
+        for sec in range(len(rows)):
             if sec not in orbit_of:
-                for f in span:
+                for f in flips:
                     orbit_of[sec ^ f] = len(row_reps)
-                row_reps.append((c, sec))
-                row_size.append(len(span))
+                row_reps.append(rows[sec])
+                row_size.append(len(flips))
             row_of.append(orbit_of[sec])
-        coef = order // len(span)
+        coef = order // len(flips)
         if coef not in units:
             units[coef] = [(j, coef) for j in range(len(cosets))]
         first = len(a_le)
@@ -236,100 +258,51 @@ def _orbit_lp(s: MeasurementScenario, group: int) -> _OrbitLp:
         for unit, rep in zip(units[coef], cosets):
             hits[orbit_of[proj[rep]] - first].append(unit)
         a_le.extend(map(tuple, hits))
-    return _OrbitLp(
+    generators = tuple(
+        (
+            sequence_getter([g ^ h for g in range(len(column_of))]),
+            sequence_getter([rows[sec ^ proj[h]] for rows, proj in zip(rows_of, table)
+                             for sec in range(len(rows))]),
+        )
+        for h in basis
+    )
+    return _Quotient(
         order=order,
         a_le=tuple(a_le),
         row_reps=tuple(row_reps),
         row_size=tuple(row_size),
         column_of=tuple(column_of),
         row_of=tuple(row_of),
+        generators=generators,
+        columns=tuple(
+            sequence_getter([rows[proj[g]] for rows, proj in zip(rows_of, table)]) for g in cosets
+        ),
     )
 
 
-@dataclass(frozen=True)
-class _Quotient:
-    """What the lift certificate checks for a flip group, derived from its generators.
-
-    Full rows are numbered as in :func:`incidence_matrix`.  ``generators``
-    holds ``(column_flip, row_flip)`` per basis flip ``h``: getters that
-    reorder a vector over global assignments by ``g -> g ^ h``, and one over
-    full rows by each row's image under ``h``.  ``columns`` holds, for the
-    least assignment ``g`` of each coset of the generated group, the getter
-    of the rows ``g`` restricts to; ``rows`` the least row of each row orbit.
-    """
-
-    generators: tuple
-    columns: tuple
-    rows: tuple[int, ...]
-
-
-@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
-def _quotient(s: MeasurementScenario, group: int) -> _Quotient:
-    """The generators and representatives of the flips in the bitmask ``group``.
-
-    Reads nothing from :func:`_orbit_lp`: the generators are a basis of the
-    flips in ``group``, and cosets and row orbits are those of their span.
-    """
-    table = restriction_table(s)
-    span, basis = {0}, []
-    for h in range(group.bit_length()):
-        if (group >> h) & 1 and h not in span:
-            basis.append(h)
-            span |= {f ^ h for f in span}
-    rows_of, first = [], 0  # rows_of[c][sec]: the full row of section sec of context c
-    for c in range(s.n_contexts):
-        rows_of.append(range(first, first + s.n_sections(c)))
-        first += s.n_sections(c)
-    generators = tuple(
-        (
-            sequence_getter([g ^ h for g in range(len(table[0]))]),
-            sequence_getter([rows[sec ^ proj[h]] for rows, proj in zip(rows_of, table)
-                             for sec in range(len(rows))]),
-        )
-        for h in basis
-    )
-    seen = bytearray(len(table[0]))
-    columns = []
-    for g in range(len(seen)):
-        if not seen[g]:
-            for h in span:
-                seen[g ^ h] = 1
-            columns.append(sequence_getter([rows[proj[g]] for rows, proj in zip(rows_of, table)]))
-    reps = []
-    for rows, proj in zip(rows_of, table):
-        flips = {proj[h] for h in span}
-        seen = set()
-        for sec in range(len(rows)):
-            if sec not in seen:
-                seen.update(sec ^ f for f in flips)
-                reps.append(rows[sec])
-    return _Quotient(generators=generators, columns=tuple(columns), rows=tuple(reps))
-
-
-def _certify_lift(m: EmpiricalModel, group: int, orbits: _OrbitLp, out: LpOutcome) -> None:
+def _certify_lift(m: EmpiricalModel, quotient: _Quotient, out: LpOutcome) -> None:
     """Prove the lifted orbit optimum ``out`` optimal for the full CF LP of ``m``.
 
     Everything is an integer over one denominator ``d``: the primal ``x``
     takes its coset's orbit weight and the dual ``y`` its orbit's dual over
     the orbit size, and the right-hand side ``b`` is the numerator rows.
-    Each generator of ``group`` must fix ``b``, ``y`` and ``x``; then the
-    full LP's dual row of ``g`` is constant on the coset of ``g`` and the
-    slack of a primal row on its orbit, so one of each per coset and orbit
-    is checked, and both objectives over every lifted entry.  Raises
+    Each generator of the quotient's group must fix ``b``, ``y`` and ``x``;
+    then the full LP's dual row of ``g`` is constant on the coset of ``g``
+    and the slack of a primal row on its orbit, so one of each per coset and
+    orbit is checked, and both objectives over every lifted entry.  Raises
     InternalConsistencyError when the pair proves nothing.
     """
     def fail(what):
         raise InternalConsistencyError(f"lifted CF optimum failed its quotient certificate: {what}")
 
-    value, sizes = out.value, orbits.row_size
+    value, sizes = out.value, quotient.row_size
     d = lcm(value.denominator, *[q.denominator for q in out.solution],
             *[q.denominator * size for q, size in zip(out.dual, sizes)])
     weights = [q.numerator * (d // q.denominator) for q in out.solution]
     shares = [q.numerator * (d // (q.denominator * size)) for q, size in zip(out.dual, sizes)]
-    x = tuple([weights[j] for j in orbits.column_of])
-    y = tuple([shares[k] for k in orbits.row_of])
+    x = tuple([weights[j] for j in quotient.column_of])
+    y = tuple([shares[k] for k in quotient.row_of])
     b = tuple(chain.from_iterable(m.numerators))
-    quotient = _quotient(m.scenario, group)
     for column_flip, row_flip in quotient.generators:
         if row_flip(b) != b:
             fail("a generator does not fix the model")
@@ -343,7 +316,7 @@ def _certify_lift(m: EmpiricalModel, group: int, orbits: _OrbitLp, out: LpOutcom
         if sum(rows_of_g(y)) < d:
             fail("dual row violated")
     matrix = incidence_matrix(m.scenario)
-    for r in quotient.rows:
+    for r in quotient.row_reps:
         if sum([a * x[g] for g, a in matrix[r]]) > b[r] * d:
             fail("primal row violated")
     v = value.numerator * (d // value.denominator)
@@ -358,19 +331,19 @@ def _contextual_fraction_with_witness(m: EmpiricalModel):
     """
     _require_no_signaling(m)
     s = m.scenario
-    group = _flip_group(s, tuple([_stabilizer(row) for row in m.numerators]))
-    orbits = _orbit_lp(s, group)
+    quotient = _quotient(s, _flip_group(s, tuple([_stabilizer(row) for row in m.numerators])))
+    b = tuple(chain.from_iterable(m.numerators))
     out = maximize(LinearProgram(
-        objective=(orbits.order,) * ((1 << len(s.observables)) // group.bit_count()),
-        a_le=orbits.a_le,
-        b_le=tuple([m.numerators[c][sec] for c, sec in orbits.row_reps]),
+        objective=(quotient.order,) * len(quotient.columns),
+        a_le=quotient.a_le,
+        b_le=tuple([b[r] for r in quotient.row_reps]),
     ))
     if out.status is not LpStatus.OPTIMAL:
         raise InternalConsistencyError(
             f"noncontextual-fraction LP ended {out.status}, expected an optimum"
         )
-    _certify_lift(m, group, orbits, out)
-    return 1 - out.value / m.den, tuple([out.solution[j] for j in orbits.column_of])
+    _certify_lift(m, quotient, out)
+    return 1 - out.value / m.den, tuple([out.solution[j] for j in quotient.column_of])
 
 
 def is_strongly_contextual(m: Union[EmpiricalModel, PossibilisticModel]):

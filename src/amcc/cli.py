@@ -190,7 +190,9 @@ def _cmd_scan_eight(args) -> int:
     fixed = {}
     for token in args.fix or ():
         key, _, value = token.partition("=")
-        if not value or not re.fullmatch(r"\s*[+-]?\d+\s*", key, re.ASCII):
+        # int() refuses more than 4 300 digits; a longer key is malformed usage
+        digits = empirical.RATIONAL_DIGIT_LIMIT
+        if not value or not re.fullmatch(rf"\s*[+-]?\d{{1,{digits}}}\s*", key, re.ASCII):
             raise _UsageError(f"--fix expects i=value, got {token!r}")
         if int(key) in fixed:
             raise _UsageError(f"--fix gives index {int(key)} more than once")

@@ -87,7 +87,8 @@ SCAN_POINT_LIMIT = 1 << 14
 class ParitySystem:
     """One XOR equation per context: sum of its observables = parity bit (mod 2).
 
-    Raises LengthMismatch unless there is one parity per context, each 0 or 1.
+    Raises LengthMismatch unless there is one parity per context, each an
+    ``int`` (not a ``bool``) equal to 0 or 1.
     """
 
     scenario: MeasurementScenario
@@ -98,7 +99,8 @@ class ParitySystem:
             raise LengthMismatch(
                 f"{len(self.parities)} parity bits for {self.scenario.n_contexts} contexts"
             )
-        if any(b not in (0, 1) for b in self.parities):
+        if any(not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1)
+               for b in self.parities):
             raise LengthMismatch("parities must be bits")
 
     def coefficient_mask(self, c: int) -> int:
@@ -113,7 +115,7 @@ def parity_system(
     s: MeasurementScenario, parities: Sequence[int]
 ) -> ParitySystem:
     """Build the per-context XOR system with the given parity bits."""
-    return ParitySystem(scenario=s, parities=tuple(int(b) for b in parities))
+    return ParitySystem(scenario=s, parities=tuple(parities))
 
 
 def _combo_indices(combo: int) -> tuple[int, ...]:
@@ -428,9 +430,14 @@ def csp_enumerate_extension(
     and are unsatisfiable as constraint instances.  Iteration order fixes the
     candidate index: extendable contexts ascending, the last one varying
     fastest; results are independent of ``jobs`` (capped at the CPU count)
-    and chunking.
+    and chunking.  A context index that is not an ``int``, or is a
+    ``bool``, raises MalformedInput.
     """
-    extendable = tuple(sorted(set(int(c) for c in extendable_contexts)))
+    extendable = tuple(extendable_contexts)
+    for c in extendable:
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise MalformedInput(f"context index must be an int, got {repr(c)[:40]}")
+    extendable = tuple(sorted(set(extendable)))
     search = _CspSearch(base, extendable)
     parts = _map_chunks(search.scan, (), range(search.total), jobs)
     return CspEnumeration(
@@ -675,7 +682,9 @@ def _parameter_index(key) -> int:
             f"parameter index must be an int or a decimal string, got {repr(key)[:40]}"
         )
     if not 1 <= key <= 8:
-        raise IndexOutOfRange(f"parameter index {key} not in 1..8")
+        # str() refuses an int of more than 4 300 digits; name such a key by its size
+        shown = key if key.bit_length() <= 64 else f"of {key.bit_length()} bits"
+        raise IndexOutOfRange(f"parameter index {shown} not in 1..8")
     return key
 
 
@@ -743,7 +752,4 @@ def parity_preset_from_dict(data: dict) -> ParitySystem:
     expect_json(data, dict, "a parity preset")
     raw = json_field(data, "scenario")
     s = parse_bell_token(raw) if isinstance(raw, str) else scenario_from_dict(raw)
-    parities = expect_json(json_field(data, "parities"), list, "parities")
-    if not all(isinstance(b, int) for b in parities):
-        raise MalformedInput("parities must be integers")
-    return parity_system(s, parities)
+    return parity_system(s, expect_json(json_field(data, "parities"), list, "parities"))

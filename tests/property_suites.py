@@ -228,12 +228,12 @@ def check_orbit_cf_matches_full_lp(model):
         assert sum(weight) == 1 - cf
 
 
-def _unshared_row_duals(orbits):
-    return replace(orbits, row_size=(1,) * len(orbits.row_size))
+def _unshared_row_duals(quotient):
+    return replace(quotient, row_size=(1,) * len(quotient.row_size))
 
 
-def _unscaled_orbit_columns(orbits):
-    return replace(orbits, order=1)
+def _unscaled_orbit_columns(quotient):
+    return replace(quotient, order=1)
 
 
 @CASES
@@ -244,47 +244,51 @@ def check_orbit_lift_mutations_fail_certificate(model):
     Every model drawn has CF < 1, so the lifted objective is nonzero and
     either mistake breaks the primal-dual equalities.
     """
-    real = analysis._orbit_lp
+    real = analysis._quotient
     for mutate in (_unshared_row_duals, _unscaled_orbit_columns):
-        with mock.patch.object(analysis, "_orbit_lp", lambda s, group: mutate(real(s, group))):
+        with mock.patch.object(analysis, "_quotient", lambda s, group: mutate(real(s, group))):
             with pytest.raises(InternalConsistencyError, match="certificate"):
                 contextual_fraction(model)
 
 
 def lift_inputs(model, flip_group=None):
-    """``(group, orbits, outcome)``: what ``contextual_fraction`` hands to the lift certificate.
+    """``(group, quotient, outcome)``: the flip group found and the lift certificate's inputs.
 
     The certificate itself is not run.  ``flip_group``, when given, replaces
     the flip group found for the model.
     """
     seen = []
     real = analysis._flip_group
-    with mock.patch.object(analysis, "_certify_lift", lambda m, *args: seen.append(args)), \
-            mock.patch.object(analysis, "_flip_group", lambda s, stabilizers: (
-                real(s, stabilizers) if flip_group is None else flip_group)):
+
+    def group_of(s, stabilizers):
+        seen.append(real(s, stabilizers) if flip_group is None else flip_group)
+        return seen[-1]
+
+    with mock.patch.object(analysis, "_certify_lift", lambda m, *args: seen.extend(args)), \
+            mock.patch.object(analysis, "_flip_group", group_of):
         contextual_fraction(model)
-    return seen[0]
+    return tuple(seen)
 
 
-def quotient_accepts(model, group, orbits, out):
+def quotient_accepts(model, quotient, out):
     """Whether the quotient certificate accepts the lifted pair."""
     try:
-        analysis._certify_lift(model, group, orbits, out)
+        analysis._certify_lift(model, quotient, out)
     except InternalConsistencyError as exc:
         assert "quotient certificate" in str(exc)
         return False
     return True
 
 
-def full_lp_accepts(model, orbits, out):
+def full_lp_accepts(model, quotient, out):
     """Whether ``ratlp.certify`` accepts the lifted pair on the full CF LP."""
     lp = LinearProgram(
-        objective=(1,) * len(orbits.column_of),
+        objective=(1,) * len(quotient.column_of),
         a_le=incidence_matrix(model.scenario),
         b_le=tuple(x for row in model.numerators for x in row),
     )
-    solution = [out.solution[j] for j in orbits.column_of]
-    dual = [out.dual[k] / orbits.row_size[k] for k in orbits.row_of]
+    solution = [out.solution[j] for j in quotient.column_of]
+    dual = [out.dual[k] / quotient.row_size[k] for k in quotient.row_of]
     try:
         certify(lp, out.value, solution, dual)
     except InternalConsistencyError:
@@ -312,10 +316,10 @@ def scaled(out, k):
 STEP = F(1, 64)
 
 
-def wrong_pairs(model, orbits, out):
+def wrong_pairs(model, quotient, out):
     """Orbit optima that prove nothing, each failing the check it names.
 
-    Every coset has ``orbits.order`` members, and orbit ``k`` adds
+    Every coset has ``quotient.order`` members, and orbit ``k`` adds
     ``b_k * dual[k]`` to the dual objective, ``b_k`` the right-hand side at
     its representative row.
 
@@ -336,7 +340,10 @@ def wrong_pairs(model, orbits, out):
       ``k`` falls short.
     * Both: with a positive optimum, the whole pair doubled or halved.
     """
-    b = [model.numerators[c][sec] for c, sec in orbits.row_reps]
+    context_of = [c for c, row in enumerate(model.numerators) for _ in row]
+    rows = [x for row in model.numerators for x in row]
+    b = [rows[r] for r in quotient.row_reps]
+    contexts = [context_of[r] for r in quotient.row_reps]
     nonzero = [k for k in range(len(b)) if b[k]]
     for step in (STEP, -STEP):
         for j in range(len(out.solution)):
@@ -349,21 +356,21 @@ def wrong_pairs(model, orbits, out):
             if j != empty:
                 yield nudged(nudged(out, "solution", empty, -STEP), "solution", j, STEP)
     t = max(out.dual) + 1
-    first, last = orbits.row_reps[0][0], orbits.row_reps[-1][0]
+    first, last = contexts[0], contexts[-1]
     yield replace(out, dual=tuple(
         y + t * size if c == first else y - t * size if c == last else y
-        for y, size, (c, _) in zip(out.dual, orbits.row_size, orbits.row_reps)
+        for y, size, c in zip(out.dual, quotient.row_size, contexts)
     ))
     k = nonzero[0]
-    raised = nudged(out, "dual", k, STEP * orbits.order / b[k])
+    raised = nudged(out, "dual", k, STEP * quotient.order / b[k])
     for j in range(len(out.solution)):
-        yield replace(nudged(raised, "solution", j, STEP), value=out.value + STEP * orbits.order)
+        yield replace(nudged(raised, "solution", j, STEP), value=out.value + STEP * quotient.order)
     if out.value:
         heavy = max(range(len(out.solution)), key=out.solution.__getitem__)
         for k in nonzero:
             if out.dual[k]:
-                s = min(out.dual[k], STEP, out.solution[heavy] * orbits.order / b[k])
-                lowered = nudged(out, "solution", heavy, -s * b[k] / orbits.order)
+                s = min(out.dual[k], STEP, out.solution[heavy] * quotient.order / b[k])
+                lowered = nudged(out, "solution", heavy, -s * b[k] / quotient.order)
                 yield replace(nudged(lowered, "dual", k, -s), value=out.value - s * b[k])
         yield scaled(out, 2)
         yield scaled(out, F(1, 2))
@@ -378,22 +385,22 @@ def check_quotient_certificate_matches_full_lp(model, pick):
     outside H to the group makes a generator that does not fix the model,
     which the quotient check rejects.
     """
-    group, orbits, out = lift_inputs(model)
-    assert quotient_accepts(model, group, orbits, out)
-    assert full_lp_accepts(model, orbits, out)
-    wrong = list(wrong_pairs(model, orbits, out))
+    group, quotient, out = lift_inputs(model)
+    assert quotient_accepts(model, quotient, out)
+    assert full_lp_accepts(model, quotient, out)
+    wrong = list(wrong_pairs(model, quotient, out))
     bad = wrong[pick % len(wrong)]
-    assert not quotient_accepts(model, group, orbits, bad)
-    assert not full_lp_accepts(model, orbits, bad)
+    assert not quotient_accepts(model, quotient, bad)
+    assert not full_lp_accepts(model, quotient, bad)
 
     n = len(model.scenario.observables)
     h = pick % (1 << n)
     if (group >> h) & 1:
         return
     wider = group | sum(1 << (g ^ h) for g in range(group.bit_length()) if (group >> g) & 1)
-    group, orbits, out = lift_inputs(model, flip_group=wider)
+    _, quotient, out = lift_inputs(model, flip_group=wider)
     with pytest.raises(InternalConsistencyError, match="does not fix the model"):
-        analysis._certify_lift(model, group, orbits, out)
+        analysis._certify_lift(model, quotient, out)
 
 
 ALL_SUITES = (

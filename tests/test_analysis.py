@@ -85,17 +85,23 @@ def test_incidence_matrix_matches_bruteforce(name):
 def test_orbit_lp_of_trivial_group_is_incidence_matrix(name):
     # Group 1 holds only the identity flip: every assignment is its own
     # column and every (context, section) row its own orbit.
+    # The certificate gets no generator and one column getter per assignment,
+    # reading the rows that assignment restricts to.
     s = INCIDENCE_SCENARIOS[name]
-    orbits = analysis._orbit_lp(s, 1)
+    quotient = analysis._quotient(s, 1)
     n_rows = sum(s.n_sections(c) for c in range(s.n_contexts))
-    assert orbits.order == 1
-    assert orbits.a_le == incidence_matrix(s)
-    assert orbits.column_of == tuple(range(1 << len(s.observables)))
-    assert orbits.row_of == tuple(range(n_rows))
-    assert orbits.row_size == (1,) * n_rows
-    assert orbits.row_reps == tuple(
-        (c, sec) for c in range(s.n_contexts) for sec in range(s.n_sections(c))
-    )
+    assert quotient.order == 1
+    assert quotient.a_le == incidence_bruteforce(s.observables, s.contexts)
+    assert quotient.column_of == tuple(range(1 << len(s.observables)))
+    assert quotient.row_of == tuple(range(n_rows))
+    assert quotient.row_size == (1,) * n_rows
+    assert quotient.row_reps == tuple(range(n_rows))
+    assert quotient.generators == ()
+    rows_hit = [[] for _ in quotient.column_of]
+    for r, row in enumerate(quotient.a_le):
+        for g, _ in row:
+            rows_hit[g].append(r)
+    assert [list(rows(range(n_rows))) for rows in quotient.columns] == rows_hit
 
 
 def test_incidence_matrix_guard():
@@ -253,8 +259,8 @@ def test_scenario_caches_are_bounded():
     # Relabelled copies of bell-2-2 are distinct cache keys; each cache must
     # evict instead of keeping every scenario's tables.
     caches = (
-        analysis.restriction_table, analysis.global_masks, analysis._orbit_lp,
-        analysis._quotient, scenario.overlaps, scenario.projection,
+        analysis.restriction_table, analysis.global_masks, analysis._quotient,
+        scenario.overlaps, scenario.projection,
     )
     for k in range(SCENARIO_CACHE_SIZE + 8):
         a, ap, b, bp = (f"{x}{k}" for x in ("A", "Ap", "B", "Bp"))
@@ -340,28 +346,40 @@ def test_quotient_certificate_refuses_a_flip_that_does_not_fix_the_model():
 
 def test_quotient_certificate_refuses_a_model_row_a_generator_does_not_fix():
     model = noisy_one_odd_lift(3, H)
-    group, orbits, out = lift_inputs(model)
+    _, quotient, out = lift_inputs(model)
     tilted = mix([model, deterministic_model(S32, (0,) * 6)], [F(63, 64), F(1, 64)])
     with pytest.raises(InternalConsistencyError, match="does not fix the model"):
-        analysis._certify_lift(tilted, group, orbits, out)
+        analysis._certify_lift(tilted, quotient, out)
 
 
-def _split_orbit_lp(group, **fields):
-    """``_orbit_lp`` with ``fields`` replaced for the flip group ``group`` only."""
-    real = analysis._orbit_lp
+def test_flip_bitmask_not_closed_under_xor_is_an_internal_fault():
+    # One flip outside H added to its bitmask: the LP is solved on the closure,
+    # and the certificate refuses the closure's generators, an internal fault
+    # rather than a malformed LP row.
+    model = noisy_one_odd_lift(3, H)
+    group, _, _ = lift_inputs(model)
+    with mock.patch.object(analysis, "_flip_group", lambda s, stabilizers: group | 1 << 1):
+        with pytest.raises(InternalConsistencyError,
+                           match="certificate: a generator does not fix the model"):
+            contextual_fraction(model)
+
+
+def _split_quotient(group, **fields):
+    """``_quotient`` with ``fields`` replaced for the flip group ``group`` only."""
+    real = analysis._quotient
     return mock.patch.object(
-        analysis, "_orbit_lp",
+        analysis, "_quotient",
         lambda s, g: replace(real(s, g), **fields) if g == group else real(s, g),
     )
 
 
 def test_quotient_certificate_refuses_a_row_orbit_split():
     model = noisy_one_odd_lift(3, H)
-    group, orbits, out = lift_inputs(model)
-    r = orbits.row_of.index(0, 1)  # the second row of orbit 0 joins orbit 1
+    group, quotient, out = lift_inputs(model)
+    r = quotient.row_of.index(0, 1)  # the second row of orbit 0 joins orbit 1
     assert out.dual[0] != out.dual[1]
-    row_of = orbits.row_of[:r] + (1,) + orbits.row_of[r + 1:]
-    with _split_orbit_lp(group, row_of=row_of):
+    row_of = quotient.row_of[:r] + (1,) + quotient.row_of[r + 1:]
+    with _split_quotient(group, row_of=row_of):
         with pytest.raises(InternalConsistencyError,
                            match="certificate: the lifted dual is not invariant"):
             contextual_fraction(model)
@@ -369,11 +387,11 @@ def test_quotient_certificate_refuses_a_row_orbit_split():
 
 def test_quotient_certificate_refuses_a_coset_split():
     model = noisy_one_odd_lift(3, H)
-    group, orbits, out = lift_inputs(model)
-    g = orbits.column_of.index(0, 1)  # the second member of coset 0 joins coset 1
+    group, quotient, out = lift_inputs(model)
+    g = quotient.column_of.index(0, 1)  # the second member of coset 0 joins coset 1
     assert out.solution[0] != out.solution[1]
-    column_of = orbits.column_of[:g] + (1,) + orbits.column_of[g + 1:]
-    with _split_orbit_lp(group, column_of=column_of):
+    column_of = quotient.column_of[:g] + (1,) + quotient.column_of[g + 1:]
+    with _split_quotient(group, column_of=column_of):
         with pytest.raises(InternalConsistencyError,
                            match="certificate: the lifted primal is not invariant"):
             contextual_fraction(model)
@@ -381,11 +399,11 @@ def test_quotient_certificate_refuses_a_coset_split():
 
 def test_quotient_certificate_refuses_every_wrong_pair():
     model = noisy_one_odd_lift(3, H)
-    _, orbits, out = lift_inputs(model)
+    _, quotient, out = lift_inputs(model)
     # Every row has a nonzero right-hand side: 16 primal and 16 dual entries
     # moved either way, 15 moves off an empty coset, one dual shift, 16
     # overweight cosets, 8 lowered positive duals, the pair doubled and halved.
-    wrong = list(wrong_pairs(model, orbits, out))
+    wrong = list(wrong_pairs(model, quotient, out))
     assert len(wrong) == 64 + 15 + 1 + 16 + 8 + 2
     for bad in wrong:
         with mock.patch.object(analysis, "maximize", lambda lp: bad):
@@ -406,9 +424,9 @@ def _oracle_models():
 
 def test_full_lp_certify_agrees_with_the_quotient_certificate():
     for model in _oracle_models():
-        group, orbits, out = lift_inputs(model)
-        assert quotient_accepts(model, group, orbits, out)
-        assert full_lp_accepts(model, orbits, out)
-        for bad in wrong_pairs(model, orbits, out):
-            assert not quotient_accepts(model, group, orbits, bad)
-            assert not full_lp_accepts(model, orbits, bad)
+        _, quotient, out = lift_inputs(model)
+        assert quotient_accepts(model, quotient, out)
+        assert full_lp_accepts(model, quotient, out)
+        for bad in wrong_pairs(model, quotient, out):
+            assert not quotient_accepts(model, quotient, bad)
+            assert not full_lp_accepts(model, quotient, bad)

@@ -234,6 +234,12 @@ def test_scan_fix_index_must_be_ascii(capsys, key):
     assert (code, out) == (1, "") and "--fix expects i=value" in err
 
 
+def test_scan_fix_index_of_5000_digits_is_usage_error(capsys):
+    # int() refuses more than 4 300 digits: the key used to end in a ValueError.
+    code, out, err = run_cli(capsys, "scan", "eight-param", "--grid", "0", "--fix", "1" * 5000 + "=1/4")
+    assert (code, out) == (1, "") and "--fix expects i=value" in err and "ValueError" not in err
+
+
 def test_scan_repeated_fix_index_is_usage_error(capsys):
     code, out, err = run_cli(
         capsys, "scan", "eight-param", "--grid", "0,1/8", "--fix", "1=1/4", "--fix", "1=0",

@@ -81,6 +81,15 @@ def test_parity_system_validation():
         parity_system(S22, (0, 0, 0, 2))
 
 
+@pytest.mark.parametrize("bit", [1.9, True, 1.0, "1"])
+def test_parity_system_refuses_a_parity_that_is_not_an_int_bit(bit):
+    # int(b) used to read 1.9 as parity 1 without a word.
+    with pytest.raises(LengthMismatch, match="parities must be bits"):
+        parity_system(S22, [bit, 0, 0, 0])
+    with pytest.raises(LengthMismatch, match="parities must be bits"):
+        parity_preset_from_dict({"scenario": "bell-2-2-2", "parities": [bit, 0, 0, 0]})
+
+
 def test_parity_consistent_refuses_a_short_parity_vector():
     # One parity for four contexts used to get an inconsistency certificate
     # naming all four equations.
@@ -348,6 +357,14 @@ def test_csp_passing_candidates_actually_pass():
         model = candidate_model(base.scenario, cand.support_masks)
         assert boolean_no_signaling(model)[0]
         assert is_strongly_contextual(model)[0]
+
+
+@pytest.mark.parametrize("indices", [[1.9, 2, 4, 7], [True, 2, 4, 7], ["1", 2, 4, 7]])
+def test_csp_refuses_a_context_index_that_is_not_an_int(indices):
+    # int(c) used to scan context 1 for 1.9 and True without a word.
+    base, _ = csp_extension_preset("eq40")
+    with pytest.raises(MalformedInput, match="context index must be an int"):
+        csp_enumerate_extension(base, indices)
 
 
 def test_csp_empty_extension_counts_base_only():
@@ -732,6 +749,13 @@ def test_scan_refuses_a_parameter_index_that_is_not_an_int_or_ascii_digits(key):
     # int(k) used to truncate 1.9 and True onto p1 without a word.
     with pytest.raises(MalformedInput, match="parameter index must be an int"):
         scan_eight_param([F(0)], fixed={key: Q})
+
+
+@pytest.mark.parametrize("key", [10**5000, -10**5000], ids=["huge", "huge-negative"])
+def test_scan_refuses_a_huge_parameter_index_as_out_of_range(key):
+    # str() refuses more than 4 300 digits: the message used to raise a bare ValueError.
+    with pytest.raises(IndexOutOfRange, match="parameter index of 16610 bits not in 1..8"):
+        scan_eight_param(["0"], fixed={key: 0})
 
 
 def test_scan_reads_decimal_string_indices_and_refuses_repeats():
