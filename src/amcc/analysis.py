@@ -331,6 +331,7 @@ def _contextual_fraction_with_witness(m: EmpiricalModel):
     """
     _require_no_signaling(m)
     s = m.scenario
+    restriction_table(s)  # its size guard runs before any stabilizer's flip table is built
     quotient = _quotient(s, _flip_group(s, tuple([_stabilizer(row) for row in m.numerators])))
     b = tuple(chain.from_iterable(m.numerators))
     out = maximize(LinearProgram(

@@ -24,11 +24,19 @@ from .empirical import EmpiricalModel, exact_rational, format_rational, marginal
 from .errors import (
     ConsistentResource,
     LengthMismatch,
+    MalformedInput,
     NotASubset,
     RowNotNormalized,
     TooLarge,
 )
-from .scenario import bell_token, context_setting_bits, scenario_to_dict, section_values
+from .scenario import (
+    bell_token,
+    context_setting_bits,
+    is_bit,
+    scenario_to_dict,
+    section_values,
+    shown,
+)
 
 #: Transcript header tag for the deterministic generator in use.
 RNG_ALGORITHM = "python-random-mt19937"
@@ -152,8 +160,9 @@ def secret_share_simulate(
     outcomes) -> outcomes, for adversarial experiments.
 
     The transcript is a deterministic function of the seed.  ``rounds``
-    outside 1..SECRET_SHARE_ROUND_LIMIT, and secret entries other than 0
-    and 1, are rejected before any sampling.
+    that is not an ``int`` (or is a ``bool``) raises MalformedInput; one
+    outside 1..SECRET_SHARE_ROUND_LIMIT, and secret entries that are not
+    bits (:func:`~amcc.scenario.is_bit`), are rejected before any sampling.
     """
     consistent, _ = parity_consistent(ps)
     if consistent:
@@ -163,16 +172,19 @@ def secret_share_simulate(
     q = exact_rational(test_fraction)
     if not 0 < q < 1:
         raise RowNotNormalized(f"test fraction {format_rational(q)} not in (0, 1)")
+    if not isinstance(rounds, int) or isinstance(rounds, bool):
+        raise MalformedInput(f"round count must be an int, got {shown(rounds)}")
     if rounds < 1:
-        raise RowNotNormalized(f"need at least one round, got {rounds}")
+        raise RowNotNormalized(f"round count {shown(rounds)} is below 1")
     if rounds > SECRET_SHARE_ROUND_LIMIT:
-        raise TooLarge(f"{rounds} rounds exceed the {SECRET_SHARE_ROUND_LIMIT} round guard")
+        raise TooLarge(
+            f"round count {shown(rounds)} exceeds the {SECRET_SHARE_ROUND_LIMIT} round guard"
+        )
     secret_bits = tuple(secret_bits)
     if not secret_bits:
         raise RowNotNormalized("need at least one secret bit")
-    if any(b not in (0, 1) for b in secret_bits):
+    if not all(map(is_bit, secret_bits)):
         raise LengthMismatch("secret bits must be bits")
-    secret_bits = tuple(int(b) for b in secret_bits)
 
     s = ps.scenario
     masks = parity_to_possibilistic(ps).masks

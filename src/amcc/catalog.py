@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .empirical import EmpiricalModel, PossibilisticModel, lift_uniform, make_model
 from .errors import IndexOutOfRange
-from .scenario import bell_scenario, parity_mask
+from .scenario import bell_scenario, is_bit, parity_mask, shown
 
 
 def pr_box(alpha: int, beta: int, gamma: int) -> EmpiricalModel:
@@ -19,8 +19,8 @@ def pr_box(alpha: int, beta: int, gamma: int) -> EmpiricalModel:
     single-observable marginals.
     """
     for bit in (alpha, beta, gamma):
-        if bit not in (0, 1):
-            raise IndexOutOfRange(f"pr_box flags must be bits, got {bit!r}")
+        if not is_bit(bit):
+            raise IndexOutOfRange(f"pr_box flag {shown(bit)} is not a bit")
     masks = [
         parity_mask(2, (a * b) ^ (alpha * a) ^ (beta * b) ^ gamma)
         for a in (0, 1) for b in (0, 1)

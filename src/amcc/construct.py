@@ -61,6 +61,7 @@ from .scenario import (
     expect_json,
     gf2_back_substitute,
     gf2_eliminate,
+    is_bit,
     json_field,
     overlaps,
     parity_mask,
@@ -69,6 +70,7 @@ from .scenario import (
     scenario_from_dict,
     scenario_to_dict,
     section_values,
+    shown,
 )
 
 ZERO = Fraction(0)
@@ -87,8 +89,7 @@ SCAN_POINT_LIMIT = 1 << 14
 class ParitySystem:
     """One XOR equation per context: sum of its observables = parity bit (mod 2).
 
-    Raises LengthMismatch unless there is one parity per context, each an
-    ``int`` (not a ``bool``) equal to 0 or 1.
+    Raises LengthMismatch unless there is one parity per context, each a bit (:func:`is_bit`).
     """
 
     scenario: MeasurementScenario
@@ -99,8 +100,7 @@ class ParitySystem:
             raise LengthMismatch(
                 f"{len(self.parities)} parity bits for {self.scenario.n_contexts} contexts"
             )
-        if any(not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1)
-               for b in self.parities):
+        if not all(map(is_bit, self.parities)):
             raise LengthMismatch("parities must be bits")
 
     def coefficient_mask(self, c: int) -> int:
@@ -430,13 +430,12 @@ def csp_enumerate_extension(
     and are unsatisfiable as constraint instances.  Iteration order fixes the
     candidate index: extendable contexts ascending, the last one varying
     fastest; results are independent of ``jobs`` (capped at the CPU count)
-    and chunking.  A context index that is not an ``int``, or is a
-    ``bool``, raises MalformedInput.
+    and chunking.  Each context index is checked by
+    :meth:`~amcc.scenario.MeasurementScenario.context` before any is used.
     """
     extendable = tuple(extendable_contexts)
     for c in extendable:
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise MalformedInput(f"context index must be an int, got {repr(c)[:40]}")
+        base.scenario.context(c)
     extendable = tuple(sorted(set(extendable)))
     search = _CspSearch(base, extendable)
     parts = _map_chunks(search.scan, (), range(search.total), jobs)
@@ -679,12 +678,10 @@ def _parameter_index(key) -> int:
         key = int(key)
     if not isinstance(key, int) or isinstance(key, bool):
         raise MalformedInput(
-            f"parameter index must be an int or a decimal string, got {repr(key)[:40]}"
+            f"parameter index must be an int or a decimal string, got {shown(key)}"
         )
     if not 1 <= key <= 8:
-        # str() refuses an int of more than 4 300 digits; name such a key by its size
-        shown = key if key.bit_length() <= 64 else f"of {key.bit_length()} bits"
-        raise IndexOutOfRange(f"parameter index {shown} not in 1..8")
+        raise IndexOutOfRange(f"parameter index {shown(key)} not in 1..8")
     return key
 
 

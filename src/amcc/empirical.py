@@ -38,6 +38,7 @@ from .scenario import (
     SCENARIO_CACHE_SIZE,
     MeasurementScenario,
     expect_json,
+    is_bit,
     json_field,
     label_positions,
     overlaps,
@@ -88,12 +89,12 @@ def exact_rational(x: Union[Fraction, int, str]) -> Fraction:
     Decimal included, raises MalformedInput, so no binary fraction enters a
     model.
     """
+    if isinstance(x, str):  # first: a JSON cell skips the slower ABC check of Fraction
+        return parse_rational(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str):
-        return parse_rational(x)
     raise MalformedInput(f"not an exact rational (int, Fraction or 'k/d' string): {repr(x)[:40]}")
 
 
@@ -199,8 +200,10 @@ def make_model(
     tables: Sequence[Sequence[Union[Fraction, int, str]]],
     den: int = 1,
 ) -> EmpiricalModel:
-    """Validate a probability table family and wrap it as a model.
+    """Validate a probability table family and wrap it as a model: the one reader of model rows.
 
+    Rows are read in context order; a row of the wrong width raises
+    RowNotNormalized naming its context key ("X1|X2") before any cell is read.
     Entry ``x`` is the probability ``x / den``; entries are read by
     :func:`exact_rational`, and ``den`` must be a positive int (not a bool),
     else MalformedInput.  A row of plain ints is checked as integers and
@@ -221,9 +224,8 @@ def make_model(
     for c, raw in enumerate(tables):
         width = s.n_sections(c)
         if len(raw) != width:
-            raise RowNotNormalized(
-                f"context {c} needs {width} entries, got {len(raw)}"
-            )
+            key = _context_key(s.contexts[c])
+            raise RowNotNormalized(f"context {c} ({key}) needs {width} entries, got {len(raw)}")
         integers = all(type(x) is int for x in raw)
         row = raw if integers else tuple(map(exact_rational, raw))
         for i, x in enumerate(row):
@@ -419,7 +421,7 @@ def from_global_distribution(
     n = len(s.observables)
     mass = []
     for values, w in weights.items():
-        if len(values) != n or not all(isinstance(v, int) and v in (0, 1) for v in values):
+        if len(values) != n or not all(map(is_bit, values)):
             raise NotASubset(f"assignment {values} is not {n} outcome bits")
         mass.append((values, exact_rational(w)))
     total = sum(w for _, w in mass)
@@ -464,11 +466,16 @@ def _rows_to_dict(s: MeasurementScenario, rows, cell) -> dict:
     }
 
 
-def _rows_from_dict(data) -> tuple[MeasurementScenario, list]:
-    """Read the scenario and one rational row per context of a table document.
+def model_to_dict(m: EmpiricalModel) -> dict:
+    """JSON form: scenario plus one rational-string row per context key."""
+    return _rows_to_dict(m.scenario, [_over(row, m.den) for row in m.numerators], format_rational)
 
-    A missing row, a row for an unknown context or a row of the wrong width
-    raises RowNotNormalized; the width is checked before any cell is read.
+
+def model_from_dict(data: dict) -> EmpiricalModel:
+    """Parse the JSON form of :func:`model_to_dict`; only its structure is checked here.
+
+    ``tables`` holds one array per context key, none missing or unknown (else
+    RowNotNormalized), and the rows go to :func:`make_model` unread.
     """
     expect_json(data, dict, "a table document")
     s = scenario_from_dict(json_field(data, "scenario"))
@@ -477,28 +484,10 @@ def _rows_from_dict(data) -> tuple[MeasurementScenario, list]:
     extra = set(tables) - set(keys)
     if extra:
         raise RowNotNormalized(f"table rows for unknown contexts: {sorted(extra)}")
-    rows = []
-    for c, key in enumerate(keys):
+    for key in keys:
         if key not in tables:
             raise RowNotNormalized(f"missing table row for context {key!r}")
-        row = expect_json(tables[key], list, f"table row {key!r}")
-        if len(row) != s.n_sections(c):
-            raise RowNotNormalized(
-                f"table row {key!r} needs {s.n_sections(c)} entries, got {len(row)}"
-            )
-        rows.append([parse_rational(x) for x in row])
-    return s, rows
-
-
-def model_to_dict(m: EmpiricalModel) -> dict:
-    """JSON form: scenario plus one rational-string row per context key."""
-    return _rows_to_dict(m.scenario, [_over(row, m.den) for row in m.numerators], format_rational)
-
-
-def model_from_dict(data: dict) -> EmpiricalModel:
-    """Parse and re-validate the JSON form produced by :func:`model_to_dict`."""
-    s, rows = _rows_from_dict(data)
-    return make_model(s, rows)
+    return make_model(s, [expect_json(tables[key], list, f"table row {key!r}") for key in keys])
 
 
 def possibilistic_to_dict(p: PossibilisticModel) -> dict:

@@ -49,7 +49,7 @@ from math import lcm
 from operator import itemgetter, mul
 from typing import Optional, Sequence
 
-from .errors import InternalConsistencyError, ShapeMismatch
+from .errors import InternalConsistencyError, MalformedInput, ShapeMismatch
 
 ZERO = Fraction(0)
 
@@ -98,6 +98,17 @@ class LinearProgram:
             raise ShapeMismatch("A_le row count differs from b_le length")
 
 
+def _exact(x):
+    """``x`` itself if it is an int (not a bool) or a Fraction, else MalformedInput.
+
+    A float, a Decimal or a string is never converted, so no binary
+    fraction or parsed text enters a program.
+    """
+    if type(x) is int or type(x) is Fraction:
+        return x
+    raise MalformedInput(f"LP data must be int or Fraction, got {repr(x)[:40]}")
+
+
 @lru_cache(maxsize=1 << 12)
 def _int_row(row: tuple, n: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """``(entries, d)``: ``(column, d * a)`` for each nonzero ``a`` of sparse ``row``.
@@ -106,7 +117,7 @@ def _int_row(row: tuple, n: int) -> tuple[tuple[tuple[int, int], ...], int]:
     ShapeMismatch unless ``row`` is ``(column, coefficient)`` pairs with
     columns strictly increasing below ``n``.  Cached, so rows shared by many
     programs (a scenario's incidence rows) are checked and scaled once.
-    Integer entries are used as they are; the others become Fraction.
+    A coefficient that is not exact raises MalformedInput (:func:`_exact`).
     """
     entries = []
     last = -1
@@ -116,8 +127,8 @@ def _int_row(row: tuple, n: int) -> tuple[tuple[tuple[int, int], ...], int]:
             raise ShapeMismatch(f"row entry {entry!r} is not a (column, coefficient) "
                                 f"pair with column in {last + 1}..{n - 1}")
         last, a = entry
-        if a:
-            entries.append((last, a if type(a) is int else Fraction(a)))
+        if _exact(a):
+            entries.append(entry)
     d = 1
     for _, a in entries:
         if type(a) is not int:
@@ -133,8 +144,7 @@ def _scale_to_int(row: tuple, rhs, n: int) -> tuple[Sequence[tuple[int, int]], i
     ``d > 0`` is the least common denominator.
     """
     entries, d_row = _int_row(tuple(row), n)
-    if type(rhs) is not int and type(rhs) is not Fraction:
-        rhs = Fraction(rhs)
+    rhs = _exact(rhs)
     d = lcm(d_row, rhs.denominator)
     if d != d_row:
         k = d // d_row
@@ -155,7 +165,7 @@ def _int_program(lp: LinearProgram):
         _scale_to_int(row, b, n)
         for row, b in zip(tuple(lp.a_eq) + tuple(lp.a_le), tuple(lp.b_eq) + tuple(lp.b_le))
     ]
-    objective = [c if type(c) is int else Fraction(c) for c in lp.objective]
+    objective = [c if type(c) is int else _exact(c) for c in lp.objective]
     scale = lcm(*(c.denominator for c in objective if type(c) is not int))
     cost = [
         c * scale if type(c) is int else c.numerator * (scale // c.denominator)

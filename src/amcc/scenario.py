@@ -45,6 +45,17 @@ BELL_CONTEXT_LIMIT = 1 << 12
 SCENARIO_CACHE_SIZE = 256
 
 
+def is_bit(x) -> bool:
+    """True iff ``x`` is an ``int`` (not a ``bool``) equal to 0 or 1."""
+    return isinstance(x, int) and not isinstance(x, bool) and x in (0, 1)
+
+
+def shown(x) -> str:
+    """``repr(x)`` cut to 40 characters; an int past 64 bits, which repr may refuse, by its size."""
+    big = isinstance(x, int) and x.bit_length() > 64
+    return f"of {x.bit_length()} bits" if big else repr(x)[:40]
+
+
 @dataclass(frozen=True)
 class MeasurementScenario:
     """A set of observables together with a cover of measurement contexts.
@@ -62,9 +73,14 @@ class MeasurementScenario:
         return len(self.contexts)
 
     def context(self, c: int) -> tuple[str, ...]:
-        """The labels of context ``c``; raises IndexOutOfRange when invalid."""
+        """The labels of context ``c``, the one context-index check.
+
+        MalformedInput unless ``c`` is an int (not a bool); IndexOutOfRange outside the cover.
+        """
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise MalformedInput(f"context index must be an int, got {shown(c)}")
         if not 0 <= c < len(self.contexts):
-            raise IndexOutOfRange(f"context index {c} not in 0..{len(self.contexts) - 1}")
+            raise IndexOutOfRange(f"context index {shown(c)} not in 0..{len(self.contexts) - 1}")
         return self.contexts[c]
 
     def n_sections(self, c: int) -> int:

@@ -132,6 +132,20 @@ def test_guard_fires_before_a_mask_over_global_assignments():
             decide(model)
 
 
+def test_guard_fires_before_any_flip_table(monkeypatch):
+    # One context of 12 labels: 4 096 rows x 2**12 assignments is past the
+    # LP guard.  Its stabilizer used to be computed first, filling the
+    # width-12 flip table (4 096 getters of 4 096 positions, about 600 MB).
+    labels = [f"Y{k}" for k in range(12)]
+    model = uniform_model(make_scenario(labels, [labels]))
+    built = []
+    monkeypatch.setattr(analysis, "_section_flips", lambda width: built.append(width) or ())
+    for decide in (contextual_fraction, classify):
+        with pytest.raises(TooLarge, match="LP guard"):
+            decide(model)
+    assert built == []
+
+
 def test_is_contextual_rejects_signaling_input():
     # make_model rejects this table, so build the dataclass directly.
     rows = [

@@ -14,6 +14,7 @@ from amcc.construct import parity_system
 from amcc.empirical import deterministic_model, proper_subsets
 from amcc.errors import (
     ConsistentResource,
+    IndexOutOfRange,
     LengthMismatch,
     MalformedInput,
     NotASubset,
@@ -156,8 +157,9 @@ def test_secret_share_refuses_secret_entries_that_are_not_bits():
         rounds_run.append(r)
         return outcomes
 
-    # (2, 3, -1) was once sent as 0, 1, 1 and reported a success.
-    for secret in ((2, 3, -1), (1, 0, 2), (-1,), (1, F(1, 2)), ("1",)):
+    # (2, 3, -1) was once sent as 0, 1, 1 and reported a success; (1.0,)
+    # and (True,) were coerced to (1,).
+    for secret in ((2, 3, -1), (1, 0, 2), (-1,), (1, F(1, 2)), ("1",), (1.0,), (True,), (0, False)):
         with pytest.raises(LengthMismatch, match="secret bits must be bits"):
             secret_share_simulate(ps, secret, 10, F(1, 5), 1, tamper=watch)
     assert rounds_run == []  # refused before any round is sampled
@@ -172,6 +174,27 @@ def test_secret_share_rejects_rounds_outside_the_guard():
     with pytest.raises(TooLarge):
         secret_share_simulate(ps, (1,), SECRET_SHARE_ROUND_LIMIT + 1, F(1, 5), 1)
     assert len(secret_share_simulate(ps, (1,), 1, F(1, 5), 1).rounds) == 1
+
+
+def test_secret_share_round_count_is_an_int():
+    # 2.5 used to raise a bare TypeError from range(), True to run one round,
+    # and 10**5000 a bare ValueError from str() inside the TooLarge message.
+    ps = parity_system(S32, GHZ_PARITIES)
+    for rounds in (2.5, True, "10", None):
+        with pytest.raises(MalformedInput, match="round count must be an int"):
+            secret_share_simulate(ps, (1,), rounds, F(1, 5), 1)
+    with pytest.raises(TooLarge, match="round count of 16610 bits exceeds"):
+        secret_share_simulate(ps, (1,), 10**5000, F(1, 5), 1)
+    with pytest.raises(RowNotNormalized, match="round count of 16610 bits is below 1"):
+        secret_share_simulate(ps, (1,), -10**5000, F(1, 5), 1)
+
+
+def test_min_entropy_names_a_huge_context_index_by_its_size():
+    # str() refuses the index past 4 300 digits; this used to raise ValueError.
+    with pytest.raises(IndexOutOfRange, match="context index of 16610 bits not in 0..7"):
+        min_entropy(ghz_model(), 10**5000, ("X1",))
+    with pytest.raises(MalformedInput, match="context index must be an int"):
+        min_entropy(ghz_model(), 0.0, ("X1",))
 
 
 def test_secret_share_tampering_aborts_at_first_test_round():

@@ -58,8 +58,10 @@ def test_pr_box_marginals_uniform():
 
 
 def test_pr_box_rejects_non_bits():
-    with pytest.raises(IndexOutOfRange):
-        pr_box(2, 0, 0)
+    # 1.0 used to raise a bare TypeError and True to build pr_box(1, 0, 0).
+    for flags in ((2, 0, 0), (1.0, 0, 0), (True, 0, 0), (0, 0, False), (10**5000, 0, 0)):
+        with pytest.raises(IndexOutOfRange, match="is not a bit"):
+            pr_box(*flags)
 
 
 def test_ghz_rows():

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amcc import cli, construct
+from amcc import analysis, cli, construct
 from amcc.analysis import classify
 from amcc.catalog import ghz_model, pr_box
 from amcc.cli import main
 from amcc.empirical import model_from_dict, model_to_dict
-from amcc.scenario import overlaps
+from amcc.scenario import make_scenario, overlaps
 
 from _generators import (
     cycle_scenario,
@@ -331,6 +331,19 @@ def test_huge_singleton_cover_exits_2(capsys, monkeypatch):
         code, out, err = run_cli_stdin(capsys, monkeypatch, document, command)
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "") and "LP guard" in err
+
+
+def test_one_wide_context_exits_2_before_any_flip_table(capsys, monkeypatch):
+    # One context of 12 labels: its flip table used to be built before the LP
+    # guard ran, taking 1.7 s and over 600 MB before the exit.
+    labels = [f"Y{k}" for k in range(12)]
+    document = model_to_dict(uniform_model(make_scenario(labels, [labels])))
+    built = []
+    monkeypatch.setattr(analysis, "_section_flips", lambda width: built.append(width) or ())
+    for command in ("classify", "cf"):
+        code, out, err = run_cli_stdin(capsys, monkeypatch, document, command)
+        assert (code, out) == (2, "") and "LP guard" in err
+    assert built == []
 
 
 @pytest.mark.parametrize("shape", ["wide-row", "singletons"])

@@ -367,6 +367,16 @@ def test_csp_refuses_a_context_index_that_is_not_an_int(indices):
         csp_enumerate_extension(base, indices)
 
 
+def test_csp_context_index_is_checked_by_the_scenario():
+    # str() refuses 10**5000 past 4 300 digits; this used to raise ValueError.
+    base, _ = csp_extension_preset("eq40")
+    for indices in ([10**5000], [1, -10**5000]):
+        with pytest.raises(IndexOutOfRange, match="context index of 16610 bits not in 0..7"):
+            csp_enumerate_extension(base, indices)
+    with pytest.raises(IndexOutOfRange, match="context index 8 not in 0..7"):
+        csp_enumerate_extension(base, [1, 8])
+
+
 def test_csp_empty_extension_counts_base_only():
     pr = parity_to_possibilistic(parity_system(S22, PR_PARITIES))
     report = csp_enumerate_extension(pr, ())

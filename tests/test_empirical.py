@@ -308,14 +308,24 @@ def test_deterministic_model_does_not_enumerate_global_assignments():
 
 
 def test_from_global_distribution_rejects_non_bit_assignments():
-    # Each must fail before a row is built, not as a signaling or index error.
-    for values in ((0, 0, 0, 2), (2, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0), (0, 0, 0, 0, 0)):
+    # Each must fail before a row is built, not as a signaling or index error;
+    # (True, 0, 0, 0) used to be read as the assignment (1, 0, 0, 0).
+    for values in ((0, 0, 0, 2), (2, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0), (0, 0, 0, 0, 0),
+                   (True, 0, 0, 0), (0, False, 0, 0)):
         with pytest.raises(NotASubset):
             from_global_distribution(S22, {values: 1})
         with pytest.raises(NotASubset):
             deterministic_model(S22, values)
     with pytest.raises(NotASubset):
         from_global_distribution(S22, {(0, 0, 0, 0): H, (0, 0, 0, 0.5): H})
+
+
+def test_marginal_context_index_must_be_an_int():
+    # 1.5 used to raise a bare TypeError and True to read context 1.
+    model = pr_box(0, 0, 0)
+    for c in (1.5, True):
+        with pytest.raises(MalformedInput, match="context index must be an int"):
+            marginal(model, c, ("X1",))
 
 
 def test_marginal_rejects_repeated_subset_label():
@@ -381,6 +391,48 @@ def test_json_checks_row_width_before_reading_cells():
     payload["tables"]["X1|X2"] = ["1/2", "0", "0", "1/2"] * 1000 + ["not a rational"]
     with pytest.raises(RowNotNormalized, match="needs 4 entries, got 4001"):
         model_from_dict(payload)
+
+
+def test_row_width_error_names_the_context_labels():
+    # make_model is the one width check, for Python rows and JSON rows alike.
+    rows = [[H, 0, 0, H], [H, 0, 0], [H, 0, 0, H], [0, H, H, 0]]
+    with pytest.raises(RowNotNormalized, match=r"context 1 \(X1\|X2p\) needs 4 entries, got 3"):
+        make_model(S22, rows)
+    payload = model_to_dict(pr_box(0, 0, 0))
+    payload["tables"]["X1|X2p"] = ["1/2", "0", "0"]
+    with pytest.raises(RowNotNormalized, match=r"context 1 \(X1\|X2p\) needs 4 entries, got 3"):
+        model_from_dict(payload)
+
+
+def test_json_rows_are_read_one_at_a_time_in_context_order():
+    # The first row does not sum to 1 and a later cell is not a rational:
+    # make_model refuses the first row before it reads the later one.
+    payload = model_to_dict(pr_box(0, 0, 0))
+    payload["tables"]["X1|X2"] = ["1/2", "0", "0", "1/4"]
+    payload["tables"]["X1p|X2p"] = ["0", "1/2", "1/2", "0.0"]
+    with pytest.raises(RowNotNormalized, match="context 0 sums to 3/4"):
+        model_from_dict(payload)
+    payload["tables"]["X1|X2"] = ["1/2", "0", "0", "1/2"]
+    with pytest.raises(MalformedInput, match="not a rational"):
+        model_from_dict(payload)
+
+
+def test_json_integer_cells_are_read_as_integers():
+    payload = model_to_dict(deterministic_model(S22, (0, 1, 1, 0)))
+    payload["tables"] = {key: [int(x) for x in row] for key, row in payload["tables"].items()}
+    assert model_from_dict(payload) == deterministic_model(S22, (0, 1, 1, 0))
+    # A JSON integer past the 100-digit string limit cannot form a normalised row.
+    big = 10 ** (RATIONAL_DIGIT_LIMIT + 50)
+    payload["tables"]["X1|X2"] = [big, 0, 0, 1 - big]
+    with pytest.raises(NegativeEntry):
+        model_from_dict(payload)
+    payload["tables"]["X1|X2"] = [big, 0, 0, 0]
+    with pytest.raises(RowNotNormalized):
+        model_from_dict(payload)
+    for cell in (True, 1.0, None, [1]):
+        payload["tables"]["X1|X2"] = [cell, 0, 0, 0]
+        with pytest.raises(MalformedInput):
+            model_from_dict(payload)
 
 
 def test_possibilistic_json_shape():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from amcc.analysis import incidence_matrix
 from amcc.catalog import pr_box
 from amcc.construct import eight_param_family
 from amcc.empirical import deterministic_model, mix
-from amcc.errors import InternalConsistencyError, ShapeMismatch
+from amcc.errors import InternalConsistencyError, MalformedInput, ShapeMismatch
 from amcc.ratlp import LinearProgram, LpStatus, maximize, solve_feasibility
 from amcc.scenario import bell_scenario
 
@@ -290,6 +292,24 @@ def test_malformed_sparse_row_is_a_shape_mismatch(row):
         maximize(lp)
     with pytest.raises(ShapeMismatch):
         ratlp.certify(lp, F(1), (F(1), F(0)), (F(1), F(0)))
+
+
+@pytest.mark.parametrize("bad", [0.1, Decimal("0.1"), "0.1", " 1/10 ", True, 0.0, None])
+def test_lp_data_must_be_int_or_fraction(bad):
+    # A coefficient of 0.1 used to be read as its binary value (optimum
+    # 36028797018963968/3602879701896397, not 10); strings, Decimals and
+    # bools were converted without a word.  The row cache is keyed by value,
+    # and True == 1 and Decimal("0.1") == 1/10, so the bad row goes first.
+    lp = LinearProgram(objective=(1,), a_le=(((0, F(1, 10)),),), b_le=(1,))
+    ratlp._int_row.cache_clear()
+    for bad_lp in (
+        replace(lp, a_le=(((0, bad),),)),
+        replace(lp, objective=(bad,)),
+        replace(lp, b_le=(bad,)),
+    ):
+        with pytest.raises(MalformedInput, match="LP data must be int or Fraction"):
+            maximize(bad_lp)
+    assert maximize(lp).value == 10
 
 
 def test_degenerate_cycling_instance_terminates():

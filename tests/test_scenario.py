@@ -29,6 +29,7 @@ from amcc.scenario import (
     scenario_to_dict,
     section_index,
     section_values,
+    shown,
 )
 
 OBS_22 = ("X1", "X1p", "X2", "X2p")
@@ -98,8 +99,29 @@ def test_context_index_out_of_range():
     s = bell_scenario(2, 2)
     assert s.context(3) == ("X1p", "X2p") and s.n_sections(3) == 4
     for c in (4, -1):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexOutOfRange, match=f"context index {c} not in 0..3"):
             s.context(c)
+    # str() refuses an int of more than 4 300 digits; the message used to raise ValueError.
+    for c in (10**5000, -10**5000):
+        with pytest.raises(IndexOutOfRange, match="context index of 16610 bits not in 0..3"):
+            s.context(c)
+
+
+def test_context_index_must_be_an_int():
+    # 2.0 used to raise a bare TypeError from the tuple lookup, True to read context 1.
+    s = bell_scenario(2, 2)
+    for c in (2.0, 1.5, True, "1", None):
+        with pytest.raises(MalformedInput, match="context index must be an int"):
+            s.context(c)
+        with pytest.raises(MalformedInput, match="context index must be an int"):
+            s.n_sections(c)
+
+
+def test_shown_names_a_huge_int_by_its_size():
+    assert shown(5) == "5" and shown(-(1 << 64) + 1) == str(-(1 << 64) + 1)
+    assert shown(1 << 64) == "of 65 bits"
+    assert shown(True) == "True" and shown(2.5) == "2.5"
+    assert shown("x" * 100) == repr("x" * 100)[:40]
 
 
 def test_projection_agrees_with_restrict():
