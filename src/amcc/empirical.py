@@ -46,6 +46,7 @@ from .scenario import (
     scenario_from_dict,
     scenario_to_dict,
     section_index,
+    shown,
 )
 
 #: Most decimal digits :func:`parse_rational` accepts in a numerator or a
@@ -54,6 +55,7 @@ RATIONAL_DIGIT_LIMIT = 100
 #: Bound on a model's common denominator (10 * RATIONAL_DIGIT_LIMIT digits), so
 #: that many distinct denominators cannot force huge numerators either.
 DENOMINATOR_LIMIT = 10 ** (10 * RATIONAL_DIGIT_LIMIT)
+_TOO_LARGE = f"common denominator has more than {10 * RATIONAL_DIGIT_LIMIT} digits"
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -191,7 +193,7 @@ def _common_denominator(dens) -> int:
     for d in dens:
         out = lcm(out, d)
         if out >= DENOMINATOR_LIMIT:
-            raise TooLarge(f"common denominator has more than {10 * RATIONAL_DIGIT_LIMIT} digits")
+            raise TooLarge(_TOO_LARGE)
     return out
 
 
@@ -211,11 +213,12 @@ def make_model(
     them with their common ``den``.  Every row must be nonnegative and sum
     to exactly 1, and the generalized no-signaling condition must hold; on
     failure a :class:`SignalingDetected` carrying a witness is raised.  Each
-    row is checked over its own denominator first; a row's or the model's
-    least common denominator reaching DENOMINATOR_LIMIT raises TooLarge.
+    row's least common denominator is checked before any of its entries, so
+    no message formats a number past the limit; a row's or the model's least
+    common denominator reaching DENOMINATOR_LIMIT raises TooLarge.
     """
     if not isinstance(den, int) or isinstance(den, bool) or den < 1:
-        raise MalformedInput(f"den must be a positive int, got {repr(den)[:40]}")
+        raise MalformedInput(f"den must be a positive int; den {shown(den)} is not")
     if len(tables) != s.n_contexts:
         raise RowNotNormalized(
             f"expected {s.n_contexts} rows, got {len(tables)}"
@@ -228,22 +231,25 @@ def make_model(
             raise RowNotNormalized(f"context {c} ({key}) needs {width} entries, got {len(raw)}")
         integers = all(type(x) is int for x in raw)
         row = raw if integers else tuple(map(exact_rational, raw))
-        for i, x in enumerate(row):
-            if x < 0:
-                raise NegativeEntry(
-                    f"context {c}, section {i}: negative entry {format_rational(Fraction(x) / den)}"
-                )
         row_den = den
         if not integers:
             scale = _common_denominator({x.denominator for x in row})
             row = [x.numerator * (scale // x.denominator) for x in row]
             row_den *= scale
+        g = gcd(row_den, *row)
+        # The row's least common denominator, checked before any entry or
+        # sum of the row is formatted.
+        if row_den // g >= DENOMINATOR_LIMIT:
+            raise TooLarge(_TOO_LARGE)
+        for i, x in enumerate(row):
+            if x < 0:
+                entry = format_rational(Fraction(x, row_den))
+                raise NegativeEntry(f"context {c}, section {i}: negative entry {entry}")
         total = sum(row)
         if total != row_den:
             raise RowNotNormalized(
                 f"context {c} sums to {format_rational(Fraction(total, row_den))}, not 1"
             )
-        g = gcd(*row)  # the row sums to row_den, so g divides it
         rows.append((row_den // g, [x // g for x in row] if g > 1 else row))
     common = _common_denominator({row_den for row_den, _ in rows})
     numerators = tuple(tuple(x * (common // row_den) for x in row) for row_den, row in rows)

@@ -9,10 +9,13 @@ denominator, updated by the previous pivot value), which avoids per-cell gcd
 work and is an order of magnitude faster than a Fraction tableau while
 staying exact.  It is kept in revised form: only ``den * B^-1``, the
 simplex multipliers ``den * pi`` (``pi = c_B B^-1``) and the right-hand side
-are stored, and any other column is computed from its sparse initial column
-when it is priced or enters.  Every column, owned or not, is priced by the
-one rule ``pi . A_j - c_j``, a pivot rewrites an m x m block instead of
-every column, and every entry is the one the full tableau would hold (see
+are stored, by column, and any other column is computed from its sparse
+initial column when it is priced or enters.  Every column, owned or not, is
+priced by the one rule ``pi . A_j - c_j``.  Each stored column keeps the
+denominator it was last written at: a pivot only rescales a column that is
+zero in the pivot row, and those rescales telescope, so a pivot rewrites
+just the columns its pivot row touches and a stale column is scaled when it
+is read.  Every entry is the one the full tableau would hold (see
 :class:`_Tableau`).  Inputs and outputs are ``fractions.Fraction``.
 
 A presolve pass exploits the structure of probability systems: a row with
@@ -45,6 +48,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import lcm
 from operator import itemgetter, mul
 from typing import Optional, Sequence
@@ -110,14 +114,17 @@ def _exact(x):
 
 
 @lru_cache(maxsize=1 << 12)
-def _int_row(row: tuple, n: int) -> tuple[tuple[tuple[int, int], ...], int]:
+def _int_row(key: int, row: tuple, n: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """``(entries, d)``: ``(column, d * a)`` for each nonzero ``a`` of sparse ``row``.
 
     ``d > 0`` is the least common denominator of the row.  Raises
     ShapeMismatch unless ``row`` is ``(column, coefficient)`` pairs with
-    columns strictly increasing below ``n``.  Cached, so rows shared by many
-    programs (a scenario's incidence rows) are checked and scaled once.
-    A coefficient that is not exact raises MalformedInput (:func:`_exact`).
+    columns strictly increasing below ``n``.  A coefficient that is not
+    exact raises MalformedInput (:func:`_exact`).  Cached, so rows shared by
+    many programs (a scenario's incidence rows) are checked and scaled once.
+    ``key`` is ``id(row)``, and the cache holds every row it keeps, so a hit
+    is the very row that was checked: an equal row of other types (``True``
+    for 1, ``Decimal("0.1")`` for 1/10) is a new key and is refused.
     """
     entries = []
     last = -1
@@ -143,7 +150,8 @@ def _scale_to_int(row: tuple, rhs, n: int) -> tuple[Sequence[tuple[int, int]], i
     for the nonzero coefficients of ``d * row``, ``b == d * rhs`` and
     ``d > 0`` is the least common denominator.
     """
-    entries, d_row = _int_row(tuple(row), n)
+    row = tuple(row)
+    entries, d_row = _int_row(id(row), row, n)
     rhs = _exact(rhs)
     d = lcm(d_row, rhs.denominator)
     if d != d_row:
@@ -217,43 +225,45 @@ def _presolve(n, rows, kinds):
     return kept, live_rows, forcing
 
 
-def _dot(spec, row) -> int:
-    """``row`` times the sparse column ``spec = (getter, coefficients)``.
-
-    The getter picks the column's positions; coefficients None means all 1.
-    """
-    get, coefs = spec
-    return sum(get(row)) if coefs is None else sum(map(mul, get(row), coefs))
-
-
 class _Tableau:
-    """Revised integer simplex tableau: ``den * B^-1``, the multipliers and the right-hand side.
+    """Revised integer simplex tableau, stored by column: ``den * B^-1`` and the right-hand side.
 
     The true tableau is ``entries / den``.  Each constraint row starts with
     one unit column that it owns (a slack or an artificial), at the row's
     position among the owned columns.  Pivots combine whole rows, so those
     columns hold ``den * B^-1``, and every current column is that block times
-    the column's initial entries.  ``rows[i]`` stores row ``i``'s entries in
-    the owned columns, then its right-hand side.  Row 0 holds
-    ``u = den * pi`` with ``pi = c_B B^-1`` the same way, then the objective
-    value, so every column, owned or not, has the row-0 entry (its negated
-    reduced cost) ``u . A_j - den * c_j``.  ``columns[j]`` is the position of
-    an owned column, or the sparse initial entries of any other column (see
-    :func:`_dot`).
+    the column's initial entries.  ``cols[k]`` stores owned column ``k`` over
+    every row, and ``cols[-1]`` the right-hand side.  Entry 0 of each is row
+    0: ``u = den * pi`` with ``pi = c_B B^-1``, then the objective value, so
+    every column, owned or not, has the row-0 entry (its negated reduced
+    cost) ``u . A_j - den * c_j``.  ``columns[j]`` is the position of an
+    owned column, or ``(getter, coefficients)`` for any other column: the
+    getter picks the column's owned positions, and coefficients None means
+    all 1.
 
     The Bareiss update ``(x * piv - f * p) // den`` acts on each column
-    alone, so running it over the stored block leaves there exactly the
+    alone, so running it over the stored columns leaves there exactly the
     entries of the dense fraction-free tableau, and a computed column equals
     the dense one.  It keeps ``u`` exact too: with ``f`` the pivot column's
     row-0 entry and ``p`` the pivot row, ``u * piv - f * p`` is ``den``
-    times the next ``u``.  Pivots, primal and dual are those of the dense
-    tableau.
+    times the next ``u``.
+
+    A column whose pivot-row entry ``p`` is 0 is only rescaled by
+    ``piv / den``, and rescales telescope.  So ``dens[k]`` records the
+    ``den`` at which column ``k`` was last written, its current entries are
+    ``x * den // dens[k]``, and a pivot rewrites only the columns with
+    ``p != 0``.  For those the update from ``d = dens[k]`` is
+    ``(x * piv - f * p) // d`` with ``x`` and ``p`` as stored and ``f`` at
+    ``den``; setting the pivot column's entry in the pivot row to
+    ``piv - den`` makes the same formula leave the pivot row as it is.
+    Pivots, primal and dual are those of the dense tableau.
     """
 
-    def __init__(self, rows, basis, columns):
-        self.rows = rows          # list of int lists; rows[0] is the multiplier row
-        self.basis = basis        # basis[i] = column basic in constraint row i (1-based rows)
-        self.columns = columns    # owned position or sparse initial column, per column
+    def __init__(self, cols, basis, columns):
+        self.cols = cols          # owned columns, then the right-hand side; entry 0 is row 0
+        self.dens = [1] * len(cols)  # the den each stored column was last written at
+        self.basis = basis        # basis[i - 1] = column basic in constraint row i
+        self.columns = columns    # owned position or (getter, coefficients), per column
         self.den = 1
         self.cost = [0] * len(columns)  # objective of the phase, set by _install_objective
         self.dead = set()         # columns barred from entering (retired artificials)
@@ -263,56 +273,85 @@ class _Tableau:
     def n_cols(self) -> int:
         return len(self.columns)
 
+    @property
+    def n_rows(self) -> int:
+        """The number of constraint rows."""
+        return len(self.cols[-1]) - 1
+
+    def stored(self, k: int) -> list:
+        """Stored column ``k`` (``-1``: the right-hand side) at the current ``den``.
+
+        The stored list itself when it is current, so the caller must not modify it.
+        """
+        col, d, den = self.cols[k], self.dens[k], self.den
+        return col if d == den else [x * den // d for x in col]
+
+    def multipliers(self) -> list:
+        """Row 0 at the current ``den``: ``u`` at the owned positions, then the objective value."""
+        den = self.den
+        return [c[0] if d == den else c[0] * den // d for c, d in zip(self.cols, self.dens)]
+
     def entry(self, i: int, j: int) -> int:
         """Constraint row ``i``'s entry in column ``j``."""
-        spec = self.columns[j]
-        return self.rows[i][spec] if type(spec) is int else _dot(spec, self.rows[i])
+        spec, den = self.columns[j], self.den
+        if type(spec) is int:
+            return self.cols[spec][i] * den // self.dens[spec]
+        get, coefs = spec
+        xs = [c[i] * den // d for c, d in zip(get(self.cols), get(self.dens))]
+        return sum(xs) if coefs is None else sum(map(mul, xs, coefs))
 
     def column(self, c: int) -> list:
         """Column ``c`` of every row, row 0 included."""
-        spec = self.columns[c]
+        spec, den = self.columns[c], self.den
         if type(spec) is int:
-            col = [row[spec] for row in self.rows]
+            col = self.stored(spec)[:]
         else:
             get, coefs = spec
-            if coefs is None:
-                col = list(map(sum, map(get, self.rows)))
+            parts = [
+                part if d == den else [x * den // d for x in part]
+                for part, d in zip(get(self.cols), get(self.dens))
+            ]
+            if not parts:
+                col = [0] * len(self.cols[-1])
+            elif coefs is None:
+                col = list(map(sum, zip(*parts)))
             else:
-                col = [sum(map(mul, get(row), coefs)) for row in self.rows]
-        col[0] -= self.den * self.cost[c]
+                col = [sum(map(mul, xs, coefs)) for xs in zip(*parts)]
+        col[0] -= den * self.cost[c]
         return col
 
     def pivot(self, r: int, c: int) -> None:
         """Pivot constraint row ``r`` (1-based) on column ``c``; entry must be > 0."""
         cached, self._column = self._column, None
-        col = cached[1] if cached is not None and cached[0] == c else self.column(c)
-        rows, den = self.rows, self.den
-        prow = rows[r]
-        piv = col[r]
-        for i, row in enumerate(rows):
-            if i == r:
-                continue
-            f = col[i]
-            if f == 0:
-                if piv == den:
-                    continue  # the row stays as it is
-                if den != 1:
-                    rows[i] = [x * piv // den for x in row]
-                else:
-                    rows[i] = [x * piv for x in row]
-            else:
-                rows[i] = [(x * piv - f * p) // den for x, p in zip(row, prow)]
+        f = cached[1] if cached is not None and cached[0] == c else self.column(c)
+        cols, dens, piv = self.cols, self.dens, f[r]
+        f[r] = piv - self.den  # the update then leaves the pivot row as it is
+        for k in compress(range(len(cols)), map(itemgetter(r), cols)):
+            col, p, d = cols[k], cols[k][r], dens[k]
+            cols[k] = [(x * piv - g * p) // d for x, g in zip(col, f)]
+            dens[k] = piv
         self.den = piv
         self.basis[r - 1] = c
 
+    def negate(self, i: int) -> None:
+        """Negate constraint row ``i``."""
+        for col in self.cols:
+            col[i] = -col[i]
+
+    def drop(self, i: int) -> None:
+        """Delete constraint row ``i`` and its basic variable."""
+        for col in self.cols:
+            del col[i]
+        del self.basis[i - 1]
+
     def _entering(self) -> Optional[int]:
-        u, den, cost, dead = self.rows[0], self.den, self.cost, self.dead
+        u, den, cost, dead = self.multipliers(), self.den, self.cost, self.dead
         for j, spec in enumerate(self.columns):
             if type(spec) is int:  # retired artificials are owned columns
                 if u[spec] < den * cost[j] and j not in dead:
                     return j
             else:
-                get, coefs = spec  # _dot, inlined: this loop prices every column
+                get, coefs = spec
                 d = sum(get(u)) if coefs is None else sum(map(mul, get(u), coefs))
                 if d < den * cost[j]:
                     return j
@@ -321,12 +360,15 @@ class _Tableau:
     def _leaving(self, c: int) -> Optional[int]:
         col = self.column(c)
         self._column = (c, col)
+        # The right-hand side as stored: one positive factor on every b
+        # leaves the order of the ratios b / a alone.
+        rhs = self.cols[-1]
         best = None  # (num, den, basis var, row)
-        for i in range(1, len(self.rows)):
+        for i in range(1, len(rhs)):
             a = col[i]
             if a <= 0:
                 continue
-            b = self.rows[i][-1]
+            b = rhs[i]
             if best is None:
                 better = True
             else:
@@ -357,7 +399,7 @@ def sequence_getter(positions: list):
 
 
 def _sparse_column(positions: list, coefs: list) -> tuple:
-    """The :func:`_dot` form of a column with ``coefs`` at owned ``positions``."""
+    """The ``(getter, coefficients)`` form of a column with ``coefs`` at owned ``positions``."""
     return sequence_getter(positions), None if coefs.count(1) == len(coefs) else tuple(coefs)
 
 
@@ -365,9 +407,9 @@ def _build_tableau(kept, rows, live_rows, kinds):
     """Revised tableau with slack/surplus/artificial columns and a feasible basis.
 
     Returns ``(tableau, artificial columns)`` with no objective row installed
-    yet (row 0 is a placeholder of zeros).  Live row ``t`` (0-based) owns the
-    column at position ``t``, a unit vector on its tableau row: the slack of
-    a ``<=`` row, or the artificial of an equality row or of a ``<=`` row
+    yet (row 0 is zeros).  Live row ``t`` (0-based) owns the column at
+    position ``t``, a unit vector on its tableau row: the slack of a ``<=``
+    row, or the artificial of an equality row or of a ``<=`` row
     sign-flipped for its negative right-hand side, whose slack becomes a
     surplus (coefficient -1).  Every later row, row 0 included, is a
     combination of the original rows with its weights at those positions,
@@ -380,7 +422,8 @@ def _build_tableau(kept, rows, live_rows, kinds):
     coefs = [[] for _ in range(n)]  # and its coefficients there
     columns = [None] * (n + sum(1 for k in live_rows if kinds[k] == "le"))
     slack = n
-    tab_rows = [[0] * (m + 1)]
+    cols = [[0] * (m + 1) for _ in range(m + 1)]
+    rhs = cols[m]
     basis, arts = [], []
     for t, k in enumerate(live_rows):
         entries, b, _ = rows[k]
@@ -390,10 +433,8 @@ def _build_tableau(kept, rows, live_rows, kinds):
             if p is not None:
                 at[p].append(t)
                 coefs[p].append(a)
-        row = [0] * (m + 1)
-        row[t] = 1
-        row[-1] = sign * b
-        tab_rows.append(row)
+        cols[t][t + 1] = 1
+        rhs[t + 1] = sign * b
         if kinds[k] == "le":
             # A flipped row became >=: its slack is a surplus, not owned.
             columns[slack] = t if sign > 0 else _sparse_column([t], [-1])
@@ -405,26 +446,26 @@ def _build_tableau(kept, rows, live_rows, kinds):
             columns.append(t)
         basis.append(basic)
     columns[:n] = map(_sparse_column, at, coefs)
-    return _Tableau(tab_rows, basis, columns), arts
+    return _Tableau(cols, basis, columns), arts
 
 
 def _install_objective(tab: _Tableau, cost: dict) -> None:
     """Row 0 for maximizing ``sum(cost[j] * x_j)`` from the current basis.
 
-    Row 0 is ``sum(c_B,i * rows[i])``: ``den * pi`` with ``pi = c_B B^-1`` at
+    Row 0 is ``sum(c_B,i * row i)``: ``den * pi`` with ``pi = c_B B^-1`` at
     the owned positions, and ``den`` times the basis's objective value.
-    Phase one passes cost -1 on every artificial column, phase two the
-    integer objective on the kept columns.
+    Each stored column gets its entry at its own ``den``, as the rest of
+    it is.  Phase one passes cost -1 on every artificial column, phase two
+    the integer objective on the kept columns.
     """
-    row0 = [0] * len(tab.rows[0])
     tab.cost = [0] * tab.n_cols
     for j, c in cost.items():
         tab.cost[j] = c
-    for i, col in enumerate(tab.basis, start=1):
-        cb = cost.get(col, 0)
-        if cb:
-            row0 = [x + cb * a for x, a in zip(row0, tab.rows[i])]
-    tab.rows[0] = row0
+    weights = [
+        (i, cb) for i, col in enumerate(tab.basis, start=1) if (cb := cost.get(col, 0))
+    ]
+    for col in tab.cols:
+        col[0] = sum([cb * col[i] for i, cb in weights])
 
 
 def _drive_out_artificials(tab: _Tableau, arts) -> None:
@@ -432,7 +473,7 @@ def _drive_out_artificials(tab: _Tableau, arts) -> None:
     # every remaining row and stays zero: the row's dual reads 0.
     arts = set(arts)
     i = 1
-    while i < len(tab.rows):
+    while i <= tab.n_rows:
         col = tab.basis[i - 1]
         if col not in arts:
             i += 1
@@ -443,11 +484,10 @@ def _drive_out_artificials(tab: _Tableau, arts) -> None:
                 pivot_col = j
                 break
         if pivot_col is None:
-            del tab.rows[i]          # redundant constraint
-            del tab.basis[i - 1]
+            tab.drop(i)  # redundant constraint
             continue
         if a < 0:
-            tab.rows[i] = [-x for x in tab.rows[i]]
+            tab.negate(i)
         tab.pivot(i, pivot_col)
         i += 1
     tab.dead |= arts
@@ -534,7 +574,7 @@ def maximize(lp: LinearProgram) -> LpOutcome:
     if arts:
         _install_objective(tab, dict.fromkeys(arts, -1))
         tab.run()  # cannot be unbounded: phase-1 objective is bounded by 0
-        if tab.rows[0][-1] != 0:
+        if tab.cols[-1][0] != 0:
             return LpOutcome(LpStatus.INFEASIBLE)
         _drive_out_artificials(tab, arts)
 
@@ -542,11 +582,11 @@ def maximize(lp: LinearProgram) -> LpOutcome:
     if tab.run() == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
 
-    den, row0 = tab.den, tab.rows[0]
+    den, row0, rhs = tab.den, tab.multipliers(), tab.stored(-1)
     x = [0] * n
     for i, col in enumerate(tab.basis, start=1):
         if col < len(kept):
-            x[kept[col]] = tab.rows[i][-1]
+            x[kept[col]] = rhs[i]
     y = [0] * len(rows)
     for t, k in enumerate(live_rows):
         y[k] = -row0[t] if rows[k][1] < 0 else row0[t]

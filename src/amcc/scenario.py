@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
@@ -51,9 +52,15 @@ def is_bit(x) -> bool:
 
 
 def shown(x) -> str:
-    """``repr(x)`` cut to 40 characters; an int past 64 bits, which repr may refuse, by its size."""
-    big = isinstance(x, int) and x.bit_length() > 64
-    return f"of {x.bit_length()} bits" if big else repr(x)[:40]
+    """``repr(x)`` cut to 40 characters; an int or Fraction past 64 bits by its size.
+
+    repr refuses an int past 4 300 digits, a Fraction's parts included.
+    """
+    if isinstance(x, int) and x.bit_length() > 64:
+        return f"of {x.bit_length()} bits"
+    if isinstance(x, Fraction) and max(x.numerator.bit_length(), x.denominator.bit_length()) > 64:
+        return f"Fraction of {x.numerator.bit_length()}/{x.denominator.bit_length()} bits"
+    return repr(x)[:40]
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,80 @@ def lp_bruteforce(c, a_eq, b_eq, a_le, b_le):
     return "optimal", max(values)
 
 
+class DenseTableau:
+    """A dense fraction-free simplex tableau that pivots only where it is told.
+
+    Built by :meth:`standard_form` from integer rows, in the layout of the
+    library's two-phase simplex: equality rows, then ``<=`` rows, each
+    negated when its right-hand side is negative; one slack per ``<=`` row,
+    a surplus (coefficient -1) when the row was negated, then one artificial
+    per equality or negated row, in row order.  ``rows[0]`` is the objective
+    row, ``rows[i]`` constraint row ``i``; each lists one entry per column
+    and then its right-hand side, and the true tableau is ``rows / den``.
+    ``basis[i - 1]`` is the column basic in row ``i``.  Nothing here chooses
+    a pivot: a caller replays a pivot sequence.  Every entry is updated
+    densely, by Bareiss's ``(x * piv - f * p) // den``.
+    """
+
+    def __init__(self, rows, basis):
+        self.rows = [list(row) for row in rows]
+        self.basis = list(basis)
+        self.den = 1
+
+    @classmethod
+    def standard_form(cls, n, a_eq, b_eq, a_le, b_le):
+        """The starting tableau of dense integer rows over ``n`` columns, row 0 all zero."""
+        kinds = ["eq"] * len(a_eq) + ["le"] * len(a_le)
+        slacks = len(a_le)
+        flipped = [b < 0 for b in list(b_eq) + list(b_le)]
+        arts = sum(1 for kind, f in zip(kinds, flipped) if kind == "eq" or f)
+        width = n + slacks + arts
+        rows, basis = [[0] * (width + 1)], []
+        slack, art = n, n + slacks
+        for kind, a, b, f in zip(kinds, list(a_eq) + list(a_le), list(b_eq) + list(b_le), flipped):
+            sign = -1 if f else 1
+            row = [sign * x for x in a] + [0] * (width - n) + [sign * b]
+            if kind == "le":
+                row[slack] = sign
+                basic = slack
+                slack += 1
+            if kind == "eq" or f:
+                row[art] = 1
+                basic = art
+                art += 1
+            rows.append(row)
+            basis.append(basic)
+        return cls(rows, basis)
+
+    def objective(self, cost):
+        """Row 0 for maximizing ``sum(cost[j] * x_j)`` from the current basis."""
+        row0 = [0] * len(self.rows[0])
+        for i, j in enumerate(self.basis, start=1):
+            cb = cost.get(j, 0)
+            row0 = [x + cb * a for x, a in zip(row0, self.rows[i])]
+        for j, c in cost.items():
+            row0[j] -= self.den * c
+        self.rows[0] = row0
+
+    def pivot(self, r, c):
+        """Pivot row ``r`` on column ``c``, whose entry must be positive."""
+        prow, piv, den = self.rows[r], self.rows[r][c], self.den
+        assert piv > 0, "pivot entry must be positive"
+        self.rows = [
+            row if i == r else [(x * piv - row[c] * p) // den for x, p in zip(row, prow)]
+            for i, row in enumerate(self.rows)
+        ]
+        self.den = piv
+        self.basis[r - 1] = c
+
+    def negate(self, i):
+        self.rows[i] = [-x for x in self.rows[i]]
+
+    def drop(self, i):
+        del self.rows[i]
+        del self.basis[i - 1]
+
+
 def matrix_rank(rows):
     """Exact rank over the rationals."""
     work = [[Fraction(a) for a in row] for row in rows]

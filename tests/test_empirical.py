@@ -555,6 +555,24 @@ def test_make_model_refuses_a_den_that_is_not_a_positive_int(den):
         make_model(S22, [[1, 0, 0, 1]] * 4, den)
 
 
+@pytest.mark.parametrize(
+    "den, shown",
+    [(-10**5000, "of 16610 bits"), (Fraction(10**5000), "Fraction of 16610/1 bits")],
+    ids=["negative int", "Fraction"],
+)
+def test_a_huge_bad_den_is_named_by_its_size(den, shown):
+    # repr() of either refuses past 4 300 digits with a bare ValueError.
+    with pytest.raises(MalformedInput, match=f"den must be a positive int; den {shown} is not"):
+        make_model(S22, [[1, 0, 0, 1]] * 4, den)
+
+
+@pytest.mark.parametrize("row", [[1, 0, 0, 0], [-1, 2, 0, 0]])
+def test_a_huge_den_is_too_large_before_a_row_message_formats_it(row):
+    # The row-sum and negative-entry messages would format 1/10**5000.
+    with pytest.raises(TooLarge, match="common denominator"):
+        make_model(S22, [row] * 4, 10**5000)
+
+
 def test_den_at_the_limit_is_too_large_before_any_no_signaling_work(monkeypatch):
     def no_ns(model):
         raise AssertionError("no-signaling check reached")

@@ -204,6 +204,28 @@ def test_simplex_pivots_and_outcomes_match_the_pinned_digest(monkeypatch):
     )
 
 
+def test_bell_42_mix_with_no_symmetry_pivots_1302_times(monkeypatch):
+    # The full 256-row, 256-column CF LP: the one-odd-context lift 1/2,
+    # uniform noise 1/4, and the all-0 and all-1 deterministic models 1/7
+    # and 3/28.  No outcome flip fixes the mix, so Bland's rule runs on the
+    # whole LP.
+    s = bell_scenario(4, 2)
+    odd = _lift(s, (1,) + (0,) * (s.n_contexts - 1))
+    noise = lift_uniform(PossibilisticModel(s, (0xFFFF,) * s.n_contexts))
+    zeros, ones = (deterministic_model(s, (v,) * len(s.observables)) for v in (0, 1))
+    model = mix([odd, noise, zeros, ones], [F(1, 2), Q, F(1, 7), F(3, 28)])
+    pivots = []
+    real_pivot = ratlp._Tableau.pivot
+
+    def counting_pivot(self, r, c):
+        pivots.append((r, c))
+        real_pivot(self, r, c)
+
+    monkeypatch.setattr(ratlp._Tableau, "pivot", counting_pivot)
+    assert analysis.contextual_fraction(model) == F(5, 14)
+    assert len(pivots) == 1302
+
+
 def _witness_models(rng, s):
     """Seeded models on ``s``, each followed by a signaling perturbation of it.
 

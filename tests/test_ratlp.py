@@ -1,3 +1,6 @@
+import operator
+import random
+from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -16,7 +19,7 @@ from amcc.ratlp import LinearProgram, LpStatus, maximize, solve_feasibility
 from amcc.scenario import bell_scenario
 
 from _generators import fraction_rows
-from _oracles import feasible_bruteforce, lp_bruteforce
+from _oracles import DenseTableau, feasible_bruteforce, lp_bruteforce
 
 F = Fraction
 H = F(1, 2)
@@ -298,10 +301,8 @@ def test_malformed_sparse_row_is_a_shape_mismatch(row):
 def test_lp_data_must_be_int_or_fraction(bad):
     # A coefficient of 0.1 used to be read as its binary value (optimum
     # 36028797018963968/3602879701896397, not 10); strings, Decimals and
-    # bools were converted without a word.  The row cache is keyed by value,
-    # and True == 1 and Decimal("0.1") == 1/10, so the bad row goes first.
+    # bools were converted without a word.
     lp = LinearProgram(objective=(1,), a_le=(((0, F(1, 10)),),), b_le=(1,))
-    ratlp._int_row.cache_clear()
     for bad_lp in (
         replace(lp, a_le=(((0, bad),),)),
         replace(lp, objective=(bad,)),
@@ -310,6 +311,27 @@ def test_lp_data_must_be_int_or_fraction(bad):
         with pytest.raises(MalformedInput, match="LP data must be int or Fraction"):
             maximize(bad_lp)
     assert maximize(lp).value == 10
+
+
+@pytest.mark.parametrize(
+    "exact, bad", [(F(1, 10), Decimal("0.1")), (F(1, 2), 0.5), (1, True), (F(3), 3.0)]
+)
+def test_lp_data_check_does_not_depend_on_the_row_cache(exact, bad):
+    # The bad row equals a row already solved (True == 1, Decimal("0.1") ==
+    # 1/10), and the cache is left as that solve filled it.
+    lp = LinearProgram(objective=(1,), a_le=(((0, exact),),), b_le=(1,))
+    assert maximize(lp).value == 1 / F(exact)
+    with pytest.raises(MalformedInput, match="LP data must be int or Fraction"):
+        maximize(replace(lp, a_le=(((0, bad),),)))
+    with pytest.raises(MalformedInput, match="LP data must be int or Fraction"):
+        ratlp.certify(replace(lp, a_le=(((0, bad),),)), 1 / F(exact), (1 / F(exact),), (1,))
+
+
+def test_a_bool_column_index_is_refused_after_the_int_one_was_solved():
+    two = LinearProgram(objective=(1, 1), a_le=(((1, 1),),), b_le=(1,))
+    assert maximize(two).status is LpStatus.UNBOUNDED
+    with pytest.raises(ShapeMismatch):
+        maximize(replace(two, a_le=(((True, 1),),)))
 
 
 def test_degenerate_cycling_instance_terminates():
@@ -423,3 +445,113 @@ def test_maximize_status_matches_standard_form_oracle(n, m_eq, m_le, data):
     assert (out.status.value, out.value) == (status, value)
     if status == "optimal":
         assert_dual_certificate(lp, out)
+
+
+def _presolve_free_lp(rng):
+    """``(n, c, a_eq, b_eq, a_le, b_le)``: dense integer rows that presolve leaves whole.
+
+    Every row has a nonzero coefficient and a nonzero right-hand side, so no
+    zero-RHS row forces a column and every row and column reaches the
+    tableau.  Right-hand sides may be negative; the equality rows are at
+    times followed by a redundant one (a multiple of one row, or the sum of
+    two), and most programs are built around a nonnegative point, so phase
+    one ends feasible and must drive out or drop the redundant row.
+    """
+    while True:
+        n = rng.randint(1, 5)
+        point = [rng.choice((0, 0, 1, 2, 3)) for _ in range(n)]
+        around = rng.random() < 0.8
+
+        def row():
+            return [rng.choice((0, 0, 0, 1, 1, 2, -1, -3, 4)) for _ in range(n)]
+
+        a_eq = [row() for _ in range(rng.randint(0, 3))]
+        if a_eq and rng.random() < 0.6:
+            k = rng.choice((-2, 1, 3))
+            extra = [k * x for x in rng.choice(a_eq)]
+            if len(a_eq) > 1 and rng.random() < 0.5:
+                extra = [x + y for x, y in zip(a_eq[0], a_eq[1])]
+            a_eq.append(extra)
+        a_le = [row() for _ in range(rng.randint(0, 3))]
+        b_eq = [
+            sum(map(operator.mul, a, point)) if around else rng.choice((-3, -1, 2, 5))
+            for a in a_eq
+        ]
+        b_le = [
+            sum(map(operator.mul, a, point)) + rng.choice((0, 1, 2)) if around
+            else rng.choice((-4, -1, 1, 3)) for a in a_le
+        ]
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        if all(any(a) for a in a_eq + a_le) and all(b_eq + b_le):
+            return n, c, a_eq, b_eq, a_le, b_le
+
+
+def _replay_against_dense_oracle(rng) -> Counter:
+    """Solve a :func:`_presolve_free_lp`, replaying every tableau step on a dense oracle.
+
+    After each objective and each pivot, every entry of the tableau, read at
+    its current ``den``, must be the oracle's.  Returns what happened.
+    """
+    n, c, a_eq, b_eq, a_le, b_le = _presolve_free_lp(rng)
+    lp = LinearProgram(tuple(c), sparse(a_eq), tuple(b_eq), sparse(a_le), tuple(b_le))
+    oracle = DenseTableau.standard_form(n, a_eq, b_eq, a_le, b_le)
+    events = Counter()
+    tableau = ratlp._Tableau
+    real_pivot, real_negate, real_drop = tableau.pivot, tableau.negate, tableau.drop
+    real_objective = ratlp._install_objective
+
+    def agree(tab):
+        assert tab.den == oracle.den and tab.basis == oracle.basis
+        for j in range(tab.n_cols):
+            assert tab.column(j) == [row[j] for row in oracle.rows], j
+        assert tab.stored(-1) == [row[-1] for row in oracle.rows]
+
+    def objective(tab, cost):
+        real_objective(tab, cost)
+        oracle.objective(cost)
+        events["objective"] += 1
+        agree(tab)
+
+    def pivot(self, r, col):
+        real_pivot(self, r, col)
+        oracle.pivot(r, col)
+        events["pivot", events["objective"]] += 1
+        agree(self)
+        # Wrong pricing keeps every entry right but can cycle.
+        assert events["pivot", events["objective"]] < 100, "no optimum after 100 pivots"
+
+    def negate(self, i):
+        real_negate(self, i)
+        oracle.negate(i)
+        events["negate"] += 1
+
+    def drop(self, i):
+        real_drop(self, i)
+        oracle.drop(i)
+        events["drop"] += 1
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ratlp, "_install_objective", objective)
+        patch.setattr(tableau, "pivot", pivot)
+        patch.setattr(tableau, "negate", negate)
+        patch.setattr(tableau, "drop", drop)
+        events[maximize(lp).status] += 1
+    return events
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_every_tableau_entry_matches_a_dense_oracle(seed):
+    _replay_against_dense_oracle(random.Random(seed))
+
+
+def test_the_dense_oracle_replay_reaches_phase_one_drive_out_and_row_deletion():
+    events = Counter()
+    rng = random.Random(24)
+    for _ in range(150):
+        events += _replay_against_dense_oracle(rng)
+    # Pivots under the phase-one objective (1) and under phase two's (2),
+    # or under the only objective when no row needs an artificial (1 too).
+    assert events["pivot", 1] and events["pivot", 2]
+    assert events["negate"] and events["drop"]
+    assert events[LpStatus.OPTIMAL] and events[LpStatus.INFEASIBLE]
