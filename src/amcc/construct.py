@@ -221,16 +221,20 @@ class ParityEnumeration:
         return out
 
 
+def _check_jobs(jobs) -> None:
+    """MalformedInput unless ``jobs`` is an int, not a bool, of at least 1."""
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise MalformedInput(f"jobs must be an int of at least 1, got {shown(jobs)}")
+
+
 def _map_chunks(worker, args, items, jobs):
     """``worker(*args, chunk)`` over ``items`` cut into consecutive slices.
 
     Uses ``min(jobs, os.cpu_count(), len(items))`` chunks, at least one,
     capped before any slice is cut; one chunk runs in this process, more go
     to a process pool with one worker per chunk.  Returns the chunk results
-    in order.
+    in order.  ``jobs`` was checked by :func:`_check_jobs`.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = max(1, min(jobs, os.cpu_count() or 1, len(items)))
     if jobs == 1:
         return [worker(*args, items)]
@@ -265,8 +269,10 @@ def enumerate_parity(s: MeasurementScenario, jobs: int = 1) -> ParityEnumeration
     on consistent vectors; the first vector of each nonzero syndrome is
     classified, those representatives split across ``jobs`` workers (capped
     at the CPU count).  The verdict list is in lexicographic parity order
-    and independent of ``jobs``.
+    and independent of ``jobs``.  A ``jobs`` that is not an int of at
+    least 1 raises MalformedInput first.
     """
+    _check_jobs(jobs)
     m = s.n_contexts
     if m > PARITY_ENUMERATION_LIMIT:
         raise TooLarge(f"2**{m} parity vectors exceed the 2**{PARITY_ENUMERATION_LIMIT} guard")
@@ -431,8 +437,10 @@ def csp_enumerate_extension(
     candidate index: extendable contexts ascending, the last one varying
     fastest; results are independent of ``jobs`` (capped at the CPU count)
     and chunking.  Each context index is checked by
-    :meth:`~amcc.scenario.MeasurementScenario.context` before any is used.
+    :meth:`~amcc.scenario.MeasurementScenario.context` before any is used,
+    after ``jobs``, which must be an int of at least 1 (else MalformedInput).
     """
+    _check_jobs(jobs)
     extendable = tuple(extendable_contexts)
     for c in extendable:
         base.scenario.context(c)

@@ -11,12 +11,14 @@ staying exact.  It is kept in revised form: only ``den * B^-1``, the
 simplex multipliers ``den * pi`` (``pi = c_B B^-1``) and the right-hand side
 are stored, by column, and any other column is computed from its sparse
 initial column when it is priced or enters.  Every column, owned or not, is
-priced by the one rule ``pi . A_j - c_j``.  Each stored column keeps the
-denominator it was last written at: a pivot only rescales a column that is
-zero in the pivot row, and those rescales telescope, so a pivot rewrites
-just the columns its pivot row touches and a stale column is scaled when it
-is read.  Every entry is the one the full tableau would hold (see
-:class:`_Tableau`).  Inputs and outputs are ``fractions.Fraction``.
+one getter over the owned positions with its coefficients, priced by the one
+rule ``pi . A_j - c_j``; the artificials leave the priced columns after
+phase one.  Each stored column keeps the denominator it was last written
+at: a pivot only rescales a column that is zero in the pivot row, and those
+rescales telescope, so a pivot rewrites just the columns its pivot row
+touches and a stale column is scaled when it is read.  Every entry is the
+one the full tableau would hold (see :class:`_Tableau`).  Inputs and
+outputs are ``fractions.Fraction``.
 
 A presolve pass exploits the structure of probability systems: a row with
 right-hand side 0 whose coefficients are all nonnegative forces every
@@ -235,11 +237,13 @@ class _Tableau:
     the column's initial entries.  ``cols[k]`` stores owned column ``k`` over
     every row, and ``cols[-1]`` the right-hand side.  Entry 0 of each is row
     0: ``u = den * pi`` with ``pi = c_B B^-1``, then the objective value, so
-    every column, owned or not, has the row-0 entry (its negated reduced
-    cost) ``u . A_j - den * c_j``.  ``columns[j]`` is the position of an
-    owned column, or ``(getter, coefficients)`` for any other column: the
-    getter picks the column's owned positions, and coefficients None means
-    all 1.
+    every column has the row-0 entry (its negated reduced cost)
+    ``u . A_j - den * c_j``.  Every ``columns[j]`` is ``(getter,
+    coefficients)``: the getter picks the column's owned positions and
+    coefficients None means all 1, so a slack or an artificial is the getter
+    of its one position with None, and a surplus the same getter with
+    ``(-1,)``.  Any row of column ``j`` is its getter's product with that
+    row of the stored columns.
 
     The Bareiss update ``(x * piv - f * p) // den`` acts on each column
     alone, so running it over the stored columns leaves there exactly the
@@ -263,11 +267,9 @@ class _Tableau:
         self.cols = cols          # owned columns, then the right-hand side; entry 0 is row 0
         self.dens = [1] * len(cols)  # the den each stored column was last written at
         self.basis = basis        # basis[i - 1] = column basic in constraint row i
-        self.columns = columns    # owned position or (getter, coefficients), per column
+        self.columns = columns    # (getter, coefficients) per priced column
         self.den = 1
         self.cost = [0] * len(columns)  # objective of the phase, set by _install_objective
-        self.dead = set()         # columns barred from entering (retired artificials)
-        self._column = None       # (c, column c) from _leaving, taken by pivot
 
     @property
     def n_cols(self) -> int:
@@ -286,44 +288,29 @@ class _Tableau:
         col, d, den = self.cols[k], self.dens[k], self.den
         return col if d == den else [x * den // d for x in col]
 
-    def multipliers(self) -> list:
-        """Row 0 at the current ``den``: ``u`` at the owned positions, then the objective value."""
+    def row(self, i: int) -> list:
+        """Row ``i`` of what is stored at the current ``den``; row 0 is ``u``, then the value."""
         den = self.den
-        return [c[0] if d == den else c[0] * den // d for c, d in zip(self.cols, self.dens)]
-
-    def entry(self, i: int, j: int) -> int:
-        """Constraint row ``i``'s entry in column ``j``."""
-        spec, den = self.columns[j], self.den
-        if type(spec) is int:
-            return self.cols[spec][i] * den // self.dens[spec]
-        get, coefs = spec
-        xs = [c[i] * den // d for c, d in zip(get(self.cols), get(self.dens))]
-        return sum(xs) if coefs is None else sum(map(mul, xs, coefs))
+        return [c[i] if d == den else c[i] * den // d for c, d in zip(self.cols, self.dens)]
 
     def column(self, c: int) -> list:
         """Column ``c`` of every row, row 0 included."""
-        spec, den = self.columns[c], self.den
-        if type(spec) is int:
-            col = self.stored(spec)[:]
+        (get, coefs), den = self.columns[c], self.den
+        parts = [
+            part if d == den else [x * den // d for x in part]
+            for part, d in zip(get(self.cols), get(self.dens))
+        ]
+        if not parts:
+            col = [0] * len(self.cols[-1])
+        elif coefs is None:
+            col = list(map(sum, zip(*parts)))
         else:
-            get, coefs = spec
-            parts = [
-                part if d == den else [x * den // d for x in part]
-                for part, d in zip(get(self.cols), get(self.dens))
-            ]
-            if not parts:
-                col = [0] * len(self.cols[-1])
-            elif coefs is None:
-                col = list(map(sum, zip(*parts)))
-            else:
-                col = [sum(map(mul, xs, coefs)) for xs in zip(*parts)]
+            col = [sum(map(mul, xs, coefs)) for xs in zip(*parts)]
         col[0] -= den * self.cost[c]
         return col
 
-    def pivot(self, r: int, c: int) -> None:
-        """Pivot constraint row ``r`` (1-based) on column ``c``; entry must be > 0."""
-        cached, self._column = self._column, None
-        f = cached[1] if cached is not None and cached[0] == c else self.column(c)
+    def pivot(self, r: int, c: int, f: list) -> None:
+        """Pivot constraint row ``r`` (1-based) on ``f = column(c)``, used up; ``f[r]`` > 0."""
         cols, dens, piv = self.cols, self.dens, f[r]
         f[r] = piv - self.den  # the update then leaves the pivot row as it is
         for k in compress(range(len(cols)), map(itemgetter(r), cols)):
@@ -345,21 +332,15 @@ class _Tableau:
         del self.basis[i - 1]
 
     def _entering(self) -> Optional[int]:
-        u, den, cost, dead = self.multipliers(), self.den, self.cost, self.dead
-        for j, spec in enumerate(self.columns):
-            if type(spec) is int:  # retired artificials are owned columns
-                if u[spec] < den * cost[j] and j not in dead:
-                    return j
-            else:
-                get, coefs = spec
-                d = sum(get(u)) if coefs is None else sum(map(mul, get(u), coefs))
-                if d < den * cost[j]:
-                    return j
+        u, den, cost = self.row(0), self.den, self.cost
+        for j, (get, coefs) in enumerate(self.columns):
+            d = sum(get(u)) if coefs is None else sum(map(mul, get(u), coefs))
+            if d < den * cost[j]:
+                return j
         return None
 
-    def _leaving(self, c: int) -> Optional[int]:
-        col = self.column(c)
-        self._column = (c, col)
+    def _leaving(self, col: list) -> Optional[int]:
+        """The ratio-test row of entering column ``col``, or None when it is unbounded."""
         # The right-hand side as stored: one positive factor on every b
         # leaves the order of the ratios b / a alone.
         rhs = self.cols[-1]
@@ -384,10 +365,11 @@ class _Tableau:
             c = self._entering()
             if c is None:
                 return "optimal"
-            r = self._leaving(c)
+            col = self.column(c)
+            r = self._leaving(col)
             if r is None:
                 return "unbounded"
-            self.pivot(r, c)
+            self.pivot(r, c, col)
 
 
 def sequence_getter(positions: list):
@@ -401,6 +383,12 @@ def sequence_getter(positions: list):
 def _sparse_column(positions: list, coefs: list) -> tuple:
     """The ``(getter, coefficients)`` form of a column with ``coefs`` at owned ``positions``."""
     return sequence_getter(positions), None if coefs.count(1) == len(coefs) else tuple(coefs)
+
+
+@lru_cache(maxsize=16)
+def _unit_getters(m: int) -> tuple:
+    """Getters of the owned positions below ``m``; cached, as a scan's LPs share row counts."""
+    return tuple(sequence_getter([t]) for t in range(m))
 
 
 def _build_tableau(kept, rows, live_rows, kinds):
@@ -425,6 +413,7 @@ def _build_tableau(kept, rows, live_rows, kinds):
     cols = [[0] * (m + 1) for _ in range(m + 1)]
     rhs = cols[m]
     basis, arts = [], []
+    unit = _unit_getters(m)
     for t, k in enumerate(live_rows):
         entries, b, _ = rows[k]
         sign = -1 if b < 0 else 1
@@ -437,13 +426,13 @@ def _build_tableau(kept, rows, live_rows, kinds):
         rhs[t + 1] = sign * b
         if kinds[k] == "le":
             # A flipped row became >=: its slack is a surplus, not owned.
-            columns[slack] = t if sign > 0 else _sparse_column([t], [-1])
+            columns[slack] = unit[t], None if sign > 0 else (-1,)
             basic = slack
             slack += 1
         if kinds[k] == "eq" or sign < 0:
             basic = len(columns)
             arts.append(basic)
-            columns.append(t)
+            columns.append((unit[t], None))
         basis.append(basic)
     columns[:n] = map(_sparse_column, at, coefs)
     return _Tableau(cols, basis, columns), arts
@@ -469,28 +458,34 @@ def _install_objective(tab: _Tableau, cost: dict) -> None:
 
 
 def _drive_out_artificials(tab: _Tableau, arts) -> None:
-    # A row deleted here has its artificial basic, so that column is zero in
-    # every remaining row and stays zero: the row's dual reads 0.
-    arts = set(arts)
+    """Pivot every basic artificial out of its row, or delete the row, then retire them all.
+
+    The artificials are the tail of ``tab.columns``, from ``arts[0]``.  A
+    row's pivot column is its first other column with a nonzero entry,
+    pricing's product rule on the row.  A row deleted here has its
+    artificial basic, so that column is zero in every remaining row and
+    stays zero: the row's dual reads 0.  The retired artificials leave the
+    priced columns; what they own stays stored, as part of ``den * B^-1``.
+    """
+    first = arts[0]
     i = 1
     while i <= tab.n_rows:
-        col = tab.basis[i - 1]
-        if col not in arts:
+        if tab.basis[i - 1] < first:
             i += 1
             continue
-        pivot_col = None
-        for j in range(tab.n_cols):
-            if j not in arts and (a := tab.entry(i, j)) != 0:
-                pivot_col = j
+        v = tab.row(i)
+        for j, (get, coefs) in enumerate(tab.columns[:first]):
+            a = sum(get(v)) if coefs is None else sum(map(mul, get(v), coefs))
+            if a:
                 break
-        if pivot_col is None:
+        else:
             tab.drop(i)  # redundant constraint
             continue
         if a < 0:
             tab.negate(i)
-        tab.pivot(i, pivot_col)
+        tab.pivot(i, j, tab.column(j))
         i += 1
-    tab.dead |= arts
+    del tab.columns[first:]
 
 
 def _reach(rows, y, n) -> list[int]:
@@ -582,7 +577,7 @@ def maximize(lp: LinearProgram) -> LpOutcome:
     if tab.run() == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
 
-    den, row0, rhs = tab.den, tab.multipliers(), tab.stored(-1)
+    den, row0, rhs = tab.den, tab.row(0), tab.stored(-1)
     x = [0] * n
     for i, col in enumerate(tab.basis, start=1):
         if col < len(kept):

@@ -169,14 +169,19 @@ def bell_scenario(n_parties: int, settings: int) -> MeasurementScenario:
 
     Contexts pick one setting per party and are ordered lexicographically by
     the setting tuple, so for (3, 2) the context order is
-    (0,0,0), (0,0,1), ..., (1,1,1).  Raises TooLarge above the observable
-    or context guard before any context is built.
+    (0,0,0), (0,0,1), ..., (1,1,1).  A count that is not an int, or is a
+    bool, raises MalformedInput; TooLarge above the observable or context
+    guard, both before any context is built.
     """
+    for count in (n_parties, settings):
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise MalformedInput(f"party and setting counts must be ints, got {shown(count)}")
     if n_parties < 1 or settings < 1:
         raise IndexOutOfRange("need at least one party and one setting")
     if n_parties * settings > ENUMERATION_LIMIT:
         raise TooLarge(
-            f"{n_parties * settings} observables exceed the 2**{ENUMERATION_LIMIT} enumeration guard"
+            f"{shown(n_parties * settings)} observables exceed the 2**{ENUMERATION_LIMIT} "
+            "enumeration guard"
         )
     if settings ** n_parties > BELL_CONTEXT_LIMIT:
         raise TooLarge(
@@ -363,18 +368,24 @@ def polytope_dimension(
 
 
 _BELL_TOKEN = re.compile(r"bell-([0-9]+)-([0-9]+)(?:-([0-9]+))?")
+#: Most digits a Bell token count may have: far past every guard, and far
+#: below the 4 300 digits ``int()`` refuses with a bare ValueError.
+_BELL_COUNT_DIGITS = 9
 
 
 def parse_bell_token(token: str) -> MeasurementScenario:
     """Parse "bell-<parties>-<settings>[-<outcomes>]" into a Bell scenario.
 
     Each count is a run of ASCII digits; anything else (signs, spaces,
-    underscores, other digits) raises UnknownLabel.  The trailing outcome
-    count is optional and must be 2 when present.
+    underscores, other digits) raises UnknownLabel, and a run of more than
+    ``_BELL_COUNT_DIGITS`` digits TooLarge before it is read.  The trailing
+    outcome count is optional and must be 2 when present.
     """
     match = _BELL_TOKEN.fullmatch(token)
     if match is None:
         raise UnknownLabel(f"not a bell scenario token: {token!r}")
+    if max(len(count or "") for count in match.groups()) > _BELL_COUNT_DIGITS:
+        raise TooLarge(f"a count has more than {_BELL_COUNT_DIGITS} digits in {shown(token)}")
     parties, settings, outcomes = match.groups()
     if outcomes is not None and int(outcomes) != 2:
         raise TooLarge(f"only 2-outcome scenarios are supported, got {token!r}")

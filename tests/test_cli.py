@@ -401,6 +401,13 @@ def test_enumerate_jobs_below_one_is_usage_error(capsys, experiment, jobs):
     assert (code, out) == (1, "") and "--jobs must be at least 1" in err
 
 
+def test_a_5000_digit_bell_count_is_a_validation_error(capsys):
+    token = "bell-" + "9" * 5000 + "-2"
+    code, out, err = run_cli(capsys, "enumerate", "parity", "--scenario", token)
+    assert (code, out) == (2, "") and "more than 9 digits" in err
+    assert "ValueError" not in err
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -440,6 +441,23 @@ def test_jobs_below_one_is_refused():
             enumerate_parity(S22, jobs=jobs)
         with pytest.raises(ValueError):
             csp_enumerate_extension(csp_extension_preset("eq40")[0], (1,), jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", ["2", True, False, 2.5, 1.0, None, Fraction(2)])
+def test_jobs_must_be_an_int_before_any_work(pool_requests, monkeypatch, jobs):
+    def no_work(*args):
+        raise AssertionError("work started before jobs was checked")
+
+    monkeypatch.setattr(construct, "_gf2_basis", no_work)
+    monkeypatch.setattr(construct, "_CspSearch", no_work)
+    base = csp_extension_preset("eq40")[0]
+    with pytest.raises(MalformedInput, match=re.escape(f"an int of at least 1, got {jobs!r}")):
+        enumerate_parity(S22, jobs=jobs)
+    with pytest.raises(MalformedInput, match="jobs must be an int"):
+        csp_enumerate_extension(base, (1,), jobs=jobs)
+    with pytest.raises(MalformedInput, match="jobs must be an int"):
+        csp_enumerate_extension(base, (99,), jobs=jobs)  # before the context check
+    assert pool_requests == []
 
 
 def naive_csp_passing(base, extendable):

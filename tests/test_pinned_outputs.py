@@ -170,9 +170,9 @@ def test_simplex_pivots_and_outcomes_match_the_pinned_digest(monkeypatch):
     statuses = []
     real_pivot = ratlp._Tableau.pivot
 
-    def recording_pivot(self, r, c):
+    def recording_pivot(self, r, c, col):
         pivots.append((r, c))
-        real_pivot(self, r, c)
+        real_pivot(self, r, c, col)
 
     def recording_maximize(lp):
         pivots.clear()
@@ -217,9 +217,9 @@ def test_bell_42_mix_with_no_symmetry_pivots_1302_times(monkeypatch):
     pivots = []
     real_pivot = ratlp._Tableau.pivot
 
-    def counting_pivot(self, r, c):
+    def counting_pivot(self, r, c, col):
         pivots.append((r, c))
-        real_pivot(self, r, c)
+        real_pivot(self, r, c, col)
 
     monkeypatch.setattr(ratlp._Tableau, "pivot", counting_pivot)
     assert analysis.contextual_fraction(model) == F(5, 14)

@@ -129,9 +129,9 @@ def test_early_stopped_simplex_fails_the_certificate(monkeypatch):
     pivots = []
     real_pivot = ratlp._Tableau.pivot
 
-    def counting_pivot(self, r, c):
+    def counting_pivot(self, r, c, col):
         pivots.append((r, c))
-        real_pivot(self, r, c)
+        real_pivot(self, r, c, col)
 
     monkeypatch.setattr(ratlp._Tableau, "pivot", counting_pivot)
     maximize(lp)
@@ -140,7 +140,8 @@ def test_early_stopped_simplex_fails_the_certificate(monkeypatch):
 
     def one_pivot(self):
         c = self._entering()
-        self.pivot(self._leaving(c), c)
+        col = self.column(c)
+        self.pivot(self._leaving(col), c, col)
         return "optimal"
 
     monkeypatch.setattr(ratlp._Tableau, "run", one_pivot)
@@ -490,11 +491,15 @@ def _replay_against_dense_oracle(rng) -> Counter:
     """Solve a :func:`_presolve_free_lp`, replaying every tableau step on a dense oracle.
 
     After each objective and each pivot, every entry of the tableau, read at
-    its current ``den``, must be the oracle's.  Returns what happened.
+    its current ``den``, must be the oracle's.  An artificial retired after
+    phase one is no longer priced, so it is compared through the stored
+    column it owns.  Returns what happened.
     """
     n, c, a_eq, b_eq, a_le, b_le = _presolve_free_lp(rng)
     lp = LinearProgram(tuple(c), sparse(a_eq), tuple(b_eq), sparse(a_le), tuple(b_le))
     oracle = DenseTableau.standard_form(n, a_eq, b_eq, a_le, b_le)
+    # Artificial k is owned by the k-th equality or negated row.
+    owner = [t for t, b in enumerate(b_eq + b_le) if t < len(b_eq) or b < 0]
     events = Counter()
     tableau = ratlp._Tableau
     real_pivot, real_negate, real_drop = tableau.pivot, tableau.negate, tableau.drop
@@ -502,8 +507,12 @@ def _replay_against_dense_oracle(rng) -> Counter:
 
     def agree(tab):
         assert tab.den == oracle.den and tab.basis == oracle.basis
-        for j in range(tab.n_cols):
-            assert tab.column(j) == [row[j] for row in oracle.rows], j
+        for j in range(len(oracle.rows[0]) - 1):
+            if j < tab.n_cols:
+                got = tab.column(j)
+            else:
+                got = tab.stored(owner[j - n - len(a_le)])
+            assert got == [row[j] for row in oracle.rows], j
         assert tab.stored(-1) == [row[-1] for row in oracle.rows]
 
     def objective(tab, cost):
@@ -512,9 +521,9 @@ def _replay_against_dense_oracle(rng) -> Counter:
         events["objective"] += 1
         agree(tab)
 
-    def pivot(self, r, col):
-        real_pivot(self, r, col)
-        oracle.pivot(r, col)
+    def pivot(self, r, c, col):
+        real_pivot(self, r, c, col)
+        oracle.pivot(r, c)
         events["pivot", events["objective"]] += 1
         agree(self)
         # Wrong pricing keeps every entry right but can cycle.

@@ -295,6 +295,29 @@ def test_bell_scenario_guards_fire_before_building():
     assert bell_token(wide) is None
 
 
+@pytest.mark.parametrize("counts", [(2.0, 2), (2, "2"), (True, 2), (2, False), (None, 2)])
+def test_bell_scenario_counts_must_be_ints(counts):
+    with pytest.raises(MalformedInput, match="counts must be ints"):
+        bell_scenario(*counts)
+
+
+@pytest.mark.parametrize("counts", [(10**5000, 2), (2, 10**5000)])
+def test_a_huge_bell_count_is_too_large_by_its_size(counts):
+    with pytest.raises(TooLarge, match="of 16611 bits observables exceed"):
+        bell_scenario(*counts)
+
+
+@pytest.mark.parametrize(
+    "token", ["bell-" + "9" * 5000 + "-2", "bell-2-" + "9" * 5000, "bell-2-2-" + "9" * 5000,
+              "bell-0000000002-2"],
+    ids=["parties", "settings", "outcomes", "leading-zeros"],
+)
+def test_a_long_bell_token_count_is_too_large_before_it_is_read(token):
+    with pytest.raises(TooLarge, match="more than 9 digits"):
+        parse_bell_token(token)
+    assert parse_bell_token("bell-000000002-2") == bell_scenario(2, 2)
+
+
 def test_section_index_roundtrip():
     for idx in range(8):
         assert section_index(section_values(idx, 3)) == idx
