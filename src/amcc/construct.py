@@ -19,7 +19,9 @@ Both routes hold each context's support as a section bitmask
 (:class:`~amcc.empirical.PossibilisticModel`).
 
 Three exact parametric table families for the (3,2,2) scenario are included,
-with 8, 3 and 26 free parameters.
+with 8, 3 and 26 free parameters, each evaluated in integers and no-signaling
+by construction.  The 26-parameter table, the Boolean check and the CSP search
+read the overlap plans of :func:`~amcc.empirical.is_no_signaling`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ from .empirical import (
     RATIONAL_DIGIT_LIMIT,
     EmpiricalModel,
     PossibilisticModel,
-    SignalingWitness,
+    _no_signaling,
+    _overlap_plans,
+    _read,
     exact_rational,
     format_rational,
     lift_uniform,
@@ -47,9 +51,11 @@ from .empirical import (
 )
 from .errors import (
     IndexOutOfRange,
+    InternalConsistencyError,
     LengthMismatch,
     MalformedInput,
     OutOfRange,
+    ScenarioMismatch,
     TooLarge,
     TooManyCandidates,
 )
@@ -63,19 +69,14 @@ from .scenario import (
     gf2_eliminate,
     is_bit,
     json_field,
-    overlaps,
     parity_mask,
     parse_bell_token,
-    projection,
     scenario_from_dict,
     scenario_to_dict,
     section_values,
     shown,
 )
 
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
 
 #: Guard for enumerate_parity: at most 2**20 parity vectors.
 PARITY_ENUMERATION_LIMIT = 20
@@ -158,30 +159,17 @@ def parity_to_possibilistic(ps: ParitySystem) -> PossibilisticModel:
     return PossibilisticModel(scenario=ps.scenario, masks=masks)
 
 
-def _project_support(support_mask: int, table: Sequence[int]) -> int:
-    """Existential projection of a support bitmask through a :func:`projection` table."""
-    out = 0
-    for sec, sub in enumerate(table):
-        if (support_mask >> sec) & 1:
-            out |= 1 << sub
-    return out
-
-
 def boolean_no_signaling(b: PossibilisticModel):
     """Possibilistic no-signaling: support projections agree on overlaps.
 
-    Returns ``(True, None)`` or ``(False, witness)`` with the first failing
-    context pair in canonical order; the witness's marginals are the two
-    projected support masks as 0/1 rows.
+    The walk of :func:`~amcc.empirical.is_no_signaling`, with ``any`` of the
+    0/1 support entries in place of the sum.  Returns ``(True, None)`` or
+    ``(False, witness)`` with the first failing context pair in canonical
+    order; the witness's marginals are the two projected supports as 0/1 rows.
     """
     s = b.scenario
-    for i, j, shared in overlaps(s):
-        pi = _project_support(b.masks[i], projection(s.contexts[i], shared))
-        pj = _project_support(b.masks[j], projection(s.contexts[j], shared))
-        if pi != pj:
-            rows = (support_row(mask, 1 << len(shared)) for mask in (pi, pj))
-            return False, SignalingWitness(i, j, shared, *rows)
-    return True, None
+    rows = [support_row(mask, s.n_sections(c)) for c, mask in enumerate(b.masks)]
+    return _no_signaling(s, rows, any, int)
 
 
 # --- parity enumeration ------------------------------------------------------
@@ -348,9 +336,10 @@ class _CspSearch:
     the extendable ones in context order, so the search visits candidates in
     index order.  No-signaling on a pair of contexts is checked when the
     later of its two levels is chosen: each level's choices are grouped by
-    their projections onto its earlier partners, and one lookup with the
-    earlier choices' projections yields the compatible ones.  A leaf passes
-    when the AND of its contexts' allowed global assignments is empty.
+    their projections onto its earlier partners, read through the pair's
+    overlap plans as :func:`boolean_no_signaling` reads them, and one lookup
+    with the earlier choices' projections yields the compatible ones.  A leaf
+    passes when the AND of its contexts' allowed global assignments is empty.
     """
 
     def __init__(self, base: PossibilisticModel, extendable: tuple[int, ...]):
@@ -373,10 +362,12 @@ class _CspSearch:
         order = sorted(range(s.n_contexts), key=n_absent.__contains__)  # fixed ones first
         depth_of = {c: d for d, c in enumerate(order)}
         partners = [[] for _ in choices]  # (earlier context, its projections, own projections)
-        for i, j, shared in overlaps(s):
+        rows = [{m: support_row(m, s.n_sections(c)) for m in ms} for c, ms in enumerate(choices)]
+        ids = {}  # each distinct projection as a small int, so the lookups hash ints
+        for i, j, _, plan_i, plan_j in _overlap_plans(s):
             proj = {
-                c: {m: _project_support(m, projection(s.contexts[c], shared)) for m in choices[c]}
-                for c in (i, j)
+                c: {m: ids.setdefault(_read(plan, row, any), len(ids)) for m, row in rows[c].items()}
+                for c, plan in ((i, plan_i), (j, plan_j))
             }
             first, later = sorted((i, j), key=depth_of.__getitem__)
             partners[later].append((first, proj[first], proj[later]))
@@ -475,31 +466,22 @@ def csp_extension_preset(name: str = "eq40"):
 # --- parametric families ------------------------------------------------------
 
 
-def _check_range(name: str, value: Fraction, low: Fraction, high: Fraction):
-    if not low <= value <= high:
-        raise OutOfRange(
-            f"{name} = {format_rational(value)} is outside "
-            f"[{format_rational(low)}, {format_rational(high)}]"
-        )
-
-
-def _model_322(rows) -> EmpiricalModel:
-    """Check that every evaluated entry lies in [0, 1], then build the (3,2,2) model."""
+def _model_322(rows, den: int) -> EmpiricalModel:
+    """The (3,2,2) model of integer rows over ``den``; OutOfRange at the first entry past [0, 1]."""
     for c, row in enumerate(rows):
-        for sec, entry in enumerate(row):
-            if not ZERO <= entry <= 1:
-                raise OutOfRange(
-                    f"entry ({c},{sec}) evaluates to {format_rational(entry)}"
-                )
-    return make_model(bell_scenario(3, 2), rows)
+        for sec, x in enumerate(row):
+            if not 0 <= x <= den:
+                entry = format_rational(Fraction(x, den))
+                raise OutOfRange(f"entry ({c},{sec}) evaluates to {entry}")
+    return make_model(bell_scenario(3, 2), rows, den)
 
 
 def eight_param_family(params: Sequence[Union[Fraction, int, str]]) -> EmpiricalModel:
     """The symmetric 8-parameter (3,2,2) family with maximal marginals built in.
 
     Row ``c`` puts ``p_c`` on even-parity sections and ``1/4 - p_c`` on
-    odd-parity sections, so every within-context marginal is uniform for any
-    parameters in [0, 1/4].
+    odd-parity sections, so every within-context marginal is uniform, and the
+    table no-signaling by construction, for any parameters in [0, 1/4].
     """
     values = [exact_rational(p) for p in params]
     if len(values) != 8:
@@ -510,7 +492,7 @@ def eight_param_family(params: Sequence[Union[Fraction, int, str]]) -> Empirical
     for i, p in enumerate(values, start=1):
         n = p.numerator * (den // p.denominator)
         if not 0 <= n <= den // 4:
-            _check_range(f"p{i}", p, ZERO, QUARTER)  # raises OutOfRange
+            raise OutOfRange(f"p{i} = {format_rational(p)} is outside [0, 1/4]")
         rows.append(tuple(n if bit else den // 4 - n for bit in even))
     return make_model(bell_scenario(3, 2), rows, den)
 
@@ -522,24 +504,28 @@ def three_param_family(
 ) -> EmpiricalModel:
     """The asymmetric 3-parameter (3,2,2) family.
 
-    Validity is decided by evaluation: every symbolic entry must land in
-    [0, 1] (OutOfRange otherwise) and each row must normalize.  The family
+    The table is evaluated in integers over the lcm of 2 and the parameter
+    denominators and is no-signaling by construction, so a choice is valid
+    exactly when every entry lands in [0, 1] (else OutOfRange).  The family
     is strongly contextual inside the bounds 0 <= p2 < 1/2,
     p2 < p1 < p2/2 + 1/4, 0 < p3 < min(p1, 1/2 - p1, 2*p1 - p2), and turns
     symmetric (maximal marginals) at p1 = p3 = 1/4, p2 = 0.
     """
     p1, p2, p3 = exact_rational(p1), exact_rational(p2), exact_rational(p3)
+    den = math.lcm(2, p1.denominator, p2.denominator, p3.denominator)
+    n1, n2, n3 = (p.numerator * (den // p.denominator) for p in (p1, p2, p3))
+    h = den // 2
     rows = (
-        (ZERO, p1, p1, ZERO, HALF - p1, ZERO, ZERO, HALF - p1),
-        (p2, p1 - p2, p3, p1 - p3, HALF - p1, ZERO, ZERO, HALF - p1),
-        (p2, p3, p1 - p2, p1 - p3, HALF - p1, ZERO, ZERO, HALF - p1),
-        (p2 + p3, ZERO, ZERO, 2 * p1 - p2 - p3, ZERO, HALF - p1, HALF - p1, ZERO),
-        (HALF - 2 * p1 + p2, p1, p1, HALF - p1 - p3, p1 - p2, ZERO, ZERO, p3),
-        (HALF - p1 + p2, ZERO, ZERO, HALF - p3, ZERO, p1 - p2, p3, ZERO),
-        (HALF - p1 + p2, ZERO, ZERO, HALF - p3, ZERO, p3, p1 - p2, ZERO),
-        (p2, HALF - p1, HALF - p1, p1 - p3, p3, ZERO, ZERO, p1 - p2),
+        (0, n1, n1, 0, h - n1, 0, 0, h - n1),
+        (n2, n1 - n2, n3, n1 - n3, h - n1, 0, 0, h - n1),
+        (n2, n3, n1 - n2, n1 - n3, h - n1, 0, 0, h - n1),
+        (n2 + n3, 0, 0, 2 * n1 - n2 - n3, 0, h - n1, h - n1, 0),
+        (h - 2 * n1 + n2, n1, n1, h - n1 - n3, n1 - n2, 0, 0, n3),
+        (h - n1 + n2, 0, 0, h - n3, 0, n1 - n2, n3, 0),
+        (h - n1 + n2, 0, 0, h - n3, 0, n3, n1 - n2, 0),
+        (n2, h - n1, h - n1, n1 - n3, n3, 0, 0, n1 - n2),
     )
-    return _model_322(rows)
+    return _model_322(rows, den)
 
 
 #: Table cell (row, column) holding each of the 26 free parameters.
@@ -552,76 +538,64 @@ PARAM_CELLS_26 = {
 }
 
 
-def twentysix_param_family(
-    params: Sequence[Union[Fraction, int, str]]
-) -> EmpiricalModel:
+@lru_cache(maxsize=1)
+def _table_26_steps() -> tuple:
+    """How the 38 other cells of the 26-parameter table follow from the parameter cells.
+
+    Cell ``8 * c + sec`` is section ``sec`` of context ``c``.  The equations,
+    ``{cell: ±1}`` maps, are the row normalizations (sum ``den``) and the
+    equalities of the overlap plans of ``bell_scenario(3, 2)`` (sum 0).  Each
+    step ``(cell, unit, rest)`` solves the one unknown cell of an equation as
+    ``unit * den + Σ coef * x`` over the ``(cell, coef)`` pairs of ``rest``.
+    Raises InternalConsistencyError if some cell is left unsolved.
+    """
+    equations = [(dict.fromkeys(range(8 * c, 8 * c + 8), 1), 1) for c in range(8)]
+    for a, b, _, plan_a, plan_b in _overlap_plans(bell_scenario(3, 2)):
+        for pick_a, pick_b in zip(plan_a, plan_b):
+            terms = {8 * a + sec: 1 for sec in pick_a(range(8))}
+            equations.append(({**terms, **{8 * b + sec: -1 for sec in pick_b(range(8))}}, 0))
+    known = {8 * row + col for row, col in PARAM_CELLS_26.values()}
+    steps = []
+    for _ in range(64 - len(known)):
+        solvable = [(terms, unit) for terms, unit in equations if len(terms.keys() - known) == 1]
+        if not solvable:
+            raise InternalConsistencyError(
+                f"{64 - len(known)} cells of the 26-parameter table follow from no equation"
+            )
+        terms, unit = solvable[0]
+        (cell,) = terms.keys() - known
+        sign = terms[cell]
+        rest = tuple((k, -sign * coef) for k, coef in terms.items() if k != cell)
+        steps.append((cell, sign * unit, rest))
+        known.add(cell)
+    return tuple(steps)
+
+
+def twentysix_param_family(params: Sequence[Union[Fraction, int, str]]) -> EmpiricalModel:
     """The full 26-parameter no-signaling (3,2,2) table.
 
-    Normalization and no-signaling hold identically in the parameters; a
-    choice is valid exactly when every derived entry lands in [0, 1].
+    Parameter ``i`` sits at ``PARAM_CELLS_26[i]`` and the other cells follow
+    by :func:`_table_26_steps`, in integers over the lcm of the parameter
+    denominators, so the table is no-signaling by construction.  A choice is
+    valid exactly when every entry lands in [0, 1] (else OutOfRange).
     """
     values = [exact_rational(p) for p in params]
     if len(values) != 26:
         raise LengthMismatch(f"need 26 parameters, got {len(values)}")
-    p = dict(zip(range(1, 27), values))
-    one = Fraction(1)
-    rows = (
-        (
-            p[1], p[2], p[3], p[4], p[5], p[6], p[7],
-            one - (p[1] + p[2] + p[3] + p[4] + p[5] + p[6] + p[7]),
-        ),
-        (
-            p[9], p[1] + p[2] - p[9], p[11], p[3] + p[4] - p[11],
-            p[13], p[5] + p[6] - p[13], p[15],
-            one - (p[1] + p[2] + p[3] + p[4] + p[5] + p[6] + p[15]),
-        ),
-        (
-            p[17], p[18], p[1] + p[3] - p[17], p[2] + p[4] - p[18],
-            p[21], p[22], p[5] + p[7] - p[21],
-            one - (p[1] + p[2] + p[3] + p[4] + p[5] + p[7] + p[22]),
-        ),
-        (
-            p[25], p[17] + p[18] - p[25], p[9] + p[11] - p[25],
-            p[1] + p[2] + p[3] + p[4] - p[9] - p[11] - p[17] - p[18] + p[25],
-            p[8], p[21] + p[22] - p[8], p[13] + p[15] - p[8],
-            one - (p[1] + p[2] + p[3] + p[4] + p[21] + p[22] + p[13] + p[15] - p[8]),
-        ),
-        (
-            p[10], p[12], p[14], p[16],
-            p[1] + p[5] - p[10], p[2] + p[6] - p[12], p[3] + p[7] - p[14],
-            one - (p[1] + p[2] + p[3] + p[5] + p[6] + p[7] + p[16]),
-        ),
-        (
-            p[19], p[10] + p[12] - p[19], p[20], p[14] + p[16] - p[20],
-            p[9] + p[13] - p[19],
-            p[1] + p[2] + p[5] + p[6] - p[9] - p[13] - p[10] - p[12] + p[19],
-            p[11] + p[15] - p[20],
-            one - (p[1] + p[2] + p[5] + p[6] + p[11] + p[14] + p[15] + p[16] - p[20]),
-        ),
-        (
-            p[23], p[24], p[10] + p[14] - p[23], p[12] + p[16] - p[24],
-            p[17] + p[21] - p[23], p[18] + p[22] - p[24],
-            p[1] + p[3] + p[5] + p[7] - p[17] - p[21] - p[10] - p[14] + p[23],
-            one - (p[1] + p[3] + p[5] + p[7] + p[18] + p[22] + p[12] + p[16] - p[24]),
-        ),
-        (
-            p[26], p[23] + p[24] - p[26], p[19] + p[20] - p[26],
-            p[10] + p[12] + p[14] + p[16] - p[19] - p[20] - p[23] - p[24] + p[26],
-            p[25] + p[8] - p[26],
-            p[17] + p[18] + p[21] + p[22] - p[25] - p[8] - p[23] - p[24] + p[26],
-            p[9] + p[11] + p[13] + p[15] - p[25] - p[8] - p[19] - p[20] + p[26],
-            one - (
-                p[9] + p[11] + p[13] + p[15] + p[17] + p[18] + p[21] + p[22]
-                - p[25] - p[8] + p[10] + p[12] + p[14] + p[16]
-                - p[19] - p[20] - p[23] - p[24] + p[26]
-            ),
-        ),
-    )
-    return _model_322(rows)
+    den = math.lcm(*(p.denominator for p in values))
+    cells = [0] * 64
+    for i, p in enumerate(values, start=1):
+        row, col = PARAM_CELLS_26[i]
+        cells[8 * row + col] = p.numerator * (den // p.denominator)
+    for cell, unit, rest in _table_26_steps():
+        cells[cell] = unit * den + sum([coef * cells[k] for k, coef in rest])
+    return _model_322([cells[8 * c:8 * c + 8] for c in range(8)], den)
 
 
 def twentysix_params_from_model(m: EmpiricalModel) -> tuple[Fraction, ...]:
-    """Read the 26 parameter cells back off a (3,2,2) table."""
+    """The 26 parameter cells of a model on ``bell_scenario(3, 2)``; ScenarioMismatch otherwise."""
+    if m.scenario != bell_scenario(3, 2):
+        raise ScenarioMismatch("the 26 parameters are cells of a table on bell_scenario(3, 2)")
     cells = (PARAM_CELLS_26[i] for i in range(1, 27))
     return tuple(Fraction(m.numerators[row][col], m.den) for row, col in cells)
 
@@ -734,7 +708,7 @@ def scan_eight_param_pairs(
     points = []
     for i, j in itertools.combinations(range(8), 2):
         for vi, vj in itertools.product(vals, repeat=2):
-            params = [ZERO] * 8
+            params = [Fraction(0)] * 8
             params[i] = vi
             params[j] = vj
             points.append(tuple(params))

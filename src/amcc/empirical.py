@@ -7,7 +7,8 @@ equalities; there is no floating point anywhere in the model layer.
 leave it as ``fractions.Fraction`` only at the edges (JSON, witnesses).
 Marginals are read through getter plans cached per target shape, and each
 scenario keeps its no-signaling pairs and within-context subsets as cached
-lists of those plans.
+lists of those plans; one walk over the pairs decides no-signaling for models
+and for support patterns.
 A possibilistic model (a support pattern) is one section bitmask per
 context; its JSON form spells each mask out as a 0/1 row.
 """
@@ -179,7 +180,7 @@ class PossibilisticModel:
 
 def support_row(mask: int, n_sections: int) -> tuple[int, ...]:
     """A support bitmask spelled out as ``n_sections`` 0/1 entries."""
-    return tuple((mask >> sec) & 1 for sec in range(n_sections))
+    return tuple([(mask >> sec) & 1 for sec in range(n_sections)])
 
 
 def _row_mask(row) -> int:
@@ -284,9 +285,9 @@ def _plan(context: tuple[str, ...], target: tuple[str, ...]) -> tuple:
     return _marginal_plan(len(context), label_positions(context, target))
 
 
-def _read(plan, row) -> tuple[int, ...]:
-    """The marginal of an integer row through a :func:`_marginal_plan`."""
-    return tuple([sum(pick(row)) for pick in plan])
+def _read(plan, row, reduce=sum) -> tuple[int, ...]:
+    """The marginal of a row through a :func:`_marginal_plan`: ``reduce`` of each getter's picks."""
+    return tuple([reduce(pick(row)) for pick in plan])
 
 
 def marginal(
@@ -315,20 +316,32 @@ def _over(row, den: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, den) for x in row)
 
 
+def _no_signaling(s: MeasurementScenario, rows, reduce, entry):
+    """The one walk over :func:`_overlap_plans` behind both no-signaling checks.
+
+    A marginal entry is ``reduce`` of the row entries that restrict to it:
+    ``sum`` of a model's integer numerators, ``any`` of a support pattern's
+    0/1 entries.  Returns ``(True, None)`` or ``(False, witness)`` for the
+    first pair that disagrees, ``entry`` writing each witness marginal entry.
+    """
+    for a, b, shared, plan_a, plan_b in _overlap_plans(s):
+        row_a, row_b = rows[a], rows[b]
+        for pick_a, pick_b in zip(plan_a, plan_b):
+            if reduce(pick_a(row_a)) != reduce(pick_b(row_b)):
+                ma, mb = (tuple(map(entry, _read(plan, row, reduce)))
+                          for plan, row in ((plan_a, row_a), (plan_b, row_b)))
+                return False, SignalingWitness(a, b, shared, ma, mb)
+    return True, None
+
+
 def is_no_signaling(m: EmpiricalModel):
     """Exact marginal agreement on every context intersection.
 
     Returns ``(True, None)`` or ``(False, witness)`` with the first failing
     pair in canonical order.
     """
-    rows = m.numerators
-    for a, b, shared, plan_a, plan_b in _overlap_plans(m.scenario):
-        row_a, row_b = rows[a], rows[b]
-        for pick_a, pick_b in zip(plan_a, plan_b):
-            if sum(pick_a(row_a)) != sum(pick_b(row_b)):
-                ma, mb = _read(plan_a, row_a), _read(plan_b, row_b)
-                return False, SignalingWitness(a, b, shared, _over(ma, m.den), _over(mb, m.den))
-    return True, None
+    den = m.den
+    return _no_signaling(m.scenario, m.numerators, sum, lambda x: Fraction(x, den))
 
 
 def possibilistic_collapse(m: EmpiricalModel) -> PossibilisticModel:

@@ -443,11 +443,16 @@ def _label_list(value, what: str) -> list[str]:
 
 
 def scenario_from_dict(data: dict) -> MeasurementScenario:
-    """Parse and re-validate the JSON form produced by :func:`scenario_to_dict`."""
+    """Parse and re-validate the JSON form produced by :func:`scenario_to_dict`.
+
+    ``outcomes`` (default 2) is an int, not a bool (else MalformedInput), and 2 (else TooLarge).
+    """
     expect_json(data, dict, "scenario")
     outcomes = data.get("outcomes", 2)
+    if not isinstance(outcomes, int) or isinstance(outcomes, bool):
+        raise MalformedInput(f"outcomes must be an int, got {shown(outcomes)}")
     if outcomes != 2:
-        raise TooLarge(f"only dichotomic scenarios are supported, got outcomes={outcomes}")
+        raise TooLarge(f"only dichotomic scenarios are supported, got outcomes={shown(outcomes)}")
     contexts = expect_json(json_field(data, "contexts"), list, "contexts")
     return make_scenario(
         _label_list(json_field(data, "observables"), "observables"),

@@ -16,6 +16,7 @@ from amcc.empirical import (
     lift_uniform,
     make_model,
     mix,
+    possibilistic_collapse,
 )
 from amcc.scenario import bell_scenario, make_scenario, projection, scenario_to_dict, section_values
 
@@ -206,6 +207,20 @@ def raw_models(draw):
             row[source] -= 1
             row[draw(st.integers(0, len(row) - 1))] += 1
     return EmpiricalModel(s, den, tuple(map(tuple, rows)))
+
+
+@st.composite
+def support_patterns(draw):
+    """Support masks on the scenarios of :func:`raw_models`.
+
+    Either the support of a raw model, so often Boolean no-signaling or
+    failing on a late pair, or arbitrary masks, empty ones included.
+    """
+    if draw(st.booleans()):
+        return possibilistic_collapse(draw(raw_models()))
+    s = draw(st.sampled_from([SCENARIO_22, SCENARIO_32, SCENARIO_24, MIXED_WIDTHS, CYCLE_5]))
+    masks = tuple(draw(st.integers(0, (1 << s.n_sections(c)) - 1)) for c in range(s.n_contexts))
+    return PossibilisticModel(s, masks)
 
 
 @st.composite

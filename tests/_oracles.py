@@ -475,3 +475,26 @@ def non_uniform_marginal_bruteforce(contexts, rows, den):
             if any(Fraction(x) != Fraction(den, 2 ** len(subset)) for x in marg):
                 return c, subset, marg
     return None
+
+
+def support_signaling_bruteforce(observables, contexts, supports):
+    """The first context pair ``a < b`` whose supports differ on their shared labels, or None.
+
+    ``supports[c]`` holds one 0/1 entry per section of context ``c``.  A
+    section of the shared labels is possible in a context when some
+    supported section restricts to it: its :func:`marginal_bruteforce` mass
+    is positive.  Pairs and shared labels are visited as in
+    :func:`signaling_bruteforce`.  Returns ``(a, b, shared, possible_a,
+    possible_b)``, the last two as 0/1 tuples.
+    """
+    for a, b in itertools.combinations(range(len(contexts)), 2):
+        shared = tuple(x for x in observables if x in contexts[a] and x in contexts[b])
+        if not shared:
+            continue
+        pa, pb = (
+            tuple(int(mass > 0) for mass in marginal_bruteforce(contexts[c], supports[c], shared))
+            for c in (a, b)
+        )
+        if pa != pb:
+            return a, b, shared, pa, pb
+    return None

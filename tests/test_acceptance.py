@@ -12,11 +12,13 @@ the 64 global assignments, and an explicit global distribution.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 from amcc.analysis import classify, contextual_fraction
 from amcc.applications import (
@@ -447,3 +449,17 @@ def test_exploratory_scan_reports():
         f"values {{1/16,3/16}} give histogram { {str(k): v for k, v in rep.histogram} } "
         "(CF=1 is not universal for arbitrary two-parameter placements)",
     )
+
+
+def test_oracles_import_nothing_from_amcc():
+    """The 8a/8b certificates and the brute-force oracles share no code with the library."""
+    path = Path(__file__).with_name("_oracles.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported  # the walk sees the imports that are there
+    assert not [name for name in imported if name.split(".")[0] in ("amcc", "")], imported

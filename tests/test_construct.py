@@ -9,6 +9,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from amcc.analysis import classify, contextual_fraction, is_strongly_contextual
 from amcc.catalog import ghz_model, pr_box
@@ -36,26 +37,36 @@ from amcc.empirical import (
     SignalingWitness,
     deterministic_model,
     lift_uniform,
+    make_model,
     possibilistic_collapse,
 )
 from amcc.errors import (
     IndexOutOfRange,
+    InternalConsistencyError,
     LengthMismatch,
     MalformedInput,
     OutOfRange,
+    ScenarioMismatch,
     ShapeMismatch,
     TooLarge,
     TooManyCandidates,
 )
 from amcc.scenario import bell_scenario, make_scenario, parity_mask, section_index
 
-from _generators import cycle_scenario, flipped_tables, fraction_rows, parity_lift
+from _generators import (
+    cycle_scenario,
+    flipped_tables,
+    fraction_rows,
+    parity_lift,
+    support_patterns,
+)
 from _oracles import (
     bell_n2_amcc_closed_form,
     bell_n2_amcc_count,
     bell_n2_consistent_bruteforce,
     bell_n2_consistent_by_rank,
     gf2_rank,
+    support_signaling_bruteforce,
 )
 
 F = Fraction
@@ -183,6 +194,22 @@ def test_boolean_no_signaling_counterexample():
     assert witness.marginal_a == (1, 0)
     assert witness.marginal_b == (0, 1)
     assert witness.describe() == "contexts 0 and 1 disagree on ('X1',): ('1', '0') vs ('0', '1')"
+
+
+@settings(max_examples=300, deadline=None)
+@given(support_patterns())
+def test_boolean_no_signaling_matches_the_brute_force(pattern):
+    s = pattern.scenario
+    supports = [
+        tuple((mask >> sec) & 1 for sec in range(1 << len(ctx)))
+        for ctx, mask in zip(s.contexts, pattern.masks)
+    ]
+    found = support_signaling_bruteforce(s.observables, s.contexts, supports)
+    expected = (True, None) if found is None else (False, SignalingWitness(*found))
+    ok, witness = boolean_no_signaling(pattern)
+    assert (ok, witness) == expected
+    if witness is not None:  # 0/1 ints, not bools
+        assert {type(x) for x in witness.marginal_a + witness.marginal_b} == {int}
 
 
 def test_boolean_no_signaling_refuses_masks_that_do_not_fit_the_contexts():
@@ -708,6 +735,45 @@ def test_twentysix_param_out_of_range_and_length():
         twentysix_param_family(params)
     with pytest.raises(LengthMismatch):
         twentysix_param_family([Q] * 25)
+
+
+def test_twentysix_params_refuse_a_pr_box():
+    # Used to escape as a bare IndexError.
+    with pytest.raises(ScenarioMismatch):
+        twentysix_params_from_model(pr_box(0, 0, 0))
+
+
+def test_twentysix_params_refuse_reordered_contexts():
+    # The same (3,2,2) cover with its contexts reversed used to yield
+    # parameters whose family model differed from the input.
+    ghz = ghz_model()
+    s = ghz.scenario
+    reversed_ghz = make_model(
+        make_scenario(s.observables, s.contexts[::-1]), ghz.numerators[::-1], ghz.den
+    )
+    with pytest.raises(ScenarioMismatch):
+        twentysix_params_from_model(reversed_ghz)
+
+
+def test_twentysix_table_cells_follow_from_the_parameters_in_38_steps():
+    steps = construct._table_26_steps()
+    assert len(steps) == 38
+    solved = {cell for cell, *_ in steps}
+    placed = {8 * row + col for row, col in construct.PARAM_CELLS_26.values()}
+    assert len(solved) == 38 and solved.isdisjoint(placed) and len(placed) == 26
+
+
+def test_twentysix_table_with_an_undetermined_cell_is_an_internal_error(monkeypatch):
+    # Parameter 26 moved onto parameter 25's cell leaves one cell that no
+    # chain of equations reaches: the solver stops instead of looping.
+    cells = {**construct.PARAM_CELLS_26, 26: construct.PARAM_CELLS_26[25]}
+    monkeypatch.setattr(construct, "PARAM_CELLS_26", cells)
+    construct._table_26_steps.cache_clear()
+    try:
+        with pytest.raises(InternalConsistencyError, match="follow from no equation"):
+            construct._table_26_steps()
+    finally:
+        construct._table_26_steps.cache_clear()
 
 
 def test_scan_eight_param_fixed_point():

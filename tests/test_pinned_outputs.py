@@ -8,7 +8,11 @@ it pins every pivot and every field of each outcome.  The CSP stream digest
 was recorded while the scan still walked ``itertools.product`` candidate by
 candidate, before it became a depth-first search.  The witness digest was
 recorded while every marginal was summed entry by entry through
-``projection``, before marginals were read through cached plans.
+``projection``, before marginals were read through cached plans.  The
+Boolean no-signaling, family and secret-sharing digests were recorded
+before the Boolean check, the CSP search and the 26-parameter table read the
+overlap plans of ``is_no_signaling``; the secret-sharing one pins the
+transcript of a parity resource before the simulator takes other models.
 """
 
 from __future__ import annotations
@@ -24,7 +28,16 @@ import pytest
 from amcc import analysis, cli, ratlp
 from amcc.analysis import classify
 from amcc.catalog import asymmetric_scc_model, ghz_model, pr_box, three_way_box
-from amcc.construct import eight_param_family, parity_system, parity_to_possibilistic
+from amcc.applications import secret_share_simulate
+from amcc.construct import (
+    boolean_no_signaling,
+    eight_param_family,
+    parity_system,
+    parity_to_possibilistic,
+    three_param_family,
+    twentysix_param_family,
+    twentysix_params_from_model,
+)
 from amcc.empirical import (
     EmpiricalModel,
     PossibilisticModel,
@@ -36,8 +49,9 @@ from amcc.empirical import (
     make_model,
     mix,
     model_to_dict,
+    possibilistic_collapse,
 )
-from amcc.errors import SignalingDetected
+from amcc.errors import OutOfRange, SignalingDetected
 from amcc.scenario import bell_scenario
 
 from _generators import cycle_scenario, fraction_rows
@@ -290,4 +304,126 @@ def test_signaling_and_marginal_witnesses_match_the_pinned_digest():
     assert count == 192
     assert digest.hexdigest() == (
         "813c7fd1da41ee1e0e6f3cfac3c45d9d799f308c8242971398dfb561b46b5c14"
+    )
+
+
+def _support_patterns(rng, s):
+    """Seeded support patterns on ``s``, each followed by a copy with one bit toggled.
+
+    Random masks, which mostly fail on an early pair, and the supports of
+    random global distributions over at most three assignments, which are
+    Boolean no-signaling; toggling one section of one random context moves
+    the first failing pair anywhere in the overlap order.
+    """
+    n = len(s.observables)
+    out = [
+        PossibilisticModel(s, tuple(rng.randrange(1, 1 << s.n_sections(c)) for c in range(s.n_contexts)))
+        for _ in range(10)
+    ]
+    for _ in range(10):
+        weights = {tuple(rng.randrange(2) for _ in range(n)): 1 for _ in range(rng.randint(1, 3))}
+        total = len(weights)
+        out.append(possibilistic_collapse(
+            from_global_distribution(s, {g: F(w, total) for g, w in weights.items()})
+        ))
+    for pattern in out[:]:
+        masks = list(pattern.masks)
+        c = rng.randrange(s.n_contexts)
+        masks[c] ^= 1 << rng.randrange(s.n_sections(c))
+        out.append(PossibilisticModel(s, tuple(masks)))
+    return out
+
+
+def test_boolean_no_signaling_verdicts_and_witnesses_match_the_pinned_digest():
+    # Recorded while each pair's support projections were computed bit by
+    # bit through ``projection``, before the Boolean check walked the plans
+    # of ``is_no_signaling``.
+    digest = hashlib.sha256()
+    rng = random.Random(2626)
+    count = failing = 0
+    for s in (bell_scenario(2, 2), bell_scenario(3, 2), bell_scenario(2, 4), cycle_scenario(5)):
+        for pattern in _support_patterns(rng, s):
+            ok, witness = boolean_no_signaling(pattern)
+            record = [list(pattern.masks), ok]
+            if witness is not None:
+                record += [
+                    witness.describe(), witness.context_a, witness.context_b,
+                    list(witness.overlap), list(witness.marginal_a), list(witness.marginal_b),
+                ]
+                failing += 1
+            digest.update(json.dumps(record).encode() + b"\n")
+            count += 1
+    assert (count, failing) == (160, 110)
+    assert digest.hexdigest() == (
+        "9ae92bee57aa682522c938ee8275f13b914a05eee28d19e7b039c377baa84108"
+    )
+
+
+def _family_outcome(build, *args):
+    """``model_to_dict`` of a family point, or the name and message of its error."""
+    try:
+        return model_to_dict(build(*args))
+    except OutOfRange as err:
+        return ["OutOfRange", str(err)]
+
+
+def _ns_models_32(rng):
+    """Seeded no-signaling (3,2,2) models: global distributions mixed with a parity lift."""
+    s = bell_scenario(3, 2)
+    for _ in range(12):
+        weights = {}
+        for _ in range(rng.randint(1, 3)):
+            g = tuple(rng.randrange(2) for _ in range(6))
+            weights[g] = weights.get(g, 0) + rng.randint(1, 4)
+        total = sum(weights.values())
+        local = from_global_distribution(s, {g: F(w, total) for g, w in weights.items()})
+        lift = _lift(s, tuple(rng.randrange(2) for _ in range(8)))
+        lam = F(rng.randint(0, 6), 6)
+        yield mix([lift, local], [lam, 1 - lam])
+
+
+def test_three_and_twentysix_parameter_points_match_the_pinned_digest():
+    # Recorded while both families evaluated their tables entry by entry
+    # as Fractions, the 26-parameter one from 38 hand-derived expressions.
+    digest = hashlib.sha256()
+    rng = random.Random(326)
+    records = []
+    for _ in range(60):
+        # Sixteenths near the valid region, p1 in [p2 - 1, p2 + 4] and p3 in
+        # [-1, p1], moved to a random denominator.
+        d, p2 = rng.choice((5, 16, 24, 40)), rng.randint(0, 3)
+        p1 = p2 + rng.randint(-1, 4)
+        point = [F(k * d // 16, d) for k in (p1, p2, rng.randint(-1, p1))]
+        records.append(_family_outcome(three_param_family, *point))
+    for model in _ns_models_32(rng):
+        params = list(twentysix_params_from_model(model))
+        records.append(_family_outcome(twentysix_param_family, params))
+        for _ in range(3):
+            k = rng.randrange(26)
+            params[k] += F(rng.choice((-1, 1)), rng.choice((16, 48)))
+            records.append(_family_outcome(twentysix_param_family, params))
+    for _ in range(20):
+        point = [F(rng.randint(0, 6), rng.choice((16, 32, 48))) for _ in range(26)]
+        records.append(_family_outcome(twentysix_param_family, point))
+    for record in records:
+        digest.update(json.dumps(record).encode() + b"\n")
+    valid = sum(1 for record in records if isinstance(record, dict))
+    assert (len(records), valid) == (128, 48)
+    assert digest.hexdigest() == (
+        "59f68314de9aed8cd4d814ca80cfc817965a0a982f9dd21fc66e1b7643d7d478"
+    )
+
+
+def test_secret_share_transcripts_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    systems = (
+        (bell_scenario(3, 2), (0, 1, 1, 1, 1, 1, 1, 1), (1, 0, 1, 1, 0, 1, 0, 1)),
+        (bell_scenario(2, 2), (0, 0, 0, 1), (0, 1, 1)),
+    )
+    for s, parities, secret in systems:
+        for seed in (0, 1, 7):
+            result = secret_share_simulate(parity_system(s, parities), secret, 48, F(1, 5), seed)
+            digest.update(result.transcript().encode())
+    assert digest.hexdigest() == (
+        "5bc049f73a62cc72f66d6b5acdf1483bdd9204ef0960098d0f4aa358fac3086d"
     )

@@ -259,6 +259,23 @@ def test_scenario_json_roundtrip():
         scenario_from_dict(dict(payload, outcomes=3))
 
 
+@pytest.mark.parametrize("outcomes", [2.0, True, False, "2", None, [2]])
+def test_scenario_outcomes_must_be_an_int(outcomes):
+    # 2.0 used to pass as 2 and True to raise TooLarge.
+    payload = dict(scenario_to_dict(bell_scenario(2, 2)), outcomes=outcomes)
+    with pytest.raises(MalformedInput, match="outcomes must be an int"):
+        scenario_from_dict(payload)
+
+
+@pytest.mark.parametrize("outcomes", [3, 1, 0, -2, 10**5000], ids=["3", "1", "0", "-2", "10**5000"])
+def test_scenario_outcomes_other_than_two_are_too_large(outcomes):
+    # 10**5000 used to escape as a bare ValueError from the message's f-string.
+    payload = dict(scenario_to_dict(bell_scenario(2, 2)), outcomes=outcomes)
+    with pytest.raises(TooLarge) as err:
+        scenario_from_dict(payload)
+    assert str(err.value).endswith(f"got outcomes={shown(outcomes)}")
+
+
 def test_bell_tokens_roundtrip():
     assert parse_bell_token("bell-3-2-2") == bell_scenario(3, 2)
     assert parse_bell_token("bell-2-2") == bell_scenario(2, 2)
