@@ -3,7 +3,13 @@
 A program has a dense objective, which fixes the column count, and sparse
 constraint rows of ``(column, coefficient)`` pairs (see :class:`LinearProgram`).
 
-Two-phase primal simplex with Bland's anti-cycling pivot rule.  The tableau
+Two-phase primal simplex that enters on the largest coefficient (the most
+negative row-0 entry, a slack's in the units of its row as written, lowest
+index among equals) and falls back to Bland's rule after ``DEGENERATE_RUN``
+consecutive degenerate pivots, until the next nondegenerate one.  That
+terminates: each nondegenerate pivot strictly raises the objective, so no
+basis repeats across them, and Bland's rule cannot cycle within a
+degenerate run.  The tableau
 is kept integral ("fraction-free" pivoting: all entries share one positive
 denominator, updated by the previous pivot value), which avoids per-cell gcd
 work and is an order of magnitude faster than a Fraction tableau while
@@ -50,7 +56,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from math import lcm
 from operator import itemgetter, mul
 from typing import Optional, Sequence
@@ -58,6 +64,10 @@ from typing import Optional, Sequence
 from .errors import InternalConsistencyError, MalformedInput, ShapeMismatch
 
 ZERO = Fraction(0)
+
+#: Consecutive degenerate pivots after which the simplex enters on Bland's
+#: rule until its next nondegenerate pivot (see :meth:`_Tableau.run`).
+DEGENERATE_RUN = 10
 
 
 class LpStatus(enum.Enum):
@@ -263,11 +273,12 @@ class _Tableau:
     Pivots, primal and dual are those of the dense tableau.
     """
 
-    def __init__(self, cols, basis, columns):
+    def __init__(self, cols, basis, columns, scales):
         self.cols = cols          # owned columns, then the right-hand side; entry 0 is row 0
         self.dens = [1] * len(cols)  # the den each stored column was last written at
         self.basis = basis        # basis[i - 1] = column basic in constraint row i
         self.columns = columns    # (getter, coefficients) per priced column
+        self.scales = scales      # (column, d): the slack or surplus of a row scaled by d > 1
         self.den = 1
         self.cost = [0] * len(columns)  # objective of the phase, set by _install_objective
 
@@ -294,18 +305,27 @@ class _Tableau:
         return [c[i] if d == den else c[i] * den // d for c, d in zip(self.cols, self.dens)]
 
     def column(self, c: int) -> list:
-        """Column ``c`` of every row, row 0 included."""
+        """Column ``c`` of every row, row 0 included.
+
+        The parts stored at one ``den`` are summed first and the sum is
+        brought to the current ``den`` once: each part scales exactly, so
+        their sum does.
+        """
         (get, coefs), den = self.columns[c], self.den
-        parts = [
-            part if d == den else [x * den // d for x in part]
-            for part, d in zip(get(self.cols), get(self.dens))
+        groups = {}  # den -> the parts stored at it, each times its coefficient
+        for part, d, a in zip(get(self.cols), get(self.dens), coefs or repeat(1)):
+            groups.setdefault(d, []).append(part if a == 1 else [a * x for x in part])
+        sums = [
+            list(map(sum, zip(*parts))) if d == den
+            else [x * den // d for x in map(sum, zip(*parts))]
+            for d, parts in groups.items()
         ]
-        if not parts:
+        if not sums:
             col = [0] * len(self.cols[-1])
-        elif coefs is None:
-            col = list(map(sum, zip(*parts)))
+        elif len(sums) == 1:
+            col = sums[0]
         else:
-            col = [sum(map(mul, xs, coefs)) for xs in zip(*parts)]
+            col = list(map(sum, zip(*sums)))
         col[0] -= den * self.cost[c]
         return col
 
@@ -331,13 +351,27 @@ class _Tableau:
             del col[i]
         del self.basis[i - 1]
 
-    def _entering(self) -> Optional[int]:
-        u, den, cost = self.row(0), self.den, self.cost
-        for j, (get, coefs) in enumerate(self.columns):
-            d = sum(get(u)) if coefs is None else sum(map(mul, get(u), coefs))
-            if d < den * cost[j]:
-                return j
-        return None
+    def _entering(self, first: bool) -> Optional[int]:
+        """The entering column, or None when no row-0 entry is negative (optimal).
+
+        The most negative row-0 entry, the lowest index among equals; with
+        ``first``, the first negative one (Bland's rule).  The entry of a
+        slack or surplus is multiplied by the factor ``d`` its row was scaled
+        by to integers, which makes it the reduced cost in the units of the
+        row as written: the choice does not depend on that scaling, so
+        right-hand sides given in other units take the same pivots.
+        """
+        u, den = self.row(0), self.den
+        reduced = [
+            (sum(get(u)) if coefs is None else sum(map(mul, get(u), coefs))) - den * c
+            for (get, coefs), c in zip(self.columns, self.cost)
+        ]
+        for j, d in self.scales:
+            reduced[j] *= d
+        if first:
+            return next((j for j, d in enumerate(reduced) if d < 0), None)
+        best = min(reduced, default=0)
+        return reduced.index(best) if best < 0 else None
 
     def _leaving(self, col: list) -> Optional[int]:
         """The ratio-test row of entering column ``col``, or None when it is unbounded."""
@@ -360,15 +394,25 @@ class _Tableau:
         return None if best is None else best[3]
 
     def run(self) -> str:
-        """Bland iteration until "optimal" or "unbounded"."""
+        """Pivot until "optimal" or "unbounded", entering on the largest coefficient.
+
+        After ``DEGENERATE_RUN`` consecutive degenerate pivots (zero
+        right-hand side in the pivot row) it enters on Bland's rule until the
+        next nondegenerate pivot.  That terminates: a nondegenerate pivot
+        strictly raises the objective, so no basis repeats across them, and
+        within a degenerate run Bland's rule, with :meth:`_leaving`'s ties
+        broken by the lowest basic index, cannot cycle.
+        """
+        stalled = 0
         while True:
-            c = self._entering()
+            c = self._entering(stalled >= DEGENERATE_RUN)
             if c is None:
                 return "optimal"
             col = self.column(c)
             r = self._leaving(col)
             if r is None:
                 return "unbounded"
+            stalled = 0 if self.cols[-1][r] else stalled + 1
             self.pivot(r, c, col)
 
 
@@ -402,7 +446,8 @@ def _build_tableau(kept, rows, live_rows, kinds):
     surplus (coefficient -1).  Every later row, row 0 included, is a
     combination of the original rows with its weights at those positions,
     so once phase two ends, row 0's entry at ``t``, negated if the row was
-    flipped, is the dual numerator of the row.
+    flipped, is the dual numerator of the row.  The tableau's ``scales``
+    pairs each slack or surplus of a row scaled by ``d > 1`` with ``d``.
     """
     n, m = len(kept), len(live_rows)
     position_of = {j: p for p, j in enumerate(kept)}.get
@@ -412,10 +457,10 @@ def _build_tableau(kept, rows, live_rows, kinds):
     slack = n
     cols = [[0] * (m + 1) for _ in range(m + 1)]
     rhs = cols[m]
-    basis, arts = [], []
+    basis, arts, scales = [], [], []
     unit = _unit_getters(m)
     for t, k in enumerate(live_rows):
-        entries, b, _ = rows[k]
+        entries, b, d = rows[k]
         sign = -1 if b < 0 else 1
         for j, a in entries if sign > 0 else [(j, -a) for j, a in entries]:
             p = position_of(j)
@@ -427,6 +472,8 @@ def _build_tableau(kept, rows, live_rows, kinds):
         if kinds[k] == "le":
             # A flipped row became >=: its slack is a surplus, not owned.
             columns[slack] = unit[t], None if sign > 0 else (-1,)
+            if d > 1:
+                scales.append((slack, d))
             basic = slack
             slack += 1
         if kinds[k] == "eq" or sign < 0:
@@ -435,7 +482,7 @@ def _build_tableau(kept, rows, live_rows, kinds):
             columns.append((unit[t], None))
         basis.append(basic)
     columns[:n] = map(_sparse_column, at, coefs)
-    return _Tableau(cols, basis, columns), arts
+    return _Tableau(cols, basis, columns, scales), arts
 
 
 def _install_objective(tab: _Tableau, cost: dict) -> None:

@@ -4,9 +4,14 @@ Each digest is the SHA-256 of output recorded before model rows were stored
 as integer numerators over one denominator; any change to a verdict, a
 rational's spelling or the LP's reported noncontextual part moves it.  The
 simplex digest was recorded with the dense tableau, before the revised one:
-it pins every pivot and every field of each outcome.  The CSP stream digest
-was recorded while the scan still walked ``itertools.product`` candidate by
-candidate, before it became a depth-first search.  The witness digest was
+it pins every pivot and every field of each outcome.  That digest and the
+full classify one were re-recorded when the simplex came to enter on the
+largest coefficient, which moves the pivots and, where the optimum is not
+unique, the reported optimal vertex; the verdict and status-and-value
+digests, recorded under Bland's rule, show that nothing else moved, and the
+incidence oracle checks every reported noncontextual part.  The CSP stream
+digest was recorded while the scan still walked ``itertools.product``
+candidate by candidate, before it became a depth-first search.  The witness digest was
 recorded while every marginal was summed entry by entry through
 ``projection``, before marginals were read through cached plans.  The
 Boolean no-signaling, family and secret-sharing digests were recorded
@@ -55,6 +60,7 @@ from amcc.errors import OutOfRange, SignalingDetected
 from amcc.scenario import bell_scenario
 
 from _generators import cycle_scenario, fraction_rows
+from _oracles import incidence_bruteforce
 from test_ratlp import PIVOTING_POINT, cf_program
 
 F = Fraction
@@ -150,8 +156,47 @@ def test_model_and_classify_json_match_the_pinned_digest():
         count += 1
     assert count == 257
     assert digest.hexdigest() == (
-        "f9845803ab0d296ed1e065e6add845aacd89fb9bf35edc1d77fabf7c25392402"
+        "57556b44e0951c410b41ced0e9915832d91e59bdd0a3755054eba3479855cae4"
     )
+
+
+def _verdict(report: dict) -> dict:
+    """A classify report without ``noncontextual_part``, which an LP with many optima may move."""
+    witness = {k: v for k, v in report["witness"].items() if k != "noncontextual_part"}
+    return {**report, "witness": witness}
+
+
+def test_model_and_classify_verdicts_match_the_pinned_digest():
+    # Recorded while the simplex entered on Bland's rule, before it entered
+    # on the largest coefficient: every field but the noncontextual part.
+    digest = hashlib.sha256()
+    count = 0
+    for model in _models():
+        digest.update(json.dumps(model_to_dict(model)).encode() + b"\n")
+        digest.update(json.dumps(_verdict(classify(model).to_dict())).encode() + b"\n")
+        count += 1
+    assert count == 257
+    assert digest.hexdigest() == (
+        "7fbd8f972501ebfd177753c078385174746cbe41a133b570fd028275a9d51603"
+    )
+
+
+def test_noncontextual_parts_are_certified_by_the_incidence_oracle():
+    # Where the LP's optimum is not unique, the reported part may be any
+    # optimum: it must be a subdistribution of weight 1 - CF under the model.
+    for model in _models():
+        report = classify(model)
+        part = report.to_dict()["witness"].get("noncontextual_part")
+        if report.cf == 1:
+            assert part is None
+            continue
+        s = model.scenario
+        weights = {int(bits, 2): F(w) for bits, w in part.items()}
+        assert all(w >= 0 for w in weights.values())
+        assert sum(weights.values()) == 1 - report.cf
+        entries = [x for row in fraction_rows(model) for x in row]
+        for row, x in zip(incidence_bruteforce(s.observables, s.contexts), entries, strict=True):
+            assert sum(weights.get(g, 0) for g, _ in row) <= x
 
 
 def test_parity_enumeration_stream_matches_the_pinned_digest(capsys):
@@ -178,10 +223,15 @@ def _text(q):
     return None if q is None else str(q)
 
 
-def test_simplex_pivots_and_outcomes_match_the_pinned_digest(monkeypatch):
-    digest = hashlib.sha256()
+def _simplex_records(monkeypatch) -> list:
+    """``[pivots, status, value, solution, dual]`` of each of 407 seeded and CF LPs.
+
+    400 :func:`_random_lp` programs, the CF LP of the 8b pivoting point, and
+    the LPs ``contextual_fraction`` hands the solver: orbit LPs of the noisy
+    bell-2-4 lifts, and the full LP of the model no flip fixes.
+    """
+    records = []
     pivots = []
-    statuses = []
     real_pivot = ratlp._Tableau.pivot
 
     def recording_pivot(self, r, c, col):
@@ -191,13 +241,11 @@ def test_simplex_pivots_and_outcomes_match_the_pinned_digest(monkeypatch):
     def recording_maximize(lp):
         pivots.clear()
         out = ratlp.maximize(lp)
-        record = [
-            pivots, out.status.value, _text(out.value),
+        records.append([
+            list(pivots), out.status.value, _text(out.value),
             None if out.solution is None else [_text(q) for q in out.solution],
             None if out.dual is None else [_text(q) for q in out.dual],
-        ]
-        digest.update(json.dumps(record).encode() + b"\n")
-        statuses.append(out.status)
+        ])
         return out
 
     monkeypatch.setattr(ratlp._Tableau, "pivot", recording_pivot)
@@ -205,24 +253,40 @@ def test_simplex_pivots_and_outcomes_match_the_pinned_digest(monkeypatch):
     for _ in range(400):
         recording_maximize(_random_lp(rng))
     recording_maximize(cf_program(eight_param_family(PIVOTING_POINT)))
-    # The LPs contextual_fraction hands the solver: orbit LPs, and the full
-    # LP when no flip fixes the model.
     monkeypatch.setattr(analysis, "maximize", recording_maximize)
     for model in _noisy_lifts_24():
         analysis.contextual_fraction(model)
     assert analysis.contextual_fraction(_no_symmetry_model()) == Q
-    assert len(statuses) == 407
-    assert len(set(statuses)) == 3  # optimal, infeasible and unbounded all occur
+    assert len(records) == 407
+    assert len({record[1] for record in records}) == 3  # optimal, infeasible, unbounded
+    return records
+
+
+def test_simplex_pivots_and_outcomes_match_the_pinned_digest(monkeypatch):
+    digest = hashlib.sha256()
+    for record in _simplex_records(monkeypatch):
+        digest.update(json.dumps(record).encode() + b"\n")
     assert digest.hexdigest() == (
-        "adb13b3c0ea60cabb3c96d47e7d90efffc2f23c7416f2f86a7d43d24dac4eb80"
+        "237c05f4a6dc13f2965d85fc87e8b33f865ece98eadd563dd66f2daac854f530"
     )
 
 
-def test_bell_42_mix_with_no_symmetry_pivots_1302_times(monkeypatch):
+def test_simplex_statuses_and_values_match_the_pinned_digest(monkeypatch):
+    # Recorded while the simplex entered on Bland's rule: the pivots and the
+    # optimal vertex may move with the entering rule, the verdicts may not.
+    digest = hashlib.sha256()
+    for _, status, value, _, _ in _simplex_records(monkeypatch):
+        digest.update(json.dumps([status, value]).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "dab461efbb1e8f382fba92c6c32620863a807bc3d39b07847a654b25ca7a1f7b"
+    )
+
+
+def test_bell_42_mix_with_no_symmetry_pivots_737_times(monkeypatch):
     # The full 256-row, 256-column CF LP: the one-odd-context lift 1/2,
     # uniform noise 1/4, and the all-0 and all-1 deterministic models 1/7
-    # and 3/28.  No outcome flip fixes the mix, so Bland's rule runs on the
-    # whole LP.
+    # and 3/28.  No outcome flip fixes the mix, so the simplex runs on the
+    # whole LP; Bland's rule alone took 1 302 pivots.
     s = bell_scenario(4, 2)
     odd = _lift(s, (1,) + (0,) * (s.n_contexts - 1))
     noise = lift_uniform(PossibilisticModel(s, (0xFFFF,) * s.n_contexts))
@@ -237,7 +301,7 @@ def test_bell_42_mix_with_no_symmetry_pivots_1302_times(monkeypatch):
 
     monkeypatch.setattr(ratlp._Tableau, "pivot", counting_pivot)
     assert analysis.contextual_fraction(model) == F(5, 14)
-    assert len(pivots) == 1302
+    assert len(pivots) == 737
 
 
 def _witness_models(rng, s):

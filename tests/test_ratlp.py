@@ -1,6 +1,7 @@
 import operator
 import random
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -58,7 +59,7 @@ def assert_dual_certificate(lp, out):
     assert sum(F(b) * v for b, v in zip(rhs, y)) == out.value
 
 
-# CF 1/4; the simplex takes 52 pivots on it under Bland's rule.
+# CF 1/4; the simplex takes 31 pivots on it (52 under Bland's rule alone).
 PIVOTING_POINT = (F(1, 4), F(1, 8), F(1, 16), F(3, 16), F(1, 8), F(1, 16), F(1, 8), F(1, 16))
 
 
@@ -139,7 +140,7 @@ def test_early_stopped_simplex_fails_the_certificate(monkeypatch):
     monkeypatch.setattr(ratlp._Tableau, "pivot", real_pivot)
 
     def one_pivot(self):
-        c = self._entering()
+        c = self._entering(False)
         col = self.column(c)
         self.pivot(self._leaving(col), c, col)
         return "optimal"
@@ -349,6 +350,103 @@ def test_degenerate_cycling_instance_terminates():
     out = maximize(lp)
     assert out.status is LpStatus.OPTIMAL
     assert out.value == F(1, 20)
+
+
+@contextmanager
+def pivot_cap(limit=100):
+    """Fail at the ``limit``-th pivot of the block instead of looping on."""
+    real_pivot = ratlp._Tableau.pivot
+    count = 0
+
+    def capped_pivot(self, r, c, col):
+        nonlocal count
+        count += 1
+        assert count < limit, f"no optimum after {limit} pivots"
+        real_pivot(self, r, c, col)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ratlp._Tableau, "pivot", capped_pivot)
+        yield
+
+
+# Dense LPs on which Dantzig's largest-coefficient rule cycles in textbook
+# form (Chvatal, Linear Programming, 1983, p. 31; Hall and McKinnon, Math.
+# Prog. 100, 133, 2004).  The solver scales each row to integers, so its
+# path differs, but the degeneracy is the same.
+@pytest.mark.parametrize("c, a, b, expected", [
+    pytest.param(
+        (10, -57, -9, -24),
+        ((H, F(-11, 2), F(-5, 2), 9), (H, F(-3, 2), -H, 1), (1, 0, 0, 0)),
+        (0, 0, 1),
+        ("optimal", 1),  # bounded by x1 <= 1
+        id="chvatal",
+    ),
+    pytest.param(
+        (F(23, 10), F(43, 20), F(-271, 20), F(-2, 5)),
+        ((F(2, 5), F(1, 5), F(-7, 5), F(-1, 5)), (F(-39, 5), F(-7, 5), F(39, 5), F(2, 5))),
+        (0, 0),
+        ("unbounded", None),  # a cone with an improving ray
+        id="hall-mckinnon",
+    ),
+])
+def test_textbook_cycling_instances_reach_the_bruteforce_optimum(c, a, b, expected):
+    lp = LinearProgram(objective=c, a_le=sparse(a), b_le=b)
+    with pivot_cap():
+        out = maximize(lp)
+    assert lp_bruteforce(c, (), (), a, b) == expected
+    assert (out.status.value, out.value) == expected
+    if out.status is LpStatus.OPTIMAL:
+        assert_dual_certificate(lp, out)
+
+
+positive_fracs = st.integers(1, 4).map(lambda n: F(n, 2))
+
+
+# 1 switches to Bland's rule at every degenerate pivot, so these small
+# programs run the fallback too.
+@pytest.mark.parametrize("run", [1, ratlp.DEGENERATE_RUN])
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.data())
+def test_degenerate_programs_match_vertex_enumeration(run, n, m, data):
+    # Zero right-hand sides put every row through the origin, so the first
+    # vertex is degenerate; one positive row keeps the program bounded.
+    a = [[data.draw(small_fracs) for _ in range(n)] for _ in range(m)]
+    a.append([data.draw(positive_fracs) for _ in range(n)])
+    b = [0] * m + [data.draw(st.integers(1, 2))]
+    c = [data.draw(small_fracs) for _ in range(n)]
+    lp = LinearProgram(objective=tuple(c), a_le=sparse(a), b_le=tuple(b))
+    with pytest.MonkeyPatch.context() as patch, pivot_cap():
+        patch.setattr(ratlp, "DEGENERATE_RUN", run)
+        out = maximize(lp)
+    assert lp_bruteforce(c, (), (), a, b) == ("optimal", out.value)
+    assert_dual_certificate(lp, out)
+
+
+def test_pivots_do_not_depend_on_how_the_solver_scales_a_row():
+    # The CF LP of a bell-3-2 model that no outcome flip fixes, once with the
+    # integer numerators as right-hand sides and once with the probabilities
+    # (numerators over 12), which the solver scales to integers by 1, 2, 6
+    # or 12 row by row.  A slack is priced in the program's own units, so both
+    # take the same pivots to the same vertex, and contextual_fraction (which
+    # passes numerators) reports the full LP's optimum.
+    rows = ((6, 0, 0, 2, 0, 2, 2, 0),) + ((5, 1, 1, 1, 1, 1, 1, 1),) * 7
+    a = incidence_matrix(bell_scenario(3, 2))
+    runs = []
+    real_pivot = ratlp._Tableau.pivot
+    for scale in (1, F(1, 12)):
+        pivots = []
+
+        def recording_pivot(self, r, c, col):
+            pivots.append((r, c))
+            real_pivot(self, r, c, col)
+
+        b = tuple(x * scale for row in rows for x in row)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ratlp._Tableau, "pivot", recording_pivot)
+            out = maximize(LinearProgram(objective=(1,) * 64, a_le=a, b_le=b))
+        runs.append((pivots, [x / scale for x in out.solution]))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) > 1
 
 
 def test_determinism_identical_runs():
