@@ -15,11 +15,14 @@ denominator, updated by the previous pivot value), which avoids per-cell gcd
 work and is an order of magnitude faster than a Fraction tableau while
 staying exact.  It is kept in revised form: only ``den * B^-1``, the
 simplex multipliers ``den * pi`` (``pi = c_B B^-1``) and the right-hand side
-are stored, by column, and any other column is computed from its sparse
-initial column when it is priced or enters.  Every column, owned or not, is
-one getter over the owned positions with its coefficients, priced by the one
-rule ``pi . A_j - c_j``; the artificials leave the priced columns after
-phase one.  Each stored column keeps the denominator it was last written
+are stored, by column, with row 0 of every priced column: ``den`` times its
+negated reduced cost ``pi . A_j - c_j``.  Row 0 is priced once per
+objective, through a copy of A kept row by row, and each pivot updates it
+from the pivot row of ``den * B^-1``, which is sparse, times that copy.  Any
+other column is computed from its sparse initial column when it enters:
+every column, owned or not, is one getter over the owned positions with its
+coefficients.  The artificials leave the priced columns after phase one.
+Each stored column keeps the denominator it was last written
 at: a pivot only rescales a column that is zero in the pivot row, and those
 rescales telescope, so a pivot rewrites just the columns its pivot row
 touches and a stale column is scaled when it is read.  Every entry is the
@@ -58,7 +61,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 from math import lcm
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import InternalConsistencyError, MalformedInput, ShapeMismatch
@@ -271,16 +274,28 @@ class _Tableau:
     ``den``; setting the pivot column's entry in the pivot row to
     ``piv - den`` makes the same formula leave the pivot row as it is.
     Pivots, primal and dual are those of the dense tableau.
+
+    Row 0 of the priced columns is kept too, in ``reduced``.  ``a_rows``
+    holds A row by row: per owned position, the ``(priced column,
+    coefficient)`` pairs of the row that owns it, so :meth:`times_a` gives
+    row ``i`` of every priced column from the owned positions where row
+    ``i`` of what is stored is nonzero.  :func:`_install_objective` prices
+    row 0 once, ``times_a(0) - den * c``; after that each pivot updates it
+    by the same Bareiss step as the stored columns, with the pivot row
+    ``times_a(r)`` read before the pivot.  That is the dense tableau's
+    row-0 update, so the division is exact and every entry is the dense one.
     """
 
-    def __init__(self, cols, basis, columns, scales):
+    def __init__(self, cols, basis, columns, a_rows, scales):
         self.cols = cols          # owned columns, then the right-hand side; entry 0 is row 0
         self.dens = [1] * len(cols)  # the den each stored column was last written at
         self.basis = basis        # basis[i - 1] = column basic in constraint row i
         self.columns = columns    # (getter, coefficients) per priced column
+        self.a_rows = a_rows      # per owned position: (priced column, coefficient) pairs
         self.scales = scales      # (column, d): the slack or surplus of a row scaled by d > 1
         self.den = 1
         self.cost = [0] * len(columns)  # objective of the phase, set by _install_objective
+        self.reduced = [0] * len(columns)  # row 0 of the priced columns, set by _install_objective
 
     @property
     def n_cols(self) -> int:
@@ -329,10 +344,24 @@ class _Tableau:
         col[0] -= den * self.cost[c]
         return col
 
+    def times_a(self, i: int) -> list:
+        """Row ``i`` of every priced column, without the objective's ``-den * c_j`` in row 0.
+
+        Row ``i`` of what is stored times A, taken row by row: each owned
+        position where row ``i`` is nonzero adds its pairs of ``a_rows``.
+        """
+        out = [0] * len(self.columns)
+        for x, entries in zip(self.row(i), self.a_rows):
+            if x:
+                for j, a in entries:
+                    out[j] += x * a
+        return out
+
     def pivot(self, r: int, c: int, f: list) -> None:
         """Pivot constraint row ``r`` (1-based) on ``f = column(c)``, used up; ``f[r]`` > 0."""
-        cols, dens, piv = self.cols, self.dens, f[r]
-        f[r] = piv - self.den  # the update then leaves the pivot row as it is
+        cols, dens, piv, den, f0 = self.cols, self.dens, f[r], self.den, f[0]
+        self.reduced = [(x * piv - f0 * a) // den for x, a in zip(self.reduced, self.times_a(r))]
+        f[r] = piv - den  # the update then leaves the pivot row as it is
         for k in compress(range(len(cols)), map(itemgetter(r), cols)):
             col, p, d = cols[k], cols[k][r], dens[k]
             cols[k] = [(x * piv - g * p) // d for x, g in zip(col, f)]
@@ -354,20 +383,19 @@ class _Tableau:
     def _entering(self, first: bool) -> Optional[int]:
         """The entering column, or None when no row-0 entry is negative (optimal).
 
-        The most negative row-0 entry, the lowest index among equals; with
-        ``first``, the first negative one (Bland's rule).  The entry of a
-        slack or surplus is multiplied by the factor ``d`` its row was scaled
-        by to integers, which makes it the reduced cost in the units of the
-        row as written: the choice does not depend on that scaling, so
-        right-hand sides given in other units take the same pivots.
+        The most negative entry of the kept row 0, the lowest index among
+        equals; with ``first``, the first negative one (Bland's rule).  The
+        entry of a slack or surplus is multiplied by the factor ``d`` its row
+        was scaled by to integers, which makes it the reduced cost in the
+        units of the row as written: the choice does not depend on that
+        scaling, so right-hand sides given in other units take the same
+        pivots.
         """
-        u, den = self.row(0), self.den
-        reduced = [
-            (sum(get(u)) if coefs is None else sum(map(mul, get(u), coefs))) - den * c
-            for (get, coefs), c in zip(self.columns, self.cost)
-        ]
-        for j, d in self.scales:
-            reduced[j] *= d
+        reduced = self.reduced
+        if self.scales:
+            reduced = reduced[:]
+            for j, d in self.scales:
+                reduced[j] *= d
         if first:
             return next((j for j, d in enumerate(reduced) if d < 0), None)
         best = min(reduced, default=0)
@@ -446,14 +474,18 @@ def _build_tableau(kept, rows, live_rows, kinds):
     surplus (coefficient -1).  Every later row, row 0 included, is a
     combination of the original rows with its weights at those positions,
     so once phase two ends, row 0's entry at ``t``, negated if the row was
-    flipped, is the dual numerator of the row.  The tableau's ``scales``
-    pairs each slack or surplus of a row scaled by ``d > 1`` with ``d``.
+    flipped, is the dual numerator of the row.  The tableau's ``a_rows``
+    lists each live row's nonzero coefficients, sign-flipped ones included,
+    by priced column: its kept columns, then its slack or surplus, then its
+    artificial.  Its ``scales`` pairs each slack or surplus of a row scaled
+    by ``d > 1`` with ``d``.
     """
     n, m = len(kept), len(live_rows)
     position_of = {j: p for p, j in enumerate(kept)}.get
     at = [[] for _ in range(n)]     # per kept column: owned positions
     coefs = [[] for _ in range(n)]  # and its coefficients there
     columns = [None] * (n + sum(1 for k in live_rows if kinds[k] == "le"))
+    a_rows = [[] for _ in range(m)]  # per owned position: (priced column, coefficient)
     slack = n
     cols = [[0] * (m + 1) for _ in range(m + 1)]
     rhs = cols[m]
@@ -462,16 +494,19 @@ def _build_tableau(kept, rows, live_rows, kinds):
     for t, k in enumerate(live_rows):
         entries, b, d = rows[k]
         sign = -1 if b < 0 else 1
+        a_row = a_rows[t]
         for j, a in entries if sign > 0 else [(j, -a) for j, a in entries]:
             p = position_of(j)
             if p is not None:
                 at[p].append(t)
                 coefs[p].append(a)
+                a_row.append((p, a))
         cols[t][t + 1] = 1
         rhs[t + 1] = sign * b
         if kinds[k] == "le":
             # A flipped row became >=: its slack is a surplus, not owned.
             columns[slack] = unit[t], None if sign > 0 else (-1,)
+            a_row.append((slack, sign))
             if d > 1:
                 scales.append((slack, d))
             basic = slack
@@ -479,10 +514,11 @@ def _build_tableau(kept, rows, live_rows, kinds):
         if kinds[k] == "eq" or sign < 0:
             basic = len(columns)
             arts.append(basic)
+            a_row.append((basic, 1))
             columns.append((unit[t], None))
         basis.append(basic)
     columns[:n] = map(_sparse_column, at, coefs)
-    return _Tableau(cols, basis, columns, scales), arts
+    return _Tableau(cols, basis, columns, a_rows, scales), arts
 
 
 def _install_objective(tab: _Tableau, cost: dict) -> None:
@@ -491,8 +527,9 @@ def _install_objective(tab: _Tableau, cost: dict) -> None:
     Row 0 is ``sum(c_B,i * row i)``: ``den * pi`` with ``pi = c_B B^-1`` at
     the owned positions, and ``den`` times the basis's objective value.
     Each stored column gets its entry at its own ``den``, as the rest of
-    it is.  Phase one passes cost -1 on every artificial column, phase two
-    the integer objective on the kept columns.
+    it is, and the kept row 0 is priced from it once.  Phase one passes
+    cost -1 on every artificial column, phase two the integer objective on
+    the kept columns.
     """
     tab.cost = [0] * tab.n_cols
     for j, c in cost.items():
@@ -502,17 +539,19 @@ def _install_objective(tab: _Tableau, cost: dict) -> None:
     ]
     for col in tab.cols:
         col[0] = sum([cb * col[i] for i, cb in weights])
+    tab.reduced = [x - tab.den * c for x, c in zip(tab.times_a(0), tab.cost)]
 
 
 def _drive_out_artificials(tab: _Tableau, arts) -> None:
     """Pivot every basic artificial out of its row, or delete the row, then retire them all.
 
     The artificials are the tail of ``tab.columns``, from ``arts[0]``.  A
-    row's pivot column is its first other column with a nonzero entry,
-    pricing's product rule on the row.  A row deleted here has its
-    artificial basic, so that column is zero in every remaining row and
-    stays zero: the row's dual reads 0.  The retired artificials leave the
-    priced columns; what they own stays stored, as part of ``den * B^-1``.
+    row's pivot column is its first other column with a nonzero entry, read
+    by :meth:`_Tableau.times_a`, the product row 0 is priced by.  A row
+    deleted here has its artificial basic, so that column is zero in every
+    remaining row and stays zero: the row's dual reads 0.  The retired
+    artificials leave the priced columns, row 0 and ``a_rows``; what they
+    own stays stored, as part of ``den * B^-1``.
     """
     first = arts[0]
     i = 1
@@ -520,19 +559,19 @@ def _drive_out_artificials(tab: _Tableau, arts) -> None:
         if tab.basis[i - 1] < first:
             i += 1
             continue
-        v = tab.row(i)
-        for j, (get, coefs) in enumerate(tab.columns[:first]):
-            a = sum(get(v)) if coefs is None else sum(map(mul, get(v), coefs))
-            if a:
-                break
-        else:
+        v = tab.times_a(i)
+        j = next((j for j in range(first) if v[j]), None)
+        if j is None:
             tab.drop(i)  # redundant constraint
             continue
-        if a < 0:
+        if v[j] < 0:
             tab.negate(i)
         tab.pivot(i, j, tab.column(j))
         i += 1
-    del tab.columns[first:]
+    del tab.columns[first:], tab.reduced[first:]
+    for entries in tab.a_rows:
+        if entries and entries[-1][0] >= first:
+            entries.pop()  # an owned artificial, the last of its position's pairs
 
 
 def _reach(rows, y, n) -> list[int]:
@@ -649,13 +688,15 @@ def certify(lp: LinearProgram, value, solution: Sequence, dual: Sequence) -> Non
     This is the check :func:`maximize` runs on its own optima, for a pair
     found some other way: the rows are scaled to integers, both vectors are
     written as integers over one denominator, and :func:`_certify` decides.
-    Raises InternalConsistencyError when the pair proves nothing.
+    Raises InternalConsistencyError when the pair proves nothing, and
+    MalformedInput when a number is not exact (:func:`_exact`).
     """
     rows, kinds, cost, scale = _int_program(lp)
     if len(solution) != len(cost) or len(dual) != len(rows):
         raise InternalConsistencyError(
             "LP optimum failed its certificate: primal or dual has the wrong length"
         )
+    value, solution, dual = _exact(value), list(map(_exact, solution)), list(map(_exact, dual))
     # The dual of scaled row k is dual[k] * scale / d_k (see maximize).
     duals = [
         Fraction(u.numerator * scale, u.denominator * d) if u else 0

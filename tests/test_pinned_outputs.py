@@ -223,6 +223,19 @@ def _text(q):
     return None if q is None else str(q)
 
 
+def _pivot_log(monkeypatch) -> list:
+    """A list that gets ``(row, column)`` of every simplex pivot from here on."""
+    pivots = []
+    real_pivot = ratlp._Tableau.pivot
+
+    def logging_pivot(self, r, c, col):
+        pivots.append((r, c))
+        real_pivot(self, r, c, col)
+
+    monkeypatch.setattr(ratlp._Tableau, "pivot", logging_pivot)
+    return pivots
+
+
 def _simplex_records(monkeypatch) -> list:
     """``[pivots, status, value, solution, dual]`` of each of 407 seeded and CF LPs.
 
@@ -231,12 +244,7 @@ def _simplex_records(monkeypatch) -> list:
     bell-2-4 lifts, and the full LP of the model no flip fixes.
     """
     records = []
-    pivots = []
-    real_pivot = ratlp._Tableau.pivot
-
-    def recording_pivot(self, r, c, col):
-        pivots.append((r, c))
-        real_pivot(self, r, c, col)
+    pivots = _pivot_log(monkeypatch)
 
     def recording_maximize(lp):
         pivots.clear()
@@ -248,7 +256,6 @@ def _simplex_records(monkeypatch) -> list:
         ])
         return out
 
-    monkeypatch.setattr(ratlp._Tableau, "pivot", recording_pivot)
     rng = random.Random(20170505)
     for _ in range(400):
         recording_maximize(_random_lp(rng))
@@ -292,16 +299,18 @@ def test_bell_42_mix_with_no_symmetry_pivots_737_times(monkeypatch):
     noise = lift_uniform(PossibilisticModel(s, (0xFFFF,) * s.n_contexts))
     zeros, ones = (deterministic_model(s, (v,) * len(s.observables)) for v in (0, 1))
     model = mix([odd, noise, zeros, ones], [F(1, 2), Q, F(1, 7), F(3, 28)])
-    pivots = []
-    real_pivot = ratlp._Tableau.pivot
-
-    def counting_pivot(self, r, c, col):
-        pivots.append((r, c))
-        real_pivot(self, r, c, col)
-
-    monkeypatch.setattr(ratlp._Tableau, "pivot", counting_pivot)
+    pivots = _pivot_log(monkeypatch)
     assert analysis.contextual_fraction(model) == F(5, 14)
     assert len(pivots) == 737
+
+
+def test_lp_scale_noisy_lifts_pivot_113_times(monkeypatch):
+    # The CF LPs of the lp_scale benchmark workload: a pricing change that
+    # moves its pivots shows here.
+    pivots = _pivot_log(monkeypatch)
+    cfs = [analysis.contextual_fraction(model) for model in _noisy_lifts_24()]
+    assert cfs == [F(3, 4), F(1, 2), Q, 0, 0]  # noise 1/8, 1/4, 3/8, 1/2, 3/4
+    assert len(pivots) == 113
 
 
 def _witness_models(rng, s):

@@ -313,6 +313,12 @@ def test_lp_data_must_be_int_or_fraction(bad):
         with pytest.raises(MalformedInput, match="LP data must be int or Fraction"):
             maximize(bad_lp)
     assert maximize(lp).value == 10
+    # certify reads its value, primal and dual by the same rule: a float
+    # used to raise AttributeError, and True was taken for 1.
+    for value, solution, dual in ((bad, (10,), (10,)), (10, (bad,), (10,)), (10, (10,), (bad,))):
+        with pytest.raises(MalformedInput, match="LP data must be int or Fraction"):
+            ratlp.certify(lp, value, solution, dual)
+    ratlp.certify(lp, 10, (10,), (F(10),))
 
 
 @pytest.mark.parametrize(
@@ -589,9 +595,10 @@ def _replay_against_dense_oracle(rng) -> Counter:
     """Solve a :func:`_presolve_free_lp`, replaying every tableau step on a dense oracle.
 
     After each objective and each pivot, every entry of the tableau, read at
-    its current ``den``, must be the oracle's.  An artificial retired after
-    phase one is no longer priced, so it is compared through the stored
-    column it owns.  Returns what happened.
+    its current ``den``, must be the oracle's, and so must the kept row 0 on
+    every priced column.  An artificial retired after phase one is no longer
+    priced, so it is compared through the stored column it owns.  Returns
+    what happened.
     """
     n, c, a_eq, b_eq, a_le, b_le = _presolve_free_lp(rng)
     lp = LinearProgram(tuple(c), sparse(a_eq), tuple(b_eq), sparse(a_le), tuple(b_le))
@@ -612,6 +619,7 @@ def _replay_against_dense_oracle(rng) -> Counter:
                 got = tab.stored(owner[j - n - len(a_le)])
             assert got == [row[j] for row in oracle.rows], j
         assert tab.stored(-1) == [row[-1] for row in oracle.rows]
+        assert tab.reduced == oracle.rows[0][:tab.n_cols], "kept row 0"
 
     def objective(tab, cost):
         real_objective(tab, cost)
@@ -650,6 +658,26 @@ def _replay_against_dense_oracle(rng) -> Counter:
 @given(st.integers(0, 2**32))
 def test_every_tableau_entry_matches_a_dense_oracle(seed):
     _replay_against_dense_oracle(random.Random(seed))
+
+
+def test_the_dense_oracle_replay_catches_a_missed_row_0_update(monkeypatch):
+    # The first pivot leaves the kept row 0 as it was before the pivot.
+    real_pivot = ratlp._Tableau.pivot
+    pivots = []
+
+    def pivot_losing_its_row_0_update(self, r, c, col):
+        before = self.reduced
+        real_pivot(self, r, c, col)
+        if not pivots:
+            self.reduced = before
+        pivots.append((r, c))
+
+    monkeypatch.setattr(ratlp._Tableau, "pivot", pivot_losing_its_row_0_update)
+    rng = random.Random(24)
+    with pytest.raises(AssertionError, match="kept row 0"):
+        for _ in range(150):
+            _replay_against_dense_oracle(rng)
+    assert len(pivots) == 1
 
 
 def test_the_dense_oracle_replay_reaches_phase_one_drive_out_and_row_deletion():
