@@ -30,6 +30,17 @@ not closed under XOR gets the LP of its closure, and the certificate
 checks the closure's generators.  With H trivial the orbit LP is the full
 LP column for column, and :func:`incidence_matrix` is exactly that LP's rows.
 
+An orbit LP with at least REFINE_MIN_ENTRIES nonzeros is reduced further,
+to its coarsest equitable partition: colour refinement of its rows (started
+from their right-hand sides) and columns, which can also merge rows and
+columns that no outcome flip maps to one another, and solved with one
+column per column class and one row per row class.  The reduced optimum is lifted to
+the orbit LP (each coset takes its class's weight, each row orbit its
+class's dual divided by the class size) and then certified exactly as
+above, so a wrong partition can only raise, never give a wrong CF.  The
+reduced LP is cached per (scenario, group, equality pattern of the
+right-hand side), of which it is a pure function.
+
 ``classify`` runs both routes and raises ``InternalConsistencyError`` if they
 ever disagree, rather than returning a silently wrong verdict.
 """
@@ -59,6 +70,11 @@ from .scenario import SCENARIO_CACHE_SIZE, MeasurementScenario, projection, sect
 #: Hard cap on the size of the full incidence LP, (context, section) rows
 #: times global assignments; bell-5-2 is exactly this size.
 LP_ENTRY_LIMIT = 1 << 20
+
+#: Orbit-LP nonzeros from which the CF LP is solved on its coarsest equitable
+#: partition (see :func:`_refined`).  Below it, on the 16 x 16 orbit LPs of
+#: the 8-parameter family, refining costs more time than the smaller LP saves.
+REFINE_MIN_ENTRIES = 1024
 
 
 @lru_cache(maxsize=SCENARIO_CACHE_SIZE)
@@ -179,7 +195,8 @@ class _Quotient:
     is the average of the rows in one orbit R, whose right-hand side is the
     entry at full row ``row_reps[k]``, its least row; scaled by |R| it is
     the sparse row with coefficient ``order // row_size[k]`` on every coset
-    restricting into R.  Full rows are numbered as in :func:`incidence_matrix`.
+    restricting into R; ``nonzeros`` counts the entries of all those rows.
+    Full rows are numbered as in :func:`incidence_matrix`.
     ``column_of[g]`` and ``row_of[r]`` give the coset of assignment ``g``
     and the orbit of full row ``r``.
 
@@ -192,6 +209,7 @@ class _Quotient:
 
     order: int
     a_le: tuple[tuple[tuple[int, int], ...], ...]
+    nonzeros: int
     row_reps: tuple[int, ...]
     row_size: tuple[int, ...]
     column_of: tuple[int, ...]
@@ -269,6 +287,7 @@ def _quotient(s: MeasurementScenario, group: int) -> _Quotient:
     return _Quotient(
         order=order,
         a_le=tuple(a_le),
+        nonzeros=sum(map(len, a_le)),
         row_reps=tuple(row_reps),
         row_size=tuple(row_size),
         column_of=tuple(column_of),
@@ -324,24 +343,157 @@ def _certify_lift(m: EmpiricalModel, quotient: _Quotient, out: LpOutcome) -> Non
         fail("an objective differs from the optimum")
 
 
+# --- the orbit LP on its coarsest equitable partition --------------------------
+#
+# A partition of the orbit LP's rows and columns is equitable when b is
+# constant on each row class, c on each column class, and for every pair of
+# classes (R, C) each row of R has one coefficient sum over C and each column
+# of C one coefficient sum over R.  Averaging a point over the column classes
+# then keeps it feasible with the same objective, so the LP has an optimum
+# constant on the classes: one variable per column class and one row per row
+# class (Grohe, Kersting, Mladenov and Selman, "Dimension reduction via colour
+# refinement", ESA 2014).  Its dual, divided over each row class, is dual
+# feasible for the orbit LP with the same objective, so the lifted pair is an
+# optimum that :func:`_certify_lift` checks like any other.
+
+
+@dataclass(frozen=True)
+class _Reduced:
+    """The orbit LP on a partition of its rows and columns into classes numbered from 0.
+
+    ``row_class[k]`` is the class of orbit row ``k`` and ``column_class[j]``
+    that of coset ``j``.  Column ``C`` of the reduced LP is the common weight
+    of the cosets in class ``C``, so its objective coefficient is the class's
+    objective sum.  Row ``R`` is orbit row ``row_reps[R]``, the least of its
+    class, with its coefficients summed over each column class; ``row_size[R]``
+    is the size of the class.
+    """
+
+    objective: tuple[int, ...]
+    a_le: tuple[tuple[tuple[int, int], ...], ...]
+    row_reps: tuple[int, ...]
+    row_size: tuple[int, ...]
+    row_class: tuple[int, ...]
+    column_class: tuple[int, ...]
+
+
+def _classes(signatures) -> list[int]:
+    """The class of each signature, equal signatures sharing one, numbered by first occurrence."""
+    ids = {}
+    return [ids.setdefault(sig, len(ids)) for sig in signatures]
+
+
+def _equitable_partition(quotient: _Quotient, pattern: tuple[int, ...]):
+    """``(row_class, column_class)``: the coarsest equitable partition of the orbit LP refining ``pattern``.
+
+    Colour refinement.  Rows start coloured by their ``pattern`` entry and
+    their one coefficient, columns alike, since every objective coefficient
+    is ``order``.  Then each column is coloured by the sorted multiset of its
+    rows' colours, and each row by its colour and the sorted multiset of its
+    columns' colours, until a round splits no class.  Each round's colours
+    refine the last round's, so equal class counts mean a stable partition,
+    and a stable one is equitable: a row's coefficient is part of its colour.
+    """
+    rows = quotient.a_le
+    row_class = _classes(zip(pattern, [row[0][1] for row in rows]))
+    column_class = [0] * len(quotient.columns)
+    while True:
+        seen = [[] for _ in column_class]
+        for colour, row in zip(row_class, rows):
+            for j, _ in row:
+                seen[j].append(colour)
+        columns = _classes([tuple(sorted(x)) for x in seen])
+        refined = _classes([
+            (colour, tuple(sorted([columns[j] for j, _ in row])))
+            for colour, row in zip(row_class, rows)
+        ])
+        if max(refined) == max(row_class) and max(columns) == max(column_class):
+            return tuple(refined), tuple(columns)
+        row_class, column_class = refined, columns
+
+
+def _reduced(quotient: _Quotient, row_class, column_class) -> _Reduced:
+    """The orbit LP of ``quotient`` on the given classes, each numbered from 0 by first occurrence."""
+    row_reps, row_size = [], []
+    for k, cls in enumerate(row_class):
+        if cls == len(row_reps):
+            row_reps.append(k)
+            row_size.append(0)
+        row_size[cls] += 1
+    column_size = [0] * (max(column_class) + 1)
+    for cls in column_class:
+        column_size[cls] += 1
+    a_le = []
+    for k in row_reps:
+        sums = {}
+        for j, a in quotient.a_le[k]:
+            cls = column_class[j]
+            sums[cls] = sums.get(cls, 0) + a
+        a_le.append(tuple(sorted(sums.items())))
+    return _Reduced(
+        objective=tuple([quotient.order * size for size in column_size]),
+        a_le=tuple(a_le),
+        row_reps=tuple(row_reps),
+        row_size=tuple(row_size),
+        row_class=tuple(row_class),
+        column_class=tuple(column_class),
+    )
+
+
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
+def _refined(s: MeasurementScenario, group: int, pattern: tuple[int, ...]) -> _Reduced:
+    """The orbit LP of ``_quotient(s, group)`` on its coarsest equitable partition.
+
+    ``pattern`` numbers the orbit rows' right-hand sides by first
+    occurrence, so equal entries share a number.  The partition depends on
+    nothing else, so every model with one pattern shares one reduced LP, and
+    its rows are one set of objects for the LP's row cache.
+    """
+    quotient = _quotient(s, group)
+    return _reduced(quotient, *_equitable_partition(quotient, pattern))
+
+
+def _optimum(lp: LinearProgram) -> LpOutcome:
+    out = maximize(lp)
+    if out.status is not LpStatus.OPTIMAL:
+        raise InternalConsistencyError(
+            f"noncontextual-fraction LP ended {out.status}, expected an optimum"
+        )
+    return out
+
+
 def _contextual_fraction_with_witness(m: EmpiricalModel):
     """``(CF, optimum)``: the CF LP solved on flip orbits, its lifted optimum certified in full.
 
-    The LP's ``b`` is the numerator rows, so ``optimum`` is ``m.den`` times a probability optimum.
+    An orbit LP with at least REFINE_MIN_ENTRIES nonzeros is solved on its
+    coarsest equitable partition and that optimum lifted to the orbit LP
+    first.  The LP's ``b`` is the numerator rows, so ``optimum`` is
+    ``m.den`` times a probability optimum.
     """
     _require_no_signaling(m)
     s = m.scenario
     restriction_table(s)  # its size guard runs before any stabilizer's flip table is built
-    quotient = _quotient(s, _flip_group(s, tuple([_stabilizer(row) for row in m.numerators])))
+    group = _flip_group(s, tuple([_stabilizer(row) for row in m.numerators]))
+    quotient = _quotient(s, group)
     b = tuple(chain.from_iterable(m.numerators))
-    out = maximize(LinearProgram(
-        objective=(quotient.order,) * len(quotient.columns),
-        a_le=quotient.a_le,
-        b_le=tuple([b[r] for r in quotient.row_reps]),
-    ))
-    if out.status is not LpStatus.OPTIMAL:
-        raise InternalConsistencyError(
-            f"noncontextual-fraction LP ended {out.status}, expected an optimum"
+    b_le = tuple([b[r] for r in quotient.row_reps])
+    if quotient.nonzeros < REFINE_MIN_ENTRIES:
+        out = _optimum(LinearProgram(
+            objective=(quotient.order,) * len(quotient.columns), a_le=quotient.a_le, b_le=b_le,
+        ))
+    else:
+        reduced = _refined(s, group, tuple(_classes(b_le)))
+        out = _optimum(LinearProgram(
+            objective=reduced.objective,
+            a_le=reduced.a_le,
+            b_le=tuple([b_le[k] for k in reduced.row_reps]),
+        ))
+        shares = [q / size for q, size in zip(out.dual, reduced.row_size)]
+        out = LpOutcome(
+            out.status,
+            out.value,
+            tuple([out.solution[cls] for cls in reduced.column_class]),
+            tuple([shares[cls] for cls in reduced.row_class]),
         )
     _certify_lift(m, quotient, out)
     return 1 - out.value / m.den, tuple([out.solution[j] for j in quotient.column_of])
@@ -451,8 +603,10 @@ def classify(m: EmpiricalModel) -> ClassificationReport:
     marginals are uniform.  Below CF = 1 the witness's ``noncontextual_part``
     is the optimum lifted from the flip orbits: an optimum of the full LP
     that gives every assignment in a coset of H the same weight (the orbit
-    average), which at CF = 0 still reproduces every row.  With H trivial it
-    is the full LP's own optimum.
+    average), which at CF = 0 still reproduces every row.  When the orbit LP
+    was solved on its coarsest equitable partition, that part is also
+    constant on each column class of the partition.  With H trivial and no
+    refinement it is the full LP's own optimum.
     """
     cf, lp_solution = _contextual_fraction_with_witness(m)
     strong, strong_witness = is_strongly_contextual(m)

@@ -67,11 +67,12 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`: accepts only "[-]k" and "[-]k/d".
+def _rational_parts(text: str) -> tuple[int, int]:
+    """``(numerator, denominator)`` of "[-]k" or "[-]k/d" in lowest terms: the grammar of :func:`parse_rational`.
 
     Raises MalformedInput for any other form (decimals, exponents, spaces),
-    for a zero denominator and for more than RATIONAL_DIGIT_LIMIT digits.
+    for more than RATIONAL_DIGIT_LIMIT digits and for a zero denominator,
+    checked in that order.
     """
     match = _RATIONAL.fullmatch(str(text))
     if match is None:
@@ -79,9 +80,33 @@ def parse_rational(text: str) -> Fraction:
     num, den = match.groups()
     if len(num.lstrip("-")) > RATIONAL_DIGIT_LIMIT or len(den or "") > RATIONAL_DIGIT_LIMIT:
         raise MalformedInput(f"rational has more than {RATIONAL_DIGIT_LIMIT} digits")
-    if den is not None and int(den) == 0:
+    if den is None:
+        return int(num), 1
+    num, den = int(num), int(den)
+    if den == 0:
         raise MalformedInput(f"zero denominator in {text!r}")
-    return Fraction(int(num), int(den or 1))
+    g = gcd(num, den)
+    return (num // g, den // g) if g > 1 else (num, den)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Inverse of :func:`format_rational`: accepts only "[-]k" and "[-]k/d".
+
+    Raises MalformedInput for any other form (decimals, exponents, spaces),
+    for a zero denominator and for more than RATIONAL_DIGIT_LIMIT digits.
+    """
+    return Fraction(*_rational_parts(text))
+
+
+def _exact_parts(x: Union[Fraction, int, str]) -> tuple[int, int]:
+    """``(numerator, denominator)`` in lowest terms of what :func:`exact_rational` reads."""
+    if isinstance(x, str):  # first: a JSON cell skips the slower ABC check of Fraction
+        return _rational_parts(x)
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x, 1
+    raise MalformedInput(f"not an exact rational (int, Fraction or 'k/d' string): {repr(x)[:40]}")
 
 
 def exact_rational(x: Union[Fraction, int, str]) -> Fraction:
@@ -92,13 +117,7 @@ def exact_rational(x: Union[Fraction, int, str]) -> Fraction:
     Decimal included, raises MalformedInput, so no binary fraction enters a
     model.
     """
-    if isinstance(x, str):  # first: a JSON cell skips the slower ABC check of Fraction
-        return parse_rational(x)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise MalformedInput(f"not an exact rational (int, Fraction or 'k/d' string): {repr(x)[:40]}")
+    return x if isinstance(x, Fraction) else Fraction(*_exact_parts(x))
 
 
 @dataclass(frozen=True)
@@ -207,16 +226,18 @@ def make_model(
 
     Rows are read in context order; a row of the wrong width raises
     RowNotNormalized naming its context key ("X1|X2") before any cell is read.
-    Entry ``x`` is the probability ``x / den``; entries are read by
-    :func:`exact_rational`, and ``den`` must be a positive int (not a bool),
-    else MalformedInput.  A row of plain ints is checked as integers and
-    never becomes Fractions, so constructors that hold integer rows pass
-    them with their common ``den``.  Every row must be nonnegative and sum
-    to exactly 1, and the generalized no-signaling condition must hold; on
-    failure a :class:`SignalingDetected` carrying a witness is raised.  Each
-    row's least common denominator is checked before any of its entries, so
-    no message formats a number past the limit; a row's or the model's least
-    common denominator reaching DENOMINATOR_LIMIT raises TooLarge.
+    Entry ``x`` is the probability ``x / den``; entries are read as
+    :func:`exact_rational` reads them, but straight to integer numerator and
+    denominator pairs, so a "k/d" cell never becomes a Fraction; ``den``
+    must be a positive int (not a bool), else MalformedInput.  A row of
+    plain ints is checked as integers, so constructors that hold integer
+    rows pass them with their common ``den``.  Every row must be
+    nonnegative and sum to exactly 1, and the generalized no-signaling
+    condition must hold; on failure a :class:`SignalingDetected` carrying a
+    witness is raised.  Each row's least common denominator is checked
+    before any of its entries, so no message formats a number past the
+    limit; a row's or the model's least common denominator reaching
+    DENOMINATOR_LIMIT raises TooLarge.
     """
     if not isinstance(den, int) or isinstance(den, bool) or den < 1:
         raise MalformedInput(f"den must be a positive int; den {shown(den)} is not")
@@ -230,12 +251,11 @@ def make_model(
         if len(raw) != width:
             key = _context_key(s.contexts[c])
             raise RowNotNormalized(f"context {c} ({key}) needs {width} entries, got {len(raw)}")
-        integers = all(type(x) is int for x in raw)
-        row = raw if integers else tuple(map(exact_rational, raw))
-        row_den = den
-        if not integers:
-            scale = _common_denominator({x.denominator for x in row})
-            row = [x.numerator * (scale // x.denominator) for x in row]
+        row, row_den = raw, den
+        if not all(type(x) is int for x in raw):
+            parts = [_exact_parts(x) for x in raw]
+            scale = _common_denominator({d for _, d in parts})
+            row = [x * (scale // d) for x, d in parts]
             row_den *= scale
         g = gcd(row_den, *row)
         # The row's least common denominator, checked before any entry or

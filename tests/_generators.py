@@ -23,6 +23,7 @@ from amcc.scenario import bell_scenario, make_scenario, projection, scenario_to_
 SCENARIO_22 = bell_scenario(2, 2)
 SCENARIO_32 = bell_scenario(3, 2)
 SCENARIO_24 = bell_scenario(2, 4)
+SCENARIO_42 = bell_scenario(4, 2)
 #: Contexts of one and two observables.
 MIXED_WIDTHS = make_scenario(["A", "B", "C"], [["A", "B"], ["C"]])
 
@@ -263,3 +264,43 @@ def eight_param_points():
 def symmetric_models():
     """Models whose outcome-flip group is often nontrivial."""
     return st.one_of(flip_averaged_models(), noisy_parity_lifts(), eight_param_points())
+
+
+def even_flips(s):
+    """The global flips that change an even number of outcomes in every context of ``s``.
+
+    They fix every parity lift and the uniform model; on bell-2-4 they are
+    the identity and the all-ones flip, on bell-4-2 a group of order 8.
+    """
+    n = len(s.observables)
+    masks = [sum(1 << (n - 1 - s.observables.index(x)) for x in ctx) for ctx in s.contexts]
+    return [h for h in range(1 << n) if all(bin(h & mask).count("1") % 2 == 0 for mask in masks)]
+
+
+@st.composite
+def refinable_models(draw):
+    """Symmetric models on bell-2-4 and bell-4-2 whose orbit LP mostly has at least 1 024 nonzeros.
+
+    A parity lift, uniform noise and, on bell-4-2 always and on bell-2-4 at
+    times, a deterministic model averaged over a group of even flips, the
+    lift and the averaged model with positive weight.  The flip group is
+    then usually the averaging group (order 4 on bell-4-2, 64 cosets) or at
+    most the lift's (order 2 on bell-2-4, 128 cosets); a few mixes are fixed
+    by more flips and have a smaller orbit LP.
+    """
+    s = draw(st.sampled_from([SCENARIO_24, SCENARIO_42]))
+    n = len(s.observables)
+    bits = draw(st.lists(st.integers(0, 1), min_size=s.n_contexts, max_size=s.n_contexts))
+    parts = [parity_lift(s, bits), uniform_model(s)]
+    if s is SCENARIO_42 or draw(st.booleans()):
+        g = draw(st.integers(0, (1 << n) - 1))
+        group = {0}
+        while len(group) < (4 if s is SCENARIO_42 else draw(st.sampled_from([1, 2]))):
+            h = draw(st.sampled_from([h for h in even_flips(s) if h not in group]))
+            group |= {f ^ h for f in group}
+        point = deterministic_model(s, section_values(g, n))
+        members = [make_model(s, flipped_tables(point, h)) for h in sorted(group)]
+        parts.append(mix(members, [Fraction(1, len(group))] * len(group)))
+    weights = [draw(st.integers(1, 6)), draw(st.integers(0, 6))]
+    weights += [draw(st.integers(1, 6)) for _ in parts[2:]]
+    return mix(parts, [Fraction(w, sum(weights)) for w in weights])

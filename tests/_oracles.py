@@ -131,6 +131,40 @@ def lp_bruteforce(c, a_eq, b_eq, a_le, b_le):
     return "optimal", max(values)
 
 
+def equitable_violation(rows, b, c, row_class, column_class):
+    """How a partition of an LP fails to be equitable, or None when it is equitable.
+
+    The LP is ``max c.x`` subject to ``rows . x <= b``, each row a tuple of
+    ``(column, coefficient)`` pairs; ``row_class[i]`` is the class of row
+    ``i`` and ``column_class[j]`` that of column ``j``.  Equitable means:
+    ``b`` is constant on every row class and ``c`` on every column class;
+    for every row class R and column class C, each row of R has the same
+    coefficient sum over the columns of C, and each column of C the same
+    coefficient sum over the rows of R.
+    """
+    for name, values, classes in (("b", b, row_class), ("c", c, column_class)):
+        first = {}
+        for k, (value, cls) in enumerate(zip(values, classes, strict=True)):
+            if first.setdefault(cls, value) != value:
+                return f"{name}[{k}] = {value} differs from {first[cls]} in class {cls}"
+    row_sums = [{} for _ in rows]
+    column_sums = [{} for _ in column_class]
+    for i, row in enumerate(rows):
+        for j, a in row:
+            row_sums[i][column_class[j]] = row_sums[i].get(column_class[j], 0) + a
+            column_sums[j][row_class[i]] = column_sums[j].get(row_class[i], 0) + a
+    for name, sums, classes, other in (
+        ("row", row_sums, row_class, set(column_class)),
+        ("column", column_sums, column_class, set(row_class)),
+    ):
+        first = {}
+        for k, cls in enumerate(classes):
+            spelled = {o: sums[k].get(o, 0) for o in other}
+            if first.setdefault(cls, spelled) != spelled:
+                return f"{name} {k} has other class sums than the first {name} of class {cls}"
+    return None
+
+
 class DenseTableau:
     """A dense fraction-free simplex tableau that pivots only where it is told.
 

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amcc import analysis
@@ -29,7 +30,6 @@ from amcc.construct import (
 )
 from amcc.empirical import (
     PossibilisticModel,
-    format_rational,
     from_global_distribution,
     is_maximal_marginal,
     is_no_signaling,
@@ -52,10 +52,11 @@ from _generators import (
     noisy_parity_lifts,
     ns_models_222,
     parity_systems,
+    refinable_models,
     support_patterns_222,
     symmetric_models,
 )
-from _oracles import box_polytope_dimension
+from _oracles import box_polytope_dimension, equitable_violation, incidence_bruteforce
 
 F = Fraction
 CASES = settings(max_examples=500, deadline=None)
@@ -196,14 +197,28 @@ def _full_cf_optimum(model):
     ))
 
 
+def _refined_lp(model):
+    """``(quotient, b, reduced)``: the orbit LP, its right-hand side and its refinement at any size."""
+    s = model.scenario
+    group = analysis._flip_group(s, tuple(map(analysis._stabilizer, model.numerators)))
+    quotient = analysis._quotient(s, group)
+    rows = [x for row in model.numerators for x in row]
+    b = tuple(rows[r] for r in quotient.row_reps)
+    return quotient, b, analysis._refined(s, group, tuple(analysis._classes(b)))
+
+
+_incidence = lru_cache(maxsize=None)(incidence_bruteforce)
+
+
 @CASES
 @given(symmetric_models())
 def check_orbit_cf_matches_full_lp(model):
     """The CF solved on flip orbits equals the full LP's, and the flip group is found exactly.
 
-    With a trivial flip group the orbit LP is the full LP, so ``classify``
-    reports the full LP's optimum as the noncontextual part.  Otherwise that
-    part is constant on every coset of the group and sums to 1 - CF.
+    Below CF 1, the noncontextual part ``classify`` reports sums to 1 - CF,
+    fits under the model in every row of the incidence oracle's full LP, is
+    constant on every coset of the flip group and, when the orbit LP is
+    large enough to be refined, on every column class of its refinement.
     """
     full = _full_cf_optimum(model)
     cf = contextual_fraction(model)
@@ -213,19 +228,79 @@ def check_orbit_cf_matches_full_lp(model):
     assert [h for h in range(found.bit_length()) if (found >> h) & 1] == group
     if cf == 1:
         return
-    n = len(model.scenario.observables)
+    s = model.scenario
+    n = len(s.observables)
     part = classify(model).witness["noncontextual_part"]
-    if len(group) == 1:
-        expected = {
-            "".join(map(str, section_values(g, n))): format_rational(w)
-            for g, w in enumerate(full.solution) if w
-        }
-        assert part == expected
+    weight = [parse_rational(part.get("".join(map(str, section_values(g, n))), "0"))
+              for g in range(1 << n)]
+    assert sum(weight) == 1 - cf
+    entries = [x for row in fraction_rows(model) for x in row]
+    for row, x in zip(_incidence(s.observables, s.contexts), entries, strict=True):
+        assert sum(weight[g] for g, _ in row) <= x
+    assert all(weight[g ^ h] == weight[g] for g in range(1 << n) for h in group)
+    quotient, _, reduced = _refined_lp(model)
+    if quotient.nonzeros >= analysis.REFINE_MIN_ENTRIES:
+        by_class = {}
+        for g in range(1 << n):
+            by_class.setdefault(reduced.column_class[quotient.column_of[g]], set()).add(weight[g])
+        assert all(len(weights) == 1 for weights in by_class.values())
+
+
+@CASES
+@given(refinable_models())
+def check_refined_cf_matches_orbit_lp(model):
+    """On orbit LPs above the refinement gate the partition is equitable and keeps the optimum.
+
+    The equitable-partition oracle checks the partition on the orbit LP,
+    and the CF solved on it equals ``maximize`` on the unreduced orbit LP.
+    """
+    quotient, b, reduced = _refined_lp(model)
+    assume(quotient.nonzeros >= analysis.REFINE_MIN_ENTRIES)
+    objective = (quotient.order,) * len(quotient.columns)
+    assert equitable_violation(
+        quotient.a_le, b, objective, reduced.row_class, reduced.column_class
+    ) is None
+    assert len(reduced.a_le) == len(set(reduced.row_class)) <= len(b)
+    assert len(reduced.objective) == len(set(reduced.column_class)) <= len(objective)
+    unreduced = maximize(LinearProgram(objective=objective, a_le=quotient.a_le, b_le=b))
+    assert contextual_fraction(model) == 1 - unreduced.value / model.den
+
+
+def _merged(classes, pick):
+    """``classes`` with two of its classes, chosen by ``pick``, made one; None if there is one class."""
+    count = max(classes) + 1
+    if count < 2:
+        return None
+    a = pick % count
+    b = (a + 1 + (pick // count) % (count - 1)) % count
+    return tuple(analysis._classes([a if cls == b else cls for cls in classes]))
+
+
+@CASES
+@given(refinable_models(), st.integers(0, 1 << 16), st.booleans())
+def check_merged_partition_never_moves_cf(model, pick, rows):
+    """A partition with two row or two column classes merged fails the certificate or keeps the CF.
+
+    The merged partition is usually not equitable, so its reduced LP's
+    optimum lifts to a point the full-LP certificate rejects; it must never
+    be certified with another value.
+    """
+    quotient, _, reduced = _refined_lp(model)
+    assume(quotient.nonzeros >= analysis.REFINE_MIN_ENTRIES)
+    cf = contextual_fraction(model)
+    row_class, column_class = reduced.row_class, reduced.column_class
+    if rows:
+        row_class = _merged(row_class, pick)
     else:
-        weight = [parse_rational(part.get("".join(map(str, section_values(g, n))), "0"))
-                  for g in range(1 << n)]
-        assert all(weight[g ^ h] == weight[g] for g in range(1 << n) for h in group)
-        assert sum(weight) == 1 - cf
+        column_class = _merged(column_class, pick)
+    if row_class is None or column_class is None:
+        return
+    wrong = analysis._reduced(quotient, row_class, column_class)
+    with mock.patch.object(analysis, "_refined", lambda s, group, pattern: wrong):
+        try:
+            assert contextual_fraction(model) == cf
+        except InternalConsistencyError as exc:
+            assert "expected an optimum" in str(exc) or "certificate" in str(exc)
 
 
 def _unshared_row_duals(quotient):

@@ -417,6 +417,28 @@ def test_json_rows_are_read_one_at_a_time_in_context_order():
         model_from_dict(payload)
 
 
+def test_json_cells_are_refused_as_parse_rational_refuses_them():
+    # make_model reads "k/d" cells to integer pairs without parse_rational,
+    # with its grammar and messages; every cell of a row is read before the
+    # row's common denominator is checked.
+    payload = model_to_dict(pr_box(0, 0, 0))
+    too_long = "1" * (RATIONAL_DIGIT_LIMIT + 1)
+    for cell in ("0.5", "1/0", "1/" + too_long, " 1", "1/-2"):
+        with pytest.raises(MalformedInput) as expected:
+            parse_rational(cell)
+        payload["tables"]["X1|X2"] = ["1/2", "0", "0", cell]
+        with pytest.raises(MalformedInput) as got:
+            model_from_dict(payload)
+        assert str(got.value) == str(expected.value)
+    # Eleven 100-digit denominators with a common multiple past the limit.
+    s = make_scenario([f"Y{k}" for k in range(4)], [[f"Y{k}" for k in range(4)]])
+    cells = [f"1/{10**99 + k}" for k in range(1, 12)] + ["0"] * 5
+    with pytest.raises(TooLarge, match="common denominator"):
+        make_model(s, [cells])
+    with pytest.raises(MalformedInput, match="not a rational"):
+        make_model(s, [cells[:-1] + ["0.5"]])
+
+
 def test_json_integer_cells_are_read_as_integers():
     payload = model_to_dict(deterministic_model(S22, (0, 1, 1, 0)))
     payload["tables"] = {key: [int(x) for x in row] for key, row in payload["tables"].items()}

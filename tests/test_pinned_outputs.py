@@ -18,6 +18,10 @@ Boolean no-signaling, family and secret-sharing digests were recorded
 before the Boolean check, the CSP search and the 26-parameter table read the
 overlap plans of ``is_no_signaling``; the secret-sharing one pins the
 transcript of a parity resource before the simulator takes other models.
+The simplex digest and the full classify one were re-recorded again when
+large CF LPs came to be solved on their coarsest equitable partition: the
+LPs handed to the solver are then the reduced ones, and the bell-2-4 noisy
+lifts report an optimum constant on the refined classes.
 """
 
 from __future__ import annotations
@@ -156,7 +160,7 @@ def test_model_and_classify_json_match_the_pinned_digest():
         count += 1
     assert count == 257
     assert digest.hexdigest() == (
-        "57556b44e0951c410b41ced0e9915832d91e59bdd0a3755054eba3479855cae4"
+        "87ac879f9e5d515980c4ef7a7dfef9b5801e877cf7d8531bb2718ffa0139ee1b"
     )
 
 
@@ -240,8 +244,9 @@ def _simplex_records(monkeypatch) -> list:
     """``[pivots, status, value, solution, dual]`` of each of 407 seeded and CF LPs.
 
     400 :func:`_random_lp` programs, the CF LP of the 8b pivoting point, and
-    the LPs ``contextual_fraction`` hands the solver: orbit LPs of the noisy
-    bell-2-4 lifts, and the full LP of the model no flip fixes.
+    the LPs ``contextual_fraction`` hands the solver: the orbit LPs of the
+    noisy bell-2-4 lifts and the full LP of the model no flip fixes, each on
+    its coarsest equitable partition.
     """
     records = []
     pivots = _pivot_log(monkeypatch)
@@ -274,7 +279,7 @@ def test_simplex_pivots_and_outcomes_match_the_pinned_digest(monkeypatch):
     for record in _simplex_records(monkeypatch):
         digest.update(json.dumps(record).encode() + b"\n")
     assert digest.hexdigest() == (
-        "237c05f4a6dc13f2965d85fc87e8b33f865ece98eadd563dd66f2daac854f530"
+        "776b15599de9a17a43e6728257d5bd4724eeb4e20d752a72ba545a80a4b3d7bf"
     )
 
 
@@ -290,10 +295,12 @@ def test_simplex_statuses_and_values_match_the_pinned_digest(monkeypatch):
 
 
 def test_bell_42_mix_with_no_symmetry_pivots_737_times(monkeypatch):
-    # The full 256-row, 256-column CF LP: the one-odd-context lift 1/2,
-    # uniform noise 1/4, and the all-0 and all-1 deterministic models 1/7
-    # and 3/28.  No outcome flip fixes the mix, so the simplex runs on the
-    # whole LP; Bland's rule alone took 1 302 pivots.
+    # The one-odd-context lift 1/2, uniform noise 1/4, and the all-0 and
+    # all-1 deterministic models 1/7 and 3/28.  No outcome flip fixes the
+    # mix, so its orbit LP is the full 256-row, 256-column CF LP: the
+    # simplex, called on it directly, takes 737 pivots (Bland's rule alone
+    # took 1 302).  Its coarsest equitable partition has 35 row and 35
+    # column classes, and the CF solves that LP in 17 pivots.
     s = bell_scenario(4, 2)
     odd = _lift(s, (1,) + (0,) * (s.n_contexts - 1))
     noise = lift_uniform(PossibilisticModel(s, (0xFFFF,) * s.n_contexts))
@@ -301,16 +308,26 @@ def test_bell_42_mix_with_no_symmetry_pivots_737_times(monkeypatch):
     model = mix([odd, noise, zeros, ones], [F(1, 2), Q, F(1, 7), F(3, 28)])
     pivots = _pivot_log(monkeypatch)
     assert analysis.contextual_fraction(model) == F(5, 14)
+    assert len(pivots) == 17
+    pivots.clear()
+    full = ratlp.maximize(ratlp.LinearProgram(
+        objective=(1,) * 256,
+        a_le=analysis.incidence_matrix(s),
+        b_le=tuple(x for row in model.numerators for x in row),
+    ))
+    assert full.value == F(9, 14) * model.den
     assert len(pivots) == 737
 
 
-def test_lp_scale_noisy_lifts_pivot_113_times(monkeypatch):
-    # The CF LPs of the lp_scale benchmark workload: a pricing change that
-    # moves its pivots shows here.
+def test_lp_scale_noisy_lifts_pivot_34_times(monkeypatch):
+    # The CF LPs of the lp_scale benchmark workload: a pricing change or a
+    # coarser partition that moves its pivots shows here.  Each orbit LP,
+    # 32 x 128, is solved on its 6 x 20 equitable partition; unreduced,
+    # the five took 113 pivots.
     pivots = _pivot_log(monkeypatch)
     cfs = [analysis.contextual_fraction(model) for model in _noisy_lifts_24()]
     assert cfs == [F(3, 4), F(1, 2), Q, 0, 0]  # noise 1/8, 1/4, 3/8, 1/2, 3/4
-    assert len(pivots) == 113
+    assert len(pivots) == 34
 
 
 def _witness_models(rng, s):
