@@ -330,6 +330,26 @@ def test_lp_scale_noisy_lifts_pivot_34_times(monkeypatch):
     assert len(pivots) == 34
 
 
+def test_bell_52_mix_at_the_lp_guard_matches_the_pinned_digest():
+    # The bell-5-2 mix of the one-odd-context lift 1/2, uniform noise 1/4
+    # and the all-0 and all-1 deterministic models 1/7 and 3/28.  No flip
+    # fixes it, so its orbit LP is the full 1 024 x 1 024 incidence LP, the
+    # largest the LP guard admits; the digest pins its report, the
+    # noncontextual part over the 1 024 global assignments included.
+    s = bell_scenario(5, 2)
+    odd = _lift(s, (1,) + (0,) * (s.n_contexts - 1))
+    noise = lift_uniform(PossibilisticModel(s, ((1 << 32) - 1,) * s.n_contexts))
+    zeros, ones = (deterministic_model(s, (v,) * len(s.observables)) for v in (0, 1))
+    model = mix([odd, noise, zeros, ones], [F(1, 2), Q, F(1, 7), F(3, 28)])
+    assert analysis._flip_group(s, tuple(map(analysis._stabilizer, model.numerators))) == 1
+    assert sum(map(len, model.numerators)) << len(s.observables) == analysis.LP_ENTRY_LIMIT
+    report = classify(model)
+    assert report.cf == F(1, 3)
+    assert hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest() == (
+        "70701134e460ed3214d1116d953762311a3fa199c5c9b26493b0acd0d03a741a"
+    )
+
+
 def _witness_models(rng, s):
     """Seeded models on ``s``, each followed by a signaling perturbation of it.
 
