@@ -12,10 +12,13 @@ The LP is solved on orbits of the group H of global outcome flips that fix
 every context table: one column per coset of H, one row per orbit of
 (context, section) rows.  A global flip restricts to a context exactly as a
 global assignment does, so H is the support scan run on the pattern of
-per-context stabilisers.  The optimum is lifted back (each assignment takes
-its coset's weight, each row its orbit's dual divided by the orbit size)
-and the lifted pair must pass an integer certificate that is a proof about
-the full LP from :func:`incidence_matrix` without trusting how H was found:
+per-context stabilisers.  The optimum is read as integers over one
+denominator ``d``, the least one its own entries need, and lifted back as
+integers over ``d`` (each assignment takes its coset's weight, each row its
+orbit's dual divided by the orbit size), so no Fraction is made between the
+solver and the CF.  The lifted pair must pass an integer certificate that
+is a proof about the full LP from :func:`incidence_matrix` without trusting
+how H was found:
 each generator of H, a basis taken from H's bitmask, is checked directly
 to fix the model's rows and the lifted primal and dual.  Invariance makes
 every dual row constant on a coset and every primal slack constant on a
@@ -34,12 +37,13 @@ An orbit LP with at least REFINE_MIN_ENTRIES nonzeros is reduced further,
 to its coarsest equitable partition: colour refinement of its rows (started
 from their right-hand sides) and columns, which can also merge rows and
 columns that no outcome flip maps to one another, and solved with one
-column per column class and one row per row class.  The reduced optimum is lifted to
-the orbit LP (each coset takes its class's weight, each row orbit its
-class's dual divided by the class size) and then certified exactly as
-above, so a wrong partition can only raise, never give a wrong CF.  The
-reduced LP is cached per (scenario, group, equality pattern of the
-right-hand side), of which it is a pure function.
+column per column class and one row per row class.  The reduced optimum is
+lifted to the orbit LP (each coset takes its class's weight, each row orbit
+its class's dual divided by the class size), with ``d`` taken from the
+class weights and from the class duals over class size times orbit size,
+and then certified exactly as above, so a wrong partition can only raise,
+never give a wrong CF.  The reduced LP is cached per (scenario, group,
+equality pattern of the right-hand side), of which it is a pure function.
 
 ``classify`` runs both routes and raises ``InternalConsistencyError`` if they
 ever disagree, rather than returning a silently wrong verdict.
@@ -47,13 +51,13 @@ ever disagree, rather than returning a silently wrong verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import lcm
 from operator import itemgetter, mul
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .empirical import (
     EmpiricalModel,
@@ -154,8 +158,7 @@ def _bit_string(idx: int, width: int) -> str:
 
 def contextual_fraction(m: EmpiricalModel) -> Fraction:
     """CF = 1 - max{ sum(d) : M d <= v, d >= 0 }, exactly."""
-    cf, _ = _contextual_fraction_with_witness(m)
-    return cf
+    return _contextual_fraction_with_witness(m)[0]
 
 
 # --- the CF LP on outcome-flip orbits -----------------------------------------
@@ -200,6 +203,13 @@ class _Quotient:
     ``column_of[g]`` and ``row_of[r]`` give the coset of assignment ``g``
     and the orbit of full row ``r``.
 
+    The lift reads a vector over cosets to one over global assignments
+    through ``lift_columns``, and one over row orbits to one over full rows
+    through ``lift_rows``: the getters of ``column_of`` and ``row_of``,
+    built with the quotient.  An optimum crosses them as integers over one
+    denominator taken from the LP's own optimum, so the lifted pair is
+    never a vector of Fractions.
+
     For the certificate, ``generators`` holds ``(column_flip, row_flip)``
     per basis flip ``h`` of H: getters that reorder a vector over global
     assignments by ``g -> g ^ h``, and one over full rows by each row's
@@ -216,6 +226,13 @@ class _Quotient:
     row_of: tuple[int, ...]
     generators: tuple
     columns: tuple
+    lift_columns: Callable = field(init=False, repr=False, compare=False)
+    lift_rows: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Built from the fields, so a copy made by ``replace`` lifts through its own maps.
+        object.__setattr__(self, "lift_columns", sequence_getter(self.column_of))
+        object.__setattr__(self, "lift_rows", sequence_getter(self.row_of))
 
 
 @lru_cache(maxsize=4096)
@@ -299,28 +316,26 @@ def _quotient(s: MeasurementScenario, group: int) -> _Quotient:
     )
 
 
-def _certify_lift(m: EmpiricalModel, quotient: _Quotient, out: LpOutcome) -> None:
-    """Prove the lifted orbit optimum ``out`` optimal for the full CF LP of ``m``.
+def _certify_lift(m: EmpiricalModel, quotient: _Quotient, weights, shares, d: int, v: int) -> tuple:
+    """Prove the lifted orbit optimum optimal for the full CF LP of ``m``; return its primal.
 
-    Everything is an integer over one denominator ``d``: the primal ``x``
-    takes its coset's orbit weight and the dual ``y`` its orbit's dual over
-    the orbit size, and the right-hand side ``b`` is the numerator rows.
-    Each generator of the quotient's group must fix ``b``, ``y`` and ``x``;
-    then the full LP's dual row of ``g`` is constant on the coset of ``g``
-    and the slack of a primal row on its orbit, so one of each per coset and
-    orbit is checked, and both objectives over every lifted entry.  Raises
-    InternalConsistencyError when the pair proves nothing.
+    Everything is an integer over the denominator ``d``: ``weights[j]`` is
+    the weight of coset ``j``, ``shares[k]`` the dual of each row of orbit
+    ``k`` (its orbit dual over the orbit size) and ``v`` the optimum.  The
+    primal ``x`` gives each assignment its coset's weight and the dual ``y``
+    each row its orbit's share; the right-hand side ``b`` is the numerator
+    rows.  Each generator of the quotient's group must fix ``b``, ``y`` and
+    ``x``; then the full LP's dual row of ``g`` is constant on the coset of
+    ``g`` and the slack of a primal row on its orbit, so one of each per
+    coset and orbit is checked, and both objectives over every lifted
+    entry.  Returns ``x``, and raises InternalConsistencyError when the pair
+    proves nothing.
     """
     def fail(what):
         raise InternalConsistencyError(f"lifted CF optimum failed its quotient certificate: {what}")
 
-    value, sizes = out.value, quotient.row_size
-    d = lcm(value.denominator, *[q.denominator for q in out.solution],
-            *[q.denominator * size for q, size in zip(out.dual, sizes)])
-    weights = [q.numerator * (d // q.denominator) for q in out.solution]
-    shares = [q.numerator * (d // (q.denominator * size)) for q, size in zip(out.dual, sizes)]
-    x = tuple([weights[j] for j in quotient.column_of])
-    y = tuple([shares[k] for k in quotient.row_of])
+    x = quotient.lift_columns(weights)
+    y = quotient.lift_rows(shares)
     b = tuple(chain.from_iterable(m.numerators))
     for column_flip, row_flip in quotient.generators:
         if row_flip(b) != b:
@@ -329,18 +344,40 @@ def _certify_lift(m: EmpiricalModel, quotient: _Quotient, out: LpOutcome) -> Non
             fail("the lifted dual is not invariant")
         if column_flip(x) != x:
             fail("the lifted primal is not invariant")
+    if d <= 0:
+        fail("the denominator is not positive")
     if min(x) < 0 or min(y) < 0:
         fail("negative primal or dual entry")
-    for rows_of_g in quotient.columns:
-        if sum(rows_of_g(y)) < d:
-            fail("dual row violated")
     matrix = incidence_matrix(m.scenario)
     for r in quotient.row_reps:
         if sum([a * x[g] for g, a in matrix[r]]) > b[r] * d:
             fail("primal row violated")
-    v = value.numerator * (d // value.denominator)
-    if sum(x) != v or sum(map(mul, b, y)) != v:
-        fail("an objective differs from the optimum")
+    if sum(x) != v:
+        fail("the primal objective differs from the optimum")
+    if sum(map(mul, b, y)) != v:
+        fail("the dual objective differs from the optimum")
+    for rows_of_g in quotient.columns:
+        if sum(rows_of_g(y)) < d:
+            fail("dual row violated")
+    return x
+
+
+def _integral(out: LpOutcome, splits) -> tuple:
+    """``(weights, shares, d, v)``: the optimum ``out`` as integers over one denominator ``d``.
+
+    ``d`` is the least that makes every entry an integer: ``weights`` is
+    ``d`` times the solution, ``shares[k]`` is ``d`` times dual ``k`` over
+    ``splits[k]``, and ``v`` is ``d`` times the value.
+    """
+    value = out.value
+    d = lcm(value.denominator, *[q.denominator for q in out.solution],
+            *[q.denominator * n for q, n in zip(out.dual, splits)])
+    return (
+        [q.numerator * (d // q.denominator) for q in out.solution],
+        [q.numerator * (d // (q.denominator * n)) for q, n in zip(out.dual, splits)],
+        d,
+        value.numerator * (d // value.denominator),
+    )
 
 
 # --- the orbit LP on its coarsest equitable partition --------------------------
@@ -366,15 +403,25 @@ class _Reduced:
     of the cosets in class ``C``, so its objective coefficient is the class's
     objective sum.  Row ``R`` is orbit row ``row_reps[R]``, the least of its
     class, with its coefficients summed over each column class; ``row_size[R]``
-    is the size of the class.
+    is the size of the class, and ``row_split[R]`` that size times the orbit
+    size of its least row, the number of full rows its dual is shared by.
+    ``lift_columns`` and ``lift_rows``, the getters of ``column_class`` and
+    ``row_class``, read a vector over classes to one over cosets or orbits.
     """
 
     objective: tuple[int, ...]
     a_le: tuple[tuple[tuple[int, int], ...], ...]
     row_reps: tuple[int, ...]
     row_size: tuple[int, ...]
+    row_split: tuple[int, ...]
     row_class: tuple[int, ...]
     column_class: tuple[int, ...]
+    lift_columns: Callable = field(init=False, repr=False, compare=False)
+    lift_rows: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lift_columns", sequence_getter(self.column_class))
+        object.__setattr__(self, "lift_rows", sequence_getter(self.row_class))
 
 
 def _classes(signatures) -> list[int]:
@@ -435,6 +482,7 @@ def _reduced(quotient: _Quotient, row_class, column_class) -> _Reduced:
         a_le=tuple(a_le),
         row_reps=tuple(row_reps),
         row_size=tuple(row_size),
+        row_split=tuple([n * quotient.row_size[k] for n, k in zip(row_size, row_reps)]),
         row_class=tuple(row_class),
         column_class=tuple(column_class),
     )
@@ -463,12 +511,14 @@ def _optimum(lp: LinearProgram) -> LpOutcome:
 
 
 def _contextual_fraction_with_witness(m: EmpiricalModel):
-    """``(CF, optimum)``: the CF LP solved on flip orbits, its lifted optimum certified in full.
+    """``(CF, x, den)``: the CF LP solved on flip orbits, its lifted optimum certified in full.
 
     An orbit LP with at least REFINE_MIN_ENTRIES nonzeros is solved on its
-    coarsest equitable partition and that optimum lifted to the orbit LP
-    first.  The LP's ``b`` is the numerator rows, so ``optimum`` is
-    ``m.den`` times a probability optimum.
+    coarsest equitable partition, each coset taking its class's weight and
+    each row orbit its class's dual over the class size.  Either optimum is
+    read as integers over one denominator ``d``, lifted through the
+    quotient's getters and certified.  ``x`` is the certified primal over
+    global assignments: assignment ``g`` has probability ``x[g] / den``.
     """
     _require_no_signaling(m)
     s = m.scenario
@@ -481,6 +531,7 @@ def _contextual_fraction_with_witness(m: EmpiricalModel):
         out = _optimum(LinearProgram(
             objective=(quotient.order,) * len(quotient.columns), a_le=quotient.a_le, b_le=b_le,
         ))
+        weights, shares, d, v = _integral(out, quotient.row_size)
     else:
         reduced = _refined(s, group, tuple(_classes(b_le)))
         out = _optimum(LinearProgram(
@@ -488,15 +539,11 @@ def _contextual_fraction_with_witness(m: EmpiricalModel):
             a_le=reduced.a_le,
             b_le=tuple([b_le[k] for k in reduced.row_reps]),
         ))
-        shares = [q / size for q, size in zip(out.dual, reduced.row_size)]
-        out = LpOutcome(
-            out.status,
-            out.value,
-            tuple([out.solution[cls] for cls in reduced.column_class]),
-            tuple([shares[cls] for cls in reduced.row_class]),
-        )
-    _certify_lift(m, quotient, out)
-    return 1 - out.value / m.den, tuple([out.solution[j] for j in quotient.column_of])
+        weights, shares, d, v = _integral(out, reduced.row_split)
+        weights, shares = reduced.lift_columns(weights), reduced.lift_rows(shares)
+    x = _certify_lift(m, quotient, weights, shares, d, v)
+    den = m.den * d
+    return Fraction(den - v, den), x, den
 
 
 def is_strongly_contextual(m: Union[EmpiricalModel, PossibilisticModel]):
@@ -601,14 +648,15 @@ def classify(m: EmpiricalModel) -> ClassificationReport:
     A model is AMCC exactly when it is maximally contextual (CF = 1, which
     coincides with strong contextuality) and all its proper within-context
     marginals are uniform.  Below CF = 1 the witness's ``noncontextual_part``
-    is the optimum lifted from the flip orbits: an optimum of the full LP
-    that gives every assignment in a coset of H the same weight (the orbit
-    average), which at CF = 0 still reproduces every row.  When the orbit LP
+    is the certified optimum lifted from the flip orbits, read from its
+    integer weights: an optimum of the full LP that gives every assignment
+    in a coset of H the same weight (the orbit average), which at CF = 0
+    still reproduces every row.  When the orbit LP
     was solved on its coarsest equitable partition, that part is also
     constant on each column class of the partition.  With H trivial and no
     refinement it is the full LP's own optimum.
     """
-    cf, lp_solution = _contextual_fraction_with_witness(m)
+    cf, lp_solution, den = _contextual_fraction_with_witness(m)
     strong, strong_witness = is_strongly_contextual(m)
     if strong != (cf == 1):
         raise InternalConsistencyError(
@@ -622,7 +670,7 @@ def classify(m: EmpiricalModel) -> ClassificationReport:
         # At CF = 0 this global distribution reproduces every row exactly.
         n = len(m.scenario.observables)
         witness["noncontextual_part"] = {
-            _bit_string(g, n): format_rational(w / m.den) for g, w in enumerate(lp_solution) if w
+            _bit_string(g, n): format_rational(Fraction(w, den)) for g, w in enumerate(lp_solution) if w
         }
     if marg_witness is not None:
         witness["failing_marginal"] = {

@@ -390,18 +390,38 @@ def _subset_plans(s: MeasurementScenario) -> tuple:
     )
 
 
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
+def _deciding_plans(s: MeasurementScenario) -> tuple:
+    """The entries of :func:`_subset_plans` whose subset leaves out exactly one label of its context."""
+    return tuple(
+        plan for plan in _subset_plans(s) if len(plan[1]) == len(s.contexts[plan[0]]) - 1
+    )
+
+
+def _first_nonuniform(m: EmpiricalModel, plans):
+    """The first ``(c, subset, plan)`` of ``plans`` whose marginal is not uniform, or None."""
+    rows, den = m.numerators, m.den
+    for c, subset, plan in plans:
+        row, k = rows[c], len(subset)
+        for pick in plan:
+            if sum(pick(row)) << k != den:
+                return c, subset, plan
+    return None
+
+
 def is_maximal_marginal(m: EmpiricalModel):
     """True iff every proper within-context marginal of size k is uniform 1/2**k.
 
     Returns ``(True, None)`` or ``(False, witness)`` with the first failure in
-    canonical order.
+    canonical order.  A uniform marginal stays uniform when marginalised
+    further, and every proper subset lies in one that leaves out a single
+    label, so those subsets decide; only a model that fails walks every
+    subset in canonical order, for the witness.
     """
-    for c, subset, plan in _subset_plans(m.scenario):
-        row, k = m.numerators[c], len(subset)
-        for pick in plan:
-            if sum(pick(row)) << k != m.den:
-                return False, MarginalWitness(c, subset, _over(_read(plan, row), m.den))
-    return True, None
+    if _first_nonuniform(m, _deciding_plans(m.scenario)) is None:
+        return True, None
+    c, subset, plan = _first_nonuniform(m, _subset_plans(m.scenario))
+    return False, MarginalWitness(c, subset, _over(_read(plan, m.numerators[c]), m.den))
 
 
 def lift_uniform(p: PossibilisticModel) -> EmpiricalModel:

@@ -211,6 +211,40 @@ def raw_models(draw):
 
 
 @st.composite
+def near_uniform_marginal_models(draw):
+    """A bare :class:`EmpiricalModel` whose proper marginals start uniform, often perturbed.
+
+    A parity lift or the uniform model on a scenario of :func:`raw_models`,
+    its denominator scaled by up to 4, then up to two changes to one row
+    each: a correlation move, ``t`` added on the sections of even weight and
+    taken from those of odd weight, which keeps every proper marginal
+    uniform, or one unit of mass moved between two sections, which breaks
+    at least one marginal that leaves out a single label.
+    """
+    s = draw(st.sampled_from([SCENARIO_22, SCENARIO_32, SCENARIO_24, MIXED_WIDTHS, CYCLE_5]))
+    if draw(st.booleans()):
+        base = parity_lift(
+            s, draw(st.lists(st.integers(0, 1), min_size=s.n_contexts, max_size=s.n_contexts)))
+    else:
+        base = uniform_model(s)
+    scale = draw(st.integers(1, 4))
+    rows = [[x * scale for x in row] for row in base.numerators]
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, s.n_contexts - 1))]
+        if draw(st.booleans()):
+            odd = [sec.bit_count() & 1 for sec in range(len(row))]
+            low = min(x for x, o in zip(row, odd) if not o)
+            high = min(x for x, o in zip(row, odd) if o)
+            t = draw(st.integers(-low, high))
+            row[:] = [x - t if o else x + t for x, o in zip(row, odd)]
+        else:
+            source = draw(st.sampled_from([sec for sec, x in enumerate(row) if x]))
+            row[source] -= 1
+            row[(source + draw(st.integers(1, len(row) - 1))) % len(row)] += 1
+    return EmpiricalModel(s, base.den * scale, tuple(map(tuple, rows)))
+
+
+@st.composite
 def support_patterns(draw):
     """Support masks on the scenarios of :func:`raw_models`.
 

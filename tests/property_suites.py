@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -41,7 +42,7 @@ from amcc.empirical import (
     possibilistic_to_dict,
 )
 from amcc.errors import InternalConsistencyError, ShapeMismatch, SignalingDetected
-from amcc.ratlp import LinearProgram, certify, maximize
+from amcc.ratlp import LinearProgram, LpOutcome, LpStatus, certify, maximize
 from amcc.scenario import polytope_dimension, projection, section_index, section_values
 
 from _generators import (
@@ -326,8 +327,21 @@ def check_orbit_lift_mutations_fail_certificate(model):
                 contextual_fraction(model)
 
 
+class Lift(NamedTuple):
+    """What the quotient certificate takes, all integers over the denominator ``d``.
+
+    ``weights[j]`` is the weight of coset ``j``, ``shares[k]`` the dual of
+    each full row of orbit ``k`` and ``value`` the optimum.
+    """
+
+    weights: tuple
+    shares: tuple
+    d: int
+    value: int
+
+
 def lift_inputs(model, flip_group=None):
-    """``(group, quotient, outcome)``: the flip group found and the lift certificate's inputs.
+    """``(group, quotient, lift)``: the flip group found and the lift certificate's inputs.
 
     The certificate itself is not run.  ``flip_group``, when given, replaces
     the flip group found for the model.
@@ -339,116 +353,149 @@ def lift_inputs(model, flip_group=None):
         seen.append(real(s, stabilizers) if flip_group is None else flip_group)
         return seen[-1]
 
-    with mock.patch.object(analysis, "_certify_lift", lambda m, *args: seen.extend(args)), \
+    def capture(m, quotient, weights, shares, d, v):
+        seen.extend((quotient, Lift(tuple(weights), tuple(shares), d, v)))
+
+    with mock.patch.object(analysis, "_certify_lift", capture), \
             mock.patch.object(analysis, "_flip_group", group_of):
         contextual_fraction(model)
     return tuple(seen)
 
 
-def quotient_accepts(model, quotient, out):
+def outcome(quotient, lift):
+    """The orbit-LP optimum that the CF reads back as ``lift``: each orbit dual is its share times the orbit size."""
+    return LpOutcome(
+        LpStatus.OPTIMAL,
+        F(lift.value, lift.d),
+        tuple(F(w, lift.d) for w in lift.weights),
+        tuple(F(y * n, lift.d) for y, n in zip(lift.shares, quotient.row_size)),
+    )
+
+
+def quotient_accepts(model, quotient, lift):
     """Whether the quotient certificate accepts the lifted pair."""
     try:
-        analysis._certify_lift(model, quotient, out)
+        analysis._certify_lift(model, quotient, *lift)
     except InternalConsistencyError as exc:
         assert "quotient certificate" in str(exc)
         return False
     return True
 
 
-def full_lp_accepts(model, quotient, out):
+def full_lp_accepts(model, quotient, lift):
     """Whether ``ratlp.certify`` accepts the lifted pair on the full CF LP."""
     lp = LinearProgram(
         objective=(1,) * len(quotient.column_of),
         a_le=incidence_matrix(model.scenario),
         b_le=tuple(x for row in model.numerators for x in row),
     )
-    solution = [out.solution[j] for j in quotient.column_of]
-    dual = [out.dual[k] / quotient.row_size[k] for k in quotient.row_of]
+    solution = [F(lift.weights[j], lift.d) for j in quotient.column_of]
+    dual = [F(lift.shares[k], lift.d) for k in quotient.row_of]
     try:
-        certify(lp, out.value, solution, dual)
+        certify(lp, F(lift.value, lift.d), solution, dual)
     except InternalConsistencyError:
         return False
     return True
 
 
-def nudged(out, field, k, step):
-    """``out`` with entry ``k`` of its ``solution`` or ``dual`` moved by ``step``."""
-    entries = list(getattr(out, field))
-    entries[k] += step
-    return replace(out, **{field: tuple(entries)})
+def finer(lift, n):
+    """``lift`` over ``n`` times its denominator: the same pair."""
+    return Lift(tuple(w * n for w in lift.weights), tuple(y * n for y in lift.shares),
+                lift.d * n, lift.value * n)
 
 
-def scaled(out, k):
-    """``out`` with its value, primal and dual all multiplied by ``k``."""
-    return replace(
-        out,
-        value=out.value * k,
-        solution=tuple(q * k for q in out.solution),
-        dual=tuple(q * k for q in out.dual),
-    )
+def nudged(lift, field, k, step):
+    """``lift`` with entry ``k`` of its ``weights`` or ``shares`` moved by the rational ``step``.
+
+    The denominator grows as far as the moved entry needs.
+    """
+    delta = F(step) * lift.d
+    lift = finer(lift, delta.denominator)
+    entries = list(getattr(lift, field))
+    entries[k] += delta.numerator
+    return lift._replace(**{field: tuple(entries)})
+
+
+def revalued(lift, value):
+    """``lift`` claiming the rational optimum ``value``."""
+    v = F(value) * lift.d
+    return finer(lift, v.denominator)._replace(value=v.numerator)
+
+
+def scaled(lift, k):
+    """``lift`` with its value, primal and dual all multiplied by the rational ``k``."""
+    k = F(k)
+    return Lift(tuple(w * k.numerator for w in lift.weights),
+                tuple(y * k.numerator for y in lift.shares),
+                lift.d * k.denominator, lift.value * k.numerator)
 
 
 STEP = F(1, 64)
 
 
-def wrong_pairs(model, quotient, out):
-    """Orbit optima that prove nothing, each failing the check it names.
+def wrong_pairs(model, quotient, lift):
+    """Lifted orbit optima that prove nothing, each failing the check it names.
 
     Every coset has ``quotient.order`` members, and orbit ``k`` adds
-    ``b_k * dual[k]`` to the dual objective, ``b_k`` the right-hand side at
-    its representative row.
+    ``b_k * size_k * share_k`` to the dual objective, ``b_k`` the
+    right-hand side at its representative row and ``size_k`` its size.
+    Steps are rationals; the denominator grows to hold them.
 
-    * Objectives: one primal entry, or one dual with ``b_k > 0``, moved by
+    * Objectives: one weight, or one share with ``b_k > 0``, moved by
       ``STEP`` either way.
     * Primal sign: ``STEP`` of weight moved onto another coset from the
       first coset of weight 0; both objectives hold.
-    * Dual sign: ``t`` added to every dual of the first context and taken
-      from every dual of the last; each column meets one row of each, so
-      no dual row or objective moves, and ``t`` exceeds every dual.
-    * Primal rows: coset ``j`` given ``STEP`` more weight and the first dual
-      with ``b_k > 0`` raised to match, for each ``j``.  The dual stays
-      feasible and the value exceeds the optimum, so a row through ``j``
-      overflows.
-    * Dual rows: each dual with ``b_k > 0`` lowered and the heaviest coset
-      lowered to match, with a positive optimum.  The primal stays feasible
-      and the value falls below the optimum, so a column meeting orbit
-      ``k`` falls short.
+    * Dual sign: ``t`` added to every share of the first context and taken
+      from every share of the last; each column meets one row of each, so
+      no dual row or objective moves, and ``t`` exceeds every share.
+    * Primal rows: coset ``j`` given ``STEP`` more weight and the first
+      share with ``b_k > 0`` raised to match, for each ``j``.  The dual
+      stays feasible and the value exceeds the optimum, so a row through
+      ``j`` overflows.
+    * Dual rows: each orbit dual with ``b_k > 0`` lowered and the heaviest
+      coset lowered to match, with a positive optimum.  The primal stays
+      feasible and the value falls below the optimum, so a column meeting
+      orbit ``k`` falls short.
     * Both: with a positive optimum, the whole pair doubled or halved.
     """
     context_of = [c for c, row in enumerate(model.numerators) for _ in row]
     rows = [x for row in model.numerators for x in row]
     b = [rows[r] for r in quotient.row_reps]
+    size = quotient.row_size
     contexts = [context_of[r] for r in quotient.row_reps]
     nonzero = [k for k in range(len(b)) if b[k]]
+    weights = [F(w, lift.d) for w in lift.weights]
+    value = F(lift.value, lift.d)
     for step in (STEP, -STEP):
-        for j in range(len(out.solution)):
-            yield nudged(out, "solution", j, step)
+        for j in range(len(weights)):
+            yield nudged(lift, "weights", j, step)
         for k in nonzero:
-            yield nudged(out, "dual", k, step)
-    if 0 in out.solution:
-        empty = out.solution.index(0)
-        for j in range(len(out.solution)):
+            yield nudged(lift, "shares", k, step)
+    if 0 in lift.weights:
+        empty = lift.weights.index(0)
+        for j in range(len(weights)):
             if j != empty:
-                yield nudged(nudged(out, "solution", empty, -STEP), "solution", j, STEP)
-    t = max(out.dual) + 1
+                yield nudged(nudged(lift, "weights", empty, -STEP), "weights", j, STEP)
+    t = max(lift.shares) + lift.d
     first, last = contexts[0], contexts[-1]
-    yield replace(out, dual=tuple(
-        y + t * size if c == first else y - t * size if c == last else y
-        for y, size, c in zip(out.dual, quotient.row_size, contexts)
+    yield lift._replace(shares=tuple(
+        y + t if c == first else y - t if c == last else y
+        for y, c in zip(lift.shares, contexts)
     ))
     k = nonzero[0]
-    raised = nudged(out, "dual", k, STEP * quotient.order / b[k])
-    for j in range(len(out.solution)):
-        yield replace(nudged(raised, "solution", j, STEP), value=out.value + STEP * quotient.order)
-    if out.value:
-        heavy = max(range(len(out.solution)), key=out.solution.__getitem__)
+    raised = nudged(lift, "shares", k, STEP * quotient.order / (b[k] * size[k]))
+    for j in range(len(weights)):
+        yield revalued(nudged(raised, "weights", j, STEP), value + STEP * quotient.order)
+    if lift.value:
+        heavy = max(range(len(weights)), key=weights.__getitem__)
         for k in nonzero:
-            if out.dual[k]:
-                s = min(out.dual[k], STEP, out.solution[heavy] * quotient.order / b[k])
-                lowered = nudged(out, "solution", heavy, -s * b[k] / quotient.order)
-                yield replace(nudged(lowered, "dual", k, -s), value=out.value - s * b[k])
-        yield scaled(out, 2)
-        yield scaled(out, F(1, 2))
+            if lift.shares[k]:
+                s = min(F(lift.shares[k] * size[k], lift.d), STEP,
+                        weights[heavy] * quotient.order / b[k])
+                lowered = nudged(lift, "weights", heavy, -s * b[k] / quotient.order)
+                yield revalued(nudged(lowered, "shares", k, -s / size[k]), value - s * b[k])
+        yield scaled(lift, 2)
+        yield scaled(lift, F(1, 2))
 
 
 @CASES
@@ -460,10 +507,10 @@ def check_quotient_certificate_matches_full_lp(model, pick):
     outside H to the group makes a generator that does not fix the model,
     which the quotient check rejects.
     """
-    group, quotient, out = lift_inputs(model)
-    assert quotient_accepts(model, quotient, out)
-    assert full_lp_accepts(model, quotient, out)
-    wrong = list(wrong_pairs(model, quotient, out))
+    group, quotient, lift = lift_inputs(model)
+    assert quotient_accepts(model, quotient, lift)
+    assert full_lp_accepts(model, quotient, lift)
+    wrong = list(wrong_pairs(model, quotient, lift))
     bad = wrong[pick % len(wrong)]
     assert not quotient_accepts(model, quotient, bad)
     assert not full_lp_accepts(model, quotient, bad)
@@ -473,9 +520,9 @@ def check_quotient_certificate_matches_full_lp(model, pick):
     if (group >> h) & 1:
         return
     wider = group | sum(1 << (g ^ h) for g in range(group.bit_length()) if (group >> g) & 1)
-    _, quotient, out = lift_inputs(model, flip_group=wider)
+    _, quotient, lift = lift_inputs(model, flip_group=wider)
     with pytest.raises(InternalConsistencyError, match="does not fix the model"):
-        analysis._certify_lift(model, quotient, out)
+        analysis._certify_lift(model, quotient, *lift)
 
 
 ALL_SUITES = (

@@ -32,7 +32,7 @@ from amcc.scenario import SCENARIO_CACHE_SIZE, bell_scenario, make_scenario
 
 from _generators import cycle_scenario, fraction_rows, singleton_scenario, uniform_model
 from _oracles import chsh_noisy_cf, incidence_bruteforce
-from property_suites import full_lp_accepts, lift_inputs, quotient_accepts, wrong_pairs
+from property_suites import full_lp_accepts, lift_inputs, outcome, quotient_accepts, wrong_pairs
 
 F = Fraction
 H = F(1, 2)
@@ -360,10 +360,10 @@ def test_quotient_certificate_refuses_a_flip_that_does_not_fix_the_model():
 
 def test_quotient_certificate_refuses_a_model_row_a_generator_does_not_fix():
     model = noisy_one_odd_lift(3, H)
-    _, quotient, out = lift_inputs(model)
+    _, quotient, lift = lift_inputs(model)
     tilted = mix([model, deterministic_model(S32, (0,) * 6)], [F(63, 64), F(1, 64)])
     with pytest.raises(InternalConsistencyError, match="does not fix the model"):
-        analysis._certify_lift(tilted, quotient, out)
+        analysis._certify_lift(tilted, quotient, *lift)
 
 
 def test_flip_bitmask_not_closed_under_xor_is_an_internal_fault():
@@ -389,9 +389,9 @@ def _split_quotient(group, **fields):
 
 def test_quotient_certificate_refuses_a_row_orbit_split():
     model = noisy_one_odd_lift(3, H)
-    group, quotient, out = lift_inputs(model)
+    group, quotient, lift = lift_inputs(model)
     r = quotient.row_of.index(0, 1)  # the second row of orbit 0 joins orbit 1
-    assert out.dual[0] != out.dual[1]
+    assert lift.shares[0] != lift.shares[1]
     row_of = quotient.row_of[:r] + (1,) + quotient.row_of[r + 1:]
     with _split_quotient(group, row_of=row_of):
         with pytest.raises(InternalConsistencyError,
@@ -401,9 +401,9 @@ def test_quotient_certificate_refuses_a_row_orbit_split():
 
 def test_quotient_certificate_refuses_a_coset_split():
     model = noisy_one_odd_lift(3, H)
-    group, quotient, out = lift_inputs(model)
+    group, quotient, lift = lift_inputs(model)
     g = quotient.column_of.index(0, 1)  # the second member of coset 0 joins coset 1
-    assert out.solution[0] != out.solution[1]
+    assert lift.weights[0] != lift.weights[1]
     column_of = quotient.column_of[:g] + (1,) + quotient.column_of[g + 1:]
     with _split_quotient(group, column_of=column_of):
         with pytest.raises(InternalConsistencyError,
@@ -413,14 +413,15 @@ def test_quotient_certificate_refuses_a_coset_split():
 
 def test_quotient_certificate_refuses_every_wrong_pair():
     model = noisy_one_odd_lift(3, H)
-    _, quotient, out = lift_inputs(model)
+    _, quotient, lift = lift_inputs(model)
     # Every row has a nonzero right-hand side: 16 primal and 16 dual entries
     # moved either way, 15 moves off an empty coset, one dual shift, 16
     # overweight cosets, 8 lowered positive duals, the pair doubled and halved.
-    wrong = list(wrong_pairs(model, quotient, out))
+    # Each is handed over as the orbit LP's optimum, as maximize returns it.
+    wrong = list(wrong_pairs(model, quotient, lift))
     assert len(wrong) == 64 + 15 + 1 + 16 + 8 + 2
     for bad in wrong:
-        with mock.patch.object(analysis, "maximize", lambda lp: bad):
+        with mock.patch.object(analysis, "maximize", lambda lp: outcome(quotient, bad)):
             with pytest.raises(InternalConsistencyError, match="certificate"):
                 contextual_fraction(model)
 
@@ -438,9 +439,60 @@ def _oracle_models():
 
 def test_full_lp_certify_agrees_with_the_quotient_certificate():
     for model in _oracle_models():
-        _, quotient, out = lift_inputs(model)
-        assert quotient_accepts(model, quotient, out)
-        assert full_lp_accepts(model, quotient, out)
-        for bad in wrong_pairs(model, quotient, out):
+        _, quotient, lift = lift_inputs(model)
+        assert quotient_accepts(model, quotient, lift)
+        assert full_lp_accepts(model, quotient, lift)
+        for bad in wrong_pairs(model, quotient, lift):
             assert not quotient_accepts(model, quotient, bad)
             assert not full_lp_accepts(model, quotient, bad)
+
+
+# --- the integer lift of a refined optimum ---------------------------------------
+#
+# lp_scale's bell-2-4 one-odd-context lift at noise 3/8 has CF 1/4; its 32 x 128
+# orbit LP is solved on its 6 x 20 coarsest equitable partition, whose optimum
+# is read as integers over one denominator d before the lift.  Each mutation
+# below changes those integers, before the lift, and the quotient certificate
+# refuses each with a message of its own.
+
+
+def _bumped(entries, k, step):
+    entries = list(entries)
+    entries[k] += step
+    return entries
+
+
+REFINED_MUTATIONS = {
+    "class weight +1": (
+        lambda w, y, d, v: (_bumped(w, 0, 1), y, d, v), "primal row violated"),
+    "class dual -1": (
+        lambda w, y, d, v: (w, _bumped(y, [k for k, q in enumerate(y) if q > 0][0], -1), d, v),
+        "the dual objective differs from the optimum"),
+    "d doubled": (
+        lambda w, y, d, v: (w, y, 2 * d, v), "dual row violated"),
+    "value numerator off by one": (
+        lambda w, y, d, v: (w, y, d, v + 1), "the primal objective differs from the optimum"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFINED_MUTATIONS))
+def test_refined_integer_lift_refuses_each_mutation(name):
+    s = bell_scenario(2, 4)
+    odd = lift_uniform(parity_to_possibilistic(parity_system(s, (1,) + (0,) * (s.n_contexts - 1))))
+    model = mix([odd, uniform_model(s)], [F(5, 8), F(3, 8)])
+    assert contextual_fraction(model) == Q
+    mutate, message = REFINED_MUTATIONS[name]
+    real = analysis._integral
+    shapes = []
+
+    def mutated(out, splits):
+        shapes.append((len(out.solution), len(out.dual)))
+        return mutate(*real(out, splits))
+
+    with mock.patch.object(analysis, "_integral", mutated):
+        with pytest.raises(InternalConsistencyError, match=f"quotient certificate: {message}"):
+            contextual_fraction(model)
+        _, quotient, lift = lift_inputs(model)
+    assert shapes == [(20, 6), (20, 6)]  # the reduced LP's class weights and class duals
+    assert not quotient_accepts(model, quotient, lift)
+    assert not full_lp_accepts(model, quotient, lift)

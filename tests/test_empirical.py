@@ -51,6 +51,7 @@ from _generators import (
     cycle_scenario,
     fraction_rows,
     large_denominator_document,
+    near_uniform_marginal_models,
     ns_models_222,
     raw_models,
     support_patterns_222,
@@ -636,3 +637,17 @@ def test_no_signaling_and_maximal_marginals_match_the_brute_force(model):
         *found[:2], tuple(Fraction(x, den) for x in found[2])
     ))
     assert is_maximal_marginal(model) == expected
+
+
+@ORACLE
+@given(st.one_of(raw_models(), near_uniform_marginal_models()))
+def test_maximal_marginal_verdict_matches_the_full_walk(model):
+    # The verdict comes from the subsets that leave out one label; the
+    # oracle and the library's canonical walk visit every proper subset.
+    s, den = model.scenario, model.den
+    found = non_uniform_marginal_bruteforce(s.contexts, model.numerators, den)
+    full = empirical._first_nonuniform(model, empirical._subset_plans(s))
+    verdict, witness = is_maximal_marginal(model)
+    assert verdict == (found is None) == (full is None)
+    if found is not None:
+        assert witness == MarginalWitness(*found[:2], tuple(Fraction(x, den) for x in found[2]))
