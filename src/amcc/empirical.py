@@ -305,6 +305,24 @@ def _plan(context: tuple[str, ...], target: tuple[str, ...]) -> tuple:
     return _marginal_plan(len(context), label_positions(context, target))
 
 
+def _plan_getter():
+    """A :func:`_plan` that builds each (width, positions) plan once, for one scenario's plan list.
+
+    Its plans are kept in a dict of its own, so a list with more shapes than
+    the LRU of :func:`_marginal_plan` holds (a width-9 context has 510
+    proper subsets) still holds one plan per shape.
+    """
+    plans = {}
+
+    def plan(context: tuple[str, ...], target: tuple[str, ...]) -> tuple:
+        key = len(context), label_positions(context, target)
+        if key not in plans:
+            plans[key] = _marginal_plan(*key)
+        return plans[key]
+
+    return plan
+
+
 def _read(plan, row, reduce=sum) -> tuple[int, ...]:
     """The marginal of a row through a :func:`_marginal_plan`: ``reduce`` of each getter's picks."""
     return tuple([reduce(pick(row)) for pick in plan])
@@ -325,8 +343,9 @@ def marginal(
 @lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def _overlap_plans(s: MeasurementScenario) -> tuple:
     """``(a, b, shared, plan_a, plan_b)`` for each pair of :func:`overlaps`, in its order."""
+    plan = _plan_getter()
     return tuple(
-        (a, b, shared, _plan(s.contexts[a], shared), _plan(s.contexts[b], shared))
+        (a, b, shared, plan(s.contexts[a], shared), plan(s.contexts[b], shared))
         for a, b, shared in overlaps(s)
     )
 
@@ -383,8 +402,9 @@ def proper_subsets(context: tuple[str, ...]):
 @lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def _subset_plans(s: MeasurementScenario) -> tuple:
     """``(c, subset, plan)`` for each proper subset of each context, in canonical order."""
+    plan = _plan_getter()
     return tuple(
-        (c, subset, _plan(ctx, subset))
+        (c, subset, plan(ctx, subset))
         for c, ctx in enumerate(s.contexts)
         for subset in proper_subsets(ctx)
     )
@@ -392,9 +412,16 @@ def _subset_plans(s: MeasurementScenario) -> tuple:
 
 @lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def _deciding_plans(s: MeasurementScenario) -> tuple:
-    """The entries of :func:`_subset_plans` whose subset leaves out exactly one label of its context."""
+    """The entries of :func:`_subset_plans` whose subset leaves out exactly one label of its context.
+
+    Built on their own, in the same order, so a model that passes never
+    walks the other subsets.
+    """
+    plan = _plan_getter()
     return tuple(
-        plan for plan in _subset_plans(s) if len(plan[1]) == len(s.contexts[plan[0]]) - 1
+        (c, subset, plan(ctx, subset))
+        for c, ctx in enumerate(s.contexts) if len(ctx) > 1
+        for subset in (ctx[:i] + ctx[i + 1:] for i in reversed(range(len(ctx))))
     )
 
 

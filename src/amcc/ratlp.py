@@ -1,15 +1,17 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming on integer programs.
 
 A program has a dense objective, which fixes the column count, and sparse
 constraint rows of ``(column, coefficient)`` pairs (see :class:`LinearProgram`).
+Every objective entry, coefficient and right-hand side is an ``int``;
+anything else, a ``Fraction`` included, is refused.  The optimum comes back
+as ``fractions.Fraction``.
 
 Two-phase primal simplex that enters on the largest coefficient (the most
-negative row-0 entry, a slack's in the units of its row as written, lowest
-index among equals) and falls back to Bland's rule after ``DEGENERATE_RUN``
-consecutive degenerate pivots, until the next nondegenerate one.  That
-terminates: each nondegenerate pivot strictly raises the objective, so no
-basis repeats across them, and Bland's rule cannot cycle within a
-degenerate run.  The tableau
+negative row-0 entry, lowest index among equals) and falls back to Bland's
+rule after ``DEGENERATE_RUN`` consecutive degenerate pivots, until the next
+nondegenerate one.  That terminates: each nondegenerate pivot strictly
+raises the objective, so no basis repeats across them, and Bland's rule
+cannot cycle within a degenerate run.  The tableau
 is kept integral ("fraction-free" pivoting: all entries share one positive
 denominator, updated by the previous pivot value), which avoids per-cell gcd
 work and is an order of magnitude faster than a Fraction tableau while
@@ -26,8 +28,7 @@ Each stored column keeps the denominator it was last written
 at: a pivot only rescales a column that is zero in the pivot row, and those
 rescales telescope, so a pivot rewrites just the columns its pivot row
 touches and a stale column is scaled when it is read.  Every entry is the
-one the full tableau would hold (see :class:`_Tableau`).  Inputs and
-outputs are ``fractions.Fraction``.
+one the full tableau would hold (see :class:`_Tableau`).
 
 A presolve pass exploits the structure of probability systems: a row with
 right-hand side 0 whose coefficients are all nonnegative forces every
@@ -39,12 +40,9 @@ Every optimum is certified before it is returned.  The primal ``x`` is read
 from the final basis and the dual ``y`` from the final multipliers ``pi``,
 and one exact check confirms ``x >= 0``, ``A_eq x = b_eq``, ``A_le x <= b_le``,
 ``y >= 0`` on the ``<=`` rows, ``A^T y >= c`` and ``c.x = b.y = value``; by
-weak duality that proves ``x`` optimal.  The check runs in integers: each
-row is scaled by its least common denominator (cached per distinct row), and
-``x`` and ``y`` are integer numerators over the final tableau denominator,
-so it touches only nonzero coefficients.  :func:`certify` runs the same
-check on a primal-dual pair found some other way, such as an optimum lifted
-from a symmetry-reduced program.  For the contextual-fraction LP ``y`` is
+weak duality that proves ``x`` optimal.  The check runs in integers, on
+``x`` and ``y`` as numerators over the final tableau denominator, so it
+touches only nonzero coefficients.  For the contextual-fraction LP ``y`` is
 the generalised Bell inequality whose violation equals the CF.  A failed
 check raises ``InternalConsistencyError``.
 
@@ -60,11 +58,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
-from math import lcm
 from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import InternalConsistencyError, MalformedInput, ShapeMismatch
+from .scenario import shown
 
 ZERO = Fraction(0)
 
@@ -102,6 +100,8 @@ class LinearProgram:
 
     ``c`` is dense; each row of A is a tuple of ``(column, coefficient)``
     pairs, columns strictly increasing below ``len(c)``; omitted ones are 0.
+    Every entry of ``c``, coefficient and right-hand side is an ``int``
+    (:func:`maximize` refuses anything else).
     """
 
     objective: tuple
@@ -118,28 +118,27 @@ class LinearProgram:
 
 
 def _exact(x):
-    """``x`` itself if it is an int (not a bool) or a Fraction, else MalformedInput.
+    """``x`` itself if it is an int (not a bool), else MalformedInput.
 
-    A float, a Decimal or a string is never converted, so no binary
-    fraction or parsed text enters a program.
+    A Fraction, a float, a Decimal or a string is never converted: no
+    binary fraction or parsed text enters a program, and no row is scaled.
     """
-    if type(x) is int or type(x) is Fraction:
+    if type(x) is int:
         return x
-    raise MalformedInput(f"LP data must be int or Fraction, got {repr(x)[:40]}")
+    raise MalformedInput(f"LP data must be int, got {shown(x)}")
 
 
 @lru_cache(maxsize=1 << 12)
-def _int_row(key: int, row: tuple, n: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """``(entries, d)``: ``(column, d * a)`` for each nonzero ``a`` of sparse ``row``.
+def _int_row(key: int, row: tuple, n: int) -> tuple[tuple[int, int], ...]:
+    """The ``(column, coefficient)`` pairs of sparse ``row`` whose coefficient is not 0.
 
-    ``d > 0`` is the least common denominator of the row.  Raises
-    ShapeMismatch unless ``row`` is ``(column, coefficient)`` pairs with
-    columns strictly increasing below ``n``.  A coefficient that is not
-    exact raises MalformedInput (:func:`_exact`).  Cached, so rows shared by
-    many programs (a scenario's incidence rows) are checked and scaled once.
-    ``key`` is ``id(row)``, and the cache holds every row it keeps, so a hit
-    is the very row that was checked: an equal row of other types (``True``
-    for 1, ``Decimal("0.1")`` for 1/10) is a new key and is refused.
+    Raises ShapeMismatch unless ``row`` is ``(column, coefficient)`` pairs
+    with columns strictly increasing below ``n``, and MalformedInput when a
+    coefficient is not an int (:func:`_exact`).  Cached, so rows shared by
+    many programs (a scenario's incidence rows) are checked once.  ``key``
+    is ``id(row)``, and the cache holds every row it keeps, so a hit is the
+    very row that was checked: an equal row of other types (``True`` for 1,
+    ``Fraction(3)`` for 3) is a new key and is refused.
     """
     entries = []
     last = -1
@@ -151,56 +150,29 @@ def _int_row(key: int, row: tuple, n: int) -> tuple[tuple[tuple[int, int], ...],
         last, a = entry
         if _exact(a):
             entries.append(entry)
-    d = 1
-    for _, a in entries:
-        if type(a) is not int:
-            d = lcm(d, a.denominator)
-    return tuple((j, a.numerator * (d // a.denominator)) for j, a in entries), d
-
-
-def _scale_to_int(row: tuple, rhs, n: int) -> tuple[Sequence[tuple[int, int]], int, int]:
-    """Scale a sparse row over ``n`` columns and its right-hand side to integers.
-
-    Returns ``(entries, b, d)``: ``entries`` lists ``(column, coefficient)``
-    for the nonzero coefficients of ``d * row``, ``b == d * rhs`` and
-    ``d > 0`` is the least common denominator.
-    """
-    row = tuple(row)
-    entries, d_row = _int_row(id(row), row, n)
-    rhs = _exact(rhs)
-    d = lcm(d_row, rhs.denominator)
-    if d != d_row:
-        k = d // d_row
-        entries = [(j, a * k) for j, a in entries]
-    return entries, rhs.numerator * (d // rhs.denominator), d
+    return tuple(entries)
 
 
 def _int_program(lp: LinearProgram):
-    """``(rows, kinds, cost, scale)``: the program with every row scaled to integers.
+    """``(rows, kinds, cost)``: the program, each of its numbers checked to be an int.
 
-    ``rows`` are :func:`_scale_to_int` triples, equality rows first, and
-    ``kinds`` their "eq" / "le" kinds; ``cost`` is the dense integer
-    objective ``scale * objective``, ``scale`` the lcm of its denominators.
+    ``rows`` are ``(entries, b)`` pairs, :func:`_int_row`'s pairs and the
+    right-hand side, equality rows first, and ``kinds`` their "eq" / "le"
+    kinds; ``cost`` is the objective as a list.
     """
     n = len(lp.objective)
     kinds = ["eq"] * len(lp.a_eq) + ["le"] * len(lp.a_le)
-    rows = [
-        _scale_to_int(row, b, n)
-        for row, b in zip(tuple(lp.a_eq) + tuple(lp.a_le), tuple(lp.b_eq) + tuple(lp.b_le))
-    ]
-    objective = [c if type(c) is int else _exact(c) for c in lp.objective]
-    scale = lcm(*(c.denominator for c in objective if type(c) is not int))
-    cost = [
-        c * scale if type(c) is int else c.numerator * (scale // c.denominator)
-        for c in objective
-    ]
-    return rows, kinds, cost, scale
+    rows = []
+    for row, b in zip(tuple(lp.a_eq) + tuple(lp.a_le), tuple(lp.b_eq) + tuple(lp.b_le)):
+        row = tuple(row)
+        rows.append((_int_row(id(row), row, n), _exact(b)))
+    return rows, kinds, list(map(_exact, lp.objective))
 
 
 def _presolve(n, rows, kinds):
     """Force variables to zero via one-signed zero-RHS rows; drop vacuous rows.
 
-    ``rows`` are integer rows from :func:`_scale_to_int` and ``kinds`` their
+    ``rows`` are the ``(entries, b)`` rows of :func:`_int_program` and ``kinds`` their
     "eq" / "le" kinds.  Returns ``(kept columns, kept row indices, forcing)``
     or None when a row became unsatisfiable (certain infeasibility).
     ``forcing`` lists ``(row, sign, columns)`` in the order the rules fired:
@@ -212,7 +184,7 @@ def _presolve(n, rows, kinds):
     changed = True
     while changed:
         changed = False
-        for k, ((entries, b, _), kind) in enumerate(zip(rows, kinds)):
+        for k, ((entries, b), kind) in enumerate(zip(rows, kinds)):
             if b:
                 continue
             live = [(j, a) for j, a in entries if not forced[j]]
@@ -231,7 +203,7 @@ def _presolve(n, rows, kinds):
 
     kept = [j for j in range(n) if not forced[j]]
     live_rows = []
-    for k, ((entries, b, _), kind) in enumerate(zip(rows, kinds)):
+    for k, ((entries, b), kind) in enumerate(zip(rows, kinds)):
         if any(not forced[j] for j, _ in entries):
             live_rows.append(k)
         # All live coefficients vanished: the row must hold on its own.
@@ -286,13 +258,12 @@ class _Tableau:
     row-0 update, so the division is exact and every entry is the dense one.
     """
 
-    def __init__(self, cols, basis, columns, a_rows, scales):
+    def __init__(self, cols, basis, columns, a_rows):
         self.cols = cols          # owned columns, then the right-hand side; entry 0 is row 0
         self.dens = [1] * len(cols)  # the den each stored column was last written at
         self.basis = basis        # basis[i - 1] = column basic in constraint row i
         self.columns = columns    # (getter, coefficients) per priced column
         self.a_rows = a_rows      # per owned position: (priced column, coefficient) pairs
-        self.scales = scales      # (column, d): the slack or surplus of a row scaled by d > 1
         self.den = 1
         self.cost = [0] * len(columns)  # objective of the phase, set by _install_objective
         self.reduced = [0] * len(columns)  # row 0 of the priced columns, set by _install_objective
@@ -384,18 +355,9 @@ class _Tableau:
         """The entering column, or None when no row-0 entry is negative (optimal).
 
         The most negative entry of the kept row 0, the lowest index among
-        equals; with ``first``, the first negative one (Bland's rule).  The
-        entry of a slack or surplus is multiplied by the factor ``d`` its row
-        was scaled by to integers, which makes it the reduced cost in the
-        units of the row as written: the choice does not depend on that
-        scaling, so right-hand sides given in other units take the same
-        pivots.
+        equals; with ``first``, the first negative one (Bland's rule).
         """
         reduced = self.reduced
-        if self.scales:
-            reduced = reduced[:]
-            for j, d in self.scales:
-                reduced[j] *= d
         if first:
             return next((j for j, d in enumerate(reduced) if d < 0), None)
         best = min(reduced, default=0)
@@ -477,8 +439,7 @@ def _build_tableau(kept, rows, live_rows, kinds):
     flipped, is the dual numerator of the row.  The tableau's ``a_rows``
     lists each live row's nonzero coefficients, sign-flipped ones included,
     by priced column: its kept columns, then its slack or surplus, then its
-    artificial.  Its ``scales`` pairs each slack or surplus of a row scaled
-    by ``d > 1`` with ``d``.
+    artificial.
     """
     n, m = len(kept), len(live_rows)
     position_of = {j: p for p, j in enumerate(kept)}.get
@@ -489,10 +450,10 @@ def _build_tableau(kept, rows, live_rows, kinds):
     slack = n
     cols = [[0] * (m + 1) for _ in range(m + 1)]
     rhs = cols[m]
-    basis, arts, scales = [], [], []
+    basis, arts = [], []
     unit = _unit_getters(m)
     for t, k in enumerate(live_rows):
-        entries, b, d = rows[k]
+        entries, b = rows[k]
         sign = -1 if b < 0 else 1
         a_row = a_rows[t]
         for j, a in entries if sign > 0 else [(j, -a) for j, a in entries]:
@@ -507,8 +468,6 @@ def _build_tableau(kept, rows, live_rows, kinds):
             # A flipped row became >=: its slack is a surplus, not owned.
             columns[slack] = unit[t], None if sign > 0 else (-1,)
             a_row.append((slack, sign))
-            if d > 1:
-                scales.append((slack, d))
             basic = slack
             slack += 1
         if kinds[k] == "eq" or sign < 0:
@@ -518,7 +477,7 @@ def _build_tableau(kept, rows, live_rows, kinds):
             columns.append((unit[t], None))
         basis.append(basic)
     columns[:n] = map(_sparse_column, at, coefs)
-    return _Tableau(cols, basis, columns, a_rows, scales), arts
+    return _Tableau(cols, basis, columns, a_rows), arts
 
 
 def _install_objective(tab: _Tableau, cost: dict) -> None:
@@ -577,7 +536,7 @@ def _drive_out_artificials(tab: _Tableau, arts) -> None:
 def _reach(rows, y, n) -> list[int]:
     """``A^T y`` over the integer rows, from the rows with a nonzero dual."""
     out = [0] * n
-    for (entries, _, _), u in zip(rows, y):
+    for (entries, _), u in zip(rows, y):
         if u:
             for j, a in entries:
                 out[j] += u * a
@@ -615,16 +574,15 @@ def _raise_forced_duals(rows, forcing, y, cost, den) -> None:
 def _certify(rows, kinds, cost, x, y, den, value) -> None:
     """Check that ``x / den`` and ``y / den`` prove the optimum ``value / den``.
 
-    Works on the integer rows with the integer objective ``cost``, so the
-    dual here is per scaled row.  Raises InternalConsistencyError on any
-    failed condition: then the simplex returned no optimum.
+    Raises InternalConsistencyError on any failed condition: then the
+    simplex returned no optimum.
     """
     def fail(what):
         raise InternalConsistencyError(f"LP optimum failed its certificate: {what}")
 
     if den <= 0 or any(v < 0 for v in x):
         fail("negative primal entry")
-    for (entries, b, _), kind, u in zip(rows, kinds, y):
+    for (entries, b), kind, u in zip(rows, kinds, y):
         lhs = sum(a * x[j] for j, a in entries)
         if lhs > b * den or (kind == "eq" and lhs != b * den):
             fail("primal row violated")
@@ -632,7 +590,7 @@ def _certify(rows, kinds, cost, x, y, den, value) -> None:
             fail("negative dual on a <= row")
     if sum(c * v for c, v in zip(cost, x)) != value:
         fail("objective of the primal differs from the optimum")
-    if sum(u * b for (_, b, _), u in zip(rows, y)) != value:
+    if sum(u * b for (_, b), u in zip(rows, y)) != value:
         fail("objective of the dual differs from the optimum")
     if any(r < c * den for r, c in zip(_reach(rows, y, len(x)), cost)):
         fail("dual row violated")
@@ -643,9 +601,10 @@ def maximize(lp: LinearProgram) -> LpOutcome:
 
     Presolve, then phase one on the artificial columns when any row needs
     one, then phase two on the objective, then the certificate check.
+    Raises MalformedInput when a number of ``lp`` is not an int.
     """
     n = len(lp.objective)
-    rows, kinds, cost, scale = _int_program(lp)
+    rows, kinds, cost = _int_program(lp)
     pre = _presolve(n, rows, kinds)
     if pre is None:
         return LpOutcome(LpStatus.INFEASIBLE)
@@ -675,42 +634,9 @@ def maximize(lp: LinearProgram) -> LpOutcome:
     _certify(rows, kinds, cost, x, y, den, row0[-1])
     return LpOutcome(
         LpStatus.OPTIMAL,
-        Fraction(row0[-1], den * scale),
+        Fraction(row0[-1], den),
         tuple([Fraction(v, den) if v else ZERO for v in x]),
-        tuple([Fraction(u * d, den * scale) if u else ZERO for u, (_, _, d) in zip(y, rows)]),
-    )
-
-
-def certify(lp: LinearProgram, value, solution: Sequence, dual: Sequence) -> None:
-    """Check that a primal-dual pair proves ``value`` the optimum of ``lp``.
-
-    ``solution`` and ``dual`` are rationals laid out as in :class:`LpOutcome`.
-    This is the check :func:`maximize` runs on its own optima, for a pair
-    found some other way: the rows are scaled to integers, both vectors are
-    written as integers over one denominator, and :func:`_certify` decides.
-    Raises InternalConsistencyError when the pair proves nothing, and
-    MalformedInput when a number is not exact (:func:`_exact`).
-    """
-    rows, kinds, cost, scale = _int_program(lp)
-    if len(solution) != len(cost) or len(dual) != len(rows):
-        raise InternalConsistencyError(
-            "LP optimum failed its certificate: primal or dual has the wrong length"
-        )
-    value, solution, dual = _exact(value), list(map(_exact, solution)), list(map(_exact, dual))
-    # The dual of scaled row k is dual[k] * scale / d_k (see maximize).
-    duals = [
-        Fraction(u.numerator * scale, u.denominator * d) if u else 0
-        for u, (_, _, d) in zip(dual, rows)
-    ]
-    optimum = Fraction(value.numerator * scale, value.denominator)
-    den = lcm(optimum.denominator, *(q.denominator for q in solution),
-              *(q.denominator for q in duals))
-    _certify(
-        rows, kinds, cost,
-        [q.numerator * (den // q.denominator) for q in solution],
-        [q.numerator * (den // q.denominator) for q in duals],
-        den,
-        optimum.numerator * (den // optimum.denominator),
+        tuple([Fraction(u, den) if u else ZERO for u in y]),
     )
 
 

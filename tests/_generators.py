@@ -1,9 +1,15 @@
-"""Hypothesis strategies shared by the property suites."""
+"""Hypothesis strategies and generated inputs shared by the test suites.
+
+The LP helpers at the end let a test write a program with Fractions, as its
+oracles read it, and solve it in the integers the solver takes.
+"""
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import hypothesis.strategies as st
 
@@ -18,6 +24,7 @@ from amcc.empirical import (
     mix,
     possibilistic_collapse,
 )
+from amcc.ratlp import LinearProgram, LpOutcome, LpStatus, maximize
 from amcc.scenario import bell_scenario, make_scenario, projection, scenario_to_dict, section_values
 
 SCENARIO_22 = bell_scenario(2, 2)
@@ -338,3 +345,76 @@ def refinable_models(draw):
     weights = [draw(st.integers(1, 6)), draw(st.integers(0, 6))]
     weights += [draw(st.integers(1, 6)) for _ in parts[2:]]
     return mix(parts, [Fraction(w, sum(weights)) for w in weights])
+
+
+def integer_program(lp: LinearProgram):
+    """``(program, row_scales, scale)``: ``lp``, written with Fractions, scaled to integers.
+
+    Row ``k`` (equality rows first) and its right-hand side are multiplied by
+    ``row_scales[k]``, the lcm of their denominators, and the objective by
+    ``scale``, the lcm of its own.  The scaled program has the same feasible
+    points, and its optimum is ``scale`` times ``lp``'s.
+    """
+    def scaled(rows, rhs):
+        factors = [
+            lcm(Fraction(b).denominator, *(Fraction(a).denominator for _, a in row))
+            for row, b in zip(rows, rhs)
+        ]
+        return (tuple(tuple((j, int(a * d)) for j, a in row) for row, d in zip(rows, factors)),
+                tuple(int(b * d) for b, d in zip(rhs, factors)), factors)
+
+    a_eq, b_eq, eq_scales = scaled(lp.a_eq, lp.b_eq)
+    a_le, b_le, le_scales = scaled(lp.a_le, lp.b_le)
+    scale = lcm(*(Fraction(c).denominator for c in lp.objective))
+    objective = tuple(int(c * scale) for c in lp.objective)
+    return LinearProgram(objective, a_eq, b_eq, a_le, b_le), eq_scales + le_scales, scale
+
+
+def maximize_as_written(lp: LinearProgram) -> LpOutcome:
+    """``maximize`` on :func:`integer_program` of ``lp``, read back in ``lp``'s own units.
+
+    The primal is the same point; the value is divided by the objective's
+    scale, and the dual of row ``k`` is multiplied by its row's scale and
+    divided by the objective's, which makes it a dual of ``lp``.
+    """
+    program, row_scales, scale = integer_program(lp)
+    out = maximize(program)
+    if out.status is not LpStatus.OPTIMAL:
+        return out
+    return replace(
+        out,
+        value=out.value / scale,
+        dual=tuple(y * d / scale for y, d in zip(out.dual, row_scales)),
+    )
+
+
+def random_lp(rng):
+    """A small LP written with Fractions: equality rows, negative right-hand sides, at times a redundant row.
+
+    About half are built around a nonnegative point, so they are feasible;
+    the rest are often infeasible or unbounded.  :func:`integer_program`
+    scales it to the integers ``maximize`` takes.
+    """
+    n = rng.randint(1, 6)
+
+    def row():
+        return tuple(
+            (j, a) for j in range(n)
+            if (a := rng.choice((0, 0, 0, 1, 1, 2, -1, -3, Fraction(1, 2), Fraction(-5, 3))))
+        )
+
+    point = [rng.choice((0, 0, 1, 2, Fraction(1, 3))) for _ in range(n)]
+    around = rng.random() < 0.5
+    a_eq = [row() for _ in range(rng.randint(0, 3))]
+    if a_eq and rng.random() < 0.4:
+        a_eq.append(tuple((j, -2 * a) for j, a in rng.choice(a_eq)))
+    a_le = [row() for _ in range(rng.randint(0, 3))]
+    b_eq = [
+        sum(a * point[j] for j, a in r) if around else rng.randint(-3, 5) for r in a_eq
+    ]
+    b_le = [
+        sum(a * point[j] for j, a in r) + rng.choice((0, 1)) if around
+        else rng.choice((0, -2, 3, Fraction(-7, 2), Fraction(9, 4))) for r in a_le
+    ]
+    objective = tuple(rng.choice((0, 1, 2, -1, Fraction(1, 2))) for _ in range(n))
+    return LinearProgram(objective, tuple(a_eq), tuple(b_eq), tuple(a_le), tuple(b_le))

@@ -131,6 +131,35 @@ def lp_bruteforce(c, a_eq, b_eq, a_le, b_le):
     return "optimal", max(values)
 
 
+def proves_optimum(c, a_eq, b_eq, a_le, b_le, value, x, y) -> bool:
+    """Whether ``x`` and ``y`` prove ``value`` the optimum of max c.x s.t. A_eq x = b_eq, A_le x <= b_le, x >= 0.
+
+    Rows are sparse ``(column, coefficient)`` pairs, and ``y`` has one entry
+    per row, equality rows first.  In Fraction arithmetic: ``x`` is
+    nonnegative and meets every row, ``y`` is nonnegative on the ``<=``
+    rows and ``A^T y >= c``, and ``c.x = b.y = value``.  By weak duality
+    that proves both optimal.
+    """
+    rows = list(a_eq) + list(a_le)
+    rhs = list(b_eq) + list(b_le)
+    if len(x) != len(c) or len(y) != len(rows):
+        return False
+    x, y = [Fraction(v) for v in x], [Fraction(u) for u in y]
+    if any(v < 0 for v in x) or any(u < 0 for u in y[len(a_eq):]):
+        return False
+    for k, (row, b) in enumerate(zip(rows, rhs)):
+        lhs = sum(a * x[j] for j, a in row)
+        if lhs > b or (k < len(a_eq) and lhs != b):
+            return False
+    reach = [Fraction(0)] * len(c)
+    for row, u in zip(rows, y):
+        for j, a in row:
+            reach[j] += a * u
+    if any(r < cj for r, cj in zip(reach, c)):
+        return False
+    return sum(cj * v for cj, v in zip(c, x)) == value == sum(b * u for b, u in zip(rhs, y))
+
+
 def equitable_violation(rows, b, c, row_class, column_class):
     """How a partition of an LP fails to be equitable, or None when it is equitable.
 

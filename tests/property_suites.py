@@ -42,7 +42,7 @@ from amcc.empirical import (
     possibilistic_to_dict,
 )
 from amcc.errors import InternalConsistencyError, ShapeMismatch, SignalingDetected
-from amcc.ratlp import LinearProgram, LpOutcome, LpStatus, certify, maximize
+from amcc.ratlp import LinearProgram, LpOutcome, LpStatus, maximize
 from amcc.scenario import polytope_dimension, projection, section_index, section_values
 
 from _generators import (
@@ -57,7 +57,12 @@ from _generators import (
     support_patterns_222,
     symmetric_models,
 )
-from _oracles import box_polytope_dimension, equitable_violation, incidence_bruteforce
+from _oracles import (
+    box_polytope_dimension,
+    equitable_violation,
+    incidence_bruteforce,
+    proves_optimum,
+)
 
 F = Fraction
 CASES = settings(max_examples=500, deadline=None)
@@ -190,11 +195,14 @@ def check_polytope_dimension_formula(n_parties, settings_count):
 
 
 def _full_cf_optimum(model):
-    """``maximize`` on the full contextual-fraction LP, one column per global assignment."""
+    """``maximize`` on the full contextual-fraction LP, one column per global assignment.
+
+    The right-hand side is the model's numerators, so the optimum is ``den`` times 1 - CF.
+    """
     return maximize(LinearProgram(
         objective=(1,) * (1 << len(model.scenario.observables)),
         a_le=incidence_matrix(model.scenario),
-        b_le=tuple(x for row in fraction_rows(model) for x in row),
+        b_le=tuple(x for row in model.numerators for x in row),
     ))
 
 
@@ -223,7 +231,7 @@ def check_orbit_cf_matches_full_lp(model):
     """
     full = _full_cf_optimum(model)
     cf = contextual_fraction(model)
-    assert cf == 1 - full.value
+    assert cf == 1 - full.value / model.den
     group = flip_group(model)
     found = analysis._flip_group(model.scenario, tuple(map(analysis._stabilizer, model.numerators)))
     assert [h for h in range(found.bit_length()) if (found >> h) & 1] == group
@@ -383,19 +391,18 @@ def quotient_accepts(model, quotient, lift):
 
 
 def full_lp_accepts(model, quotient, lift):
-    """Whether ``ratlp.certify`` accepts the lifted pair on the full CF LP."""
-    lp = LinearProgram(
-        objective=(1,) * len(quotient.column_of),
-        a_le=incidence_matrix(model.scenario),
-        b_le=tuple(x for row in model.numerators for x in row),
-    )
+    """Whether the Fraction oracle accepts the lifted pair as an optimum of the full CF LP.
+
+    The LP's rows come from the incidence oracle and its right-hand side is
+    the model's numerators, as in the quotient certificate.
+    """
+    s = model.scenario
     solution = [F(lift.weights[j], lift.d) for j in quotient.column_of]
     dual = [F(lift.shares[k], lift.d) for k in quotient.row_of]
-    try:
-        certify(lp, F(lift.value, lift.d), solution, dual)
-    except InternalConsistencyError:
-        return False
-    return True
+    return proves_optimum(
+        (1,) * len(quotient.column_of), (), (), _incidence(s.observables, s.contexts),
+        [x for row in model.numerators for x in row], F(lift.value, lift.d), solution, dual,
+    )
 
 
 def finer(lift, n):
@@ -501,7 +508,7 @@ def wrong_pairs(model, quotient, lift):
 @CASES
 @given(symmetric_models(), st.integers(0, 1 << 16))
 def check_quotient_certificate_matches_full_lp(model, pick):
-    """The quotient certificate accepts the lifted optimum and only what ``ratlp.certify`` accepts.
+    """The quotient certificate accepts the lifted optimum and only what the full-LP oracle accepts.
 
     Both checks reject every pair of :func:`wrong_pairs`.  Adding a flip
     outside H to the group makes a generator that does not fix the model,

@@ -651,3 +651,27 @@ def test_maximal_marginal_verdict_matches_the_full_walk(model):
     assert verdict == (found is None) == (full is None)
     if found is not None:
         assert witness == MarginalWitness(*found[:2], tuple(Fraction(x, den) for x in found[2]))
+
+
+def test_plan_lists_share_one_plan_per_shape_past_the_plan_cache(monkeypatch):
+    # Three disjoint 9-label contexts: each has 510 proper subsets, more
+    # than the 256 plans the LRU of _marginal_plan holds, and their subsets
+    # have the same shapes context by context.  Each plan list builds a
+    # shape once, so every context reads the same plan objects.
+    labels = [f"Y{k}" for k in range(27)]
+    s = make_scenario(labels, [labels[9 * c:9 * c + 9] for c in range(3)])
+    by_context = [[plan for c, _, plan in empirical._subset_plans(s) if c == ctx] for ctx in range(3)]
+    assert len(by_context[0]) == 510
+    assert all(p is q for other in by_context[1:] for p, q in zip(by_context[0], other))
+    deciding = empirical._deciding_plans(s)
+    assert len(deciding) == 27
+    assert all(deciding[k][2] is deciding[k % 9][2] for k in range(27))
+    # The uniform model passes on the one-label-out subsets alone, without
+    # the list of every subset.
+    model = make_model(s, [[1] * 512] * 3, 512)
+
+    def no_subset_plans(s):
+        raise AssertionError("every subset was listed")
+
+    monkeypatch.setattr(empirical, "_subset_plans", no_subset_plans)
+    assert is_maximal_marginal(model) == (True, None)

@@ -21,7 +21,14 @@ transcript of a parity resource before the simulator takes other models.
 The simplex digest and the full classify one were re-recorded again when
 large CF LPs came to be solved on their coarsest equitable partition: the
 LPs handed to the solver are then the reduced ones, and the bell-2-4 noisy
-lifts report an optimum constant on the refined classes.
+lifts report an optimum constant on the refined classes.  The simplex
+digest was re-recorded once more when the LP came to take integer programs
+only: the seeded programs and the 8b pivoting point's CF LP, written with
+Fractions, are scaled to integers row by row before they are solved, and a
+slack is priced in the units of its scaled row.  21 of the 400 seeded
+programs take other pivots, with every status, value, primal and dual read
+back in the program's own units as it was; the CF LP takes 57 pivots
+instead of 31, to another optimal vertex with the same value and dual.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ from amcc.empirical import (
 from amcc.errors import OutOfRange, SignalingDetected
 from amcc.scenario import bell_scenario
 
-from _generators import cycle_scenario, fraction_rows
+from _generators import cycle_scenario, fraction_rows, maximize_as_written, random_lp
 from _oracles import incidence_bruteforce
 from test_ratlp import PIVOTING_POINT, cf_program
 
@@ -118,37 +125,6 @@ def _no_symmetry_model():
     s, odd, noise = _odd_lift_and_noise_24()
     zeros, ones = (deterministic_model(s, (v,) * len(s.observables)) for v in (0, 1))
     return mix([odd, noise, zeros, ones], [F(1, 2), Q, F(1, 7), F(3, 28)])
-
-
-def _random_lp(rng):
-    """A small LP with equality rows, negative right-hand sides and at times a redundant row.
-
-    About half are built around a nonnegative point, so they are feasible;
-    the rest are often infeasible or unbounded.
-    """
-    n = rng.randint(1, 6)
-
-    def row():
-        return tuple(
-            (j, a) for j in range(n)
-            if (a := rng.choice((0, 0, 0, 1, 1, 2, -1, -3, F(1, 2), F(-5, 3))))
-        )
-
-    point = [rng.choice((0, 0, 1, 2, F(1, 3))) for _ in range(n)]
-    around = rng.random() < 0.5
-    a_eq = [row() for _ in range(rng.randint(0, 3))]
-    if a_eq and rng.random() < 0.4:
-        a_eq.append(tuple((j, -2 * a) for j, a in rng.choice(a_eq)))
-    a_le = [row() for _ in range(rng.randint(0, 3))]
-    b_eq = [
-        sum(a * point[j] for j, a in r) if around else rng.randint(-3, 5) for r in a_eq
-    ]
-    b_le = [
-        sum(a * point[j] for j, a in r) + rng.choice((0, 1)) if around
-        else rng.choice((0, -2, 3, F(-7, 2), F(9, 4))) for r in a_le
-    ]
-    objective = tuple(rng.choice((0, 1, 2, -1, F(1, 2))) for _ in range(n))
-    return ratlp.LinearProgram(objective, tuple(a_eq), tuple(b_eq), tuple(a_le), tuple(b_le))
 
 
 def test_model_and_classify_json_match_the_pinned_digest():
@@ -243,17 +219,19 @@ def _pivot_log(monkeypatch) -> list:
 def _simplex_records(monkeypatch) -> list:
     """``[pivots, status, value, solution, dual]`` of each of 407 seeded and CF LPs.
 
-    400 :func:`_random_lp` programs, the CF LP of the 8b pivoting point, and
+    400 :func:`random_lp` programs, the CF LP of the 8b pivoting point, and
     the LPs ``contextual_fraction`` hands the solver: the orbit LPs of the
     noisy bell-2-4 lifts and the full LP of the model no flip fixes, each on
-    its coarsest equitable partition.
+    its coarsest equitable partition.  Each is solved by
+    :func:`maximize_as_written`, so a program written with Fractions is
+    recorded in its own units; the CF LPs are integral already.
     """
     records = []
     pivots = _pivot_log(monkeypatch)
 
     def recording_maximize(lp):
         pivots.clear()
-        out = ratlp.maximize(lp)
+        out = maximize_as_written(lp)
         records.append([
             list(pivots), out.status.value, _text(out.value),
             None if out.solution is None else [_text(q) for q in out.solution],
@@ -263,7 +241,7 @@ def _simplex_records(monkeypatch) -> list:
 
     rng = random.Random(20170505)
     for _ in range(400):
-        recording_maximize(_random_lp(rng))
+        recording_maximize(random_lp(rng))
     recording_maximize(cf_program(eight_param_family(PIVOTING_POINT)))
     monkeypatch.setattr(analysis, "maximize", recording_maximize)
     for model in _noisy_lifts_24():
@@ -279,7 +257,7 @@ def test_simplex_pivots_and_outcomes_match_the_pinned_digest(monkeypatch):
     for record in _simplex_records(monkeypatch):
         digest.update(json.dumps(record).encode() + b"\n")
     assert digest.hexdigest() == (
-        "776b15599de9a17a43e6728257d5bd4724eeb4e20d752a72ba545a80a4b3d7bf"
+        "13a3bf73790ccf7add9f3fbbeb012cae4ee3cbd085057d0432f135458ef8a583"
     )
 
 

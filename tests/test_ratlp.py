@@ -19,8 +19,8 @@ from amcc.errors import InternalConsistencyError, MalformedInput, ShapeMismatch
 from amcc.ratlp import LinearProgram, LpStatus, maximize, solve_feasibility
 from amcc.scenario import bell_scenario
 
-from _generators import fraction_rows
-from _oracles import DenseTableau, feasible_bruteforce, lp_bruteforce
+from _generators import fraction_rows, integer_program, maximize_as_written, random_lp
+from _oracles import DenseTableau, feasible_bruteforce, lp_bruteforce, proves_optimum
 
 F = Fraction
 H = F(1, 2)
@@ -38,51 +38,63 @@ def flatten(model):
     return v
 
 
+def numerators(model):
+    """The model's integer numerators, context by context: the CF LP's right-hand side over ``den``."""
+    return tuple(x for row in model.numerators for x in row)
+
+
 def cf_program(model):
-    """The noncontextual-fraction LP: max 1.d  s.t.  M d <= v, d >= 0."""
+    """The noncontextual-fraction LP written with probabilities: max 1.d  s.t.  M d <= v, d >= 0.
+
+    ``maximize`` takes it through :func:`integer_program` (or
+    :func:`maximize_as_written`); ``contextual_fraction`` passes the numerators.
+    """
     n = len(model.scenario.observables)
     return LinearProgram(
         objective=(1,) * (1 << n), a_le=incidence_matrix(model.scenario), b_le=tuple(flatten(model))
     )
 
 
-def assert_dual_certificate(lp, out):
-    """Check ``out.dual`` in plain Fraction arithmetic: y >= 0 on <= rows,
-    A^T y >= c and b.y == value, which proves ``out.value`` optimal."""
-    rows = tuple(lp.a_eq) + tuple(lp.a_le)
-    rhs = tuple(lp.b_eq) + tuple(lp.b_le)
-    y = out.dual
-    assert len(y) == len(rows)
-    assert all(v >= 0 for v in y[len(lp.a_eq):])
-    for j, c in enumerate(lp.objective):
-        assert sum(F(dict(row).get(j, 0)) * v for row, v in zip(rows, y)) >= c
-    assert sum(F(b) * v for b, v in zip(rhs, y)) == out.value
+def certified(lp, value, solution, dual):
+    """Whether the Fraction oracle accepts ``solution`` and ``dual`` as a proof that ``value`` is optimal."""
+    return proves_optimum(lp.objective, lp.a_eq, lp.b_eq, lp.a_le, lp.b_le, value, solution, dual)
 
 
-# CF 1/4; the simplex takes 31 pivots on it (52 under Bland's rule alone).
+def assert_certified(lp, out):
+    assert certified(lp, out.value, out.solution, out.dual)
+
+
+# CF 1/4; the simplex takes 31 pivots on its CF LP over the numerators (52
+# under Bland's rule alone).
 PIVOTING_POINT = (F(1, 4), F(1, 8), F(1, 16), F(3, 16), F(1, 8), F(1, 16), F(1, 8), F(1, 16))
+PIVOTING_MODEL = eight_param_family(PIVOTING_POINT)
+PIVOTING_LP = LinearProgram(
+    objective=(1,) * 64,
+    a_le=incidence_matrix(PIVOTING_MODEL.scenario),
+    b_le=numerators(PIVOTING_MODEL),
+)
 
 
 def test_feasibility_identity_system():
-    out = solve_feasibility(sparse(((1, 0), (0, 1))), (H, H), 2)
+    out = solve_feasibility(sparse(((2, 0), (0, 2))), (1, 1), 2)
     assert out.status is LpStatus.FEASIBLE
     assert out.solution == (H, H)
 
 
 def test_feasibility_contradictory_rows():
-    out = solve_feasibility(sparse(((1,), (1,))), (F(1), F(0)), 1)
+    out = solve_feasibility(sparse(((1,), (1,))), (1, 0), 1)
     assert out.status is LpStatus.INFEASIBLE
 
 
 def test_feasibility_pr_incidence_infeasible():
     inc = incidence_matrix(bell_scenario(2, 2))
-    out = solve_feasibility(inc, flatten(pr_box(0, 0, 0)), 16)
+    out = solve_feasibility(inc, numerators(pr_box(0, 0, 0)), 16)
     assert out.status is LpStatus.INFEASIBLE
 
 
 def test_feasibility_solution_satisfies_system_exactly():
-    a = ((1, 1, 0), (0, 1, 2))
-    b = (F(3, 4), F(1, 2))
+    a = ((4, 4, 0), (0, 2, 4))
+    b = (3, 1)
     out = solve_feasibility(sparse(a), b, 3)
     assert out.status is LpStatus.FEASIBLE
     for row, target in zip(a, b):
@@ -91,42 +103,42 @@ def test_feasibility_solution_satisfies_system_exactly():
 
 
 def test_maximize_simple_bound():
-    out = maximize(LinearProgram(objective=(F(1),), a_le=sparse(((F(1),),)), b_le=(F(3, 4),)))
+    out = maximize(LinearProgram(objective=(1,), a_le=sparse(((4,),)), b_le=(3,)))
     assert out.status is LpStatus.OPTIMAL
     assert out.value == F(3, 4)
 
 
 def test_maximize_pr_box_mass_zero():
     lp = cf_program(pr_box(0, 0, 0))
-    out = maximize(lp)
+    out = maximize_as_written(lp)
     assert out.status is LpStatus.OPTIMAL
     assert out.value == 0
     # Presolve forces every column, so the whole dual comes from the forcing rows.
-    assert_dual_certificate(lp, out)
+    assert_certified(lp, out)
     assert sum(b * v for b, v in zip(lp.b_le, out.dual)) == 0
 
 
 def test_pr_local_mixture_dual_is_a_bell_inequality():
     local = deterministic_model(bell_scenario(2, 2), (0, 0, 0, 0))
     lp = cf_program(mix([pr_box(0, 0, 0), local], [H, H]))
-    out = maximize(lp)
+    out = maximize_as_written(lp)
     assert out.value == H  # CF 1/2
-    assert_dual_certificate(lp, out)
+    assert_certified(lp, out)
     assert sum(b * v for b, v in zip(lp.b_le, out.dual)) == H
 
 
 def test_cf_dual_certifies_a_pivoting_point():
-    lp = cf_program(eight_param_family(PIVOTING_POINT))
-    out = maximize(lp)
+    lp = cf_program(PIVOTING_MODEL)
+    out = maximize_as_written(lp)
     assert 0 < out.value < 1
-    assert_dual_certificate(lp, out)
+    assert_certified(lp, out)
 
 
 def test_early_stopped_simplex_fails_the_certificate(monkeypatch):
     # The primal after one pivot is feasible and matches its own objective
     # (a dense primal re-check accepts it); only the dual shows it is not
     # optimal.
-    lp = cf_program(eight_param_family(PIVOTING_POINT))
+    lp = PIVOTING_LP
     pivots = []
     real_pivot = ratlp._Tableau.pivot
 
@@ -161,7 +173,7 @@ def _make_first_zero_negative(x):
 
 @pytest.mark.parametrize("corrupt", [_raise_first_nonzero, _make_first_zero_negative])
 def test_corrupted_primal_entry_raises(monkeypatch, corrupt):
-    lp = cf_program(eight_param_family(PIVOTING_POINT))
+    lp = PIVOTING_LP
     real_certify = ratlp._certify
 
     def corrupted(rows, kinds, cost, x, y, den, value):
@@ -173,29 +185,29 @@ def test_corrupted_primal_entry_raises(monkeypatch, corrupt):
         maximize(lp)
 
 
-EQ_AND_FRACTION_LP = LinearProgram(
-    objective=(1, F(3, 2), 0),
+EQ_LP = LinearProgram(
+    objective=(2, 3, 0),
     a_eq=sparse(((1, 1, 1),)),
-    b_eq=(F(1),),
-    a_le=sparse(((F(1, 3), 1, 0), (1, 0, F(2, 5)))),
-    b_le=(F(1, 4), F(1, 2)),
+    b_eq=(1,),
+    a_le=sparse(((4, 12, 0), (10, 0, 4))),
+    b_le=(3, 5),
 )
 
 
-@pytest.mark.parametrize(
-    "lp", [cf_program(eight_param_family(PIVOTING_POINT)), EQ_AND_FRACTION_LP]
-)
+# The Fraction oracle of tests/_oracles.py is the full-LP certificate: it
+# accepts the pair maximize returns and refuses every perturbation of it.
+@pytest.mark.parametrize("lp", [PIVOTING_LP, EQ_LP])
 def test_certify_accepts_the_pair_maximize_returns(lp):
     out = maximize(lp)
     assert out.status is LpStatus.OPTIMAL
-    assert ratlp.certify(lp, out.value, out.solution, out.dual) is None
+    assert certified(lp, out.value, out.solution, out.dual)
 
 
 def _bump(vector, k, delta=F(1, 1000)):
     return vector[:k] + (vector[k] + delta,) + vector[k + 1:]
 
 
-@pytest.mark.parametrize("lp", [cf_program(eight_param_family(PIVOTING_POINT)), EQ_AND_FRACTION_LP])
+@pytest.mark.parametrize("lp", [PIVOTING_LP, EQ_LP])
 def test_certify_rejects_a_perturbed_pair(lp):
     out = maximize(lp)
     x, y = out.solution, out.dual
@@ -210,15 +222,14 @@ def test_certify_rejects_a_perturbed_pair(lp):
         (out.value, x[:-1], y),
         (out.value, x, y + (F(0),)),
     ):
-        with pytest.raises(InternalConsistencyError, match="certificate"):
-            ratlp.certify(lp, *args)
+        assert not certified(lp, *args)
 
 
 def test_maximize_deterministic_mass_one():
     s = bell_scenario(2, 2)
     inc = incidence_matrix(s)
     model = deterministic_model(s, (0, 1, 1, 0))
-    lp = LinearProgram(objective=(1,) * 16, a_le=inc, b_le=tuple(flatten(model)))
+    lp = LinearProgram(objective=(1,) * 16, a_le=inc, b_le=numerators(model))
     out = maximize(lp)
     assert out.status is LpStatus.OPTIMAL
     assert out.value == 1
@@ -227,26 +238,26 @@ def test_maximize_deterministic_mass_one():
 
 
 def test_maximize_unbounded():
-    out = maximize(LinearProgram(objective=(F(1), F(1))))
+    out = maximize(LinearProgram(objective=(1, 1)))
     assert out.status is LpStatus.UNBOUNDED
 
 
 def test_maximize_with_equality_rows():
-    # max x + y  s.t.  x + y + z = 1, x <= 1/4
+    # max x + y  s.t.  x + y + z = 4, x <= 1
     lp = LinearProgram(
         objective=(1, 1, 0),
         a_eq=sparse(((1, 1, 1),)),
-        b_eq=(F(1),),
+        b_eq=(4,),
         a_le=sparse(((1, 0, 0),)),
-        b_le=(F(1, 4),),
+        b_le=(1,),
     )
     out = maximize(lp)
     assert out.status is LpStatus.OPTIMAL
-    assert out.value == 1
+    assert out.value == 4
 
 
 def test_maximize_infeasible():
-    lp = LinearProgram(objective=(1,), a_eq=sparse(((1,), (1,))), b_eq=(F(1), F(2)))
+    lp = LinearProgram(objective=(1,), a_eq=sparse(((1,), (1,))), b_eq=(1, 2))
     assert maximize(lp).status is LpStatus.INFEASIBLE
 
 
@@ -256,7 +267,7 @@ def test_redundant_equality_rows_are_harmless():
     lp = LinearProgram(
         objective=(1, 1),
         a_eq=sparse(((1, 1), (1, 1), (2, 2))),
-        b_eq=(F(1), F(1), F(2)),
+        b_eq=(1, 1, 2),
     )
     out = maximize(lp)
     assert out.status is LpStatus.OPTIMAL
@@ -266,18 +277,18 @@ def test_redundant_equality_rows_are_harmless():
 
 def test_negative_rhs_rows_handled():
     # x >= 2 written as -x <= -2; minimize x via maximize -x.
-    lp = LinearProgram(objective=(F(-1),), a_le=sparse(((F(-1),),)), b_le=(F(-2),))
+    lp = LinearProgram(objective=(-1,), a_le=sparse(((-1,),)), b_le=(-2,))
     out = maximize(lp)
     assert out.status is LpStatus.OPTIMAL
     assert out.value == -2
-    assert out.solution == (F(2),)
+    assert out.solution == (2,)
 
 
 def test_shape_mismatch_raised():
     with pytest.raises(ShapeMismatch):
-        LinearProgram(objective=(1, 1), a_le=sparse(((1, 0),)), b_le=(F(1), F(1)))
+        LinearProgram(objective=(1, 1), a_le=sparse(((1, 0),)), b_le=(1, 1))
     with pytest.raises(ShapeMismatch):
-        solve_feasibility(sparse(((1, 0),)), (F(1), F(1)), 2)
+        solve_feasibility(sparse(((1, 0),)), (1, 1), 2)
 
 
 @pytest.mark.parametrize(
@@ -292,47 +303,62 @@ def test_shape_mismatch_raised():
     ],
 )
 def test_malformed_sparse_row_is_a_shape_mismatch(row):
-    lp = LinearProgram(objective=(1, 1), a_le=(((0, 1), (1, 1)), row), b_le=(F(1), F(1)))
+    lp = LinearProgram(objective=(1, 1), a_le=(((0, 1), (1, 1)), row), b_le=(1, 1))
     with pytest.raises(ShapeMismatch):
         maximize(lp)
-    with pytest.raises(ShapeMismatch):
-        ratlp.certify(lp, F(1), (F(1), F(0)), (F(1), F(0)))
 
 
 @pytest.mark.parametrize("bad", [0.1, Decimal("0.1"), "0.1", " 1/10 ", True, 0.0, None])
 def test_lp_data_must_be_int_or_fraction(bad):
     # A coefficient of 0.1 used to be read as its binary value (optimum
     # 36028797018963968/3602879701896397, not 10); strings, Decimals and
-    # bools were converted without a word.
-    lp = LinearProgram(objective=(1,), a_le=(((0, F(1, 10)),),), b_le=(1,))
+    # bools were converted without a word.  No Fraction passes either (see
+    # test_a_fraction_anywhere_in_a_program_is_refused).
+    lp = LinearProgram(objective=(1,), a_le=(((0, 1),),), b_le=(10,))
     for bad_lp in (
         replace(lp, a_le=(((0, bad),),)),
         replace(lp, objective=(bad,)),
         replace(lp, b_le=(bad,)),
     ):
-        with pytest.raises(MalformedInput, match="LP data must be int or Fraction"):
+        with pytest.raises(MalformedInput, match="LP data must be int"):
             maximize(bad_lp)
     assert maximize(lp).value == 10
-    # certify reads its value, primal and dual by the same rule: a float
-    # used to raise AttributeError, and True was taken for 1.
-    for value, solution, dual in ((bad, (10,), (10,)), (10, (bad,), (10,)), (10, (10,), (bad,))):
-        with pytest.raises(MalformedInput, match="LP data must be int or Fraction"):
-            ratlp.certify(lp, value, solution, dual)
-    ratlp.certify(lp, 10, (10,), (F(10),))
 
 
-@pytest.mark.parametrize(
-    "exact, bad", [(F(1, 10), Decimal("0.1")), (F(1, 2), 0.5), (1, True), (F(3), 3.0)]
-)
+PLACES = ("objective", "a_eq", "b_eq", "a_le", "b_le")
+
+
+@pytest.mark.parametrize("bad", [F(3), F(1, 2), F(10**5000 + 1, 3)], ids=["3", "1/2", "huge"])
+@pytest.mark.parametrize("place", PLACES)
+def test_a_fraction_anywhere_in_a_program_is_refused(place, bad):
+    # An integral Fraction too: a program is integers or nothing.  The
+    # message names a Fraction past 4 300 digits by its size, where repr
+    # would raise ValueError.
+    lp = LinearProgram(
+        objective=(1, 1), a_eq=(((0, 1), (1, -1)),), b_eq=(0,), a_le=(((0, 1), (1, 1)),), b_le=(4,)
+    )
+    assert maximize(lp).value == 4
+    if place == "objective":
+        bad_lp = replace(lp, objective=(1, bad))
+    elif place.startswith("a_"):
+        bad_lp = replace(lp, **{place: (((0, 1), (1, bad)),)})
+    else:
+        bad_lp = replace(lp, **{place: (bad,)})
+    with pytest.raises(MalformedInput, match="LP data must be int"):
+        maximize(bad_lp)
+    if place in ("a_eq", "b_eq"):
+        with pytest.raises(MalformedInput, match="LP data must be int"):
+            solve_feasibility(bad_lp.a_eq, bad_lp.b_eq, 2)
+
+
+@pytest.mark.parametrize("exact, bad", [(3, Decimal(3)), (2, 2.0), (1, True), (3, F(3))])
 def test_lp_data_check_does_not_depend_on_the_row_cache(exact, bad):
-    # The bad row equals a row already solved (True == 1, Decimal("0.1") ==
-    # 1/10), and the cache is left as that solve filled it.
+    # The bad row equals a row already solved (True == 1, Fraction(3) == 3),
+    # and the cache is left as that solve filled it.
     lp = LinearProgram(objective=(1,), a_le=(((0, exact),),), b_le=(1,))
-    assert maximize(lp).value == 1 / F(exact)
-    with pytest.raises(MalformedInput, match="LP data must be int or Fraction"):
+    assert maximize(lp).value == F(1, exact)
+    with pytest.raises(MalformedInput, match="LP data must be int"):
         maximize(replace(lp, a_le=(((0, bad),),)))
-    with pytest.raises(MalformedInput, match="LP data must be int or Fraction"):
-        ratlp.certify(replace(lp, a_le=(((0, bad),),)), 1 / F(exact), (1 / F(exact),), (1,))
 
 
 def test_a_bool_column_index_is_refused_after_the_int_one_was_solved():
@@ -344,18 +370,20 @@ def test_a_bool_column_index_is_refused_after_the_int_one_was_solved():
 
 def test_degenerate_cycling_instance_terminates():
     # Classic stalling setup (Beale-like): heavy degeneracy at the origin.
+    # Beale's objective and first row are written times 100, his second row
+    # times 50, so the optimum is 100 times his 1/20.
     lp = LinearProgram(
-        objective=(F(3, 4), F(-150), F(1, 50), F(-6)),
+        objective=(75, -15000, 2, -600),
         a_le=sparse((
-            (F(1, 4), F(-60), F(-1, 25), F(9)),
-            (F(1, 2), F(-90), F(-1, 50), F(3)),
-            (F(0), F(0), F(1), F(0)),
+            (25, -6000, -4, 900),
+            (25, -4500, -1, 150),
+            (0, 0, 1, 0),
         )),
-        b_le=(F(0), F(0), F(1)),
+        b_le=(0, 0, 1),
     )
     out = maximize(lp)
     assert out.status is LpStatus.OPTIMAL
-    assert out.value == F(1, 20)
+    assert out.value == 5
 
 
 @contextmanager
@@ -377,19 +405,21 @@ def pivot_cap(limit=100):
 
 # Dense LPs on which Dantzig's largest-coefficient rule cycles in textbook
 # form (Chvatal, Linear Programming, 1983, p. 31; Hall and McKinnon, Math.
-# Prog. 100, 133, 2004).  The solver scales each row to integers, so its
-# path differs, but the degeneracy is the same.
+# Prog. 100, 133, 2004), written in integers: Chvatal's first two rows times
+# 2, Hall and McKinnon's rows times 5 and their objective times 20.  A slack
+# is then priced in other units, so the path differs, but the degeneracy is
+# the same.
 @pytest.mark.parametrize("c, a, b, expected", [
     pytest.param(
         (10, -57, -9, -24),
-        ((H, F(-11, 2), F(-5, 2), 9), (H, F(-3, 2), -H, 1), (1, 0, 0, 0)),
+        ((1, -11, -5, 18), (1, -3, -1, 2), (1, 0, 0, 0)),
         (0, 0, 1),
         ("optimal", 1),  # bounded by x1 <= 1
         id="chvatal",
     ),
     pytest.param(
-        (F(23, 10), F(43, 20), F(-271, 20), F(-2, 5)),
-        ((F(2, 5), F(1, 5), F(-7, 5), F(-1, 5)), (F(-39, 5), F(-7, 5), F(39, 5), F(2, 5))),
+        (46, 43, -271, -8),
+        ((2, 1, -7, -1), (-39, -7, 39, 2)),
         (0, 0),
         ("unbounded", None),  # a cone with an improving ray
         id="hall-mckinnon",
@@ -402,7 +432,7 @@ def test_textbook_cycling_instances_reach_the_bruteforce_optimum(c, a, b, expect
     assert lp_bruteforce(c, (), (), a, b) == expected
     assert (out.status.value, out.value) == expected
     if out.status is LpStatus.OPTIMAL:
-        assert_dual_certificate(lp, out)
+        assert_certified(lp, out)
 
 
 positive_fracs = st.integers(1, 4).map(lambda n: F(n, 2))
@@ -423,41 +453,81 @@ def test_degenerate_programs_match_vertex_enumeration(run, n, m, data):
     lp = LinearProgram(objective=tuple(c), a_le=sparse(a), b_le=tuple(b))
     with pytest.MonkeyPatch.context() as patch, pivot_cap():
         patch.setattr(ratlp, "DEGENERATE_RUN", run)
-        out = maximize(lp)
+        out = maximize_as_written(lp)
     assert lp_bruteforce(c, (), (), a, b) == ("optimal", out.value)
-    assert_dual_certificate(lp, out)
+    assert_certified(lp, out)
 
 
-def test_pivots_do_not_depend_on_how_the_solver_scales_a_row():
-    # The CF LP of a bell-3-2 model that no outcome flip fixes, once with the
-    # integer numerators as right-hand sides and once with the probabilities
-    # (numerators over 12), which the solver scales to integers by 1, 2, 6
-    # or 12 row by row.  A slack is priced in the program's own units, so both
-    # take the same pivots to the same vertex, and contextual_fraction (which
-    # passes numerators) reports the full LP's optimum.
+def _scaled_rhs(lp, t):
+    return replace(lp, b_eq=tuple(t * b for b in lp.b_eq), b_le=tuple(t * b for b in lp.b_le))
+
+
+def test_right_hand_sides_times_12_keep_the_pivots_and_the_duals():
+    # The CF LP of a bell-3-2 model that no outcome flip fixes, with the
+    # integer numerators over 12 as right-hand sides and with 12 times them.
+    # Neither the entering rule nor the ratio test's order depends on a
+    # positive factor on b, so both take the same pivots to the same basis:
+    # the dual is the same and the primal and the value are 12 times as large.
     rows = ((6, 0, 0, 2, 0, 2, 2, 0),) + ((5, 1, 1, 1, 1, 1, 1, 1),) * 7
-    a = incidence_matrix(bell_scenario(3, 2))
+    lp = LinearProgram(
+        objective=(1,) * 64, a_le=incidence_matrix(bell_scenario(3, 2)),
+        b_le=tuple(x for row in rows for x in row),
+    )
     runs = []
     real_pivot = ratlp._Tableau.pivot
-    for scale in (1, F(1, 12)):
+    for t in (1, 12):
         pivots = []
 
         def recording_pivot(self, r, c, col):
             pivots.append((r, c))
             real_pivot(self, r, c, col)
 
-        b = tuple(x * scale for row in rows for x in row)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ratlp._Tableau, "pivot", recording_pivot)
-            out = maximize(LinearProgram(objective=(1,) * 64, a_le=a, b_le=b))
-        runs.append((pivots, [x / scale for x in out.solution]))
-    assert runs[0] == runs[1]
-    assert len(runs[0][0]) > 1
+            runs.append((pivots, maximize(_scaled_rhs(lp, t))))
+    (pivots, out), (pivots_12, out_12) = runs
+    assert pivots_12 == pivots and len(pivots) > 1
+    assert out_12.dual == out.dual
+    assert out_12.solution == tuple(12 * x for x in out.solution)
+    assert out_12.value == 12 * out.value
+
+
+def test_right_hand_sides_times_7_and_12_keep_every_dual():
+    # The integer forms of seeded random programs, many of them with rows
+    # that presolve drops for forcing columns to zero: their duals are
+    # raised to cover those columns, in units of the final tableau
+    # denominator, which a factor on b does not move.
+    optimal = raised = 0
+    real_raise = ratlp._raise_forced_duals
+    changed = []
+
+    def spying_raise(rows, forcing, y, cost, den):
+        before = list(y)
+        real_raise(rows, forcing, y, cost, den)
+        changed.append(y != before)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ratlp, "_raise_forced_duals", spying_raise)
+        for seed in range(600):
+            lp = integer_program(random_lp(random.Random(seed)))[0]
+            changed.clear()
+            out = maximize(lp)
+            for t in (7, 12):
+                scaled = maximize(_scaled_rhs(lp, t))
+                assert scaled.status is out.status, seed
+                if out.status is LpStatus.OPTIMAL:
+                    assert scaled.dual == out.dual, seed
+                    assert scaled.solution == tuple(t * x for x in out.solution), seed
+                    assert scaled.value == t * out.value, seed
+            if out.status is LpStatus.OPTIMAL:
+                optimal += 1
+                raised += changed[0]
+    assert (optimal, raised) == (221, 35)
 
 
 def test_determinism_identical_runs():
     inc = incidence_matrix(bell_scenario(2, 2))
-    b = tuple(flatten(pr_box(1, 0, 1)))
+    b = numerators(pr_box(1, 0, 1))
     lp = LinearProgram(objective=(1,) * 16, a_le=inc, b_le=b)
     first = maximize(lp)
     second = maximize(lp)
@@ -480,7 +550,8 @@ def test_feasibility_matches_bruteforce_oracle(m, n, data):
         for _ in range(m)
     ]
     b = [data.draw(small_fracs) for _ in range(m)]
-    out = solve_feasibility(sparse(a), b, n)
+    program = integer_program(LinearProgram((0,) * n, sparse(a), tuple(b)))[0]
+    out = solve_feasibility(program.a_eq, program.b_eq, n)
     witness = feasible_bruteforce(a, b)
     assert (out.status is LpStatus.FEASIBLE) == (witness is not None)
     if out.status is LpStatus.FEASIBLE:
@@ -499,10 +570,10 @@ def test_maximize_matches_vertex_enumeration(n, m, data):
     b.append(F(4))
     c = [data.draw(small_fracs) for _ in range(n)]
     lp = LinearProgram(objective=tuple(c), a_le=sparse(a), b_le=tuple(b))
-    out = maximize(lp)
+    out = maximize_as_written(lp)
     assert out.status is LpStatus.OPTIMAL
     assert lp_bruteforce(c, (), (), a, b) == ("optimal", out.value)
-    assert_dual_certificate(lp, out)
+    assert_certified(lp, out)
 
 
 @settings(max_examples=300, deadline=None)
@@ -523,13 +594,13 @@ def test_maximize_with_equalities_matches_split_oracle(n, data):
         a_le=sparse((box_row,)),
         b_le=(box_b,),
     )
-    out = maximize(lp)
+    out = maximize_as_written(lp)
     a_split = [eq_row, [-x for x in eq_row], box_row]
     b_split = [eq_b, -eq_b, box_b]
     status, value = lp_bruteforce(c, (), (), a_split, b_split)
     assert (out.status.value, out.value) == (status, value)
     if status == "optimal":
-        assert_dual_certificate(lp, out)
+        assert_certified(lp, out)
 
 
 @settings(max_examples=300, deadline=None)
@@ -545,11 +616,11 @@ def test_maximize_status_matches_standard_form_oracle(n, m_eq, m_le, data):
     b_le = [data.draw(small_fracs) for _ in range(m_le)]
     c = [data.draw(small_fracs) for _ in range(n)]
     lp = LinearProgram(tuple(c), sparse(a_eq), tuple(b_eq), sparse(a_le), tuple(b_le))
-    out = maximize(lp)
+    out = maximize_as_written(lp)
     status, value = lp_bruteforce(c, a_eq, b_eq, a_le, b_le)
     assert (out.status.value, out.value) == (status, value)
     if status == "optimal":
-        assert_dual_certificate(lp, out)
+        assert_certified(lp, out)
 
 
 def _presolve_free_lp(rng):
