@@ -12,13 +12,13 @@ The LP is solved on orbits of the group H of global outcome flips that fix
 every context table: one column per coset of H, one row per orbit of
 (context, section) rows.  A global flip restricts to a context exactly as a
 global assignment does, so H is the support scan run on the pattern of
-per-context stabilisers.  The optimum is read as integers over one
-denominator ``d``, the least one its own entries need, and lifted back as
-integers over ``d`` (each assignment takes its coset's weight, each row its
-orbit's dual divided by the orbit size), so no Fraction is made between the
-solver and the CF.  The lifted pair must pass an integer certificate that
-is a proof about the full LP from :func:`incidence_matrix` without trusting
-how H was found:
+per-context stabilisers.  The solver returns the optimum as integer
+numerators over one denominator, and the lift keeps them integers: over
+``d``, that denominator times the lcm of the orbit sizes, each assignment
+takes its coset's weight and each row its orbit's dual divided by the
+orbit size, so no Fraction is made between the solver and the CF.  The
+lifted pair must pass an integer certificate that is a proof about the
+full LP from :func:`incidence_matrix` without trusting how H was found:
 each generator of H, a basis taken from H's bitmask, is checked directly
 to fix the model's rows and the lifted primal and dual.  Invariance makes
 every dual row constant on a coset and every primal slack constant on a
@@ -37,13 +37,13 @@ An orbit LP with at least REFINE_MIN_ENTRIES nonzeros is reduced further,
 to its coarsest equitable partition: colour refinement of its rows (started
 from their right-hand sides) and columns, which can also merge rows and
 columns that no outcome flip maps to one another, and solved with one
-column per column class and one row per row class.  The reduced optimum is
-lifted to the orbit LP (each coset takes its class's weight, each row orbit
-its class's dual divided by the class size), with ``d`` taken from the
-class weights and from the class duals over class size times orbit size,
-and then certified exactly as above, so a wrong partition can only raise,
-never give a wrong CF.  The reduced LP is cached per (scenario, group,
-equality pattern of the right-hand side), of which it is a pure function.
+column per column class and one row per row class.  Its maps to global
+assignments and full rows are the orbit LP's composed with the classes, so
+its optimum is lifted once, as the orbit LP's is, with ``d`` taken over
+the lcm of the row classes' sizes in full rows, and certified exactly as
+above: a wrong partition can only raise, never give a wrong CF.  The
+reduced LP is cached per (scenario, group, equality pattern of the
+right-hand side), of which it is a pure function.
 
 ``classify`` runs both routes and raises ``InternalConsistencyError`` if they
 ever disagree, rather than returning a silently wrong verdict.
@@ -51,7 +51,7 @@ ever disagree, rather than returning a silently wrong verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -68,7 +68,7 @@ from .empirical import (
     possibilistic_collapse,
 )
 from .errors import InternalConsistencyError, SignalingInput, TooLarge
-from .ratlp import LinearProgram, LpOutcome, LpStatus, maximize, sequence_getter
+from .ratlp import LinearProgram, LpStatus, maximize, sequence_getter
 from .scenario import SCENARIO_CACHE_SIZE, MeasurementScenario, projection, section_values
 
 #: Hard cap on the size of the full incidence LP, (context, section) rows
@@ -120,7 +120,7 @@ def incidence_matrix(s: MeasurementScenario) -> tuple[tuple[tuple[int, int], ...
     restricting to its section, in increasing ``g``, so every column has
     exactly one 1 per context.
     """
-    return _quotient(s, 1).a_le
+    return _quotient(s, 1).lp.a_le
 
 
 def _require_no_signaling(m: EmpiricalModel) -> None:
@@ -190,25 +190,35 @@ def _stabilizer(row) -> int:
 
 
 @dataclass(frozen=True)
+class _ClassLP:
+    """The CF LP on classes of global assignments and of full rows, with the maps that lift it.
+
+    Column ``C`` is the common weight of the assignments in one class, so
+    its objective coefficient is the class's size.  Row ``R`` is full row
+    ``row_reps[R]``, the least of its class, on those weights; every row of
+    the class reads the same there, so its dual is shared by the class's
+    ``row_split[R]`` full rows.  Full rows are numbered as in
+    :func:`incidence_matrix`.  ``lift_columns`` reads a vector over column
+    classes to one over global assignments, and ``lift_rows`` one over row
+    classes to one over full rows.
+    """
+
+    objective: tuple[int, ...]
+    a_le: tuple[tuple[tuple[int, int], ...], ...]
+    row_reps: tuple[int, ...]
+    row_split: tuple[int, ...]
+    lift_columns: Callable
+    lift_rows: Callable
+
+
+@dataclass(frozen=True)
 class _Quotient:
-    """The CF LP restricted to H-invariant points, with what lifts and certifies it.
+    """The CF LP restricted to H-invariant points, with what certifies its lifted optimum.
 
-    Column ``j`` is the common weight of the assignments in the ``j``-th
-    coset of H, so its objective coefficient is ``order`` = |H|.  Row ``k``
-    is the average of the rows in one orbit R, whose right-hand side is the
-    entry at full row ``row_reps[k]``, its least row; scaled by |R| it is
-    the sparse row with coefficient ``order // row_size[k]`` on every coset
-    restricting into R; ``nonzeros`` counts the entries of all those rows.
-    Full rows are numbered as in :func:`incidence_matrix`.
-    ``column_of[g]`` and ``row_of[r]`` give the coset of assignment ``g``
-    and the orbit of full row ``r``.
-
-    The lift reads a vector over cosets to one over global assignments
-    through ``lift_columns``, and one over row orbits to one over full rows
-    through ``lift_rows``: the getters of ``column_of`` and ``row_of``,
-    built with the quotient.  An optimum crosses them as integers over one
-    denominator taken from the LP's own optimum, so the lifted pair is
-    never a vector of Fractions.
+    ``lp`` is the orbit LP: its classes are the cosets of H and the orbits
+    of full rows, so every objective coefficient is |H|, and row ``k``
+    has coefficient |H| over the orbit size on every coset restricting into
+    its orbit.  ``nonzeros`` counts the entries of its rows.
 
     For the certificate, ``generators`` holds ``(column_flip, row_flip)``
     per basis flip ``h`` of H: getters that reorder a vector over global
@@ -217,22 +227,10 @@ class _Quotient:
     the least assignment of coset ``j`` restricts to.
     """
 
-    order: int
-    a_le: tuple[tuple[tuple[int, int], ...], ...]
+    lp: _ClassLP
     nonzeros: int
-    row_reps: tuple[int, ...]
-    row_size: tuple[int, ...]
-    column_of: tuple[int, ...]
-    row_of: tuple[int, ...]
     generators: tuple
     columns: tuple
-    lift_columns: Callable = field(init=False, repr=False, compare=False)
-    lift_rows: Callable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # Built from the fields, so a copy made by ``replace`` lifts through its own maps.
-        object.__setattr__(self, "lift_columns", sequence_getter(self.column_of))
-        object.__setattr__(self, "lift_rows", sequence_getter(self.row_of))
 
 
 @lru_cache(maxsize=4096)
@@ -302,13 +300,15 @@ def _quotient(s: MeasurementScenario, group: int) -> _Quotient:
         for h in basis
     )
     return _Quotient(
-        order=order,
-        a_le=tuple(a_le),
+        lp=_ClassLP(
+            objective=(order,) * len(cosets),
+            a_le=tuple(a_le),
+            row_reps=tuple(row_reps),
+            row_split=tuple(row_size),
+            lift_columns=sequence_getter(column_of),
+            lift_rows=sequence_getter(row_of),
+        ),
         nonzeros=sum(map(len, a_le)),
-        row_reps=tuple(row_reps),
-        row_size=tuple(row_size),
-        column_of=tuple(column_of),
-        row_of=tuple(row_of),
         generators=generators,
         columns=tuple(
             sequence_getter([rows[proj[g]] for rows, proj in zip(rows_of, table)]) for g in cosets
@@ -316,26 +316,21 @@ def _quotient(s: MeasurementScenario, group: int) -> _Quotient:
     )
 
 
-def _certify_lift(m: EmpiricalModel, quotient: _Quotient, weights, shares, d: int, v: int) -> tuple:
-    """Prove the lifted orbit optimum optimal for the full CF LP of ``m``; return its primal.
+def _certify_lift(m: EmpiricalModel, quotient: _Quotient, x, y, d: int, v: int) -> None:
+    """Prove the lifted optimum ``(x, y)`` optimal for the full CF LP of ``m``.
 
-    Everything is an integer over the denominator ``d``: ``weights[j]`` is
-    the weight of coset ``j``, ``shares[k]`` the dual of each row of orbit
-    ``k`` (its orbit dual over the orbit size) and ``v`` the optimum.  The
-    primal ``x`` gives each assignment its coset's weight and the dual ``y``
-    each row its orbit's share; the right-hand side ``b`` is the numerator
-    rows.  Each generator of the quotient's group must fix ``b``, ``y`` and
-    ``x``; then the full LP's dual row of ``g`` is constant on the coset of
-    ``g`` and the slack of a primal row on its orbit, so one of each per
-    coset and orbit is checked, and both objectives over every lifted
-    entry.  Returns ``x``, and raises InternalConsistencyError when the pair
-    proves nothing.
+    Everything is an integer over the denominator ``d``: ``x[g]`` is the
+    weight of global assignment ``g``, ``y[r]`` the dual of full row ``r``
+    and ``v`` the optimum; the right-hand side ``b`` is the numerator rows.
+    Each generator of the quotient's group must fix ``b``, ``y`` and ``x``;
+    then the full LP's dual row of ``g`` is constant on the coset of ``g``
+    and the slack of a primal row on its orbit, so one of each per coset
+    and orbit is checked, and both objectives over every lifted entry.
+    Raises InternalConsistencyError when the pair proves nothing.
     """
     def fail(what):
         raise InternalConsistencyError(f"lifted CF optimum failed its quotient certificate: {what}")
 
-    x = quotient.lift_columns(weights)
-    y = quotient.lift_rows(shares)
     b = tuple(chain.from_iterable(m.numerators))
     for column_flip, row_flip in quotient.generators:
         if row_flip(b) != b:
@@ -349,7 +344,7 @@ def _certify_lift(m: EmpiricalModel, quotient: _Quotient, weights, shares, d: in
     if min(x) < 0 or min(y) < 0:
         fail("negative primal or dual entry")
     matrix = incidence_matrix(m.scenario)
-    for r in quotient.row_reps:
+    for r in quotient.lp.row_reps:
         if sum([a * x[g] for g, a in matrix[r]]) > b[r] * d:
             fail("primal row violated")
     if sum(x) != v:
@@ -359,25 +354,6 @@ def _certify_lift(m: EmpiricalModel, quotient: _Quotient, weights, shares, d: in
     for rows_of_g in quotient.columns:
         if sum(rows_of_g(y)) < d:
             fail("dual row violated")
-    return x
-
-
-def _integral(out: LpOutcome, splits) -> tuple:
-    """``(weights, shares, d, v)``: the optimum ``out`` as integers over one denominator ``d``.
-
-    ``d`` is the least that makes every entry an integer: ``weights`` is
-    ``d`` times the solution, ``shares[k]`` is ``d`` times dual ``k`` over
-    ``splits[k]``, and ``v`` is ``d`` times the value.
-    """
-    value = out.value
-    d = lcm(value.denominator, *[q.denominator for q in out.solution],
-            *[q.denominator * n for q, n in zip(out.dual, splits)])
-    return (
-        [q.numerator * (d // q.denominator) for q in out.solution],
-        [q.numerator * (d // (q.denominator * n)) for q, n in zip(out.dual, splits)],
-        d,
-        value.numerator * (d // value.denominator),
-    )
 
 
 # --- the orbit LP on its coarsest equitable partition --------------------------
@@ -394,56 +370,26 @@ def _integral(out: LpOutcome, splits) -> tuple:
 # optimum that :func:`_certify_lift` checks like any other.
 
 
-@dataclass(frozen=True)
-class _Reduced:
-    """The orbit LP on a partition of its rows and columns into classes numbered from 0.
-
-    ``row_class[k]`` is the class of orbit row ``k`` and ``column_class[j]``
-    that of coset ``j``.  Column ``C`` of the reduced LP is the common weight
-    of the cosets in class ``C``, so its objective coefficient is the class's
-    objective sum.  Row ``R`` is orbit row ``row_reps[R]``, the least of its
-    class, with its coefficients summed over each column class; ``row_size[R]``
-    is the size of the class, and ``row_split[R]`` that size times the orbit
-    size of its least row, the number of full rows its dual is shared by.
-    ``lift_columns`` and ``lift_rows``, the getters of ``column_class`` and
-    ``row_class``, read a vector over classes to one over cosets or orbits.
-    """
-
-    objective: tuple[int, ...]
-    a_le: tuple[tuple[tuple[int, int], ...], ...]
-    row_reps: tuple[int, ...]
-    row_size: tuple[int, ...]
-    row_split: tuple[int, ...]
-    row_class: tuple[int, ...]
-    column_class: tuple[int, ...]
-    lift_columns: Callable = field(init=False, repr=False, compare=False)
-    lift_rows: Callable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "lift_columns", sequence_getter(self.column_class))
-        object.__setattr__(self, "lift_rows", sequence_getter(self.row_class))
-
-
 def _classes(signatures) -> list[int]:
     """The class of each signature, equal signatures sharing one, numbered by first occurrence."""
     ids = {}
     return [ids.setdefault(sig, len(ids)) for sig in signatures]
 
 
-def _equitable_partition(quotient: _Quotient, pattern: tuple[int, ...]):
-    """``(row_class, column_class)``: the coarsest equitable partition of the orbit LP refining ``pattern``.
+def _equitable_partition(lp: _ClassLP, pattern: tuple[int, ...]):
+    """``(row_class, column_class)``: the coarsest equitable partition of orbit LP ``lp`` refining ``pattern``.
 
     Colour refinement.  Rows start coloured by their ``pattern`` entry and
     their one coefficient, columns alike, since every objective coefficient
-    is ``order``.  Then each column is coloured by the sorted multiset of its
+    is |H|.  Then each column is coloured by the sorted multiset of its
     rows' colours, and each row by its colour and the sorted multiset of its
     columns' colours, until a round splits no class.  Each round's colours
     refine the last round's, so equal class counts mean a stable partition,
     and a stable one is equitable: a row's coefficient is part of its colour.
     """
-    rows = quotient.a_le
+    rows = lp.a_le
     row_class = _classes(zip(pattern, [row[0][1] for row in rows]))
-    column_class = [0] * len(quotient.columns)
+    column_class = [0] * len(lp.objective)
     while True:
         seen = [[] for _ in column_class]
         for colour, row in zip(row_class, rows):
@@ -459,37 +405,41 @@ def _equitable_partition(quotient: _Quotient, pattern: tuple[int, ...]):
         row_class, column_class = refined, columns
 
 
-def _reduced(quotient: _Quotient, row_class, column_class) -> _Reduced:
-    """The orbit LP of ``quotient`` on the given classes, each numbered from 0 by first occurrence."""
-    row_reps, row_size = [], []
+def _on_classes(lp: _ClassLP, row_class, column_class) -> _ClassLP:
+    """``lp`` on the given classes of its rows and columns, each numbered from 0 by first occurrence.
+
+    A class's objective coefficient and row split are the sums of its
+    members', its row is its least member's with the coefficients summed
+    over each column class, and its lift maps are ``lp``'s composed with
+    the classes.
+    """
+    reps = {}  # row class -> its least row of lp
+    row_split = [0] * (max(row_class) + 1)
     for k, cls in enumerate(row_class):
-        if cls == len(row_reps):
-            row_reps.append(k)
-            row_size.append(0)
-        row_size[cls] += 1
-    column_size = [0] * (max(column_class) + 1)
-    for cls in column_class:
-        column_size[cls] += 1
+        reps.setdefault(cls, k)
+        row_split[cls] += lp.row_split[k]
+    objective = [0] * (max(column_class) + 1)
+    for cls, c in zip(column_class, lp.objective):
+        objective[cls] += c
     a_le = []
-    for k in row_reps:
+    for k in reps.values():
         sums = {}
-        for j, a in quotient.a_le[k]:
+        for j, a in lp.a_le[k]:
             cls = column_class[j]
             sums[cls] = sums.get(cls, 0) + a
         a_le.append(tuple(sorted(sums.items())))
-    return _Reduced(
-        objective=tuple([quotient.order * size for size in column_size]),
+    return _ClassLP(
+        objective=tuple(objective),
         a_le=tuple(a_le),
-        row_reps=tuple(row_reps),
-        row_size=tuple(row_size),
-        row_split=tuple([n * quotient.row_size[k] for n, k in zip(row_size, row_reps)]),
-        row_class=tuple(row_class),
-        column_class=tuple(column_class),
+        row_reps=tuple([lp.row_reps[k] for k in reps.values()]),
+        row_split=tuple(row_split),
+        lift_columns=sequence_getter(lp.lift_columns(column_class)),
+        lift_rows=sequence_getter(lp.lift_rows(row_class)),
     )
 
 
 @lru_cache(maxsize=SCENARIO_CACHE_SIZE)
-def _refined(s: MeasurementScenario, group: int, pattern: tuple[int, ...]) -> _Reduced:
+def _refined(s: MeasurementScenario, group: int, pattern: tuple[int, ...]) -> _ClassLP:
     """The orbit LP of ``_quotient(s, group)`` on its coarsest equitable partition.
 
     ``pattern`` numbers the orbit rows' right-hand sides by first
@@ -497,28 +447,18 @@ def _refined(s: MeasurementScenario, group: int, pattern: tuple[int, ...]) -> _R
     nothing else, so every model with one pattern shares one reduced LP, and
     its rows are one set of objects for the LP's row cache.
     """
-    quotient = _quotient(s, group)
-    return _reduced(quotient, *_equitable_partition(quotient, pattern))
-
-
-def _optimum(lp: LinearProgram) -> LpOutcome:
-    out = maximize(lp)
-    if out.status is not LpStatus.OPTIMAL:
-        raise InternalConsistencyError(
-            f"noncontextual-fraction LP ended {out.status}, expected an optimum"
-        )
-    return out
+    lp = _quotient(s, group).lp
+    return _on_classes(lp, *_equitable_partition(lp, pattern))
 
 
 def _contextual_fraction_with_witness(m: EmpiricalModel):
     """``(CF, x, den)``: the CF LP solved on flip orbits, its lifted optimum certified in full.
 
     An orbit LP with at least REFINE_MIN_ENTRIES nonzeros is solved on its
-    coarsest equitable partition, each coset taking its class's weight and
-    each row orbit its class's dual over the class size.  Either optimum is
-    read as integers over one denominator ``d``, lifted through the
-    quotient's getters and certified.  ``x`` is the certified primal over
-    global assignments: assignment ``g`` has probability ``x[g] / den``.
+    coarsest equitable partition.  Either LP's optimum, integers over the
+    solver's ``den``, is lifted once through that LP's maps, over ``d =
+    den * lcm(row_split)``, and certified.  ``x`` is the certified primal
+    over global assignments: assignment ``g`` has probability ``x[g] / den``.
     """
     _require_no_signaling(m)
     s = m.scenario
@@ -526,22 +466,21 @@ def _contextual_fraction_with_witness(m: EmpiricalModel):
     group = _flip_group(s, tuple([_stabilizer(row) for row in m.numerators]))
     quotient = _quotient(s, group)
     b = tuple(chain.from_iterable(m.numerators))
-    b_le = tuple([b[r] for r in quotient.row_reps])
-    if quotient.nonzeros < REFINE_MIN_ENTRIES:
-        out = _optimum(LinearProgram(
-            objective=(quotient.order,) * len(quotient.columns), a_le=quotient.a_le, b_le=b_le,
-        ))
-        weights, shares, d, v = _integral(out, quotient.row_size)
-    else:
-        reduced = _refined(s, group, tuple(_classes(b_le)))
-        out = _optimum(LinearProgram(
-            objective=reduced.objective,
-            a_le=reduced.a_le,
-            b_le=tuple([b_le[k] for k in reduced.row_reps]),
-        ))
-        weights, shares, d, v = _integral(out, reduced.row_split)
-        weights, shares = reduced.lift_columns(weights), reduced.lift_rows(shares)
-    x = _certify_lift(m, quotient, weights, shares, d, v)
+    lp = quotient.lp
+    if quotient.nonzeros >= REFINE_MIN_ENTRIES:
+        lp = _refined(s, group, tuple(_classes([b[r] for r in lp.row_reps])))
+    out = maximize(LinearProgram(
+        objective=lp.objective, a_le=lp.a_le, b_le=tuple([b[r] for r in lp.row_reps]),
+    ))
+    if out.status is not LpStatus.OPTIMAL:
+        raise InternalConsistencyError(
+            f"noncontextual-fraction LP ended {out.status}, expected an optimum"
+        )
+    scale = lcm(*lp.row_split)
+    x = lp.lift_columns([w * scale for w in out.solution])
+    y = lp.lift_rows([u * (scale // n) for u, n in zip(out.dual, lp.row_split)])
+    d, v = out.den * scale, out.value * scale
+    _certify_lift(m, quotient, x, y, d, v)
     den = m.den * d
     return Fraction(den - v, den), x, den
 

@@ -335,7 +335,9 @@ def main(argv=None) -> int:
         # str() names the file: "[Errno 2] No such file or directory: 'x.json'".
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, ValueError, KeyError) as exc:
+    except ValueError as exc:
+        # JSON decode errors, UnicodeDecodeError and json's refusal of an
+        # integer past 4 300 digits are all ValueErrors.
         print(f"validation error: {exc!r}", file=sys.stderr)
         return 2
 

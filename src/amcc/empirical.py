@@ -305,17 +305,22 @@ def _plan(context: tuple[str, ...], target: tuple[str, ...]) -> tuple:
     return _marginal_plan(len(context), label_positions(context, target))
 
 
-def _plan_getter():
-    """A :func:`_plan` that builds each (width, positions) plan once, for one scenario's plan list.
+def _plan_getter(s: MeasurementScenario):
+    """A plan of ``(c, target)``, labels of context ``c`` of ``s``, for one scenario's plan list.
 
-    Its plans are kept in a dict of its own, so a list with more shapes than
-    the LRU of :func:`_marginal_plan` holds (a width-9 context has 510
-    proper subsets) still holds one plan per shape.
+    Its targets are labels of their context by construction, so each
+    context's label positions are read once, from one lookup, and not
+    checked again for every target.  Its plans are kept in a dict of its
+    own, so a list with more shapes than the LRU of :func:`_marginal_plan`
+    holds (a width-9 context has 510 proper subsets) still builds each
+    (width, positions) plan once.
     """
     plans = {}
+    lookups = [{label: k for k, label in enumerate(ctx)} for ctx in s.contexts]
 
-    def plan(context: tuple[str, ...], target: tuple[str, ...]) -> tuple:
-        key = len(context), label_positions(context, target)
+    def plan(c: int, target: tuple[str, ...]) -> tuple:
+        lookup = lookups[c]
+        key = len(lookup), tuple([lookup[label] for label in target])
         if key not in plans:
             plans[key] = _marginal_plan(*key)
         return plans[key]
@@ -343,11 +348,8 @@ def marginal(
 @lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def _overlap_plans(s: MeasurementScenario) -> tuple:
     """``(a, b, shared, plan_a, plan_b)`` for each pair of :func:`overlaps`, in its order."""
-    plan = _plan_getter()
-    return tuple(
-        (a, b, shared, plan(s.contexts[a], shared), plan(s.contexts[b], shared))
-        for a, b, shared in overlaps(s)
-    )
+    plan = _plan_getter(s)
+    return tuple((a, b, shared, plan(a, shared), plan(b, shared)) for a, b, shared in overlaps(s))
 
 
 def _over(row, den: int) -> tuple[Fraction, ...]:
@@ -402,9 +404,9 @@ def proper_subsets(context: tuple[str, ...]):
 @lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def _subset_plans(s: MeasurementScenario) -> tuple:
     """``(c, subset, plan)`` for each proper subset of each context, in canonical order."""
-    plan = _plan_getter()
+    plan = _plan_getter(s)
     return tuple(
-        (c, subset, plan(ctx, subset))
+        (c, subset, plan(c, subset))
         for c, ctx in enumerate(s.contexts)
         for subset in proper_subsets(ctx)
     )
@@ -417,9 +419,9 @@ def _deciding_plans(s: MeasurementScenario) -> tuple:
     Built on their own, in the same order, so a model that passes never
     walks the other subsets.
     """
-    plan = _plan_getter()
+    plan = _plan_getter(s)
     return tuple(
-        (c, subset, plan(ctx, subset))
+        (c, subset, plan(c, subset))
         for c, ctx in enumerate(s.contexts) if len(ctx) > 1
         for subset in (ctx[:i] + ctx[i + 1:] for i in reversed(range(len(ctx))))
     )

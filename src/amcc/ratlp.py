@@ -4,7 +4,7 @@ A program has a dense objective, which fixes the column count, and sparse
 constraint rows of ``(column, coefficient)`` pairs (see :class:`LinearProgram`).
 Every objective entry, coefficient and right-hand side is an ``int``;
 anything else, a ``Fraction`` included, is refused.  The optimum comes back
-as ``fractions.Fraction``.
+as it ends in the tableau: ``int`` numerators over one positive ``den``.
 
 Two-phase primal simplex that enters on the largest coefficient (the most
 negative row-0 entry, lowest index among equals) and falls back to Bland's
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import itemgetter
@@ -63,8 +62,6 @@ from typing import Optional, Sequence
 
 from .errors import InternalConsistencyError, MalformedInput, ShapeMismatch
 from .scenario import shown
-
-ZERO = Fraction(0)
 
 #: Consecutive degenerate pivots after which the simplex enters on Bland's
 #: rule until its next nondegenerate pivot (see :meth:`_Tableau.run`).
@@ -82,16 +79,20 @@ class LpStatus(enum.Enum):
 class LpOutcome:
     """Solver verdict; OPTIMAL outcomes carry a certified primal-dual pair.
 
+    ``value``, every entry of ``solution`` and every entry of ``dual`` is an
+    ``int`` numerator over ``den > 0``: the optimum is ``value / den``.
     ``solution`` satisfies all constraints exactly when present.  ``dual``
     has one entry per constraint row, equality rows first, then ``<=`` rows:
     it is nonnegative on the ``<=`` rows, ``A^T dual >= objective`` in every
-    column, and ``b . dual == value``.
+    column, and ``b . dual == value``.  A FEASIBLE outcome carries
+    ``solution`` and ``den`` only.
     """
 
     status: LpStatus
-    value: Optional[Fraction] = None
-    solution: Optional[tuple[Fraction, ...]] = None
-    dual: Optional[tuple[Fraction, ...]] = None
+    value: Optional[int] = None
+    solution: Optional[tuple[int, ...]] = None
+    dual: Optional[tuple[int, ...]] = None
+    den: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -597,7 +598,7 @@ def _certify(rows, kinds, cost, x, y, den, value) -> None:
 
 
 def maximize(lp: LinearProgram) -> LpOutcome:
-    """Maximize exactly; OPTIMAL outcomes carry the optimum and a certified pair.
+    """Maximize exactly; OPTIMAL outcomes carry the optimum and a certified pair over ``den``.
 
     Presolve, then phase one on the artificial columns when any row needs
     one, then phase two on the objective, then the certificate check.
@@ -632,22 +633,18 @@ def maximize(lp: LinearProgram) -> LpOutcome:
         y[k] = -row0[t] if rows[k][1] < 0 else row0[t]
     _raise_forced_duals(rows, forcing, y, cost, den)
     _certify(rows, kinds, cost, x, y, den, row0[-1])
-    return LpOutcome(
-        LpStatus.OPTIMAL,
-        Fraction(row0[-1], den),
-        tuple([Fraction(v, den) if v else ZERO for v in x]),
-        tuple([Fraction(u, den) if u else ZERO for u in y]),
-    )
+    return LpOutcome(LpStatus.OPTIMAL, row0[-1], tuple(x), tuple(y), den)
 
 
 def solve_feasibility(a: Sequence[tuple], b: Sequence, n: int) -> LpOutcome:
     """Decide A x = b, x >= 0 exactly: :func:`maximize` with a zero objective.
 
     ``a`` holds sparse rows over ``n`` columns, as in :class:`LinearProgram`.
-    FEASIBLE outcomes carry an exact witness; INFEASIBLE means the phase-one
-    optimum is strictly positive, i.e. no nonnegative solution exists.
+    FEASIBLE outcomes carry an exact witness, numerators over ``den``;
+    INFEASIBLE means the phase-one optimum is strictly positive, i.e. no
+    nonnegative solution exists.
     """
     out = maximize(LinearProgram(objective=(0,) * n, a_eq=tuple(a), b_eq=tuple(b)))
     if out.status is LpStatus.OPTIMAL:
-        return LpOutcome(LpStatus.FEASIBLE, None, out.solution)
+        return LpOutcome(LpStatus.FEASIBLE, solution=out.solution, den=out.den)
     return out

@@ -1,7 +1,8 @@
 """Hypothesis strategies and generated inputs shared by the test suites.
 
 The LP helpers at the end let a test write a program with Fractions, as its
-oracles read it, and solve it in the integers the solver takes.
+oracles read it, solve it in the integers the solver takes, and read any
+outcome, integer numerators over one denominator, as rationals.
 """
 
 from __future__ import annotations
@@ -370,22 +371,38 @@ def integer_program(lp: LinearProgram):
     return LinearProgram(objective, a_eq, b_eq, a_le, b_le), eq_scales + le_scales, scale
 
 
-def maximize_as_written(lp: LinearProgram) -> LpOutcome:
-    """``maximize`` on :func:`integer_program` of ``lp``, read back in ``lp``'s own units.
+def rational(out: LpOutcome, row_scales=None, scale: int = 1) -> LpOutcome:
+    """``out`` read as rationals: its value, solution and dual as Fractions, ``den`` 1.
 
-    The primal is the same point; the value is divided by the objective's
-    scale, and the dual of row ``k`` is multiplied by its row's scale and
-    divided by the objective's, which makes it a dual of ``lp``.
+    The one place the tests read an outcome's numbers.  It first checks the
+    integer contract: an OPTIMAL or FEASIBLE outcome carries ``den > 0``
+    and every entry it has is an ``int`` numerator over it.  With the
+    ``row_scales`` and ``scale`` of :func:`integer_program`, the value is
+    divided by the objective's scale, and the dual of row ``k`` is
+    multiplied by its row's scale and divided by the objective's, which
+    makes it a dual of the program as written; the primal is the same point.
     """
-    program, row_scales, scale = integer_program(lp)
-    out = maximize(program)
-    if out.status is not LpStatus.OPTIMAL:
+    if out.status not in (LpStatus.OPTIMAL, LpStatus.FEASIBLE):
         return out
+    den = out.den
+    numbers = [out.value] + list(out.solution) + list(out.dual or ())
+    assert type(den) is int and den > 0, den
+    assert all(type(v) is int for v in numbers if v is not None), numbers
     return replace(
         out,
-        value=out.value / scale,
-        dual=tuple(y * d / scale for y, d in zip(out.dual, row_scales)),
+        value=None if out.value is None else Fraction(out.value, den * scale),
+        solution=tuple(Fraction(v, den) for v in out.solution),
+        dual=None if out.dual is None else tuple(
+            Fraction(y * d, den * scale) for y, d in zip(out.dual, row_scales or itertools.repeat(1))
+        ),
+        den=1,
     )
+
+
+def maximize_as_written(lp: LinearProgram) -> LpOutcome:
+    """``maximize`` on :func:`integer_program` of ``lp``, read back in ``lp``'s own units by :func:`rational`."""
+    program, row_scales, scale = integer_program(lp)
+    return rational(maximize(program), row_scales, scale)
 
 
 def random_lp(rng):

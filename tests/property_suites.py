@@ -53,6 +53,7 @@ from _generators import (
     noisy_parity_lifts,
     ns_models_222,
     parity_systems,
+    rational,
     refinable_models,
     support_patterns_222,
     symmetric_models,
@@ -197,23 +198,35 @@ def check_polytope_dimension_formula(n_parties, settings_count):
 def _full_cf_optimum(model):
     """``maximize`` on the full contextual-fraction LP, one column per global assignment.
 
-    The right-hand side is the model's numerators, so the optimum is ``den`` times 1 - CF.
+    The right-hand side is the model's numerators, so the optimum, read as
+    a rational, is ``den`` times 1 - CF.
     """
-    return maximize(LinearProgram(
+    return rational(maximize(LinearProgram(
         objective=(1,) * (1 << len(model.scenario.observables)),
         a_le=incidence_matrix(model.scenario),
         b_le=tuple(x for row in model.numerators for x in row),
-    ))
+    )))
 
 
 def _refined_lp(model):
-    """``(quotient, b, reduced)``: the orbit LP, its right-hand side and its refinement at any size."""
+    """``(quotient, b, partition, reduced)`` at any size.
+
+    The orbit LP's quotient, its right-hand side, its coarsest equitable
+    partition ``(row_class, column_class)`` and the reduced LP on it.
+    """
     s = model.scenario
     group = analysis._flip_group(s, tuple(map(analysis._stabilizer, model.numerators)))
     quotient = analysis._quotient(s, group)
     rows = [x for row in model.numerators for x in row]
-    b = tuple(rows[r] for r in quotient.row_reps)
-    return quotient, b, analysis._refined(s, group, tuple(analysis._classes(b)))
+    b = tuple(rows[r] for r in quotient.lp.row_reps)
+    pattern = tuple(analysis._classes(b))
+    partition = analysis._equitable_partition(quotient.lp, pattern)
+    return quotient, b, partition, analysis._refined(s, group, pattern)
+
+
+def classes_of(lift, count):
+    """The class of each global assignment or full row, from a lift getter over ``count`` classes."""
+    return tuple(lift(range(count)))
 
 
 _incidence = lru_cache(maxsize=None)(incidence_bruteforce)
@@ -247,11 +260,11 @@ def check_orbit_cf_matches_full_lp(model):
     for row, x in zip(_incidence(s.observables, s.contexts), entries, strict=True):
         assert sum(weight[g] for g, _ in row) <= x
     assert all(weight[g ^ h] == weight[g] for g in range(1 << n) for h in group)
-    quotient, _, reduced = _refined_lp(model)
+    quotient, _, _, reduced = _refined_lp(model)
     if quotient.nonzeros >= analysis.REFINE_MIN_ENTRIES:
         by_class = {}
-        for g in range(1 << n):
-            by_class.setdefault(reduced.column_class[quotient.column_of[g]], set()).add(weight[g])
+        for g, cls in enumerate(classes_of(reduced.lift_columns, len(reduced.objective))):
+            by_class.setdefault(cls, set()).add(weight[g])
         assert all(len(weights) == 1 for weights in by_class.values())
 
 
@@ -263,15 +276,18 @@ def check_refined_cf_matches_orbit_lp(model):
     The equitable-partition oracle checks the partition on the orbit LP,
     and the CF solved on it equals ``maximize`` on the unreduced orbit LP.
     """
-    quotient, b, reduced = _refined_lp(model)
+    quotient, b, (row_class, column_class), reduced = _refined_lp(model)
     assume(quotient.nonzeros >= analysis.REFINE_MIN_ENTRIES)
-    objective = (quotient.order,) * len(quotient.columns)
-    assert equitable_violation(
-        quotient.a_le, b, objective, reduced.row_class, reduced.column_class
-    ) is None
-    assert len(reduced.a_le) == len(set(reduced.row_class)) <= len(b)
-    assert len(reduced.objective) == len(set(reduced.column_class)) <= len(objective)
-    unreduced = maximize(LinearProgram(objective=objective, a_le=quotient.a_le, b_le=b))
+    lp = quotient.lp
+    assert equitable_violation(lp.a_le, b, lp.objective, row_class, column_class) is None
+    assert len(reduced.a_le) == len(set(row_class)) <= len(b)
+    assert len(reduced.objective) == len(set(column_class)) <= len(lp.objective)
+    # The reduced LP lifts straight to every global assignment and full row.
+    assert sum(reduced.objective) == sum(lp.objective) == 1 << len(model.scenario.observables)
+    assert sum(reduced.row_split) == sum(lp.row_split) == sum(map(len, model.numerators))
+    orbit_of_row = classes_of(lp.lift_rows, len(lp.a_le))
+    assert classes_of(reduced.lift_rows, len(reduced.a_le)) == tuple(row_class[k] for k in orbit_of_row)
+    unreduced = rational(maximize(LinearProgram(objective=lp.objective, a_le=lp.a_le, b_le=b)))
     assert contextual_fraction(model) == 1 - unreduced.value / model.den
 
 
@@ -294,17 +310,16 @@ def check_merged_partition_never_moves_cf(model, pick, rows):
     optimum lifts to a point the full-LP certificate rejects; it must never
     be certified with another value.
     """
-    quotient, _, reduced = _refined_lp(model)
+    quotient, _, (row_class, column_class), _ = _refined_lp(model)
     assume(quotient.nonzeros >= analysis.REFINE_MIN_ENTRIES)
     cf = contextual_fraction(model)
-    row_class, column_class = reduced.row_class, reduced.column_class
     if rows:
         row_class = _merged(row_class, pick)
     else:
         column_class = _merged(column_class, pick)
     if row_class is None or column_class is None:
         return
-    wrong = analysis._reduced(quotient, row_class, column_class)
+    wrong = analysis._on_classes(quotient.lp, row_class, column_class)
     with mock.patch.object(analysis, "_refined", lambda s, group, pattern: wrong):
         try:
             assert contextual_fraction(model) == cf
@@ -313,11 +328,11 @@ def check_merged_partition_never_moves_cf(model, pick, rows):
 
 
 def _unshared_row_duals(quotient):
-    return replace(quotient, row_size=(1,) * len(quotient.row_size))
+    return replace(quotient, lp=replace(quotient.lp, row_split=(1,) * len(quotient.lp.row_split)))
 
 
 def _unscaled_orbit_columns(quotient):
-    return replace(quotient, order=1)
+    return replace(quotient, lp=replace(quotient.lp, objective=(1,) * len(quotient.lp.objective)))
 
 
 @CASES
@@ -336,7 +351,7 @@ def check_orbit_lift_mutations_fail_certificate(model):
 
 
 class Lift(NamedTuple):
-    """What the quotient certificate takes, all integers over the denominator ``d``.
+    """What the quotient certificate takes, on the orbit LP: integers over the denominator ``d``.
 
     ``weights[j]`` is the weight of coset ``j``, ``shares[k]`` the dual of
     each full row of orbit ``k`` and ``value`` the optimum.
@@ -361,8 +376,12 @@ def lift_inputs(model, flip_group=None):
         seen.append(real(s, stabilizers) if flip_group is None else flip_group)
         return seen[-1]
 
-    def capture(m, quotient, weights, shares, d, v):
-        seen.extend((quotient, Lift(tuple(weights), tuple(shares), d, v)))
+    def capture(m, quotient, x, y, d, v):
+        least = {}  # coset -> its least assignment, in coset order
+        for g, j in enumerate(classes_of(quotient.lp.lift_columns, len(quotient.lp.objective))):
+            least.setdefault(j, g)
+        weights = tuple(x[g] for g in least.values())
+        seen.extend((quotient, Lift(weights, tuple(y[r] for r in quotient.lp.row_reps), d, v)))
 
     with mock.patch.object(analysis, "_certify_lift", capture), \
             mock.patch.object(analysis, "_flip_group", group_of):
@@ -370,20 +389,31 @@ def lift_inputs(model, flip_group=None):
     return tuple(seen)
 
 
+def lifted(quotient, lift):
+    """``(x, y, d, value)``: ``lift`` on every global assignment and full row, as the certificate takes it."""
+    lp = quotient.lp
+    return lp.lift_columns(lift.weights), lp.lift_rows(lift.shares), lift.d, lift.value
+
+
 def outcome(quotient, lift):
-    """The orbit-LP optimum that the CF reads back as ``lift``: each orbit dual is its share times the orbit size."""
+    """The orbit-LP optimum that the CF lifts to ``lift``: each orbit dual is its share times the orbit size.
+
+    Its denominator is ``lift.d``; the CF lifts it over a multiple of that,
+    which is the same pair.
+    """
     return LpOutcome(
         LpStatus.OPTIMAL,
-        F(lift.value, lift.d),
-        tuple(F(w, lift.d) for w in lift.weights),
-        tuple(F(y * n, lift.d) for y, n in zip(lift.shares, quotient.row_size)),
+        lift.value,
+        tuple(lift.weights),
+        tuple(y * n for y, n in zip(lift.shares, quotient.lp.row_split)),
+        lift.d,
     )
 
 
 def quotient_accepts(model, quotient, lift):
     """Whether the quotient certificate accepts the lifted pair."""
     try:
-        analysis._certify_lift(model, quotient, *lift)
+        analysis._certify_lift(model, quotient, *lifted(quotient, lift))
     except InternalConsistencyError as exc:
         assert "quotient certificate" in str(exc)
         return False
@@ -397,10 +427,11 @@ def full_lp_accepts(model, quotient, lift):
     the model's numerators, as in the quotient certificate.
     """
     s = model.scenario
-    solution = [F(lift.weights[j], lift.d) for j in quotient.column_of]
-    dual = [F(lift.shares[k], lift.d) for k in quotient.row_of]
+    x, y, d, _ = lifted(quotient, lift)
+    solution = [F(w, d) for w in x]
+    dual = [F(u, d) for u in y]
     return proves_optimum(
-        (1,) * len(quotient.column_of), (), (), _incidence(s.observables, s.contexts),
+        (1,) * len(solution), (), (), _incidence(s.observables, s.contexts),
         [x for row in model.numerators for x in row], F(lift.value, lift.d), solution, dual,
     )
 
@@ -443,7 +474,7 @@ STEP = F(1, 64)
 def wrong_pairs(model, quotient, lift):
     """Lifted orbit optima that prove nothing, each failing the check it names.
 
-    Every coset has ``quotient.order`` members, and orbit ``k`` adds
+    Every coset has ``order`` members, and orbit ``k`` adds
     ``b_k * size_k * share_k`` to the dual objective, ``b_k`` the
     right-hand side at its representative row and ``size_k`` its size.
     Steps are rationals; the denominator grows to hold them.
@@ -467,9 +498,10 @@ def wrong_pairs(model, quotient, lift):
     """
     context_of = [c for c, row in enumerate(model.numerators) for _ in row]
     rows = [x for row in model.numerators for x in row]
-    b = [rows[r] for r in quotient.row_reps]
-    size = quotient.row_size
-    contexts = [context_of[r] for r in quotient.row_reps]
+    b = [rows[r] for r in quotient.lp.row_reps]
+    size = quotient.lp.row_split
+    order = quotient.lp.objective[0]
+    contexts = [context_of[r] for r in quotient.lp.row_reps]
     nonzero = [k for k in range(len(b)) if b[k]]
     weights = [F(w, lift.d) for w in lift.weights]
     value = F(lift.value, lift.d)
@@ -490,16 +522,16 @@ def wrong_pairs(model, quotient, lift):
         for y, c in zip(lift.shares, contexts)
     ))
     k = nonzero[0]
-    raised = nudged(lift, "shares", k, STEP * quotient.order / (b[k] * size[k]))
+    raised = nudged(lift, "shares", k, STEP * order / (b[k] * size[k]))
     for j in range(len(weights)):
-        yield revalued(nudged(raised, "weights", j, STEP), value + STEP * quotient.order)
+        yield revalued(nudged(raised, "weights", j, STEP), value + STEP * order)
     if lift.value:
         heavy = max(range(len(weights)), key=weights.__getitem__)
         for k in nonzero:
             if lift.shares[k]:
                 s = min(F(lift.shares[k] * size[k], lift.d), STEP,
-                        weights[heavy] * quotient.order / b[k])
-                lowered = nudged(lift, "weights", heavy, -s * b[k] / quotient.order)
+                        weights[heavy] * order / b[k])
+                lowered = nudged(lift, "weights", heavy, -s * b[k] / order)
                 yield revalued(nudged(lowered, "shares", k, -s / size[k]), value - s * b[k])
         yield scaled(lift, 2)
         yield scaled(lift, F(1, 2))
@@ -529,7 +561,7 @@ def check_quotient_certificate_matches_full_lp(model, pick):
     wider = group | sum(1 << (g ^ h) for g in range(group.bit_length()) if (group >> g) & 1)
     _, quotient, lift = lift_inputs(model, flip_group=wider)
     with pytest.raises(InternalConsistencyError, match="does not fix the model"):
-        analysis._certify_lift(model, quotient, *lift)
+        analysis._certify_lift(model, quotient, *lifted(quotient, lift))
 
 
 ALL_SUITES = (

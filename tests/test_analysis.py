@@ -1,5 +1,6 @@
 import itertools
 import time
+from operator import itemgetter
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -32,7 +33,15 @@ from amcc.scenario import SCENARIO_CACHE_SIZE, bell_scenario, make_scenario
 
 from _generators import cycle_scenario, fraction_rows, singleton_scenario, uniform_model
 from _oracles import chsh_noisy_cf, incidence_bruteforce
-from property_suites import full_lp_accepts, lift_inputs, outcome, quotient_accepts, wrong_pairs
+from property_suites import (
+    classes_of,
+    full_lp_accepts,
+    lift_inputs,
+    lifted,
+    outcome,
+    quotient_accepts,
+    wrong_pairs,
+)
 
 F = Fraction
 H = F(1, 2)
@@ -89,16 +98,18 @@ def test_orbit_lp_of_trivial_group_is_incidence_matrix(name):
     # reading the rows that assignment restricts to.
     s = INCIDENCE_SCENARIOS[name]
     quotient = analysis._quotient(s, 1)
+    lp = quotient.lp
     n_rows = sum(s.n_sections(c) for c in range(s.n_contexts))
-    assert quotient.order == 1
-    assert quotient.a_le == incidence_bruteforce(s.observables, s.contexts)
-    assert quotient.column_of == tuple(range(1 << len(s.observables)))
-    assert quotient.row_of == tuple(range(n_rows))
-    assert quotient.row_size == (1,) * n_rows
-    assert quotient.row_reps == tuple(range(n_rows))
+    n = 1 << len(s.observables)
+    assert lp.objective == (1,) * n
+    assert lp.a_le == incidence_bruteforce(s.observables, s.contexts)
+    assert classes_of(lp.lift_columns, n) == tuple(range(n))
+    assert classes_of(lp.lift_rows, n_rows) == tuple(range(n_rows))
+    assert lp.row_split == (1,) * n_rows
+    assert lp.row_reps == tuple(range(n_rows))
     assert quotient.generators == ()
-    rows_hit = [[] for _ in quotient.column_of]
-    for r, row in enumerate(quotient.a_le):
+    rows_hit = [[] for _ in range(n)]
+    for r, row in enumerate(lp.a_le):
         for g, _ in row:
             rows_hit[g].append(r)
     assert [list(rows(range(n_rows))) for rows in quotient.columns] == rows_hit
@@ -363,7 +374,7 @@ def test_quotient_certificate_refuses_a_model_row_a_generator_does_not_fix():
     _, quotient, lift = lift_inputs(model)
     tilted = mix([model, deterministic_model(S32, (0,) * 6)], [F(63, 64), F(1, 64)])
     with pytest.raises(InternalConsistencyError, match="does not fix the model"):
-        analysis._certify_lift(tilted, quotient, *lift)
+        analysis._certify_lift(tilted, quotient, *lifted(quotient, lift))
 
 
 def test_flip_bitmask_not_closed_under_xor_is_an_internal_fault():
@@ -379,21 +390,24 @@ def test_flip_bitmask_not_closed_under_xor_is_an_internal_fault():
 
 
 def _split_quotient(group, **fields):
-    """``_quotient`` with ``fields`` replaced for the flip group ``group`` only."""
+    """``_quotient`` with ``fields`` of its orbit LP replaced for the flip group ``group`` only."""
     real = analysis._quotient
-    return mock.patch.object(
-        analysis, "_quotient",
-        lambda s, g: replace(real(s, g), **fields) if g == group else real(s, g),
-    )
+
+    def split(s, g):
+        quotient = real(s, g)
+        return replace(quotient, lp=replace(quotient.lp, **fields)) if g == group else quotient
+
+    return mock.patch.object(analysis, "_quotient", split)
 
 
 def test_quotient_certificate_refuses_a_row_orbit_split():
     model = noisy_one_odd_lift(3, H)
     group, quotient, lift = lift_inputs(model)
-    r = quotient.row_of.index(0, 1)  # the second row of orbit 0 joins orbit 1
+    row_of = classes_of(quotient.lp.lift_rows, len(quotient.lp.a_le))
+    r = row_of.index(0, 1)  # the second row of orbit 0 joins orbit 1
     assert lift.shares[0] != lift.shares[1]
-    row_of = quotient.row_of[:r] + (1,) + quotient.row_of[r + 1:]
-    with _split_quotient(group, row_of=row_of):
+    row_of = row_of[:r] + (1,) + row_of[r + 1:]
+    with _split_quotient(group, lift_rows=itemgetter(*row_of)):
         with pytest.raises(InternalConsistencyError,
                            match="certificate: the lifted dual is not invariant"):
             contextual_fraction(model)
@@ -402,10 +416,11 @@ def test_quotient_certificate_refuses_a_row_orbit_split():
 def test_quotient_certificate_refuses_a_coset_split():
     model = noisy_one_odd_lift(3, H)
     group, quotient, lift = lift_inputs(model)
-    g = quotient.column_of.index(0, 1)  # the second member of coset 0 joins coset 1
+    column_of = classes_of(quotient.lp.lift_columns, len(quotient.lp.objective))
+    g = column_of.index(0, 1)  # the second member of coset 0 joins coset 1
     assert lift.weights[0] != lift.weights[1]
-    column_of = quotient.column_of[:g] + (1,) + quotient.column_of[g + 1:]
-    with _split_quotient(group, column_of=column_of):
+    column_of = column_of[:g] + (1,) + column_of[g + 1:]
+    with _split_quotient(group, lift_columns=itemgetter(*column_of)):
         with pytest.raises(InternalConsistencyError,
                            match="certificate: the lifted primal is not invariant"):
             contextual_fraction(model)
@@ -451,27 +466,30 @@ def test_full_lp_certify_agrees_with_the_quotient_certificate():
 #
 # lp_scale's bell-2-4 one-odd-context lift at noise 3/8 has CF 1/4; its 32 x 128
 # orbit LP is solved on its 6 x 20 coarsest equitable partition, whose optimum
-# is read as integers over one denominator d before the lift.  Each mutation
-# below changes those integers, before the lift, and the quotient certificate
-# refuses each with a message of its own.
+# comes back as integers over the solver's den, lifted over d = den times the
+# lcm of the row classes' sizes.  Each mutation below changes the solver's
+# integers, before the lift, and the quotient certificate refuses each with a
+# message of its own.
 
 
 def _bumped(entries, k, step):
     entries = list(entries)
     entries[k] += step
-    return entries
+    return tuple(entries)
 
 
 REFINED_MUTATIONS = {
     "class weight +1": (
-        lambda w, y, d, v: (_bumped(w, 0, 1), y, d, v), "primal row violated"),
+        lambda out: replace(out, solution=_bumped(out.solution, 0, 1)), "primal row violated"),
     "class dual -1": (
-        lambda w, y, d, v: (w, _bumped(y, [k for k, q in enumerate(y) if q > 0][0], -1), d, v),
+        lambda out: replace(
+            out, dual=_bumped(out.dual, [k for k, q in enumerate(out.dual) if q > 0][0], -1)),
         "the dual objective differs from the optimum"),
-    "d doubled": (
-        lambda w, y, d, v: (w, y, 2 * d, v), "dual row violated"),
+    "d doubled": (  # through the solver's den, of which d is a multiple
+        lambda out: replace(out, den=2 * out.den), "dual row violated"),
     "value numerator off by one": (
-        lambda w, y, d, v: (w, y, d, v + 1), "the primal objective differs from the optimum"),
+        lambda out: replace(out, value=out.value + 1),
+        "the primal objective differs from the optimum"),
 }
 
 
@@ -482,14 +500,15 @@ def test_refined_integer_lift_refuses_each_mutation(name):
     model = mix([odd, uniform_model(s)], [F(5, 8), F(3, 8)])
     assert contextual_fraction(model) == Q
     mutate, message = REFINED_MUTATIONS[name]
-    real = analysis._integral
+    real = analysis.maximize
     shapes = []
 
-    def mutated(out, splits):
+    def mutated(lp):
+        out = real(lp)
         shapes.append((len(out.solution), len(out.dual)))
-        return mutate(*real(out, splits))
+        return mutate(out)
 
-    with mock.patch.object(analysis, "_integral", mutated):
+    with mock.patch.object(analysis, "maximize", mutated):
         with pytest.raises(InternalConsistencyError, match=f"quotient certificate: {message}"):
             contextual_fraction(model)
         _, quotient, lift = lift_inputs(model)

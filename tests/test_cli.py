@@ -449,6 +449,21 @@ def test_scan_grid_rejects_decimal_values(capsys):
     assert (code, out) == (2, "")
 
 
+def test_model_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(model_to_dict(pr_box(0, 0, 0))).replace("X1", "X\u00e9").encode("latin-1"))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, out) == (2, "") and "UnicodeDecodeError" in err
+
+
+def test_json_number_cell_of_5000_digits_exits_2(capsys, monkeypatch):
+    # json refuses to read an integer past 4 300 digits, with a ValueError.
+    text = json.dumps(model_to_dict(pr_box(0, 0, 0))).replace('"1/2"', "1" + "0" * 4999, 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "classify")
+    assert (code, out) == (2, "") and "validation error" in err and "digits" in err
+
+
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import time
 from decimal import Decimal
@@ -44,7 +46,7 @@ from amcc.errors import (
     SignalingDetected,
     TooLarge,
 )
-from amcc.scenario import bell_scenario, make_scenario
+from amcc.scenario import bell_scenario, label_positions, make_scenario, overlaps
 
 from _generators import (
     SCENARIO_32,
@@ -675,3 +677,29 @@ def test_plan_lists_share_one_plan_per_shape_past_the_plan_cache(monkeypatch):
 
     monkeypatch.setattr(empirical, "_subset_plans", no_subset_plans)
     assert is_maximal_marginal(model) == (True, None)
+
+
+def _plan_groups(plan, width):
+    """The sections of a ``width``-label context that each getter of ``plan`` picks."""
+    return [list(pick(range(1 << width))) for pick in plan]
+
+
+def test_overlap_plans_match_label_positions_and_the_pinned_digest():
+    # Each pair's plans read the shared labels' positions from one lookup per
+    # context; they pick the sections the label_positions plan picks, and
+    # their digest is the one the per-pair label_positions walk gave.
+    digest = hashlib.sha256()
+    for s in (bell_scenario(2, 2), SCENARIO_32, bell_scenario(4, 2), cycle_scenario(5)):
+        plans = empirical._overlap_plans(s)
+        assert [(a, b, shared) for a, b, shared, _, _ in plans] == list(overlaps(s))
+        for a, b, shared, plan_a, plan_b in plans:
+            groups = []
+            for c, plan in ((a, plan_a), (b, plan_b)):
+                ctx = s.contexts[c]
+                expected = empirical._marginal_plan(len(ctx), label_positions(ctx, shared))
+                assert _plan_groups(plan, len(ctx)) == _plan_groups(expected, len(ctx))
+                groups.append(_plan_groups(plan, len(ctx)))
+            digest.update(json.dumps([a, b, list(shared), groups]).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "4d336b3c55ed1db785355278e5d1e40212410cd1fe00a0b5146cfa38ff8e2b77"
+    )

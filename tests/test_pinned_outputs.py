@@ -38,6 +38,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -70,7 +71,7 @@ from amcc.empirical import (
 from amcc.errors import OutOfRange, SignalingDetected
 from amcc.scenario import bell_scenario
 
-from _generators import cycle_scenario, fraction_rows, maximize_as_written, random_lp
+from _generators import cycle_scenario, fraction_rows, integer_program, random_lp, rational
 from _oracles import incidence_bruteforce
 from test_ratlp import PIVOTING_POINT, cf_program
 
@@ -222,22 +223,25 @@ def _simplex_records(monkeypatch) -> list:
     400 :func:`random_lp` programs, the CF LP of the 8b pivoting point, and
     the LPs ``contextual_fraction`` hands the solver: the orbit LPs of the
     noisy bell-2-4 lifts and the full LP of the model no flip fixes, each on
-    its coarsest equitable partition.  Each is solved by
-    :func:`maximize_as_written`, so a program written with Fractions is
-    recorded in its own units; the CF LPs are integral already.
+    its coarsest equitable partition.  Each is solved on
+    :func:`integer_program` and recorded as :func:`rational` reads it, so a
+    program written with Fractions is recorded in its own units; the CF LPs
+    are integral already, and get the solver's own outcome back.
     """
     records = []
     pivots = _pivot_log(monkeypatch)
 
     def recording_maximize(lp):
         pivots.clear()
-        out = maximize_as_written(lp)
+        program, row_scales, scale = integer_program(lp)
+        raw = ratlp.maximize(program)
+        out = rational(raw, row_scales, scale)
         records.append([
             list(pivots), out.status.value, _text(out.value),
             None if out.solution is None else [_text(q) for q in out.solution],
             None if out.dual is None else [_text(q) for q in out.dual],
         ])
-        return out
+        return raw
 
     rng = random.Random(20170505)
     for _ in range(400):
@@ -293,7 +297,7 @@ def test_bell_42_mix_with_no_symmetry_pivots_737_times(monkeypatch):
         a_le=analysis.incidence_matrix(s),
         b_le=tuple(x for row in model.numerators for x in row),
     ))
-    assert full.value == F(9, 14) * model.den
+    assert rational(full).value == F(9, 14) * model.den
     assert len(pivots) == 737
 
 
@@ -308,17 +312,24 @@ def test_lp_scale_noisy_lifts_pivot_34_times(monkeypatch):
     assert len(pivots) == 34
 
 
-def test_bell_52_mix_at_the_lp_guard_matches_the_pinned_digest():
-    # The bell-5-2 mix of the one-odd-context lift 1/2, uniform noise 1/4
-    # and the all-0 and all-1 deterministic models 1/7 and 3/28.  No flip
-    # fixes it, so its orbit LP is the full 1 024 x 1 024 incidence LP, the
-    # largest the LP guard admits; the digest pins its report, the
-    # noncontextual part over the 1 024 global assignments included.
+def _bell_52_mix():
+    """The bell-5-2 mix of the one-odd-context lift 1/2, uniform noise 1/4
+    and the all-0 and all-1 deterministic models 1/7 and 3/28; CF 1/3.
+    """
     s = bell_scenario(5, 2)
     odd = _lift(s, (1,) + (0,) * (s.n_contexts - 1))
     noise = lift_uniform(PossibilisticModel(s, ((1 << 32) - 1,) * s.n_contexts))
     zeros, ones = (deterministic_model(s, (v,) * len(s.observables)) for v in (0, 1))
-    model = mix([odd, noise, zeros, ones], [F(1, 2), Q, F(1, 7), F(3, 28)])
+    return mix([odd, noise, zeros, ones], [F(1, 2), Q, F(1, 7), F(3, 28)])
+
+
+def test_bell_52_mix_at_the_lp_guard_matches_the_pinned_digest():
+    # No flip fixes the bell-5-2 mix, so its orbit LP is the full 1 024 x
+    # 1 024 incidence LP, the largest the LP guard admits; the digest pins
+    # its report, the noncontextual part over the 1 024 global assignments
+    # included.
+    model = _bell_52_mix()
+    s = model.scenario
     assert analysis._flip_group(s, tuple(map(analysis._stabilizer, model.numerators))) == 1
     assert sum(map(len, model.numerators)) << len(s.observables) == analysis.LP_ENTRY_LIMIT
     report = classify(model)
@@ -326,6 +337,26 @@ def test_bell_52_mix_at_the_lp_guard_matches_the_pinned_digest():
     assert hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest() == (
         "70701134e460ed3214d1116d953762311a3fa199c5c9b26493b0acd0d03a741a"
     )
+
+
+def test_contextual_fraction_builds_one_fraction():
+    # The optimum stays in integers from the simplex through the lift and
+    # the certificate; the CF itself is the one Fraction made, counted at
+    # the class, whichever module builds it.  On the lp_scale models the LP
+    # is refined; the bell-5-2 mix is refined from the full LP.
+    models = [*_noisy_lifts_24(), _bell_52_mix()]
+    calls = []
+    real_new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    with mock.patch.object(F, "__new__", staticmethod(counting_new)):
+        for model in models:
+            calls.clear()
+            cf = analysis.contextual_fraction(model)
+            assert len(calls) == 1 and type(cf) is F
 
 
 def _witness_models(rng, s):

@@ -19,7 +19,7 @@ from amcc.errors import InternalConsistencyError, MalformedInput, ShapeMismatch
 from amcc.ratlp import LinearProgram, LpStatus, maximize, solve_feasibility
 from amcc.scenario import bell_scenario
 
-from _generators import fraction_rows, integer_program, maximize_as_written, random_lp
+from _generators import fraction_rows, integer_program, maximize_as_written, random_lp, rational
 from _oracles import DenseTableau, feasible_bruteforce, lp_bruteforce, proves_optimum
 
 F = Fraction
@@ -76,7 +76,7 @@ PIVOTING_LP = LinearProgram(
 
 
 def test_feasibility_identity_system():
-    out = solve_feasibility(sparse(((2, 0), (0, 2))), (1, 1), 2)
+    out = rational(solve_feasibility(sparse(((2, 0), (0, 2))), (1, 1), 2))
     assert out.status is LpStatus.FEASIBLE
     assert out.solution == (H, H)
 
@@ -95,7 +95,7 @@ def test_feasibility_pr_incidence_infeasible():
 def test_feasibility_solution_satisfies_system_exactly():
     a = ((4, 4, 0), (0, 2, 4))
     b = (3, 1)
-    out = solve_feasibility(sparse(a), b, 3)
+    out = rational(solve_feasibility(sparse(a), b, 3))
     assert out.status is LpStatus.FEASIBLE
     for row, target in zip(a, b):
         assert sum(F(x) * v for x, v in zip(row, out.solution)) == target
@@ -103,7 +103,7 @@ def test_feasibility_solution_satisfies_system_exactly():
 
 
 def test_maximize_simple_bound():
-    out = maximize(LinearProgram(objective=(1,), a_le=sparse(((4,),)), b_le=(3,)))
+    out = rational(maximize(LinearProgram(objective=(1,), a_le=sparse(((4,),)), b_le=(3,))))
     assert out.status is LpStatus.OPTIMAL
     assert out.value == F(3, 4)
 
@@ -198,7 +198,7 @@ EQ_LP = LinearProgram(
 # accepts the pair maximize returns and refuses every perturbation of it.
 @pytest.mark.parametrize("lp", [PIVOTING_LP, EQ_LP])
 def test_certify_accepts_the_pair_maximize_returns(lp):
-    out = maximize(lp)
+    out = rational(maximize(lp))
     assert out.status is LpStatus.OPTIMAL
     assert certified(lp, out.value, out.solution, out.dual)
 
@@ -209,7 +209,7 @@ def _bump(vector, k, delta=F(1, 1000)):
 
 @pytest.mark.parametrize("lp", [PIVOTING_LP, EQ_LP])
 def test_certify_rejects_a_perturbed_pair(lp):
-    out = maximize(lp)
+    out = rational(maximize(lp))
     x, y = out.solution, out.dual
     j = next(j for j, v in enumerate(x) if v)
     rhs = tuple(lp.b_eq) + tuple(lp.b_le)
@@ -225,12 +225,44 @@ def test_certify_rejects_a_perturbed_pair(lp):
         assert not certified(lp, *args)
 
 
+def test_outcomes_are_int_numerators_over_a_positive_den():
+    # The solver answers with what its tableau holds: an OPTIMAL outcome's
+    # value, solution and dual, and a FEASIBLE one's witness, are ints over
+    # one den > 0.  The seeded programs reach every status, and their
+    # equality rows alone give feasibility systems of either verdict.
+    statuses = Counter()
+    pr = LinearProgram(
+        objective=(1,) * 16, a_le=incidence_matrix(bell_scenario(2, 2)), b_le=numerators(pr_box(0, 0, 0))
+    )
+    lps = [PIVOTING_LP, EQ_LP, pr]
+    lps += [integer_program(random_lp(random.Random(seed)))[0] for seed in range(600)]
+    for lp in lps:
+        n = len(lp.objective)
+        out = maximize(lp)
+        feasible = solve_feasibility(lp.a_eq, lp.b_eq, n)
+        statuses[out.status] += 1
+        statuses[feasible.status] += 1
+        for got, rows in ((out, len(lp.a_eq) + len(lp.a_le)), (feasible, None)):
+            if got.status in (LpStatus.OPTIMAL, LpStatus.FEASIBLE):
+                assert type(got.den) is int and got.den > 0
+                assert len(got.solution) == n
+                assert all(type(v) is int for v in got.solution)
+            if got.status is LpStatus.OPTIMAL:
+                assert type(got.value) is int and len(got.dual) == rows
+                assert all(type(v) is int for v in got.dual)
+            else:
+                assert got.value is None and got.dual is None
+    assert statuses == {
+        LpStatus.OPTIMAL: 224, LpStatus.UNBOUNDED: 192, LpStatus.FEASIBLE: 448, LpStatus.INFEASIBLE: 342,
+    }
+
+
 def test_maximize_deterministic_mass_one():
     s = bell_scenario(2, 2)
     inc = incidence_matrix(s)
     model = deterministic_model(s, (0, 1, 1, 0))
     lp = LinearProgram(objective=(1,) * 16, a_le=inc, b_le=numerators(model))
-    out = maximize(lp)
+    out = rational(maximize(lp))
     assert out.status is LpStatus.OPTIMAL
     assert out.value == 1
     # The optimum is the point mass on the generating assignment's column.
@@ -251,7 +283,7 @@ def test_maximize_with_equality_rows():
         a_le=sparse(((1, 0, 0),)),
         b_le=(1,),
     )
-    out = maximize(lp)
+    out = rational(maximize(lp))
     assert out.status is LpStatus.OPTIMAL
     assert out.value == 4
 
@@ -269,7 +301,7 @@ def test_redundant_equality_rows_are_harmless():
         a_eq=sparse(((1, 1), (1, 1), (2, 2))),
         b_eq=(1, 1, 2),
     )
-    out = maximize(lp)
+    out = rational(maximize(lp))
     assert out.status is LpStatus.OPTIMAL
     assert out.value == 1
     assert sum(out.solution) == 1
@@ -278,7 +310,7 @@ def test_redundant_equality_rows_are_harmless():
 def test_negative_rhs_rows_handled():
     # x >= 2 written as -x <= -2; minimize x via maximize -x.
     lp = LinearProgram(objective=(-1,), a_le=sparse(((-1,),)), b_le=(-2,))
-    out = maximize(lp)
+    out = rational(maximize(lp))
     assert out.status is LpStatus.OPTIMAL
     assert out.value == -2
     assert out.solution == (2,)
@@ -322,7 +354,7 @@ def test_lp_data_must_be_int_or_fraction(bad):
     ):
         with pytest.raises(MalformedInput, match="LP data must be int"):
             maximize(bad_lp)
-    assert maximize(lp).value == 10
+    assert rational(maximize(lp)).value == 10
 
 
 PLACES = ("objective", "a_eq", "b_eq", "a_le", "b_le")
@@ -337,7 +369,7 @@ def test_a_fraction_anywhere_in_a_program_is_refused(place, bad):
     lp = LinearProgram(
         objective=(1, 1), a_eq=(((0, 1), (1, -1)),), b_eq=(0,), a_le=(((0, 1), (1, 1)),), b_le=(4,)
     )
-    assert maximize(lp).value == 4
+    assert rational(maximize(lp)).value == 4
     if place == "objective":
         bad_lp = replace(lp, objective=(1, bad))
     elif place.startswith("a_"):
@@ -356,7 +388,7 @@ def test_lp_data_check_does_not_depend_on_the_row_cache(exact, bad):
     # The bad row equals a row already solved (True == 1, Fraction(3) == 3),
     # and the cache is left as that solve filled it.
     lp = LinearProgram(objective=(1,), a_le=(((0, exact),),), b_le=(1,))
-    assert maximize(lp).value == F(1, exact)
+    assert rational(maximize(lp)).value == F(1, exact)
     with pytest.raises(MalformedInput, match="LP data must be int"):
         maximize(replace(lp, a_le=(((0, bad),),)))
 
@@ -381,7 +413,7 @@ def test_degenerate_cycling_instance_terminates():
         )),
         b_le=(0, 0, 1),
     )
-    out = maximize(lp)
+    out = rational(maximize(lp))
     assert out.status is LpStatus.OPTIMAL
     assert out.value == 5
 
@@ -428,7 +460,7 @@ def pivot_cap(limit=100):
 def test_textbook_cycling_instances_reach_the_bruteforce_optimum(c, a, b, expected):
     lp = LinearProgram(objective=c, a_le=sparse(a), b_le=b)
     with pivot_cap():
-        out = maximize(lp)
+        out = rational(maximize(lp))
     assert lp_bruteforce(c, (), (), a, b) == expected
     assert (out.status.value, out.value) == expected
     if out.status is LpStatus.OPTIMAL:
@@ -484,7 +516,7 @@ def test_right_hand_sides_times_12_keep_the_pivots_and_the_duals():
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ratlp._Tableau, "pivot", recording_pivot)
-            runs.append((pivots, maximize(_scaled_rhs(lp, t))))
+            runs.append((pivots, rational(maximize(_scaled_rhs(lp, t)))))
     (pivots, out), (pivots_12, out_12) = runs
     assert pivots_12 == pivots and len(pivots) > 1
     assert out_12.dual == out.dual
@@ -511,9 +543,9 @@ def test_right_hand_sides_times_7_and_12_keep_every_dual():
         for seed in range(600):
             lp = integer_program(random_lp(random.Random(seed)))[0]
             changed.clear()
-            out = maximize(lp)
+            out = rational(maximize(lp))
             for t in (7, 12):
-                scaled = maximize(_scaled_rhs(lp, t))
+                scaled = rational(maximize(_scaled_rhs(lp, t)))
                 assert scaled.status is out.status, seed
                 if out.status is LpStatus.OPTIMAL:
                     assert scaled.dual == out.dual, seed
@@ -551,7 +583,7 @@ def test_feasibility_matches_bruteforce_oracle(m, n, data):
     ]
     b = [data.draw(small_fracs) for _ in range(m)]
     program = integer_program(LinearProgram((0,) * n, sparse(a), tuple(b)))[0]
-    out = solve_feasibility(program.a_eq, program.b_eq, n)
+    out = rational(solve_feasibility(program.a_eq, program.b_eq, n))
     witness = feasible_bruteforce(a, b)
     assert (out.status is LpStatus.FEASIBLE) == (witness is not None)
     if out.status is LpStatus.FEASIBLE:
