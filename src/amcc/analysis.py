@@ -8,42 +8,40 @@ Two independent decision routes are implemented and cross-checked:
 * an exhaustive scan of global assignments against the support pattern
   (is there an assignment compatible with every context's support?).
 
-The LP is solved on orbits of the group H of global outcome flips that fix
-every context table: one column per coset of H, one row per orbit of
-(context, section) rows.  A global flip restricts to a context exactly as a
-global assignment does, so H is the support scan run on the pattern of
-per-context stabilisers.  The solver returns the optimum as integer
-numerators over one denominator, and the lift keeps them integers: over
-``d``, that denominator times the lcm of the orbit sizes, each assignment
-takes its coset's weight and each row its orbit's dual divided by the
-orbit size, so no Fraction is made between the solver and the CF.  The
+The LP is solved reduced, on a partition of its rows and columns: one
+column per class of global assignments and one row per class of (context,
+section) rows.  One builder, ``_on_classes``, makes every reduced LP from
+the incidence matrix, and two partitions feed it.  The first is the orbits
+of the group H of global outcome flips that fix every context table: the
+cosets of H and the orbits of rows.  A global flip restricts to a context
+exactly as a global assignment does, so H is the support scan run on the
+pattern of per-context stabilisers.  An orbit LP with at least
+REFINE_MIN_ENTRIES nonzeros takes the second, its coarsest equitable
+partition: colour refinement of its rows (started from their right-hand
+sides) and columns, which can also merge rows and columns that no outcome
+flip maps to one another, composed with the orbits.
+
+The solver returns the optimum as integer numerators over one
+denominator, and the lift keeps them integers: over ``d``, that
+denominator times the lcm of the row classes' sizes, each assignment
+takes its class's weight and each row its class's dual divided by the
+class size, so no Fraction is made between the solver and the CF.  The
 lifted pair must pass an integer certificate that is a proof about the
-full LP from :func:`incidence_matrix` without trusting how H was found:
-each generator of H, a basis taken from H's bitmask, is checked directly
-to fix the model's rows and the lifted primal and dual.  Invariance makes
-every dual row constant on a coset and every primal slack constant on a
-row orbit, so checking one dual row per coset and one primal row per
-orbit, with both objectives over the whole lifted pair, covers every row
-and column of the full LP.  That check, not the reduction, decides.
+full LP from :func:`incidence_matrix` without trusting how H or the
+partition was found.  Each generator of H, a basis taken from H's
+bitmask, is checked directly to fix the model's rows and the lifted
+primal and dual.  Invariance makes every dual row constant on a coset and
+every primal slack constant on a row orbit, so checking one dual row per
+coset and one primal row per orbit, with both objectives over the whole
+lifted pair, covers every row and column of the full LP.  That check, not
+the reduction, decides: a wrong partition can only raise.
 
-One cached quotient per (scenario, group) walks the cosets and row orbits
-of the span of that basis once and holds both the orbit LP and the maps
-the certificate checks, so the two always see the same group; a bitmask
-not closed under XOR gets the LP of its closure, and the certificate
-checks the closure's generators.  With H trivial the orbit LP is the full
-LP column for column, and :func:`incidence_matrix` is exactly that LP's rows.
-
-An orbit LP with at least REFINE_MIN_ENTRIES nonzeros is reduced further,
-to its coarsest equitable partition: colour refinement of its rows (started
-from their right-hand sides) and columns, which can also merge rows and
-columns that no outcome flip maps to one another, and solved with one
-column per column class and one row per row class.  Its maps to global
-assignments and full rows are the orbit LP's composed with the classes, so
-its optimum is lifted once, as the orbit LP's is, with ``d`` taken over
-the lcm of the row classes' sizes in full rows, and certified exactly as
-above: a wrong partition can only raise, never give a wrong CF.  The
-reduced LP is cached per (scenario, group, equality pattern of the
-right-hand side), of which it is a pure function.
+One cached quotient per (scenario, group) holds what H decides, the
+orbit LP and the maps the certificate checks, so the two always see the
+same group; a bitmask not closed under XOR gets its closure's.  With H
+trivial the orbit LP is the full LP.  The refined LP is cached per
+(scenario, group, equality pattern of the right-hand side), of which it
+is a pure function.
 
 ``classify`` runs both routes and raises ``InternalConsistencyError`` if they
 ever disagree, rather than returning a silently wrong verdict.
@@ -51,6 +49,7 @@ ever disagree, rather than returning a silently wrong verdict.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -76,8 +75,10 @@ from .scenario import SCENARIO_CACHE_SIZE, MeasurementScenario, projection, sect
 LP_ENTRY_LIMIT = 1 << 20
 
 #: Orbit-LP nonzeros from which the CF LP is solved on its coarsest equitable
-#: partition (see :func:`_refined`).  Below it, on the 16 x 16 orbit LPs of
-#: the 8-parameter family, refining costs more time than the smaller LP saves.
+#: partition (see :func:`_refined`).  Refining every orbit LP was measured to
+#: cost the 8b slice scan about 16% of its throughput: its 16 x 16 orbit LPs
+#: bring about 282 right-hand-side patterns per pass, which thrash the
+#: 256-entry cache of refined LPs, while it gained the CLI mix 5-18%.
 REFINE_MIN_ENTRIES = 1024
 
 
@@ -112,15 +113,24 @@ def global_masks(s: MeasurementScenario) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def incidence_matrix(s: MeasurementScenario) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The 0/1 incidence matrix as sparse LP rows: the orbit LP of the trivial group.
+    """The 0/1 incidence matrix as sparse LP rows, the full rows of the CF LP.
 
     Rows are the (context, section) pairs in canonical order, columns the
     global assignments; row ``r`` lists ``(g, 1)`` for each assignment ``g``
     restricting to its section, in increasing ``g``, so every column has
-    exactly one 1 per context.
+    exactly one 1 per context.  The rows of ``g`` share one ``(g, 1)`` object.
     """
-    return _quotient(s, 1).lp.a_le
+    table = restriction_table(s)  # its size guard runs before any list is built
+    units = [(g, 1) for g in range(1 << len(s.observables))]
+    rows = []
+    for c, proj in enumerate(table):
+        hits = [[] for _ in range(s.n_sections(c))]
+        for unit, sec in zip(units, proj):
+            hits[sec].append(unit)
+        rows.extend(map(tuple, hits))
+    return tuple(rows)
 
 
 def _require_no_signaling(m: EmpiricalModel) -> None:
@@ -193,8 +203,9 @@ def _stabilizer(row) -> int:
 class _ClassLP:
     """The CF LP on classes of global assignments and of full rows, with the maps that lift it.
 
-    Column ``C`` is the common weight of the assignments in one class, so
-    its objective coefficient is the class's size.  Row ``R`` is full row
+    Every reduced LP is one of these, built by :func:`_on_classes`.  Column
+    ``C`` is the common weight of the assignments in one class, so its
+    objective coefficient is the class's size.  Row ``R`` is full row
     ``row_reps[R]``, the least of its class, on those weights; every row of
     the class reads the same there, so its dual is shared by the class's
     ``row_split[R]`` full rows.  Full rows are numbered as in
@@ -211,14 +222,42 @@ class _ClassLP:
     lift_rows: Callable
 
 
+def _on_classes(s: MeasurementScenario, row_class, column_class) -> _ClassLP:
+    """The CF LP of ``s`` on classes of its full rows and global assignments.
+
+    ``row_class[r]`` is the class of full row ``r`` and ``column_class[g]``
+    that of assignment ``g``, each numbered from 0 by first occurrence.  A
+    class's objective coefficient and row split are its sizes, its row is
+    its least member's incidence row with the 1s summed over each column
+    class, and its lift map is the getter of the class vector.  Every row
+    holding one ``(class, coefficient)`` pair holds one shared object.
+    """
+    matrix = incidence_matrix(s)
+    reps = {}  # row class -> its least full row
+    for r, cls in enumerate(row_class):
+        reps.setdefault(cls, r)
+    pairs = {}  # (class, coefficient) -> its one shared object
+    a_le = []
+    for r in reps.values():
+        sums = Counter([column_class[g] for g, _ in matrix[r]])
+        a_le.append(tuple([pairs.setdefault(p, p) for p in sorted(sums.items())]))
+    return _ClassLP(
+        objective=tuple(Counter(column_class).values()),  # first occurrence: in class order
+        a_le=tuple(a_le),
+        row_reps=tuple(reps.values()),
+        row_split=tuple(Counter(row_class).values()),
+        lift_columns=sequence_getter(column_class),
+        lift_rows=sequence_getter(row_class),
+    )
+
+
 @dataclass(frozen=True)
 class _Quotient:
-    """The CF LP restricted to H-invariant points, with what certifies its lifted optimum.
+    """The orbit LP of a flip group H, with what certifies its lifted optimum.
 
-    ``lp`` is the orbit LP: its classes are the cosets of H and the orbits
-    of full rows, so every objective coefficient is |H|, and row ``k``
-    has coefficient |H| over the orbit size on every coset restricting into
-    its orbit.  ``nonzeros`` counts the entries of its rows.
+    ``lp`` is the CF LP on the cosets of H and the orbits of full rows, so
+    every objective coefficient is |H|, and row ``k`` has coefficient |H|
+    over the orbit size on every coset restricting into its orbit.
 
     For the certificate, ``generators`` holds ``(column_flip, row_flip)``
     per basis flip ``h`` of H: getters that reorder a vector over global
@@ -228,12 +267,11 @@ class _Quotient:
     """
 
     lp: _ClassLP
-    nonzeros: int
     generators: tuple
     columns: tuple
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def _flip_group(s: MeasurementScenario, stabilizers: tuple[int, ...]) -> int:
     """H as a bitmask over global flips, ``stabilizers[c]`` as from :func:`_stabilizer`.
 
@@ -251,7 +289,8 @@ def _quotient(s: MeasurementScenario, group: int) -> _Quotient:
     H is the span of a basis taken from ``group``, so a bitmask that is not
     closed under XOR gets its closure, whose generators the certificate
     then checks.  Cosets are numbered by their least element and row
-    orbits by context, then least section.  With H trivial this is the full LP.
+    orbits by context, then least section: both by first occurrence, as
+    :func:`_on_classes` takes them.  With H trivial this is the full LP.
     """
     table = restriction_table(s)  # its size guard runs before any list is built
     span, basis = {0}, []
@@ -267,30 +306,20 @@ def _quotient(s: MeasurementScenario, group: int) -> _Quotient:
                 column_of[g ^ h] = len(cosets)
             cosets.append(g)
 
-    order = len(span)
-    units = {}  # coefficient -> one shared (column, coefficient) pair per coset
     rows_of = []  # rows_of[c][sec]: the full row of section sec of context c
-    a_le, row_reps, row_size, row_of = [], [], [], []
+    row_of, orbits = [], 0
     for c, proj in enumerate(table):
-        rows = range(len(row_of), len(row_of) + s.n_sections(c))
+        # A list, so every getter below holds these int objects, not copies.
+        rows = list(range(len(row_of), len(row_of) + s.n_sections(c)))
         rows_of.append(rows)
         flips = {proj[h] for h in span}
         orbit_of = {}
         for sec in range(len(rows)):
             if sec not in orbit_of:
                 for f in flips:
-                    orbit_of[sec ^ f] = len(row_reps)
-                row_reps.append(rows[sec])
-                row_size.append(len(flips))
+                    orbit_of[sec ^ f] = orbits
+                orbits += 1
             row_of.append(orbit_of[sec])
-        coef = order // len(flips)
-        if coef not in units:
-            units[coef] = [(j, coef) for j in range(len(cosets))]
-        first = len(a_le)
-        hits = [[] for _ in range(len(row_reps) - first)]
-        for unit, rep in zip(units[coef], cosets):
-            hits[orbit_of[proj[rep]] - first].append(unit)
-        a_le.extend(map(tuple, hits))
     generators = tuple(
         (
             sequence_getter([g ^ h for g in range(len(column_of))]),
@@ -300,15 +329,7 @@ def _quotient(s: MeasurementScenario, group: int) -> _Quotient:
         for h in basis
     )
     return _Quotient(
-        lp=_ClassLP(
-            objective=(order,) * len(cosets),
-            a_le=tuple(a_le),
-            row_reps=tuple(row_reps),
-            row_split=tuple(row_size),
-            lift_columns=sequence_getter(column_of),
-            lift_rows=sequence_getter(row_of),
-        ),
-        nonzeros=sum(map(len, a_le)),
+        lp=_on_classes(s, row_of, column_of),
         generators=generators,
         columns=tuple(
             sequence_getter([rows[proj[g]] for rows, proj in zip(rows_of, table)]) for g in cosets
@@ -405,39 +426,6 @@ def _equitable_partition(lp: _ClassLP, pattern: tuple[int, ...]):
         row_class, column_class = refined, columns
 
 
-def _on_classes(lp: _ClassLP, row_class, column_class) -> _ClassLP:
-    """``lp`` on the given classes of its rows and columns, each numbered from 0 by first occurrence.
-
-    A class's objective coefficient and row split are the sums of its
-    members', its row is its least member's with the coefficients summed
-    over each column class, and its lift maps are ``lp``'s composed with
-    the classes.
-    """
-    reps = {}  # row class -> its least row of lp
-    row_split = [0] * (max(row_class) + 1)
-    for k, cls in enumerate(row_class):
-        reps.setdefault(cls, k)
-        row_split[cls] += lp.row_split[k]
-    objective = [0] * (max(column_class) + 1)
-    for cls, c in zip(column_class, lp.objective):
-        objective[cls] += c
-    a_le = []
-    for k in reps.values():
-        sums = {}
-        for j, a in lp.a_le[k]:
-            cls = column_class[j]
-            sums[cls] = sums.get(cls, 0) + a
-        a_le.append(tuple(sorted(sums.items())))
-    return _ClassLP(
-        objective=tuple(objective),
-        a_le=tuple(a_le),
-        row_reps=tuple([lp.row_reps[k] for k in reps.values()]),
-        row_split=tuple(row_split),
-        lift_columns=sequence_getter(lp.lift_columns(column_class)),
-        lift_rows=sequence_getter(lp.lift_rows(row_class)),
-    )
-
-
 @lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def _refined(s: MeasurementScenario, group: int, pattern: tuple[int, ...]) -> _ClassLP:
     """The orbit LP of ``_quotient(s, group)`` on its coarsest equitable partition.
@@ -445,10 +433,12 @@ def _refined(s: MeasurementScenario, group: int, pattern: tuple[int, ...]) -> _C
     ``pattern`` numbers the orbit rows' right-hand sides by first
     occurrence, so equal entries share a number.  The partition depends on
     nothing else, so every model with one pattern shares one reduced LP, and
-    its rows are one set of objects for the LP's row cache.
+    its rows are one set of objects for the LP's row cache.  Its classes of
+    full rows and assignments are the partition's composed with the orbits.
     """
     lp = _quotient(s, group).lp
-    return _on_classes(lp, *_equitable_partition(lp, pattern))
+    row_class, column_class = _equitable_partition(lp, pattern)
+    return _on_classes(s, lp.lift_rows(row_class), lp.lift_columns(column_class))
 
 
 def _contextual_fraction_with_witness(m: EmpiricalModel):
@@ -467,7 +457,7 @@ def _contextual_fraction_with_witness(m: EmpiricalModel):
     quotient = _quotient(s, group)
     b = tuple(chain.from_iterable(m.numerators))
     lp = quotient.lp
-    if quotient.nonzeros >= REFINE_MIN_ENTRIES:
+    if sum(map(len, lp.a_le)) >= REFINE_MIN_ENTRIES:
         lp = _refined(s, group, tuple(_classes([b[r] for r in lp.row_reps])))
     out = maximize(LinearProgram(
         objective=lp.objective, a_le=lp.a_le, b_le=tuple([b[r] for r in lp.row_reps]),

@@ -136,7 +136,9 @@ def _int_row(key: int, row: tuple, n: int) -> tuple[tuple[int, int], ...]:
     Raises ShapeMismatch unless ``row`` is ``(column, coefficient)`` pairs
     with columns strictly increasing below ``n``, and MalformedInput when a
     coefficient is not an int (:func:`_exact`).  Cached, so rows shared by
-    many programs (a scenario's incidence rows) are checked once.  ``key``
+    many programs (the rows of the cached reduced CF LPs, which every model
+    of one scenario, flip group and right-hand-side pattern solves) are
+    checked once.  :func:`_int_program` refuses a row it cannot hash.  ``key``
     is ``id(row)``, and the cache holds every row it keeps, so a hit is the
     very row that was checked: an equal row of other types (``True`` for 1,
     ``Fraction(3)`` for 3) is a new key and is refused.
@@ -166,8 +168,23 @@ def _int_program(lp: LinearProgram):
     rows = []
     for row, b in zip(tuple(lp.a_eq) + tuple(lp.a_le), tuple(lp.b_eq) + tuple(lp.b_le)):
         row = tuple(row)
-        rows.append((_int_row(id(row), row, n), _exact(b)))
+        try:
+            entries = _int_row(id(row), row, n)
+        except TypeError:  # hashing the cache key met an entry holding a list or a dict
+            raise ShapeMismatch(
+                f"row entry {_unhashable(row)!r} is not a (column, coefficient) pair"
+            ) from None
+        rows.append((entries, _exact(b)))
     return rows, kinds, list(map(_exact, lp.objective))
+
+
+def _unhashable(row: tuple):
+    """The first entry of ``row`` that cannot be hashed."""
+    for entry in row:
+        try:
+            hash(entry)
+        except TypeError:
+            return entry
 
 
 def _presolve(n, rows, kinds):

@@ -261,7 +261,7 @@ def check_orbit_cf_matches_full_lp(model):
         assert sum(weight[g] for g, _ in row) <= x
     assert all(weight[g ^ h] == weight[g] for g in range(1 << n) for h in group)
     quotient, _, _, reduced = _refined_lp(model)
-    if quotient.nonzeros >= analysis.REFINE_MIN_ENTRIES:
+    if sum(map(len, quotient.lp.a_le)) >= analysis.REFINE_MIN_ENTRIES:
         by_class = {}
         for g, cls in enumerate(classes_of(reduced.lift_columns, len(reduced.objective))):
             by_class.setdefault(cls, set()).add(weight[g])
@@ -277,7 +277,7 @@ def check_refined_cf_matches_orbit_lp(model):
     and the CF solved on it equals ``maximize`` on the unreduced orbit LP.
     """
     quotient, b, (row_class, column_class), reduced = _refined_lp(model)
-    assume(quotient.nonzeros >= analysis.REFINE_MIN_ENTRIES)
+    assume(sum(map(len, quotient.lp.a_le)) >= analysis.REFINE_MIN_ENTRIES)
     lp = quotient.lp
     assert equitable_violation(lp.a_le, b, lp.objective, row_class, column_class) is None
     assert len(reduced.a_le) == len(set(row_class)) <= len(b)
@@ -311,7 +311,7 @@ def check_merged_partition_never_moves_cf(model, pick, rows):
     be certified with another value.
     """
     quotient, _, (row_class, column_class), _ = _refined_lp(model)
-    assume(quotient.nonzeros >= analysis.REFINE_MIN_ENTRIES)
+    assume(sum(map(len, quotient.lp.a_le)) >= analysis.REFINE_MIN_ENTRIES)
     cf = contextual_fraction(model)
     if rows:
         row_class = _merged(row_class, pick)
@@ -319,7 +319,8 @@ def check_merged_partition_never_moves_cf(model, pick, rows):
         column_class = _merged(column_class, pick)
     if row_class is None or column_class is None:
         return
-    wrong = analysis._on_classes(quotient.lp, row_class, column_class)
+    lp = quotient.lp
+    wrong = analysis._on_classes(model.scenario, lp.lift_rows(row_class), lp.lift_columns(column_class))
     with mock.patch.object(analysis, "_refined", lambda s, group, pattern: wrong):
         try:
             assert contextual_fraction(model) == cf

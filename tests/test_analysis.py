@@ -33,6 +33,7 @@ from amcc.scenario import SCENARIO_CACHE_SIZE, bell_scenario, make_scenario
 
 from _generators import cycle_scenario, fraction_rows, singleton_scenario, uniform_model
 from _oracles import chsh_noisy_cf, incidence_bruteforce
+from model_json import model as named_model
 from property_suites import (
     classes_of,
     full_lp_accepts,
@@ -113,6 +114,17 @@ def test_orbit_lp_of_trivial_group_is_incidence_matrix(name):
         for g, _ in row:
             rows_hit[g].append(r)
     assert [list(rows(range(n_rows))) for rows in quotient.columns] == rows_hit
+
+
+def test_incidence_matrix_and_cf_build_only_the_orbit_lp_they_solve():
+    # The full rows come straight from the restriction table, and a CF
+    # builds the orbit LP of its own flip group, of order 4 here, only.
+    for cache in (analysis.incidence_matrix, analysis._quotient):
+        cache.cache_clear()
+    incidence_matrix(bell_scenario(2, 3))
+    assert analysis._quotient.cache_info().currsize == 0
+    assert contextual_fraction(named_model("bell-3-2-odd-noise")) == F(1, 6)
+    assert analysis._quotient.cache_info().currsize == 1
 
 
 def test_incidence_matrix_guard():
@@ -284,8 +296,8 @@ def test_scenario_caches_are_bounded():
     # Relabelled copies of bell-2-2 are distinct cache keys; each cache must
     # evict instead of keeping every scenario's tables.
     caches = (
-        analysis.restriction_table, analysis.global_masks, analysis._quotient,
-        scenario.overlaps, scenario.projection,
+        analysis.restriction_table, analysis.global_masks, analysis.incidence_matrix,
+        analysis._flip_group, analysis._quotient, scenario.overlaps, scenario.projection,
     )
     for k in range(SCENARIO_CACHE_SIZE + 8):
         a, ap, b, bp = (f"{x}{k}" for x in ("A", "Ap", "B", "Bp"))

@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
@@ -337,6 +338,16 @@ def test_shape_mismatch_raised():
 def test_malformed_sparse_row_is_a_shape_mismatch(row):
     lp = LinearProgram(objective=(1, 1), a_le=(((0, 1), (1, 1)), row), b_le=(1, 1))
     with pytest.raises(ShapeMismatch):
+        maximize(lp)
+
+
+@pytest.mark.parametrize("row", [[[0, 1]], ((0, [1]),), [{0: 1}]])
+@pytest.mark.parametrize("kind", ["a_le", "a_eq"])
+def test_row_entry_holding_a_list_or_dict_is_a_shape_mismatch(kind, row):
+    # The row cache hashes each row before reading it; an entry that cannot
+    # be hashed is no (column, coefficient) pair of ints, and is named.
+    lp = LinearProgram(objective=(1, 1), **{kind: (row,), "b" + kind[1:]: (1,)})
+    with pytest.raises(ShapeMismatch, match=re.escape(f"row entry {row[0]!r} ")):
         maximize(lp)
 
 
