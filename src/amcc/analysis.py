@@ -67,8 +67,10 @@ from .empirical import (
     possibilistic_collapse,
 )
 from .errors import InternalConsistencyError, SignalingInput, TooLarge
-from .ratlp import LinearProgram, LpStatus, maximize, sequence_getter
-from .scenario import SCENARIO_CACHE_SIZE, MeasurementScenario, projection, section_values
+from .ratlp import LinearProgram, LpStatus, checked_rows, maximize
+from .scenario import (
+    SCENARIO_CACHE_SIZE, MeasurementScenario, projection, section_values, sequence_getter,
+)
 
 #: Hard cap on the size of the full incidence LP, (context, section) rows
 #: times global assignments; bell-5-2 is exactly this size.
@@ -230,7 +232,8 @@ def _on_classes(s: MeasurementScenario, row_class, column_class) -> _ClassLP:
     class's objective coefficient and row split are its sizes, its row is
     its least member's incidence row with the 1s summed over each column
     class, and its lift map is the getter of the class vector.  Every row
-    holding one ``(class, coefficient)`` pair holds one shared object.
+    holding one ``(class, coefficient)`` pair holds one shared object, and
+    the rows pass :func:`~amcc.ratlp.checked_rows` here, once per cached LP.
     """
     matrix = incidence_matrix(s)
     reps = {}  # row class -> its least full row
@@ -240,10 +243,11 @@ def _on_classes(s: MeasurementScenario, row_class, column_class) -> _ClassLP:
     a_le = []
     for r in reps.values():
         sums = Counter([column_class[g] for g, _ in matrix[r]])
-        a_le.append(tuple([pairs.setdefault(p, p) for p in sorted(sums.items())]))
+        a_le.append([pairs.setdefault(p, p) for p in sorted(sums.items())])
+    objective = tuple(Counter(column_class).values())  # first occurrence: in class order
     return _ClassLP(
-        objective=tuple(Counter(column_class).values()),  # first occurrence: in class order
-        a_le=tuple(a_le),
+        objective=objective,
+        a_le=checked_rows(a_le, len(objective)),
         row_reps=tuple(reps.values()),
         row_split=tuple(Counter(row_class).values()),
         lift_columns=sequence_getter(column_class),
@@ -432,9 +436,9 @@ def _refined(s: MeasurementScenario, group: int, pattern: tuple[int, ...]) -> _C
 
     ``pattern`` numbers the orbit rows' right-hand sides by first
     occurrence, so equal entries share a number.  The partition depends on
-    nothing else, so every model with one pattern shares one reduced LP, and
-    its rows are one set of objects for the LP's row cache.  Its classes of
-    full rows and assignments are the partition's composed with the orbits.
+    nothing else, so every model with one pattern shares one reduced LP,
+    checked once.  Its classes of full rows and assignments are the
+    partition's composed with the orbits.
     """
     lp = _quotient(s, group).lp
     row_class, column_class = _equitable_partition(lp, pattern)

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .construct import ParitySystem, parity_consistent, parity_to_possibilistic
+from .construct import (
+    ParitySystem, parity_consistent, parity_preset_to_dict, parity_to_possibilistic,
+)
 from .empirical import EmpiricalModel, exact_rational, format_rational, marginal
 from .errors import (
     ConsistentResource,
@@ -29,14 +31,7 @@ from .errors import (
     RowNotNormalized,
     TooLarge,
 )
-from .scenario import (
-    bell_token,
-    context_setting_bits,
-    is_bit,
-    scenario_to_dict,
-    section_values,
-    shown,
-)
+from .scenario import context_setting_bits, is_bit, section_values, shown
 
 #: Transcript header tag for the deterministic generator in use.
 RNG_ALGORITHM = "python-random-mt19937"
@@ -191,10 +186,8 @@ def secret_share_simulate(
     supported = [[sec for sec in range(m.bit_length()) if (m >> sec) & 1] for m in masks]
     setting_bits = [context_setting_bits(s, c) for c in range(s.n_contexts)]
 
-    token = bell_token(s)
     header = {
-        "scenario": token if token else scenario_to_dict(s),
-        "parities": list(ps.parities),
+        **parity_preset_to_dict(ps),
         "rounds": rounds,
         "test_fraction": format_rational(q),
         "seed": seed,
@@ -205,9 +198,7 @@ def secret_share_simulate(
     log: list[ShareRound] = []
     sent: list[int] = []
     reconstructed: list[int] = []
-    aborted = False
     abort_round = None
-    next_secret = 0
 
     for r in range(rounds):
         c = rng.randrange(s.n_contexts)
@@ -217,49 +208,34 @@ def secret_share_simulate(
             outcomes = tuple(int(b) & 1 for b in tamper(r, c, outcomes))
         is_test = rng.randrange(q.denominator) < q.numerator
         dealer_key = outcomes[-1]
-        inputs = setting_bits[c]
-
-        if is_test:
-            passed = sum(outcomes) % 2 == ps.parities[c]
-            log.append(
-                ShareRound(
-                    round_kind="test",
-                    context=c,
-                    inputs=inputs,
-                    outcomes=outcomes,
-                    dealer_key=dealer_key,
-                    verdict="accepted" if passed else "aborted",
-                )
-            )
-            if not passed:
-                aborted = True
-                abort_round = r
-                break
-            continue
-
-        secret_bit = secret_bits[next_secret % len(secret_bits)]
-        next_secret += 1
-        ciphertext = dealer_key ^ secret_bit
-        # Receivers: their shares XOR to parity ^ dealer_key, both public.
-        recovered_key = ps.parities[c] ^ (sum(outcomes[:-1]) % 2)
-        reconstructed.append(ciphertext ^ recovered_key)
-        sent.append(secret_bit)
+        passed = not is_test or sum(outcomes) % 2 == ps.parities[c]
+        ciphertext = None
+        if not is_test:
+            secret_bit = secret_bits[len(sent) % len(secret_bits)]
+            ciphertext = dealer_key ^ secret_bit
+            # Receivers: their shares XOR to parity ^ dealer_key, both public.
+            recovered_key = ps.parities[c] ^ (sum(outcomes[:-1]) % 2)
+            reconstructed.append(ciphertext ^ recovered_key)
+            sent.append(secret_bit)
         log.append(
             ShareRound(
-                round_kind="secret",
+                round_kind="test" if is_test else "secret",
                 context=c,
-                inputs=inputs,
+                inputs=setting_bits[c],
                 outcomes=outcomes,
                 dealer_key=dealer_key,
-                verdict="accepted",
+                verdict="accepted" if passed else "aborted",
                 ciphertext=ciphertext,
             )
         )
+        if not passed:
+            abort_round = r
+            break
 
     return SecretShareResult(
         header=header,
         rounds=tuple(log),
-        aborted=aborted,
+        aborted=abort_round is not None,
         abort_round=abort_round,
         secret_bits_sent=tuple(sent),
         reconstructed_bits=tuple(reconstructed),

@@ -34,7 +34,6 @@ from .errors import (
     SignalingDetected,
     TooLarge,
 )
-from .ratlp import sequence_getter
 from .scenario import (
     SCENARIO_CACHE_SIZE,
     MeasurementScenario,
@@ -47,6 +46,7 @@ from .scenario import (
     scenario_from_dict,
     scenario_to_dict,
     section_index,
+    sequence_getter,
     shown,
 )
 

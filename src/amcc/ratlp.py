@@ -3,8 +3,12 @@
 A program has a dense objective, which fixes the column count, and sparse
 constraint rows of ``(column, coefficient)`` pairs (see :class:`LinearProgram`).
 Every objective entry, coefficient and right-hand side is an ``int``;
-anything else, a ``Fraction`` included, is refused.  The optimum comes back
-as it ends in the tableau: ``int`` numerators over one positive ``den``.
+anything else, a ``Fraction`` included, is refused.  :func:`checked_rows` is
+the one check of a row, and a row it returned carries the check in its type:
+:func:`maximize` walks only the other rows, so the rows of a program built
+once and solved often (``analysis``'s reduced CF LPs) are checked once, when
+built.  The optimum comes back as it ends in the tableau: ``int``
+numerators over one positive ``den``.
 
 Two-phase primal simplex that enters on the largest coefficient (the most
 negative row-0 entry, lowest index among equals) and falls back to Bland's
@@ -61,7 +65,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import InternalConsistencyError, MalformedInput, ShapeMismatch
-from .scenario import shown
+from .scenario import sequence_getter, shown
 
 #: Consecutive degenerate pivots after which the simplex enters on Bland's
 #: rule until its next nondegenerate pivot (see :meth:`_Tableau.run`).
@@ -129,62 +133,54 @@ def _exact(x):
     raise MalformedInput(f"LP data must be int, got {shown(x)}")
 
 
-@lru_cache(maxsize=1 << 12)
-def _int_row(key: int, row: tuple, n: int) -> tuple[tuple[int, int], ...]:
-    """The ``(column, coefficient)`` pairs of sparse ``row`` whose coefficient is not 0.
+class _Row(tuple):
+    """A sparse row that passed :func:`checked_rows`: its pairs, none with coefficient 0."""
 
-    Raises ShapeMismatch unless ``row`` is ``(column, coefficient)`` pairs
+    __slots__ = ()
+
+
+def checked_rows(rows, n: int) -> tuple[_Row, ...]:
+    """Each sparse row of ``rows`` checked over ``n`` columns, its 0 coefficients dropped.
+
+    Raises ShapeMismatch unless every row is ``(column, coefficient)`` pairs
     with columns strictly increasing below ``n``, and MalformedInput when a
-    coefficient is not an int (:func:`_exact`).  Cached, so rows shared by
-    many programs (the rows of the cached reduced CF LPs, which every model
-    of one scenario, flip group and right-hand-side pattern solves) are
-    checked once.  :func:`_int_program` refuses a row it cannot hash.  ``key``
-    is ``id(row)``, and the cache holds every row it keeps, so a hit is the
-    very row that was checked: an equal row of other types (``True`` for 1,
-    ``Fraction(3)`` for 3) is a new key and is refused.
+    coefficient is not an int (:func:`_exact`).  Each row comes back as a
+    private tuple type, which :func:`_int_program` trusts while its last
+    column fits the program.
     """
-    entries = []
-    last = -1
-    for entry in row:
-        if not (type(entry) is tuple and len(entry) == 2
-                and type(entry[0]) is int and last < entry[0] < n):
-            raise ShapeMismatch(f"row entry {entry!r} is not a (column, coefficient) "
-                                f"pair with column in {last + 1}..{n - 1}")
-        last, a = entry
-        if _exact(a):
-            entries.append(entry)
-    return tuple(entries)
+    out = []
+    for row in rows:
+        entries = []
+        last = -1
+        for entry in row:
+            if not (type(entry) is tuple and len(entry) == 2
+                    and type(entry[0]) is int and last < entry[0] < n):
+                raise ShapeMismatch(f"row entry {entry!r} is not a (column, coefficient) "
+                                    f"pair with column in {last + 1}..{n - 1}")
+            last, a = entry
+            if _exact(a):
+                entries.append(entry)
+        out.append(_Row(entries))
+    return tuple(out)
 
 
 def _int_program(lp: LinearProgram):
     """``(rows, kinds, cost)``: the program, each of its numbers checked to be an int.
 
-    ``rows`` are ``(entries, b)`` pairs, :func:`_int_row`'s pairs and the
-    right-hand side, equality rows first, and ``kinds`` their "eq" / "le"
-    kinds; ``cost`` is the objective as a list.
+    ``rows`` are ``(entries, b)`` pairs, the row as :func:`checked_rows`
+    returns it and the right-hand side, equality rows first, and ``kinds``
+    their "eq" / "le" kinds; ``cost`` is the objective as a list.  A row
+    ``checked_rows`` returned is walked again only when its last column is
+    past the objective's, and then fails there.
     """
     n = len(lp.objective)
     kinds = ["eq"] * len(lp.a_eq) + ["le"] * len(lp.a_le)
     rows = []
     for row, b in zip(tuple(lp.a_eq) + tuple(lp.a_le), tuple(lp.b_eq) + tuple(lp.b_le)):
-        row = tuple(row)
-        try:
-            entries = _int_row(id(row), row, n)
-        except TypeError:  # hashing the cache key met an entry holding a list or a dict
-            raise ShapeMismatch(
-                f"row entry {_unhashable(row)!r} is not a (column, coefficient) pair"
-            ) from None
-        rows.append((entries, _exact(b)))
+        if not (type(row) is _Row and (not row or row[-1][0] < n)):
+            (row,) = checked_rows((row,), n)
+        rows.append((row, _exact(b)))
     return rows, kinds, list(map(_exact, lp.objective))
-
-
-def _unhashable(row: tuple):
-    """The first entry of ``row`` that cannot be hashed."""
-    for entry in row:
-        try:
-            hash(entry)
-        except TypeError:
-            return entry
 
 
 def _presolve(n, rows, kinds):
@@ -422,14 +418,6 @@ class _Tableau:
                 return "unbounded"
             stalled = 0 if self.cols[-1][r] else stalled + 1
             self.pivot(r, c, col)
-
-
-def sequence_getter(positions: list):
-    """``itemgetter`` over ``positions`` that returns a sequence even for one position."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    # A slice, so the getter still returns a sequence.
-    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
 def _sparse_column(positions: list, coefs: list) -> tuple:

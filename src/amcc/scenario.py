@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -61,6 +62,14 @@ def shown(x) -> str:
     if isinstance(x, Fraction) and max(x.numerator.bit_length(), x.denominator.bit_length()) > 64:
         return f"Fraction of {x.numerator.bit_length()}/{x.denominator.bit_length()} bits"
     return repr(x)[:40]
+
+
+def sequence_getter(positions: list):
+    """``itemgetter`` over ``positions`` that returns a sequence even for one position."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    # A slice, so the getter still returns a sequence.
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
 @dataclass(frozen=True)

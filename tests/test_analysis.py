@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from amcc import analysis, scenario
+from amcc import analysis, ratlp, scenario
 from amcc.analysis import (
     avn_certificate,
     classify,
@@ -125,6 +125,22 @@ def test_incidence_matrix_and_cf_build_only_the_orbit_lp_they_solve():
     assert analysis._quotient.cache_info().currsize == 0
     assert contextual_fraction(named_model("bell-3-2-odd-noise")) == F(1, 6)
     assert analysis._quotient.cache_info().currsize == 1
+
+
+def test_a_solve_of_an_orbit_lp_checks_no_row_again():
+    # The orbit LP's rows are checked when it is built: a solve checks only
+    # the objective and the right-hand sides.
+    for cache in (analysis.incidence_matrix, analysis._quotient):
+        cache.cache_clear()
+    m = named_model("bell-3-2-odd-noise")
+    group = analysis._flip_group(m.scenario, tuple(map(analysis._stabilizer, m.numerators)))
+    lp = analysis._quotient(m.scenario, group).lp
+    full = list(itertools.chain(*m.numerators))
+    b = [full[r] for r in lp.row_reps]
+    with mock.patch.object(ratlp, "_exact", side_effect=ratlp._exact) as exact:
+        out = ratlp.maximize(ratlp.LinearProgram(objective=lp.objective, a_le=lp.a_le, b_le=b))
+    assert out.status is ratlp.LpStatus.OPTIMAL
+    assert exact.call_count == len(lp.objective) + len(b)
 
 
 def test_incidence_matrix_guard():

@@ -337,18 +337,51 @@ def test_shape_mismatch_raised():
 )
 def test_malformed_sparse_row_is_a_shape_mismatch(row):
     lp = LinearProgram(objective=(1, 1), a_le=(((0, 1), (1, 1)), row), b_le=(1, 1))
-    with pytest.raises(ShapeMismatch):
-        maximize(lp)
+    same_error(ShapeMismatch, lambda: maximize(lp), lambda: ratlp.checked_rows(lp.a_le, 2))
+
+
+def same_error(error, *calls):
+    """Each call raises ``error``, all with one message."""
+    messages = set()
+    for call in calls:
+        with pytest.raises(error) as raised:
+            call()
+        messages.add(str(raised.value))
+    assert len(messages) == 1, messages
 
 
 @pytest.mark.parametrize("row", [[[0, 1]], ((0, [1]),), [{0: 1}]])
 @pytest.mark.parametrize("kind", ["a_le", "a_eq"])
 def test_row_entry_holding_a_list_or_dict_is_a_shape_mismatch(kind, row):
-    # The row cache hashes each row before reading it; an entry that cannot
-    # be hashed is no (column, coefficient) pair of ints, and is named.
+    # An entry that is a list or a dict is no (column, coefficient) pair,
+    # and is named; a pair whose coefficient is a list is refused as every
+    # coefficient that is not an int is.
     lp = LinearProgram(objective=(1, 1), **{kind: (row,), "b" + kind[1:]: (1,)})
-    with pytest.raises(ShapeMismatch, match=re.escape(f"row entry {row[0]!r} ")):
+    if type(row[0]) is tuple:
+        error, message = MalformedInput, "LP data must be int, got [1]"
+    else:
+        error, message = ShapeMismatch, f"row entry {row[0]!r} "
+    with pytest.raises(error, match=re.escape(message)):
         maximize(lp)
+
+
+def test_checked_rows_drop_zero_coefficients_and_keep_the_pairs():
+    pair = (1, 2)
+    rows = ratlp.checked_rows([((0, 0), pair), [(0, 5), (2, 0)], ()], 3)
+    assert rows == (((1, 2),), ((0, 5),), ())
+    assert rows[0][0] is pair
+    lp = LinearProgram(objective=(1, 1, 0), a_le=rows, b_le=(4, 1, 0))
+    assert rational(maximize(lp)).value == F(11, 5)
+
+
+def test_checked_row_past_the_last_column_is_a_shape_mismatch():
+    # The row was checked over 3 columns; a 2-column program reads its last
+    # column again and names the entry.
+    rows = ratlp.checked_rows([((0, 1), (2, 1))], 3)
+    assert rational(maximize(LinearProgram(objective=(1, 0, 1), a_le=rows, b_le=(1,)))).value == 1
+    two = LinearProgram(objective=(1, 1), a_le=rows, b_le=(1,))
+    with pytest.raises(ShapeMismatch, match=re.escape("row entry (2, 1) ")):
+        maximize(two)
 
 
 @pytest.mark.parametrize("bad", [0.1, Decimal("0.1"), "0.1", " 1/10 ", True, 0.0, None])
@@ -358,11 +391,11 @@ def test_lp_data_must_be_int_or_fraction(bad):
     # bools were converted without a word.  No Fraction passes either (see
     # test_a_fraction_anywhere_in_a_program_is_refused).
     lp = LinearProgram(objective=(1,), a_le=(((0, 1),),), b_le=(10,))
-    for bad_lp in (
-        replace(lp, a_le=(((0, bad),),)),
-        replace(lp, objective=(bad,)),
-        replace(lp, b_le=(bad,)),
-    ):
+    bad_rows = replace(lp, a_le=(((0, bad),),))
+    same_error(
+        MalformedInput, lambda: maximize(bad_rows), lambda: ratlp.checked_rows(bad_rows.a_le, 1)
+    )
+    for bad_lp in (bad_rows, replace(lp, objective=(bad,)), replace(lp, b_le=(bad,))):
         with pytest.raises(MalformedInput, match="LP data must be int"):
             maximize(bad_lp)
     assert rational(maximize(lp)).value == 10
@@ -396,8 +429,8 @@ def test_a_fraction_anywhere_in_a_program_is_refused(place, bad):
 
 @pytest.mark.parametrize("exact, bad", [(3, Decimal(3)), (2, 2.0), (1, True), (3, F(3))])
 def test_lp_data_check_does_not_depend_on_the_row_cache(exact, bad):
-    # The bad row equals a row already solved (True == 1, Fraction(3) == 3),
-    # and the cache is left as that solve filled it.
+    # The bad row equals a row already solved (True == 1, Fraction(3) == 3):
+    # a check that remembered rows by equality would let it through.
     lp = LinearProgram(objective=(1,), a_le=(((0, exact),),), b_le=(1,))
     assert rational(maximize(lp)).value == F(1, exact)
     with pytest.raises(MalformedInput, match="LP data must be int"):
