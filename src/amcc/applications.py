@@ -22,7 +22,9 @@ from typing import Callable, Optional, Sequence, Union
 from .construct import (
     ParitySystem, parity_consistent, parity_preset_to_dict, parity_to_possibilistic,
 )
-from .empirical import EmpiricalModel, exact_rational, format_rational, marginal
+from .empirical import (
+    RATIONAL_DIGIT_LIMIT, EmpiricalModel, exact_rational, format_rational, marginal, shown_rational,
+)
 from .errors import (
     ConsistentResource,
     LengthMismatch,
@@ -158,6 +160,8 @@ def secret_share_simulate(
     that is not an ``int`` (or is a ``bool``) raises MalformedInput; one
     outside 1..SECRET_SHARE_ROUND_LIMIT, and secret entries that are not
     bits (:func:`~amcc.scenario.is_bit`), are rejected before any sampling.
+    So is a test fraction outside (0, 1), or one of more than
+    RATIONAL_DIGIT_LIMIT digits (MalformedInput, as its "k/d" string is).
     """
     consistent, _ = parity_consistent(ps)
     if consistent:
@@ -166,7 +170,9 @@ def secret_share_simulate(
         )
     q = exact_rational(test_fraction)
     if not 0 < q < 1:
-        raise RowNotNormalized(f"test fraction {format_rational(q)} not in (0, 1)")
+        raise RowNotNormalized(f"test fraction {shown_rational(q)} not in (0, 1)")
+    if q.denominator >= 10 ** RATIONAL_DIGIT_LIMIT:
+        raise MalformedInput(f"test fraction has more than {RATIONAL_DIGIT_LIMIT} digits")
     if not isinstance(rounds, int) or isinstance(rounds, bool):
         raise MalformedInput(f"round count must be an int, got {shown(rounds)}")
     if rounds < 1:

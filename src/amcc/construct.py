@@ -47,6 +47,7 @@ from .empirical import (
     format_rational,
     lift_uniform,
     make_model,
+    shown_rational,
     support_row,
 )
 from .errors import (
@@ -471,7 +472,7 @@ def _model_322(rows, den: int) -> EmpiricalModel:
     for c, row in enumerate(rows):
         for sec, x in enumerate(row):
             if not 0 <= x <= den:
-                entry = format_rational(Fraction(x, den))
+                entry = shown_rational(Fraction(x, den))
                 raise OutOfRange(f"entry ({c},{sec}) evaluates to {entry}")
     return make_model(bell_scenario(3, 2), rows, den)
 
@@ -492,7 +493,7 @@ def eight_param_family(params: Sequence[Union[Fraction, int, str]]) -> Empirical
     for i, p in enumerate(values, start=1):
         n = p.numerator * (den // p.denominator)
         if not 0 <= n <= den // 4:
-            raise OutOfRange(f"p{i} = {format_rational(p)} is outside [0, 1/4]")
+            raise OutOfRange(f"p{i} = {shown_rational(p)} is outside [0, 1/4]")
         rows.append(tuple(n if bit else den // 4 - n for bit in even))
     return make_model(bell_scenario(3, 2), rows, den)
 

@@ -5,10 +5,10 @@ context, so normalization, no-signaling and uniformity checks are integer
 equalities; there is no floating point anywhere in the model layer.
 :func:`make_model` is the one place rationals become this form, and values
 leave it as ``fractions.Fraction`` only at the edges (JSON, witnesses).
-Marginals are read through getter plans cached per target shape, and each
-scenario keeps its no-signaling pairs and within-context subsets as cached
-lists of those plans; one walk over the pairs decides no-signaling for models
-and for support patterns.
+Marginals are read through getter plans, built once per target shape for
+each scenario list that holds them: its no-signaling pairs and the subsets
+that decide maximal marginals, each list cached per scenario.  One walk over
+the pairs decides no-signaling for models and for support patterns.
 A possibilistic model (a support pattern) is one section bitmask per
 context; its JSON form spells each mask out as a 0/1 row.
 """
@@ -65,6 +65,13 @@ def format_rational(q: Fraction) -> str:
     """Serialize exactly: integers as "k", other rationals as "num/den"."""
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def shown_rational(q: Fraction) -> str:
+    """:func:`format_rational` of ``q`` for an error message; past 64 bits, its size, as :func:`shown` writes it."""
+    q = Fraction(q)
+    huge = max(q.numerator.bit_length(), q.denominator.bit_length()) > 64
+    return shown(q) if huge else format_rational(q)
 
 
 def _rational_parts(text: str) -> tuple[int, int]:
@@ -264,12 +271,12 @@ def make_model(
             raise TooLarge(_TOO_LARGE)
         for i, x in enumerate(row):
             if x < 0:
-                entry = format_rational(Fraction(x, row_den))
+                entry = shown_rational(Fraction(x, row_den))
                 raise NegativeEntry(f"context {c}, section {i}: negative entry {entry}")
         total = sum(row)
         if total != row_den:
             raise RowNotNormalized(
-                f"context {c} sums to {format_rational(Fraction(total, row_den))}, not 1"
+                f"context {c} sums to {shown_rational(Fraction(total, row_den))}, not 1"
             )
         rows.append((row_den // g, [x // g for x in row] if g > 1 else row))
     common = _common_denominator({row_den for row_den, _ in rows})
@@ -281,7 +288,6 @@ def make_model(
     return model
 
 
-@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def _marginal_plan(width: int, positions: tuple[int, ...]) -> tuple:
     """One getter per target section, picking the context sections that restrict to it.
 
@@ -289,7 +295,7 @@ def _marginal_plan(width: int, positions: tuple[int, ...]) -> tuple:
     of ``width`` labels.  Summing what getter ``k`` picks from a row of the
     context gives the row's mass on target section ``k``.  The plan depends
     on nothing else, so every context of one width shares it, and a
-    scenario's cached plan lists hold one copy per distinct target shape.
+    scenario's plan lists hold one copy per distinct target shape.
     """
     groups = [[] for _ in range(1 << len(positions))]
     for sec, sub in enumerate(projection(tuple(range(width)), positions)):
@@ -297,23 +303,13 @@ def _marginal_plan(width: int, positions: tuple[int, ...]) -> tuple:
     return tuple(map(sequence_getter, groups))
 
 
-def _plan(context: tuple[str, ...], target: tuple[str, ...]) -> tuple:
-    """The :func:`_marginal_plan` of ``target``, labels of ``context``.
-
-    Raises DuplicateLabel or NotASubset, as :func:`label_positions` does.
-    """
-    return _marginal_plan(len(context), label_positions(context, target))
-
-
 def _plan_getter(s: MeasurementScenario):
     """A plan of ``(c, target)``, labels of context ``c`` of ``s``, for one scenario's plan list.
 
     Its targets are labels of their context by construction, so each
     context's label positions are read once, from one lookup, and not
-    checked again for every target.  Its plans are kept in a dict of its
-    own, so a list with more shapes than the LRU of :func:`_marginal_plan`
-    holds (a width-9 context has 510 proper subsets) still builds each
-    (width, positions) plan once.
+    checked again for every target.  Its dict is the one plan cache, so a
+    list builds each (width, positions) plan once, whatever context it is for.
     """
     plans = {}
     lookups = [{label: k for k, label in enumerate(ctx)} for ctx in s.contexts]
@@ -340,9 +336,10 @@ def marginal(
 
     Entry ``k`` is the mass of the subset-section with canonical index ``k``,
     in lexicographic section order; the entries always sum to ``m.den``.
-    The row is read through a plan cached per (context width, subset positions).
+    The row is read through a plan built for the call.
     """
-    return _read(_plan(m.scenario.context(c), tuple(subset)), m.numerators[c])
+    ctx = m.scenario.context(c)
+    return _read(_marginal_plan(len(ctx), label_positions(ctx, tuple(subset))), m.numerators[c])
 
 
 @lru_cache(maxsize=SCENARIO_CACHE_SIZE)
@@ -401,23 +398,19 @@ def proper_subsets(context: tuple[str, ...]):
         yield tuple(context[i] for i in range(k) if (mask >> i) & 1)
 
 
-@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
-def _subset_plans(s: MeasurementScenario) -> tuple:
-    """``(c, subset, plan)`` for each proper subset of each context, in canonical order."""
+def _subset_plans(s: MeasurementScenario):
+    """``(c, subset, plan)`` for each proper subset of each context, in canonical order, built as walked."""
     plan = _plan_getter(s)
-    return tuple(
-        (c, subset, plan(c, subset))
-        for c, ctx in enumerate(s.contexts)
-        for subset in proper_subsets(ctx)
-    )
+    for c, ctx in enumerate(s.contexts):
+        for subset in proper_subsets(ctx):
+            yield c, subset, plan(c, subset)
 
 
 @lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def _deciding_plans(s: MeasurementScenario) -> tuple:
     """The entries of :func:`_subset_plans` whose subset leaves out exactly one label of its context.
 
-    Built on their own, in the same order, so a model that passes never
-    walks the other subsets.
+    They decide the maximal-marginal verdict, so theirs is the list kept per scenario.
     """
     plan = _plan_getter(s)
     return tuple(
@@ -444,8 +437,8 @@ def is_maximal_marginal(m: EmpiricalModel):
     Returns ``(True, None)`` or ``(False, witness)`` with the first failure in
     canonical order.  A uniform marginal stays uniform when marginalised
     further, and every proper subset lies in one that leaves out a single
-    label, so those subsets decide; only a model that fails walks every
-    subset in canonical order, for the witness.
+    label, so those subsets decide; only a model that fails walks the
+    subsets in canonical order, up to its witness.
     """
     if _first_nonuniform(m, _deciding_plans(m.scenario)) is None:
         return True, None
@@ -514,7 +507,7 @@ def from_global_distribution(
         mass.append((values, exact_rational(w)))
     total = sum(w for _, w in mass)
     if total != 1:
-        raise RowNotNormalized(f"global weights sum to {format_rational(total)}")
+        raise RowNotNormalized(f"global weights sum to {shown_rational(total)}")
     if any(w < 0 for _, w in mass):
         raise NegativeEntry("negative global weight")
     den = lcm(*(w.denominator for _, w in mass))

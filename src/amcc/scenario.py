@@ -41,8 +41,8 @@ ENUMERATION_LIMIT = 24
 #: Hard cap on the settings**parties contexts of a Bell scenario.
 BELL_CONTEXT_LIMIT = 1 << 12
 
-#: Entries kept by each scenario-keyed cache, here and in ``analysis``: more
-#: than one benchmark pass touches, few enough that a long-lived process
+#: Entries kept by each scenario-keyed cache of the modules built on this one:
+#: more than one benchmark pass touches, few enough that a long-lived process
 #: serving many scenarios keeps a bounded set of tables.
 SCENARIO_CACHE_SIZE = 256
 
@@ -239,7 +239,6 @@ def label_positions(domain: tuple[str, ...], target: Sequence[str]) -> tuple[int
     return tuple(lookup[label] for label in target)
 
 
-@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def projection(domain: tuple[str, ...], target: tuple[str, ...]) -> tuple[int, ...]:
     """The restriction map from the sections of ``domain`` to those of ``target``.
 
@@ -264,7 +263,6 @@ def projection(domain: tuple[str, ...], target: tuple[str, ...]) -> tuple[int, .
     return tuple(table)
 
 
-@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
 def overlaps(s: MeasurementScenario) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
     """``(a, b, shared)`` for each context pair ``a < b`` sharing a label, in canonical order.
 

@@ -26,7 +26,9 @@ from amcc.empirical import (
     possibilistic_collapse,
 )
 from amcc.ratlp import LinearProgram, LpOutcome, LpStatus, maximize
-from amcc.scenario import bell_scenario, make_scenario, projection, scenario_to_dict, section_values
+from amcc.scenario import (
+    bell_scenario, make_scenario, scenario_to_dict, section_index, section_values,
+)
 
 SCENARIO_22 = bell_scenario(2, 2)
 SCENARIO_32 = bell_scenario(3, 2)
@@ -116,9 +118,10 @@ def flipped_tables(model, h):
     ``h`` is a global assignment index read as a set of observables.
     """
     s = model.scenario
+    flips = dict(zip(s.observables, section_values(h, len(s.observables))))
     out = []
     for ctx, row in zip(s.contexts, fraction_rows(model)):
-        f = projection(s.observables, ctx)[h]
+        f = section_index([flips[x] for x in ctx])
         out.append(tuple(row[sec ^ f] for sec in range(len(row))))
     return tuple(out)
 

@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from amcc import analysis, ratlp, scenario
+from amcc import analysis, empirical, ratlp
 from amcc.analysis import (
     avn_certificate,
     classify,
@@ -313,7 +313,8 @@ def test_scenario_caches_are_bounded():
     # evict instead of keeping every scenario's tables.
     caches = (
         analysis.restriction_table, analysis.global_masks, analysis.incidence_matrix,
-        analysis._flip_group, analysis._quotient, scenario.overlaps, scenario.projection,
+        analysis._flip_group, analysis._quotient, empirical._overlap_plans,
+        empirical._deciding_plans,
     )
     for k in range(SCENARIO_CACHE_SIZE + 8):
         a, ap, b, bp = (f"{x}{k}" for x in ("A", "Ap", "B", "Bp"))

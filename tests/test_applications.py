@@ -10,14 +10,27 @@ from amcc.applications import (
     secret_share_simulate,
 )
 from amcc.catalog import asymmetric_scc_model, ghz_model, pr_box, three_way_box
-from amcc.construct import parity_system
-from amcc.empirical import deterministic_model, proper_subsets
+from amcc.construct import (
+    eight_param_family,
+    parity_system,
+    scan_eight_param,
+    three_param_family,
+    twentysix_param_family,
+)
+from amcc.empirical import (
+    deterministic_model,
+    from_global_distribution,
+    make_model,
+    proper_subsets,
+)
 from amcc.errors import (
     ConsistentResource,
     IndexOutOfRange,
     LengthMismatch,
     MalformedInput,
+    NegativeEntry,
     NotASubset,
+    OutOfRange,
     RowNotNormalized,
     TooLarge,
 )
@@ -187,6 +200,56 @@ def test_secret_share_round_count_is_an_int():
         secret_share_simulate(ps, (1,), 10**5000, F(1, 5), 1)
     with pytest.raises(RowNotNormalized, match="round count of 16610 bits is below 1"):
         secret_share_simulate(ps, (1,), -10**5000, F(1, 5), 1)
+
+
+HUGE = 10**5000
+HUGE_CASES = {
+    "eight-param": (
+        lambda: eight_param_family([F(HUGE)] + [0] * 7),
+        OutOfRange, "p1 = Fraction of 16610/1 bits is outside",
+    ),
+    "scan-eight-param": (
+        lambda: scan_eight_param([F(HUGE)]), OutOfRange, "p1 = Fraction of 16610/1 bits",
+    ),
+    "three-param": (
+        lambda: three_param_family(F(HUGE), 0, 0),
+        OutOfRange, r"entry \(0,1\) evaluates to Fraction of 16610/1 bits",
+    ),
+    "twentysix-param": (
+        lambda: twentysix_param_family([F(HUGE)] + [0] * 25),
+        OutOfRange, r"entry \(0,0\) evaluates to Fraction of 16610/1 bits",
+    ),
+    "global-weight": (
+        lambda: from_global_distribution(S22, {(0, 0, 0, 0): F(HUGE)}),
+        RowNotNormalized, "global weights sum to Fraction of 16610/1 bits",
+    ),
+    "negative-entry": (
+        lambda: make_model(S22, [[-HUGE, HUGE + 1, 0, 0]] + [[1, 0, 0, 0]] * 3),
+        NegativeEntry, "section 0: negative entry Fraction of 16610/1 bits",
+    ),
+    "row-sum": (
+        lambda: make_model(S22, [[HUGE, 0, 0, 0]] + [[1, 0, 0, 0]] * 3),
+        RowNotNormalized, "context 0 sums to Fraction of 16610/1 bits, not 1",
+    ),
+    "test-fraction": (
+        lambda: secret_share_simulate(parity_system(S32, GHZ_PARITIES), (1,), 5, F(HUGE), 1),
+        RowNotNormalized, r"test fraction Fraction of 16610/1 bits not in \(0, 1\)",
+    ),
+    # In range, but its "k/d" string would break the digit rule.
+    "test-fraction-digits": (
+        lambda: secret_share_simulate(parity_system(S32, GHZ_PARITIES), (1,), 5, F(1, HUGE), 1),
+        MalformedInput, "test fraction has more than 100 digits",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_CASES.values(), ids=HUGE_CASES.keys())
+def test_a_huge_rational_is_named_by_its_size(case):
+    # str() refuses an integer past 4 300 digits: each message used to raise
+    # a bare ValueError instead of the validation error.
+    call, error, message = case
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_min_entropy_names_a_huge_context_index_by_its_size():

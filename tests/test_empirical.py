@@ -655,14 +655,19 @@ def test_maximal_marginal_verdict_matches_the_full_walk(model):
         assert witness == MarginalWitness(*found[:2], tuple(Fraction(x, den) for x in found[2]))
 
 
-def test_plan_lists_share_one_plan_per_shape_past_the_plan_cache(monkeypatch):
-    # Three disjoint 9-label contexts: each has 510 proper subsets, more
-    # than the 256 plans the LRU of _marginal_plan holds, and their subsets
-    # have the same shapes context by context.  Each plan list builds a
-    # shape once, so every context reads the same plan objects.
+def _three_wide_contexts():
+    """27 labels in three disjoint 9-label contexts, each with 510 proper subsets."""
     labels = [f"Y{k}" for k in range(27)]
-    s = make_scenario(labels, [labels[9 * c:9 * c + 9] for c in range(3)])
-    by_context = [[plan for c, _, plan in empirical._subset_plans(s) if c == ctx] for ctx in range(3)]
+    return make_scenario(labels, [labels[9 * c:9 * c + 9] for c in range(3)])
+
+
+def test_plan_lists_share_one_plan_per_shape_past_the_plan_cache(monkeypatch):
+    # The contexts' subsets have the same shapes context by context.  Each
+    # plan list, and each walk of every subset, builds a shape once, so
+    # every context reads the same plan objects.
+    s = _three_wide_contexts()
+    walk = list(empirical._subset_plans(s))
+    by_context = [[plan for c, _, plan in walk if c == ctx] for ctx in range(3)]
     assert len(by_context[0]) == 510
     assert all(p is q for other in by_context[1:] for p, q in zip(by_context[0], other))
     deciding = empirical._deciding_plans(s)
@@ -677,6 +682,28 @@ def test_plan_lists_share_one_plan_per_shape_past_the_plan_cache(monkeypatch):
 
     monkeypatch.setattr(empirical, "_subset_plans", no_subset_plans)
     assert is_maximal_marginal(model) == (True, None)
+
+
+def test_a_failing_model_builds_only_the_plans_it_reads(monkeypatch):
+    # The deterministic model fails on the first subset, ("Y0",): the verdict
+    # builds the 9 one-label-out shapes and the witness only its own shape,
+    # not the 510 shapes of every subset.
+    s = _three_wide_contexts()
+    model = deterministic_model(s, (0,) * 27)
+    for cache in vars(empirical).values():
+        if hasattr(cache, "cache_clear"):
+            cache.cache_clear()
+    built = []
+    plan = empirical._marginal_plan
+
+    def counted(width, positions):
+        built.append((width, positions))
+        return plan(width, positions)
+
+    monkeypatch.setattr(empirical, "_marginal_plan", counted)
+    verdict, witness = is_maximal_marginal(model)
+    assert (verdict, witness.context, witness.subset) == (False, 0, ("Y0",))
+    assert len(built) <= 10
 
 
 def _plan_groups(plan, width):
