@@ -165,7 +165,7 @@ def support_mask(p: PossibilisticModel) -> int:
 
 def _bit_string(idx: int, width: int) -> str:
     """The outcome bits of section ``idx`` of a ``width``-observable domain, as a string."""
-    return "".join(map(str, section_values(idx, width)))
+    return format(idx, f"0{width}b")
 
 
 def contextual_fraction(m: EmpiricalModel) -> Fraction:

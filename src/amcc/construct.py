@@ -8,8 +8,9 @@ Two construction routes:
   pattern is automatically no-signaling with uniform marginals.  Flipping
   the outcomes of a set of observables relabels one lift as another whose
   parity vector differs by an element of the image of the flip map
-  GF(2)^observables → GF(2)^contexts, so the enumeration classifies one
-  lift per coset of that image.
+  GF(2)^observables → GF(2)^contexts, and relabelling the observables by a
+  symmetry of the cover permutes those cosets, so the enumeration classifies
+  one lift per orbit of the cosets under the cover's symmetries.
 * free Boolean support choices treated as a constraint-satisfaction
   instance, filtered by the possibilistic no-signaling condition and
   unsatisfiability.  This route also produces asymmetric tables that the
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,6 +65,7 @@ from .scenario import (
     MeasurementScenario,
     bell_scenario,
     bell_token,
+    cover_automorphisms,
     expect_json,
     gf2_back_substitute,
     gf2_eliminate,
@@ -227,6 +228,8 @@ def _map_chunks(worker, args, items, jobs):
     jobs = max(1, min(jobs, os.cpu_count() or 1, len(items)))
     if jobs == 1:
         return [worker(*args, items)]
+    import multiprocessing  # only here, so a single-process run never loads the pool
+
     bounds = [len(items) * k // jobs for k in range(jobs + 1)]
     with multiprocessing.Pool(processes=jobs) as pool:
         return pool.starmap(
@@ -249,17 +252,23 @@ def enumerate_parity(s: MeasurementScenario, jobs: int = 1) -> ParityEnumeration
 
     Consistent vectors, the image of the flip map
     δ: GF(2)^observables → GF(2)^contexts, are counted; inconsistent ones
-    get the verdict of their uniform lift.  Flipping the outcomes of the
-    observables in ``v`` maps the lift of ``p`` onto the lift of
-    ``p ⊕ δ(v)``, and that relabelling keeps CF, strong contextuality and
-    maximal marginals, so all vectors of one coset of the image share a
-    verdict.  A vector's syndrome, its parities against the residual
-    combinations of :func:`_gf2_basis`, names its coset and is zero exactly
-    on consistent vectors; the first vector of each nonzero syndrome is
+    get the verdict of their uniform lift.  Two kinds of relabelling map one
+    lift onto another and keep CF, strong contextuality and maximal
+    marginals.  Flipping the outcomes of the observables in ``v`` maps the
+    lift of ``p`` onto the lift of ``p ⊕ δ(v)``, so all vectors of one coset
+    of the image share a verdict; a vector's syndrome, its parities against
+    the residual combinations of :func:`_gf2_basis`, names its coset and is
+    zero exactly on consistent vectors.  Permuting the observables by an automorphism of the cover
+    (:func:`~amcc.scenario.cover_automorphisms`) sends context ``c`` to
+    ``perm[c]`` and the lift of ``p`` onto the lift of the vector that has
+    ``p[c]`` at ``perm[c]``; it maps the image of δ onto itself, so it
+    permutes the cosets.  The nonzero syndromes are grouped into orbits
+    under those generators, the least-index vector of each orbit is
     classified, those representatives split across ``jobs`` workers (capped
-    at the CPU count).  The verdict list is in lexicographic parity order
-    and independent of ``jobs``.  A ``jobs`` that is not an int of at
-    least 1 raises MalformedInput first.
+    at the CPU count), and every member gets its orbit's verdict.  The
+    verdict list is in lexicographic parity order and independent of
+    ``jobs``.  A ``jobs`` that is not an int of at least 1 raises
+    MalformedInput first.
     """
     _check_jobs(jobs)
     m = s.n_contexts
@@ -277,12 +286,30 @@ def enumerate_parity(s: MeasurementScenario, jobs: int = 1) -> ParityEnumeration
     for i, syndrome in enumerate(syndromes):
         if syndrome:
             first.setdefault(syndrome, i)
-    parts = _map_chunks(_classify_lifts, (s,), list(first.values()), jobs)
-    verdict_of = {0: (True, None, None)}  # syndrome -> (consistent, cf, amcc)
-    for syndrome, (cf, amcc) in zip(first, (v for part in parts for v in part)):
-        verdict_of[syndrome] = (False, cf, amcc)
+    # The index bit each index bit moves to under each generator.
+    moves = [
+        [1 << (m - 1 - perm[m - 1 - b]) for b in range(m)]
+        for perm in (cover_automorphisms(s) if len(first) > 1 else ())
+    ]
+    root_of = {}  # nonzero syndrome -> the syndrome of its orbit's least index
+    for syndrome in first:  # in index order, so each orbit starts at its least index
+        if syndrome in root_of:
+            continue
+        root_of[syndrome] = syndrome
+        orbit = [syndrome]
+        for member in orbit:
+            i = first[member]
+            for move in moves:
+                image = syndromes[sum(move[b] for b in range(m) if (i >> b) & 1)]
+                if image not in root_of:
+                    root_of[image] = syndrome
+                    orbit.append(image)
+    roots = [syndrome for syndrome, root in root_of.items() if syndrome == root]
+    parts = _map_chunks(_classify_lifts, (s,), [first[root] for root in roots], jobs)
+    verdict_of = dict(zip(roots, ((False, cf, amcc) for part in parts for cf, amcc in part)))
+    verdict_of[0] = (True, None, None)  # syndrome -> (consistent, cf, amcc)
     verdicts = tuple(
-        ParityVerdict(section_values(i, m), *verdict_of[syndrome])
+        ParityVerdict(section_values(i, m), *verdict_of[root_of.get(syndrome, 0)])
         for i, syndrome in enumerate(syndromes)
     )
     return ParityEnumeration(

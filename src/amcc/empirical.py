@@ -496,14 +496,14 @@ def from_global_distribution(
 
     ``weights`` maps full outcome tuples (scenario observable order) to
     probabilities; they must be nonnegative and sum to 1.  An assignment
-    that is not one bit per observable raises NotASubset before any row is
-    built.
+    that is not a tuple of one bit per observable raises NotASubset before
+    any row is built.
     """
     n = len(s.observables)
     mass = []
     for values, w in weights.items():
-        if len(values) != n or not all(map(is_bit, values)):
-            raise NotASubset(f"assignment {values} is not {n} outcome bits")
+        if not isinstance(values, tuple) or len(values) != n or not all(map(is_bit, values)):
+            raise NotASubset(f"assignment {shown(values)} is not {n} outcome bits")
         mass.append((values, exact_rational(w)))
     total = sum(w for _, w in mass)
     if total != 1:

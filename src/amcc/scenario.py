@@ -8,7 +8,9 @@ observables for a global assignment) is its canonical index, the outcome
 bits read as a big-endian binary number with the leftmost observable most
 significant.  :func:`projection` is the one restriction map between those
 indices, :func:`overlaps` lists the context pairs that share labels and
-:func:`parity_mask` the sections of each outcome parity.  Incidence matrices
+:func:`parity_mask` the sections of each outcome parity;
+:func:`cover_automorphisms` generates the relabellings of the observables
+that map the cover onto itself.  Incidence matrices
 and the JSON formats rely on these orderings being bit-stable.
 :func:`gf2_eliminate` and :func:`gf2_back_substitute` are the GF(2)
 elimination behind the parity consistency test.
@@ -55,13 +57,17 @@ def is_bit(x) -> bool:
 def shown(x) -> str:
     """``repr(x)`` cut to 40 characters; an int or Fraction past 64 bits by its size.
 
-    repr refuses an int past 4 300 digits, a Fraction's parts included.
+    repr refuses an int past 4 300 digits, a Fraction's parts and a
+    container's items included; such a container is named by its type.
     """
     if isinstance(x, int) and x.bit_length() > 64:
         return f"of {x.bit_length()} bits"
     if isinstance(x, Fraction) and max(x.numerator.bit_length(), x.denominator.bit_length()) > 64:
         return f"Fraction of {x.numerator.bit_length()}/{x.denominator.bit_length()} bits"
-    return repr(x)[:40]
+    try:
+        return repr(x)[:40]
+    except ValueError:
+        return f"{type(x).__name__} holding an int past 4 300 digits"
 
 
 def sequence_getter(positions: list):
@@ -279,6 +285,104 @@ def overlaps(s: MeasurementScenario) -> tuple[tuple[int, int, tuple[str, ...]], 
         for a, b in itertools.combinations(holders[x], 2):
             shared.setdefault((a, b), []).append(x)
     return tuple((a, b, tuple(shared[a, b])) for a, b in sorted(shared))
+
+
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
+def cover_automorphisms(s: MeasurementScenario) -> tuple[tuple[int, ...], ...]:
+    """Generators of the observable permutations that map the cover onto itself.
+
+    A permutation of the observables is an automorphism of the cover when it
+    maps every context, as a label set, onto a context; it then permutes the
+    contexts, and each generator is given as that context permutation
+    ``perm``, context ``c`` going to context ``perm[c]``.
+
+    Observables held by the same contexts are twins: permuting them moves no
+    context, so the search maps whole twin classes onto classes of their
+    size, and a cover with no other symmetry has no generators.  It is a stabiliser chain (individualisation and refinement, as in
+    McKay and Piperno, J. Symb. Comput. 60, 94, 2014).  The base is every
+    class, in breadth-first order over shared contexts.  From the last base
+    point back to the first, for each target outside the base point's orbit
+    under the generators found so far, one automorphism is sought that fixes
+    the earlier base points and sends the base point to the target; a
+    partial map is cut as soon as the mapped part of a context lies inside
+    no context of its size.  The group itself is never listed.
+    """
+    index = {label: k for k, label in enumerate(s.observables)}
+    held = [0] * len(s.observables)  # bitmask of the contexts holding each observable
+    for c, ctx in enumerate(s.contexts):
+        for label in ctx:
+            held[index[label]] |= 1 << c
+    class_size: dict[int, int] = {}  # one twin class per mask, in order of first observable
+    for mask in held:
+        class_size[mask] = class_size.get(mask, 0) + 1
+    holders, sizes = list(class_size), list(class_size.values())
+    n = len(holders)
+    members = [[k for k, mask in enumerate(holders) if (mask >> c) & 1] for c in range(s.n_contexts)]
+    held_in = [[c for c in range(s.n_contexts) if (mask >> c) & 1] for mask in holders]
+    base: list[int] = []
+    read = 0
+    for root in range(n):
+        if root not in base:
+            base.append(root)
+        while read < len(base):  # breadth first over shared contexts
+            for c in held_in[base[read]]:
+                base += [y for y in members[c] if y not in base]
+            read += 1
+
+    def extend(depth, image, used, fit, forced):
+        """Complete ``image`` on ``base[depth:]``, or return None if it cannot be.
+
+        ``fit[c]`` is the bitmask of the contexts of context ``c``'s size
+        that hold the images of its mapped classes; ``forced`` lists the
+        images of the first base points.
+        """
+        if depth == n:
+            return image
+        x = base[depth]
+        for y in forced[depth:depth + 1] or range(n):
+            if (used >> y) & 1 or sizes[y] != sizes[x]:
+                continue
+            narrowed = list(fit)
+            for c in held_in[x]:
+                narrowed[c] &= holders[y]
+                if not narrowed[c]:
+                    break
+            else:
+                image[x] = y
+                complete = extend(depth + 1, image, used | 1 << y, narrowed, forced)
+                if complete is not None:
+                    return complete
+        return None
+
+    def close(orbit):
+        """Extend ``orbit`` in place to its closure under the generators found so far."""
+        for x in orbit:
+            for g in found:
+                if g[x] not in orbit:
+                    orbit.append(g[x])
+
+    # Before any class is mapped, a context fits every context of its size.
+    start = [
+        sum(1 << d for d, other in enumerate(s.contexts) if len(other) == len(ctx))
+        for ctx in s.contexts
+    ]
+    found: list[list[int]] = []  # each a permutation of the classes, image by class
+    for level in reversed(range(n)):
+        orbit = [base[level]]
+        close(orbit)
+        for target in base[level + 1:]:  # the earlier base points are fixed
+            if target in orbit:
+                continue
+            image = extend(0, [0] * n, 0, start, base[:level] + [target])
+            if image is not None:
+                found.append(image)
+                close(orbit)
+    # A context is the union of the classes it holds; each generator moves a
+    # class, so it moves the contexts holding that class.
+    context_of = {frozenset(ctx): c for c, ctx in enumerate(members)}
+    return tuple(
+        tuple(context_of[frozenset(g[k] for k in ctx)] for ctx in members) for g in found
+    )
 
 
 @lru_cache(maxsize=None)

@@ -481,6 +481,65 @@ def bell_n2_amcc_closed_form(n: int) -> int:
     return (1 << (1 << n)) - (1 << (n + 1))
 
 
+# --- symmetries of a cover --------------------------------------------------------
+#
+# A cover is given as its observable labels and its contexts, label tuples.
+
+
+def cover_automorphisms_bruteforce(observables, contexts):
+    """Every context permutation induced by a relabelling that maps the cover onto itself.
+
+    Tries each of the n! permutations of the observables; one that maps
+    every context, as a label set, onto a context of the cover sends context
+    ``c`` to context ``perm[c]``.  Returns the set of those ``perm`` tuples.
+    """
+    cover = [frozenset(ctx) for ctx in contexts]
+    found = set()
+    for images in itertools.permutations(observables):
+        rename = dict(zip(observables, images))
+        mapped = [frozenset(rename[x] for x in ctx) for ctx in cover]
+        if all(ctx in cover for ctx in mapped):
+            found.add(tuple(cover.index(ctx) for ctx in mapped))
+    return found
+
+
+def parity_orbits_bruteforce(observables, contexts):
+    """Classes of the inconsistent parity vectors joined by outcome flips and relabellings.
+
+    A parity vector has one bit per context.  Flipping the outcomes of a set
+    of observables adds, mod 2, the number of flipped observables in each
+    context; relabelling by a cover automorphism moves context ``c``'s bit to
+    context ``perm[c]``.  Consistent vectors, the flips of the all-0 vector,
+    are left out.  Each class is a sorted list, and the classes come in the
+    order of their least vectors.
+    """
+    flips = {
+        tuple(sum(v[observables.index(x)] for x in ctx) % 2 for ctx in contexts)
+        for v in itertools.product((0, 1), repeat=len(observables))
+    }
+    perms = cover_automorphisms_bruteforce(observables, contexts)
+    seen = set(flips)
+    orbits = []
+    for p in itertools.product((0, 1), repeat=len(contexts)):
+        if p in seen:
+            continue
+        seen.add(p)
+        orbit = [p]
+        for q in orbit:
+            moved = [tuple(a ^ b for a, b in zip(q, f)) for f in flips]
+            for perm in perms:
+                image = [0] * len(q)
+                for c, bit in enumerate(q):
+                    image[perm[c]] = bit
+                moved.append(tuple(image))
+            for r in moved:
+                if r not in seen:
+                    seen.add(r)
+                    orbit.append(r)
+        orbits.append(sorted(orbit))
+    return orbits
+
+
 # --- marginals of context tables ------------------------------------------------
 #
 # A row holds one entry per section of its context; section ``sec`` gives the

@@ -1,6 +1,6 @@
-import pytest
+import multiprocessing
 
-from amcc import construct
+import pytest
 
 
 @pytest.fixture
@@ -28,5 +28,5 @@ def pool_requests(monkeypatch):
         def starmap(self, fn, items):
             return [fn(*item) for item in items]
 
-    monkeypatch.setattr(construct.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     return requests

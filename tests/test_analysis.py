@@ -29,7 +29,7 @@ from amcc.empirical import (
     possibilistic_collapse,
 )
 from amcc.errors import InternalConsistencyError, ShapeMismatch, SignalingInput, TooLarge
-from amcc.scenario import SCENARIO_CACHE_SIZE, bell_scenario, make_scenario
+from amcc.scenario import SCENARIO_CACHE_SIZE, bell_scenario, make_scenario, section_values
 
 from _generators import cycle_scenario, fraction_rows, singleton_scenario, uniform_model
 from _oracles import chsh_noisy_cf, incidence_bruteforce
@@ -251,6 +251,12 @@ def test_avn_certificate_pr_box():
     assert cert.entries[0] == (3, 0)
     for g, (c, sec) in enumerate(cert.entries):
         assert fraction_rows(pr_box(0, 0, 0))[c][sec] == 0
+
+
+def test_bit_strings_spell_the_section_values():
+    for width in range(1, 11):
+        for idx in range(1 << width):
+            assert analysis._bit_string(idx, width) == "".join(map(str, section_values(idx, width)))
 
 
 def test_avn_certificate_ghz_size():

@@ -539,6 +539,23 @@ def _run_alone(argv):
     return done.returncode, done.stdout, done.stderr
 
 
+def test_a_single_process_run_never_loads_the_process_pool():
+    script = (
+        "import contextlib, io, sys\n"
+        "import amcc, amcc.cli\n"
+        "loaded = ['multiprocessing' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    amcc.cli.main(['enumerate', 'parity', '--scenario', 'bell-3-2-2', '--jobs', '1'])\n"
+        "loaded.append('multiprocessing' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False
+    )
+    assert (done.returncode, done.stdout) == (0, "[False, False]\n")
+
+
 @pytest.mark.parametrize("sequence", [
     [["scan", "eight-param", "--grid", "1/8", "--fix", "1=1/4", "--stream"],
      ["scan", "eight-param", "--grid", "1/8", "--stream"]],

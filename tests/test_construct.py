@@ -51,7 +51,9 @@ from amcc.errors import (
     TooLarge,
     TooManyCandidates,
 )
-from amcc.scenario import bell_scenario, make_scenario, parity_mask, section_index
+from amcc.scenario import (
+    bell_scenario, make_scenario, parity_mask, parse_bell_token, section_index,
+)
 
 from _generators import (
     cycle_scenario,
@@ -66,6 +68,7 @@ from _oracles import (
     bell_n2_consistent_bruteforce,
     bell_n2_consistent_by_rank,
     gf2_rank,
+    parity_orbits_bruteforce,
     support_signaling_bruteforce,
 )
 
@@ -435,14 +438,14 @@ def test_jobs_capped_at_cpu_count(pool_requests):
 
 
 def test_jobs_chunk_count_is_min_of_jobs_cpus_and_work(pool_requests, monkeypatch):
-    # bell-3-2 has 15 coset representatives, more than the 8 CPUs.
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    # bell-3-2 has 4 orbit representatives, more than the 3 CPUs.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     pr = parity_to_possibilistic(parity_system(S22, PR_PARITIES))
     sequential = enumerate_parity(S32, jobs=1)
-    for jobs in (3, 100):
+    for jobs in (2, 100):
         assert enumerate_parity(S32, jobs=jobs) == sequential
     csp_enumerate_extension(pr, (), jobs=100)  # one candidate: one chunk, no pool
-    assert pool_requests == [3, 8]
+    assert pool_requests == [2, 3]
 
 
 def test_each_coset_is_classified_once_across_workers(pool_requests, monkeypatch):
@@ -454,12 +457,44 @@ def test_each_coset_is_classified_once_across_workers(pool_requests, monkeypatch
         return classify(model)
 
     monkeypatch.setattr(construct.analysis, "classify", counting_classify)
+    # The 15 cosets of the flip image fall into 4 orbits under the cover's
+    # automorphisms; the least vector of each is classified.
+    orbits = parity_orbits_bruteforce(S32.observables, S32.contexts)
+    least = [parity_lift(S32, orbit[0]) for orbit in orbits]
     sequential = enumerate_parity(S32, jobs=1)
     for jobs in (1, 2, 3):
         calls.clear()
         assert enumerate_parity(S32, jobs=jobs) == sequential
-        assert len(calls) == 15  # one per nonzero syndrome: 2**(8 - 4) - 1
+        assert calls == least
     assert pool_requests == [2, 3]
+
+
+@pytest.mark.parametrize("token, count", [("bell-3-2-2", 4), ("bell-2-3-2", 2), ("bell-4-2-2", 38)])
+def test_one_lift_is_classified_per_relabelling_orbit(monkeypatch, token, count):
+    calls = []
+
+    def counting_classify(model):
+        calls.append(model)
+        return classify(model)
+
+    monkeypatch.setattr(construct.analysis, "classify", counting_classify)
+    s = parse_bell_token(token)
+    report = enumerate_parity(s)
+    assert len(calls) == count
+    if s.n_contexts <= 9:  # the oracle walks every parity vector
+        orbits = parity_orbits_bruteforce(s.observables, s.contexts)
+        assert calls == [parity_lift(s, orbit[0]) for orbit in orbits]
+    else:
+        assert report.to_dict() == {"total": 65536, "consistent": 32, "amcc": 65504}
+
+
+def test_cover_symmetries_are_not_sought_for_a_single_coset(monkeypatch):
+    # bell-2-2 has one nonzero syndrome: there is nothing to join.
+    def no_search(s):
+        raise AssertionError("cover_automorphisms was called")
+
+    monkeypatch.setattr(construct, "cover_automorphisms", no_search)
+    assert enumerate_parity(S22).amcc_count == 8
 
 
 def test_jobs_below_one_is_refused():

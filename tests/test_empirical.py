@@ -259,6 +259,17 @@ def test_from_global_distribution_marginals():
         from_global_distribution(S22, {(0, 0, 0, 0): H})
 
 
+def test_a_bad_assignment_is_refused_before_it_is_read():
+    with pytest.raises(NotASubset, match=r"assignment \(2, 0, 0, 0\) is not 4 outcome bits"):
+        from_global_distribution(S22, {(2, 0, 0, 0): 1})
+    # str() refuses 10**5000 past 4 300 digits; this used to raise ValueError.
+    with pytest.raises(NotASubset, match="assignment tuple holding an int past 4 300 digits"):
+        from_global_distribution(S22, {(10**5000, 0, 0, 0): 1})
+    # len() used to raise TypeError on a key that is not a sequence.
+    with pytest.raises(NotASubset, match="assignment 5 is not 4 outcome bits"):
+        from_global_distribution(S22, {5: 1})
+
+
 # --- exact rationals at the Python entry points ------------------------------
 
 NOT_EXACT = (0.25, Decimal("0.25"), True, None)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from amcc.scenario import (
     BELL_CONTEXT_LIMIT,
     bell_scenario,
     bell_token,
+    cover_automorphisms,
     make_scenario,
     overlaps,
     parity_mask,
@@ -31,6 +33,8 @@ from amcc.scenario import (
     section_values,
     shown,
 )
+
+from _oracles import cover_automorphisms_bruteforce
 
 OBS_22 = ("X1", "X1p", "X2", "X2p")
 CTXS_22 = (("X1", "X2"), ("X1", "X2p"), ("X1p", "X2"), ("X1p", "X2p"))
@@ -122,6 +126,8 @@ def test_shown_names_a_huge_int_by_its_size():
     assert shown(1 << 64) == "of 65 bits"
     assert shown(True) == "True" and shown(2.5) == "2.5"
     assert shown("x" * 100) == repr("x" * 100)[:40]
+    assert shown((1 << 64, 0)) == repr((1 << 64, 0))
+    assert shown([0, 10**5000]) == "list holding an int past 4 300 digits"
 
 
 def test_projection_agrees_with_restrict():
@@ -233,6 +239,71 @@ def covers(draw):
 @given(covers())
 def test_overlaps_match_the_pairwise_definition(s):
     assert list(overlaps(s)) == _intersecting_pairs(s)
+
+
+def generated_group(generators, m):
+    """Every product of the context permutations ``generators`` on ``m`` contexts."""
+    group = {tuple(range(m))}
+    queue = list(group)
+    for g in queue:
+        for h in generators:
+            product = tuple(h[g[c]] for c in range(m))
+            if product not in group:
+                group.add(product)
+                queue.append(product)
+    return group
+
+
+def pr_box_covers(copies):
+    """``copies`` disjoint (2,2) Bell covers, one pair of parties each."""
+    observables, contexts = [], []
+    for k in range(copies):
+        a, b = [f"A{k}", f"A{k}p"], [f"B{k}", f"B{k}p"]
+        observables += a + b
+        contexts += [(x, y) for x in a for y in b]
+    return make_scenario(observables, contexts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(covers())
+def test_cover_automorphisms_generate_the_brute_force_group(s):
+    generators = cover_automorphisms(s)
+    for perm in generators:
+        assert sorted(perm) == list(range(s.n_contexts)) and perm != tuple(range(s.n_contexts))
+        assert all(len(s.contexts[perm[c]]) == len(ctx) for c, ctx in enumerate(s.contexts))
+    group = cover_automorphisms_bruteforce(s.observables, s.contexts)
+    assert generated_group(generators, s.n_contexts) == group
+
+
+def twin_blocks():
+    """Four contexts of 12 labels in a ring, each pair of neighbours sharing 6 twins."""
+    labels = [f"x{k}" for k in range(24)]
+    return make_scenario(labels, [[labels[(6 * c + k) % 24] for k in range(12)] for c in range(4)])
+
+
+@pytest.mark.parametrize("s, order", [
+    (bell_scenario(2, 2), 8),
+    (bell_scenario(3, 2), 48),  # 3! party orders times 2**3 setting swaps
+    (bell_scenario(4, 2), 384),
+    (bell_scenario(2, 4), 1152),  # 2 party orders times 4! * 4! setting orders
+    (twin_blocks(), 8),  # the symmetries of the ring; swapping twins moves no context
+])
+def test_cover_automorphism_group_orders(s, order):
+    assert len(generated_group(cover_automorphisms(s), s.n_contexts)) == order
+
+
+@pytest.mark.parametrize("s", [bell_scenario(4, 2), bell_scenario(2, 4), pr_box_covers(4), twin_blocks()])
+def test_cover_automorphism_search_never_lists_the_group(s):
+    # The four PR-box covers have 8**4 * 4! = 98 304 automorphisms, and the
+    # twin blocks 6!**4 * 8 relabellings.
+    best = float("inf")
+    for _ in range(3):
+        cover_automorphisms.cache_clear()
+        start = time.perf_counter()
+        generators = cover_automorphisms(s)
+        best = min(best, time.perf_counter() - start)
+    assert 0 < len(generators) <= len(s.observables) ** 2
+    assert best < 0.05
 
 
 def test_polytope_dimension_known_values():
